@@ -9,8 +9,10 @@
 use crate::config::ExecutorConfig;
 use crate::executor::Executor;
 
-/// Driver-side health record of one executor, updated between task waves
-/// (never from executor threads, so health decisions are deterministic).
+/// Driver-side health record of one executor (a job's *lane*: a physical
+/// executor standalone, a virtual one on the server), owned by the job's
+/// stage engine and updated between task rounds (never from executor
+/// threads, so health decisions are deterministic).
 #[derive(Clone, Debug, Default)]
 pub struct ExecutorHealth {
     /// Task failures charged to this executor in the current stage
@@ -30,15 +32,11 @@ pub struct ExecutorHealth {
 /// A set of executors driven stage-by-stage by the workload code.
 pub struct LocalCluster {
     pub executors: Vec<Executor>,
-    /// Health state per executor, index-aligned with `executors`.
-    pub health: Vec<ExecutorHealth>,
 }
 
 impl LocalCluster {
     pub fn new(configs: Vec<ExecutorConfig>) -> LocalCluster {
-        let executors: Vec<Executor> = configs.into_iter().map(Executor::new).collect();
-        let health = vec![ExecutorHealth::default(); executors.len()];
-        LocalCluster { executors, health }
+        LocalCluster { executors: configs.into_iter().map(Executor::new).collect() }
     }
 
     /// A cluster of `n` identical executors.
@@ -59,25 +57,6 @@ impl LocalCluster {
 
     pub fn is_empty(&self) -> bool {
         self.executors.is_empty()
-    }
-
-    /// Executors currently accepting tasks.
-    pub fn healthy_count(&self) -> usize {
-        healthy_count_in(&self.health)
-    }
-
-    /// The first non-quarantined executor at or cyclically after `start`.
-    /// With nothing quarantined this is `start` itself, which preserves
-    /// the static round-robin pinning (task `t` → executor `t % E`).
-    pub fn healthy_from(&self, start: usize) -> Option<usize> {
-        healthy_from_in(&self.health, start)
-    }
-
-    /// The first non-quarantined executor cyclically *after* `failed` —
-    /// where a retry migrates to. Cycles all the way around, so on a
-    /// one-executor cluster the (restarted) same executor is returned.
-    pub fn healthy_after(&self, failed: usize) -> Option<usize> {
-        healthy_after_in(&self.health, failed)
     }
 
     /// Run `f` on every executor in parallel (one stage's task wave).
@@ -119,20 +98,22 @@ impl LocalCluster {
     }
 }
 
-/// [`LocalCluster::healthy_count`] over any health slice. The job
-/// service's virtual per-job health records reuse these scans so its
-/// retry decisions match the standalone driver's exactly.
+/// Lanes currently accepting tasks.
 pub fn healthy_count_in(health: &[ExecutorHealth]) -> usize {
     health.iter().filter(|h| !h.quarantined).count()
 }
 
-/// [`LocalCluster::healthy_from`] over any health slice.
+/// The first non-quarantined lane at or cyclically after `start`. With
+/// nothing quarantined this is `start` itself, which preserves the static
+/// round-robin pinning (task `t` → lane `t % E`).
 pub fn healthy_from_in(health: &[ExecutorHealth], start: usize) -> Option<usize> {
     let n = health.len();
     (0..n).map(|off| (start + off) % n).find(|&i| !health[i].quarantined)
 }
 
-/// [`LocalCluster::healthy_after`] over any health slice.
+/// The first non-quarantined lane cyclically *after* `failed` — where a
+/// retry migrates to. Cycles all the way around, so on a one-lane job the
+/// (restarted) same lane is returned.
 pub fn healthy_after_in(health: &[ExecutorHealth], failed: usize) -> Option<usize> {
     let n = health.len();
     (1..=n).map(|off| (failed + off) % n).find(|&i| !health[i].quarantined)
@@ -183,19 +164,18 @@ mod tests {
 
     #[test]
     fn health_helpers_respect_quarantine() {
-        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 4 << 20);
-        let mut cluster = LocalCluster::uniform(3, cfg);
-        assert_eq!(cluster.healthy_count(), 3);
-        assert_eq!(cluster.healthy_from(1), Some(1), "no quarantine keeps round-robin pinning");
-        assert_eq!(cluster.healthy_after(1), Some(2));
-        cluster.health[1].quarantined = true;
-        assert_eq!(cluster.healthy_count(), 2);
-        assert_eq!(cluster.healthy_from(1), Some(2), "skips the quarantined executor");
-        assert_eq!(cluster.healthy_after(2), Some(0), "wraps past quarantine");
-        cluster.health[0].quarantined = true;
-        cluster.health[2].quarantined = true;
-        assert_eq!(cluster.healthy_from(0), None);
-        assert_eq!(cluster.healthy_after(0), None);
+        let mut health = vec![ExecutorHealth::default(); 3];
+        assert_eq!(healthy_count_in(&health), 3);
+        assert_eq!(healthy_from_in(&health, 1), Some(1), "no quarantine keeps round-robin pinning");
+        assert_eq!(healthy_after_in(&health, 1), Some(2));
+        health[1].quarantined = true;
+        assert_eq!(healthy_count_in(&health), 2);
+        assert_eq!(healthy_from_in(&health, 1), Some(2), "skips the quarantined executor");
+        assert_eq!(healthy_after_in(&health, 2), Some(0), "wraps past quarantine");
+        health[0].quarantined = true;
+        health[2].quarantined = true;
+        assert_eq!(healthy_from_in(&health, 0), None);
+        assert_eq!(healthy_after_in(&health, 0), None);
     }
 
     #[test]

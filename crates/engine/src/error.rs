@@ -59,8 +59,9 @@ pub enum EngineError {
     /// The job service is shutting down (or has shut down) and no longer
     /// accepts or runs jobs.
     ServerShutdown,
-    /// A task body panicked on a worker thread. The panic was caught at
-    /// the pool boundary so one bad job cannot wedge the shared cluster.
+    /// A task body panicked. The stage engine catches the panic per
+    /// attempt — standalone or served — so one bad task cannot wedge an
+    /// executor thread other work shares; deterministic, hence fatal.
     TaskPanic { stage: String, task: usize, message: String },
     /// A task failed; carries the stage and task index for diagnosis.
     Task { stage: String, task: usize, source: Box<EngineError> },

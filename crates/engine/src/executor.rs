@@ -132,7 +132,7 @@ impl Executor {
     /// Run one task as scheduling attempt `attempt` of `(stage, task)`,
     /// so the run trace attributes the attempt — and every GC pause,
     /// spill, and page-group release inside it — to its logical position.
-    /// The driver's retry engine calls this; [`Executor::run_task`] is
+    /// The stage engine's attempt body calls this; [`Executor::run_task`] is
     /// the standalone form (single-executor apps, tests).
     pub fn run_task_in<R>(
         &mut self,

@@ -33,8 +33,8 @@ pub mod metrics;
 pub mod record;
 pub mod serde_sim;
 pub mod server;
-pub mod session;
 pub mod shuffle;
+mod stage;
 pub mod trace;
 
 pub use cache::{CacheError, CacheStats, CachedRdd, RehydrateOutcome, Tier};
@@ -49,7 +49,6 @@ pub use faults::{FaultPlan, FaultSite, FaultSpec};
 pub use metrics::{GcAccounting, JobMetrics, StageMetrics, TaskMetrics, Timeline, TimelineSample};
 pub use record::{HeapRecord, KryoRecord, Record};
 pub use serde_sim::KryoSim;
-pub use server::{AppJob, DecaServer, JobCtx, JobHandle, JobOutput, JobSpec, ServerJobSession};
-pub use session::{Cached, DecaSession};
+pub use server::{AppJob, DecaServer, JobCtx, JobHandle, JobOutput, JobSpec};
 pub use shuffle::{SparkGroupShuffle, SparkHashShuffle};
 pub use trace::{RunTrace, TraceEvent, TraceEventKind, TraceRecorder};

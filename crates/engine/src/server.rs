@@ -20,10 +20,16 @@
 //! thread (executor state is only ever touched by a worker holding its
 //! mutex, preserving the single-writer discipline the deterministic
 //! heap/GC model relies on). `R` *runner* threads drain the submission
-//! queue; each runs one job's driver loop ([`ServerJobSession`], a port of
-//! the standalone [`ClusterSession`] retry engine) and publishes rounds of
-//! claimable task slots into a shared pool — the PR-5 pull scheduler's
-//! claim list generalized across jobs.
+//! queue; each runs one job's driver loop — the same stage engine
+//! (`stage.rs`) a standalone [`ClusterSession`] runs, over this module's
+//! pool-side *slot source* — which publishes each round of claimable task
+//! slots into a shared pool: the pull scheduler's claim list generalized
+//! across jobs. What a server job does differently from a standalone
+//! session is exactly the slot-source contract tabled in the stage
+//! module's docs (virtual lanes, home-only poison observation, virtual
+//! restart, home-lane charging, job-stamped events, cancellation, no
+//! speculation); every retry, quarantine and roll-up decision is the
+//! engine's, made once.
 //!
 //! Workers claim slots under the pool lock: **affinity first** (a slot
 //! whose home maps to this worker, lowest task index first — pinned
@@ -57,45 +63,24 @@
 //! evict its blocks. Job-stamped cache entries are released when the job
 //! finishes, so a long-lived server never accumulates dead jobs' state.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::cluster::{
-    exchange, healthy_after_in, healthy_count_in, healthy_from_in, ExecutorHealth, LocalCluster,
-};
-use crate::config::{ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
-use crate::driver::{
-    pin_faulted_slots_in, ClusterSession, MapOutputs, ShufflePayload, TaskContext,
-};
+use crate::cluster::LocalCluster;
+use crate::config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
+use crate::driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};
 use crate::error::EngineError;
 use crate::executor::Executor;
-use crate::faults::{FaultPlan, FaultSite};
+use crate::faults::FaultPlan;
 use crate::metrics::{JobMetrics, StageMetrics};
-use crate::trace::{dur_ns, RunTrace, TraceEvent, TraceEventKind, TraceRecorder};
-
-/// Lock a mutex, riding through poisoning: a panicking task body is caught
-/// at the pool boundary and surfaced as [`EngineError::TaskPanic`], so a
-/// poisoned lock only means "a panic unwound here once", never that the
-/// protected state is torn (executor state is updated transactionally per
-/// task).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn panic_message(p: Box<dyn Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked".to_string()
-    }
-}
+use crate::stage::{
+    lock, panic_message, AttemptDone, AttemptFn, Round, Site, Slot, SlotSource, StageEngine,
+};
+use crate::trace::{RunTrace, TraceEvent};
 
 // ----------------------------------------------------------------------
 // AppJob / JobCtx: the unified app description
@@ -136,61 +121,44 @@ impl std::fmt::Debug for AppJob {
     }
 }
 
-enum JobDriver<'a> {
-    Local(&'a mut ClusterSession),
-    Server(&'a mut ServerJobSession),
-}
-
-/// The stage API an [`AppJob`] body runs against — a [`ClusterSession`]
-/// standalone or a [`ServerJobSession`] on the server, with identical
-/// semantics (same retry engine, same task→home mapping, same
-/// deterministic results).
+/// The stage API an [`AppJob`] body runs against: the job's stage engine
+/// over its slot source — a [`ClusterSession`]'s own cluster standalone,
+/// the shared pool on the server — with identical semantics (same retry
+/// engine, same task→home mapping, same deterministic results).
 pub struct JobCtx<'a> {
-    driver: JobDriver<'a>,
+    engine: &'a mut StageEngine,
+    slots: &'a mut dyn SlotSource,
     noted_cache_bytes: usize,
 }
 
 impl<'a> JobCtx<'a> {
     /// A context over a standalone session (the apps' `run_local` path).
     pub fn local(session: &'a mut ClusterSession) -> JobCtx<'a> {
-        JobCtx { driver: JobDriver::Local(session), noted_cache_bytes: 0 }
-    }
-
-    pub(crate) fn server(session: &'a mut ServerJobSession) -> JobCtx<'a> {
-        JobCtx { driver: JobDriver::Server(session), noted_cache_bytes: 0 }
+        JobCtx { engine: &mut session.engine, slots: &mut session.cluster, noted_cache_bytes: 0 }
     }
 
     /// The job's executor width (virtual width on the server).
     pub fn executors(&self) -> usize {
-        match &self.driver {
-            JobDriver::Local(s) => s.executors(),
-            JobDriver::Server(s) => s.width(),
-        }
+        self.slots.lanes()
     }
 
-    pub fn mode(&self) -> crate::config::ExecutionMode {
-        match &self.driver {
-            JobDriver::Local(s) => s.mode(),
-            JobDriver::Server(s) => s.mode(),
-        }
+    pub fn mode(&self) -> ExecutionMode {
+        self.slots.mode()
     }
 
     /// Run one stage; see [`ClusterSession::run_stage`].
-    pub fn run_stage<R: Send + 'static>(
+    pub fn run_stage<R: Send>(
         &mut self,
         name: &str,
         tasks: usize,
         f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
     ) -> Result<Vec<R>, EngineError> {
-        match &mut self.driver {
-            JobDriver::Local(s) => s.run_stage(name, tasks, f),
-            JobDriver::Server(s) => s.run_stage(name, tasks, f),
-        }
+        self.engine.run_stage(self.slots, name, tasks, f, false)
     }
 
     /// Run a map/exchange/reduce stage pair; see
     /// [`ClusterSession::run_shuffle_job`].
-    pub fn run_shuffle_job<R: Send + 'static>(
+    pub fn run_shuffle_job<R: Send>(
         &mut self,
         name: &str,
         map_tasks: usize,
@@ -198,10 +166,7 @@ impl<'a> JobCtx<'a> {
         map: impl Fn(&TaskContext, &mut Executor) -> Result<MapOutputs, EngineError> + Sync,
         reduce: impl Fn(&TaskContext, &mut Executor, &[ShufflePayload]) -> Result<R, EngineError> + Sync,
     ) -> Result<Vec<R>, EngineError> {
-        match &mut self.driver {
-            JobDriver::Local(s) => s.run_shuffle_job(name, map_tasks, reduce_tasks, map, reduce),
-            JobDriver::Server(s) => s.run_shuffle_job(name, map_tasks, reduce_tasks, map, reduce),
-        }
+        self.engine.run_shuffle_job(self.slots, name, map_tasks, reduce_tasks, map, reduce)
     }
 
     /// Snapshot the job's current cached footprint (resident + spilled)
@@ -209,14 +174,7 @@ impl<'a> JobCtx<'a> {
     /// their caches are fully built (e.g. after the adjacency-build
     /// stage), since end-of-job cleanup releases the blocks.
     pub fn note_cache_bytes(&mut self) {
-        self.noted_cache_bytes = match &mut self.driver {
-            JobDriver::Local(s) => {
-                s.finish_job();
-                let m = s.job_summary();
-                m.cache_bytes + m.swapped_cache_bytes
-            }
-            JobDriver::Server(s) => s.job_cache_bytes(),
-        };
+        self.noted_cache_bytes = self.slots.cache_footprint();
     }
 
     /// The footprint recorded by the last [`JobCtx::note_cache_bytes`].
@@ -272,6 +230,9 @@ impl JobSpec {
         self
     }
 
+    /// The job's retry policy. `RetryPolicy::speculate` is ignored on the
+    /// server: the shared claim pool never launches a speculative
+    /// duplicate (idle workers serve other jobs instead).
     pub fn retry(mut self, policy: RetryPolicy) -> JobSpec {
         self.retry = Some(policy);
         self
@@ -415,23 +376,10 @@ impl JobHandle {
 // the shared task pool
 // ----------------------------------------------------------------------
 
-type ErasedResult = Box<dyn Any + Send>;
-type TaskFn<'a> =
-    &'a (dyn Fn(&TaskContext, &mut Executor) -> Result<ErasedResult, EngineError> + Sync);
-
 /// What a worker hands back for one executed slot: the attempt outcome
-/// plus the task metrics and trace events it produced on the physical
-/// executor, routed to the owning job's session for per-job roll-up.
-struct SlotDone {
-    task: usize,
-    attempt: u32,
-    vhome: usize,
-    result: Result<ErasedResult, EngineError>,
-    oom_rerun: bool,
-    oom_recovered: bool,
-    task_metrics: Vec<crate::metrics::TaskMetrics>,
-    events: Vec<TraceEvent>,
-}
+/// plus the trace events it produced on the physical executor, routed to
+/// the owning job for its per-job trace.
+type SlotDone = (AttemptDone, Vec<TraceEvent>);
 
 struct RoundState {
     done: Vec<Option<SlotDone>>,
@@ -439,23 +387,20 @@ struct RoundState {
 }
 
 /// One scheduling round of one job's stage, published to the pool: the
-/// cross-job generalization of the pull scheduler's claim list. Slots are
-/// `(task, attempt, virtual home)` sorted ascending by task.
-struct Round {
+/// cross-job generalization of the standalone claim list. Slots are
+/// `(task, attempt, virtual home)`, ascending by task.
+struct PoolRound {
     job: u64,
     tenant: u32,
     stage: String,
-    tasks: usize,
-    slots: Vec<(usize, u32, usize)>,
-    /// Slots that must run at home (fault-affected; see
-    /// `pin_faulted_slots_in`). Wave-mode jobs pin everything.
+    slots: Vec<Slot>,
+    /// Slots that must run at home (fault-affected under pull, every slot
+    /// under wave); the rest may be stolen by any worker.
     pinned: Vec<bool>,
     claimed: Vec<AtomicBool>,
-    /// Whether non-home workers may claim unpinned slots (pull mode).
-    steal: bool,
-    shuffle_stage: bool,
-    plan: FaultPlan,
-    policy: RetryPolicy,
+    /// Claims of this round currently executing — the fair-share signal.
+    /// A job publishes one round at a time, so this is the job's count.
+    running: AtomicUsize,
     /// The owning job's virtual-executor poison flags (width-sized,
     /// persistent across the job's stages).
     vpoison: Arc<Vec<AtomicBool>>,
@@ -463,10 +408,11 @@ struct Round {
     /// of this round fail fast with [`EngineError::Cancelled`] so the
     /// round still fully retires and releases its claim-pool slots.
     cancel: Arc<AtomicBool>,
-    /// Borrowed from the runner's `run_stage` frame. SAFETY: the frame
-    /// waits for every slot's `SlotDone` and retires the round from the
-    /// pool before returning, so no worker dereferences this afterwards.
-    body: TaskFn<'static>,
+    /// The engine's attempt body, borrowed from the runner's stage frame.
+    /// SAFETY: `PoolSlots::run_round` waits for every slot's `SlotDone`
+    /// and retires the round from the pool before returning, so no worker
+    /// dereferences this afterwards.
+    attempt: &'static AttemptFn<'static>,
     state: Mutex<RoundState>,
     done_cv: Condvar,
 }
@@ -481,34 +427,11 @@ struct QueuedJob {
 }
 
 struct PoolState {
-    rounds: Vec<Arc<Round>>,
+    rounds: Vec<Arc<PoolRound>>,
     queue: VecDeque<QueuedJob>,
     /// Jobs admitted but not yet finished (queued or running). Workers
     /// may only exit when this reaches zero after shutdown.
     active_jobs: usize,
-    /// Claims currently executing per job — the fair-share signal.
-    running: Vec<(u64, usize)>,
-}
-
-fn running_of(pool: &PoolState, job: u64) -> usize {
-    pool.running.iter().find(|(j, _)| *j == job).map(|(_, n)| *n).unwrap_or(0)
-}
-
-fn bump_running(pool: &mut PoolState, job: u64, up: bool) {
-    match pool.running.iter_mut().find(|(j, _)| *j == job) {
-        Some(slot) => {
-            if up {
-                slot.1 += 1;
-            } else {
-                slot.1 = slot.1.saturating_sub(1);
-            }
-        }
-        None => {
-            if up {
-                pool.running.push((job, 1));
-            }
-        }
-    }
 }
 
 struct TenantState {
@@ -555,7 +478,7 @@ fn find_claim(pool: &PoolState, worker: usize, executors: usize) -> Option<(usiz
                 break;
             }
         }
-        if cand.is_none() && round.steal {
+        if cand.is_none() {
             for (j, &(t, _a, v)) in round.slots.iter().enumerate() {
                 if round.pinned[j]
                     || round.claimed[j].load(Ordering::Relaxed)
@@ -568,7 +491,7 @@ fn find_claim(pool: &PoolState, worker: usize, executors: usize) -> Option<(usiz
             }
         }
         let Some((j, t, steal)) = cand else { continue };
-        let key = (steal, running_of(pool, round.job), round.job, t);
+        let key = (steal, round.running.load(Ordering::Relaxed), round.job, t);
         if best.as_ref().is_none_or(|(k, ..)| key < *k) {
             best = Some((key, ri, j));
         }
@@ -576,151 +499,48 @@ fn find_claim(pool: &PoolState, worker: usize, executors: usize) -> Option<(usiz
     best.map(|(_, ri, j)| (ri, j))
 }
 
-/// One physical attempt of slot `(t, a)` of `round` on `worker` — the
-/// server port of the driver's `run_attempt`, with the crash machinery
-/// redirected at the job's virtual executor `v`: poison checks read and
-/// set `vpoison[v]`, never the shared process. Fault decisions are pure
-/// functions of `(site, stage, task, attempt)`, so a job's failure
-/// scenario is identical to its standalone run at the same width.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    round: &Round,
-    e: &mut Executor,
-    worker: usize,
-    executors: usize,
-    t: usize,
-    a: u32,
-    v: usize,
-) -> (Result<ErasedResult, EngineError>, bool, bool) {
-    let name = round.stage.as_str();
-    let plan = &round.plan;
-    let vpoison = &round.vpoison[v];
-    let cancel = &*round.cancel;
-    let ctx = TaskContext {
-        stage: name,
-        task: t,
-        tasks: round.tasks,
-        executor: worker,
-        executors,
-        cancel,
-    };
-    let body = round.body;
-    // Panics are caught per attempt so one bad job body cannot wedge the
-    // shared worker (they surface as fatal `TaskPanic` errors).
-    let run_body = |e: &mut Executor| -> Result<ErasedResult, EngineError> {
-        match catch_unwind(AssertUnwindSafe(|| body(&ctx, e))) {
-            Ok(r) => r,
-            Err(p) => Err(EngineError::TaskPanic {
-                stage: name.to_string(),
-                task: t,
-                message: panic_message(p),
-            }),
-        }
-    };
-    let mut oom_rerun = false;
-    let mut oom_recovered = false;
-    let mut r = e.run_task_in(format!("{name}-{t}"), name, t, a, |e| {
-        // A cancelled job's remaining attempts fail fast (never running
-        // the body) so the round retires promptly and its claim-pool
-        // slots free up for other jobs.
-        if cancel.load(Ordering::Relaxed) {
-            return Err(EngineError::Cancelled { reason: "job cancelled".to_string() });
-        }
-        // Only an at-home attempt observes the virtual executor's death.
-        // Stolen slots are fault-free by construction (the pin walk pins
-        // every slot a crash dooms), so reading the home's *live* poison
-        // flag from a thief would add an ExecutorLost that depends on
-        // when the steal ran relative to the crash — a timing-dependent
-        // extra retry the serial reference never sees. The driver's
-        // analog: a poisoned executor never steals, and a thief checks
-        // its own health, not the home's.
-        if v % executors == worker && vpoison.load(Ordering::Relaxed) {
-            return Err(EngineError::ExecutorLost { executor: v });
-        }
-        if plan.fires(FaultSite::ExecutorCrash, name, t, a) {
-            vpoison.store(true, Ordering::Relaxed);
-            return Err(EngineError::ExecutorLost { executor: v });
-        }
-        if plan.fires(FaultSite::TaskBody, name, t, a) {
-            return Err(EngineError::Injected { site: FaultSite::TaskBody });
-        }
-        if plan.fires(FaultSite::Alloc, name, t, a) {
-            return Err(EngineError::Injected { site: FaultSite::Alloc });
-        }
-        if plan.fires(FaultSite::TaskHang, name, t, a) {
-            // The watchdog's verdict on a hung attempt: the whole
-            // deadline budget is burned in simulated time, charged at
-            // the session's outcome processing.
-            return Err(EngineError::Deadline {
-                stage: name.to_string(),
-                task: t,
-                attempt: a,
-                budget: round.policy.deadline_budget(),
-            });
-        }
-        let out = run_body(e)?;
-        if round.shuffle_stage && plan.fires(FaultSite::ShuffleFrame, name, t, a) {
-            return Err(EngineError::Injected { site: FaultSite::ShuffleFrame });
-        }
-        Ok(out)
-    });
-    // Spill-path kill points model the executor process dying; on the
-    // server that death is virtual. (Job fault plans are not installed
-    // into the shared caches, so this only fires for errors the body
-    // itself surfaces.)
-    if r.as_ref().err().and_then(|err| err.injected_kill()).is_some() {
-        vpoison.store(true, Ordering::Relaxed);
-    }
-    if round.policy.spill_on_oom
-        && r.as_ref().is_err_and(|err| err.is_memory_pressure())
-        && !vpoison.load(Ordering::Relaxed)
-    {
-        e.spill_for_memory();
-        oom_rerun = true;
-        r = e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, |e| {
-            let out = run_body(e)?;
-            if round.shuffle_stage && plan.fires(FaultSite::ShuffleFrame, name, t, a) {
-                return Err(EngineError::Injected { site: FaultSite::ShuffleFrame });
-            }
-            Ok(out)
-        });
-        oom_recovered = r.is_ok();
-    }
-    (r, oom_rerun, oom_recovered)
-}
-
 /// Execute one claimed slot: lock the physical executor, stamp its trace
-/// and cache with the owning job/tenant, run the attempt, and collect the
-/// task metrics and trace events it produced for routing to the job.
-fn execute_slot(inner: &ServerInner, worker: usize, round: &Round, j: usize) -> SlotDone {
+/// and cache with the owning job/tenant, run the engine's attempt body with
+/// the crash machinery pointed at the job's virtual executor `v`, and
+/// collect the trace events it produced for routing to the job.
+fn execute_slot(inner: &ServerInner, worker: usize, round: &PoolRound, j: usize) -> SlotDone {
     let executors = inner.executors.len();
     let (t, a, v) = round.slots[j];
+    let at_home = v % executors == worker;
     let e = &mut *lock(&inner.executors[worker]);
     e.trace.set_job(round.job);
     e.cache.set_tenant_ctx(Some(round.tenant));
     e.cache.set_job_ctx(Some(round.job));
-    let task_mark = e.tasks.len();
     let trace_mark = e.trace.len();
-    if v % executors != worker && e.trace.enabled() {
-        let now = e.trace.now_ns();
-        let sim = dur_ns(e.sim_now());
-        e.trace.record(
-            TraceEventKind::TaskSteal,
-            Some(round.stage.as_str()),
-            Some(t),
-            Some(a),
-            None,
-            format!("{}-{t}-steal", round.stage),
-            now,
-            0,
-            sim,
-            0,
-            0,
-            v as u64,
-        );
+    if !at_home {
+        let sim = e.sim_now();
+        e.trace.task_steal(&round.stage, (t, a), v, sim);
     }
-    let (result, oom_rerun, oom_recovered) = run_attempt(round, e, worker, executors, t, a, v);
-    let task_metrics = e.tasks[task_mark..].to_vec();
+    // Only an at-home attempt observes the virtual executor's death.
+    // Stolen slots are fault-free by construction (the pin walk pins every
+    // slot a crash dooms), so reading the home's *live* poison flag from a
+    // thief would add an ExecutorLost that depends on when the steal ran
+    // relative to the crash — a timing-dependent extra retry the serial
+    // reference never sees. The standalone analog: a poisoned executor
+    // never steals, and a thief checks its own health, not the home's.
+    let vpoison = &round.vpoison[v];
+    let site = Site {
+        task: t,
+        attempt: a,
+        lane: v,
+        executor: worker,
+        executors,
+        poisoned: at_home && vpoison.load(Ordering::Relaxed),
+        speculative: false,
+        cancel: &round.cancel,
+    };
+    let done = (round.attempt)(e, &site);
+    // The death is virtual: it poisons the job's lane, never the shared
+    // process. (Job fault plans are not installed into the shared caches,
+    // so spill-path kills only arrive as errors the body itself surfaces.)
+    if done.died {
+        vpoison.store(true, Ordering::Relaxed);
+    }
     let mut events = e.trace.drain_from(trace_mark);
     for ev in &mut events {
         ev.executor = ev.executor.or(Some(worker));
@@ -728,16 +548,7 @@ fn execute_slot(inner: &ServerInner, worker: usize, round: &Round, j: usize) -> 
     e.cache.set_job_ctx(None);
     e.cache.set_tenant_ctx(None);
     e.trace.set_job(0);
-    SlotDone {
-        task: t,
-        attempt: a,
-        vhome: v,
-        result,
-        oom_rerun,
-        oom_recovered,
-        task_metrics,
-        events,
-    }
+    (done, events)
 }
 
 fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
@@ -749,7 +560,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
                 if let Some((ri, j)) = find_claim(&pool, worker, executors) {
                     let round = pool.rounds[ri].clone();
                     round.claimed[j].store(true, Ordering::Relaxed);
-                    bump_running(&mut pool, round.job, true);
+                    round.running.fetch_add(1, Ordering::Relaxed);
                     break Some((round, j));
                 }
                 if inner.shutdown.load(Ordering::Relaxed) && pool.active_jobs == 0 {
@@ -760,10 +571,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         };
         let Some((round, j)) = claim else { return };
         let done = execute_slot(&inner, worker, &round, j);
-        {
-            let mut pool = lock(&inner.pool);
-            bump_running(&mut pool, round.job, false);
-        }
+        round.running.fetch_sub(1, Ordering::Relaxed);
         let mut st = lock(&round.state);
         st.done[j] = Some(done);
         st.completed += 1;
@@ -774,33 +582,24 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
 }
 
 // ----------------------------------------------------------------------
-// ServerJobSession: the per-job driver loop
+// PoolSlots: the pool-side slot source of one job
 // ----------------------------------------------------------------------
 
-/// One job's driver state on its runner thread: the standalone
-/// [`ClusterSession`] retry engine ported to virtual executors whose
-/// attempts execute on the shared pool. Stage lifecycle, failure
-/// charging, quarantine/restart decisions, retry routing, and metric
-/// roll-up follow the standalone driver line for line — the equivalence
-/// the server soak asserts counter for counter.
-pub struct ServerJobSession {
+/// One job's slot source on its runner thread: `width` virtual executors
+/// whose attempts execute on the shared pool, plus the job-scoped state
+/// the pool side owns — cancellation, the routed executor events, and the
+/// job's metric roll-up.
+struct PoolSlots {
     inner: Arc<ServerInner>,
     job: u64,
     tenant: u32,
-    width: usize,
-    policy: RetryPolicy,
-    scheduler: SchedulerMode,
-    faults: FaultPlan,
-    vhealth: Vec<ExecutorHealth>,
+    /// The job's virtual-executor poison flags, one per lane.
     vpoison: Arc<Vec<AtomicBool>>,
     /// Shared with the [`JobHandle`] and every published round.
     cancel: Arc<AtomicBool>,
-    /// Wall-clock deadline measured from `submitted`, checked at stage
-    /// and round boundaries.
+    /// Wall-clock deadline measured from `submitted`.
     deadline: Option<Duration>,
     submitted: Instant,
-    stages: Vec<StageMetrics>,
-    trace: TraceRecorder,
     /// Executor-side events routed back from workers, job-stamped.
     exec_events: Vec<TraceEvent>,
     metrics: JobMetrics,
@@ -808,535 +607,134 @@ pub struct ServerJobSession {
     /// max (virtual executors run in parallel, as a width-W cluster's
     /// physical ones would).
     busy_job: Vec<Duration>,
-    sim_now: Duration,
 }
 
-impl ServerJobSession {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        inner: Arc<ServerInner>,
-        job: u64,
-        tenant: u32,
-        width: usize,
-        policy: RetryPolicy,
-        scheduler: SchedulerMode,
-        faults: FaultPlan,
-        cancel: Arc<AtomicBool>,
-        deadline: Option<Duration>,
-        submitted: Instant,
-    ) -> ServerJobSession {
-        let tracing = inner.exec_config.tracing;
-        let mut trace = TraceRecorder::new(tracing);
-        trace.set_job(job);
-        ServerJobSession {
-            inner,
-            job,
-            tenant,
-            width,
-            policy,
-            scheduler,
-            faults,
-            vhealth: vec![ExecutorHealth::default(); width],
-            vpoison: Arc::new((0..width).map(|_| AtomicBool::new(false)).collect()),
-            cancel,
-            deadline,
-            submitted,
-            stages: Vec::new(),
-            trace,
-            exec_events: Vec::new(),
-            metrics: JobMetrics::default(),
-            busy_job: vec![Duration::ZERO; width],
-            sim_now: Duration::ZERO,
-        }
+impl SlotSource for PoolSlots {
+    fn lanes(&self) -> usize {
+        self.vpoison.len()
     }
 
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The deadline-aware cancellation check, run at stage and round
-    /// boundaries. A tripped deadline raises the shared cancel flag so
-    /// in-flight attempts fail fast; the first trip emits the
-    /// `JobCancelled` event and bumps the job's `cancelled` counter.
-    fn check_cancelled(&mut self) -> Result<(), EngineError> {
-        let overdue = self.deadline.is_some_and(|d| self.submitted.elapsed() >= d);
-        if overdue {
-            self.cancel.store(true, Ordering::Relaxed);
-        }
-        if !self.cancel.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let reason = if overdue {
-            format!("deadline {:?} exceeded", self.deadline.unwrap_or_default())
-        } else {
-            "cancelled via JobHandle::cancel".to_string()
-        };
-        self.note_cancelled(&reason);
-        Err(EngineError::Cancelled { reason })
-    }
-
-    /// Record the job's cancellation (once): the `cancelled` counter and
-    /// the `JobCancelled` trace event, whose label carries the reason.
-    fn note_cancelled(&mut self, reason: &str) {
-        if self.metrics.cancelled != 0 {
-            return;
-        }
-        self.metrics.cancelled = 1;
-        let now = self.trace.now_ns();
-        self.trace.record(
-            TraceEventKind::JobCancelled,
-            None,
-            None,
-            None,
-            None,
-            reason.to_string(),
-            now,
-            0,
-            dur_ns(self.sim_now),
-            0,
-            0,
-            0,
-        );
-    }
-
-    pub fn mode(&self) -> crate::config::ExecutionMode {
+    fn mode(&self) -> ExecutionMode {
         self.inner.exec_config.mode
+    }
+
+    /// A tripped deadline raises the shared cancel flag so in-flight
+    /// attempts fail fast too.
+    fn stop_reason(&mut self) -> Option<String> {
+        if let Some(d) = self.deadline.filter(|d| self.submitted.elapsed() >= *d) {
+            self.cancel.store(true, Ordering::Relaxed);
+            return Some(format!("deadline {d:?} exceeded"));
+        }
+        self.cancel.load(Ordering::Relaxed).then(|| "cancelled via JobHandle::cancel".to_string())
+    }
+
+    fn is_poisoned(&self, lane: usize) -> bool {
+        self.vpoison[lane].load(Ordering::Relaxed)
+    }
+
+    /// Virtual restart-in-place: clear the job's poison flag. The shared
+    /// physical executor never died, so there is no cache wipe to
+    /// rehydrate from — the job's cached blocks are all still live.
+    fn restart(
+        &mut self,
+        lane: usize,
+        _stage: &str,
+        _ordinal: u32,
+        _rehydrate: bool,
+    ) -> (u64, u64) {
+        self.vpoison[lane].store(false, Ordering::Relaxed);
+        (0, 0)
+    }
+
+    /// Publish the round to the pool, wait for the workers to execute
+    /// every slot, retire it. `round.speculate` is ignored: the pool never
+    /// duplicates an attempt.
+    fn run_round(&mut self, round: Round<'_>) -> Vec<AttemptDone> {
+        // SAFETY: the attempt body outlives every use — the round is fully
+        // executed (every slot's SlotDone deposited) and retired from the
+        // pool before this frame returns, and no code between publishing
+        // it and retiring it can panic out of the frame.
+        let attempt: &'static AttemptFn<'static> =
+            unsafe { std::mem::transmute::<&AttemptFn<'_>, _>(round.attempt) };
+        let n = round.slots.len();
+        let published = Arc::new(PoolRound {
+            job: self.job,
+            tenant: self.tenant,
+            stage: round.stage.to_string(),
+            slots: round.slots,
+            pinned: round.pinned,
+            claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            running: AtomicUsize::new(0),
+            vpoison: self.vpoison.clone(),
+            cancel: self.cancel.clone(),
+            attempt,
+            state: Mutex::new(RoundState { done: (0..n).map(|_| None).collect(), completed: 0 }),
+            done_cv: Condvar::new(),
+        });
+        {
+            let mut pool = lock(&self.inner.pool);
+            pool.rounds.push(published.clone());
+            self.inner.work_cv.notify_all();
+        }
+        let done: Vec<SlotDone> = {
+            let mut st = lock(&published.state);
+            while st.completed < n {
+                st = published.done_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            }
+            st.done.iter_mut().map(|d| d.take().expect("completed slot")).collect()
+        };
+        lock(&self.inner.pool).rounds.retain(|r| !Arc::ptr_eq(r, &published));
+
+        let mut attempts = Vec::with_capacity(n);
+        for (d, events) in done {
+            for tm in &d.task_metrics {
+                self.metrics.add_task(tm);
+                self.busy_job[d.lane] += tm.total();
+            }
+            self.exec_events.extend(events);
+            attempts.push(d);
+        }
+        attempts
+    }
+
+    fn recycle_payload(&mut self, i: usize, payload: ShufflePayload) {
+        let n = self.inner.executors.len();
+        lock(&self.inner.executors[i % n]).recycle_payload(payload);
     }
 
     /// Cached bytes currently stamped with this job across the shared
     /// executors (all tiers).
-    pub fn job_cache_bytes(&self) -> usize {
+    fn cache_footprint(&mut self) -> usize {
         self.inner.executors.iter().map(|m| lock(m).cache.job_bytes(self.job)).sum()
     }
+}
 
-    pub fn run_stage<R: Send + 'static>(
-        &mut self,
-        name: &str,
-        tasks: usize,
-        f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
-    ) -> Result<Vec<R>, EngineError> {
-        self.run_stage_typed(name, tasks, f, false)
+/// Seal a job: roll its stages into the job metrics, stamp the job id, and
+/// build the per-job deterministic trace (driver events first, then routed
+/// executor events — the same order `RunTrace::merge` uses).
+fn seal_job(
+    mut engine: StageEngine,
+    slots: PoolSlots,
+    checksum: f64,
+    cache_bytes: usize,
+) -> JobOutput {
+    let mut metrics = slots.metrics;
+    metrics.job = slots.job;
+    metrics.exec = slots.busy_job.iter().copied().max().unwrap_or(Duration::ZERO);
+    for s in &engine.stages {
+        metrics.add_stage_recovery(s);
     }
-
-    fn run_stage_typed<R: Send + 'static>(
-        &mut self,
-        name: &str,
-        tasks: usize,
-        f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
-        shuffle_stage: bool,
-    ) -> Result<Vec<R>, EngineError> {
-        let erased = |ctx: &TaskContext, e: &mut Executor| -> Result<ErasedResult, EngineError> {
-            f(ctx, e).map(|r| Box::new(r) as ErasedResult)
-        };
-        let out = self.run_stage_erased(name, tasks, &erased, shuffle_stage)?;
-        Ok(out
-            .into_iter()
-            .map(|b| *b.downcast::<R>().expect("stage results are the stage's result type"))
-            .collect())
-    }
-
-    pub fn run_shuffle_job<R: Send + 'static>(
-        &mut self,
-        name: &str,
-        map_tasks: usize,
-        reduce_tasks: usize,
-        map: impl Fn(&TaskContext, &mut Executor) -> Result<MapOutputs, EngineError> + Sync,
-        reduce: impl Fn(&TaskContext, &mut Executor, &[ShufflePayload]) -> Result<R, EngineError> + Sync,
-    ) -> Result<Vec<R>, EngineError> {
-        let map_stage = format!("{name}-map");
-        let outputs: Vec<MapOutputs> = self.run_stage_typed(
-            &map_stage,
-            map_tasks,
-            |ctx: &TaskContext, e: &mut Executor| {
-                let out = map(ctx, e)?;
-                if out.len() != reduce_tasks {
-                    return Err(EngineError::Shuffle(format!(
-                        "map task {} produced {} reducer outputs, expected {}",
-                        ctx.task,
-                        out.len(),
-                        reduce_tasks
-                    ))
-                    .in_task(ctx.stage, ctx.task));
-                }
-                Ok(out)
-            },
-            true,
-        )?;
-        let bytes: u64 = outputs.iter().flatten().map(|p| p.len() as u64).sum();
-        let pages: u64 = outputs.iter().flatten().map(|p| p.page_count() as u64).sum();
-        if let Some(s) = self.stages.last_mut() {
-            s.shuffle_bytes = bytes;
-            s.shuffle_pages = pages;
-        }
-        // Payloads move through the exchange; pages change owner, no copy.
-        let inputs = exchange(outputs);
-        let result = {
-            let inputs = &inputs;
-            self.run_stage(&format!("{name}-reduce"), reduce_tasks, |ctx, e| {
-                reduce(ctx, e, &inputs[ctx.task])
-            })
-        };
-        // Return consumed payload storage to the physical executors' pools.
-        if result.is_ok() {
-            let n = self.inner.executors.len();
-            for (i, p) in inputs.into_iter().flatten().enumerate() {
-                lock(&self.inner.executors[i % n]).recycle_payload(p);
-            }
-        }
-        result
-    }
-
-    /// The retry engine: the standalone driver's `run_stage_inner` with
-    /// task waves replaced by pool rounds and physical health replaced by
-    /// the job's virtual health/poison state.
-    fn run_stage_erased(
-        &mut self,
-        name: &str,
-        tasks: usize,
-        body: TaskFn<'_>,
-        shuffle_stage: bool,
-    ) -> Result<Vec<ErasedResult>, EngineError> {
-        // A job already cancelled (or past its deadline) never starts
-        // another stage.
-        self.check_cancelled()?;
-        // SAFETY: `body` outlives every use — each round is fully executed
-        // (every slot's SlotDone deposited) and retired from the pool
-        // before this frame continues, and no code between publishing a
-        // round and retiring it can panic out of the frame.
-        let body: TaskFn<'static> =
-            unsafe { std::mem::transmute::<TaskFn<'_>, TaskFn<'static>>(body) };
-        assert!(tasks > 0, "a stage needs at least one task");
-        let width = self.width;
-        let policy = self.policy;
-        let plan = self.faults.clone();
-        for h in &mut self.vhealth {
-            h.stage_failures = 0;
-        }
-
-        let stage_wall_start = self.trace.now_ns();
-        let stage_sim_start = dur_ns(self.sim_now);
-        self.trace.record(
-            TraceEventKind::StageStart,
-            Some(name),
-            None,
-            None,
-            None,
-            name,
-            stage_wall_start,
-            0,
-            stage_sim_start,
-            0,
-            0,
-            tasks as u64,
-        );
-
-        if healthy_count_in(&self.vhealth) == 0 {
-            let quarantined = width - healthy_count_in(&self.vhealth);
-            let err = EngineError::AllExecutorsLost { executors: width, quarantined };
-            let mut stage = StageMetrics::new(name);
-            stage.aborted = true;
-            let now = self.trace.now_ns();
-            self.trace.record(
-                TraceEventKind::StageEnd,
-                Some(name),
-                None,
-                None,
-                None,
-                name,
-                now,
-                now.saturating_sub(stage_wall_start),
-                stage_sim_start,
-                0,
-                0,
-                0,
-            );
-            self.stages.push(stage);
-            return Err(err.in_task(name, 0));
-        }
-
-        let mut stage = StageMetrics::new(name);
-        stage.tasks = tasks;
-        let mut results: Vec<Option<ErasedResult>> = (0..tasks).map(|_| None).collect();
-
-        let mut pending: Vec<(usize, u32, usize)> = Vec::with_capacity(tasks);
-        for t in 0..tasks {
-            let v = healthy_from_in(&self.vhealth, t % width).expect("a healthy executor exists");
-            pending.push((t, 0, v));
-        }
-
-        let scheduler = self.scheduler;
-        let mut busy_stage: Vec<Duration> = vec![Duration::ZERO; width];
-
-        let outcome: Result<(), EngineError> = 'stage: loop {
-            if pending.is_empty() {
-                break Ok(());
-            }
-            // Round-boundary watchdog: a cancelled or overdue job stops
-            // scheduling new rounds; the stage still records its metrics
-            // and StageEnd below.
-            if let Err(err) = self.check_cancelled() {
-                break 'stage Err(err);
-            }
-            let mut slots: Vec<(usize, u32, usize)> = pending.drain(..).collect();
-            slots.sort_unstable_by_key(|&(t, ..)| t);
-            let doomed: Vec<bool> =
-                self.vpoison.iter().map(|p| p.load(Ordering::Relaxed)).collect();
-            // Wave jobs pin everything (static home queues, no stealing);
-            // pull jobs pin exactly the fault-affected slots, as the
-            // standalone pull scheduler does.
-            let (pinned, steal) = match scheduler {
-                SchedulerMode::Wave => (vec![true; slots.len()], false),
-                SchedulerMode::Pull => {
-                    (pin_faulted_slots_in(&doomed, &slots, name, shuffle_stage, &plan), true)
-                }
-            };
-            let n = slots.len();
-            let round = Arc::new(Round {
-                job: self.job,
-                tenant: self.tenant,
-                stage: name.to_string(),
-                tasks,
-                slots,
-                pinned,
-                claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-                steal,
-                shuffle_stage,
-                plan: plan.clone(),
-                policy,
-                vpoison: self.vpoison.clone(),
-                cancel: self.cancel.clone(),
-                body,
-                state: Mutex::new(RoundState {
-                    done: (0..n).map(|_| None).collect(),
-                    completed: 0,
-                }),
-                done_cv: Condvar::new(),
-            });
-            {
-                let mut pool = lock(&self.inner.pool);
-                pool.rounds.push(round.clone());
-                self.inner.work_cv.notify_all();
-            }
-            let mut done: Vec<SlotDone> = {
-                let mut st = lock(&round.state);
-                while st.completed < n {
-                    st = round.done_cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                st.done.iter_mut().map(|d| d.take().expect("completed slot")).collect()
-            };
-            {
-                let mut pool = lock(&self.inner.pool);
-                pool.rounds.retain(|r| !Arc::ptr_eq(r, &round));
-            }
-
-            // Outcome processing, single-threaded in task order — health
-            // and retry decisions never depend on worker interleaving.
-            done.sort_by_key(|d| d.task);
-            let mut round_busy: Vec<Duration> = vec![Duration::ZERO; width];
-            let mut failures: Vec<(usize, u32, usize, EngineError)> = Vec::new();
-            for d in done {
-                let SlotDone {
-                    task: t,
-                    attempt: a,
-                    vhome: x,
-                    result,
-                    oom_rerun,
-                    oom_recovered,
-                    task_metrics,
-                    events,
-                } = d;
-                for tm in &task_metrics {
-                    stage.add_task(tm);
-                    self.metrics.add_task(tm);
-                    round_busy[x] += tm.total();
-                }
-                self.exec_events.extend(events);
-                stage.attempts += 1 + oom_rerun as u64;
-                stage.oom_reruns += oom_rerun as u64;
-                if oom_recovered {
-                    stage.oom_recoveries += 1;
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        TraceEventKind::OomRecovery,
-                        Some(name),
-                        Some(t),
-                        Some(a),
-                        Some(x),
-                        format!("{name}-{t}-oom"),
-                        now,
-                        0,
-                        dur_ns(self.sim_now),
-                        0,
-                        0,
-                        0,
-                    );
-                }
-                match result {
-                    Ok(v) => results[t] = Some(v),
-                    Err(err) => {
-                        // The watchdog's verdict on a hung attempt: the
-                        // whole deadline budget was burned, charged in
-                        // simulated time (never slept).
-                        if let EngineError::Deadline { budget, .. } = &err {
-                            stage.timeouts += 1;
-                            stage.recovery += *budget;
-                            let now = self.trace.now_ns();
-                            self.trace.record(
-                                TraceEventKind::TaskTimeout,
-                                Some(name),
-                                Some(t),
-                                Some(a),
-                                Some(x),
-                                format!("{name}-{t}-timeout"),
-                                now,
-                                0,
-                                dur_ns(self.sim_now),
-                                dur_ns(*budget),
-                                0,
-                                0,
-                            );
-                        }
-                        failures.push((t, a, x, err));
-                    }
-                }
-            }
-            for v in 0..width {
-                busy_stage[v] += round_busy[v];
-                self.busy_job[v] += round_busy[v];
-            }
-            if scheduler == SchedulerMode::Wave {
-                stage.exec += round_busy.into_iter().max().unwrap_or(Duration::ZERO);
-            }
-
-            for &(_, _, x, _) in &failures {
-                self.vhealth[x].stage_failures += 1;
-            }
-            for x in 0..width {
-                let dead = self.vpoison[x].load(Ordering::Relaxed);
-                let over = self.vhealth[x].stage_failures >= policy.quarantine_after;
-                if (!dead && !over) || self.vhealth[x].quarantined {
-                    continue;
-                }
-                if healthy_count_in(&self.vhealth) == 1 && policy.spare_last_executor {
-                    // Virtual restart-in-place: clear the job's poison
-                    // flag. The shared physical executor never died, so
-                    // there is no cache wipe to rehydrate from — the
-                    // job's cached blocks are all still live, and the
-                    // rehydration counters stay zero by construction.
-                    self.vpoison[x].store(false, Ordering::Relaxed);
-                    self.vhealth[x].stage_failures = 0;
-                    self.vhealth[x].restarts += 1;
-                    stage.restarts += 1;
-                    stage.recovery += policy.backoff;
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        TraceEventKind::Restart,
-                        Some(name),
-                        None,
-                        None,
-                        Some(x),
-                        format!("restart-executor-{x}"),
-                        now,
-                        0,
-                        dur_ns(self.sim_now),
-                        dur_ns(policy.backoff),
-                        0,
-                        0,
-                    );
-                } else {
-                    self.vhealth[x].quarantined = true;
-                    stage.quarantines += 1;
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        TraceEventKind::Quarantine,
-                        Some(name),
-                        None,
-                        None,
-                        Some(x),
-                        format!("quarantine-executor-{x}"),
-                        now,
-                        0,
-                        dur_ns(self.sim_now),
-                        0,
-                        0,
-                        0,
-                    );
-                }
-            }
-
-            for (t, a, x, err) in failures {
-                if !err.is_transient() || a + 1 >= policy.max_attempts {
-                    break 'stage Err(err.in_task(name, t));
-                }
-                let Some(y) = healthy_after_in(&self.vhealth, x) else {
-                    break 'stage Err(err.in_task(name, t));
-                };
-                stage.retries += 1;
-                stage.recovery += policy.backoff;
-                let now = self.trace.now_ns();
-                self.trace.record(
-                    TraceEventKind::Retry,
-                    Some(name),
-                    Some(t),
-                    Some(a),
-                    Some(x),
-                    format!("{name}-{t}-retry"),
-                    now,
-                    0,
-                    dur_ns(self.sim_now),
-                    dur_ns(policy.backoff),
-                    0,
-                    y as u64,
-                );
-                pending.push((t, a + 1, y));
-            }
-        };
-
-        if scheduler == SchedulerMode::Pull {
-            stage.exec = busy_stage.into_iter().max().unwrap_or(Duration::ZERO);
-        }
-        self.sim_now += stage.exec + stage.recovery;
-        let now = self.trace.now_ns();
-        self.trace.record(
-            TraceEventKind::StageEnd,
-            Some(name),
-            None,
-            None,
-            None,
-            name,
-            now,
-            now.saturating_sub(stage_wall_start),
-            stage_sim_start,
-            dur_ns(stage.exec + stage.recovery),
-            stage.shuffle_bytes,
-            stage.attempts,
-        );
-        self.stages.push(stage);
-        outcome?;
-        Ok(results.into_iter().map(|r| r.expect("completed stage fills every slot")).collect())
-    }
-
-    /// Seal the job: roll stages into the job metrics, stamp the job id,
-    /// and build the per-job deterministic trace (driver events first,
-    /// then routed executor events — the same order `RunTrace::merge`
-    /// uses).
-    fn finish(mut self, checksum: f64, cache_bytes: usize) -> JobOutput {
-        self.metrics.job = self.job;
-        self.metrics.exec = self.busy_job.iter().copied().max().unwrap_or(Duration::ZERO);
-        for s in &self.stages {
-            self.metrics.add_stage_recovery(s);
-        }
-        self.metrics.cache_bytes = cache_bytes;
-        let mut events = self.trace.drain_from(0);
-        events.append(&mut self.exec_events);
-        JobOutput {
-            job: self.job,
-            checksum,
-            cache_bytes,
-            metrics: self.metrics,
-            stages: self.stages,
-            trace: RunTrace::from_events(events),
-        }
+    metrics.cancelled = engine.cancelled as u64;
+    metrics.cache_bytes = cache_bytes;
+    let mut events = engine.trace.drain_from(0);
+    events.extend(slots.exec_events);
+    JobOutput {
+        job: slots.job,
+        checksum,
+        cache_bytes,
+        metrics,
+        stages: engine.stages,
+        trace: RunTrace::from_events(events),
     }
 }
 
@@ -1350,25 +748,28 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
     let policy = spec.retry.unwrap_or(inner.exec_config.retry);
     let scheduler = spec.scheduler.unwrap_or(inner.exec_config.scheduler);
     let app = spec.app.expect("submit validates the app");
-    let mut session = ServerJobSession::new(
-        inner.clone(),
-        id,
-        tenant_id,
-        width,
-        policy,
-        scheduler,
-        spec.faults,
-        state.cancelled.clone(),
-        spec.deadline,
+    let mut engine = StageEngine::new(width, policy, scheduler, inner.exec_config.tracing);
+    engine.trace.set_job(id);
+    engine.faults = spec.faults;
+    let mut slots = PoolSlots {
+        inner: inner.clone(),
+        job: id,
+        tenant: tenant_id,
+        vpoison: Arc::new((0..width).map(|_| AtomicBool::new(false)).collect()),
+        cancel: state.cancelled.clone(),
+        deadline: spec.deadline,
         submitted,
-    );
+        exec_events: Vec::new(),
+        metrics: JobMetrics::default(),
+        busy_job: vec![Duration::ZERO; width],
+    };
     // A job cancelled (or overdue) while still queued never runs its
     // body; it still flows through the full cleanup path below so its
     // admission slot and any stamped state are released.
-    let (result, noted) = match session.check_cancelled() {
+    let (result, noted) = match engine.check_stop(&mut slots) {
         Err(err) => (Err(err), 0),
         Ok(()) => {
-            let mut ctx = JobCtx::server(&mut session);
+            let mut ctx = JobCtx { engine: &mut engine, slots: &mut slots, noted_cache_bytes: 0 };
             let r = match catch_unwind(AssertUnwindSafe(|| app.run(&mut ctx))) {
                 Ok(r) => r,
                 Err(p) => Err(EngineError::TaskPanic {
@@ -1381,16 +782,16 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
         }
     };
     let output = match result {
-        Ok(checksum) => Ok(session.finish(checksum, noted)),
+        Ok(checksum) => Ok(seal_job(engine, slots, checksum, noted)),
         Err(err) => {
             // A cancel observed mid-stage (the tasks failed fast before
             // any boundary check ran) still gets its event and counter.
-            if session.cancel.load(Ordering::Relaxed) {
-                session.note_cancelled("job cancelled");
+            if slots.cancel.load(Ordering::Relaxed) {
+                engine.note_cancelled("job cancelled");
             }
             // Keep the failed job's partial roll-up reachable (the
             // JobCancelled event and `cancelled` counter live there).
-            *lock(&state.partial) = Some(session.finish(f64::NAN, noted));
+            *lock(&state.partial) = Some(seal_job(engine, slots, f64::NAN, noted));
             Err(Arc::new(err))
         }
     };
@@ -1485,7 +886,6 @@ impl DecaServer {
                 rounds: Vec::new(),
                 queue: VecDeque::new(),
                 active_jobs: 0,
-                running: Vec::new(),
             }),
             work_cv: Condvar::new(),
             job_cv: Condvar::new(),
@@ -1693,7 +1093,8 @@ impl Drop for DecaServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecutionMode;
+    use crate::faults::FaultSite;
+    use crate::trace::TraceEventKind;
 
     fn cfg() -> ExecutorConfig {
         ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
@@ -1905,5 +1306,271 @@ mod tests {
         assert_eq!(jobs, vec![a.id(), b.id()]);
         assert_eq!(merged.of_job(a.id()).count(), ra.trace.len());
         assert_eq!(merged.of_job(b.id()).count(), rb.trace.len());
+    }
+
+    // ------------------------------------------------------------------
+    // one engine, two slot sources: the fault scenarios, table-driven
+    // ------------------------------------------------------------------
+
+    /// One fault scenario: stages run in order (a stage's error is logged
+    /// and the job carries on, so "quarantine everyone, then abort" fits),
+    /// task `t` yielding `t * 3` unless it is the row's panicking task.
+    struct Scenario {
+        name: &'static str,
+        width: usize,
+        policy: RetryPolicy,
+        plan: FaultPlan,
+        stages: &'static [(&'static str, usize)],
+        panics: Option<(&'static str, usize)>,
+        /// Row-specific expectations, checked on the standalone run.
+        expect: fn(&Observed),
+    }
+
+    /// Per-stage `(name, tasks, aborted, [attempts, retries, quarantines,
+    /// restarts, oom_reruns, oom_recoveries, timeouts])`.
+    type StageRow = (String, usize, bool, [u64; 7]);
+
+    /// What a run of a scenario shows, in a form comparable across sources.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Per stage: the task-order results, or the error's debug form.
+        log: Vec<Result<Vec<usize>, String>>,
+        stages: Vec<StageRow>,
+        /// Driver-side events, in merged logical order:
+        /// `(kind, task, executor, count)`.
+        driver_events: Vec<(TraceEventKind, Option<usize>, Option<usize>, u64)>,
+    }
+
+    impl Observed {
+        fn new(
+            log: Vec<Result<Vec<usize>, String>>,
+            stages: &[StageMetrics],
+            trace: &RunTrace,
+        ) -> Observed {
+            const DRIVER_KINDS: [TraceEventKind; 8] = [
+                TraceEventKind::StageStart,
+                TraceEventKind::StageEnd,
+                TraceEventKind::Retry,
+                TraceEventKind::Quarantine,
+                TraceEventKind::Restart,
+                TraceEventKind::OomRecovery,
+                TraceEventKind::TaskTimeout,
+                TraceEventKind::JobCancelled,
+            ];
+            Observed {
+                log,
+                stages: stages
+                    .iter()
+                    .map(|s| {
+                        let counters = [
+                            s.attempts,
+                            s.retries,
+                            s.quarantines,
+                            s.restarts,
+                            s.oom_reruns,
+                            s.oom_recoveries,
+                            s.timeouts,
+                        ];
+                        (s.name.clone(), s.tasks, s.aborted, counters)
+                    })
+                    .collect(),
+                driver_events: trace
+                    .events
+                    .iter()
+                    .filter(|e| DRIVER_KINDS.contains(&e.kind))
+                    .map(|e| (e.kind, e.task, e.executor, e.count))
+                    .collect(),
+            }
+        }
+
+        fn stage(&self, name: &str) -> &StageRow {
+            self.stages.iter().find(|s| s.0 == name).expect("stage ran")
+        }
+    }
+
+    type StageLog = Arc<Mutex<Vec<Result<Vec<usize>, String>>>>;
+
+    /// The scenario as an app: the same body runs on both slot sources.
+    fn scenario_app(sc: &Scenario, log: StageLog) -> AppJob {
+        let (stages, panics) = (sc.stages, sc.panics);
+        AppJob::new(sc.name, move |ctx| {
+            let mut last = Ok(0.0);
+            for &(stage, tasks) in stages {
+                let r = ctx.run_stage(stage, tasks, |c, _e| {
+                    if panics == Some((stage, c.task)) {
+                        panic!("boom in task");
+                    }
+                    Ok(c.task * 3)
+                });
+                lock(&log).push(r.as_ref().map(Vec::clone).map_err(|e| format!("{e:?}")));
+                last = r.map(|v| v.len() as f64);
+            }
+            last
+        })
+    }
+
+    fn scenarios() -> Vec<Scenario> {
+        let resilient = RetryPolicy::resilient();
+        let force =
+            |site, stage, task, attempt| FaultPlan::quiet().force(site, stage, task, attempt);
+        vec![
+            Scenario {
+                name: "transient failure retries on the next executor",
+                width: 2,
+                policy: resilient,
+                plan: force(FaultSite::TaskBody, "flaky", Some(1), Some(0)),
+                stages: &[("flaky", 4)],
+                panics: None,
+                expect: |o| {
+                    assert_eq!(o.log, vec![Ok(vec![0, 3, 6, 9])]);
+                    assert_eq!(o.stage("flaky").3, [5, 1, 0, 0, 0, 0, 0]);
+                    // Failed on lane 1, rescheduled onto lane 0.
+                    assert!(o.driver_events.contains(&(
+                        TraceEventKind::Retry,
+                        Some(1),
+                        Some(1),
+                        0
+                    )));
+                },
+            },
+            Scenario {
+                name: "crash poisons a lane, then quarantines it",
+                width: 2,
+                policy: resilient,
+                plan: force(FaultSite::ExecutorCrash, "crashy", Some(1), Some(0)),
+                stages: &[("crashy", 6), ("after", 4)],
+                panics: None,
+                expect: |o| {
+                    assert!(o.log.iter().all(|r| r.is_ok()));
+                    // Lane 1's whole home queue (tasks 1, 3, 5) fails.
+                    assert_eq!(o.stage("crashy").3, [9, 3, 1, 0, 0, 0, 0]);
+                    assert_eq!(o.stage("after").3, [4, 0, 0, 0, 0, 0, 0]);
+                },
+            },
+            Scenario {
+                name: "the last lane is restarted in place, not quarantined",
+                width: 1,
+                policy: resilient,
+                plan: force(FaultSite::ExecutorCrash, "solo", Some(0), Some(0)),
+                stages: &[("solo", 3)],
+                panics: None,
+                expect: |o| {
+                    assert_eq!(o.log, vec![Ok(vec![0, 3, 6])]);
+                    let [_, _, quarantines, restarts, ..] = o.stage("solo").3;
+                    assert_eq!((quarantines, restarts), (0, 1));
+                },
+            },
+            Scenario {
+                name: "forced alloc failure re-runs in place after a spill",
+                width: 2,
+                // Even fail-fast (max_attempts = 1) degrades OOM gracefully.
+                policy: RetryPolicy::default(),
+                plan: force(FaultSite::Alloc, "mem", Some(2), Some(0)),
+                stages: &[("mem", 4)],
+                panics: None,
+                expect: |o| {
+                    assert_eq!(o.log, vec![Ok(vec![0, 3, 6, 9])]);
+                    assert_eq!(o.stage("mem").3, [5, 0, 0, 0, 1, 1, 0]);
+                },
+            },
+            Scenario {
+                name: "a hung task is timed out, charged, and retried",
+                width: 2,
+                policy: resilient.task_deadline(Duration::from_millis(25)),
+                plan: force(FaultSite::TaskHang, "hang", Some(1), Some(0)),
+                stages: &[("hang", 4)],
+                panics: None,
+                expect: |o| {
+                    assert_eq!(o.log, vec![Ok(vec![0, 3, 6, 9])]);
+                    assert_eq!(o.stage("hang").3, [5, 1, 0, 0, 0, 0, 1]);
+                },
+            },
+            Scenario {
+                name: "attempts exhausted fails task-attributed and transient",
+                width: 2,
+                policy: resilient.max_attempts(2),
+                plan: force(FaultSite::TaskBody, "doom", Some(1), None),
+                stages: &[("doom", 2)],
+                panics: None,
+                expect: |o| {
+                    let err = o.log[0].as_ref().unwrap_err();
+                    assert!(err.starts_with("Task { stage: \"doom\", task: 1"), "{err}");
+                    assert_eq!(o.stage("doom").3, [3, 1, 0, 0, 0, 0, 0]);
+                },
+            },
+            Scenario {
+                name: "losing every lane aborts the next stage up front",
+                width: 2,
+                policy: resilient.quarantine_after(1).spare_last_executor(false),
+                plan: force(FaultSite::ExecutorCrash, "melt", None, None),
+                stages: &[("melt", 4), ("after", 3)],
+                panics: None,
+                expect: |o| {
+                    assert!(o.log[0].is_err());
+                    let err = o.log[1].as_ref().unwrap_err();
+                    assert!(
+                        err.contains("AllExecutorsLost { executors: 2, quarantined: 2 }"),
+                        "{err}"
+                    );
+                    assert_eq!(o.stage("melt").3[2], 2, "both lanes quarantined");
+                    assert_eq!(o.stage("after"), &("after".to_string(), 0, true, [0; 7]));
+                },
+            },
+            Scenario {
+                name: "a panicking task body is a fatal, task-attributed TaskPanic",
+                width: 2,
+                policy: resilient,
+                plan: FaultPlan::quiet(),
+                stages: &[("boom", 3)],
+                panics: Some(("boom", 1)),
+                expect: |o| {
+                    let err = o.log[0].as_ref().unwrap_err();
+                    assert!(err.contains("TaskPanic { stage: \"boom\", task: 1"), "{err}");
+                    assert_eq!(o.stage("boom").3, [3, 0, 0, 0, 0, 0, 0], "fatal: never retried");
+                },
+            },
+        ]
+    }
+
+    #[test]
+    fn fault_scenarios_resolve_identically_on_both_slot_sources() {
+        for sc in scenarios() {
+            for sched in [SchedulerMode::Wave, SchedulerMode::Pull] {
+                let what = format!("{} [{sched}]", sc.name);
+                let config = cfg().scheduler(sched).retry(sc.policy);
+
+                // Standalone at width W.
+                let log = StageLog::default();
+                let mut session = ClusterSession::new(sc.width, config.clone());
+                session.install_faults(sc.plan.clone());
+                let _ = scenario_app(&sc, log.clone()).run(&mut JobCtx::local(&mut session));
+                let log = std::mem::take(&mut *lock(&log));
+                let local = Observed::new(log, session.stages(), &session.merged_trace());
+                (sc.expect)(&local);
+
+                // A server job at virtual width W, on E = W and on E < W
+                // physical executors.
+                let mut physical = vec![sc.width, 1];
+                physical.dedup();
+                for e in physical {
+                    let log = StageLog::default();
+                    let server = DecaServer::new(e, config.clone());
+                    let spec = JobSpec::new("t")
+                        .executors(sc.width)
+                        .retry(sc.policy)
+                        .scheduler(sched)
+                        .faults(sc.plan.clone())
+                        .app(scenario_app(&sc, log.clone()));
+                    let h = server.submit(spec).unwrap();
+                    let out = match h.wait() {
+                        Ok(out) => out,
+                        Err(_) => lock(&h.state.partial).clone().expect("a failed job's roll-up"),
+                    };
+                    let log = std::mem::take(&mut *lock(&log));
+                    let served = Observed::new(log, &out.stages, &out.trace);
+                    assert_eq!(served, local, "{what}: width {} on {e} executors", sc.width);
+                }
+            }
+        }
     }
 }

@@ -42,6 +42,8 @@ use std::time::{Duration, Instant};
 
 use deca_check::json::Json;
 
+use crate::metrics::StageMetrics;
+
 /// The typed event vocabulary of a run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum TraceEventKind {
@@ -343,6 +345,187 @@ impl TraceRecorder {
             count,
             seq,
         });
+    }
+
+    /// An instantaneous event stamped "now" — the shape of every
+    /// scheduling decision below. The label is only formatted when the
+    /// recorder is enabled.
+    #[allow(clippy::too_many_arguments)]
+    fn instant(
+        &mut self,
+        kind: TraceEventKind,
+        stage: Option<&str>,
+        slot: Option<(usize, u32)>,
+        executor: Option<usize>,
+        label: std::fmt::Arguments<'_>,
+        sim_now: Duration,
+        sim_dur: Duration,
+        count: u64,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        let now = self.now_ns();
+        let (task, attempt) = (slot.map(|s| s.0), slot.map(|s| s.1));
+        let (sim, dur) = (dur_ns(sim_now), dur_ns(sim_dur));
+        self.record(
+            kind,
+            stage,
+            task,
+            attempt,
+            executor,
+            label.to_string(),
+            now,
+            0,
+            sim,
+            dur,
+            0,
+            count,
+        );
+    }
+
+    /// A stage of `tasks` tasks began; returns its wall start for the
+    /// matching [`TraceRecorder::stage_end`].
+    pub fn stage_start(&mut self, stage: &str, sim_now: Duration, tasks: usize) -> u64 {
+        let start = self.now_ns();
+        let sim = dur_ns(sim_now);
+        self.record(
+            TraceEventKind::StageStart,
+            Some(stage),
+            None,
+            None,
+            None,
+            stage,
+            start,
+            0,
+            sim,
+            0,
+            0,
+            tasks as u64,
+        );
+        start
+    }
+
+    /// `stage` finished or failed: its simulated duration is the critical
+    /// path plus recovery time, its count the physical task runs.
+    pub fn stage_end(&mut self, stage: &StageMetrics, wall_start: u64, sim_start: Duration) {
+        let now = self.now_ns();
+        self.record(
+            TraceEventKind::StageEnd,
+            Some(&stage.name),
+            None,
+            None,
+            None,
+            stage.name.as_str(),
+            now,
+            now.saturating_sub(wall_start),
+            dur_ns(sim_start),
+            dur_ns(stage.exec + stage.recovery),
+            stage.shuffle_bytes,
+            stage.attempts,
+        );
+    }
+
+    /// Attempt `slot` failed on executor `from` and was rescheduled onto
+    /// `to`, charging `backoff` of simulated time.
+    pub fn retry(
+        &mut self,
+        stage: &str,
+        slot: (usize, u32),
+        from: usize,
+        to: usize,
+        sim_now: Duration,
+        backoff: Duration,
+    ) {
+        let label = format_args!("{stage}-{}-retry", slot.0);
+        let kind = TraceEventKind::Retry;
+        self.instant(kind, Some(stage), Some(slot), Some(from), label, sim_now, backoff, to as u64);
+    }
+
+    pub fn quarantine(&mut self, stage: &str, executor: usize, sim_now: Duration) {
+        let label = format_args!("quarantine-executor-{executor}");
+        let kind = TraceEventKind::Quarantine;
+        self.instant(kind, Some(stage), None, Some(executor), label, sim_now, Duration::ZERO, 0);
+    }
+
+    pub fn restart(&mut self, stage: &str, executor: usize, sim_now: Duration, backoff: Duration) {
+        let label = format_args!("restart-executor-{executor}");
+        let kind = TraceEventKind::Restart;
+        self.instant(kind, Some(stage), None, Some(executor), label, sim_now, backoff, 0);
+    }
+
+    /// An OOM-classified failure of `slot` on `executor` was absorbed by
+    /// spill-and-re-run.
+    pub fn oom_recovery(
+        &mut self,
+        stage: &str,
+        slot: (usize, u32),
+        executor: usize,
+        sim_now: Duration,
+    ) {
+        let label = format_args!("{stage}-{}-oom", slot.0);
+        let kind = TraceEventKind::OomRecovery;
+        self.instant(
+            kind,
+            Some(stage),
+            Some(slot),
+            Some(executor),
+            label,
+            sim_now,
+            Duration::ZERO,
+            0,
+        );
+    }
+
+    /// The watchdog failed `slot` on `executor` after it burned `budget`.
+    pub fn task_timeout(
+        &mut self,
+        stage: &str,
+        slot: (usize, u32),
+        executor: usize,
+        sim_now: Duration,
+        budget: Duration,
+    ) {
+        let label = format_args!("{stage}-{}-timeout", slot.0);
+        let kind = TraceEventKind::TaskTimeout;
+        self.instant(kind, Some(stage), Some(slot), Some(executor), label, sim_now, budget, 0);
+    }
+
+    /// This recorder's executor claimed `slot` away from executor `home`.
+    pub fn task_steal(&mut self, stage: &str, slot: (usize, u32), home: usize, sim_now: Duration) {
+        let label = format_args!("{stage}-{}-steal", slot.0);
+        let kind = TraceEventKind::TaskSteal;
+        self.instant(
+            kind,
+            Some(stage),
+            Some(slot),
+            None,
+            label,
+            sim_now,
+            Duration::ZERO,
+            home as u64,
+        );
+    }
+
+    /// This recorder's executor launched a duplicate of `slot`, whose
+    /// primary copy runs on executor `primary`.
+    pub fn task_speculative(
+        &mut self,
+        stage: &str,
+        slot: (usize, u32),
+        primary: usize,
+        sim_now: Duration,
+    ) {
+        let label = format_args!("{stage}-{}-speculative", slot.0);
+        let kind = TraceEventKind::TaskSpeculative;
+        let count = primary as u64;
+        self.instant(kind, Some(stage), Some(slot), None, label, sim_now, Duration::ZERO, count);
+    }
+
+    /// The job was cancelled; the label carries the reason.
+    pub fn job_cancelled(&mut self, reason: &str, sim_now: Duration) {
+        let kind = TraceEventKind::JobCancelled;
+        self.instant(kind, None, None, None, format_args!("{reason}"), sim_now, Duration::ZERO, 0);
     }
 
     /// Events recorded so far (merge input; also handy in tests).

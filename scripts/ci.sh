@@ -18,6 +18,13 @@ cargo build --release --offline --examples
 echo "== tests (offline) =="
 cargo test -q --offline
 
+echo "== benchmark crate (own workspace: build + self-tests, 1/20 size, no timing asserts) =="
+# benchmark/ has its own [workspace], so the build and tests above never
+# compile it: a public-API rename in deca-engine would pass them and only
+# fail when the benchmark pipeline runs. Its self-tests are the frozen
+# public surface's compile check plus a smoke of every workload.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== fault-tolerance suite (replayed seeds, both schedulers) =="
 # `cargo test` above already ran the suite under its pinned seed trio;
 # these explicit replays prove the DECA_CHECK_SEED knob reproduces a
