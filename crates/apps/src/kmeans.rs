@@ -19,9 +19,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use deca_engine::record::HeapRecord;
-use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx,
-};
+use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 
 use crate::datagen;
 use crate::records::LabeledPointRec;
@@ -63,24 +61,12 @@ impl KmParams {
     }
 }
 
-/// Run KMeans on one executor and report metrics, cache size, and the
-/// final-centroids checksum (the single-executor shim kept for the bench
-/// binaries and cross-mode tests).
-pub fn run(params: &KmParams) -> AppReport {
-    run_local(params, 1)
-}
-
-/// Run KMeans across `executors` parallel executors. The centroids are
+/// Run KMeans across `executors` parallel executors and report metrics,
+/// cache size, and the final-centroids checksum. The centroids are
 /// bit-identical for any executor count: task `p` always scans its own
 /// cached partition and the driver folds partial sums in task order.
 pub fn run_local(params: &KmParams, executors: usize) -> AppReport {
     crate::run_job_local(&job(params), km_config(params), executors)
-}
-
-/// Run the KMeans job on an already-built session (any executor shape,
-/// any installed fault plan) and return its checksum.
-pub fn run_on(params: &KmParams, session: &mut ClusterSession) -> Result<f64, EngineError> {
-    job(params).run(&mut JobCtx::local(session))
 }
 
 /// The executor configuration KMeans runs under (public so equivalence
@@ -368,9 +354,9 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1);
+        let ser = run_local(&tiny(ExecutionMode::SparkSer), 1);
+        let deca = run_local(&tiny(ExecutionMode::Deca), 1);
         assert!((spark.checksum - deca.checksum).abs() < 1e-9);
         assert!((ser.checksum - deca.checksum).abs() < 1e-9);
         assert!(deca.checksum > 0.0);

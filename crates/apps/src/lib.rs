@@ -64,11 +64,20 @@ pub fn run_job_faulty(
     };
     let mut session = ClusterSession::new(executors, config);
     session.install_faults(plan);
+    let (checksum, cache_bytes) = run_job_on(app, &mut session)?;
+    Ok(AppReport::from_cluster(app.name(), &session, checksum, cache_bytes))
+}
+
+/// Run an [`AppJob`] to completion on an already-built session (any
+/// executor shape, any installed fault plan) and return
+/// `(checksum, cache_bytes)`. The job is finished on the session, so cache
+/// occupancy and the job summary are current afterwards.
+pub fn run_job_on(app: &AppJob, session: &mut ClusterSession) -> Result<(f64, usize), EngineError> {
     let (checksum, cache_bytes) = {
-        let mut ctx = JobCtx::local(&mut session);
+        let mut ctx = JobCtx::local(session);
         let checksum = app.run(&mut ctx)?;
         (checksum, ctx.noted_cache_bytes())
     };
     session.finish_job();
-    Ok(AppReport::from_cluster(app.name(), &session, checksum, cache_bytes))
+    Ok((checksum, cache_bytes))
 }

@@ -24,9 +24,7 @@ use std::sync::Mutex;
 use deca_core::optimizer::ContainerDecision;
 use deca_core::Optimizer;
 use deca_engine::record::HeapRecord;
-use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx,
-};
+use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
 use crate::datagen;
@@ -71,25 +69,14 @@ impl LrParams {
     }
 }
 
-/// Run LR on one executor and report metrics, cache size, and the
-/// final-weights checksum. (Unlike the paper's reported numbers, the
-/// cluster-driven report includes the load stage in the job totals — the
-/// `lr-load` stage metrics keep it separable.)
-pub fn run(params: &LrParams) -> AppReport {
-    run_local(params, 1)
-}
-
-/// Run LR across `executors` parallel executors. The weights are
-/// bit-identical for any executor count: task `p` always scans its own
-/// cached partition and the driver sums partial gradients in task order.
+/// Run LR across `executors` parallel executors and report metrics, cache
+/// size, and the final-weights checksum. The weights are bit-identical
+/// for any executor count: task `p` always scans its own cached partition
+/// and the driver sums partial gradients in task order. (Unlike the
+/// paper's reported numbers, the report includes the load stage in the
+/// job totals — the `lr-load` stage metrics keep it separable.)
 pub fn run_local(params: &LrParams, executors: usize) -> AppReport {
     crate::run_job_local(&job(params), lr_config(params), executors)
-}
-
-/// Run the LR job on an already-built session (any executor shape, any
-/// installed fault plan) and return its checksum.
-pub fn run_on(params: &LrParams, session: &mut ClusterSession) -> Result<f64, EngineError> {
-    job(params).run(&mut JobCtx::local(session))
 }
 
 /// The executor configuration LR runs under (public so equivalence tests
@@ -272,7 +259,7 @@ fn spark_gradient(
         }
         let factor = factor_of(label, dot);
         // Temporary map-output vector (allocated, filled, consumed, dead).
-        let tmp = e.heap.alloc_array(classes.double_array, d).expect("temp vector");
+        let tmp = e.heap.alloc_array(classes.double_array, d)?;
         let ts = e.heap.push_stack(tmp);
         let data = {
             let arr = e.heap.root_ref(root);
@@ -317,7 +304,7 @@ fn sparkser_gradient(
     )?;
     for rec in recs {
         // The deserializer materialises a temporary object graph.
-        let lp = rec.store(&mut e.heap, classes).expect("temp graph");
+        let lp = rec.store(&mut e.heap, classes)?;
         let ls = e.heap.push_stack(lp);
         let lp = e.heap.stack_ref(ls);
         let label = e.heap.read_f64(lp, 0);
@@ -400,9 +387,9 @@ mod tests {
 
     #[test]
     fn all_modes_compute_identical_weights() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1);
+        let ser = run_local(&tiny(ExecutionMode::SparkSer), 1);
+        let deca = run_local(&tiny(ExecutionMode::Deca), 1);
         assert!((spark.checksum - deca.checksum).abs() < 1e-12);
         assert!((ser.checksum - deca.checksum).abs() < 1e-12);
         assert!(spark.checksum > 0.0);
@@ -410,8 +397,8 @@ mod tests {
 
     #[test]
     fn deca_cache_is_smaller_than_spark() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1);
+        let deca = run_local(&tiny(ExecutionMode::Deca), 1);
         assert!(
             deca.cache_bytes < spark.cache_bytes,
             "deca {} vs spark {}",
@@ -424,7 +411,7 @@ mod tests {
     fn timeline_shows_live_points_in_spark_only() {
         let mut p = tiny(ExecutionMode::Spark);
         p.sample_timeline = true;
-        let spark = run(&p);
+        let spark = run_local(&p, 1);
         assert!(
             spark.timeline.peak_live() >= p.points,
             "cached points live on the heap: peak={} points={}",
@@ -433,7 +420,7 @@ mod tests {
         );
         let mut p = tiny(ExecutionMode::Deca);
         p.sample_timeline = true;
-        let deca = run(&p);
+        let deca = run_local(&p, 1);
         assert_eq!(deca.timeline.peak_live(), 0, "no LabeledPoint objects in Deca");
     }
 }

@@ -23,8 +23,8 @@ use deca_core::optimizer::ContainerDecision;
 use deca_core::{DecaHashShuffle, Optimizer};
 use deca_engine::record::HeapRecord;
 use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx,
-    MapOutputs, ShufflePayload, SparkGroupShuffle, SparkHashShuffle,
+    AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, MapOutputs,
+    ShufflePayload, SparkGroupShuffle, SparkHashShuffle,
 };
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
@@ -252,11 +252,6 @@ fn add_f64_bytes(acc: &mut [u8], add: &[u8]) {
     acc[..8].copy_from_slice(&(a + b).to_le_bytes());
 }
 
-/// Run PageRank on one executor.
-pub fn run(params: &PrParams) -> AppReport {
-    run_local(params, 1)
-}
-
 /// Assert the Deca optimizer reproduces the §4.3.3 plan (VST grouping
 /// buffer kept on the heap, adjacency cache decomposed on copy) before the
 /// engine follows it. Driver-side, once per job.
@@ -311,21 +306,6 @@ pub fn pr_config(params: &PrParams) -> ExecutorConfig {
 /// never depends on the cluster shape.
 pub fn run_local(params: &PrParams, executors: usize) -> AppReport {
     crate::run_job_local(&job(params), pr_config(params), executors)
-}
-
-/// Run the PageRank job on an already-built session (any executor shape,
-/// any installed fault plan) and return `(checksum, cache_bytes)`.
-pub fn run_on(
-    params: &PrParams,
-    session: &mut ClusterSession,
-) -> Result<(f64, usize), EngineError> {
-    let (checksum, cache_bytes) = {
-        let mut ctx = JobCtx::local(session);
-        let checksum = job(params).run(&mut ctx)?;
-        (checksum, ctx.noted_cache_bytes())
-    };
-    session.finish_job();
-    Ok((checksum, cache_bytes))
 }
 
 /// The PageRank job description: consumed by `DecaServer::submit` (via
@@ -549,9 +529,9 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1);
+        let ser = run_local(&tiny(ExecutionMode::SparkSer), 1);
+        let deca = run_local(&tiny(ExecutionMode::Deca), 1);
         assert!((spark.checksum - deca.checksum).abs() < 1e-9);
         assert!((ser.checksum - deca.checksum).abs() < 1e-9);
         assert!(deca.checksum > 0.0);
@@ -561,7 +541,7 @@ mod tests {
     fn ranks_sum_is_conserved_reasonably() {
         // With damping 0.15/0.85 and dangling mass leakage, the sum stays
         // within sane bounds of |V|.
-        let r = run(&tiny(ExecutionMode::Deca));
+        let r = run_local(&tiny(ExecutionMode::Deca), 1);
         assert!(r.checksum > 0.15 * 500.0);
         assert!(r.checksum < 2.0 * 500.0);
     }

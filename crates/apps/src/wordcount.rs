@@ -18,8 +18,8 @@
 use deca_core::{DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
 use deca_engine::record::HeapRecord;
 use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, ExecutorConfig, JobCtx, MapOutputs,
-    ShufflePayload, SparkHashShuffle,
+    AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx, MapOutputs, ShufflePayload,
+    SparkHashShuffle,
 };
 
 use crate::datagen;
@@ -53,12 +53,6 @@ impl WcParams {
     }
 }
 
-/// Run WordCount on one executor and report metrics plus a
-/// mode-independent checksum.
-pub fn run(params: &WcParams) -> AppReport {
-    run_local(params, 1)
-}
-
 /// The executor configuration WordCount runs under (public so the
 /// scheduler-equivalence tests can build sessions with the exact same
 /// memory split, then vary retry policy and scheduler mode).
@@ -88,12 +82,6 @@ pub fn job(params: &WcParams) -> AppJob {
             ExecutionMode::Deca => run_deca(ctx, &parts, reducers, p.sample_every),
         }
     })
-}
-
-/// Run the WordCount job on an already-built session (any executor shape,
-/// any installed fault plan) and return its checksum.
-pub fn run_on(params: &WcParams, session: &mut ClusterSession) -> Result<f64, EngineError> {
-    job(params).run(&mut JobCtx::local(session))
 }
 
 /// Run WordCount across `executors` parallel executors. Results are
@@ -279,16 +267,6 @@ pub fn text_job(params: &WcParams) -> AppJob {
     })
 }
 
-/// Run text-keyed WordCount over text tokens on one executor.
-pub fn run_text(params: &WcParams) -> AppReport {
-    run_text_local(params, 1)
-}
-
-/// Text-keyed WordCount across `executors` parallel executors.
-pub fn run_text_local(params: &WcParams, executors: usize) -> AppReport {
-    crate::run_job_local(&text_job(params), wc_config(params), executors)
-}
-
 fn text_checksum(word: &str, count: i64) -> f64 {
     (word.len() as f64 + word.as_bytes()[1] as f64) * count as f64
 }
@@ -457,16 +435,20 @@ mod tests {
 
     #[test]
     fn spark_and_deca_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1);
+        let deca = run_local(&tiny(ExecutionMode::Deca), 1);
         assert_eq!(spark.checksum, deca.checksum, "same aggregation result");
         assert!(spark.checksum > 0.0);
     }
 
     #[test]
     fn text_mode_agrees_across_spark_and_deca() {
-        let spark = run_text(&tiny(ExecutionMode::Spark));
-        let deca = run_text(&tiny(ExecutionMode::Deca));
+        let text = |mode| {
+            let p = tiny(mode);
+            crate::run_job_local(&text_job(&p), wc_config(&p), 1)
+        };
+        let spark = text(ExecutionMode::Spark);
+        let deca = text(ExecutionMode::Deca);
         assert_eq!(spark.checksum, deca.checksum);
         assert!(spark.checksum > 0.0);
     }
@@ -475,10 +457,10 @@ mod tests {
     fn spark_mode_churns_objects_deca_does_not() {
         let mut p = tiny(ExecutionMode::Spark);
         p.sample_every = 1000;
-        let spark = run(&p);
+        let spark = run_local(&p, 1);
         let mut p = tiny(ExecutionMode::Deca);
         p.sample_every = 1000;
-        let deca = run(&p);
+        let deca = run_local(&p, 1);
         assert!(
             spark.timeline.peak_live() > 100,
             "Spark: temporary tuples populate the heap (peak {})",

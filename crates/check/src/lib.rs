@@ -11,24 +11,21 @@
 //! * [`property`] — a minimal property-based testing harness: configurable
 //!   case counts, per-case seeds reported on failure, and greedy input
 //!   shrinking to a local-minimum counterexample.
-//! * [`bench`] — a wall-clock micro-benchmark timer (warmup, N samples,
-//!   median/p95 reporting) with a `Criterion`-shaped API so benchmark files
-//!   stay close to their upstream idiom.
 //! * [`json`] — a minimal JSON value model, parser, and deterministic
-//!   writer, shared by the trace exporters and the `BENCH_*.json`
-//!   perf-regression gate.
+//!   writer, shared by the trace exporters and the `benchmark/` crate's
+//!   result files.
 //!
-//! Everything is deterministic given a seed; nothing performs I/O beyond
-//! printing results. The paper's reclamation and equivalence claims (Lu et
-//! al., PVLDB 2016, §2.3/§4) are only as good as their tests, and those
-//! tests must run offline, repeatably, forever.
+//! Timing is not done here: `benchmark/` (its own workspace) is the one
+//! instrument that times the system. Everything in this crate is
+//! deterministic given a seed and performs no I/O. The paper's
+//! reclamation and equivalence claims (Lu et al., PVLDB 2016, §2.3/§4) are
+//! only as good as their tests, and those tests must run offline,
+//! repeatably, forever.
 
-pub mod bench;
 pub mod json;
 pub mod property;
 pub mod rng;
 
-pub use bench::{Bencher, BenchmarkGroup, BenchmarkId, Criterion};
 pub use json::{Json, JsonError};
 pub use property::{check, Config, Gen, TestResult};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};

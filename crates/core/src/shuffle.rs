@@ -413,8 +413,8 @@ pub struct ArenaStats {
     /// dropped) every payload this must be exactly 0: >0 is a leak, <0 a
     /// double free.
     live_pages: AtomicI64,
-    /// Bytes copied on the hand-over path (flattening a multi-page run,
-    /// or the copying-baseline A/B mode). The zero-copy invariant test
+    /// Bytes copied on the hand-over path (flattening a multi-page run
+    /// for [`ShufflePayload::contiguous`]). The zero-copy invariant test
     /// asserts this stays 0 for a Deca run.
     copied_bytes: AtomicU64,
     /// Runs / pages / payload bytes handed over to the exchange.
@@ -471,8 +471,7 @@ impl ArenaStats {
 /// A run of pages holding one map task's output for one reducer, in
 /// append order. Records never span pages (mirroring [`PageGroup`]'s
 /// no-span invariant), so iterating [`PageRun::chunks`] record-by-record
-/// yields exactly the byte sequence a contiguous buffer would — which is
-/// what keeps results bit-identical to the copying exchange.
+/// yields exactly the byte sequence a contiguous buffer would.
 ///
 /// Dropping a run returns its pages to the allocator and decrements the
 /// issuing arena's live-page count — a failed or speculative-loser map
@@ -537,9 +536,8 @@ impl PageRun {
     }
 
     /// Flatten into one owned buffer, **counting every byte as a
-    /// hand-over copy** — this is the copying-baseline path the zero-copy
-    /// exchange is gated against.
-    pub fn to_vec_counted(&self) -> Vec<u8> {
+    /// hand-over copy** against the arena.
+    fn to_vec_counted(&self) -> Vec<u8> {
         self.stats.count_copy(self.len as u64);
         let mut out = Vec::with_capacity(self.len);
         for chunk in self.chunks() {

@@ -238,19 +238,15 @@ pub struct ExecutorConfig {
     /// Driver fault-handling policy for sessions built from this config.
     pub retry: RetryPolicy,
     /// How the driver hands tasks to executors (`Pull` by default;
-    /// `Wave` retained for in-run A/B comparison and the perf gate's
-    /// skew cell). `DECA_SCHEDULER=wave` flips the default process-wide.
+    /// `Wave` pins every task to its home slot, which the benchmark's
+    /// `lr-gcbound` workload needs). `DECA_SCHEDULER=wave` flips the
+    /// default process-wide.
     pub scheduler: SchedulerMode,
     /// Record the structured run trace (`crate::trace`). On by default —
     /// overhead is a bounded number of vector pushes per task — and
-    /// turned off by the perf gate's overhead-measurement control run.
+    /// turned off by the benchmark's `engine.trace.overhead_pct` control
+    /// run.
     pub tracing: bool,
-    /// A/B baseline knob: flatten every Deca shuffle hand-over into a
-    /// fresh byte buffer (the pre-zero-copy exchange), counting the
-    /// copies. Off by default; the perf gate's zero-copy floor cell turns
-    /// it on via `DECA_SHUFFLE_COPY=1` to measure what the hand-over
-    /// saves. Results are bit-identical either way.
-    pub copying_shuffle: bool,
 }
 
 impl ExecutorConfig {
@@ -274,7 +270,6 @@ impl ExecutorConfig {
                 retry: RetryPolicy::default(),
                 scheduler: SchedulerMode::from_env(),
                 tracing: true,
-                copying_shuffle: std::env::var("DECA_SHUFFLE_COPY").as_deref() == Ok("1"),
             },
         }
     }
@@ -332,11 +327,6 @@ impl ExecutorConfig {
 
     pub fn tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    pub fn copying_shuffle(mut self, on: bool) -> Self {
-        self.copying_shuffle = on;
         self
     }
 
@@ -420,11 +410,6 @@ impl ExecutorConfigBuilder {
 
     pub fn tracing(mut self, on: bool) -> Self {
         self.config.tracing = on;
-        self
-    }
-
-    pub fn copying_shuffle(mut self, on: bool) -> Self {
-        self.config.copying_shuffle = on;
         self
     }
 

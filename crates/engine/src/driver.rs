@@ -1564,10 +1564,10 @@ mod tests {
     }
 
     #[test]
-    fn deca_handover_copies_zero_bytes_and_the_baseline_copies_all() {
+    fn deca_handover_copies_zero_bytes_and_delivers_the_expected_bytes() {
         // Zero-copy hand-over: the exchange moves page ownership.
         let mut s = session(2);
-        let base = run_page_shuffle(&mut s, "zc").unwrap();
+        let got = run_page_shuffle(&mut s, "zc").unwrap();
         let (copied, handed_runs, handed_bytes): (u64, u64, u64) =
             s.cluster.executors.iter().map(|e| e.arena.stats()).fold((0, 0, 0), |acc, st| {
                 (acc.0 + st.copied_bytes(), acc.1 + st.handed_runs(), acc.2 + st.handed_bytes())
@@ -1577,21 +1577,11 @@ mod tests {
         assert_eq!(handed_bytes, 4 * 3 * 16);
         assert!(s.merged_trace().of_kind(TraceEventKind::PageHandover).count() >= 1);
 
-        // The copying A/B baseline flattens every run into fresh bytes —
-        // same results, every byte counted as a copy.
-        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).copying_shuffle(true);
-        let mut s2 = ClusterSession::new(2, cfg);
-        let copying = run_page_shuffle(&mut s2, "zc").unwrap();
-        assert_eq!(copying, base, "results are bit-identical across hand-over modes");
-        let (copied2, handed2): (u64, u64) = s2
-            .cluster
-            .executors
-            .iter()
-            .map(|e| e.arena.stats())
-            .fold((0, 0), |acc, st| (acc.0 + st.copied_bytes(), acc.1 + st.handed_runs()));
-        assert_eq!(copied2, 4 * 3 * 16, "the baseline copies every exchanged byte");
-        assert_eq!(handed2, 0, "no page ownership transfer in copying mode");
-        assert_eq!(s2.merged_trace().of_kind(TraceEventKind::PageHandover).count(), 0);
-        assert_eq!(s2.stage("zc-map").unwrap().shuffle_pages, 0);
+        // What each reducer must see, computed without the engine: its
+        // four records from every map task, in map-task order.
+        let expected: Vec<Vec<u8>> = (0..3u8)
+            .map(|r| (0..4u8).flat_map(|t| (0..4u8).flat_map(move |i| [t, r, i, 0xAB])).collect())
+            .collect();
+        assert_eq!(got, expected, "ownership transfer delivers every byte, in order");
     }
 }

@@ -369,26 +369,15 @@ impl Executor {
 
     /// Finish a map task's per-reducer run and hand it to the exchange.
     ///
-    /// In the default zero-copy mode ownership of the pages transfers to
-    /// the returned payload — no bytes move — and the hand-over is noted
-    /// with the memory manager so it lands in the trace as a
-    /// [`TraceEventKind::PageHandover`]. With
-    /// [`ExecutorConfig::copying_shuffle`] set (the A/B baseline), the run
-    /// is flattened into a fresh `Vec<u8>` (counted on
-    /// [`deca_core::ArenaStats::copied_bytes`]) and its pages go straight
-    /// back to the pool.
+    /// Ownership of the pages transfers to the returned payload — no
+    /// bytes move — and the hand-over is noted with the memory manager so
+    /// it lands in the trace as a [`TraceEventKind::PageHandover`].
     pub fn hand_over(&mut self, run: PageRun) -> ShufflePayload {
-        if self.config.copying_shuffle {
-            let bytes = run.to_vec_counted();
-            self.arena.recycle_run(run);
-            ShufflePayload::Bytes(bytes)
-        } else {
-            let pages = run.page_count();
-            let bytes = run.len();
-            self.arena.stats().count_handover(pages as u64, bytes as u64);
-            self.mm.note_handover(pages, bytes);
-            ShufflePayload::Pages(run)
-        }
+        let pages = run.page_count();
+        let bytes = run.len();
+        self.arena.stats().count_handover(pages as u64, bytes as u64);
+        self.mm.note_handover(pages, bytes);
+        ShufflePayload::Pages(run)
     }
 
     /// A pooled byte buffer for byte-format (Spark/SparkSer) map outputs,

@@ -130,7 +130,7 @@ impl Heap {
     /// traces the snapshot while the mutator continues. No-op (returning
     /// false) if a cycle is already in flight. Normally initiated by the
     /// occupancy trigger at the minor-GC tail; public so tests and the
-    /// perf gate can drive cycles deterministically.
+    /// benchmark's pause probe can drive cycles deterministically.
     pub fn start_concurrent_cycle(&mut self) -> bool {
         if self.conc.is_some() {
             return false;

@@ -343,15 +343,6 @@ impl Heap {
         self.set_conc_floor();
     }
 
-    /// Stop-the-world whole-heap mark with the configured worker count,
-    /// reclaiming nothing: the parallel-tracing probe `perf_gate` times
-    /// in isolation from the (sequential) evacuation and sweep phases.
-    /// Returns the number of objects marked — schedule-independent, so
-    /// any two `gc_threads` settings must agree exactly on it.
-    pub fn mark_census(&mut self) -> u64 {
-        self.mark_all().objects_marked
-    }
-
     /// Stop-the-world parallel mark of the whole heap from the roots,
     /// fanned out over `gc_threads` workers.
     fn mark_all(&mut self) -> MarkOutcome {

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example logistic_regression`
 
-use deca_apps::logreg::{run, LrParams};
+use deca_apps::logreg::{run_local, LrParams};
 use deca_apps::report::{gc_reduction, speedup};
 use deca_engine::ExecutionMode;
 
@@ -31,7 +31,7 @@ fn main() {
     for mode in ExecutionMode::ALL {
         let mut p = params.clone();
         p.mode = mode;
-        let r = run(&p);
+        let r = run_local(&p, 1);
         println!("{}", r.line());
         reports.push(r);
     }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example pagerank_graph`
 
-use deca_apps::pagerank::{run, PrParams};
+use deca_apps::pagerank::{run_local, PrParams};
 use deca_apps::report::speedup;
 use deca_engine::ExecutionMode;
 
@@ -22,7 +22,7 @@ fn main() {
     for mode in ExecutionMode::ALL {
         let mut p = params.clone();
         p.mode = mode;
-        let r = run(&p);
+        let r = run_local(&p, 1);
         println!("{}", r.line());
         reports.push(r);
     }

@@ -5,6 +5,7 @@
 //! below is the README's "Watchdog and cancellation" snippet — keep the
 //! two in sync.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use deca_engine::{
@@ -38,12 +39,14 @@ fn main() {
         .retry(policy)
         .scheduler(SchedulerMode::Pull);
     let mut session = ClusterSession::new(2, config);
+    let straggling = AtomicBool::new(false);
     let parts = session
         .run_stage("straggle", 8, |t, _e| {
-            if t.task == 0 && t.executor == 0 {
-                // A straggling attempt: sleeps in slices, polling the
-                // token the duplicate's win raises.
-                for _ in 0..200 {
+            // The first copy of task 0 to start — on whichever executor
+            // claimed it — straggles: it sleeps in slices, polling the
+            // token the duplicate's win raises.
+            if t.task == 0 && !straggling.swap(true, Ordering::SeqCst) {
+                for _ in 0..5_000 {
                     if t.is_cancelled() {
                         return Err(EngineError::Cancelled { reason: "duplicate won".to_string() });
                     }

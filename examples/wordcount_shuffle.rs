@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example wordcount_shuffle`
 
-use deca_apps::wordcount::{run, WcParams};
+use deca_apps::wordcount::{run_local, WcParams};
 use deca_engine::ExecutionMode;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
         let mut p = params.clone();
         p.mode = mode;
-        let r = run(&p);
+        let r = run_local(&p, 1);
         println!("{}", r.line());
         println!("  Tuple2 lifetime samples (time ms, live objects, cum. GC ms):");
         for s in r.timeline.samples.iter().step_by(4).take(8) {

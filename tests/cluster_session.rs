@@ -10,6 +10,7 @@
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_local, run_job_on};
 use deca_engine::{ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode, TraceEventKind};
 
 const EXECUTOR_COUNTS: [usize; 3] = [1, 2, 4];
@@ -58,11 +59,15 @@ fn wordcount_is_identical_across_modes_and_widths() {
 
 #[test]
 fn text_wordcount_is_identical_across_modes_and_widths() {
-    let reference = wordcount::run_text_local(&wc_params(ExecutionMode::Deca), 1).checksum;
+    let text = |mode, executors| {
+        let p = wc_params(mode);
+        run_job_local(&wordcount::text_job(&p), wordcount::wc_config(&p), executors)
+    };
+    let reference = text(ExecutionMode::Deca, 1).checksum;
     assert!(reference > 0.0);
     for mode in ExecutionMode::ALL {
         for executors in EXECUTOR_COUNTS {
-            let report = wordcount::run_text_local(&wc_params(mode), executors);
+            let report = text(mode, executors);
             assert_eq!(report.checksum, reference, "{mode} on {executors} executors");
         }
     }
@@ -141,8 +146,8 @@ fn pull_scheduler_matches_wave_bit_for_bit_at_every_mode_and_width() {
             let run_wc = |sched: SchedulerMode| {
                 let mut session =
                     ClusterSession::new(executors, wordcount::wc_config(&p).scheduler(sched));
-                let checksum = wordcount::run_on(&p, &mut session).expect("wordcount job");
-                session.finish_job();
+                let (checksum, _) =
+                    run_job_on(&wordcount::job(&p), &mut session).expect("wordcount job");
                 let steals = session
                     .merged_trace()
                     .events
@@ -161,7 +166,8 @@ fn pull_scheduler_matches_wave_bit_for_bit_at_every_mode_and_width() {
             let run_pr = |sched: SchedulerMode| {
                 let mut session =
                     ClusterSession::new(executors, pagerank::pr_config(&pr).scheduler(sched));
-                let (checksum, _) = pagerank::run_on(&pr, &mut session).expect("pagerank job");
+                let (checksum, _) =
+                    run_job_on(&pagerank::job(&pr), &mut session).expect("pagerank job");
                 (checksum, session.job_summary().attempts)
             };
             let (wave, wave_attempts) = run_pr(SchedulerMode::Wave);
@@ -195,7 +201,8 @@ fn heterogeneous_heaps_do_not_change_results() {
         let uniform = wordcount::run_local(&p, 2).checksum;
 
         let mut session = ClusterSession::with_configs(mixed_configs(mode, &[24 << 20, 8 << 20]));
-        let mixed = wordcount::run_on(&p, &mut session).expect("wordcount on mixed heaps");
+        let (mixed, _) =
+            run_job_on(&wordcount::job(&p), &mut session).expect("wordcount on mixed heaps");
         assert_eq!(mixed, uniform, "{mode}: mixed 24MB/8MB heaps changed the checksum");
 
         let pr = pr_params(mode);
@@ -213,7 +220,8 @@ fn heterogeneous_heaps_do_not_change_results() {
                 })
                 .collect(),
         );
-        let (pr_mixed, _) = pagerank::run_on(&pr, &mut session).expect("pagerank on mixed heaps");
+        let (pr_mixed, _) =
+            run_job_on(&pagerank::job(&pr), &mut session).expect("pagerank on mixed heaps");
         assert_eq!(pr_mixed, pr_uniform, "{mode}: mixed 32MB/12MB heaps changed the ranks");
     }
 }

@@ -26,6 +26,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use deca_apps::pagerank::{self, PrParams};
+use deca_apps::run_job_on;
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
 use deca_engine::cache::BlockId;
@@ -82,8 +83,7 @@ fn run_pr(
     if let Some(plan) = plan {
         session.install_faults(plan);
     }
-    let (checksum, _) = pagerank::run_on(params, &mut session)?;
-    session.finish_job();
+    let (checksum, _) = run_job_on(&pagerank::job(params), &mut session)?;
     Ok((checksum, session))
 }
 
@@ -491,9 +491,8 @@ fn seeded_spill_path_storms_keep_results_bit_identical() {
                 .spill_dir(dir.path().join(format!("case-{seed}-{executors}")));
             let mut session = ClusterSession::new(executors, config);
             session.install_faults(FaultPlan::seeded(seed as u64, storm));
-            let (checksum, _) = pagerank::run_on(&params, &mut session)
+            let (checksum, _) = run_job_on(&pagerank::job(&params), &mut session)
                 .map_err(|e| format!("survivable storm died: {e}"))?;
-            session.finish_job();
             prop_assert_eq!(checksum, references[m], "spill storm changed the answer");
             prop_assert!(session.job_summary().attempts >= 40, "the job ran all its stages");
             Ok(())

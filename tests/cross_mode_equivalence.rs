@@ -18,7 +18,7 @@ fn wordcount_checksums_agree() {
         let mut p = wordcount::WcParams::small(mode);
         p.words = 30_000;
         p.distinct = 700;
-        results.push(wordcount::run(&p).checksum);
+        results.push(wordcount::run_local(&p, 1).checksum);
     }
     assert_eq!(results[0], results[1]);
     td.cleanup();
@@ -32,7 +32,7 @@ fn logreg_weights_agree_across_modes() {
         let mut p = logreg::LrParams::small(mode);
         p.points = 4_000;
         p.iterations = 4;
-        results.push(logreg::run(&p).checksum);
+        results.push(logreg::run_local(&p, 1).checksum);
     }
     assert!((results[0] - results[1]).abs() < 1e-12);
     assert!((results[1] - results[2]).abs() < 1e-12);
@@ -47,7 +47,7 @@ fn kmeans_centroids_agree_across_modes() {
         let mut p = kmeans::KmParams::small(mode);
         p.points = 4_000;
         p.iterations = 3;
-        results.push(kmeans::run(&p).checksum);
+        results.push(kmeans::run_local(&p, 1).checksum);
     }
     assert!((results[0] - results[1]).abs() < 1e-9);
     assert!((results[1] - results[2]).abs() < 1e-9);
@@ -63,7 +63,7 @@ fn pagerank_ranks_agree_across_modes() {
         p.vertices = 800;
         p.edges = 6_000;
         p.iterations = 3;
-        results.push(pagerank::run(&p).checksum);
+        results.push(pagerank::run_local(&p, 1).checksum);
     }
     assert!((results[0] - results[1]).abs() < 1e-9);
     assert!((results[1] - results[2]).abs() < 1e-9);

@@ -10,8 +10,8 @@
 //! line to re-run a failing scenario locally.
 
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_faulty, run_job_on};
 use std::time::Duration;
 
 use deca_engine::{
@@ -256,10 +256,10 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         wordcount::wc_config(&p).retry(matrix_policy()).scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let checksum = wordcount::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: WC died: {e}")
-                    });
-                    session.finish_job();
+                    let (checksum, _) = run_job_on(&wordcount::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: WC died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = wc(SchedulerMode::Wave);
@@ -281,9 +281,10 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         pagerank::pr_config(&p).retry(matrix_policy()).scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let (checksum, _) = pagerank::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: PR died: {e}")
-                    });
+                    let (checksum, _) = run_job_on(&pagerank::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: PR died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = pr(SchedulerMode::Wave);
@@ -330,10 +331,10 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                             .scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let checksum = wordcount::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: hung WC died: {e}")
-                    });
-                    session.finish_job();
+                    let (checksum, _) = run_job_on(&wordcount::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: hung WC died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = wc(SchedulerMode::Wave);
@@ -379,9 +380,10 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                             .scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let (checksum, _) = pagerank::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: hung PR died: {e}")
-                    });
+                    let (checksum, _) = run_job_on(&pagerank::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: hung PR died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = pr(SchedulerMode::Wave);

@@ -11,8 +11,8 @@
 mod util;
 
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_faulty, run_job_on};
 use deca_engine::{
     ClusterSession, ExecutionMode, FaultPlan, FaultSpec, JobMetrics, RetryPolicy, SchedulerMode,
 };
@@ -159,10 +159,10 @@ fn recovery_rollups_are_scheduler_invariant_under_every_plan() {
                         .scheduler(sched),
                 );
                 session.install_faults(plan.clone());
-                let checksum = wordcount::run_on(&p, &mut session).unwrap_or_else(|e| {
-                    panic!("{gc}, {mode}, {sched}, seed {seed}: survivable WC died: {e}")
-                });
-                session.finish_job();
+                let (checksum, _) =
+                    run_job_on(&wordcount::job(&p), &mut session).unwrap_or_else(|e| {
+                        panic!("{gc}, {mode}, {sched}, seed {seed}: survivable WC died: {e}")
+                    });
                 (checksum, session.job_summary())
             };
             let (wave_sum, wave) = run(SchedulerMode::Wave);

@@ -3,9 +3,10 @@
 
 mod util;
 
-use deca_apps::logreg::{run, LrParams};
+use deca_apps::logreg::{self, run_local, LrParams};
+use deca_apps::run_job_faulty;
 use deca_engine::record::HeapRecord;
-use deca_engine::{ExecutionMode, Executor, ExecutorConfig};
+use deca_engine::{ExecutionMode, Executor, ExecutorConfig, FaultPlan};
 
 use util::TestDir;
 
@@ -27,7 +28,7 @@ fn lr_survives_cache_larger_than_budget_in_all_modes() {
             seed: 31,
             sample_timeline: false,
         };
-        let r = run(&p);
+        let r = run_local(&p, 1);
         assert!(r.checksum.is_finite(), "{mode}: result must be computed");
     }
     td.cleanup();
@@ -49,8 +50,8 @@ fn evicted_results_match_resident_results() {
         seed: 32,
         sample_timeline: false,
     };
-    let resident = run(&mk(0.8));
-    let evicting = run(&mk(0.04));
+    let resident = run_local(&mk(0.8), 1);
+    let evicting = run_local(&mk(0.04), 1);
     assert!(
         (resident.checksum - evicting.checksum).abs() < 1e-12,
         "eviction round-trips (serialize -> disk -> deserialize) must not corrupt data"
@@ -75,8 +76,8 @@ fn deca_swap_roundtrip_preserves_data() {
         seed: 33,
         sample_timeline: false,
     };
-    let resident = run(&mk(0.8));
-    let evicting = run(&mk(0.02));
+    let resident = run_local(&mk(0.8), 1);
+    let evicting = run_local(&mk(0.02), 1);
     assert!((resident.checksum - evicting.checksum).abs() < 1e-12);
     td.cleanup();
 }
@@ -105,10 +106,43 @@ fn lr_is_correct_under_every_collector() {
             seed: 34,
             sample_timeline: false,
         };
-        results.push(run(&p).checksum);
+        results.push(run_local(&p, 1).checksum);
     }
     assert_eq!(results[0], results[1], "CMS (mark-sweep) must not corrupt data");
     assert_eq!(results[1], results[2]);
+    td.cleanup();
+}
+
+#[test]
+fn lr_on_a_tight_heap_completes_or_reports_memory_pressure_never_panics() {
+    let td = TestDir::executor_default();
+    // Two big partitions on one executor, heap swept down from a size
+    // where every mode completes. 6 MB is the pinned point: there the
+    // Spark kernel's per-point temporary vector is the allocation that
+    // meets the full heap, which used to `expect` and surface as a task
+    // panic. A full heap inside a kernel must instead be a typed
+    // memory-pressure error the stage engine can spill-and-re-run on.
+    let mut reference = None;
+    for heap_mb in [8, 7, 6, 5] {
+        for mode in ExecutionMode::ALL {
+            let mut p = LrParams::small(mode);
+            (p.points, p.iterations, p.partitions) = (25_000, 2, 2);
+            (p.heap_bytes, p.storage_fraction) = (heap_mb << 20, 0.8);
+            let config = logreg::lr_config(&p);
+            match run_job_faulty(&logreg::job(&p), config, 1, FaultPlan::quiet(), None) {
+                Ok(r) => assert_eq!(
+                    r.checksum,
+                    *reference.get_or_insert(r.checksum),
+                    "{mode} at {heap_mb} MB: completed with the wrong weights"
+                ),
+                Err(e) => assert!(
+                    e.is_memory_pressure(),
+                    "{mode} at {heap_mb} MB: expected a memory-pressure error, got: {e}"
+                ),
+            }
+        }
+    }
+    assert!(reference.is_some(), "the sweep starts at a size that completes");
     td.cleanup();
 }
 
