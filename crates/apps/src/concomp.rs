@@ -10,7 +10,7 @@ use deca_engine::record::HeapRecord;
 use deca_engine::{ExecutionMode, Executor, ExecutorConfig, SparkHashShuffle};
 
 use crate::datagen;
-use crate::pagerank::build_adjacency;
+use crate::pagerank::{build_adjacency, partition_edges};
 use crate::records::AdjListRec;
 use crate::report::AppReport;
 
@@ -49,8 +49,8 @@ pub fn run(params: &CcParams) -> AppReport {
     let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
     let pair_classes = <(i64, i64) as HeapRecord>::register(&mut exec.heap);
 
-    let (blocks, _degrees, adj_classes) =
-        build_adjacency(&mut exec, &edges, params.vertices, params.partitions, params.mode);
+    let parts = partition_edges(&edges, params.partitions);
+    let (blocks, adj_classes) = build_adjacency(&mut exec, &parts, params.mode);
     exec.finish_job();
     let cache_bytes = exec.job.cache_bytes + exec.job.swapped_cache_bytes;
 

@@ -14,6 +14,26 @@ use deca_check::rng::{Rng, Xoshiro256StarStar};
 
 use crate::records::{LabeledPointRec, RankingRec, UserVisitRec};
 
+#[cfg(test)]
+thread_local! {
+    /// Generator calls made on this thread. The apps' unit tests read it
+    /// around `job(&p)` and around a run of that job: a job description
+    /// generates its dataset when it is built, never in its body.
+    static CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Generator calls made on the current thread so far.
+#[cfg(test)]
+pub(crate) fn calls() -> usize {
+    CALLS.with(|c| c.get())
+}
+
+#[inline]
+fn count_call() {
+    #[cfg(test)]
+    CALLS.with(|c| c.set(c.get() + 1));
+}
+
 /// Greatest common divisor (for coprime permutation strides).
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
@@ -66,6 +86,7 @@ impl Zipf {
 /// Word-id stream with Zipf-distributed frequencies over `distinct` keys
 /// (the WC input; the paper varies both size and distinct-key count).
 pub fn zipf_words(n: usize, distinct: usize, seed: u64) -> Vec<i64> {
+    count_call();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let zipf = Zipf::new(distinct, 1.05);
     // Permute ranks to ids so frequent keys are not consecutive.
@@ -81,6 +102,7 @@ pub fn zipf_words(n: usize, distinct: usize, seed: u64) -> Vec<i64> {
 /// `n` labeled dense vectors of dimension `d` (LR/KMeans input). Labels are
 /// ±1; features are two noisy Gaussian-ish clusters so LR has signal.
 pub fn labeled_vectors(n: usize, d: usize, seed: u64) -> Vec<LabeledPointRec> {
+    count_call();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -100,6 +122,7 @@ pub fn labeled_vectors(n: usize, d: usize, seed: u64) -> Vec<LabeledPointRec> {
 /// Zipf-skewed source and destination degrees (LiveJournal-like shape).
 /// Returns an edge list.
 pub fn power_law_graph(vertices: usize, edges: usize, seed: u64) -> Vec<(u32, u32)> {
+    count_call();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let zipf = Zipf::new(vertices, 0.9);
     let stride = coprime_stride(vertices);
@@ -118,6 +141,7 @@ pub fn power_law_graph(vertices: usize, edges: usize, seed: u64) -> Vec<(u32, u3
 
 /// `rankings(n)` rows: pageRank Zipf-ish in 0..1000.
 pub fn rankings(n: usize, seed: u64) -> Vec<RankingRec> {
+    count_call();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     (0..n)
         .map(|i| RankingRec {
@@ -131,6 +155,7 @@ pub fn rankings(n: usize, seed: u64) -> Vec<RankingRec> {
 /// `uservisits(n)` rows: `groups` distinct sourceIP prefixes (the Query 2
 /// GROUP BY cardinality), revenue uniform.
 pub fn uservisits(n: usize, groups: usize, seed: u64) -> Vec<UserVisitRec> {
+    count_call();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     (0..n)
         .map(|_| UserVisitRec {
@@ -139,21 +164,6 @@ pub fn uservisits(n: usize, groups: usize, seed: u64) -> Vec<UserVisitRec> {
             ad_revenue: rng.gen_range(0.0..1.0),
         })
         .collect()
-}
-
-/// Split records into `parts` roughly equal partitions.
-pub fn partition<T: Clone>(records: &[T], parts: usize) -> Vec<Vec<T>> {
-    assert!(parts > 0);
-    let mut out: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
-    let per = records.len().div_ceil(parts);
-    for (i, chunk) in records.chunks(per.max(1)).enumerate() {
-        if i < parts {
-            out[i] = chunk.to_vec();
-        } else {
-            out[parts - 1].extend_from_slice(chunk);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -289,10 +299,10 @@ mod tests {
         let u = uservisits(1000, 50, 4);
         assert!(u.iter().all(|x| x.ip_prefix < 50));
 
-        let parts = partition(&r, 4);
-        assert_eq!(parts.len(), 4);
+        let parts = crate::Partitioned::split(r, 4);
+        assert_eq!(parts.parts(), 4);
         assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 1000);
-        let single = partition(&r, 1);
-        assert_eq!(single[0].len(), 1000);
+        let single = crate::Partitioned::split(u, 1);
+        assert_eq!(single.part(0).len(), 1000);
     }
 }

@@ -12,8 +12,13 @@
 //! task order — so the f64 addition sequence, and hence the centroids,
 //! are bit-identical for any executor count, standalone or on a
 //! [`deca_engine::DecaServer`]. A retried or stolen task that lands on an
-//! executor without its block recaches it from the generated partition
-//! first (lineage recompute).
+//! executor without its block recaches it from its input partition first
+//! (lineage recompute).
+//!
+//! The description owns its input: [`job`] generates the points once, when
+//! it is called, and the load stage, every lineage recompute and every
+//! later run of the description borrow partition `p` from that shared
+//! buffer (see the crate docs).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -24,6 +29,7 @@ use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, 
 use crate::datagen;
 use crate::records::LabeledPointRec;
 use crate::report::AppReport;
+use crate::Partitioned;
 
 /// Parameters of one KMeans run.
 #[derive(Clone, Debug)]
@@ -107,16 +113,22 @@ fn load_block(
 /// `JobSpec::app`) and by the local shims above.
 pub fn job(params: &KmParams) -> AppJob {
     let params = params.clone();
-    AppJob::new("KMeans", move |job_ctx| run_kmeans(&params, job_ctx))
+    let parts = Partitioned::split(
+        datagen::labeled_vectors(params.points, params.dims, params.seed),
+        params.partitions,
+    );
+    AppJob::new("KMeans", move |job_ctx| run_kmeans(&params, &parts, job_ctx))
 }
 
 /// One iteration task's contribution: per-cluster coordinate sums and
 /// member counts for its partition, in partition point order.
 type KmPartial = (Vec<Vec<f64>>, Vec<usize>);
 
-fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineError> {
-    let data = datagen::labeled_vectors(params.points, params.dims, params.seed);
-    let parts = datagen::partition(&data, params.partitions);
+fn run_kmeans(
+    params: &KmParams,
+    parts: &Partitioned<LabeledPointRec>,
+    job_ctx: &mut JobCtx,
+) -> Result<f64, EngineError> {
     let mode = params.mode;
     let d = params.dims;
     let k = params.clusters;
@@ -125,12 +137,11 @@ fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
     // where every iteration's task p (same pinning) will scan them.
     let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
         Mutex::new(HashMap::new());
-    let parts_now = &parts;
     {
         let blocks_now = &blocks;
         job_ctx.run_stage("km-load", params.partitions, |ctx, e| {
             let classes = LabeledPointRec::register(&mut e.heap);
-            let block = load_block(e, &parts_now[ctx.task], mode, d, &classes)?;
+            let block = load_block(e, parts.part(ctx.task), mode, d, &classes)?;
             blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
             Ok(())
         })?;
@@ -138,7 +149,8 @@ fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
     job_ctx.note_cache_bytes();
 
     // Deterministic initial centroids from the data.
-    let mut centroids: Vec<Vec<f64>> = data
+    let mut centroids: Vec<Vec<f64>> = parts
+        .records()
         .iter()
         .step_by((params.points / k).max(1))
         .take(k)
@@ -157,9 +169,9 @@ fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
                 let classes = LabeledPointRec::register(&mut e.heap);
                 // Trust the cached handle only if the block is still
                 // resident on this executor; a retried or stolen attempt
-                // recaches from the generated partition (lineage
-                // recompute), so the scanned bytes are identical wherever
-                // the task lands.
+                // recaches from its input partition (lineage recompute),
+                // so the scanned bytes are identical wherever the task
+                // lands.
                 let cached = blocks_now
                     .lock()
                     .unwrap()
@@ -169,7 +181,7 @@ fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
                 let block = match cached {
                     Some(b) => b,
                     None => {
-                        let b = load_block(e, &parts_now[ctx.task], mode, d, &classes)?;
+                        let b = load_block(e, parts.part(ctx.task), mode, d, &classes)?;
                         blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
                         b
                     }
@@ -360,6 +372,12 @@ mod tests {
         assert!((spark.checksum - deca.checksum).abs() < 1e-9);
         assert!((ser.checksum - deca.checksum).abs() < 1e-9);
         assert!(deca.checksum > 0.0);
+    }
+
+    #[test]
+    fn the_description_generates_its_input_once_and_runs_never_do() {
+        let p = tiny(ExecutionMode::Deca);
+        crate::assert_description_owns_its_input(|| job(&p), km_config(&p));
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //! f64 addition sequence, and hence the weights, are bit-identical for any
 //! executor count, standalone or on a [`deca_engine::DecaServer`]. A
 //! retried or stolen task that lands on an executor without its block
-//! recaches it from the generated partition first (lineage recompute).
+//! recaches it from its input partition first (lineage recompute).
+//!
+//! The description owns its input: [`job`] generates the labeled points
+//! once, when it is called, and the load stage, every lineage recompute
+//! and every later run of the description borrow partition `p` from that
+//! shared buffer (see the crate docs).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -30,6 +35,7 @@ use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 use crate::datagen;
 use crate::records::LabeledPointRec;
 use crate::report::AppReport;
+use crate::Partitioned;
 
 /// Parameters of one LR run.
 #[derive(Clone, Debug)]
@@ -140,15 +146,21 @@ fn load_block(
 /// `JobSpec::app`) and by the local shims above.
 pub fn job(params: &LrParams) -> AppJob {
     let params = params.clone();
-    AppJob::new("LR", move |job_ctx| run_logreg(&params, job_ctx))
+    let parts = Partitioned::split(
+        datagen::labeled_vectors(params.points, params.dims, params.seed),
+        params.partitions,
+    );
+    AppJob::new("LR", move |job_ctx| run_logreg(&params, &parts, job_ctx))
 }
 
-fn run_logreg(params: &LrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineError> {
+fn run_logreg(
+    params: &LrParams,
+    parts: &Partitioned<LabeledPointRec>,
+    job_ctx: &mut JobCtx,
+) -> Result<f64, EngineError> {
     if params.mode == ExecutionMode::Deca {
         assert_deca_plan();
     }
-    let data = datagen::labeled_vectors(params.points, params.dims, params.seed);
-    let parts = datagen::partition(&data, params.partitions);
     let mode = params.mode;
     let dims = params.dims;
 
@@ -156,12 +168,11 @@ fn run_logreg(params: &LrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
     // where every iteration's task p (same pinning) will scan them.
     let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
         Mutex::new(HashMap::new());
-    let parts_now = &parts;
     {
         let blocks_now = &blocks;
         job_ctx.run_stage("lr-load", params.partitions, |ctx, e| {
             let classes = LabeledPointRec::register(&mut e.heap);
-            let block = load_block(e, &parts_now[ctx.task], mode, dims, &classes)?;
+            let block = load_block(e, parts.part(ctx.task), mode, dims, &classes)?;
             blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
             Ok(())
         })?;
@@ -179,7 +190,7 @@ fn run_logreg(params: &LrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
                 let classes = LabeledPointRec::register(&mut e.heap);
                 // The handle is only trusted if the cache still holds the
                 // block — a retried or stolen attempt that landed on an
-                // executor without it recaches from the generated partition
+                // executor without it recaches from its input partition
                 // (lineage recompute), so the scanned bytes are identical
                 // wherever the task lands.
                 let cached = blocks_now
@@ -191,7 +202,7 @@ fn run_logreg(params: &LrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
                 let block = match cached {
                     Some(b) => b,
                     None => {
-                        let b = load_block(e, &parts_now[ctx.task], mode, dims, &classes)?;
+                        let b = load_block(e, parts.part(ctx.task), mode, dims, &classes)?;
                         blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
                         b
                     }
@@ -393,6 +404,12 @@ mod tests {
         assert!((spark.checksum - deca.checksum).abs() < 1e-12);
         assert!((ser.checksum - deca.checksum).abs() < 1e-12);
         assert!(spark.checksum > 0.0);
+    }
+
+    #[test]
+    fn the_description_generates_its_input_once_and_runs_never_do() {
+        let p = tiny(ExecutionMode::Deca);
+        crate::assert_description_owns_its_input(|| job(&p), lr_config(&p));
     }
 
     #[test]

@@ -13,8 +13,15 @@
 //! `p`'s block on executor `p % E` (tasks are pinned round-robin, so every
 //! iteration's map task `p` finds its block executor-local), then each
 //! iteration is a map/exchange/reduce shuffle job over the rank messages.
-//! The same description runs standalone ([`run`], [`run_local`]) or
-//! submitted to a [`deca_engine::DecaServer`].
+//! The same description runs standalone ([`run_local`]) or submitted to a
+//! [`deca_engine::DecaServer`].
+//!
+//! The description owns its input: [`job`] generates the edge list once,
+//! when it is called, and derives from it the two things that depend on
+//! the input alone — the source-hash edge partitions and the out-degree
+//! table. The adjacency-build stage, every lineage rebuild of a lost block
+//! and every later run of the description borrow edge partition `p` from
+//! that shared buffer (see the crate docs).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -31,6 +38,7 @@ use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 use crate::datagen;
 use crate::records::AdjListRec;
 use crate::report::AppReport;
+use crate::Partitioned;
 
 /// Parameters of one PageRank run.
 #[derive(Clone, Debug)]
@@ -63,12 +71,8 @@ impl PrParams {
 }
 
 /// Partition edges by source vertex, as Spark's hash partitioner would.
-fn partition_edges(edges: &[(u32, u32)], partitions: usize) -> Vec<Vec<(u32, u32)>> {
-    let mut out: Vec<Vec<(u32, u32)>> = (0..partitions).map(|_| Vec::new()).collect();
-    for &(s, d) in edges {
-        out[(s as usize) % partitions].push((s, d));
-    }
-    out
+pub(crate) fn partition_edges(edges: &[(u32, u32)], partitions: usize) -> Partitioned<(u32, u32)> {
+    Partitioned::by_key(edges, partitions, |&(s, _)| s as usize)
 }
 
 /// Group one partition's edges into sorted adjacency lists and copy them
@@ -106,23 +110,15 @@ fn build_adjacency_block(
     Ok(block)
 }
 
-/// Build the adjacency cache (grouping stage) on one executor and return
-/// its block ids plus per-vertex out-degrees. Shared by PageRank and CC.
-pub fn build_adjacency(
+/// Build the adjacency cache (grouping stage) on one executor from
+/// source-partitioned edges and return its block ids (ConnectedComponents'
+/// single-executor path).
+pub(crate) fn build_adjacency(
     exec: &mut Executor,
-    edges: &[(u32, u32)],
-    vertices: usize,
-    partitions: usize,
+    parts: &Partitioned<(u32, u32)>,
     mode: ExecutionMode,
-) -> (Vec<deca_engine::cache::BlockId>, Vec<u32>, crate::records::AdjClasses) {
+) -> (Vec<deca_engine::cache::BlockId>, crate::records::AdjClasses) {
     let adj_classes = AdjListRec::register(&mut exec.heap);
-    let parts = partition_edges(edges, partitions);
-
-    let mut degrees = vec![0u32; vertices];
-    for &(s, _) in edges {
-        degrees[s as usize] += 1;
-    }
-
     let blocks = parts
         .iter()
         .enumerate()
@@ -132,7 +128,7 @@ pub fn build_adjacency(
             })
         })
         .collect();
-    (blocks, degrees, adj_classes)
+    (blocks, adj_classes)
 }
 
 /// Generate and aggregate one iteration's rank messages from one block.
@@ -319,18 +315,23 @@ pub fn run_local(params: &PrParams, executors: usize) -> AppReport {
 /// sequence, are identical wherever the task lands.
 pub fn job(params: &PrParams) -> AppJob {
     let params = params.clone();
-    AppJob::new("PR", move |job_ctx| run_pagerank(&params, job_ctx))
-}
-
-fn run_pagerank(params: &PrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineError> {
-    if params.mode == ExecutionMode::Deca {
-        assert_deca_plan();
-    }
     let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
     let parts = partition_edges(&edges, params.partitions);
     let mut degrees = vec![0u32; params.vertices];
     for &(s, _) in &edges {
         degrees[s as usize] += 1;
+    }
+    AppJob::new("PR", move |job_ctx| run_pagerank(&params, &parts, &degrees, job_ctx))
+}
+
+fn run_pagerank(
+    params: &PrParams,
+    parts: &Partitioned<(u32, u32)>,
+    degrees: &[u32],
+    job_ctx: &mut JobCtx,
+) -> Result<f64, EngineError> {
+    if params.mode == ExecutionMode::Deca {
+        assert_deca_plan();
     }
     let mode = params.mode;
 
@@ -338,12 +339,11 @@ fn run_pagerank(params: &PrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineEr
     // p % E, where iteration map task p (same pinning) will scan it.
     let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
         Mutex::new(HashMap::new());
-    let parts_now = &parts;
     {
         let blocks_now = &blocks;
         job_ctx.run_stage("adj-build", params.partitions, |ctx, e| {
             let adj_classes = AdjListRec::register(&mut e.heap);
-            let block = build_adjacency_block(e, &parts_now[ctx.task], mode, &adj_classes)?;
+            let block = build_adjacency_block(e, parts.part(ctx.task), mode, &adj_classes)?;
             blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
             Ok(())
         })?;
@@ -354,7 +354,6 @@ fn run_pagerank(params: &PrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineEr
     let mut ranks = vec![1.0f64; params.vertices];
     for iter in 0..params.iterations {
         let ranks_now = &ranks;
-        let degrees_now = &degrees;
         let blocks_now = &blocks;
         let updates = job_ctx.run_shuffle_job(
             &format!("pr-iter{iter}"),
@@ -381,7 +380,7 @@ fn run_pagerank(params: &PrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineEr
                     // executor that never built partition `task`.
                     None => {
                         let adj_classes = AdjListRec::register(&mut e.heap);
-                        let b = build_adjacency_block(e, &parts_now[ctx.task], mode, &adj_classes)?;
+                        let b = build_adjacency_block(e, parts.part(ctx.task), mode, &adj_classes)?;
                         blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
                         b
                     }
@@ -403,7 +402,7 @@ fn run_pagerank(params: &PrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineEr
                         block,
                         mode,
                         ranks_now,
-                        degrees_now,
+                        degrees,
                         &mut spark_sums,
                         &mut deca_sums,
                         &pair_classes,
@@ -535,6 +534,12 @@ mod tests {
         assert!((spark.checksum - deca.checksum).abs() < 1e-9);
         assert!((ser.checksum - deca.checksum).abs() < 1e-9);
         assert!(deca.checksum > 0.0);
+    }
+
+    #[test]
+    fn the_description_generates_its_input_once_and_runs_never_do() {
+        let p = tiny(ExecutionMode::Deca);
+        crate::assert_description_owns_its_input(|| job(&p), pr_config(&p));
     }
 
     #[test]

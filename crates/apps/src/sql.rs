@@ -23,6 +23,7 @@ use deca_heap::FieldKind;
 use crate::datagen;
 use crate::records::{JoinAggRec, RankingRec, UserVisitRec};
 use crate::report::AppReport;
+use crate::Partitioned;
 
 /// Which system executes the query.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -106,8 +107,8 @@ pub struct SqlReport {
 pub fn run_query1(params: &SqlParams) -> AppReport {
     let mut exec =
         Executor::new(ExecutorConfig::new(params.system.engine_mode(), params.heap_bytes));
-    let rows = datagen::rankings(params.rankings_rows, params.seed);
-    let parts = datagen::partition(&rows, params.partitions);
+    let parts =
+        Partitioned::split(datagen::rankings(params.rankings_rows, params.seed), params.partitions);
     let classes = RankingRec::register(&mut exec.heap);
 
     // ------------------------------------------------------------ cache
@@ -244,8 +245,10 @@ pub fn run_query1(params: &SqlParams) -> AppReport {
 pub fn run_query2(params: &SqlParams) -> AppReport {
     let mut exec =
         Executor::new(ExecutorConfig::new(params.system.engine_mode(), params.heap_bytes));
-    let rows = datagen::uservisits(params.uservisits_rows, params.groups, params.seed + 1);
-    let parts = datagen::partition(&rows, params.partitions);
+    let parts = Partitioned::split(
+        datagen::uservisits(params.uservisits_rows, params.groups, params.seed + 1),
+        params.partitions,
+    );
     let classes = UserVisitRec::register(&mut exec.heap);
     let pair_classes = <(i64, f64) as HeapRecord>::register(&mut exec.heap);
 
@@ -454,8 +457,8 @@ pub fn run_query3(params: &SqlParams) -> AppReport {
                 v
             })
             .collect();
-    let rank_parts = datagen::partition(&rankings, params.partitions);
-    let visit_parts = datagen::partition(&visits, params.partitions);
+    let rank_parts = Partitioned::split(rankings, params.partitions);
+    let visit_parts = Partitioned::split(visits, params.partitions);
     let r_classes = RankingRec::register(&mut exec.heap);
     let v_classes = UserVisitRec::register(&mut exec.heap);
     let agg_classes = JoinAggRec::register(&mut exec.heap);

@@ -10,10 +10,15 @@
 //! The job is described once as an [`AppJob`] ([`job`] for the integer-id
 //! input, [`text_job`] for text tokens): one map task per partition, an
 //! all-to-all exchange, one reduce task per partition. The same
-//! description runs standalone ([`run`], [`run_local`]) or submitted to a
+//! description runs standalone ([`run_local`]) or submitted to a
 //! [`deca_engine::DecaServer`], with bit-identical results for any
 //! executor count (the word checksums are integer-valued f64 sums, exact
 //! under any addition order).
+//!
+//! The description owns its input: [`job`] and [`text_job`] generate the
+//! word-id stream once, when they are called, and every run of the
+//! description — and every retried or stolen map task in it — borrows its
+//! partition from that shared buffer (see the crate docs).
 
 use deca_core::{DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
 use deca_engine::record::HeapRecord;
@@ -24,6 +29,7 @@ use deca_engine::{
 
 use crate::datagen;
 use crate::report::AppReport;
+use crate::Partitioned;
 
 /// Parameters of one WordCount run.
 #[derive(Clone, Debug)]
@@ -71,9 +77,8 @@ pub fn wc_config(params: &WcParams) -> ExecutorConfig {
 /// executor-local state — so retried or stolen tasks may migrate freely.
 pub fn job(params: &WcParams) -> AppJob {
     let p = params.clone();
+    let parts = word_ids(params);
     AppJob::new("WC", move |ctx| {
-        let data = datagen::zipf_words(p.words, p.distinct, p.seed);
-        let parts = datagen::partition(&data, p.partitions);
         let reducers = p.partitions;
         match p.mode {
             ExecutionMode::Spark | ExecutionMode::SparkSer => {
@@ -82,6 +87,11 @@ pub fn job(params: &WcParams) -> AppJob {
             ExecutionMode::Deca => run_deca(ctx, &parts, reducers, p.sample_every),
         }
     })
+}
+
+/// The job's input: the Zipf word-id stream cut into map partitions.
+fn word_ids(p: &WcParams) -> Partitioned<i64> {
+    Partitioned::split(datagen::zipf_words(p.words, p.distinct, p.seed), p.partitions)
 }
 
 /// Run WordCount across `executors` parallel executors. Results are
@@ -93,13 +103,13 @@ pub fn run_local(params: &WcParams, executors: usize) -> AppReport {
 
 fn run_spark(
     ctx: &mut JobCtx,
-    parts: &[Vec<i64>],
+    parts: &Partitioned<i64>,
     reducers: usize,
     sample_every: usize,
 ) -> Result<f64, EngineError> {
     let sums = ctx.run_shuffle_job(
         "wc",
-        parts.len(),
+        parts.parts(),
         reducers,
         // ------------------------------------------------------------- map
         // One map task per partition: eager map-side combining, then a
@@ -107,7 +117,7 @@ fn run_spark(
         |ctx, e| {
             let pair_classes = <(i64, i64) as HeapRecord>::register(&mut e.heap);
             let mut buf: SparkHashShuffle<i64, i64> = SparkHashShuffle::new(&mut e.heap)?;
-            for (i, &word) in parts[ctx.task].iter().enumerate() {
+            for (i, &word) in parts.part(ctx.task).iter().enumerate() {
                 // The map UDF emits a Tuple2 that dies after combining.
                 let tuple = (word, 1i64);
                 let tobj = tuple.store(&mut e.heap, &pair_classes)?;
@@ -166,13 +176,13 @@ fn run_spark(
 
 fn run_deca(
     ctx: &mut JobCtx,
-    parts: &[Vec<i64>],
+    parts: &Partitioned<i64>,
     reducers: usize,
     sample_every: usize,
 ) -> Result<f64, EngineError> {
     let sums = ctx.run_shuffle_job(
         "wc",
-        parts.len(),
+        parts.parts(),
         reducers,
         |ctx, e| {
             // For the lifetime comparison we still register the Tuple2
@@ -183,7 +193,7 @@ fn run_deca(
             let mut buf = DecaHashShuffle::new(&mut e.mm, 8, 8);
             let mut kb = [0u8; 8];
             let one = 1i64.to_le_bytes();
-            for (i, &word) in parts[ctx.task].iter().enumerate() {
+            for (i, &word) in parts.part(ctx.task).iter().enumerate() {
                 kb.copy_from_slice(&word.to_le_bytes());
                 buf.insert(&mut e.mm, &mut e.heap, &kb, &one, add_i64_bytes)?;
                 if sample_every != 0 && i % sample_every == 0 {
@@ -244,9 +254,28 @@ fn run_deca(
 // variable-size-key shuffle with its mandatory pointer array (§4.3.2).
 // =====================================================================
 
-/// Render a word id as its text token (variable lengths, as real words).
-fn word_text(id: i64) -> String {
-    format!("w{}{}", id, "x".repeat((id % 11) as usize))
+/// Render a word id as its text token — `w<id>` then `id % 11` × `x`
+/// (variable lengths, as real words) — into `out`, replacing its content.
+/// The map loops reuse one buffer per partition: what the tokenizer costs
+/// in the JVM is modelled by the heap `String::store` in the Spark modes,
+/// so the Rust-side rendering allocates nothing in any mode.
+fn write_token(out: &mut String, id: i64) {
+    const PAD: &str = "xxxxxxxxxx";
+    let mut n = u64::try_from(id).expect("word ids are non-negative");
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.clear();
+    out.push('w');
+    out.extend(digits[at..].iter().map(|&d| d as char));
+    out.push_str(&PAD[..(id % 11) as usize]);
 }
 
 /// The text-keyed WordCount job description. Spark mode materialises each
@@ -256,9 +285,8 @@ fn word_text(id: i64) -> String {
 /// array.
 pub fn text_job(params: &WcParams) -> AppJob {
     let p = params.clone();
+    let parts = word_ids(params);
     AppJob::new("WC-text", move |ctx| {
-        let ids = datagen::zipf_words(p.words, p.distinct, p.seed);
-        let parts = datagen::partition(&ids, p.partitions);
         let reducers = p.partitions;
         match p.mode {
             ExecutionMode::Spark | ExecutionMode::SparkSer => run_text_spark(ctx, &parts, reducers),
@@ -273,19 +301,20 @@ fn text_checksum(word: &str, count: i64) -> f64 {
 
 fn run_text_spark(
     ctx: &mut JobCtx,
-    parts: &[Vec<i64>],
+    parts: &Partitioned<i64>,
     reducers: usize,
 ) -> Result<f64, EngineError> {
     let sums = ctx.run_shuffle_job(
         "wct",
-        parts.len(),
+        parts.parts(),
         reducers,
         |ctx, e| {
             let str_classes = <String as HeapRecord>::register(&mut e.heap);
             let mut buf: SparkHashShuffle<String, i64> = SparkHashShuffle::new(&mut e.heap)?;
-            for &id in &parts[ctx.task] {
+            let mut token = String::new();
+            for &id in parts.part(ctx.task) {
                 // The tokenizer materialises a temporary String graph.
-                let token = word_text(id);
+                write_token(&mut token, id);
                 let tok_obj = token.store(&mut e.heap, &str_classes)?;
                 let ts = e.heap.push_stack(tok_obj);
                 let word = String::load(&e.heap, &str_classes, e.heap.stack_ref(ts));
@@ -345,17 +374,18 @@ fn run_text_spark(
 
 fn run_text_deca(
     ctx: &mut JobCtx,
-    parts: &[Vec<i64>],
+    parts: &Partitioned<i64>,
     reducers: usize,
 ) -> Result<f64, EngineError> {
     let sums = ctx.run_shuffle_job(
         "wct",
-        parts.len(),
+        parts.parts(),
         reducers,
         |ctx, e| {
             let mut buf = DecaVarHashShuffle::new(&mut e.mm, 8);
-            for &id in &parts[ctx.task] {
-                let token = word_text(id); // transformed code keeps bytes only
+            let mut token = String::new();
+            for &id in parts.part(ctx.task) {
+                write_token(&mut token, id); // transformed code keeps bytes only
                 buf.insert(
                     &mut e.mm,
                     &mut e.heap,
@@ -451,6 +481,22 @@ mod tests {
         let deca = text(ExecutionMode::Deca);
         assert_eq!(spark.checksum, deca.checksum);
         assert!(spark.checksum > 0.0);
+    }
+
+    #[test]
+    fn token_format_is_the_benchmark_oracles() {
+        let mut token = String::from("stale content");
+        for id in [0i64, 7, 10, 11, 99, 12_345, 399_999] {
+            write_token(&mut token, id);
+            assert_eq!(token, format!("w{}{}", id, "x".repeat((id % 11) as usize)), "id {id}");
+        }
+    }
+
+    #[test]
+    fn the_description_generates_its_input_once_and_runs_never_do() {
+        let p = tiny(ExecutionMode::Deca);
+        crate::assert_description_owns_its_input(|| job(&p), wc_config(&p));
+        crate::assert_description_owns_its_input(|| text_job(&p), wc_config(&p));
     }
 
     #[test]

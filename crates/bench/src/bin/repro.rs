@@ -938,6 +938,9 @@ fn cluster_scale(s: &Scale) -> Vec<ShapeCheck> {
     let mut spark_base = Duration::ZERO;
     for executors in [1usize, 2, 4] {
         let [spark, ser, deca] = ExecutionMode::ALL.map(|mode| {
+            // The one timer here around a whole `run_local`: each cell's
+            // wall time includes building the description (one input
+            // generation), as the recorded rows in EXPERIMENTS.md do.
             let t = Instant::now();
             checksums.push(wordcount::run_local(&params(mode), executors).checksum);
             t.elapsed()

@@ -315,8 +315,10 @@ impl MemoryManager {
     }
 
     /// Access a group mutably (appends, in-place combines); swaps it in if
-    /// needed. Appends that need new pages may trigger eviction of other
-    /// groups when the heap is out of budget.
+    /// needed. `f` runs on the group where it lives. If it reports the heap
+    /// out of budget, least-recently-used swappable groups — never `id`
+    /// itself — are evicted and `f` is invoked once more, so `f` must leave
+    /// the group untouched when it fails.
     pub fn with_group_mut<R>(
         &mut self,
         id: GroupId,
@@ -325,22 +327,17 @@ impl MemoryManager {
     ) -> Result<R, MemError> {
         self.ensure_resident(id, heap)?;
         let t = self.tick();
-        {
-            let e = self.entry_mut(id);
-            e.last_used = t;
+        let e = self.entry_mut(id);
+        e.last_used = t;
+        let oom = match f(&mut e.group, heap) {
+            Ok(r) => return Ok(r),
+            Err(oom) => oom,
+        };
+        let needed = e.group.page_size();
+        if self.evict_until(heap, needed, Some(id)).is_err() {
+            return Err(MemError::Oom(oom));
         }
-        // Split borrow: temporarily take the entry out.
-        let mut e = self.entries[id.0 as usize].take().expect("group exists");
-        let mut result = f(&mut e.group, heap);
-        if result.is_err() {
-            // Out of budget: evict LRU swappable groups and retry once.
-            let needed = e.group.page_size();
-            if self.evict_until(heap, needed, Some(id)).is_ok() {
-                result = f(&mut e.group, heap);
-            }
-        }
-        self.entries[id.0 as usize] = Some(e);
-        result.map_err(MemError::Oom)
+        f(&mut self.entry_mut(id).group, heap).map_err(MemError::Oom)
     }
 
     /// Direct read of a segment (convenience over `with_group`).
@@ -565,6 +562,42 @@ mod tests {
             mm.release(g, &mut heap);
         }
         assert_eq!(heap.external_bytes(), 0);
+    }
+
+    #[test]
+    fn an_append_out_of_budget_evicts_another_group_and_retries() {
+        let mut heap = Heap::new(HeapConfig::with_total(3 << 20));
+        let dir = tempdir::TempDir::new();
+        let mut mm = MemoryManager::new(256 << 10, dir.path.clone());
+        // `old` is the LRU swappable group; `full` is touched after it and
+        // then grown, one page per append, until the budget is gone.
+        let old = mm.create_group();
+        mm.with_group_mut(old, &mut heap, |pg, h| pg.append(h, &[7u8; 1000]).map(|_| ())).unwrap();
+        let full = mm.create_group();
+        let mut calls = 0;
+        while mm.swap_outs == 0 {
+            calls = 0;
+            mm.with_group_mut(full, &mut heap, |pg, h| {
+                calls += 1;
+                pg.append(h, &[9u8; 200 << 10]).map(|_| ())
+            })
+            .expect("the append succeeds once another group is evicted");
+        }
+        assert_eq!(calls, 2, "the failing append was re-invoked exactly once");
+        assert_eq!(mm.swap_outs, 1);
+        assert!(mm.is_swapped(old), "the victim is the other, swappable group");
+        assert!(!mm.is_swapped(full), "the group being appended to is protected");
+        // With no other candidate left, the protected group is still never
+        // the victim: the append fails instead.
+        let err = loop {
+            match mm.with_group_mut(full, &mut heap, |pg, h| pg.append(h, &[9u8; 200 << 10])) {
+                Ok(_) => continue,
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, MemError::Oom(_)));
+        assert!(!mm.is_swapped(full));
+        assert_eq!(mm.swap_outs, 1);
     }
 
     #[test]

@@ -25,6 +25,24 @@ echo "== benchmark crate (own workspace: build + self-tests, 1/20 size, no timin
 # public surface's compile check plus a smoke of every workload.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== attribution (one traced wc-combine run: where a job's wall time goes; printed, never asserted) =="
+# A job description owns its dataset, so a job's wall time should be its
+# task time: outside_task_share is the part of the wall no task accounts
+# for. The numbers are wall-clock and this host has slow phases, so they
+# are shown for the reader and judged by nobody here; what *gates* input
+# generation staying out of the job body is the apps' unit tests
+# `the_description_generates_its_input_once_and_runs_never_do`.
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+    --workload wc-combine --seed 2 --seconds 4 --trace 1 > /dev/null
+run=$(tr -d ' \n' < benchmark/out/run-wc-combine-trace1.json)
+metric() { grep -o "\"$1\":{\"value\":[^,}]*" <<<"$run" | sed 's/.*"value"://'; }
+for mode in deca spark sparkser; do
+  job_s=$(grep -o "\"job_s\":{.*" <<<"$run" | grep -o "\"$mode\":{\"n\":[0-9]*,\"median\":[^,}]*" \
+      | sed 's/.*"median"://')
+  echo "  $mode: job_s median $job_s  rep.$mode.task_s $(metric "rep.$mode.task_s")" \
+       " engine.driver.outside_task_share.$mode $(metric "engine.driver.outside_task_share.$mode")"
+done
+
 echo "== fault-tolerance suite (replayed seeds, both schedulers) =="
 # `cargo test` above already ran the suite under its pinned seed trio;
 # these explicit replays prove the DECA_CHECK_SEED knob reproduces a
