@@ -136,14 +136,13 @@ pub fn run(params: &CcParams) -> AppReport {
                             |_| {},
                         )
                         .expect("cache scan");
-                    for (k, v) in msgs {
-                        buf.insert(mm, heap, &k.to_le_bytes(), &v.to_le_bytes(), |acc, add| {
-                            let a = i64::from_le_bytes(acc[..8].try_into().unwrap());
-                            let b = i64::from_le_bytes(add[..8].try_into().unwrap());
-                            acc[..8].copy_from_slice(&a.min(b).to_le_bytes());
-                        })
-                        .expect("combine");
-                    }
+                    let msgs = msgs.iter().map(|(k, v)| (k.to_le_bytes(), v.to_le_bytes()));
+                    buf.insert_all(mm, heap, msgs, |acc, add| {
+                        let a = i64::from_le_bytes(acc[..8].try_into().unwrap());
+                        let b = i64::from_le_bytes(add[..8].try_into().unwrap());
+                        acc[..8].copy_from_slice(&a.min(b).to_le_bytes());
+                    })
+                    .expect("combine");
                 }
             });
         }

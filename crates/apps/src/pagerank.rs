@@ -233,10 +233,8 @@ fn messages_from_block(
                     |_| {},
                 )
                 .expect("cache scan");
-            for (dst, contrib) in msgs {
-                buf.insert(mm, heap, &dst.to_le_bytes(), &contrib.to_le_bytes(), add_f64_bytes)
-                    .expect("combine");
-            }
+            let msgs = msgs.iter().map(|(dst, contrib)| (dst.to_le_bytes(), contrib.to_le_bytes()));
+            buf.insert_all(mm, heap, msgs, add_f64_bytes).expect("combine");
         }
     }
     Ok(())
@@ -450,19 +448,12 @@ fn run_pagerank(
                         e.shuffle_read_scope(|e| -> Result<(), EngineError> {
                             // 16-byte records never span pages; chunk
                             // concatenation is the exact flat sequence.
-                            for payload in bufs {
-                                for bytes in payload.chunks() {
-                                    for rec in bytes.chunks_exact(16) {
-                                        buf.insert(
-                                            &mut e.mm,
-                                            &mut e.heap,
-                                            &rec[..8],
-                                            &rec[8..],
-                                            add_f64_bytes,
-                                        )?;
-                                    }
-                                }
-                            }
+                            let recs = bufs
+                                .iter()
+                                .flat_map(|p| p.chunks())
+                                .flat_map(|b| b.chunks_exact(16))
+                                .map(|r| r.split_at(8));
+                            buf.insert_all(&mut e.mm, &mut e.heap, recs, add_f64_bytes)?;
                             Ok(())
                         })?;
                         buf.for_each(&mut e.mm, &mut e.heap, |k, v| {

@@ -98,6 +98,20 @@ fn byte_array_class(heap: &mut deca_heap::Heap) -> deca_heap::ClassId {
     }
 }
 
+fn add_f64_bytes(acc: &mut [u8], add: &[u8]) {
+    let a = f64::from_le_bytes(acc[..8].try_into().unwrap());
+    let b = f64::from_le_bytes(add[..8].try_into().unwrap());
+    acc[..8].copy_from_slice(&(a + b).to_le_bytes());
+}
+
+/// A join aggregate's 24 decomposed bytes, as the aggregation buffer
+/// stores them.
+fn agg_bytes(delta: &JoinAggRec) -> [u8; 24] {
+    let mut bytes = [0u8; 24];
+    delta.encode(&mut bytes);
+    bytes
+}
+
 /// Result of one query run.
 pub struct SqlReport {
     pub report: AppReport,
@@ -354,20 +368,9 @@ pub fn run_query2(params: &SqlParams) -> AppReport {
                                 |_| {},
                             )
                             .expect("scan");
-                        for (ip, rev) in pairs {
-                            agg.insert(
-                                mm,
-                                heap,
-                                &ip.to_le_bytes(),
-                                &rev.to_le_bytes(),
-                                |acc, add| {
-                                    let a = f64::from_le_bytes(acc[..8].try_into().unwrap());
-                                    let b = f64::from_le_bytes(add[..8].try_into().unwrap());
-                                    acc[..8].copy_from_slice(&(a + b).to_le_bytes());
-                                },
-                            )
-                            .expect("combine");
-                        }
+                        let pairs =
+                            pairs.iter().map(|(ip, rev)| (ip.to_le_bytes(), rev.to_le_bytes()));
+                        agg.insert_all(mm, heap, pairs, add_f64_bytes).expect("combine");
                     }
                     let mut sum = 0.0;
                     agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
@@ -390,16 +393,9 @@ pub fn run_query2(params: &SqlParams) -> AppReport {
                     let arr = e.heap.root_ref(root);
                     let mut buf = vec![0u8; 16 * n];
                     e.heap.byte_array_read(arr, 0, &mut buf);
-                    for i in 0..n {
-                        let ip = &buf[i * 8..i * 8 + 8];
-                        let rev = &buf[8 * n + i * 8..8 * n + i * 8 + 8];
-                        agg.insert(&mut e.mm, &mut e.heap, ip, rev, |acc, add| {
-                            let a = f64::from_le_bytes(acc[..8].try_into().unwrap());
-                            let b = f64::from_le_bytes(add[..8].try_into().unwrap());
-                            acc[..8].copy_from_slice(&(a + b).to_le_bytes());
-                        })
-                        .expect("combine");
-                    }
+                    let (ips, revs) = buf.split_at(8 * n);
+                    let rows = ips.chunks_exact(8).zip(revs.chunks_exact(8));
+                    agg.insert_all(&mut e.mm, &mut e.heap, rows, add_f64_bytes).expect("combine");
                 }
                 let mut sum = 0.0;
                 agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
@@ -669,12 +665,9 @@ pub fn run_query3(params: &SqlParams) -> AppReport {
                             |_| {},
                         )
                         .expect("scan");
-                    for (ip, delta) in deltas {
-                        let mut db = [0u8; 24];
-                        delta.encode(&mut db);
-                        agg.insert(mm, heap, &ip.to_le_bytes(), &db, JoinAggRec::combine_bytes)
-                            .expect("combine");
-                    }
+                    let deltas =
+                        deltas.iter().map(|(ip, delta)| (ip.to_le_bytes(), agg_bytes(delta)));
+                    agg.insert_all(mm, heap, deltas, JoinAggRec::combine_bytes).expect("combine");
                 }
                 let mut sum = 0.0;
                 agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
@@ -694,7 +687,7 @@ pub fn run_query3(params: &SqlParams) -> AppReport {
                     let arr = e.heap.root_ref(root);
                     let mut buf = vec![0u8; bytes];
                     e.heap.byte_array_read(arr, 0, &mut buf);
-                    for i in 0..n {
+                    let deltas = (0..n).filter_map(|i| {
                         let ip = i64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
                         let url = i64::from_le_bytes(
                             buf[8 * n + i * 8..8 * n + i * 8 + 8].try_into().unwrap(),
@@ -702,21 +695,12 @@ pub fn run_query3(params: &SqlParams) -> AppReport {
                         let rev = f64::from_le_bytes(
                             buf[16 * n + i * 8..16 * n + i * 8 + 8].try_into().unwrap(),
                         );
-                        if let Some(&rank) = build.get(&url) {
-                            let delta =
-                                JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
-                            let mut db = [0u8; 24];
-                            delta.encode(&mut db);
-                            agg.insert(
-                                &mut e.mm,
-                                &mut e.heap,
-                                &ip.to_le_bytes(),
-                                &db,
-                                JoinAggRec::combine_bytes,
-                            )
-                            .expect("combine");
-                        }
-                    }
+                        let &rank = build.get(&url)?;
+                        let delta = JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
+                        Some((ip.to_le_bytes(), agg_bytes(&delta)))
+                    });
+                    agg.insert_all(&mut e.mm, &mut e.heap, deltas, JoinAggRec::combine_bytes)
+                        .expect("combine");
                 }
                 let mut sum = 0.0;
                 agg.for_each(&mut e.mm, &mut e.heap, |k, v| {

@@ -191,12 +191,13 @@ fn run_deca(
             // bytes directly).
             let pair_classes = <(i64, i64) as HeapRecord>::register(&mut e.heap);
             let mut buf = DecaHashShuffle::new(&mut e.mm, 8, 8);
-            let mut kb = [0u8; 8];
-            let one = 1i64.to_le_bytes();
-            for (i, &word) in parts.part(ctx.task).iter().enumerate() {
-                kb.copy_from_slice(&word.to_le_bytes());
-                buf.insert(&mut e.mm, &mut e.heap, &kb, &one, add_i64_bytes)?;
-                if sample_every != 0 && i % sample_every == 0 {
+            let words = parts.part(ctx.task);
+            if sample_every == 0 {
+                buf.insert_all(&mut e.mm, &mut e.heap, counted(words), add_i64_bytes)?;
+            } else {
+                // One timeline sample per `sample_every` records, as Spark.
+                for chunk in words.chunks(sample_every) {
+                    buf.insert_all(&mut e.mm, &mut e.heap, counted(chunk), add_i64_bytes)?;
                     e.sample_timeline(pair_classes.tuple);
                 }
             }
@@ -221,19 +222,8 @@ fn run_deca(
                 // Records never span pages, so each chunk holds whole
                 // 16-byte records and the concatenation is the exact byte
                 // sequence a flat buffer would carry.
-                for payload in bufs {
-                    for bytes in payload.chunks() {
-                        for rec in bytes.chunks_exact(16) {
-                            buf.insert(
-                                &mut e.mm,
-                                &mut e.heap,
-                                &rec[..8],
-                                &rec[8..],
-                                add_i64_bytes,
-                            )?;
-                        }
-                    }
-                }
+                let recs = bufs.iter().flat_map(|p| p.chunks()).flat_map(|b| b.chunks_exact(16));
+                buf.insert_all(&mut e.mm, &mut e.heap, recs.map(|r| r.split_at(8)), add_i64_bytes)?;
                 Ok(())
             })?;
             let mut sum = 0.0;
@@ -276,6 +266,25 @@ fn write_token(out: &mut String, id: i64) {
     out.push('w');
     out.extend(digits[at..].iter().map(|&d| d as char));
     out.push_str(&PAD[..(id % 11) as usize]);
+}
+
+/// A rendered token's bytes held by value — the longest token (`w`, 19
+/// digits, 10 pads) is 30 bytes — so the Deca map streams tokens into its
+/// buffer without allocating one per record.
+struct TokenBytes([u8; 32], usize);
+
+impl TokenBytes {
+    fn of(token: &str) -> TokenBytes {
+        let mut bytes = [0u8; 32];
+        bytes[..token.len()].copy_from_slice(token.as_bytes());
+        TokenBytes(bytes, token.len())
+    }
+}
+
+impl AsRef<[u8]> for TokenBytes {
+    fn as_ref(&self) -> &[u8] {
+        &self.0[..self.1]
+    }
 }
 
 /// The text-keyed WordCount job description. Spark mode materialises each
@@ -384,16 +393,11 @@ fn run_text_deca(
         |ctx, e| {
             let mut buf = DecaVarHashShuffle::new(&mut e.mm, 8);
             let mut token = String::new();
-            for &id in parts.part(ctx.task) {
+            let pairs = parts.part(ctx.task).iter().map(|&id| {
                 write_token(&mut token, id); // transformed code keeps bytes only
-                buf.insert(
-                    &mut e.mm,
-                    &mut e.heap,
-                    token.as_bytes(),
-                    &1i64.to_le_bytes(),
-                    add_i64_bytes,
-                )?;
-            }
+                (TokenBytes::of(&token), 1i64.to_le_bytes())
+            });
+            buf.insert_all(&mut e.mm, &mut e.heap, pairs, add_i64_bytes)?;
             // Raw framed records (u32 key len + key + 8-byte count) written
             // whole into arena pages and handed over copy-free.
             let out = e.shuffle_write_scope(|e| -> Result<MapOutputs, EngineError> {
@@ -412,21 +416,17 @@ fn run_text_deca(
             let mut buf = DecaVarHashShuffle::new(&mut e.mm, 8);
             e.shuffle_read_scope(|e| -> Result<(), EngineError> {
                 // Frames never span pages, so each chunk parses standalone.
-                for payload in bufs {
-                    for bytes in payload.chunks() {
-                        let mut pos = 0;
-                        while pos < bytes.len() {
-                            let klen = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap())
-                                as usize;
-                            pos += 4;
-                            let key = &bytes[pos..pos + klen];
-                            pos += klen;
-                            let val = &bytes[pos..pos + 8];
-                            pos += 8;
-                            buf.insert(&mut e.mm, &mut e.heap, key, val, add_i64_bytes)?;
-                        }
-                    }
-                }
+                let recs = bufs.iter().flat_map(|p| p.chunks()).flat_map(|bytes| {
+                    let mut pos = 0;
+                    std::iter::from_fn(move || {
+                        let klen = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().unwrap())
+                            as usize;
+                        let (key, val) = bytes[pos + 4..pos + 4 + klen + 8].split_at(klen);
+                        pos += 4 + klen + 8;
+                        Some((key, val))
+                    })
+                });
+                buf.insert_all(&mut e.mm, &mut e.heap, recs, add_i64_bytes)?;
                 Ok(())
             })?;
             let mut sum = 0.0;
@@ -439,6 +439,12 @@ fn run_text_deca(
         },
     )?;
     Ok(sums.into_iter().sum())
+}
+
+/// Each word as a raw `(word, 1)` pair — the bytes the transformed map
+/// UDF writes instead of a Tuple2.
+fn counted(words: &[i64]) -> impl Iterator<Item = ([u8; 8], [u8; 8])> + '_ {
+    words.iter().map(|w| (w.to_le_bytes(), 1i64.to_le_bytes()))
 }
 
 fn add_i64_bytes(acc: &mut [u8], add: &[u8]) {

@@ -86,18 +86,19 @@ impl PageGroup {
 
     /// Reserve a segment of `len` bytes, adding a page if needed (each new
     /// page is registered with the heap as an external allocation, which
-    /// may fail with `OomError` — the caller evicts or spills then).
+    /// may fail with `OomError` — the caller evicts or spills then). A
+    /// failed reservation leaves the group untouched.
     pub fn reserve(&mut self, heap: &mut Heap, len: usize) -> Result<SegPtr, OomError> {
         let fits = !self.pages.is_empty()
             && self.end_offset + len <= self.pages.last().expect("pages").len();
         if !fits {
-            if let Some(last) = self.pages.last() {
-                self.wasted_bytes += last.len() - self.end_offset;
-            }
             // Oversized segments get a dedicated page of exactly their
             // size (rare: hub adjacency lists, huge RFST records).
             let page_bytes = len.max(self.page_size);
             let id = heap.register_external(page_bytes)?;
+            if let Some(last) = self.pages.last() {
+                self.wasted_bytes += last.len() - self.end_offset;
+            }
             self.pages.push(Page::new(page_bytes));
             self.external_ids.push(id);
             self.end_offset = 0;
@@ -128,19 +129,23 @@ impl PageGroup {
     }
 
     /// Immutable view of a segment.
+    #[inline]
     pub fn slice(&self, ptr: SegPtr, len: usize) -> &[u8] {
         self.pages[ptr.page as usize].slice(ptr.off as usize, len)
     }
 
     /// Mutable view of a segment (in-place aggregate reuse, §4.3.2).
+    #[inline]
     pub fn slice_mut(&mut self, ptr: SegPtr, len: usize) -> &mut [u8] {
         self.pages[ptr.page as usize].slice_mut(ptr.off as usize, len)
     }
 
+    #[inline]
     pub fn page(&self, i: usize) -> &Page {
         &self.pages[i]
     }
 
+    #[inline]
     pub fn page_mut(&mut self, i: usize) -> &mut Page {
         &mut self.pages[i]
     }

@@ -28,8 +28,10 @@
 //! * [`layout`] — the layout compiler: flattens a UDT's static object
 //!   reference graph into field offsets (Figure 2);
 //! * [`cache`] — decomposed cache blocks;
-//! * [`shuffle`] — decomposed shuffle buffers with pointer arrays and the
-//!   in-place aggregate-value reuse of §4.3.2 (Figure 6b);
+//! * [`shuffle`] / [`var_shuffle`] — decomposed shuffle buffers: the
+//!   pointer-free SFST hash table laid out in its pages, the pointer-array
+//!   buffers for variable-size keys and sorting, and the in-place
+//!   aggregate-value reuse of §4.3.2 (Figure 6b);
 //! * [`optimizer`] — the Deca optimizer (§5, Appendix A): classification →
 //!   ownership → per-container decomposition decisions;
 //! * [`swap`] — page-group spill files.

@@ -340,6 +340,40 @@ impl MemoryManager {
         f(&mut self.entry_mut(id).group, heap).map_err(MemError::Oom)
     }
 
+    /// Access two pinned groups at once, `src` for reading and `dst` for
+    /// writing (a shuffle table rehashing from its old group into its new
+    /// one). Pinned groups are never evicted, so bringing one in cannot
+    /// push the other out.
+    pub(crate) fn with_group_pair<R>(
+        &mut self,
+        src: GroupId,
+        dst: GroupId,
+        heap: &mut Heap,
+        f: impl FnOnce(&PageGroup, &mut PageGroup) -> R,
+    ) -> Result<R, MemError> {
+        assert_ne!(src, dst, "a group cannot be both source and destination");
+        assert!(
+            !self.is_swappable(src) && !self.is_swappable(dst),
+            "paired access needs pinned groups"
+        );
+        self.ensure_resident(src, heap)?;
+        self.ensure_resident(dst, heap)?;
+        let t = self.tick();
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        let (src_entry, dst_entry) = if s < d {
+            let (lo, hi) = self.entries.split_at_mut(d);
+            (&mut lo[s], &mut hi[0])
+        } else {
+            let (lo, hi) = self.entries.split_at_mut(s);
+            (&mut hi[0], &mut lo[d])
+        };
+        let src_entry = src_entry.as_mut().expect("group released");
+        let dst_entry = dst_entry.as_mut().expect("group released");
+        src_entry.last_used = t;
+        dst_entry.last_used = t;
+        Ok(f(&src_entry.group, &mut dst_entry.group))
+    }
+
     /// Direct read of a segment (convenience over `with_group`).
     pub fn read_segment(
         &mut self,

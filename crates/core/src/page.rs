@@ -25,18 +25,22 @@ impl Page {
         self.data.is_empty()
     }
 
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
         &self.data
     }
 
+    #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 
+    #[inline]
     pub fn slice(&self, off: usize, len: usize) -> &[u8] {
         &self.data[off..off + len]
     }
 
+    #[inline]
     pub fn slice_mut(&mut self, off: usize, len: usize) -> &mut [u8] {
         &mut self.data[off..off + len]
     }

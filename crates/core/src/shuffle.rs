@@ -3,14 +3,29 @@
 //! Two buffer shapes, matching Spark's shuffle implementations:
 //!
 //! * [`DecaHashShuffle`] — hash-based with **eager combining**
-//!   (`reduceByKey`): Key/Value pairs live in pages; an open-addressing
-//!   table of [`SegPtr`]s locates them. When both K and V are SFSTs the
-//!   combine **reuses the old value's page segment in place** — the paper's
-//!   fix for the "Value object dies on every aggregate" churn that saturates
-//!   the GC in WordCount (§4.3.2, Figure 8a).
+//!   (`reduceByKey`) when both Key and Value are SFSTs: the paper's
+//!   pointer-free buffer ("the pointer array can be avoided", §4.3.2). The
+//!   open-addressing table *is* the buffer's pages: slot `i` is a fixed
+//!   `key_size + val_size` segment at page `i / slots_per_page`, offset
+//!   `(i % slots_per_page) * slot_size`, with `slots_per_page` a power of
+//!   two. The only off-page metadata is one control byte per slot (empty,
+//!   or a 7-bit tag of the key's hash), so a probe reads page bytes only on
+//!   a tag match, and a combine **reuses the old value's bytes in place** —
+//!   the paper's fix for the "Value object dies on every aggregate" churn
+//!   that saturates the GC in WordCount (§4.3.2, Figure 8a).
+//!   [`DecaHashShuffle::insert_all`] enters the page group once per run of
+//!   inserts that fit under the 0.7 load threshold.
 //! * [`DecaSortShuffle`] — sort-based: framed entries appended to pages, a
 //!   pointer array sorted by key at the end (pointers are sorted, bytes
 //!   never move).
+//!
+//! The table's heap-budget cost is its pages, 0.35–0.7 full of live slots
+//! between growths; the control array sits off the budget at one byte per
+//! slot. At any fill above 5/16 that totals less than compact segments
+//! behind a pointer table of 12-byte `Option<SegPtr>` slots at the same
+//! load. Growth builds a table twice the size in a fresh page group,
+//! rehashes into it and then releases the old group: the dead table is
+//! reclaimed by its lifetime, not copied forward or traced.
 //!
 //! Shuffle buffers pin their page groups (Appendix C: Deca evicts cache
 //! blocks rather than spilling pointer-only shuffle state).
@@ -21,30 +36,135 @@ use std::sync::Arc;
 
 use deca_heap::Heap;
 
-use crate::group::SegPtr;
+use crate::group::{PageGroup, SegPtr};
 use crate::manager::{GroupId, MemError, MemoryManager};
 use crate::page::Page;
 
-/// FNV-1a over key bytes — cheap and deterministic.
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// Word-at-a-time hash over key bytes: the length seeds it, then each
+/// 8-byte little-endian word (the tail zero-padded) is folded in with one
+/// 64×64→128-bit multiply whose halves are XORed. Both ends of the result
+/// are mixed: the low bits pick a key's home slot, the top seven its
+/// control tag.
+#[inline]
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
+    const SEED: u64 = 0xa076_1d64_78bd_642f;
+    const MUL: u64 = 0xe703_7ed1_a0b4_28db;
+    let fold = |h: u64, word: u64| {
+        let r = u128::from(h ^ word) * u128::from(MUL);
+        (r as u64) ^ ((r >> 64) as u64)
+    };
+    let mut h = SEED ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = fold(h, u64::from_le_bytes(w.try_into().expect("8-byte word")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        h = fold(h, tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
     }
     h
 }
 
-/// Hash-based shuffle buffer with eager combining over decomposed
-/// fixed-size keys and values.
-#[derive(Debug)]
-pub struct DecaHashShuffle {
-    group: GroupId,
+/// Control byte of a free slot; an occupied slot holds [`tag`] of its hash.
+pub(crate) const EMPTY: u8 = 0;
+
+/// An occupied slot's control byte: the hash's top seven bits, high bit set.
+#[inline]
+pub(crate) fn tag(hash: u64) -> u8 {
+    0x80 | (hash >> 57) as u8
+}
+
+/// Live entries a table of `cap` slots may hold (the 0.7 load threshold).
+#[inline]
+pub(crate) fn max_len(cap: usize) -> usize {
+    cap * 7 / 10
+}
+
+/// Linear probe over a power-of-two control array from `hash`'s home slot:
+/// `Ok(i)` at the first slot whose tag matches and `is_key(i)` confirms,
+/// `Err(i)` at the first empty slot. Key bytes are read only on a tag match.
+#[inline]
+pub(crate) fn probe(
+    ctrl: &[u8],
+    hash: u64,
+    mut is_key: impl FnMut(usize) -> bool,
+) -> Result<usize, usize> {
+    let mask = ctrl.len() - 1;
+    let tag = tag(hash);
+    let mut i = hash as usize & mask;
+    loop {
+        match ctrl[i] {
+            EMPTY => return Err(i),
+            c if c == tag && is_key(i) => return Ok(i),
+            _ => i = (i + 1) & mask,
+        }
+    }
+}
+
+/// Byte equality a word at a time. Keys are a few words long, and an
+/// inlined compare costs less than a call to `memcmp`.
+#[inline]
+pub(crate) fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    let word = |w: &[u8]| u64::from_ne_bytes(w.try_into().expect("8-byte word"));
+    let (mut x, mut y) = (a.chunks_exact(8), b.chunks_exact(8));
+    a.len() == b.len()
+        && x.by_ref().zip(y.by_ref()).all(|(p, q)| word(p) == word(q))
+        && x.remainder().iter().zip(y.remainder()).all(|(p, q)| p == q)
+}
+
+/// The first table spans one page, but never more than this many slots.
+const INITIAL_SLOTS: usize = 1 << 12;
+
+/// Where a [`DecaHashShuffle`] slot's bytes live in its table's pages.
+#[derive(Copy, Clone, Debug)]
+struct SlotMap {
     key_size: usize,
     val_size: usize,
-    /// Open-addressing table of pointers to key segments (the value
-    /// follows the key within the same segment).
-    table: Vec<Option<SegPtr>>,
+    /// log2 of slots per page: slot `i` is in page `i >> page_shift`.
+    page_shift: u32,
+}
+
+impl SlotMap {
+    #[inline]
+    fn slot_size(self) -> usize {
+        self.key_size + self.val_size
+    }
+
+    #[inline]
+    fn per_page(self) -> usize {
+        1 << self.page_shift
+    }
+
+    #[inline]
+    fn locate(self, i: usize) -> (usize, usize) {
+        (i >> self.page_shift, (i & (self.per_page() - 1)) * self.slot_size())
+    }
+
+    /// Slot `i`'s `key ++ value` bytes.
+    #[inline]
+    fn slot(self, g: &PageGroup, i: usize) -> &[u8] {
+        let (page, off) = self.locate(i);
+        &g.page(page).bytes()[off..off + self.slot_size()]
+    }
+
+    #[inline]
+    fn slot_mut(self, g: &mut PageGroup, i: usize) -> &mut [u8] {
+        let (page, off) = self.locate(i);
+        &mut g.page_mut(page).bytes_mut()[off..off + self.slot_size()]
+    }
+}
+
+/// Hash-based shuffle buffer with eager combining over decomposed
+/// fixed-size keys and values, its open-addressing table laid out in
+/// pages (see the module docs).
+#[derive(Debug)]
+pub struct DecaHashShuffle {
+    /// The group holding the current table's pages, slot order.
+    group: GroupId,
+    map: SlotMap,
+    /// One control byte per slot ([`EMPTY`] or a [`tag`]); its length is
+    /// the table's capacity, zero until the first insert.
+    ctrl: Vec<u8>,
     len: usize,
     /// In-place combines performed (each one is a GC'd temporary avoided).
     pub combines: u64,
@@ -53,15 +173,16 @@ pub struct DecaHashShuffle {
 
 impl DecaHashShuffle {
     /// Create a buffer for SFST keys of `key_size` bytes and SFST values of
-    /// `val_size` bytes.
+    /// `val_size` bytes. Its first table page is allocated by the first
+    /// insert.
     pub fn new(mm: &mut MemoryManager, key_size: usize, val_size: usize) -> DecaHashShuffle {
         let group = mm.create_group();
         mm.set_swappable(group, false);
+        let per_page = (mm.page_size() / (key_size + val_size)).max(1);
         DecaHashShuffle {
             group,
-            key_size,
-            val_size,
-            table: vec![None; 1024],
+            map: SlotMap { key_size, val_size, page_shift: per_page.ilog2() },
+            ctrl: Vec::new(),
             len: 0,
             combines: 0,
             released: false,
@@ -80,80 +201,159 @@ impl DecaHashShuffle {
         self.group
     }
 
-    /// Insert a pair, eagerly combining when the key exists:
-    /// `combine(existing_value, new_value)` mutates the existing value's
-    /// bytes in place (§4.3.2 segment reuse — no allocation, no GC work).
+    /// Bytes of table metadata kept off the pages (and off the heap
+    /// budget): the control array.
+    pub fn off_page_bytes(&self) -> usize {
+        self.ctrl.len()
+    }
+
+    /// Insert one pair: [`DecaHashShuffle::insert_all`] over a single pair.
+    #[inline]
     pub fn insert(
         &mut self,
         mm: &mut MemoryManager,
         heap: &mut Heap,
         key: &[u8],
         val: &[u8],
+        combine: impl FnMut(&mut [u8], &[u8]),
+    ) -> Result<(), MemError> {
+        self.insert_all(mm, heap, [(key, val)], combine)
+    }
+
+    /// Insert pairs in order, eagerly combining when a key exists:
+    /// `combine(existing_value, new_value)` mutates the existing value's
+    /// bytes in place (§4.3.2 segment reuse — no allocation, no GC work),
+    /// so each key's values combine in arrival order.
+    ///
+    /// The page group is entered once per run of inserts that fit under
+    /// the load threshold. Every slot's page exists before a run starts, so
+    /// a run cannot fail and the manager never re-invokes it: no record is
+    /// applied twice. Growth between runs is the only fallible step.
+    #[inline]
+    pub fn insert_all<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &mut self,
+        mm: &mut MemoryManager,
+        heap: &mut Heap,
+        pairs: impl IntoIterator<Item = (K, V)>,
         mut combine: impl FnMut(&mut [u8], &[u8]),
     ) -> Result<(), MemError> {
-        assert_eq!(key.len(), self.key_size);
-        assert_eq!(val.len(), self.val_size);
-        if (self.len + 1) * 10 > self.table.len() * 7 {
+        let mut pairs = pairs.into_iter();
+        // The pair that found the table full waits here while it grows.
+        let mut pending = pairs.next();
+        if pending.is_none() {
+            return Ok(());
+        }
+        if self.ctrl.is_empty() {
             self.grow(mm, heap)?;
         }
-        let mask = self.table.len() - 1;
-        let mut idx = (hash_bytes(key) as usize) & mask;
-        let (key_size, val_size) = (self.key_size, self.val_size);
-        let table = &mut self.table;
-        let len = &mut self.len;
-        let combines = &mut self.combines;
-        mm.with_group_mut(self.group, heap, |g, h| loop {
-            match table[idx] {
-                Some(ptr) if g.slice(ptr, key_size) == key => {
-                    let vptr = SegPtr { page: ptr.page, off: ptr.off + key_size as u32 };
-                    combine(g.slice_mut(vptr, val_size), val);
-                    *combines += 1;
-                    return Ok(());
+        let map = self.map;
+        loop {
+            let room = max_len(self.ctrl.len());
+            let (ctrl, len, combines) = (&mut self.ctrl, &mut self.len, &mut self.combines);
+            let full = mm.with_group_mut(self.group, heap, |g, _| {
+                let mut hits = 0;
+                let mut full = false;
+                for (k, v) in pending.take().into_iter().chain(pairs.by_ref()) {
+                    let (key, val) = (k.as_ref(), v.as_ref());
+                    assert_eq!(key.len(), map.key_size);
+                    assert_eq!(val.len(), map.val_size);
+                    let hash = hash_bytes(key);
+                    match probe(ctrl, hash, |i| same_bytes(&map.slot(g, i)[..map.key_size], key)) {
+                        Ok(i) => {
+                            combine(&mut map.slot_mut(g, i)[map.key_size..], val);
+                            hits += 1;
+                        }
+                        Err(_) if *len == room => {
+                            pending = Some((k, v));
+                            full = true;
+                            break;
+                        }
+                        Err(i) => {
+                            ctrl[i] = tag(hash);
+                            let slot = map.slot_mut(g, i);
+                            slot[..map.key_size].copy_from_slice(key);
+                            slot[map.key_size..].copy_from_slice(val);
+                            *len += 1;
+                        }
+                    }
                 }
-                Some(_) => idx = (idx + 1) & mask,
-                None => {
-                    let ptr = g.reserve(h, key_size + val_size)?;
-                    g.slice_mut(ptr, key_size).copy_from_slice(key);
-                    let vptr = SegPtr { page: ptr.page, off: ptr.off + key_size as u32 };
-                    g.slice_mut(vptr, val_size).copy_from_slice(val);
-                    table[idx] = Some(ptr);
-                    *len += 1;
-                    return Ok(());
-                }
+                *combines += hits;
+                Ok(full)
+            })?;
+            if !full {
+                return Ok(());
             }
-        })
+            self.grow(mm, heap)?;
+        }
     }
 
+    /// Allocate the first table in the buffer's empty group, or build one
+    /// twice the size in a fresh group, rehash into it and release the old
+    /// group. On failure the buffer is unchanged, so growth may be retried.
     fn grow(&mut self, mm: &mut MemoryManager, heap: &mut Heap) -> Result<(), MemError> {
-        let new_cap = self.table.len() * 2;
-        let old = std::mem::replace(&mut self.table, vec![None; new_cap]);
-        let mask = new_cap - 1;
-        let key_size = self.key_size;
-        let table = &mut self.table;
-        mm.with_group(self.group, heap, |g| {
-            for ptr in old.into_iter().flatten() {
-                let mut idx = (hash_bytes(g.slice(ptr, key_size)) as usize) & mask;
-                while table[idx].is_some() {
-                    idx = (idx + 1) & mask;
-                }
-                table[idx] = Some(ptr);
+        let map = self.map;
+        let first = self.ctrl.is_empty();
+        let cap = if first { map.per_page().min(INITIAL_SLOTS) } else { self.ctrl.len() * 2 };
+        let (pages, page_bytes) =
+            (cap.div_ceil(map.per_page()), cap.min(map.per_page()) * map.slot_size());
+        let target = if first {
+            self.group
+        } else {
+            let g = mm.create_group();
+            mm.set_swappable(g, false);
+            g
+        };
+        // Each reservation opens a page of its own, since a page's worth of
+        // slots fills more than half of one. Re-invoked after an eviction,
+        // the loop resumes where the failed reservation stopped.
+        let reserved = mm.with_group_mut(target, heap, |g, h| {
+            while g.page_count() < pages {
+                g.reserve(h, page_bytes)?;
             }
-        })
+            Ok(())
+        });
+        let mut ctrl = vec![EMPTY; cap];
+        let rehashed = reserved.and_then(|()| {
+            if first {
+                return Ok(());
+            }
+            let old_ctrl = &self.ctrl;
+            mm.with_group_pair(self.group, target, heap, |old, new| {
+                for (i, &c) in old_ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
+                    let slot = map.slot(old, i);
+                    let hash = hash_bytes(&slot[..map.key_size]);
+                    let Err(j) = probe(&ctrl, hash, |_| false) else { unreachable!() };
+                    ctrl[j] = c;
+                    map.slot_mut(new, j).copy_from_slice(slot);
+                }
+            })
+        });
+        if let Err(e) = rehashed {
+            if !first {
+                mm.release(target, heap);
+            }
+            return Err(e);
+        }
+        if !first {
+            mm.release(self.group, heap);
+            self.group = target;
+        }
+        self.ctrl = ctrl;
+        Ok(())
     }
 
-    /// Visit every (key, value) byte pair.
+    /// Visit every (key, value) byte pair, in table order.
     pub fn for_each(
         &self,
         mm: &mut MemoryManager,
         heap: &mut Heap,
         mut f: impl FnMut(&[u8], &[u8]),
     ) -> Result<(), MemError> {
-        let (key_size, val_size) = (self.key_size, self.val_size);
-        let table = &self.table;
+        let (ctrl, map) = (&self.ctrl, self.map);
         mm.with_group(self.group, heap, |g| {
-            for ptr in table.iter().flatten() {
-                let kv = g.slice(*ptr, key_size + val_size);
-                f(&kv[..key_size], &kv[key_size..]);
+            for (i, _) in ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
+                let slot = map.slot(g, i);
+                f(&slot[..map.key_size], &slot[map.key_size..]);
             }
         })
     }
@@ -1055,15 +1255,95 @@ mod tests {
         let mut vb = [0u8; 8];
         7i64.encode(&mut kb);
         1i64.encode(&mut vb);
-        for _ in 0..100_000 {
+        buf.insert(&mut mm, &mut heap, &kb, &vb, add_i64).unwrap();
+        let first = (heap.external_bytes(), heap.external_count(), buf.off_page_bytes());
+        for _ in 1..100_000 {
             buf.insert(&mut mm, &mut heap, &kb, &vb, add_i64).unwrap();
         }
-        // One key: one 16-byte segment, one page — regardless of 100k combines.
+        // One key: 100k combines reuse its slot; the table never grows.
         assert_eq!(buf.len(), 1);
-        assert_eq!(heap.external_count(), 1);
+        assert_eq!((heap.external_bytes(), heap.external_count(), buf.off_page_bytes()), first);
         let mut total = 0i64;
         buf.for_each(&mut mm, &mut heap, |_, v| total = i64::decode(v)).unwrap();
         assert_eq!(total, 100_000);
         buf.release(&mut mm, &mut heap);
+    }
+
+    #[test]
+    fn growth_releases_the_old_table_group() {
+        let (mut heap, mut mm) = setup();
+        mm.log_releases = true;
+        let mut buf = DecaHashShuffle::new(&mut mm, 8, 8);
+        let pairs = (0..5_000i64).map(|k| (k.to_le_bytes(), 1i64.to_le_bytes()));
+        buf.insert_all(&mut mm, &mut heap, pairs, add_i64).unwrap();
+        // 512 slots per 8 KiB page: 512 → 1024 → … → 8192 slots, each
+        // outgrown table released whole when its successor is built.
+        let released: Vec<usize> = mm.take_release_events().iter().map(|e| e.pages).collect();
+        assert_eq!(released, [1, 2, 4, 8]);
+        assert_eq!(mm.live_groups(), 1, "only the live table's group remains");
+        // Only the live table is on the budget: 16-byte slots, 8 KiB pages.
+        assert_eq!(heap.external_bytes(), buf.off_page_bytes() * 16);
+        buf.release(&mut mm, &mut heap);
+        assert_eq!(heap.external_bytes(), 0);
+        assert_eq!(mm.live_groups(), 0);
+    }
+
+    /// A tight heap holding one swappable cache group: the insert that
+    /// must grow the table evicts the cache, never the buffer, and no
+    /// record is lost or applied twice on the way.
+    #[test]
+    fn growth_under_budget_pressure_swaps_the_cache_not_the_buffer() {
+        use deca_check::property::{check, gens, Config};
+        check(
+            Config::with_cases(12),
+            gens::vec_of(gens::pair(gens::i64_in(0..700), gens::i64_in(-50..50)), 1_500..3_000),
+            |stream| {
+                let (mut heap, mut mm) = setup();
+                let mut buf = DecaHashShuffle::new(&mut mm, 8, 8);
+                // One record allocates the first table page ...
+                let (k0, v0) = stream[0];
+                buf.insert(&mut mm, &mut heap, &k0.to_le_bytes(), &v0.to_le_bytes(), add_i64)
+                    .unwrap();
+                // ... then the cache takes every byte of budget left but
+                // one page (held by a pinned spacer until it is full), so
+                // the growth below reserves one page of its new table
+                // before it must evict the cache for the next.
+                let spacer = mm.create_group();
+                mm.set_swappable(spacer, false);
+                mm.with_group_mut(spacer, &mut heap, |g, h| g.append(h, &[0u8; 8192])).unwrap();
+                let victim = mm.create_group();
+                while mm.with_group_mut(victim, &mut heap, |g, h| g.append(h, &[3u8; 8192])).is_ok()
+                {
+                }
+                mm.release(spacer, &mut heap);
+                let pairs = stream[1..].iter().map(|&(k, v)| (k.to_le_bytes(), v.to_le_bytes()));
+                buf.insert_all(&mut mm, &mut heap, pairs, add_i64).unwrap();
+                let mut expected: HashMap<i64, i64> = HashMap::new();
+                for &(k, v) in stream {
+                    *expected.entry(k).or_insert(0) += v;
+                }
+                // Over 358 keys outgrow the first 512-slot page; under 700 fit the
+                // 1024-slot table the retried growth built, so it is the one
+                // still live below.
+                deca_check::prop_assert!(expected.len() > 358, "the stream must outgrow a page");
+                deca_check::prop_assert!(mm.is_swapped(victim), "the cache group was evicted");
+                deca_check::prop_assert!(!mm.is_swapped(buf.group()), "the buffer stays pinned");
+                // The retried reservation added no page twice: the budget
+                // holds exactly the live table, 16-byte slots.
+                deca_check::prop_assert_eq!(heap.external_bytes(), buf.off_page_bytes() * 16);
+                let mut got: HashMap<i64, i64> = HashMap::new();
+                buf.for_each(&mut mm, &mut heap, |k, v| {
+                    got.insert(i64::decode(k), i64::decode(v));
+                })
+                .unwrap();
+                deca_check::prop_assert_eq!(got, expected);
+                deca_check::prop_assert_eq!(buf.combines + buf.len() as u64, stream.len() as u64);
+                buf.release(&mut mm, &mut heap);
+                deca_check::prop_assert_eq!(heap.external_bytes(), 0);
+                deca_check::prop_assert_eq!(mm.live_groups(), 1, "only the swapped cache lives");
+                mm.release(victim, &mut heap);
+                Ok(())
+            },
+        );
     }
 }

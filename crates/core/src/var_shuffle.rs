@@ -6,9 +6,17 @@
 //! pointer arrays. However, the pointer array can be avoided for a
 //! hash-based shuffle buffer with both the Key and the Value being of
 //! primitive types or SFSTs." [`crate::DecaHashShuffle`] is that elided
-//! fast path; this buffer is the general one: framed key segments, a
-//! pointer table carrying `(key ptr, key len, value ptr)`, and in-place
-//! value combining when the value is an SFST.
+//! fast path, its table laid out in its pages; this buffer is the general
+//! one. Each new key appends one `key ++ value` segment to the pages; the
+//! pointer table carries `(full hash, key pointer, key length)` per entry
+//! (the value follows its key), beside the same one-byte control array the
+//! elided buffer probes. A probe compares key bytes only when the control
+//! tag and the stored hash both match, growth re-places entries from the
+//! stored hash without reading a page, and a combine rewrites the SFST
+//! value's bytes in place.
+//!
+//! Its heap-budget cost is the segments alone; the control array and the
+//! pointer table (25 bytes per slot) live off the pages.
 //!
 //! Used by string-keyed aggregations (the paper's WordCount has text
 //! keys) and by any UDT key the classifier marks RFST.
@@ -17,32 +25,48 @@ use deca_heap::Heap;
 
 use crate::group::SegPtr;
 use crate::manager::{GroupId, MemError, MemoryManager};
+use crate::shuffle::{hash_bytes, max_len, probe, same_bytes, tag, EMPTY};
 
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// One pointer-array entry: where the key and value bytes live.
+/// One pointer-array entry: where a key's bytes live (its value follows
+/// them in the same segment) and the key's full hash.
 #[derive(Copy, Clone, Debug)]
 struct Slot {
+    hash: u64,
     key: SegPtr,
     key_len: u32,
-    val: SegPtr,
 }
 
-/// Hash shuffle with variable-size (framed) keys and fixed-size (SFST)
-/// values combined in place.
+impl Slot {
+    #[inline]
+    fn val(self) -> SegPtr {
+        SegPtr { page: self.key.page, off: self.key.off + self.key_len }
+    }
+}
+
+const VACANT: Slot = Slot { hash: 0, key: SegPtr { page: 0, off: 0 }, key_len: 0 };
+
+/// How one pass of [`DecaVarHashShuffle::insert_all`] inside the page
+/// group ended.
+enum Run {
+    /// Every pair was applied.
+    Done,
+    /// A new key met the load threshold: grow the table, then go on.
+    Full,
+    /// A new key's segment did not fit the heap after this pass had
+    /// applied others: re-enter, so that key gets its own eviction round.
+    OutOfBudget,
+}
+
+/// Hash shuffle with variable-size keys and fixed-size (SFST) values
+/// combined in place.
 #[derive(Debug)]
 pub struct DecaVarHashShuffle {
     group: GroupId,
     val_size: usize,
-    /// Open addressing over pointer-array entries (Figure 6b's left side).
-    table: Vec<Option<Slot>>,
+    /// One control byte per slot ([`EMPTY`] or the hash's tag).
+    ctrl: Vec<u8>,
+    /// The pointer array (Figure 6b's left side), parallel to `ctrl`.
+    slots: Vec<Slot>,
     len: usize,
     pub combines: u64,
     released: bool,
@@ -55,7 +79,8 @@ impl DecaVarHashShuffle {
         DecaVarHashShuffle {
             group,
             val_size,
-            table: vec![None; 1024],
+            ctrl: vec![EMPTY; 1024],
+            slots: vec![VACANT; 1024],
             len: 0,
             combines: 0,
             released: false,
@@ -74,68 +99,110 @@ impl DecaVarHashShuffle {
         self.group
     }
 
-    /// Insert a pair; on a key hit, combine into the value's segment in
-    /// place. Key bytes are stored once (framed), values unframed.
+    /// Bytes of table kept off the pages (and off the heap budget): the
+    /// control array plus the pointer table.
+    pub fn off_page_bytes(&self) -> usize {
+        self.ctrl.len() + self.slots.len() * std::mem::size_of::<Slot>()
+    }
+
+    /// Insert one pair: [`DecaVarHashShuffle::insert_all`] over a single
+    /// pair.
+    #[inline]
     pub fn insert(
         &mut self,
         mm: &mut MemoryManager,
         heap: &mut Heap,
         key: &[u8],
         val: &[u8],
+        combine: impl FnMut(&mut [u8], &[u8]),
+    ) -> Result<(), MemError> {
+        self.insert_all(mm, heap, [(key, val)], combine)
+    }
+
+    /// Insert pairs in order; on a key hit, combine into the value's bytes
+    /// in place, so each key's values combine in arrival order. The page
+    /// group is entered once per run of inserts. A new key's segment may
+    /// not fit the heap: the run then stops with that pair unapplied, so
+    /// when the manager evicts and re-invokes it, it resumes there and no
+    /// record is applied twice.
+    #[inline]
+    pub fn insert_all<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &mut self,
+        mm: &mut MemoryManager,
+        heap: &mut Heap,
+        pairs: impl IntoIterator<Item = (K, V)>,
         mut combine: impl FnMut(&mut [u8], &[u8]),
     ) -> Result<(), MemError> {
-        assert_eq!(val.len(), self.val_size);
-        if (self.len + 1) * 10 > self.table.len() * 7 {
-            self.grow(mm, heap)?;
-        }
-        let mask = self.table.len() - 1;
-        let mut idx = (hash_bytes(key) as usize) & mask;
+        let mut pairs = pairs.into_iter();
+        // The pair that stopped the last run waits here.
+        let mut pending = None;
         let val_size = self.val_size;
-        let table = &mut self.table;
-        let len = &mut self.len;
-        let combines = &mut self.combines;
-        mm.with_group_mut(self.group, heap, |g, h| {
-            loop {
-                match table[idx] {
-                    Some(slot) if g.slice(slot.key, slot.key_len as usize) == key => {
-                        combine(g.slice_mut(slot.val, val_size), val);
-                        *combines += 1;
-                        return Ok(());
+        loop {
+            let room = max_len(self.ctrl.len());
+            let (ctrl, slots) = (&mut self.ctrl, &mut self.slots);
+            let (len, combines) = (&mut self.len, &mut self.combines);
+            let run = mm.with_group_mut(self.group, heap, |g, h| {
+                let mut applied = false;
+                for (k, v) in pending.take().into_iter().chain(pairs.by_ref()) {
+                    let (key, val) = (k.as_ref(), v.as_ref());
+                    assert_eq!(val.len(), val_size);
+                    let hash = hash_bytes(key);
+                    let is_key = |i: usize| {
+                        let s = slots[i];
+                        s.hash == hash && same_bytes(g.slice(s.key, s.key_len as usize), key)
+                    };
+                    match probe(ctrl, hash, is_key) {
+                        Ok(i) => {
+                            combine(g.slice_mut(slots[i].val(), val_size), val);
+                            *combines += 1;
+                        }
+                        Err(_) if *len == room => {
+                            pending = Some((k, v));
+                            return Ok(Run::Full);
+                        }
+                        Err(i) => match g.reserve(h, key.len() + val_size) {
+                            Ok(ptr) => {
+                                let slot = Slot { hash, key: ptr, key_len: key.len() as u32 };
+                                g.slice_mut(ptr, key.len()).copy_from_slice(key);
+                                g.slice_mut(slot.val(), val_size).copy_from_slice(val);
+                                ctrl[i] = tag(hash);
+                                slots[i] = slot;
+                                *len += 1;
+                            }
+                            Err(oom) => {
+                                pending = Some((k, v));
+                                return if applied { Ok(Run::OutOfBudget) } else { Err(oom) };
+                            }
+                        },
                     }
-                    Some(_) => idx = (idx + 1) & mask,
-                    None => {
-                        // Key framed (so scans can recover its length),
-                        // value unframed right behind it.
-                        let kptr = g.append_framed(h, key)?;
-                        let vptr = g.reserve(h, val_size)?;
-                        g.slice_mut(vptr, val_size).copy_from_slice(val);
-                        table[idx] = Some(Slot { key: kptr, key_len: key.len() as u32, val: vptr });
-                        *len += 1;
-                        return Ok(());
-                    }
+                    applied = true;
                 }
+                Ok(Run::Done)
+            })?;
+            match run {
+                Run::Done => return Ok(()),
+                Run::Full => self.grow(),
+                Run::OutOfBudget => {}
             }
-        })
+        }
     }
 
-    fn grow(&mut self, mm: &mut MemoryManager, heap: &mut Heap) -> Result<(), MemError> {
-        let new_cap = self.table.len() * 2;
-        let old = std::mem::replace(&mut self.table, vec![None; new_cap]);
-        let mask = new_cap - 1;
-        let table = &mut self.table;
-        mm.with_group(self.group, heap, |g| {
-            for slot in old.into_iter().flatten() {
-                let mut idx =
-                    (hash_bytes(g.slice(slot.key, slot.key_len as usize)) as usize) & mask;
-                while table[idx].is_some() {
-                    idx = (idx + 1) & mask;
-                }
-                table[idx] = Some(slot);
-            }
-        })
+    /// Double the table, re-placing every entry from its stored hash.
+    fn grow(&mut self) {
+        let cap = self.ctrl.len() * 2;
+        let mut ctrl = vec![EMPTY; cap];
+        let mut slots = vec![VACANT; cap];
+        for (i, &c) in self.ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
+            let slot = self.slots[i];
+            let Err(j) = probe(&ctrl, slot.hash, |_| false) else { unreachable!() };
+            ctrl[j] = c;
+            slots[j] = slot;
+        }
+        self.ctrl = ctrl;
+        self.slots = slots;
     }
 
-    /// Visit every `(key bytes, value bytes)` pair.
+    /// Visit every `(key bytes, value bytes)` pair, in table order.
     pub fn for_each(
         &self,
         mm: &mut MemoryManager,
@@ -143,10 +210,11 @@ impl DecaVarHashShuffle {
         mut f: impl FnMut(&[u8], &[u8]),
     ) -> Result<(), MemError> {
         let val_size = self.val_size;
-        let table = &self.table;
+        let (ctrl, slots) = (&self.ctrl, &self.slots);
         mm.with_group(self.group, heap, |g| {
-            for slot in table.iter().flatten() {
-                f(g.slice(slot.key, slot.key_len as usize), g.slice(slot.val, val_size));
+            for (i, _) in ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
+                let s = slots[i];
+                f(g.slice(s.key, s.key_len as usize), g.slice(s.val(), val_size));
             }
         })
     }
@@ -233,7 +301,8 @@ mod tests {
 
     #[test]
     fn prefix_keys_do_not_collide() {
-        // "ab" and "abc" share a byte prefix; framing must distinguish.
+        // "ab" and "abc" share a byte prefix; the stored lengths tell them
+        // apart.
         let (mut heap, mut mm) = setup();
         let mut buf = DecaVarHashShuffle::new(&mut mm, 8);
         for (k, v) in [("ab", 1i64), ("abc", 10), ("ab", 2), ("abc", 20), ("a", 100)] {
@@ -251,5 +320,52 @@ mod tests {
         assert_eq!(got["abc"], 30);
         assert_eq!(got["a"], 100);
         buf.release(&mut mm, &mut heap);
+    }
+
+    /// A batch whose new keys run out of heap mid-run evicts the swappable
+    /// cache group and resumes at the key that did not fit: every record
+    /// is applied exactly once.
+    #[test]
+    fn a_run_out_of_budget_resumes_after_eviction() {
+        use deca_check::property::{check, gens, Config};
+        check(
+            Config::with_cases(12),
+            gens::vec_of(gens::pair(gens::u32_in(0..3_000), gens::i64_in(-50..50)), 800..1_600),
+            |stream| {
+                let (mut heap, mut mm) = setup();
+                let mut buf = DecaVarHashShuffle::new(&mut mm, 8);
+                let key = |k: u32| format!("k{k}-{}", "y".repeat((k % 13) as usize));
+                // One record opens the first page, which the run below
+                // partly fills before it needs another ...
+                buf.insert(&mut mm, &mut heap, b"first", &1i64.to_le_bytes(), add_i64).unwrap();
+                // ... by which time the cache holds all the budget left.
+                let victim = mm.create_group();
+                while mm.with_group_mut(victim, &mut heap, |g, h| g.append(h, &[3u8; 8192])).is_ok()
+                {
+                }
+                let pairs = stream.iter().map(|&(k, v)| (key(k), v.to_le_bytes()));
+                buf.insert_all(&mut mm, &mut heap, pairs, add_i64).unwrap();
+                let mut expected: HashMap<Vec<u8>, i64> = HashMap::new();
+                expected.insert(b"first".to_vec(), 1);
+                for &(k, v) in stream {
+                    *expected.entry(key(k).into_bytes()).or_insert(0) += v;
+                }
+                deca_check::prop_assert!(mm.is_swapped(victim), "the cache group was evicted");
+                let mut got: HashMap<Vec<u8>, i64> = HashMap::new();
+                buf.for_each(&mut mm, &mut heap, |k, v| {
+                    got.insert(k.to_vec(), i64::from_le_bytes(v.try_into().unwrap()));
+                })
+                .unwrap();
+                deca_check::prop_assert_eq!(got, expected);
+                deca_check::prop_assert_eq!(
+                    buf.combines + buf.len() as u64,
+                    stream.len() as u64 + 1
+                );
+                buf.release(&mut mm, &mut heap);
+                mm.release(victim, &mut heap);
+                deca_check::prop_assert_eq!(heap.external_bytes(), 0);
+                Ok(())
+            },
+        );
     }
 }

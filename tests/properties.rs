@@ -166,6 +166,102 @@ fn shuffle_aggregation_equals_fold() {
     td.cleanup();
 }
 
+/// Batch entry is per-record entry: `insert_all` over a stream cut into
+/// arbitrary batches, one `insert` per record, and a `HashMap` fold all
+/// give the same table — for every key/value width, for page sizes whose
+/// slot count is not a power of two or is a single slot, and across
+/// several table growths. The combine is order-sensitive, so equality
+/// also proves that each key's values combine in arrival order.
+#[test]
+fn shuffle_insert_all_equals_per_record_insert_and_fold() {
+    const LAYOUTS: [(usize, usize); 3] = [(8, 8), (8, 24), (4, 12)];
+    // acc = acc * 31 + new over the first eight value bytes, XOR beyond.
+    fn combine(acc: &mut [u8], new: &[u8]) {
+        let a = i64::from_le_bytes(acc[..8].try_into().unwrap());
+        let b = i64::from_le_bytes(new[..8].try_into().unwrap());
+        acc[..8].copy_from_slice(&a.wrapping_mul(31).wrapping_add(b).to_le_bytes());
+        for (x, y) in acc[8..].iter_mut().zip(&new[8..]) {
+            *x ^= *y;
+        }
+    }
+    type Table = HashMap<Vec<u8>, Vec<u8>>;
+    fn drain(buf: &DecaHashShuffle, mm: &mut deca_core::MemoryManager, heap: &mut Heap) -> Table {
+        let mut got = Table::new();
+        buf.for_each(mm, heap, |k, v| {
+            got.insert(k.to_vec(), v.to_vec());
+        })
+        .unwrap();
+        got
+    }
+    let td = TestDir::new("prop-hash-shuffle-batch");
+    check(
+        cfg(),
+        gens::pair(
+            gens::pair(gens::usize_in(0..3), gens::usize_in(0..3)),
+            gens::pair(
+                gens::vec_of(gens::pair(gens::u32_in(0..600), gens::any_i64()), 0..1_500),
+                gens::vec_of(gens::usize_in(1..200), 1..12),
+            ),
+        ),
+        |((layout, page), (stream, cuts))| {
+            let (key_size, val_size) = LAYOUTS[*layout];
+            let slot = key_size + val_size;
+            // One slot fills a page; three slots per page (two used); 100.
+            let page_size = [slot, 3 * slot + 5, 100 * slot][*page];
+            let pairs: Vec<(Vec<u8>, Vec<u8>)> = stream
+                .iter()
+                .map(|&(k, v)| {
+                    let key = (u64::from(k) * 0x9e37_79b9).to_le_bytes()[..key_size].to_vec();
+                    let mut val = v.to_le_bytes().to_vec();
+                    val.resize(val_size, k as u8);
+                    (key, val)
+                })
+                .collect();
+            let mut expected = Table::new();
+            for (k, v) in &pairs {
+                match expected.get_mut(k) {
+                    Some(acc) => combine(acc, v),
+                    None => {
+                        expected.insert(k.clone(), v.clone());
+                    }
+                }
+            }
+
+            let mut heap = Heap::new(HeapConfig::small());
+            let mut mm = td.mm(page_size);
+            let mut one = DecaHashShuffle::new(&mut mm, key_size, val_size);
+            for (k, v) in &pairs {
+                one.insert(&mut mm, &mut heap, k, v, combine).unwrap();
+            }
+            let mut batched = DecaHashShuffle::new(&mut mm, key_size, val_size);
+            let mut rest = &pairs[..];
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(cut.min(rest.len()));
+                let batch = batch.iter().map(|(k, v)| (k, v));
+                batched.insert_all(&mut mm, &mut heap, batch, combine).unwrap();
+                rest = tail;
+            }
+
+            prop_assert_eq!(drain(&one, &mut mm, &mut heap), expected);
+            prop_assert_eq!(drain(&batched, &mut mm, &mut heap), expected);
+            prop_assert_eq!(
+                (one.len(), one.combines),
+                (expected.len(), (pairs.len() - expected.len()) as u64)
+            );
+            prop_assert_eq!((batched.len(), batched.combines), (one.len(), one.combines));
+            one.release(&mut mm, &mut heap);
+            batched.release(&mut mm, &mut heap);
+            prop_assert_eq!(heap.external_bytes(), 0);
+            prop_assert_eq!(mm.live_groups(), 0);
+            Ok(())
+        },
+    );
+    td.cleanup();
+}
+
 /// The global classification never reports a *more* variable size-type
 /// than the local one (it only refines downward in the §3.2 order).
 #[test]
