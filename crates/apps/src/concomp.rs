@@ -105,7 +105,7 @@ pub fn run(params: &CcParams) -> AppReport {
                                     e.heap.stack_ref(ts),
                                 );
                                 e.heap.truncate_stack(ts);
-                                buf.insert(&mut e.heap, k, v, |a, b| a.min(b)).expect("combine");
+                                buf.insert(&mut e.heap, &k, v, |a, b| a.min(b)).expect("combine");
                             }
                         }
                     }

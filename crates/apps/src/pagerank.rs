@@ -134,7 +134,9 @@ pub(crate) fn build_adjacency(
 /// Generate and aggregate one iteration's rank messages from one block.
 /// Cache accesses propagate errors (rather than panicking) because the
 /// cold-read path is fault-instrumented: an injected `SpillRead` kill
-/// must surface as a failed task attempt the driver can retry.
+/// must surface as a failed task attempt the driver can retry. The Spark
+/// arms' heap allocations propagate theirs too: a full heap is a
+/// memory-pressure error the stage engine spills and re-runs on.
 #[allow(clippy::too_many_arguments)] // one parameter per shuffle representation
 fn messages_from_block(
     e: &mut Executor,
@@ -167,8 +169,7 @@ fn messages_from_block(
                             let edges_arr = e.heap.read_ref(v, 1);
                             let dst = e.heap.array_get_i32(edges_arr, j) as i64;
                             // Temporary message tuple, then eager combine.
-                            let tmp =
-                                (dst, contrib).store(&mut e.heap, pair_classes).expect("temp msg");
+                            let tmp = (dst, contrib).store(&mut e.heap, pair_classes)?;
                             let ts = e.heap.push_stack(tmp);
                             let (k, val) = <(i64, f64) as HeapRecord>::load(
                                 &e.heap,
@@ -176,7 +177,7 @@ fn messages_from_block(
                                 e.heap.stack_ref(ts),
                             );
                             e.heap.truncate_stack(ts);
-                            buf.insert(&mut e.heap, k, val, |a, b| a + b).expect("combine");
+                            buf.insert(&mut e.heap, &k, val, |a, b| a + b)?;
                         }
                     }
                 }
@@ -190,9 +191,7 @@ fn messages_from_block(
                         let deg = degrees[a.vertex as usize].max(1) as f64;
                         let contrib = ranks[a.vertex as usize] / deg;
                         for &dst in &a.neighbors {
-                            let tmp = (dst as i64, contrib)
-                                .store(&mut e.heap, pair_classes)
-                                .expect("temp msg");
+                            let tmp = (dst as i64, contrib).store(&mut e.heap, pair_classes)?;
                             let ts = e.heap.push_stack(tmp);
                             let (k, val) = <(i64, f64) as HeapRecord>::load(
                                 &e.heap,
@@ -200,7 +199,7 @@ fn messages_from_block(
                                 e.heap.stack_ref(ts),
                             );
                             e.heap.truncate_stack(ts);
-                            buf.insert(&mut e.heap, k, val, |x, y| x + y).expect("combine");
+                            buf.insert(&mut e.heap, &k, val, |x, y| x + y)?;
                         }
                     }
                 }
@@ -471,7 +470,7 @@ fn run_pagerank(
                                 let bytes = payload.contiguous();
                                 let pairs: Vec<(i64, f64)> = e.kryo.deserialize_all(&bytes);
                                 for (k, v) in pairs {
-                                    buf.insert(&mut e.heap, k, v, |a, b| a + b)?;
+                                    buf.insert(&mut e.heap, &k, v, |a, b| a + b)?;
                                 }
                             }
                             Ok(())

@@ -341,7 +341,7 @@ pub fn run_query2(params: &SqlParams) -> AppReport {
                                 e.heap.stack_ref(ts),
                             );
                             e.heap.truncate_stack(ts);
-                            agg.insert(&mut e.heap, k, v, |a, b| a + b).expect("combine");
+                            agg.insert(&mut e.heap, &k, v, |a, b| a + b).expect("combine");
                         }
                     }
                     let mut sum = 0.0;
@@ -626,7 +626,8 @@ pub fn run_query3(params: &SqlParams) -> AppReport {
                             let delta =
                                 JoinAggRec::load(&e.heap, &agg_classes, e.heap.stack_ref(ts));
                             e.heap.truncate_stack(ts);
-                            agg.insert(&mut e.heap, ip, delta, JoinAggRec::merge).expect("combine");
+                            agg.insert(&mut e.heap, &ip, delta, JoinAggRec::merge)
+                                .expect("combine");
                         }
                     }
                 }

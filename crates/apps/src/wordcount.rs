@@ -21,7 +21,7 @@
 //! partition from that shared buffer (see the crate docs).
 
 use deca_core::{DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
-use deca_engine::record::HeapRecord;
+use deca_engine::record::{load_str_into, HeapRecord};
 use deca_engine::{
     AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx, MapOutputs, ShufflePayload,
     SparkHashShuffle,
@@ -125,7 +125,7 @@ fn run_spark(
                 let (k, v) =
                     <(i64, i64) as HeapRecord>::load(&e.heap, &pair_classes, e.heap.stack_ref(ts));
                 e.heap.truncate_stack(ts);
-                buf.insert(&mut e.heap, k, v, |a, b| a + b)?;
+                buf.insert(&mut e.heap, &k, v, |a, b| a + b)?;
                 if sample_every != 0 && i % sample_every == 0 {
                     e.sample_timeline(pair_classes.tuple);
                 }
@@ -158,7 +158,7 @@ fn run_spark(
                     let bytes = payload.contiguous();
                     let pairs: Vec<(i64, i64)> = e.kryo.deserialize_all(&bytes);
                     for (k, v) in pairs {
-                        buf.insert(&mut e.heap, k, v, |a, b| a + b)?;
+                        buf.insert(&mut e.heap, &k, v, |a, b| a + b)?;
                     }
                 }
                 Ok(())
@@ -320,15 +320,14 @@ fn run_text_spark(
         |ctx, e| {
             let str_classes = <String as HeapRecord>::register(&mut e.heap);
             let mut buf: SparkHashShuffle<String, i64> = SparkHashShuffle::new(&mut e.heap)?;
-            let mut token = String::new();
+            let (mut token, mut word) = (String::new(), String::new());
             for &id in parts.part(ctx.task) {
-                // The tokenizer materialises a temporary String graph.
+                // The tokenizer materialises a temporary String graph; the
+                // combiner reads its chars back as the key.
                 write_token(&mut token, id);
                 let tok_obj = token.store(&mut e.heap, &str_classes)?;
-                let ts = e.heap.push_stack(tok_obj);
-                let word = String::load(&e.heap, &str_classes, e.heap.stack_ref(ts));
-                e.heap.truncate_stack(ts);
-                buf.insert(&mut e.heap, word, 1, |a, b| a + b)?;
+                load_str_into(&e.heap, tok_obj, &mut word);
+                buf.insert(&mut e.heap, word.as_str(), 1, |a, b| a + b)?;
             }
             let out = e.shuffle_write_scope(|e| {
                 let pairs = buf.drain(&e.heap);
@@ -356,11 +355,12 @@ fn run_text_spark(
                     let bytes: &[u8] = &bytes;
                     // Heterogeneous stream (String, i64, String, …):
                     // decode pairwise under one scoped timer, insert after.
-                    let pairs: Vec<(String, i64)> = e.kryo.time_deser(|kr| {
+                    // Keys stay borrowed from the payload.
+                    let pairs: Vec<(&str, i64)> = e.kryo.time_deser(|kr| {
                         let mut pairs = Vec::new();
                         let mut pos = 0;
                         while pos < bytes.len() {
-                            let k: String = kr.deserialize(bytes, &mut pos);
+                            let k = kr.deserialize_str(bytes, &mut pos);
                             let v: i64 = kr.deserialize(bytes, &mut pos);
                             pairs.push((k, v));
                         }

@@ -230,53 +230,78 @@ fn fig8a(s: &Scale) -> Vec<ShapeCheck> {
 
 /// The Figure 8(b) grid — dataset sizes × distinct-key counts, Spark vs
 /// Deca (the paper's 50/100/150 GB × {10M, 100M} keys, scaled down).
-/// Returns every cell's Deca-vs-Spark speedup.
+/// Each cell is the median of three runs per mode: single runs of these
+/// millisecond-scale jobs can swap the order of two cells between
+/// back-to-back invocations. Returns the Deca-vs-Spark speedups, one row
+/// per size and one column per key count.
 fn wc_grid(
     s: &Scale,
     sizes: &[(usize, &str)],
     keys: &[(usize, &str)],
     run: fn(&WcParams) -> AppReport,
-) -> Vec<f64> {
+) -> Vec<Vec<f64>> {
     table_header(&["size", "keys", "Spark_s", "Deca_s", "speedup"]);
-    let mut speedups = Vec::new();
-    for &(words, size) in sizes {
-        for &(distinct, key) in keys {
-            let [spark, deca] = across_modes(SPARK_DECA, tol::WC, |mode| {
-                let mut p = wc_params(s, mode, words, distinct);
-                p.heap_bytes = 32 << 20;
-                p.seed = 42;
-                run(&p)
-            });
-            let x = speedup(&spark, &deca);
+    let cell = |words, distinct| {
+        let runs: Vec<[AppReport; 2]> = (0..3)
+            .map(|_| {
+                across_modes(SPARK_DECA, tol::WC, |mode| {
+                    let mut p = wc_params(s, mode, words, distinct);
+                    p.heap_bytes = 32 << 20;
+                    p.seed = 42;
+                    run(&p)
+                })
+            })
+            .collect();
+        [0, 1].map(|m| {
+            let mut times: Vec<Duration> = runs.iter().map(|r| r[m].exec()).collect();
+            times.sort_unstable();
+            times[1]
+        })
+    };
+    let grid = sizes.iter().map(|&(words, size)| {
+        let row = keys.iter().map(|&(distinct, key)| {
+            let [spark, deca] = cell(words, distinct);
+            let x = spark.as_secs_f64() / deca.as_secs_f64().max(1e-9);
             table_row(&[
                 size.to_string(),
                 key.to_string(),
-                secs(spark.exec()),
-                secs(deca.exec()),
+                secs(spark),
+                secs(deca),
                 format!("{x:.2}x"),
             ]);
-            speedups.push(x);
-        }
-    }
-    speedups
+            x
+        });
+        row.collect()
+    });
+    grid.collect()
 }
 
 fn fig8b(s: &Scale) -> Vec<ShapeCheck> {
-    let speedups = wc_grid(
-        s,
-        &[(400_000, "S"), (800_000, "M"), (1_200_000, "L")],
-        &[(10_000, "10k"), (200_000, "200k")],
-        |p| wordcount::run_local(p, 1),
-    );
-    let least = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    vec![ShapeCheck {
-        name: "fig8/wc-deca-wins",
-        ok: least > 1.0,
-        detail: format!(
-            "smallest Deca-vs-Spark speedup over {} cells: {least:.2}x",
-            speedups.len()
-        ),
-    }]
+    let sizes = [(400_000, "S"), (800_000, "M"), (1_200_000, "L")];
+    let grid =
+        wc_grid(s, &sizes, &[(10_000, "10k"), (200_000, "200k")], |p| wordcount::run_local(p, 1));
+    let cells: Vec<f64> = grid.iter().flatten().copied().collect();
+    let least = cells.iter().copied().fold(f64::INFINITY, f64::min);
+    let trend: Vec<String> = sizes
+        .iter()
+        .zip(&grid)
+        .map(|((_, size), row)| format!("{size} {:.2}x -> {:.2}x", row[0], row[1]))
+        .collect();
+    vec![
+        ShapeCheck {
+            name: "fig8/wc-deca-wins",
+            ok: least > 1.0,
+            detail: format!(
+                "smallest Deca-vs-Spark speedup over {} cells: {least:.2}x",
+                cells.len()
+            ),
+        },
+        ShapeCheck {
+            name: "fig8/wc-gain-grows-with-keys",
+            ok: grid.iter().all(|row| row[1] >= row[0]),
+            detail: format!("speedup at 10k -> 200k keys: {}", trend.join(", ")),
+        },
+    ]
 }
 
 fn fig8_text(s: &Scale) -> Vec<ShapeCheck> {

@@ -32,6 +32,8 @@
 //!   pointer-free SFST hash table laid out in its pages, the pointer-array
 //!   buffers for variable-size keys and sorting, and the in-place
 //!   aggregate-value reuse of §4.3.2 (Figure 6b);
+//! * [`hash`] — the word-at-a-time hash every shuffle buffer uses, Deca's
+//!   page tables and the Spark baselines' std maps alike;
 //! * [`optimizer`] — the Deca optimizer (§5, Appendix A): classification →
 //!   ownership → per-container decomposition decisions;
 //! * [`swap`] — page-group spill files.
@@ -62,6 +64,7 @@
 
 pub mod cache;
 pub mod group;
+pub mod hash;
 pub mod layout;
 pub mod manager;
 pub mod optimizer;

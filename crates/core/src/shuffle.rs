@@ -37,33 +37,9 @@ use std::sync::Arc;
 use deca_heap::Heap;
 
 use crate::group::{PageGroup, SegPtr};
+use crate::hash::hash_bytes;
 use crate::manager::{GroupId, MemError, MemoryManager};
 use crate::page::Page;
-
-/// Word-at-a-time hash over key bytes: the length seeds it, then each
-/// 8-byte little-endian word (the tail zero-padded) is folded in with one
-/// 64×64→128-bit multiply whose halves are XORed. Both ends of the result
-/// are mixed: the low bits pick a key's home slot, the top seven its
-/// control tag.
-#[inline]
-pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0xa076_1d64_78bd_642f;
-    const MUL: u64 = 0xe703_7ed1_a0b4_28db;
-    let fold = |h: u64, word: u64| {
-        let r = u128::from(h ^ word) * u128::from(MUL);
-        (r as u64) ^ ((r >> 64) as u64)
-    };
-    let mut h = SEED ^ bytes.len() as u64;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        h = fold(h, u64::from_le_bytes(w.try_into().expect("8-byte word")));
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        h = fold(h, tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
-    }
-    h
-}
 
 /// Control byte of a free slot; an occupied slot holds [`tag`] of its hash.
 pub(crate) const EMPTY: u8 = 0;

@@ -24,8 +24,9 @@
 use deca_heap::Heap;
 
 use crate::group::SegPtr;
+use crate::hash::hash_bytes;
 use crate::manager::{GroupId, MemError, MemoryManager};
-use crate::shuffle::{hash_bytes, max_len, probe, same_bytes, tag, EMPTY};
+use crate::shuffle::{max_len, probe, same_bytes, tag, EMPTY};
 
 /// One pointer-array entry: where a key's bytes live (its value follows
 /// them in the same segment) and the key's full hash.

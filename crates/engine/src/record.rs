@@ -9,6 +9,12 @@
 //! * `deca_core::DecaRecord` — flat decomposed layout (Deca mode).
 //!
 //! The umbrella trait [`Record`] ties them together for the cache manager.
+//!
+//! A `String`'s `char[]` is written and read in bulk
+//! ([`Heap::char_array_write`] / [`Heap::char_array_units`]), as the JVM's
+//! `String` intrinsics and `System.arraycopy` move it: the heap allocations
+//! and their sizes are the JVM's, but no per-element interpretation or
+//! intermediate `Vec<u16>` sits between the record and its heap graph.
 
 use deca_core::DecaRecord;
 use deca_heap::{Heap, ObjRef, OomError};
@@ -444,12 +450,9 @@ impl HeapRecord for String {
     }
 
     fn store(&self, heap: &mut Heap, cls: &StringClasses) -> Result<ObjRef, OomError> {
-        // One UTF-16 code unit per char slot (we restrict to BMP text).
-        let units: Vec<u16> = self.encode_utf16().collect();
-        let arr = heap.alloc_array(cls.char_array, units.len())?;
-        for (i, u) in units.iter().enumerate() {
-            heap.array_set(arr, i, *u as u64);
-        }
+        // One UTF-16 code unit per char slot; an astral character takes two.
+        let arr = heap.alloc_array(cls.char_array, self.encode_utf16().count())?;
+        heap.char_array_write(arr, self.encode_utf16());
         let sa = heap.push_stack(arr);
         let obj = heap.alloc(cls.string)?;
         heap.write_ref(obj, 0, heap.stack_ref(sa));
@@ -458,10 +461,9 @@ impl HeapRecord for String {
     }
 
     fn load(heap: &Heap, _cls: &StringClasses, obj: ObjRef) -> Self {
-        let arr = heap.read_ref(obj, 0);
-        let n = heap.array_len(arr);
-        let units: Vec<u16> = (0..n).map(|i| heap.array_get(arr, i) as u16).collect();
-        String::from_utf16(&units).expect("valid UTF-16")
+        let mut s = String::new();
+        load_str_into(heap, obj, &mut s);
+        s
     }
 
     fn heap_size(&self) -> usize {
@@ -471,6 +473,16 @@ impl HeapRecord for String {
     }
 }
 
+/// Decode a heap `java.lang.String` into `out`, replacing its content: the
+/// `String` object's `char[]` read in bulk (see [`Heap::char_array_units`]).
+/// A kernel that decodes one key per record reuses one `out` buffer, so
+/// the Rust side allocates nothing per record.
+pub fn load_str_into(heap: &Heap, obj: ObjRef, out: &mut String) {
+    let arr = heap.read_ref(obj, 0);
+    out.clear();
+    out.extend(char::decode_utf16(heap.char_array_units(arr)).map(|c| c.expect("valid UTF-16")));
+}
+
 impl KryoRecord for String {
     fn kryo_encode(&self, out: &mut Vec<u8>) {
         write_varint(self.len() as u64, out);
@@ -478,11 +490,17 @@ impl KryoRecord for String {
     }
 
     fn kryo_decode(buf: &[u8], pos: &mut usize) -> Self {
-        let n = read_varint(buf, pos) as usize;
-        let s = String::from_utf8(buf[*pos..*pos + n].to_vec()).expect("valid UTF-8");
-        *pos += n;
-        s
+        kryo_decode_str(buf, pos).to_owned()
     }
+}
+
+/// A Kryo-encoded string (varint byte length, then UTF-8) borrowed from
+/// `buf`.
+pub(crate) fn kryo_decode_str<'b>(buf: &'b [u8], pos: &mut usize) -> &'b str {
+    let n = read_varint(buf, pos) as usize;
+    let s = std::str::from_utf8(&buf[*pos..*pos + n]).expect("valid UTF-8");
+    *pos += n;
+    s
 }
 
 /// Zigzag encoding for signed varints (as Kryo does).

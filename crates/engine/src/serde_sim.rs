@@ -26,7 +26,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::record::KryoRecord;
+use crate::record::{kryo_decode_str, KryoRecord};
 
 /// A Kryo-ish serializer with timing counters.
 #[derive(Debug, Default)]
@@ -58,9 +58,26 @@ impl KryoSim {
     /// Deserialize one record from `buf` starting at `*pos`. Untimed —
     /// wrap the enclosing loop in [`KryoSim::time_deser`].
     pub fn deserialize<T: KryoRecord>(&mut self, buf: &[u8], pos: &mut usize) -> T {
+        self.tagged(buf, pos, T::kryo_decode)
+    }
+
+    /// Deserialize one `String` record as a `&str` borrowed from `buf`:
+    /// the same tag check, UTF-8 validation and object count as
+    /// `deserialize::<String>`, without the owned copy. Untimed, like
+    /// [`KryoSim::deserialize`].
+    pub fn deserialize_str<'b>(&mut self, buf: &'b [u8], pos: &mut usize) -> &'b str {
+        self.tagged(buf, pos, kryo_decode_str)
+    }
+
+    fn tagged<'b, R>(
+        &mut self,
+        buf: &'b [u8],
+        pos: &mut usize,
+        decode: impl FnOnce(&'b [u8], &mut usize) -> R,
+    ) -> R {
         debug_assert_eq!(&buf[*pos..*pos + 2], &CLASS_TAG);
         *pos += 2;
-        let rec = T::kryo_decode(buf, pos);
+        let rec = decode(buf, pos);
         self.objects_deserialized += 1;
         rec
     }

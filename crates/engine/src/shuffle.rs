@@ -13,31 +13,77 @@
 //! `Object[]`, so the collector must trace the whole buffer on every full
 //! collection — exactly Spark's behaviour. The Deca counterparts live in
 //! `deca_core::shuffle` and store raw bytes with in-place combining.
+//!
+//! The key → slot index is off-heap: a Rust-side std `HashMap` (a
+//! SwissTable) over owned copies of the distinct keys, hashed with Deca's
+//! own unkeyed word hash ([`deca_core::hash`]). The heap holds what the
+//! collector traces — the rooted arrays and the record objects — so the
+//! baseline pays the JVM's memory-management costs and not a slower probe
+//! than the Deca buffers get.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use deca_core::hash::WordHashBuilder;
 use deca_heap::{Heap, OomError, RootId};
 
 use crate::cache::object_array_class;
 use crate::record::Record;
 
+/// A key as [`SparkHashShuffle::insert`] takes it. A borrowed key (`&str`
+/// for a `String` buffer, `&i64` for an `i64` one) probes the index as it
+/// is: a hit builds no owned key, and a miss copies it into the index
+/// once. An owned `i64` is taken as well, since copying it costs nothing.
+pub trait InsertKey<K> {
+    /// What the index is probed with; the buffer's key borrows as it.
+    type Probe: ?Sized + Hash + Eq;
+    fn probe(&self) -> &Self::Probe;
+    fn into_key(self) -> K;
+}
+
+impl<Q: ?Sized + ToOwned + Hash + Eq> InsertKey<Q::Owned> for &Q {
+    type Probe = Q;
+
+    fn probe(&self) -> &Q {
+        self
+    }
+
+    fn into_key(self) -> Q::Owned {
+        self.to_owned()
+    }
+}
+
+impl InsertKey<i64> for i64 {
+    type Probe = i64;
+
+    fn probe(&self) -> &i64 {
+        self
+    }
+
+    fn into_key(self) -> i64 {
+        self
+    }
+}
+
 /// Heap-object hash shuffle with eager aggregation (`reduceByKey`).
 pub struct SparkHashShuffle<K: Record, V: Record> {
     classes_k: <K as crate::record::HeapRecord>::Classes,
     classes_v: V::Classes,
-    /// Rooted `Object[]` holding interleaved `[key, value]` references.
+    /// Rooted `Object[]` holding interleaved `[key, value]` references, in
+    /// first-insertion order.
     array: RootId,
     capacity: usize,
     len: usize,
-    /// Rust-side index for lookup (the JVM hash table's bucket array).
-    index: HashMap<K, usize>,
+    /// Off-heap key → slot index (see the module docs).
+    index: HashMap<K, usize, WordHashBuilder>,
     released: bool,
 }
 
 impl<K, V> SparkHashShuffle<K, V>
 where
-    K: Record + Eq + Hash + Clone,
+    K: Record + Eq + Hash,
     V: Record,
 {
     pub fn new(heap: &mut Heap) -> Result<Self, OomError> {
@@ -53,7 +99,7 @@ where
             array,
             capacity,
             len: 0,
-            index: HashMap::new(),
+            index: HashMap::default(),
             released: false,
         })
     }
@@ -68,15 +114,22 @@ where
 
     /// Insert with eager combining. On a hit, the old Value object is
     /// loaded, combined, and a **new** Value object is allocated (the old
-    /// becomes garbage — Spark's aggregate churn, §4.2 case 2).
-    pub fn insert(
+    /// becomes garbage — Spark's aggregate churn, §4.2 case 2). A miss
+    /// stores the key's and the value's object graphs and indexes an owned
+    /// copy of the key; it probes twice, once to miss and once to insert,
+    /// which happens once per distinct key.
+    pub fn insert<P>(
         &mut self,
         heap: &mut Heap,
-        key: K,
+        key: P,
         value: V,
         combine: impl FnOnce(V, V) -> V,
-    ) -> Result<(), OomError> {
-        if let Some(&slot) = self.index.get(&key) {
+    ) -> Result<(), OomError>
+    where
+        P: InsertKey<K>,
+        K: Borrow<P::Probe>,
+    {
+        if let Some(&slot) = self.index.get(key.probe()) {
             let arr = heap.root_ref(self.array);
             let old_obj = heap.array_get_ref(arr, slot * 2 + 1);
             let old = V::load(heap, &self.classes_v, old_obj);
@@ -90,6 +143,7 @@ where
             self.grow(heap)?;
         }
         let slot = self.len;
+        let key = key.into_key();
         let kobj = key.store(heap, &self.classes_k)?;
         let ks = heap.push_stack(kobj);
         let vobj = value.store(heap, &self.classes_v)?;
@@ -154,18 +208,24 @@ pub struct SparkGroupShuffle<K, V: Record> {
     classes_v: V::Classes,
     /// slot -> rooted value-list array (list object refs) + length.
     lists: Vec<(RootId, usize, usize)>, // (root, len, cap)
-    index: HashMap<K, usize>,
+    /// Off-heap key → slot index, as [`SparkHashShuffle`]'s.
+    index: HashMap<K, usize, WordHashBuilder>,
     released: bool,
 }
 
 impl<K, V> SparkGroupShuffle<K, V>
 where
-    K: Eq + Hash + Clone,
+    K: Eq + Hash,
     V: Record,
 {
     pub fn new(heap: &mut Heap) -> Self {
         let classes_v = <V as crate::record::HeapRecord>::register(heap);
-        SparkGroupShuffle { classes_v, lists: Vec::new(), index: HashMap::new(), released: false }
+        SparkGroupShuffle {
+            classes_v,
+            lists: Vec::new(),
+            index: HashMap::default(),
+            released: false,
+        }
     }
 
     pub fn group_count(&self) -> usize {
@@ -176,15 +236,14 @@ where
     pub fn append(&mut self, heap: &mut Heap, key: K, value: V) -> Result<(), OomError> {
         let vobj = value.store(heap, &self.classes_v)?;
         let vs = heap.push_stack(vobj);
-        let slot = match self.index.get(&key) {
-            Some(&s) => s,
-            None => {
+        let slot = match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 let cls = object_array_class(heap);
                 let arr = heap.alloc_array(cls, 4)?;
                 let root = heap.add_root(arr);
                 self.lists.push((root, 0, 4));
-                self.index.insert(key, self.lists.len() - 1);
-                self.lists.len() - 1
+                *e.insert(self.lists.len() - 1)
             }
         };
         let (root, len, cap) = self.lists[slot];
@@ -206,7 +265,9 @@ where
         Ok(())
     }
 
-    /// Visit each group as `(key, values)`.
+    /// Visit each group as `(key, values)` in index order: the same for
+    /// the same appends in every process (the hash is unkeyed), but not
+    /// first-append order.
     pub fn for_each_group(&self, heap: &Heap, mut f: impl FnMut(&K, Vec<V>)) {
         for (key, &slot) in &self.index {
             let (root, len, _) = self.lists[slot];
@@ -247,7 +308,7 @@ mod tests {
         for i in 0..20_000i64 {
             let k = i % 313;
             *expected.entry(k).or_insert(0) += i;
-            buf.insert(&mut heap, (k, 0), (i, 0), |a, b| (a.0 + b.0, 0)).unwrap();
+            buf.insert(&mut heap, &(k, 0), (i, 0), |a, b| (a.0 + b.0, 0)).unwrap();
         }
         assert_eq!(buf.len(), 313);
         for (k, v) in buf.drain(&heap) {
@@ -288,7 +349,7 @@ mod tests {
             SparkHashShuffle::new(&mut heap).unwrap();
         // More distinct keys than the initial capacity (1024).
         for k in 0..5000i64 {
-            buf.insert(&mut heap, (k, 0), (k * 7, 0), |a, _| a).unwrap();
+            buf.insert(&mut heap, &(k, 0), (k * 7, 0), |a, _| a).unwrap();
         }
         assert_eq!(buf.len(), 5000);
         let mut count = 0;

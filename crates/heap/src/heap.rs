@@ -475,42 +475,96 @@ impl Heap {
         *w = (*w & !(mask << shift)) | ((v & mask) << shift);
     }
 
+    /// [`Heap::elem_loc`] of element `i`, with the word offset made
+    /// absolute, for an array whose element kind the typed accessor
+    /// states, as `daload`/`iaload`/`aaload` carry theirs: the bounds check
+    /// stays, and only debug builds look the class up to confirm the kind.
+    #[inline]
+    fn typed_elem(&self, r: ObjRef, i: usize, kind: FieldKind) -> (usize, u32, u64) {
+        let len = self.array_len(r);
+        assert!(i < len, "array index {i} out of bounds (len {len})");
+        debug_assert_eq!(self.array_elem_kind(r), kind, "typed access to a wrong-kind array");
+        let (word, shift, mask) = Self::elem_loc(kind, i);
+        (r.offset() + 2 + word, shift, mask)
+    }
+
+    #[inline]
+    fn typed_word(&self, r: ObjRef, i: usize, kind: FieldKind) -> u64 {
+        let (word, shift, mask) = self.typed_elem(r, i, kind);
+        (self.spaces[r.space() as usize].words[word] >> shift) & mask
+    }
+
+    #[inline]
+    fn typed_set(&mut self, r: ObjRef, i: usize, kind: FieldKind, v: u64) {
+        let (word, shift, mask) = self.typed_elem(r, i, kind);
+        let w = &mut self.spaces[r.space() as usize].words[word];
+        *w = (*w & !(mask << shift)) | ((v & mask) << shift);
+    }
+
     pub fn array_get_f64(&self, r: ObjRef, i: usize) -> f64 {
-        f64::from_bits(self.array_get(r, i))
+        f64::from_bits(self.typed_word(r, i, FieldKind::F64))
     }
 
     pub fn array_set_f64(&mut self, r: ObjRef, i: usize, v: f64) {
-        self.array_set(r, i, v.to_bits());
+        self.typed_set(r, i, FieldKind::F64, v.to_bits());
     }
 
     pub fn array_get_i64(&self, r: ObjRef, i: usize) -> i64 {
-        self.array_get(r, i) as i64
+        self.typed_word(r, i, FieldKind::I64) as i64
     }
 
     pub fn array_set_i64(&mut self, r: ObjRef, i: usize, v: i64) {
-        self.array_set(r, i, v as u64);
+        self.typed_set(r, i, FieldKind::I64, v as u64);
     }
 
     pub fn array_get_i32(&self, r: ObjRef, i: usize) -> i32 {
-        self.array_get(r, i) as u32 as i32
+        self.typed_word(r, i, FieldKind::I32) as u32 as i32
     }
 
     pub fn array_set_i32(&mut self, r: ObjRef, i: usize, v: i32) {
-        self.array_set(r, i, v as u32 as u64);
+        self.typed_set(r, i, FieldKind::I32, u64::from(v as u32));
     }
 
     pub fn array_get_ref(&self, r: ObjRef, i: usize) -> ObjRef {
-        debug_assert!(self.array_elem_kind(r).is_ref());
-        ObjRef::from_raw(self.array_get(r, i))
+        ObjRef::from_raw(self.typed_word(r, i, FieldKind::Ref))
     }
 
     pub fn array_set_ref(&mut self, r: ObjRef, i: usize, v: ObjRef) {
-        let len = self.array_len(r);
-        assert!(i < len, "array index {i} out of bounds (len {len})");
-        debug_assert!(self.array_elem_kind(r).is_ref());
-        let (word, _, _) = Self::elem_loc(FieldKind::Ref, i);
-        self.spaces[r.space() as usize].words[r.offset() + 2 + word] = v.raw();
+        self.typed_set(r, i, FieldKind::Ref, v.raw());
         self.barrier(r, v);
+    }
+
+    /// Fill a `char[]` with UTF-16 code units from element 0, a word of
+    /// four units at a time — the `System.arraycopy` / `String` intrinsic
+    /// analogue of a loop of [`Heap::array_set`] calls.
+    pub fn char_array_write(&mut self, r: ObjRef, units: impl IntoIterator<Item = u16>) {
+        let len = self.array_len(r);
+        debug_assert_eq!(self.array_elem_kind(r), FieldKind::Char);
+        let base = r.offset() + 2;
+        let words = &mut self.spaces[r.space() as usize].words[base..base + len.div_ceil(4)];
+        let (mut n, mut word) = (0, 0u64);
+        for u in units {
+            assert!(n < len, "char array write out of bounds (len {len})");
+            word |= u64::from(u) << (n % 4 * 16);
+            n += 1;
+            if n % 4 == 0 {
+                words[n / 4 - 1] = word;
+                word = 0;
+            }
+        }
+        if n % 4 != 0 {
+            let kept = !((1u64 << (n % 4 * 16)) - 1);
+            words[n / 4] = (words[n / 4] & kept) | word;
+        }
+    }
+
+    /// The UTF-16 code units of a `char[]`, in order.
+    pub fn char_array_units(&self, r: ObjRef) -> impl Iterator<Item = u16> + '_ {
+        let len = self.array_len(r);
+        debug_assert_eq!(self.array_elem_kind(r), FieldKind::Char);
+        let base = r.offset() + 2;
+        let words = &self.spaces[r.space() as usize].words[base..base + len.div_ceil(4)];
+        (0..len).map(move |i| (words[i / 4] >> (i % 4 * 16)) as u16)
     }
 
     /// Bulk-copy bytes into a byte (`I8`) array starting at element `offset`.
@@ -802,6 +856,39 @@ mod tests {
         let mut head = vec![0u8; 5];
         h.byte_array_read(b, 0, &mut head);
         assert_eq!(head, vec![0; 5]);
+    }
+
+    #[test]
+    fn char_array_bulk_io_matches_element_access() {
+        let mut h = heap();
+        let ca = h.define_array_class("char[]", FieldKind::Char);
+        for len in [0usize, 1, 3, 4, 5, 8, 11] {
+            let units: Vec<u16> = (0..len as u16).map(|i| 0xd800 ^ (i * 0x1111)).collect();
+            let bulk = h.alloc_array(ca, len + 2).unwrap();
+            h.array_set(bulk, len + 1, 0x7777); // past the write: must survive
+            h.char_array_write(bulk, units.iter().copied());
+            let each = h.alloc_array(ca, len).unwrap();
+            for (i, &u) in units.iter().enumerate() {
+                h.array_set(each, i, u64::from(u));
+            }
+            let read: Vec<u16> = h.char_array_units(each).collect();
+            assert_eq!(read, units, "len {len}");
+            let read: Vec<u16> = h.char_array_units(bulk).take(len).collect();
+            assert_eq!(read, units, "len {len}");
+            assert_eq!(h.array_get(bulk, len + 1), 0x7777, "len {len}");
+        }
+    }
+
+    /// The typed accessors trust their static kind in release builds, as
+    /// compiled JVM code does; debug builds still check it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "typed access to a wrong-kind array")]
+    fn typed_accessor_on_a_wrong_kind_array_panics_in_debug() {
+        let mut h = heap();
+        let ia = h.define_array_class("int[]", FieldKind::I32);
+        let x = h.alloc_array(ia, 4).unwrap();
+        h.array_get_f64(x, 0);
     }
 
     #[test]

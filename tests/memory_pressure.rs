@@ -4,6 +4,7 @@
 mod util;
 
 use deca_apps::logreg::{self, run_local, LrParams};
+use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_faulty;
 use deca_engine::record::HeapRecord;
 use deca_engine::{ExecutionMode, Executor, ExecutorConfig, FaultPlan};
@@ -138,6 +139,38 @@ fn lr_on_a_tight_heap_completes_or_reports_memory_pressure_never_panics() {
                 Err(e) => assert!(
                     e.is_memory_pressure(),
                     "{mode} at {heap_mb} MB: expected a memory-pressure error, got: {e}"
+                ),
+            }
+        }
+    }
+    assert!(reference.is_some(), "the sweep starts at a size that completes");
+    td.cleanup();
+}
+
+#[test]
+fn pagerank_on_a_shrinking_heap_completes_or_reports_memory_pressure_never_panics() {
+    let td = TestDir::executor_default();
+    // The same sweep for PageRank, in 128 KB steps from a heap where every
+    // mode completes. At 3840 KB the Spark map's combine, and at 3712 KB
+    // its temporary message, is the allocation that meets the full heap;
+    // both used to `expect` and surface as task panics. Below 3712 KB the
+    // Spark adjacency build fails first, with a typed error.
+    let mut reference = None;
+    for heap_kb in [4096, 3968, 3840, 3712, 3584, 3456] {
+        for mode in ExecutionMode::ALL {
+            let mut p = PrParams::small(mode);
+            (p.vertices, p.edges, p.iterations, p.partitions) = (20_000, 100_000, 2, 2);
+            p.heap_bytes = heap_kb << 10;
+            let config = pagerank::pr_config(&p);
+            match run_job_faulty(&pagerank::job(&p), config, 1, FaultPlan::quiet(), None) {
+                Ok(r) => assert_eq!(
+                    r.checksum,
+                    *reference.get_or_insert(r.checksum),
+                    "{mode} at {heap_kb} KB: completed with the wrong ranks"
+                ),
+                Err(e) => assert!(
+                    e.is_memory_pressure(),
+                    "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
                 ),
             }
         }

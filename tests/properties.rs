@@ -7,7 +7,7 @@
 //! * classification is monotone: the global analysis never reports a more
 //!   variable size-type than the local one;
 //! * shuffle aggregation equals a sequential fold regardless of insertion
-//!   order and partitioning.
+//!   order and partitioning, in the Deca buffers and the Spark ones.
 
 mod util;
 
@@ -19,7 +19,8 @@ use deca_check::{prop_assert, prop_assert_eq};
 use deca_core::{
     DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaSortShuffle, DecaVarHashShuffle, SecondaryView,
 };
-use deca_engine::record::{HeapRecord, KryoRecord};
+use deca_engine::record::{load_str_into, HeapRecord, KryoRecord};
+use deca_engine::{KryoSim, SparkHashShuffle};
 use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig};
 
 use util::TestDir;
@@ -260,6 +261,112 @@ fn shuffle_insert_all_equals_per_record_insert_and_fold() {
         },
     );
     td.cleanup();
+}
+
+/// Key text for id `n`: its base-6 digits, least significant first, over
+/// ASCII, non-ASCII BMP and astral characters (UTF-16 surrogate pairs on
+/// the heap). Distinct ids give distinct strings.
+fn key_text(n: u32) -> String {
+    const CHARS: [char; 6] = ['a', 'b', '\u{e9}', '\u{4e2d}', '\u{1f600}', '\u{1d11e}'];
+    let (mut n, mut s) = (n as usize, String::new());
+    loop {
+        s.push(CHARS[n % CHARS.len()]);
+        n /= CHARS.len();
+        if n == 0 {
+            return s;
+        }
+    }
+}
+
+/// The Spark buffer's borrowed-key `insert` is a `HashMap` fold: a hit
+/// combines into the key's value and a miss adds the key, for `i64` keys
+/// (passed borrowed and owned) and `String` keys passed as `&str`, across
+/// growths of the 1024-slot `Object[]`. The combine is order-sensitive,
+/// so equality proves values combine in arrival order; the buffer also
+/// drains in first-arrival order, the order Spark-mode checksums sum in.
+#[test]
+fn spark_shuffle_borrowed_key_insert_equals_fold() {
+    fn combine(acc: i64, new: i64) -> i64 {
+        acc.wrapping_mul(31).wrapping_add(new)
+    }
+    /// The fold, and the keys in first-arrival order.
+    fn fold<K: Clone + Eq + std::hash::Hash>(
+        stream: impl Iterator<Item = (K, i64)>,
+    ) -> Vec<(K, i64)> {
+        let (mut order, mut table) = (Vec::new(), HashMap::new());
+        for (k, v) in stream {
+            match table.get_mut(&k) {
+                Some(acc) => *acc = combine(*acc, v),
+                None => {
+                    order.push(k.clone());
+                    table.insert(k, v);
+                }
+            }
+        }
+        order.into_iter().map(|k| (k.clone(), table[&k])).collect()
+    }
+    check(
+        cfg(),
+        gens::vec_of(gens::pair(gens::u32_in(0..2_600), gens::any_i64()), 0..4_000),
+        |stream| {
+            let mut heap = Heap::new(HeapConfig::with_total(32 << 20));
+            let mut ints: SparkHashShuffle<i64, i64> = SparkHashShuffle::new(&mut heap).unwrap();
+            let mut texts: SparkHashShuffle<String, i64> =
+                SparkHashShuffle::new(&mut heap).unwrap();
+            for (i, &(id, v)) in stream.iter().enumerate() {
+                let k = i64::from(id);
+                if i % 2 == 0 {
+                    ints.insert(&mut heap, &k, v, combine).unwrap();
+                } else {
+                    ints.insert(&mut heap, k, v, combine).unwrap();
+                }
+                texts.insert(&mut heap, key_text(id).as_str(), v, combine).unwrap();
+            }
+            let want = fold(stream.iter().map(|&(id, v)| (i64::from(id), v)));
+            prop_assert_eq!(ints.len(), want.len());
+            prop_assert_eq!(ints.drain(&heap), want);
+            let want = fold(stream.iter().map(|&(id, v)| (key_text(id), v)));
+            prop_assert_eq!(texts.drain(&heap), want);
+            ints.release(&mut heap);
+            texts.release(&mut heap);
+            Ok(())
+        },
+    );
+}
+
+/// The same multilingual keys round-trip through the Spark modes' two
+/// string paths: the heap `String` + `char[]` graph (bulk `char[]` access,
+/// one reused decode buffer) and Kryo, where the borrowed `&str` decode
+/// counts one deserialized object per string, as the owned decode does.
+#[test]
+fn spark_shuffle_string_keys_round_trip_heap_and_kryo() {
+    check(cfg(), gens::vec_of(gens::any_u32(), 0..60), |ids| {
+        let keys: Vec<String> = ids.iter().map(|&id| key_text(id)).collect();
+        let mut heap = Heap::new(HeapConfig::small());
+        let cls = <String as HeapRecord>::register(&mut heap);
+        let mut decoded = String::from("stale");
+        for k in &keys {
+            let obj = k.store(&mut heap, &cls).unwrap();
+            prop_assert_eq!(&String::load(&heap, &cls, obj), k);
+            load_str_into(&heap, obj, &mut decoded);
+            prop_assert_eq!(&decoded, k);
+            let units = heap.array_len(heap.read_ref(obj, 0));
+            prop_assert_eq!(units, k.encode_utf16().count());
+        }
+        let mut kryo = KryoSim::new();
+        let buf = kryo.serialize_all(&keys);
+        let mut pos = 0;
+        let mut borrowed = Vec::new();
+        while pos < buf.len() {
+            borrowed.push(kryo.deserialize_str(&buf, &mut pos));
+        }
+        prop_assert_eq!(&borrowed, &keys);
+        prop_assert_eq!(kryo.objects_deserialized, keys.len() as u64);
+        let owned: Vec<String> = kryo.deserialize_all(&buf);
+        prop_assert_eq!(&owned, &keys);
+        prop_assert_eq!(kryo.objects_deserialized, 2 * keys.len() as u64);
+        Ok(())
+    });
 }
 
 /// The global classification never reports a *more* variable size-type

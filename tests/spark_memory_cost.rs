@@ -1,0 +1,93 @@
+//! The Spark baselines pay the JVM's memory-management costs, and only
+//! those: what a Spark-mode kernel allocates on the heap — every record
+//! object, every Value object a combine replaces, every rooted array — and
+//! the collections that allocation causes are fixed by the job, not by how
+//! fast the Rust around it runs. Each app below runs in Spark and SparkSer
+//! on one executor (so no pull steal moves work between heaps) and must
+//! allocate exactly the objects and bytes, and run exactly the minor and
+//! full collections, recorded below from the commit before the Spark
+//! buffers took Deca's hash, borrowed-key probes and typed array access.
+
+mod util;
+
+use deca_apps::logreg::{self, LrParams};
+use deca_apps::pagerank::{self, PrParams};
+use deca_apps::run_job_on;
+use deca_apps::wordcount::{self, WcParams};
+use deca_engine::{AppJob, ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode};
+use deca_heap::GcPlanKind;
+
+use util::TestDir;
+
+const SPARK_MODES: [ExecutionMode; 2] = [ExecutionMode::Spark, ExecutionMode::SparkSer];
+
+fn wc_params(mode: ExecutionMode) -> WcParams {
+    let mut p = WcParams::small(mode);
+    (p.words, p.distinct, p.heap_bytes) = (60_000, 3_000, 8 << 20);
+    p
+}
+
+fn wc(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let p = wc_params(mode);
+    (wordcount::job(&p), wordcount::wc_config(&p))
+}
+
+fn wc_text(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let p = wc_params(mode);
+    (wordcount::text_job(&p), wordcount::wc_config(&p))
+}
+
+fn lr(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let mut p = LrParams::small(mode);
+    // The cache nearly fills the old generation: Spark runs a full GC.
+    (p.points, p.iterations, p.heap_bytes, p.storage_fraction) = (30_000, 3, 8 << 20, 0.62);
+    (logreg::job(&p), logreg::lr_config(&p))
+}
+
+fn pr(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let mut p = PrParams::small(mode);
+    (p.vertices, p.edges, p.iterations, p.heap_bytes) = (2_000, 20_000, 3, 8 << 20);
+    (pagerank::job(&p), pagerank::pr_config(&p))
+}
+
+/// `[objects_allocated, bytes_allocated, minor_gcs, full_gcs]` of one run
+/// on one executor, under the stop-the-world default plan (the concurrent
+/// plans race a marker thread, so their counts need not repeat).
+fn heap_cost(
+    build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
+    mode: ExecutionMode,
+) -> [u64; 4] {
+    let (app, config) = build(mode);
+    let config = config.gc_plan(GcPlanKind::GenCopy).scheduler(SchedulerMode::Pull);
+    let mut session = ClusterSession::new(1, config);
+    run_job_on(&app, &mut session).expect("the job completes");
+    let s = session.cluster().executors[0].heap_stats();
+    [s.objects_allocated, s.bytes_allocated, s.minor_collections, s.full_collections]
+}
+
+fn same_heap_cost(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), want: [[u64; 4]; 2]) {
+    let td = TestDir::executor_default();
+    let got = SPARK_MODES.map(|mode| heap_cost(build, mode));
+    assert_eq!(got, want, "[objects, bytes, minor GCs, full GCs] in [Spark, SparkSer]");
+    td.cleanup();
+}
+
+#[test]
+fn wordcount_allocates_and_collects_as_recorded() {
+    same_heap_cost(wc, [[258_850, 6_954_448, 3, 0], [258_850, 6_954_448, 3, 0]]);
+}
+
+#[test]
+fn text_wordcount_allocates_and_collects_as_recorded() {
+    same_heap_cost(wc_text, [[209_700, 6_751_080, 3, 0], [209_700, 6_751_080, 3, 0]]);
+}
+
+#[test]
+fn logreg_allocates_and_collects_as_recorded() {
+    same_heap_cost(lr, [[191_260, 14_921_416, 6, 1], [270_008, 17_850_176, 8, 0]]);
+}
+
+#[test]
+fn pagerank_allocates_and_collects_as_recorded() {
+    same_heap_cost(pr, [[302_565, 8_985_072, 4, 0], [298_805, 8_843_424, 3, 0]]);
+}
