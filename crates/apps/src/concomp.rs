@@ -6,7 +6,7 @@
 //! the iteration cap, as in the paper's 10-iteration runs).
 
 use deca_core::DecaHashShuffle;
-use deca_engine::record::HeapRecord;
+use deca_engine::record::{HeapRecord, PairClasses};
 use deca_engine::{ExecutionMode, Executor, ExecutorConfig, SparkHashShuffle};
 
 use crate::datagen;
@@ -50,7 +50,7 @@ pub fn run(params: &CcParams) -> AppReport {
     let pair_classes = <(i64, i64) as HeapRecord>::register(&mut exec.heap);
 
     let parts = partition_edges(&edges, params.partitions);
-    let (blocks, adj_classes) = build_adjacency(&mut exec, &parts, params.mode);
+    let blocks = build_adjacency(&mut exec, &parts, params.mode);
     exec.finish_job();
     let cache_bytes = exec.job.cache_bytes + exec.job.swapped_cache_bytes;
 
@@ -67,46 +67,39 @@ pub fn run(params: &CcParams) -> AppReport {
 
         for (pi, &block) in blocks.iter().enumerate() {
             exec.run_task(format!("cc-iter{iter}-{pi}"), |e| match params.mode {
-                ExecutionMode::Spark | ExecutionMode::SparkSer => {
+                ExecutionMode::Spark => {
                     let buf = spark_mins.as_mut().expect("spark buffer");
-                    let mut adj: Vec<AdjListRec> = Vec::new();
-                    match params.mode {
-                        ExecutionMode::Spark => {
-                            let (root, len) = e
-                                .cache
-                                .objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)
-                                .expect("cache access");
-                            for i in 0..len {
-                                let arr = e.heap.root_ref(root);
-                                let v = e.heap.array_get_ref(arr, i);
-                                adj.push(AdjListRec::load(&e.heap, &adj_classes, v));
-                            }
-                        }
-                        _ => {
-                            e.cache
-                                .iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| {
-                                    adj.push(r)
-                                })
-                                .expect("cache access");
+                    let (root, len) = e
+                        .cache
+                        .objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)
+                        .expect("cache access");
+                    // Walk the cached graph in place. Every message
+                    // allocates, and a collection may move the graph, so
+                    // each vertex is re-read through the root.
+                    for i in 0..len {
+                        let vertex_obj =
+                            |e: &Executor| e.heap.array_get_ref(e.heap.root_ref(root), i);
+                        let v = vertex_obj(e);
+                        let vertex = e.heap.read_word(v, 0) as u32;
+                        let n = e.heap.array_len(e.heap.read_ref(v, 1));
+                        for j in 0..n {
+                            let edges = e.heap.read_ref(vertex_obj(e), 1);
+                            let dst = e.heap.array_get_i32(edges, j) as u32;
+                            send_both_ways(e, buf, &pair_classes, &labels, vertex, dst);
                         }
                     }
+                }
+                ExecutionMode::SparkSer => {
+                    let buf = spark_mins.as_mut().expect("spark buffer");
+                    let mut adj: Vec<AdjListRec> = Vec::new();
+                    e.cache
+                        .iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| {
+                            adj.push(r)
+                        })
+                        .expect("cache access");
                     for a in adj {
-                        let l = labels[a.vertex as usize];
                         for &dst in &a.neighbors {
-                            // Message both ways so components converge.
-                            for (k, v) in [(dst as i64, l), (a.vertex as i64, labels[dst as usize])]
-                            {
-                                let tmp =
-                                    (k, v).store(&mut e.heap, &pair_classes).expect("temp msg");
-                                let ts = e.heap.push_stack(tmp);
-                                let (k, v) = <(i64, i64) as HeapRecord>::load(
-                                    &e.heap,
-                                    &pair_classes,
-                                    e.heap.stack_ref(ts),
-                                );
-                                e.heap.truncate_stack(ts);
-                                buf.insert(&mut e.heap, &k, v, |a, b| a.min(b)).expect("combine");
-                            }
+                            send_both_ways(e, buf, &pair_classes, &labels, a.vertex, dst);
                         }
                     }
                 }
@@ -195,6 +188,27 @@ pub fn run(params: &CcParams) -> AppReport {
         minor_gcs: exec.heap.stats().minor_collections,
         full_gcs: exec.heap.stats().full_collections,
         slowest_task: exec.slowest_task().cloned(),
+    }
+}
+
+/// The Spark kernels' messages for one edge `vertex → dst`, both ways so
+/// components converge: each is a temporary `(vertex, label)` tuple on the
+/// heap, then an eager min-combine.
+fn send_both_ways(
+    e: &mut Executor,
+    buf: &mut SparkHashShuffle<i64, i64>,
+    pair_classes: &PairClasses,
+    labels: &[i64],
+    vertex: u32,
+    dst: u32,
+) {
+    let (vertex, dst) = (vertex as usize, dst as usize);
+    for (k, v) in [(dst as i64, labels[vertex]), (vertex as i64, labels[dst])] {
+        let tmp = (k, v).store(&mut e.heap, pair_classes).expect("temp msg");
+        let ts = e.heap.push_stack(tmp);
+        let (k, v) = <(i64, i64) as HeapRecord>::load(&e.heap, pair_classes, e.heap.stack_ref(ts));
+        e.heap.truncate_stack(ts);
+        buf.insert(&mut e.heap, &k, v, |a, b| a.min(b)).expect("combine");
     }
 }
 

@@ -247,7 +247,8 @@ fn assign(features: &dyn Fn(usize) -> f64, centroids: &[Vec<f64>], d: usize) -> 
 
 /// Spark kernel: walk the heap object graphs; per point, allocate the
 /// map's temporary `(closestCenter, 1.0)` pair which dies after the
-/// aggregation consumes it.
+/// aggregation consumes it. A full heap there is a memory-pressure error
+/// the stage engine spills and re-runs on, not a panic.
 #[allow(clippy::needless_range_loop)]
 fn spark_assign(
     e: &mut Executor,
@@ -267,7 +268,7 @@ fn spark_assign(
         let heap = &e.heap;
         let best = assign(&|j| heap.array_get_f64(data_arr, j), centroids, d);
         // The map's temporary (closest, 1.0) pair.
-        let tmp = (best as i64, 1.0f64).store(&mut e.heap, &pair_classes).expect("temp pair");
+        let tmp = (best as i64, 1.0f64).store(&mut e.heap, &pair_classes)?;
         let ts = e.heap.push_stack(tmp);
         let (c, w) = <(i64, f64) as HeapRecord>::load(&e.heap, &pair_classes, e.heap.stack_ref(ts));
         e.heap.truncate_stack(ts);
@@ -298,7 +299,7 @@ fn sparkser_assign(
     let mut recs: Vec<LabeledPointRec> = Vec::new();
     e.cache.iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| recs.push(r))?;
     for rec in recs {
-        let lp = rec.store(&mut e.heap, classes).expect("temp graph");
+        let lp = rec.store(&mut e.heap, classes)?;
         let ls = e.heap.push_stack(lp);
         let lp = e.heap.stack_ref(ls);
         let dv = e.heap.read_ref(lp, 1);

@@ -117,9 +117,9 @@ pub(crate) fn build_adjacency(
     exec: &mut Executor,
     parts: &Partitioned<(u32, u32)>,
     mode: ExecutionMode,
-) -> (Vec<deca_engine::cache::BlockId>, crate::records::AdjClasses) {
+) -> Vec<deca_engine::cache::BlockId> {
     let adj_classes = AdjListRec::register(&mut exec.heap);
-    let blocks = parts
+    parts
         .iter()
         .enumerate()
         .map(|(pi, part)| {
@@ -127,16 +127,16 @@ pub(crate) fn build_adjacency(
                 build_adjacency_block(e, part, mode, &adj_classes).expect("adjacency build")
             })
         })
-        .collect();
-    (blocks, adj_classes)
+        .collect()
 }
 
 /// Generate and aggregate one iteration's rank messages from one block.
 /// Cache accesses propagate errors (rather than panicking) because the
 /// cold-read path is fault-instrumented: an injected `SpillRead` kill
 /// must surface as a failed task attempt the driver can retry. The Spark
-/// arms' heap allocations propagate theirs too: a full heap is a
-/// memory-pressure error the stage engine spills and re-runs on.
+/// arms' heap allocations and the Deca arm's page budget propagate theirs
+/// too: a full heap is a memory-pressure error the stage engine spills and
+/// re-runs on.
 #[allow(clippy::too_many_arguments)] // one parameter per shuffle representation
 fn messages_from_block(
     e: &mut Executor,
@@ -213,27 +213,25 @@ fn messages_from_block(
             // scan, then insert (the scan holds the cache borrow).
             let mut msgs: Vec<(i64, f64)> = Vec::new();
             let block = e.cache.deca_block(block);
-            block
-                .scan_bytes(
-                    mm,
-                    heap,
-                    |bytes| {
-                        let vertex = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-                        let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-                        let deg = degrees[vertex as usize].max(1) as f64;
-                        let contrib = ranks[vertex as usize] / deg;
-                        for j in 0..n {
-                            let dst = u32::from_le_bytes(
-                                bytes[8 + j * 4..12 + j * 4].try_into().unwrap(),
-                            ) as i64;
-                            msgs.push((dst, contrib));
-                        }
-                    },
-                    |_| {},
-                )
-                .expect("cache scan");
+            block.scan_bytes(
+                mm,
+                heap,
+                |bytes| {
+                    let vertex = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+                    let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+                    let deg = degrees[vertex as usize].max(1) as f64;
+                    let contrib = ranks[vertex as usize] / deg;
+                    for j in 0..n {
+                        let dst =
+                            u32::from_le_bytes(bytes[8 + j * 4..12 + j * 4].try_into().unwrap())
+                                as i64;
+                        msgs.push((dst, contrib));
+                    }
+                },
+                |_| {},
+            )?;
             let msgs = msgs.iter().map(|(dst, contrib)| (dst.to_le_bytes(), contrib.to_le_bytes()));
-            buf.insert_all(mm, heap, msgs, add_f64_bytes).expect("combine");
+            buf.insert_all(mm, heap, msgs, add_f64_bytes)?;
         }
     }
     Ok(())

@@ -1,14 +1,17 @@
-//! The one hash every shuffle buffer uses: a word-at-a-time fold.
+//! The one byte hash of the system: a word-at-a-time fold.
 //!
 //! The seed is mixed with one 64×64→128-bit multiply per 8-byte
 //! little-endian word (the tail zero-padded) whose halves are XORed. Both
 //! ends of the result are mixed: the low bits pick a key's home slot, the
-//! top seven its control tag — in the Deca tables here and in the std
-//! SwissTable behind the Spark buffers alike.
+//! top seven its control tag. It has three users: the Deca shuffle tables
+//! here, the std SwissTable behind the Spark shuffle buffers, and the
+//! engine cache's spill manifest, which digests each cold payload and the
+//! manifest document with [`hash_bytes`].
 //!
 //! The hash is unkeyed, like the JVM's `String.hashCode`: tables built on
-//! it are not hardened against keys crafted to collide. Every key hashed
-//! here is generated by the program itself.
+//! it are not hardened against keys crafted to collide, and a digest made
+//! with it catches accidental corruption but is no MAC. Every key and
+//! payload hashed here is generated by the program itself.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

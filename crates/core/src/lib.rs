@@ -33,7 +33,8 @@
 //!   buffers for variable-size keys and sorting, and the in-place
 //!   aggregate-value reuse of §4.3.2 (Figure 6b);
 //! * [`hash`] — the word-at-a-time hash every shuffle buffer uses, Deca's
-//!   page tables and the Spark baselines' std maps alike;
+//!   page tables and the Spark baselines' std maps alike, and the engine
+//!   cache's spill digest;
 //! * [`optimizer`] — the Deca optimizer (§5, Appendix A): classification →
 //!   ownership → per-container decomposition decisions;
 //! * [`swap`] — page-group spill files.

@@ -24,8 +24,9 @@
 //!
 //! **Crash consistency.** Every cold-tier mutation rewrites a *spill
 //! manifest* (`spill-manifest.json` in the cache dir): a checksummed JSON
-//! record of each on-disk payload — FNV-1a digest per payload plus a
-//! whole-document digest — written to a temp file and atomically renamed.
+//! record of each on-disk payload — a [`hash_bytes`] digest per payload
+//! plus one of the whole document — written to a temp file and atomically
+//! renamed.
 //! After an executor crash, restart-in-place calls [`CacheManager::
 //! crash_restart`]: volatile tiers (hot/warm) are dropped, and each cold
 //! block is kept only if the manifest vouches for it (id, kind, sizes and
@@ -46,6 +47,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use deca_check::Json;
+use deca_core::hash::hash_bytes;
 use deca_core::{DecaCacheBlock, MemError, MemoryManager};
 use deca_heap::{FieldKind, Heap, OomError, RootId};
 
@@ -111,21 +113,20 @@ impl std::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
-/// FNV-1a over a byte payload — the digest the spill manifest records for
-/// each cold payload and for the manifest document itself.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Type-erased operations on an `Objects` block (needed to demote it
 /// without knowing `T` at the eviction site).
 trait ObjectBlockOps: Send {
-    /// Serialize all records of the block (for demotion).
-    fn serialize(&self, heap: &mut Heap, kryo: &mut KryoSim, root: RootId, len: usize) -> Vec<u8>;
+    /// Serialize all records of the block (for demotion) into a buffer
+    /// pre-sized to `capacity` bytes — the block's accounted heap
+    /// footprint, which bounds its Kryo encoding.
+    fn serialize(
+        &self,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        root: RootId,
+        len: usize,
+        capacity: usize,
+    ) -> Vec<u8>;
     /// Re-materialise records from serialized bytes; returns the new root.
     fn deserialize(
         &self,
@@ -143,10 +144,17 @@ impl<T: Record + 'static> ObjectBlockOps for Ops<T>
 where
     T::Classes: 'static,
 {
-    fn serialize(&self, heap: &mut Heap, kryo: &mut KryoSim, root: RootId, len: usize) -> Vec<u8> {
+    fn serialize(
+        &self,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        root: RootId,
+        len: usize,
+        capacity: usize,
+    ) -> Vec<u8> {
         let arr = heap.root_ref(root);
         kryo.time_ser(|k| {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(capacity);
             for i in 0..len {
                 let obj = heap.array_get_ref(arr, i);
                 let rec = T::load(heap, &self.classes, obj);
@@ -214,7 +222,7 @@ enum BlockState {
     Deca { block: DecaCacheBlock },
     /// Cold tier: a serialized payload file. `was_objects` says how to
     /// re-materialise, `mem_bytes` what residency will cost again, and
-    /// `checksum` the FNV-1a digest the manifest records for the payload.
+    /// `checksum` the digest the manifest records for the payload.
     Disk {
         len: usize,
         was_objects: Option<Box<dyn ObjectBlockOps>>,
@@ -272,7 +280,10 @@ struct ManifestRow {
     page_sizes: Vec<usize>,
 }
 
-const MANIFEST_SCHEMA: &str = "deca-spill-manifest-v1";
+/// The manifest's format. v2 digests with [`hash_bytes`] (v1 used FNV-1a):
+/// a manifest of another schema never verifies, so its cold tier degrades
+/// to lineage recompute instead of being checked with the wrong digest.
+const MANIFEST_SCHEMA: &str = "deca-spill-manifest-v2";
 
 /// Per-executor cache manager.
 pub struct CacheManager {
@@ -947,9 +958,9 @@ impl CacheManager {
             self.entries[id.0 as usize] = Some(e);
             return Ok(());
         };
-        let buf = ops.serialize(heap, kryo, root, len);
-        heap.remove_root(root);
         let mem_bytes = e.bytes;
+        let buf = ops.serialize(heap, kryo, root, len, mem_bytes);
+        heap.remove_root(root);
         let cls = byte_array_class(heap);
         match heap.alloc_array(cls, buf.len()) {
             Ok(arr) => {
@@ -967,7 +978,7 @@ impl CacheManager {
                 std::fs::create_dir_all(self.dir())?;
                 std::fs::File::create(&path)?.write_all(&buf)?;
                 self.spill_write_bytes += buf.len() as u64;
-                let checksum = fnv1a(&buf);
+                let checksum = hash_bytes(&buf);
                 e.bytes = buf.len();
                 e.state = BlockState::Disk { len, was_objects: Some(ops), mem_bytes, checksum };
                 self.evictions += 1;
@@ -1122,12 +1133,12 @@ impl CacheManager {
         match e.state {
             BlockState::Objects { root, len, ops } => {
                 // Spark serializes object blocks before writing them out.
-                let bytes = ops.serialize(heap, kryo, root, len);
+                let mem_bytes = e.bytes;
+                let bytes = ops.serialize(heap, kryo, root, len, mem_bytes);
                 heap.remove_root(root);
                 std::fs::File::create(&path)?.write_all(&bytes)?;
                 self.spill_write_bytes += bytes.len() as u64;
-                let checksum = fnv1a(&bytes);
-                let mem_bytes = e.bytes;
+                let checksum = hash_bytes(&bytes);
                 e.bytes = bytes.len();
                 e.state = BlockState::Disk { len, was_objects: Some(ops), mem_bytes, checksum };
                 went_cold = true;
@@ -1140,7 +1151,7 @@ impl CacheManager {
                 heap.remove_root(root);
                 std::fs::File::create(&path)?.write_all(&buf)?;
                 self.spill_write_bytes += buf.len() as u64;
-                let checksum = fnv1a(&buf);
+                let checksum = hash_bytes(&buf);
                 // A demoted Objects block restores its hot footprint; a
                 // native SparkSer block its byte[] footprint.
                 let mem_bytes = if ops.is_some() { mem_bytes } else { e.bytes };
@@ -1321,7 +1332,7 @@ impl CacheManager {
                             Json::Arr(sizes.iter().map(|&s| Json::int(s as u64)).collect()),
                         ),
                         ("file_bytes", Json::int(payload.len() as u64)),
-                        ("checksum", Json::str(format!("{:016x}", fnv1a(&payload)))),
+                        ("checksum", Json::str(format!("{:016x}", hash_bytes(&payload)))),
                     ]));
                 }
                 _ => {}
@@ -1330,7 +1341,7 @@ impl CacheManager {
         Ok(rows)
     }
 
-    /// Write the spill manifest: body JSON + whole-document FNV-1a digest,
+    /// Write the spill manifest: body JSON + whole-document digest,
     /// to a temp file, then an atomic rename. The `ManifestCommit` kill
     /// point sits between the temp write and the rename — a crash there
     /// leaves the *previous* manifest in effect, which is exactly the
@@ -1368,7 +1379,7 @@ impl CacheManager {
             ("schema".to_string(), Json::str(MANIFEST_SCHEMA)),
             ("blocks".to_string(), Json::Arr(rows)),
         ];
-        let digest = fnv1a(Json::Obj(members.clone()).to_compact().as_bytes());
+        let digest = hash_bytes(Json::Obj(members.clone()).to_compact().as_bytes());
         members.push(("checksum".to_string(), Json::str(format!("{digest:016x}"))));
         let doc = Json::Obj(members);
         let tmp = dir.join("spill-manifest.json.tmp");
@@ -1393,7 +1404,7 @@ impl CacheManager {
             ("schema", doc.get("schema")?.clone()),
             ("blocks", doc.get("blocks")?.clone()),
         ]);
-        if fnv1a(body.to_compact().as_bytes()) != recorded {
+        if hash_bytes(body.to_compact().as_bytes()) != recorded {
             return None;
         }
         let mut rows = Vec::new();
@@ -1498,7 +1509,7 @@ impl CacheManager {
 
     /// Verify one cold Spark/SparkSer block against its manifest row:
     /// the row must exist with the block's kind and record count, and the
-    /// payload file must match the recorded size and FNV-1a digest.
+    /// payload file must match the recorded size and digest.
     fn verify_disk_row(&self, rows: &[ManifestRow], id: u32, e: &Entry) -> bool {
         let BlockState::Disk { len, was_objects, .. } = &e.state else { return false };
         let kind = if was_objects.is_some() { "objects" } else { "bytes" };
@@ -1507,7 +1518,7 @@ impl CacheManager {
             return false;
         }
         let Ok(payload) = std::fs::read(self.file(id)) else { return false };
-        payload.len() as u64 == row.file_bytes && fnv1a(&payload) == row.checksum
+        payload.len() as u64 == row.file_bytes && hash_bytes(&payload) == row.checksum
     }
 
     /// Verify one swapped Deca block: the manifest row must name the same
@@ -1531,7 +1542,7 @@ impl CacheManager {
             return false;
         }
         let Ok(payload) = std::fs::read(mm.spill_file(group)) else { return false };
-        payload.len() as u64 == row.file_bytes && fnv1a(&payload) == row.checksum
+        payload.len() as u64 == row.file_bytes && hash_bytes(&payload) == row.checksum
     }
 
     /// Simulated disk time for cache spill traffic since construction.
@@ -1815,6 +1826,71 @@ mod tests {
         assert_eq!(len, 200);
         let rec = <(i64, i64) as HeapRecord>::load(&heap, &classes, heap.array_get_ref(arr, 3));
         assert_eq!(rec, (3, 21));
+    }
+
+    /// One flipped byte in one cold payload — a Spark `objects` file, a
+    /// SparkSer `bytes` file or a swapped Deca group — fails that payload's
+    /// digest: restart drops exactly that block and rehydrates the other
+    /// two, which still read back intact.
+    #[test]
+    fn a_corrupted_payload_drops_only_its_own_block() {
+        let recs: Vec<(i64, i64)> = (0..150).map(|i| (i, 3 * i + 1)).collect();
+        for victim in 0..3 {
+            let (mut heap, mut kryo, mut mm, mut cm) = setup(16 << 20, 4 << 20);
+            let classes = <(i64, i64) as HeapRecord>::register(&mut heap);
+            let objects = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
+            let bytes = cm.put_serialized(&mut heap, &mut kryo, &mut mm, &recs).unwrap();
+            let deca = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
+            let group = cm.deca_block(deca).group();
+            cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
+            let blocks = [objects, bytes, deca];
+            assert!(blocks.iter().all(|&b| cm.tier(b, &mm) == Tier::Cold));
+            let path = if blocks[victim] == deca {
+                mm.spill_file(group)
+            } else {
+                cm.file(blocks[victim].0)
+            };
+            let mut payload = std::fs::read(&path).unwrap();
+            let mid = payload.len() / 2;
+            payload[mid] ^= 0x20;
+            std::fs::write(&path, payload).unwrap();
+
+            let out = cm.crash_restart(&mut heap, &mut mm, "s", 0);
+            assert!(out.manifest_ok, "victim {victim}: the manifest itself is intact");
+            assert_eq!(out.dropped, 1, "victim {victim}: exactly the corrupted block goes");
+            let kept: Vec<u32> = out.rehydrated.iter().map(|r| r.0).collect();
+            let want: Vec<u32> =
+                blocks.iter().filter(|&&b| b != blocks[victim]).map(|b| b.0).collect();
+            assert_eq!(kept, want, "victim {victim}: every other cold block is rehydrated");
+            assert!(!cm.contains(blocks[victim]));
+            if cm.contains(objects) {
+                let (root, len) = cm.objects_root(objects, &mut heap, &mut kryo, &mut mm).unwrap();
+                let arr = heap.root_ref(root);
+                let back: Vec<(i64, i64)> = (0..len)
+                    .map(|i| {
+                        <(i64, i64) as HeapRecord>::load(
+                            &heap,
+                            &classes,
+                            heap.array_get_ref(arr, i),
+                        )
+                    })
+                    .collect();
+                assert_eq!(back, recs);
+            }
+            if cm.contains(bytes) {
+                let mut back = Vec::new();
+                cm.iter_serialized::<(i64, i64)>(bytes, &mut heap, &mut kryo, &mut mm, |r| {
+                    back.push(r)
+                })
+                .unwrap();
+                assert_eq!(back, recs);
+            }
+            if cm.contains(deca) {
+                let back: Vec<(i64, i64)> =
+                    cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+                assert_eq!(back, recs);
+            }
+        }
     }
 
     #[test]

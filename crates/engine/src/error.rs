@@ -80,17 +80,18 @@ impl EngineError {
     /// Is this failure retryable? Transient errors are the ones re-running
     /// the (deterministic) task can fix: memory pressure, executor loss,
     /// shuffle corruption, injected faults. Fatal errors — spill I/O,
-    /// page-manager invariant violations, non-OOM cache failures — abort
-    /// the job. `Task` wrappers classify by their innermost cause.
+    /// non-OOM cache failures — abort the job. `Task` wrappers classify by
+    /// their innermost cause.
     pub fn is_transient(&self) -> bool {
         match self {
-            EngineError::Oom(_) => true,
+            // A full heap, or a Deca page budget the heap could not grant.
+            EngineError::Oom(_) | EngineError::Mem(MemError::Oom(_)) => true,
+            EngineError::Cache(CacheError::Oom(_) | CacheError::Mem(MemError::Oom(_))) => true,
             EngineError::ExecutorLost { .. } => true,
             EngineError::AllExecutorsLost { .. } => true,
             EngineError::Injected { .. } => true,
             EngineError::Deadline { .. } => true,
             EngineError::Shuffle(_) => true,
-            EngineError::Cache(CacheError::Oom(_)) => true,
             // A spill-path kill point models the executor dying mid-spill;
             // the driver restarts the executor and re-runs the task.
             EngineError::Cache(CacheError::Injected(_)) => true,
@@ -120,13 +121,15 @@ impl EngineError {
         }
     }
 
-    /// Is this failure specifically memory pressure (a heap or cache OOM,
-    /// or an injected allocation fault)? These get the graceful-degradation
-    /// treatment: spill the executor's cache to disk and retry in place
-    /// rather than migrating the task.
+    /// Is this failure specifically memory pressure (a heap OOM or a Deca
+    /// page budget the heap could not grant, raised directly or inside the
+    /// cache manager, or an injected allocation fault)? These get the
+    /// graceful-degradation treatment: spill the executor's cache to disk
+    /// and retry in place rather than migrating the task.
     pub fn is_memory_pressure(&self) -> bool {
         match self {
-            EngineError::Oom(_) | EngineError::Cache(CacheError::Oom(_)) => true,
+            EngineError::Oom(_) | EngineError::Mem(MemError::Oom(_)) => true,
+            EngineError::Cache(CacheError::Oom(_) | CacheError::Mem(MemError::Oom(_))) => true,
             EngineError::Injected { site } => *site == FaultSite::Alloc,
             EngineError::Task { source, .. } => source.is_memory_pressure(),
             _ => false,
@@ -351,5 +354,22 @@ mod tests {
         assert!(!EngineError::Injected { site: FaultSite::TaskBody }.is_memory_pressure());
         assert!(!EngineError::ExecutorLost { executor: 0 }.is_memory_pressure());
         assert!(!EngineError::Shuffle("x".into()).is_memory_pressure());
+    }
+
+    /// A Deca page budget the heap cannot grant is a full heap like any
+    /// other: the stage engine spills and re-runs on it, directly or from
+    /// inside the cache manager. Spill I/O stays fatal.
+    #[test]
+    fn a_page_budget_oom_is_memory_pressure_and_spill_io_is_not() {
+        let page_oom = || MemError::Oom(OomError { requested: 65536 });
+        let io = || MemError::Io(std::io::Error::other("disk gone"));
+        for e in [EngineError::Mem(page_oom()), EngineError::Cache(CacheError::Mem(page_oom()))] {
+            assert!(e.is_memory_pressure() && e.is_transient(), "{e}");
+            let wrapped = e.in_task("adj-build", 1);
+            assert!(wrapped.is_memory_pressure() && wrapped.is_transient(), "{wrapped}");
+        }
+        for e in [EngineError::Mem(io()), EngineError::Cache(CacheError::Mem(io()))] {
+            assert!(!e.is_memory_pressure() && !e.is_transient(), "{e}");
+        }
     }
 }

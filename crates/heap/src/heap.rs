@@ -1,5 +1,12 @@
 //! The heap proper: allocation, field access, write barrier, external
 //! allocation accounting, and the census API used by the lifetime figures.
+//!
+//! Arrays pack their elements into the object's words. Element access goes
+//! one element at a time; the bulk paths are the JVM's copy intrinsics:
+//! `char[]` moves four UTF-16 units per word (the `String` paths), and
+//! `byte[]` moves whole words between the heap and a Rust slice
+//! ([`Heap::byte_array_write`] / [`Heap::byte_array_read`], the
+//! `System.arraycopy` a serialized cache block's bytes go through).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -567,28 +574,75 @@ impl Heap {
         (0..len).map(move |i| (words[i / 4] >> (i % 4 * 16)) as u16)
     }
 
-    /// Bulk-copy bytes into a byte (`I8`) array starting at element `offset`.
+    /// Where elements `offset..offset + n` (`n > 0`) of a byte array live:
+    /// the absolute range of words holding them, the span's byte position
+    /// inside the first word, and the length of its unaligned head (the
+    /// bytes before the next word boundary, at most `n`). Byte `i` sits at
+    /// shift `(i % 8) * 8` of word `i / 8` — little-endian byte `i % 8` of
+    /// that word, whatever the host's byte order.
+    fn byte_span(r: ObjRef, offset: usize, n: usize) -> (std::ops::Range<usize>, usize, usize) {
+        let first = r.offset() + 2 + offset / 8;
+        let lead = offset % 8;
+        let head = n.min((8 - lead) % 8);
+        (first..first + (lead + n).div_ceil(8), lead, head)
+    }
+
+    /// Bulk-copy bytes into a byte (`I8`) array starting at element
+    /// `offset` — the `System.arraycopy` analogue of a loop of
+    /// [`Heap::array_set`] calls: an unaligned head, whole words, then a
+    /// tail, so elements outside the span keep their values.
     pub fn byte_array_write(&mut self, r: ObjRef, offset: usize, data: &[u8]) {
         let len = self.array_len(r);
         assert!(offset + data.len() <= len, "byte array write out of bounds");
         debug_assert_eq!(self.array_elem_kind(r), FieldKind::I8);
-        for (k, &b) in data.iter().enumerate() {
-            let i = offset + k;
-            let (word, shift, mask) = Self::elem_loc(FieldKind::I8, i);
-            let w = &mut self.spaces[r.space() as usize].words[r.offset() + 2 + word];
-            *w = (*w & !(mask << shift)) | ((b as u64) << shift);
+        if data.is_empty() {
+            return;
+        }
+        let (span, lead, head) = Self::byte_span(r, offset, data.len());
+        let words = &mut self.spaces[r.space() as usize].words[span];
+        let (head_bytes, body) = data.split_at(head);
+        let (head_word, words) = words.split_at_mut(usize::from(head > 0));
+        if let Some(w) = head_word.first_mut() {
+            let mut le = w.to_le_bytes();
+            le[lead..lead + head].copy_from_slice(head_bytes);
+            *w = u64::from_le_bytes(le);
+        }
+        let mut chunks = body.chunks_exact(8);
+        for (w, c) in words.iter_mut().zip(&mut chunks) {
+            *w = u64::from_le_bytes(c.try_into().expect("8-byte word"));
+        }
+        let tail = chunks.remainder();
+        if let Some(w) = words.last_mut().filter(|_| !tail.is_empty()) {
+            let mut le = w.to_le_bytes();
+            le[..tail.len()].copy_from_slice(tail);
+            *w = u64::from_le_bytes(le);
         }
     }
 
-    /// Bulk-copy bytes out of a byte (`I8`) array starting at element `offset`.
+    /// Bulk-copy bytes out of a byte (`I8`) array starting at element
+    /// `offset`, in the same three steps as [`Heap::byte_array_write`].
     pub fn byte_array_read(&self, r: ObjRef, offset: usize, out: &mut [u8]) {
         let len = self.array_len(r);
         assert!(offset + out.len() <= len, "byte array read out of bounds");
         debug_assert_eq!(self.array_elem_kind(r), FieldKind::I8);
-        for (k, b) in out.iter_mut().enumerate() {
-            let i = offset + k;
-            let (word, shift, _) = Self::elem_loc(FieldKind::I8, i);
-            *b = (self.spaces[r.space() as usize].words[r.offset() + 2 + word] >> shift) as u8;
+        if out.is_empty() {
+            return;
+        }
+        let (span, lead, head) = Self::byte_span(r, offset, out.len());
+        let words = &self.spaces[r.space() as usize].words[span];
+        let (head_out, body) = out.split_at_mut(head);
+        let (head_word, words) = words.split_at(usize::from(head > 0));
+        if let Some(w) = head_word.first() {
+            head_out.copy_from_slice(&w.to_le_bytes()[lead..lead + head]);
+        }
+        let mut chunks = body.chunks_exact_mut(8);
+        for (c, w) in (&mut chunks).zip(words) {
+            c.copy_from_slice(&w.to_le_bytes());
+        }
+        let tail = chunks.into_remainder();
+        if let Some(w) = words.last().filter(|_| !tail.is_empty()) {
+            let n = tail.len();
+            tail.copy_from_slice(&w.to_le_bytes()[..n]);
         }
     }
 
@@ -856,6 +910,80 @@ mod tests {
         let mut head = vec![0u8; 5];
         h.byte_array_read(b, 0, &mut head);
         assert_eq!(head, vec![0; 5]);
+    }
+
+    /// Write `data` at `offset` of two byte arrays holding the same
+    /// background — one in bulk, one element by element — and check they
+    /// agree on every element, read back in bulk as element by element,
+    /// and keep the background outside the span.
+    fn byte_array_bulk_matches_elements(
+        h: &mut Heap,
+        offset: usize,
+        data: &[u8],
+        slack: usize,
+    ) -> Result<(), String> {
+        let ba = match h.registry().by_name("byte[]") {
+            Some(c) => c,
+            None => h.define_array_class("byte[]", FieldKind::I8),
+        };
+        let len = offset + data.len() + slack;
+        let background = |i: usize| (i as u64 * 131 + 7) & 0xff;
+        let [bulk, each] = [(); 2].map(|_| {
+            let a = h.alloc_array(ba, len).expect("test heap fits the array");
+            (0..len).for_each(|i| h.array_set(a, i, background(i)));
+            h.add_root(a)
+        });
+        let (bulk, each) = (h.root_ref(bulk), h.root_ref(each));
+        h.byte_array_write(bulk, offset, data);
+        for (k, &b) in data.iter().enumerate() {
+            h.array_set(each, offset + k, u64::from(b));
+        }
+        let mut read = vec![0u8; data.len()];
+        h.byte_array_read(each, offset, &mut read);
+        let ctx = format!("offset {offset}, {} bytes, slack {slack}", data.len());
+        if read != data {
+            return Err(format!("bulk read disagrees with element writes at {ctx}"));
+        }
+        for i in 0..len {
+            let want = match i.checked_sub(offset) {
+                Some(k) if k < data.len() => u64::from(data[k]),
+                _ => background(i),
+            };
+            let (b, e) = (h.array_get(bulk, i), h.array_get(each, i));
+            if (b, e) != (want, want) {
+                return Err(format!(
+                    "element {i}: bulk {b:#x}, each {e:#x}, want {want:#x} at {ctx}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn byte_array_bulk_io_matches_element_access_at_every_alignment() {
+        let mut h = heap();
+        for offset in 0..16 {
+            for n in 0..=17 {
+                let data: Vec<u8> = (0..n).map(|k| 0xa0 ^ (k * 29) as u8).collect();
+                for slack in [0, 1, 9] {
+                    byte_array_bulk_matches_elements(&mut h, offset, &data, slack).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Random spans up to a few KB, from `DECA_CHECK_SEED` when set.
+    #[test]
+    fn byte_array_bulk_io_matches_element_access_on_random_spans() {
+        use deca_check::property::{check, gens, Config};
+        let spans = gens::pair(
+            gens::pair(gens::usize_in(0..64), gens::usize_in(0..12)),
+            gens::vec_of(gens::any_u8(), 0..4096),
+        );
+        check(Config::with_cases(48), spans, |((offset, slack), data)| {
+            let mut h = Heap::new(HeapConfig::with_total(8 << 20));
+            byte_array_bulk_matches_elements(&mut h, *offset, data, *slack)
+        });
     }
 
     #[test]

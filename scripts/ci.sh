@@ -175,21 +175,23 @@ for sched in wave pull; do
   done
 done
 
-echo "== shuffle table properties (replayed seeds) =="
+echo "== properties (replayed seeds) =="
 # The hash shuffle's table lives in its pages: batch entry must equal
 # per-record entry and a HashMap fold at every slot geometry and across
 # growths, and a run that meets a full heap must evict the cache — never
 # the buffer — and apply each record exactly once. The Spark buffer's
 # borrowed-key insert must equal a HashMap fold for i64 and multilingual
-# String keys across growths (`spark_shuffle_*`). These properties draw
-# their cases from DECA_CHECK_SEED; a failure hands the reader the exact
-# replay line.
+# String keys across growths (`spark_shuffle_*`). The heap's word-wide
+# `byte[]` copies must equal element-by-element access on random spans and
+# leave every byte outside the span alone (`byte_array_*`). These
+# properties draw their cases from DECA_CHECK_SEED; a failure hands the
+# reader the exact replay line.
 for seed in 11 29 47; do
   for suite in "-p deca-bench --test properties shuffle" "-p deca-core --lib shuffle" \
-      "-p deca-engine --lib shuffle"; do
+      "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array"; do
     # shellcheck disable=SC2086 # $suite is a word list on purpose
     if ! DECA_CHECK_SEED=$seed cargo test -q --offline $suite; then
-      echo "shuffle properties failed under seed $seed; replay locally with:"
+      echo "properties failed under seed $seed; replay locally with:"
       echo "  DECA_CHECK_SEED=$seed cargo test --offline $suite"
       exit 1
     fi

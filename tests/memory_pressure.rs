@@ -3,6 +3,7 @@
 
 mod util;
 
+use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, run_local, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_faulty;
@@ -154,9 +155,13 @@ fn pagerank_on_a_shrinking_heap_completes_or_reports_memory_pressure_never_panic
     // mode completes. At 3840 KB the Spark map's combine, and at 3712 KB
     // its temporary message, is the allocation that meets the full heap;
     // both used to `expect` and surface as task panics. Below 3712 KB the
-    // Spark adjacency build fails first, with a typed error.
+    // Spark adjacency build fails first, with a typed error. From 3200 KB
+    // down, Deca's adjacency build meets a page budget the heap cannot
+    // grant (`Mem(Oom)` inside the cache), which used to fail the job as a
+    // fatal error. It is memory pressure too: the stage engine spills and
+    // re-runs, and the re-run's grouping buffer then meets the full heap.
     let mut reference = None;
-    for heap_kb in [4096, 3968, 3840, 3712, 3584, 3456] {
+    for heap_kb in [4096, 3968, 3840, 3712, 3584, 3456, 3328, 3200, 3072, 2944, 2816] {
         for mode in ExecutionMode::ALL {
             let mut p = PrParams::small(mode);
             (p.vertices, p.edges, p.iterations, p.partitions) = (20_000, 100_000, 2, 2);
@@ -167,6 +172,38 @@ fn pagerank_on_a_shrinking_heap_completes_or_reports_memory_pressure_never_panic
                     r.checksum,
                     *reference.get_or_insert(r.checksum),
                     "{mode} at {heap_kb} KB: completed with the wrong ranks"
+                ),
+                Err(e) => assert!(
+                    e.is_memory_pressure(),
+                    "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
+                ),
+            }
+        }
+    }
+    assert!(reference.is_some(), "the sweep starts at a size that completes");
+    td.cleanup();
+}
+
+#[test]
+fn kmeans_on_a_tight_heap_completes_or_reports_memory_pressure_never_panics() {
+    let td = TestDir::executor_default();
+    // The sweep for KMeans. At 6144 KB the Spark kernel's temporary
+    // `(closest, 1.0)` pair is the allocation that meets the full heap; it
+    // used to `expect` and surface as a task panic. At 1536 KB Deca's
+    // load meets a page budget the heap cannot grant, which used to fail
+    // the job as a fatal error.
+    let mut reference = None;
+    for heap_kb in [8192, 7168, 6144, 5120, 4096, 3072, 2048, 1536] {
+        for mode in ExecutionMode::ALL {
+            let mut p = KmParams::small(mode);
+            (p.points, p.iterations, p.partitions) = (25_000, 2, 2);
+            (p.heap_bytes, p.storage_fraction) = (heap_kb << 10, 0.8);
+            let config = kmeans::km_config(&p);
+            match run_job_faulty(&kmeans::job(&p), config, 1, FaultPlan::quiet(), None) {
+                Ok(r) => assert_eq!(
+                    r.checksum,
+                    *reference.get_or_insert(r.checksum),
+                    "{mode} at {heap_kb} KB: completed with the wrong centroids"
                 ),
                 Err(e) => assert!(
                     e.is_memory_pressure(),
