@@ -33,7 +33,7 @@ use deca_bench::{
 };
 use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle, MemoryManager};
 use deca_engine::{ExecutionMode, KryoSim};
-use deca_heap::{ClassBuilder, FieldKind, GcAlgorithm, GcPlanKind, Heap, HeapConfig};
+use deca_heap::{ClassBuilder, FieldKind, GcAlgorithm, Heap, HeapConfig};
 use deca_udt::fixtures::group_by_program;
 use deca_udt::{classify_phased, GlobalAnalysis, JobPhases, TypeRef};
 
@@ -114,8 +114,8 @@ const ARTEFACTS: &[Artefact] = &[
     },
     Artefact {
         name: "table4",
-        paper: "Table 4: GC tuning (storage fraction, PS/CMS/G1) and the GC-plan matrix — \
-                LR is very sensitive yet tuned Spark still loses to Deca; PR is not",
+        paper: "Table 4: GC tuning (storage fraction, PS/CMS/G1) — LR is very sensitive \
+                yet tuned Spark still loses to Deca; PR is not",
         run: table4,
     },
     Artefact {
@@ -529,40 +529,27 @@ fn table3(s: &Scale) -> Vec<ShapeCheck> {
 
 /// One Table 4 knob sweep in Spark mode — storage fractions under PS, the
 /// three collectors at the first (default) fraction — then the Deca row.
+/// `conc_mark_s` is measured marker-thread overlap, not pause. A collector
+/// never computes, so the three collector rows must agree exactly.
 fn knob_rows(
+    app: &str,
     fractions: &[(f64, &str)],
     run: impl Fn(f64, GcAlgorithm, ExecutionMode) -> AppReport,
 ) {
-    table_header(&["knob", "value", "exec_s", "gc_s"]);
+    table_header(&["knob", "value", "exec_s", "gc_s", "conc_mark_s"]);
     let row = |knob: &str, value: &str, r: AppReport| {
-        table_row(&[knob.to_string(), value.to_string(), secs(r.exec()), secs(r.gc())]);
+        let conc = secs(r.metrics.gc_concurrent);
+        table_row(&[knob.to_string(), value.to_string(), secs(r.exec()), secs(r.gc()), conc]);
+        r.checksum
     };
     let default = fractions[0].0;
     for &(fraction, label) in fractions {
         row("fraction", label, run(fraction, GcAlgorithm::ParallelScavenge, ExecutionMode::Spark));
     }
-    for algo in [GcAlgorithm::ParallelScavenge, GcAlgorithm::Cms, GcAlgorithm::G1] {
-        row("algorithm", algo.name(), run(default, algo, ExecutionMode::Spark));
-    }
-    row("deca", "-", run(default, GcAlgorithm::ParallelScavenge, ExecutionMode::Deca));
-}
-
-/// One app under every GC plan. The checksum column is the equivalence
-/// witness: a collector never computes, so all plans must agree exactly.
-fn plan_rows(app: &str, run: impl Fn(GcPlanKind) -> AppReport) {
-    let checksums = GcPlanKind::ALL.map(|plan| {
-        let r = run(plan);
-        table_row(&[
-            app.to_string(),
-            plan.name().to_string(),
-            secs(r.exec()),
-            secs(r.gc()),
-            secs(r.metrics.gc_concurrent),
-            format!("{:.6}", r.checksum),
-        ]);
-        r.checksum
-    });
+    let checksums = GcAlgorithm::ALL
+        .map(|algo| row("algorithm", algo.name(), run(default, algo, ExecutionMode::Spark)));
     assert_checksums_agree(app, 0.0, &checksums);
+    row("deca", "-", run(default, GcAlgorithm::ParallelScavenge, ExecutionMode::Deca));
 }
 
 fn table4(s: &Scale) -> Vec<ShapeCheck> {
@@ -577,24 +564,12 @@ fn table4(s: &Scale) -> Vec<ShapeCheck> {
         p
     };
     println!("# LR (saturating dataset): storage-fraction sweep and GC algorithms\n");
-    knob_rows(&[(0.8, "0.8:0.2"), (0.6, "0.6:0.4"), (0.4, "0.4:0.6")], |f, a, m| {
+    knob_rows("LR", &[(0.8, "0.8:0.2"), (0.6, "0.6:0.4"), (0.4, "0.4:0.6")], |f, a, m| {
         logreg::run_local(&lr(f, a, m), 1)
     });
     println!("\n# PR: the same knobs\n");
-    knob_rows(&[(0.4, "0.4"), (0.1, "0.1"), (0.05, "0.05")], |f, a, m| {
+    knob_rows("PR", &[(0.4, "0.4"), (0.1, "0.1"), (0.05, "0.05")], |f, a, m| {
         pagerank::run_local(&pr(f, a, m), 1)
-    });
-
-    println!("\n# plan matrix: every GC plan on LR and PR, Spark mode");
-    println!("# conc_mark_s is measured marker-thread overlap (not pause)\n");
-    table_header(&["app", "plan", "exec_s", "gc_pause_s", "conc_mark_s", "checksum"]);
-    let lr = lr(0.8, GcAlgorithm::ParallelScavenge, ExecutionMode::Spark);
-    plan_rows("LR", |plan| {
-        run_job_local(&logreg::job(&lr), logreg::lr_config(&lr).gc_plan(plan), 1)
-    });
-    let pr = pr(0.4, GcAlgorithm::ParallelScavenge, ExecutionMode::Spark);
-    plan_rows("PR", |plan| {
-        run_job_local(&pagerank::job(&pr), pagerank::pr_config(&pr).gc_plan(plan), 1)
     });
     Vec::new()
 }
@@ -885,15 +860,15 @@ fn thrash_avoidance_ablation(s: &Scale) {
     println!();
 }
 
-/// Full-collection strategy (§2.1) on a mixed-lifetime workload: the
-/// copying plans pay to move every survivor; the sweeping plans leave
-/// survivors in place but fragment the old generation (CMS's real
-/// trade-off), with immix recycling only coarse holes.
+/// Full-collection strategy (§2.1) on a mixed-lifetime workload: Parallel
+/// Scavenge pays to move every survivor; CMS and G1 leave survivors in
+/// place but fragment the old generation (CMS's real trade-off), with G1
+/// recycling only coarse holes.
 fn full_gc_strategy_ablation() {
-    println!("# Ablation: GC plan (mixed-lifetime churn, 6 collections)\n");
-    table_header(&["plan", "total_gc_ms", "old_arena_KB", "free_blocks"]);
-    for kind in GcPlanKind::ALL {
-        let config = HeapConfig::with_total(24 << 20).with_plan(kind).with_concurrent(false);
+    println!("# Ablation: full-GC strategy per collector (mixed-lifetime churn, 6 collections)\n");
+    table_header(&["collector", "total_gc_ms", "old_arena_KB", "free_blocks"]);
+    for kind in GcAlgorithm::ALL {
+        let config = HeapConfig::with_total(24 << 20).with_algorithm(kind).with_concurrent(false);
         let mut h = Heap::new(config);
         let small = h.define_class(ClassBuilder::new("S").field("v", FieldKind::I64));
         let arr = h.define_array_class("long[]", FieldKind::I64);
@@ -926,10 +901,10 @@ fn full_gc_strategy_ablation() {
             }
         }
         table_row(&[
-            kind.to_string(),
+            kind.name().to_string(),
             format!("{:.2}", h.stats().full_time.as_secs_f64() * 1e3),
             (h.old_used_bytes() / 1024).to_string(),
-            h.free_block_count().to_string(), // only mark-sweep keeps a free list
+            h.free_block_count().to_string(), // only the sweeping collectors keep a free list
         ]);
     }
     println!();

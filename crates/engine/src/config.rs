@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use deca_heap::{GcAlgorithm, GcPlanKind};
+use deca_heap::GcAlgorithm;
 
 /// Driver-side fault-handling knobs: how many times a task may run, when a
 /// misbehaving executor is quarantined, and whether memory pressure is
@@ -224,13 +224,9 @@ pub struct ExecutorConfig {
     pub storage_fraction: f64,
     /// Fraction reserved for shuffle buffers (Table 4).
     pub shuffle_fraction: f64,
+    /// The executor heap's collector (Table 4: PS, CMS or G1), and the
+    /// only way a run's collector is chosen.
     pub gc_algorithm: GcAlgorithm,
-    /// Explicit GC plan override. `None` (the default) uses the plan the
-    /// collector algorithm maps to ([`GcAlgorithm::plan_kind`]); setting a
-    /// plan — or the `DECA_GC_PLAN` environment variable — selects it
-    /// directly, the knob the plan-matrix sweep and `tests/gc_plans.rs`
-    /// iterate.
-    pub gc_plan: Option<GcPlanKind>,
     /// Deca page size (§4.3.1 trade-off; ablation bench sweeps it).
     pub page_size: usize,
     /// Directory for spill/swap files.
@@ -264,7 +260,6 @@ impl ExecutorConfig {
                 storage_fraction: 0.6,
                 shuffle_fraction: 0.2,
                 gc_algorithm: GcAlgorithm::ParallelScavenge,
-                gc_plan: GcPlanKind::from_env(),
                 page_size: 64 << 10,
                 spill_dir: ExecutorConfig::default_spill_dir(),
                 retry: RetryPolicy::default(),
@@ -297,11 +292,6 @@ impl ExecutorConfig {
 
     pub fn gc_algorithm(mut self, a: GcAlgorithm) -> Self {
         self.gc_algorithm = a;
-        self
-    }
-
-    pub fn gc_plan(mut self, p: GcPlanKind) -> Self {
-        self.gc_plan = Some(p);
         self
     }
 
@@ -369,12 +359,6 @@ impl ExecutorConfigBuilder {
 
     pub fn gc(mut self, algorithm: GcAlgorithm) -> Self {
         self.config.gc_algorithm = algorithm;
-        self
-    }
-
-    /// Select a GC plan directly, bypassing the algorithm→plan mapping.
-    pub fn gc_plan(mut self, p: GcPlanKind) -> Self {
-        self.config.gc_plan = Some(p);
         self
     }
 
@@ -475,6 +459,8 @@ mod tests {
         let legacy = ExecutorConfig::new(ExecutionMode::Deca, 48 << 20);
         assert_eq!(legacy.storage_fraction, 0.6);
         assert_eq!(legacy.page_size, 64 << 10);
+        assert_eq!(legacy.gc_algorithm, GcAlgorithm::ParallelScavenge);
+        assert_eq!(legacy.gc_algorithm(GcAlgorithm::G1).gc_algorithm, GcAlgorithm::G1);
     }
 
     #[test]
@@ -512,18 +498,6 @@ mod tests {
         assert_eq!(w.task_deadline, Some(Duration::from_millis(25)));
         assert_eq!(w.deadline_budget(), Duration::from_millis(25));
         assert!(w.speculate);
-    }
-
-    #[test]
-    fn gc_plan_defaults_to_algorithm_mapping_and_is_overridable() {
-        // No DECA_GC_PLAN in the test environment (the env branch is
-        // exercised by scripts/ci.sh, like DECA_SCHEDULER), so the
-        // default is "follow the algorithm".
-        assert_eq!(ExecutorConfig::builder().build().gc_plan, None);
-        let c = ExecutorConfig::builder().gc_plan(GcPlanKind::Immix).build();
-        assert_eq!(c.gc_plan, Some(GcPlanKind::Immix));
-        let c = ExecutorConfig::new(ExecutionMode::Spark, 1 << 20).gc_plan(GcPlanKind::SemiSpace);
-        assert_eq!(c.gc_plan, Some(GcPlanKind::SemiSpace));
     }
 
     #[test]

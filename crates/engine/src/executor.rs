@@ -7,7 +7,7 @@
 //! compute / GC pause / (de)serialization / shuffle / spill-IO buckets
 //! (Figure 11's breakdown). Collector pauses are *measured*: the heap's
 //! stop-the-world time is charged to the triggering task, and concurrent
-//! mark overlap (the Table-4 CMS/G1 plans) is reported alongside without
+//! mark overlap (the Table-4 CMS/G1 collectors) is reported alongside without
 //! inflating task time.
 
 use std::time::{Duration, Instant};
@@ -61,15 +61,12 @@ pub struct Executor {
 
 impl Executor {
     pub fn new(config: ExecutorConfig) -> Executor {
-        // The collector algorithm selects its plan (PS → gencopy, CMS →
-        // concurrent marksweep, G1 → concurrent immix); an explicit
-        // `gc_plan` (or `DECA_GC_PLAN`) overrides that mapping.
-        let mut heap_cfg =
-            HeapConfig::with_total(config.heap_bytes).with_algorithm(config.gc_algorithm);
-        if let Some(plan) = config.gc_plan {
-            heap_cfg = heap_cfg.with_plan(plan);
-        }
-        let heap = Heap::new(heap_cfg);
+        // The configured collector and its concurrency default (PS
+        // stop-the-world, CMS and G1 concurrent) are the heap's whole
+        // collection policy.
+        let heap = Heap::new(
+            HeapConfig::with_total(config.heap_bytes).with_algorithm(config.gc_algorithm),
+        );
         let mut mm = MemoryManager::new(config.page_size, config.spill_dir.clone());
         // Lifetime-based releases only reach the run trace when traced;
         // otherwise the manager's log stays off (and empty).
@@ -535,7 +532,7 @@ mod tests {
 
     #[test]
     fn concurrent_collector_reports_smaller_pause() {
-        // CMS maps to the concurrent mark-sweep plan: the heap-sized trace
+        // CMS marks concurrently by default: the heap-sized trace
         // runs on a real marker thread racing the mutator, so the cycle's
         // stop-the-world pauses (initial mark + remark) cover only the
         // snapshot and the dirty log. Wall-clock ratios flake under
@@ -547,7 +544,7 @@ mod tests {
         let cfg = ExecutorConfig::new(ExecutionMode::Spark, 4 << 20)
             .gc_algorithm(deca_heap::GcAlgorithm::Cms);
         let mut e = Executor::new(cfg);
-        assert!(e.heap.config().concurrent, "CMS selects a concurrent plan");
+        assert!(e.heap.config().concurrent, "CMS marks concurrently");
         let c = e.heap.define_class(ClassBuilder::new("K").field("v", FieldKind::I64));
         let arr = e.heap.define_array_class("Object[]", FieldKind::Ref);
         e.run_task("pin+mark", |e| {

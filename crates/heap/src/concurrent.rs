@@ -159,10 +159,9 @@ impl Heap {
                         std::thread::yield_now();
                     }
                     let trace_start = Instant::now();
-                    // The marker traces single-threaded: it is already off
-                    // the mutator thread, and the parallel pool is for the
-                    // stop-the-world marks.
-                    let outcome = mark_heap(&snapshot, &registry, &roots, 1, Some(&cancel));
+                    // The same sequential tracer the stop-the-world marks
+                    // run, here off the mutator's thread.
+                    let outcome = mark_heap(&snapshot, &registry, &roots, Some(&cancel));
                     let wall = trace_start.elapsed();
                     done.store(true, Ordering::Release);
                     (outcome, wall)
@@ -253,8 +252,7 @@ impl Heap {
         // Externals are pinned live by registration; account the touch.
         remark_traced += self.external_count() as u64;
 
-        let min_hole = self.config.plan.min_hole_words();
-        self.sweep_old_with_marks(&marks[old], min_hole);
+        self.sweep_old_with_marks(&marks[old]);
 
         let live = self.used_bytes() + self.external_bytes;
         self.stats.record(GcEvent {

@@ -1,17 +1,18 @@
-//! The collectors: a copying (Cheney) minor collection over the young
-//! generation, and the plan-dispatched full collections (compacting or
-//! sweeping) over the entire heap.
+//! Collection: a copying (Cheney) minor collection over the young
+//! generation, and the full collections (compacting or sweeping, chosen
+//! by the [`crate::GcAlgorithm`]) over the entire heap.
 //!
 //! All perform genuine tracing work: every live object is visited, its
-//! reference slots chased, and (where the plan moves objects) its words
-//! copied. Collection *time* is measured wall time of that work, which is
-//! what makes the reproduction's GC numbers meaningful — a heap holding
-//! millions of live cached objects really does take proportionally longer
-//! to collect, exactly the pathology the paper attacks (§2.1, §6.2, §6.4).
+//! reference slots chased, and (where the collector moves objects) its
+//! words copied. Collection *time* is measured wall time of that work,
+//! which is what makes the reproduction's GC numbers meaningful — a heap
+//! holding millions of live cached objects really does take
+//! proportionally longer to collect, exactly the pathology the paper
+//! attacks (§2.1, §6.2, §6.4).
 //!
-//! Full collections mark with the parallel tracer (`crate::mark`) first
-//! and then evacuate/sweep sequentially in ascending address order, so the
-//! resulting heap layout is identical for any `gc_threads` setting.
+//! Full collections mark with the tracer (`crate::mark`) first and then
+//! evacuate/sweep in ascending address order, so the resulting heap
+//! layout is a function of the live set alone.
 
 use std::time::Instant;
 
@@ -21,6 +22,7 @@ use crate::mark::{mark_heap, MarkBits, MarkOutcome};
 use crate::object::{Header, ObjRef};
 use crate::space::{Space, SpaceId};
 use crate::stats::{GcEvent, GcEventKind};
+use crate::GcAlgorithm;
 
 /// Snapshot of which payload slots of an object hold references.
 enum RefSlots {
@@ -176,25 +178,17 @@ impl Heap {
             live_bytes_after: live_after,
         });
 
-        // Old-generation trigger: once occupancy crosses the plan's
-        // initiating threshold, the concurrent plans start a marking cycle
-        // and the stop-the-world plans collect immediately.
+        // Old-generation trigger: once occupancy crosses the collector's
+        // initiating threshold, a concurrent collector starts a marking
+        // cycle and a stop-the-world one collects immediately.
         self.maybe_trigger_old_collection();
     }
 
-    /// Plan-dispatched response to eden exhaustion (the allocator's slow
-    /// path). Generational plans run a minor collection; `SemiSpace`
-    /// collects the whole heap.
-    pub(crate) fn nursery_collect(&mut self) {
-        let plan = self.config.plan;
-        plan.instance().nursery_collection(self);
-    }
-
     /// Minor-collection tail: retire a finished concurrent cycle, then
-    /// consult the plan's initiating occupancy.
+    /// consult the collector's initiating occupancy.
     fn maybe_trigger_old_collection(&mut self) {
         self.poll_gc();
-        if self.old_occupancy() > self.config.plan.initiating_occupancy() {
+        if self.old_occupancy() > self.config.algorithm.initiating_occupancy() {
             if self.config.concurrent {
                 self.maybe_start_concurrent_cycle();
             } else {
@@ -331,26 +325,36 @@ impl Heap {
         self.forward_slots_at(SpaceId::Old, holder.offset(), to, counters)
     }
 
-    /// Run a stop-the-world full collection using the configured plan.
-    /// Cost is dominated by tracing the live set — with a heap full of
-    /// cached objects, this is the expensive, futile collection of paper
-    /// §2.2/§6.2. Any in-flight concurrent marking cycle is aborted first
-    /// (the concurrent-mode-failure path).
+    /// Run a stop-the-world full collection with the configured collector:
+    /// Parallel Scavenge compacts, CMS sweeps every hole, and G1 sweeps
+    /// coarse holes, compacting when that leaves the old generation over
+    /// budget (its evacuation fallback). Cost is dominated by tracing the
+    /// live set — with a heap full of cached objects, this is the
+    /// expensive, futile collection of paper §2.2/§6.2. Any in-flight
+    /// concurrent marking cycle is aborted first (the
+    /// concurrent-mode-failure path).
     pub fn full_gc(&mut self) {
         self.cancel_concurrent_cycle();
-        let plan = self.config.plan;
-        plan.instance().full_collection(self);
+        match self.config.algorithm {
+            GcAlgorithm::ParallelScavenge => self.collect_compact(),
+            GcAlgorithm::Cms => self.collect_sweep(),
+            GcAlgorithm::G1 => {
+                self.collect_sweep();
+                if !self.old_within_budget() {
+                    self.collect_compact();
+                }
+            }
+        }
         self.set_conc_floor();
     }
 
-    /// Stop-the-world parallel mark of the whole heap from the roots,
-    /// fanned out over `gc_threads` workers.
+    /// Stop-the-world mark of the whole heap from the roots.
     fn mark_all(&mut self) -> MarkOutcome {
         let mut root_refs: Vec<ObjRef> = Vec::new();
         let mut roots = std::mem::take(&mut self.roots);
         roots.for_each_mut(|r| root_refs.push(*r));
         self.roots = roots;
-        mark_heap(&self.spaces, &self.registry, &root_refs, self.config.gc_threads, None)
+        mark_heap(&self.spaces, &self.registry, &root_refs, None)
             .expect("uncancelled mark runs to completion")
     }
 
@@ -369,10 +373,10 @@ impl Heap {
         (class, h.age(), slots, nominal)
     }
 
-    /// Mark-compact by evacuation: parallel-mark the live set, then copy
-    /// the survivors into a fresh old generation in ascending address
-    /// order ([Old, Eden, S0, S1] — deterministic for any thread count).
-    pub(crate) fn collect_compact(&mut self) {
+    /// Mark-compact by evacuation: mark the live set, then copy the
+    /// survivors into a fresh old generation in ascending address order
+    /// ([Old, Eden, S0, S1]).
+    fn collect_compact(&mut self) {
         let at = self.epoch.elapsed();
         let start = Instant::now();
         let mut counters = TraceCounters::default();
@@ -492,12 +496,10 @@ impl Heap {
 }
 
 impl Heap {
-    /// CMS/immix-style full collection: parallel-mark the live set, sweep
-    /// the old generation's garbage into a coalesced free list (leaving
+    /// CMS/G1-style full collection: mark the live set, sweep the old
+    /// generation's garbage into a coalesced free list (leaving
     /// fragmentation), and evacuate young survivors into the holes.
-    /// `min_hole_words` is the sweeping granularity — see
-    /// [`crate::GcPlanKind::min_hole_words`].
-    pub(crate) fn collect_sweep(&mut self, min_hole_words: usize) {
+    fn collect_sweep(&mut self) {
         let at = self.epoch.elapsed();
         let start = Instant::now();
         let mut counters = TraceCounters::default();
@@ -505,7 +507,7 @@ impl Heap {
         counters.objects_traced += outcome.objects_marked;
 
         // ---- 1. Sweep the old space against the mark bitmap.
-        self.sweep_old_with_marks(&outcome.marks[SpaceId::Old as usize], min_hole_words);
+        self.sweep_old_with_marks(&outcome.marks[SpaceId::Old as usize]);
 
         // ---- 2. Evacuate marked young objects into the holes, in
         // ascending address order per space (deterministic layout).
@@ -605,13 +607,14 @@ impl Heap {
     }
 
     /// Sweep the old space against a mark bitmap: dead objects and
-    /// existing holes coalesce into runs; runs of at least
-    /// `min_hole_words` go on the free list, smaller ones become unusable
-    /// fragmentation (hole headers outside the free list), and a trailing
-    /// run shrinks the arena. Live objects do not move. Shared by
-    /// [`Heap::collect_sweep`] and the concurrent remark
+    /// existing holes coalesce into runs; runs of at least the collector's
+    /// [`GcAlgorithm::min_hole_words`] go on the free list, smaller ones
+    /// become unusable fragmentation (hole headers outside the free list),
+    /// and a trailing run shrinks the arena. Live objects do not move.
+    /// Shared by [`Heap::collect_sweep`] and the concurrent remark
     /// (`crate::concurrent`).
-    pub(crate) fn sweep_old_with_marks(&mut self, marks: &MarkBits, min_hole_words: usize) {
+    pub(crate) fn sweep_old_with_marks(&mut self, marks: &MarkBits) {
+        let min_hole_words = self.config.algorithm.min_hole_words();
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut run_start: Option<usize> = None;
         let mut off = 0usize;
@@ -676,7 +679,6 @@ mod tests {
     use super::*;
     use crate::class::ClassBuilder;
     use crate::heap::HeapConfig;
-    use crate::plan::GcPlanKind;
     use std::time::Duration;
 
     fn heap() -> Heap {
@@ -951,7 +953,7 @@ mod tests {
     fn ms_heap() -> Heap {
         // Stop-the-world mark-sweep: the concurrent marker has its own
         // tests below; these exercise the sweep/evacuate mechanics.
-        Heap::new(HeapConfig::small().with_plan(GcPlanKind::MarkSweep).with_concurrent(false))
+        Heap::new(HeapConfig::small().with_algorithm(GcAlgorithm::Cms).with_concurrent(false))
     }
 
     #[test]
@@ -1041,7 +1043,7 @@ mod tests {
         // space is plentiful but no hole fits a huge array — the
         // fragmentation cost a compacting collector never shows.
         let cfg =
-            HeapConfig::with_total(2 << 20).with_plan(GcPlanKind::MarkSweep).with_concurrent(false);
+            HeapConfig::with_total(2 << 20).with_algorithm(GcAlgorithm::Cms).with_concurrent(false);
         let mut h = Heap::new(cfg);
         let small = h.define_class(ClassBuilder::new("S").field("v", FieldKind::I64));
         let arr = h.define_array_class("long[]", FieldKind::I64);
@@ -1117,10 +1119,10 @@ mod tests {
         assert!(h.alloc_array(arr, 8 << 10).is_ok());
     }
 
-    /// A heap on the concurrent mark-sweep plan (CMS shape).
+    /// A heap under CMS, marking concurrently.
     fn conc_heap() -> Heap {
-        let h = Heap::new(HeapConfig::small().with_plan(GcPlanKind::MarkSweep));
-        assert!(h.config().concurrent, "marksweep is concurrent by default");
+        let h = Heap::new(HeapConfig::small().with_algorithm(GcAlgorithm::Cms));
+        assert!(h.config().concurrent, "CMS is concurrent by default");
         h
     }
 
@@ -1141,9 +1143,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mark_is_schedule_independent() {
+    fn mark_claims_exactly_the_rooted_chain() {
         let mut h = heap();
-        let (node, roots) = build_rooted_nodes(&mut h, 500);
+        let (_, roots) = build_rooted_nodes(&mut h, 500);
         // Chain the rooted nodes so marking has real pointer-chasing depth.
         for w in roots.windows(2) {
             let a = h.root_ref(w[0]);
@@ -1151,27 +1153,16 @@ mod tests {
             h.write_ref(a, 1, b);
         }
         let root_refs: Vec<ObjRef> = roots.iter().map(|&r| h.root_ref(r)).collect();
-        let m1 = mark_heap(&h.spaces, &h.registry, &root_refs, 1, None).unwrap();
-        assert_eq!(m1.objects_marked, 500, "exactly the rooted nodes are live");
-        for threads in [2, 4, 8] {
-            let mt = mark_heap(&h.spaces, &h.registry, &root_refs, threads, None).unwrap();
-            assert_eq!(mt.objects_marked, m1.objects_marked, "{threads}-thread count");
-            for s in 0..4 {
-                assert_eq!(
-                    mt.marks[s].iter_marked().collect::<Vec<_>>(),
-                    m1.marks[s].iter_marked().collect::<Vec<_>>(),
-                    "{threads}-thread mark set for space {s}"
-                );
-            }
-        }
-        drop(root_refs);
-        let _ = node;
+        let m = mark_heap(&h.spaces, &h.registry, &root_refs, None).unwrap();
+        assert_eq!(m.objects_marked, 500, "exactly the rooted nodes are live");
+        let marked: usize = m.marks.iter().map(|b| b.iter_marked().count()).sum();
+        assert_eq!(marked, 500, "one mark bit per live object");
     }
 
     #[test]
     fn every_plan_preserves_shared_graphs() {
-        for plan in GcPlanKind::ALL {
-            let mut h = Heap::new(HeapConfig::small().with_plan(plan).with_concurrent(false));
+        for gc in GcAlgorithm::ALL {
+            let mut h = Heap::new(HeapConfig::small().with_algorithm(gc).with_concurrent(false));
             let pair = h.define_class(
                 ClassBuilder::new("Pair").field("a", FieldKind::Ref).field("b", FieldKind::Ref),
             );
@@ -1190,33 +1181,16 @@ mod tests {
             h.full_gc();
             h.full_gc(); // stable on an already-collected heap
             let p = h.root_ref(root);
-            assert_eq!(h.read_ref(p, 0), h.read_ref(p, 1), "plan {plan}: sharing preserved");
-            assert_eq!(h.read_i64(h.read_ref(p, 0), 0), 7, "plan {plan}");
-            assert_eq!(h.live_count(leaf), 1, "plan {plan}: garbage collected");
+            assert_eq!(h.read_ref(p, 0), h.read_ref(p, 1), "{gc:?}: sharing preserved");
+            assert_eq!(h.read_i64(h.read_ref(p, 0), 0), 7, "{gc:?}");
+            assert_eq!(h.live_count(leaf), 1, "{gc:?}: garbage collected");
         }
-    }
-
-    #[test]
-    fn semispace_collects_whole_heap_on_eden_exhaustion() {
-        let mut h = Heap::new(HeapConfig::small().with_plan(GcPlanKind::SemiSpace));
-        let c = h.define_class(ClassBuilder::new("T").field("v", FieldKind::I64));
-        let keep = h.alloc(c).unwrap();
-        h.write_i64(keep, 0, 9);
-        let root = h.add_root(keep);
-        for _ in 0..50_000 {
-            h.alloc(c).unwrap();
-        }
-        assert_eq!(h.stats().minor_collections, 0, "semispace never runs minor collections");
-        assert!(h.stats().full_collections > 0, "eden exhaustion ran whole-heap collections");
-        h.full_gc(); // garbage allocated since the last exhaustion dies now
-        assert_eq!(h.live_count(c), 1);
-        assert_eq!(h.read_i64(h.root_ref(root), 0), 9);
     }
 
     #[test]
     fn immix_coarse_sweep_keeps_small_holes_off_the_free_list() {
         let mut h =
-            Heap::new(HeapConfig::small().with_plan(GcPlanKind::Immix).with_concurrent(false));
+            Heap::new(HeapConfig::small().with_algorithm(GcAlgorithm::G1).with_concurrent(false));
         let c = h.define_class(ClassBuilder::new("K").field("v", FieldKind::I64));
         let mut roots = Vec::new();
         for i in 0..100 {

@@ -15,7 +15,6 @@ use std::time::Instant;
 use crate::class::{ClassBuilder, ClassId, ClassRegistry, FieldKind};
 use crate::concurrent::ConcurrentCycle;
 use crate::object::{Header, ObjRef};
-use crate::plan::GcPlanKind;
 use crate::roots::{RootId, RootSet};
 use crate::space::{Space, SpaceId};
 use crate::stats::GcStats;
@@ -53,38 +52,24 @@ pub struct HeapConfig {
     /// (HotSpot `MaxTenuringThreshold` is 15; data-processing heaps promote
     /// much earlier in practice).
     pub promote_age: u8,
-    /// The Table-4 collector surface being modelled (PS/CMS/G1); maps to a
-    /// default [`GcPlanKind`] via [`GcAlgorithm::plan_kind`].
+    /// The Table-4 collector (PS/CMS/G1; see `crate::policy`).
     pub algorithm: GcAlgorithm,
-    /// The GC plan composing the collection policies (see `crate::plan`).
-    pub plan: GcPlanKind,
     /// Whether old-generation marking runs on a concurrent thread (see
-    /// `crate::concurrent`); defaults to the plan's own preference.
+    /// `crate::concurrent`); defaults to the collector's own preference.
     pub concurrent: bool,
-    /// Worker threads for the stop-the-world parallel mark.
-    pub gc_threads: usize,
 }
 
 impl HeapConfig {
     /// A heap with the given total capacity, split 1:2 young:old (the
-    /// HotSpot default `NewRatio=2`).
+    /// HotSpot default `NewRatio=2`), under Parallel Scavenge.
     pub fn with_total(total_bytes: usize) -> HeapConfig {
-        let gc_threads = std::env::var("DECA_GC_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
-            });
         HeapConfig {
             young_bytes: total_bytes / 3,
             old_bytes: total_bytes - total_bytes / 3,
             survivor_fraction: 0.1,
             promote_age: 3,
             algorithm: GcAlgorithm::ParallelScavenge,
-            plan: GcPlanKind::default(),
-            concurrent: GcPlanKind::default().concurrent_by_default(),
-            gc_threads,
+            concurrent: GcAlgorithm::ParallelScavenge.concurrent_by_default(),
         }
     }
 
@@ -93,30 +78,17 @@ impl HeapConfig {
         HeapConfig::with_total(3 << 20)
     }
 
-    /// Select the Table-4 collector, adopting its default plan and
-    /// concurrency (PS ⇒ gencopy/STW, CMS ⇒ marksweep/concurrent,
-    /// G1 ⇒ immix/concurrent).
+    /// Select the Table-4 collector, adopting its default concurrency
+    /// (PS stop-the-world, CMS and G1 concurrent).
     pub fn with_algorithm(mut self, algorithm: GcAlgorithm) -> HeapConfig {
         self.algorithm = algorithm;
-        self.with_plan(algorithm.plan_kind())
-    }
-
-    /// Select the GC plan directly, adopting its default concurrency.
-    pub fn with_plan(mut self, plan: GcPlanKind) -> HeapConfig {
-        self.plan = plan;
-        self.concurrent = plan.concurrent_by_default();
+        self.concurrent = algorithm.concurrent_by_default();
         self
     }
 
     /// Override whether old-generation marking runs concurrently.
     pub fn with_concurrent(mut self, concurrent: bool) -> HeapConfig {
         self.concurrent = concurrent;
-        self
-    }
-
-    /// Override the stop-the-world mark's worker-thread count.
-    pub fn with_gc_threads(mut self, threads: usize) -> HeapConfig {
-        self.gc_threads = threads.max(1);
         self
     }
 
@@ -285,7 +257,7 @@ impl Heap {
         }
 
         if !self.spaces[SpaceId::Eden as usize].fits(nominal) {
-            self.nursery_collect();
+            self.minor_gc();
             if !self.old_within_budget() {
                 // Promotion overflowed the old generation: a full collection
                 // is forced (the expensive case the paper measures).

@@ -18,10 +18,10 @@
 //!   millions of long-living cached objects expensive (paper §2.1, §6.2).
 //! * A write barrier maintains a remembered set of old→young edges so minor
 //!   collections do not scan the old generation.
-//! * Collection policy is a pluggable **plan** ([`GcPlanKind`], MMTk-style):
-//!   semispace, generational copying, mark-sweep, or immix-style coarse
-//!   sweeping. Full collections mark in parallel over a work-stealing pool
-//!   (`HeapConfig::gc_threads`), and the concurrent plans mark the old
+//! * The collector is one of Table 4's three ([`GcAlgorithm`]): Parallel
+//!   Scavenge compacts the old generation, CMS sweeps it into a free
+//!   list, and G1 sweeps coarse holes with a compaction fallback. Full
+//!   collections mark with one sequential tracer, and CMS/G1 mark the old
 //!   generation on a racing thread with an SATB dirty log, retiring the
 //!   cycle at a short stop-the-world remark.
 //! * Object sizes are *accounted* using JVM layout rules (16-byte header,
@@ -59,7 +59,6 @@ mod gc;
 mod heap;
 mod mark;
 mod object;
-mod plan;
 mod policy;
 mod roots;
 mod space;
@@ -69,7 +68,6 @@ pub use census::ClassStat;
 pub use class::{ClassBuilder, ClassDescriptor, ClassId, ClassRegistry, FieldKind};
 pub use heap::{Heap, HeapConfig, OomError};
 pub use object::ObjRef;
-pub use plan::{GcPlanKind, Plan};
 pub use policy::GcAlgorithm;
 pub use roots::RootId;
 pub use stats::{GcEvent, GcEventKind, GcStats};

@@ -1,75 +1,62 @@
-//! Parallel marking: the tracing loop every plan's old-generation
-//! collection runs, fanned out over a small work-stealing worker pool.
+//! Marking: the one tracing loop every old-generation collection runs,
+//! stop-the-world on the mutator's thread or concurrently on the marker's.
 //!
 //! Marks live in *side bitmaps* (one bit per arena word offset, per
 //! space), not in object headers: marking therefore only **reads** the
-//! arenas, so `std::thread::scope` workers can share them immutably while
-//! racing on the atomic bitmaps. An object is claimed by the worker whose
-//! `fetch_or` first sets its bit, which makes the marked set — and the
-//! traced-object count derived from it — schedule-independent: any worker
-//! interleaving produces exactly one successful claim per reachable
-//! object.
-//!
-//! Work distribution is batch-granular: each worker traces from a private
-//! mark stack and spills half of it to a shared injector whenever the
-//! stack grows past two batches; idle workers steal whole batches back.
-//! Termination is the classic active-counter protocol (a worker only
-//! declares the trace finished when the injector is empty *and* no worker
-//! is active).
+//! arenas, which is what lets the concurrent marker trace a snapshot the
+//! mutator no longer touches. The tracer is sequential: a work-stealing
+//! pool measured no faster than it on two cores (DESIGN.md §2.1), so
+//! there is one loop and one mark stack. The marked set is exactly the
+//! reachable set, and every statistic derived from it follows.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::class::{ClassId, ClassRegistry, FieldKind};
 use crate::heap::HOLE_CLASS;
 use crate::object::{Header, ObjRef};
 use crate::space::Space;
 
-/// Objects a worker spills to / steals from the injector at a time.
-const BATCH: usize = 128;
-/// How many objects a worker traces between cancellation checks.
+/// How many objects the tracer visits between cancellation checks.
 const CANCEL_CHECK_PERIOD: u64 = 256;
 
 /// One space's mark bitmap: bit `i` set iff a live object's header starts
 /// at word offset `i`.
 pub(crate) struct MarkBits {
-    bits: Vec<AtomicU64>,
+    bits: Vec<u64>,
 }
 
 impl MarkBits {
     pub(crate) fn new(word_top: usize) -> MarkBits {
-        let mut bits = Vec::new();
-        bits.resize_with(word_top.div_ceil(64), || AtomicU64::new(0));
-        MarkBits { bits }
+        MarkBits { bits: vec![0; word_top.div_ceil(64)] }
     }
 
-    /// Atomically claim offset `off`; true iff this call newly set the bit.
-    fn try_mark(&self, off: usize) -> bool {
-        let prev = self.bits[off / 64].fetch_or(1u64 << (off % 64), Ordering::Relaxed);
-        prev & (1u64 << (off % 64)) == 0
+    /// Claim offset `off`; true iff this call newly set the bit.
+    fn try_mark(&mut self, off: usize) -> bool {
+        let (word, bit) = (&mut self.bits[off / 64], 1u64 << (off % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
     pub(crate) fn is_marked(&self, off: usize) -> bool {
-        self.bits
-            .get(off / 64)
-            .is_some_and(|w| w.load(Ordering::Relaxed) & (1u64 << (off % 64)) != 0)
+        self.bits.get(off / 64).is_some_and(|w| w & (1u64 << (off % 64)) != 0)
     }
 
-    /// Set a bit outside the racing phase (remark applies the dirty log
-    /// with exclusive ownership; the bitmap grows as needed because the
-    /// arena may have grown past the snapshot top).
+    /// Set a bit after the trace (remark applies the dirty log; the bitmap
+    /// grows as needed because the arena may have grown past the snapshot
+    /// top).
     pub(crate) fn set(&mut self, off: usize) {
         if off / 64 >= self.bits.len() {
-            self.bits.resize_with(off / 64 + 1, || AtomicU64::new(0));
+            self.bits.resize(off / 64 + 1, 0);
         }
-        *self.bits[off / 64].get_mut() |= 1u64 << (off % 64);
+        self.bits[off / 64] |= 1u64 << (off % 64);
     }
 
     /// Marked offsets in ascending (address) order — the deterministic
-    /// iteration order the sequential evacuate/sweep phases consume.
+    /// iteration order the evacuate/sweep phases consume.
     pub(crate) fn iter_marked(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, w)| {
-            let mut word = w.load(Ordering::Relaxed);
+        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut word = w;
             std::iter::from_fn(move || {
                 if word == 0 {
                     return None;
@@ -86,183 +73,75 @@ impl MarkBits {
 pub(crate) struct MarkOutcome {
     /// Per-space mark bitmaps, indexed by `SpaceId`.
     pub(crate) marks: [MarkBits; 4],
-    /// Number of objects marked — exactly the reachable-object count,
-    /// independent of worker count and scheduling.
+    /// Number of objects marked — exactly the reachable-object count.
     pub(crate) objects_marked: u64,
 }
 
-struct Injector {
-    queue: Mutex<Vec<Vec<ObjRef>>>,
-    /// Workers currently tracing (not parked in the idle loop).
-    active: AtomicUsize,
-}
-
-impl Injector {
-    fn push(&self, batch: Vec<ObjRef>) {
-        self.queue.lock().unwrap().push(batch);
-    }
-
-    fn steal(&self) -> Option<Vec<ObjRef>> {
-        self.queue.lock().unwrap().pop()
-    }
-
-    fn has_work(&self) -> bool {
-        !self.queue.lock().unwrap().is_empty()
-    }
-}
-
-/// Trace the heap reachable from `roots`, fanning out over `threads`
-/// workers. Marking only reads `spaces`/`registry`; all claims go through
-/// the atomic bitmaps. Returns `None` if `cancel` was raised mid-trace
+/// Trace the heap reachable from `roots`. Marking only reads
+/// `spaces`/`registry`. Returns `None` if `cancel` was raised mid-trace
 /// (the marked set is then incomplete and must be discarded).
 pub(crate) fn mark_heap(
     spaces: &[Space; 4],
     registry: &ClassRegistry,
     roots: &[ObjRef],
-    threads: usize,
     cancel: Option<&AtomicBool>,
 ) -> Option<MarkOutcome> {
-    let marks = [
-        MarkBits::new(spaces[0].top()),
-        MarkBits::new(spaces[1].top()),
-        MarkBits::new(spaces[2].top()),
-        MarkBits::new(spaces[3].top()),
-    ];
-    let threads = threads.max(1);
-
-    let live_roots: Vec<ObjRef> = roots.iter().copied().filter(|r| !r.is_null()).collect();
-    let objects_marked = if threads == 1 {
-        run_worker(spaces, registry, &marks, live_roots, None, cancel)
-    } else {
-        // Seed the injector with the roots split round-robin into batches
-        // so every worker has something to start from.
-        let injector =
-            Injector { queue: Mutex::new(Vec::new()), active: AtomicUsize::new(threads) };
-        for chunk in live_roots.chunks(BATCH.max(live_roots.len().div_ceil(threads))) {
-            injector.push(chunk.to_vec());
+    let mut marks = spaces.each_ref().map(|s| MarkBits::new(s.top()));
+    let mut stack: Vec<ObjRef> = roots.iter().copied().filter(|r| !r.is_null()).collect();
+    let mut objects_marked = 0u64;
+    let mut since_check = 0u64;
+    while let Some(r) = stack.pop() {
+        since_check += 1;
+        if since_check >= CANCEL_CHECK_PERIOD {
+            since_check = 0;
+            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                return None;
+            }
         }
-        let counts: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let marks = &marks;
-                    let injector = &injector;
-                    s.spawn(move || {
-                        run_worker(spaces, registry, marks, Vec::new(), Some(injector), cancel)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("mark worker panicked")).collect()
-        });
-        counts.into_iter().sum()
-    };
-
+        if trace_object(spaces, registry, &mut marks, r, &mut stack) {
+            objects_marked += 1;
+        }
+    }
     if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
         return None;
     }
     Some(MarkOutcome { marks, objects_marked })
 }
 
-/// One worker's trace loop. Returns the number of objects this worker
-/// newly marked.
-fn run_worker(
-    spaces: &[Space; 4],
-    registry: &ClassRegistry,
-    marks: &[MarkBits; 4],
-    mut local: Vec<ObjRef>,
-    injector: Option<&Injector>,
-    cancel: Option<&AtomicBool>,
-) -> u64 {
-    let mut count = 0u64;
-    let mut since_check = 0u64;
-    'outer: loop {
-        while let Some(r) = local.pop() {
-            since_check += 1;
-            if since_check >= CANCEL_CHECK_PERIOD {
-                since_check = 0;
-                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    return count;
-                }
-            }
-            trace_object(spaces, registry, marks, r, &mut local, &mut count);
-            if let Some(inj) = injector {
-                if local.len() >= 2 * BATCH {
-                    let spill = local.split_off(local.len() - BATCH);
-                    inj.push(spill);
-                }
-            }
-        }
-        let Some(inj) = injector else {
-            return count;
-        };
-        if let Some(batch) = inj.steal() {
-            local = batch;
-            continue;
-        }
-        // Idle: wait for work to appear or for every worker to go idle.
-        inj.active.fetch_sub(1, Ordering::SeqCst);
-        loop {
-            if inj.has_work() {
-                inj.active.fetch_add(1, Ordering::SeqCst);
-                if let Some(batch) = inj.steal() {
-                    local = batch;
-                    continue 'outer;
-                }
-                inj.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            if inj.active.load(Ordering::SeqCst) == 0 && !inj.has_work() {
-                return count;
-            }
-            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                return count;
-            }
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Claim one object and push its unvisited children.
+/// Claim one object and push its non-null children. Returns false if the
+/// object was already marked.
 fn trace_object(
     spaces: &[Space; 4],
     registry: &ClassRegistry,
-    marks: &[MarkBits; 4],
+    marks: &mut [MarkBits; 4],
     r: ObjRef,
-    local: &mut Vec<ObjRef>,
-    count: &mut u64,
-) {
+    stack: &mut Vec<ObjRef>,
+) -> bool {
     debug_assert!(!r.is_null());
     let (space, off) = (r.space() as usize, r.offset());
     if !marks[space].try_mark(off) {
-        return;
+        return false;
     }
-    *count += 1;
     let words = &spaces[space].words;
     let h = Header(words[off]);
     debug_assert_ne!(h.class_id(), HOLE_CLASS, "a reference can never point at a hole");
     debug_assert!(!h.is_forwarded(), "no forwarding pointers during marking");
     let desc = registry.get(ClassId(h.class_id()));
-    match desc.array_elem() {
-        Some(FieldKind::Ref) => {
-            let len = words[off + 1] as usize;
-            for i in 0..len {
-                let v = ObjRef::from_raw(words[off + 2 + i]);
-                if !v.is_null() {
-                    local.push(v);
-                }
-            }
+    let push = |i: usize| {
+        let v = ObjRef::from_raw(words[off + 2 + i]);
+        if !v.is_null() {
+            stack.push(v);
         }
+    };
+    match desc.array_elem() {
+        Some(FieldKind::Ref) => (0..words[off + 1] as usize).for_each(push),
         Some(_) => {}
         None => {
             let mask = desc.ref_mask();
-            for i in 0..desc.slot_count() {
-                if mask & (1u64 << i) != 0 {
-                    let v = ObjRef::from_raw(words[off + 2 + i]);
-                    if !v.is_null() {
-                        local.push(v);
-                    }
-                }
-            }
+            (0..desc.slot_count()).filter(|i| mask & (1u64 << i) != 0).for_each(push);
         }
     }
+    true
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Generational-collector invariants the engine layers rely on: objects
 //! promote exactly at the tenuring threshold, the write barrier's
 //! remembered set keeps old→young edges alive across minor collections,
-//! and external (Deca page) accounting is untouched by any GC plan.
+//! and external (Deca page) accounting is untouched by any collector.
 
-use deca_heap::{ClassBuilder, FieldKind, GcPlanKind, Heap, HeapConfig, ObjRef};
+use deca_heap::{ClassBuilder, FieldKind, GcAlgorithm, Heap, HeapConfig, ObjRef};
 
 fn node_class(heap: &mut Heap) -> deca_heap::ClassId {
     heap.define_class(
@@ -106,8 +106,8 @@ fn overwritten_young_references_do_not_leak() {
 fn write_barrier_stays_correct_after_a_full_collection() {
     // A full GC rebuilds/clears the remembered set; barriers fired after it
     // must still protect new old→young edges.
-    for kind in GcPlanKind::ALL {
-        let mut heap = Heap::new(HeapConfig::small().with_plan(kind).with_concurrent(false));
+    for kind in GcAlgorithm::ALL {
+        let mut heap = Heap::new(HeapConfig::small().with_algorithm(kind).with_concurrent(false));
         let cls = node_class(&mut heap);
 
         let parent = heap.alloc(cls).unwrap();
@@ -134,9 +134,9 @@ fn external_accounting_is_exact_across_full_collections() {
     // Registered external pages are pseudo-objects with O(1) trace cost:
     // neither full-GC algorithm may change their byte accounting, and
     // unregistering is the only thing that releases them.
-    for kind in GcPlanKind::ALL {
+    for kind in GcAlgorithm::ALL {
         let mut heap =
-            Heap::new(HeapConfig::with_total(8 << 20).with_plan(kind).with_concurrent(false));
+            Heap::new(HeapConfig::with_total(8 << 20).with_algorithm(kind).with_concurrent(false));
         let a = heap.register_external(64 << 10).unwrap();
         let b = heap.register_external(32 << 10).unwrap();
         assert_eq!(heap.external_bytes(), 96 << 10, "{kind:?}");

@@ -109,37 +109,36 @@ for sched in wave pull; do
   done
 done
 
-echo "== GC plan matrix (every plan x modes x widths x fault seeds, both schedulers) =="
-# The gc_plans suite proves a collector never computes: every GcPlanKind
-# (semispace, gencopy, marksweep, immix — the concurrent ones racing a
-# real marker thread) must produce bit-identical WC/PR checksums under
-# the pinned fault storm at every width, with recovery roll-ups
+echo "== GC matrix (three collectors x modes x widths x fault seeds, both schedulers) =="
+# The gc_plans suite proves a collector never computes: each of Table 4's
+# three collectors (Parallel Scavenge; CMS and G1 with a real marker
+# thread racing the mutator) must produce bit-identical WC/PR checksums
+# under the pinned fault storm at every width, with recovery roll-ups
 # identical across Wave and Pull. It already ran inside `cargo test`
 # above; this leg re-runs it under each scheduler default so a failure
-# hands the reader the exact replay line.
+# hands the reader the exact replay line. (The cross-mode suite loops
+# over the collectors itself, so it needs no leg of its own.)
 for sched in wave pull; do
   if ! DECA_SCHEDULER=$sched \
       cargo test -q --offline -p deca-bench --test gc_plans; then
-    echo "GC plan matrix failed under the $sched scheduler; replay locally with:"
+    echo "GC matrix failed under the $sched scheduler; replay locally with:"
     echo "  DECA_SCHEDULER=$sched cargo test --offline -p deca-bench --test gc_plans"
     exit 1
   fi
 done
 
-echo "== DECA_GC_PLAN env plumbing (cross-mode equivalence under every plan) =="
-# Executors built from default configs read DECA_GC_PLAN
-# (ExecutorConfig::builder -> GcPlanKind::from_env), so this leg is the
-# env branch the unit tests deliberately leave alone (env vars race
-# across parallel test threads): the whole cross-mode checksum suite
-# must hold unchanged under each plan name.
-for plan in semispace gencopy marksweep immix; do
-  if ! DECA_GC_PLAN=$plan \
-      cargo test -q --offline -p deca-bench --test cross_mode_equivalence; then
-    echo "cross-mode equivalence failed under DECA_GC_PLAN=$plan; replay locally with:"
-    echo "  DECA_GC_PLAN=$plan cargo test --offline -p deca-bench --test cross_mode_equivalence"
-    exit 1
-  fi
-done
+echo "== no environment knobs in the heap =="
+# A run's collector is its config's GcAlgorithm and nothing else: the heap
+# reads no environment variable, and no variable in the DECA_GC namespace
+# exists anywhere to override a collector from elsewhere in the process.
+# (The pattern's bracket keeps this script from matching itself.)
+knobs=$( (grep -rn 'env::var' crates/heap/src || true)
+  grep -rn 'DECA_GC[_]' crates tests examples scripts || true)
+if [ -n "$knobs" ]; then
+  echo "environment knobs found in the heap or the DECA_GC namespace:"
+  echo "$knobs"
+  exit 1
+fi
 
 echo "== server soak (concurrent submissions, both schedulers, replayed seeds) =="
 # The soak pushes DECA_SOAK_JOBS mixed WC/PR jobs per leg from 16 client

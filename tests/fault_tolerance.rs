@@ -29,16 +29,12 @@ const FAULT_SEEDS: [u64; 3] = [11, 29, 47];
 
 /// The seeds under test plus whether they are the pinned trio.
 /// `DECA_CHECK_SEED` — the same replay knob the property harness uses —
-/// overrides the set with a single seed; `DECA_FAULT_SWEEP=N` (the
-/// nightly gate) sweeps seeds `0..N` instead. Non-pinned runs assert
-/// result equivalence and the accounting invariants only, because an
-/// arbitrary seed may inject nothing retried.
+/// overrides the set with a single seed. A replayed run asserts result
+/// equivalence and the accounting invariants only, because an arbitrary
+/// seed may inject nothing retried.
 fn fault_seeds() -> (Vec<u64>, bool) {
     if let Some(seed) = std::env::var("DECA_CHECK_SEED").ok().and_then(|s| s.parse().ok()) {
         return (vec![seed], false);
-    }
-    if let Some(n) = std::env::var("DECA_FAULT_SWEEP").ok().and_then(|s| s.parse::<u64>().ok()) {
-        return ((0..n).collect(), false);
     }
     (FAULT_SEEDS.to_vec(), true)
 }

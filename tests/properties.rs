@@ -578,7 +578,7 @@ fn mark_sweep_gc_preserves_reachable_graphs() {
         |(values, gcs)| {
             let mut heap = Heap::new(
                 HeapConfig::small()
-                    .with_plan(deca_heap::GcPlanKind::MarkSweep)
+                    .with_algorithm(deca_heap::GcAlgorithm::Cms)
                     .with_concurrent(false),
             );
             let node = heap.define_class(

@@ -21,7 +21,7 @@ use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_on;
 use deca_apps::wordcount::{self, WcParams};
 use deca_engine::{AppJob, ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode};
-use deca_heap::GcPlanKind;
+use deca_heap::GcAlgorithm;
 
 use util::TestDir;
 
@@ -77,8 +77,8 @@ fn pr_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
     (pagerank::job(&p), pagerank::pr_config(&p))
 }
 
-/// One run on one executor, under the stop-the-world default plan (the
-/// concurrent plans race a marker thread, so their counts need not
+/// One run on one executor, under the stop-the-world default collector
+/// (the concurrent ones race a marker thread, so their counts need not
 /// repeat): `[objects_allocated, bytes_allocated, minor_gcs, full_gcs]`
 /// and the cache's `[evictions, demotions, spill_write_bytes,
 /// spill_read_bytes]`.
@@ -87,7 +87,7 @@ fn run_alone(
     mode: ExecutionMode,
 ) -> ([u64; 4], [u64; 4]) {
     let (app, config) = build(mode);
-    let config = config.gc_plan(GcPlanKind::GenCopy).scheduler(SchedulerMode::Pull);
+    let config = config.gc_algorithm(GcAlgorithm::ParallelScavenge).scheduler(SchedulerMode::Pull);
     let mut session = ClusterSession::new(1, config);
     run_job_on(&app, &mut session).expect("the job completes");
     let e = &session.cluster().executors[0];
