@@ -132,6 +132,13 @@ const ARTEFACTS: &[Artefact] = &[
         run: table6,
     },
     Artefact {
+        name: "residue",
+        paper: "Baseline check (not in the paper): WC, WC-text, LR and PR on heaps no mode \
+                collects in — Spark/Deca and SparkSer/Deca there are the representation \
+                cost alone",
+        run: residue,
+    },
+    Artefact {
         name: "ablations",
         paper: "Ablations of Deca's design choices: page size, segment reuse, \
                 pointer-array elision, thrash avoidance, full-GC strategy, phased \
@@ -252,11 +259,7 @@ fn wc_grid(
                 })
             })
             .collect();
-        [0, 1].map(|m| {
-            let mut times: Vec<Duration> = runs.iter().map(|r| r[m].exec()).collect();
-            times.sort_unstable();
-            times[1]
-        })
+        median_exec(&runs)
     };
     let grid = sizes.iter().map(|&(words, size)| {
         let row = keys.iter().map(|&(distinct, key)| {
@@ -274,6 +277,15 @@ fn wc_grid(
         row.collect()
     });
     grid.collect()
+}
+
+/// Per mode, the median `exec` of three (or any odd number of) runs.
+fn median_exec<const N: usize>(runs: &[[AppReport; N]]) -> [Duration; N] {
+    std::array::from_fn(|m| {
+        let mut times: Vec<Duration> = runs.iter().map(|r| r[m].exec()).collect();
+        times.sort_unstable();
+        times[times.len() / 2]
+    })
 }
 
 fn fig8b(s: &Scale) -> Vec<ShapeCheck> {
@@ -675,6 +687,66 @@ fn table6(s: &Scale) -> Vec<ShapeCheck> {
             ),
         },
     ]
+}
+
+// ---------------------------------------------------------------------
+// The representation residue
+// ---------------------------------------------------------------------
+
+/// A heap whose eden (4/15 of it) holds everything any mode of a
+/// `residue` job allocates at scale 1; arenas grow with use, so the
+/// capacity costs no memory of its own.
+const RESIDUE_HEAP: usize = 512 << 20;
+
+/// The Spark/Deca gap with memory management taken out: each app on a
+/// heap no mode collects in and a cache that never spills, so the exec
+/// ratios are what is left — heap objects vs Kryo bytes vs pages, the
+/// representation cost alone. Medians of three runs per mode.
+fn residue(s: &Scale) -> Vec<ShapeCheck> {
+    table_header(&["app", "Spark_s", "SparkSer_s", "Deca_s", "Spark/Deca", "SparkSer/Deca"]);
+    let mut collected = Vec::new();
+    let mut row = |app: &str, tol: f64, run: &dyn Fn(ExecutionMode) -> AppReport| {
+        let runs: Vec<[AppReport; 3]> =
+            (0..3).map(|_| across_modes(ExecutionMode::ALL, tol, run)).collect();
+        for r in runs.iter().flatten().filter(|r| r.minor_gcs + r.full_gcs > 0) {
+            collected.push(format!("{app} {} {}/{}", r.mode.name(), r.minor_gcs, r.full_gcs));
+        }
+        let [spark, ser, deca] = median_exec(&runs);
+        let ratio = |t: Duration| format!("{:.2}x", t.as_secs_f64() / deca.as_secs_f64().max(1e-9));
+        table_row(&[app.to_string(), secs(spark), secs(ser), secs(deca), ratio(spark), ratio(ser)]);
+    };
+    let wc = |mode| {
+        let mut p = wc_params(s, mode, 400_000, 10_000);
+        p.heap_bytes = RESIDUE_HEAP;
+        p
+    };
+    row("WC", tol::WC, &|mode| wordcount::run_local(&wc(mode), 1));
+    row("WC-text", tol::WC, &|mode| {
+        let p = wc(mode);
+        run_job_local(&wordcount::text_job(&p), wordcount::wc_config(&p), 1)
+    });
+    row("LR", tol::LR, &|mode| {
+        let mut p = lr_params(s, mode, LR_FITTING);
+        p.heap_bytes = RESIDUE_HEAP;
+        logreg::run_local(&p, 1)
+    });
+    row("PR", tol::PR, &|mode| {
+        let (vertices, edges, _) = GRAPHS[0];
+        let mut p = PrParams::small(mode);
+        (p.vertices, p.edges, p.iterations) =
+            (s.records(vertices), s.records(edges), s.graph_iterations);
+        p.heap_bytes = RESIDUE_HEAP;
+        pagerank::run_local(&p, 1)
+    });
+    vec![ShapeCheck {
+        name: "residue/no-mode-collects",
+        ok: collected.is_empty(),
+        detail: if collected.is_empty() {
+            "no minor or full GC in any run".to_string()
+        } else {
+            format!("minor/full GCs in {}", collected.join(", "))
+        },
+    }]
 }
 
 // ---------------------------------------------------------------------

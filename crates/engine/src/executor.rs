@@ -215,10 +215,16 @@ impl Executor {
         // Baseline the GC accounting so earlier tasks' collections are not
         // re-attributed.
         let _ = self.gc_acc.account(self.heap.stats());
+        // A task's UDF temporaries die with it: a body that `?`s out of a
+        // store (an `OomError` between its push and its truncate) must not
+        // leave them rooted for the recovery's full GC, the retry, or — on
+        // a long-lived executor — later jobs.
+        let stack_mark = self.heap.stack_watermark();
 
         let wall_start = Instant::now();
         let result = f(self);
         let wall = wall_start.elapsed();
+        self.heap.truncate_stack(stack_mark);
 
         let (gc_pause, gc_concurrent) = self.gc_acc.account(self.heap.stats());
         let ser = self.kryo.ser_time - ser0;
@@ -643,6 +649,27 @@ mod tests {
         assert!(e.trace.is_empty());
         assert!(!e.mm.log_releases);
         assert_eq!(e.tasks.len(), 1, "metrics are unaffected by the tracing knob");
+    }
+
+    /// A body that fails between pushing its temporaries and truncating
+    /// them — a store's `?` on an `OomError` — leaves no stack root behind,
+    /// so the recovery's full GC frees the failed attempt's objects.
+    #[test]
+    fn a_failed_task_leaves_no_stack_roots() {
+        let mut e = exec();
+        let c = e.heap.define_class(ClassBuilder::new("T").field("a", FieldKind::I64));
+        let roots = e.heap.root_count();
+        let r: Result<(), deca_heap::OomError> = e.run_task("fails", |e| {
+            for _ in 0..2 {
+                let o = e.heap.alloc(c)?;
+                e.heap.push_stack(o);
+            }
+            Err(deca_heap::OomError { requested: 1 << 30 })
+        });
+        assert!(r.is_err());
+        assert_eq!(e.heap.root_count(), roots, "the failed task's stack roots are gone");
+        e.spill_for_memory();
+        assert_eq!(e.object_count(), 0, "nothing of the failed attempt survives the full GC");
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub struct ClassId(pub(crate) u32);
 
 impl ClassId {
     /// The raw index of this class in its registry.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -50,6 +51,7 @@ pub enum FieldKind {
 impl FieldKind {
     /// Nominal JVM size of this kind in bytes (references assume 8-byte
     /// uncompressed oops, as on a 30 GB heap in the paper's setup).
+    #[inline]
     pub fn nominal_bytes(self) -> usize {
         match self {
             FieldKind::Bool | FieldKind::I8 => 1,
@@ -60,6 +62,7 @@ impl FieldKind {
     }
 
     /// Whether values of this kind are references into the heap.
+    #[inline]
     pub fn is_ref(self) -> bool {
         matches!(self, FieldKind::Ref)
     }
@@ -91,11 +94,13 @@ pub(crate) const HEADER_BYTES: usize = 16;
 /// Object alignment in the nominal accounting.
 pub(crate) const ALIGN_BYTES: usize = 8;
 
+#[inline]
 fn align_up(n: usize) -> usize {
     (n + ALIGN_BYTES - 1) & !(ALIGN_BYTES - 1)
 }
 
 impl ClassDescriptor {
+    #[inline]
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -104,20 +109,24 @@ impl ClassDescriptor {
         &self.fields
     }
 
+    #[inline]
     pub fn is_array(&self) -> bool {
         self.array_elem.is_some()
     }
 
+    #[inline]
     pub fn array_elem(&self) -> Option<FieldKind> {
         self.array_elem
     }
 
     /// Number of payload slots of a record instance (one word per field).
+    #[inline]
     pub fn slot_count(&self) -> usize {
         self.fields.len()
     }
 
     /// Whether field slot `i` holds a reference.
+    #[inline]
     pub fn slot_is_ref(&self, i: usize) -> bool {
         self.ref_mask & (1u64 << i) != 0
     }
@@ -138,6 +147,7 @@ impl ClassDescriptor {
 
     /// Nominal (JVM-accounted) size in bytes of an instance. For arrays,
     /// `len` is the element count; for record classes it is ignored.
+    #[inline]
     pub fn nominal_size(&self, len: usize) -> usize {
         match self.array_elem {
             Some(elem) => align_up(HEADER_BYTES + len * elem.nominal_bytes()),
@@ -235,6 +245,7 @@ impl ClassRegistry {
         id
     }
 
+    #[inline]
     pub fn get(&self, id: ClassId) -> &ClassDescriptor {
         &self.classes[id.index()]
     }

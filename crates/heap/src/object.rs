@@ -18,30 +18,36 @@ pub struct ObjRef(u64);
 impl ObjRef {
     pub const NULL: ObjRef = ObjRef(0);
 
+    #[inline]
     pub(crate) fn new(space: SpaceId, word_offset: usize) -> ObjRef {
         let off = word_offset as u64 + 1;
         debug_assert!(off < (1 << 62));
         ObjRef((space as u64) << 62 | off)
     }
 
+    #[inline]
     pub fn is_null(self) -> bool {
         self.0 == 0
     }
 
+    #[inline]
     pub(crate) fn space(self) -> SpaceId {
         debug_assert!(!self.is_null());
         SpaceId::from_bits((self.0 >> 62) as u8)
     }
 
+    #[inline]
     pub(crate) fn offset(self) -> usize {
         debug_assert!(!self.is_null());
         ((self.0 & ((1 << 62) - 1)) - 1) as usize
     }
 
+    #[inline]
     pub(crate) fn raw(self) -> u64 {
         self.0
     }
 
+    #[inline]
     pub(crate) fn from_raw(raw: u64) -> ObjRef {
         ObjRef(raw)
     }
@@ -73,10 +79,12 @@ const REMEMBERED_BIT: u64 = 1 << 41;
 const FORWARDED_BIT: u64 = 1 << 42;
 
 impl Header {
+    #[inline]
     pub fn new(class_id: u32) -> Header {
         Header(class_id as u64)
     }
 
+    #[inline]
     pub fn class_id(self) -> u32 {
         (self.0 & 0xffff_ffff) as u32
     }

@@ -41,31 +41,38 @@ impl RootSet {
         r
     }
 
+    #[inline]
     pub fn get(&self, id: RootId) -> ObjRef {
         self.slots[id.0]
     }
 
+    #[inline]
     pub fn set(&mut self, id: RootId, r: ObjRef) {
         self.slots[id.0] = r;
     }
 
+    #[inline]
     pub fn push_stack(&mut self, r: ObjRef) -> usize {
         self.stack.push(r);
         self.stack.len() - 1
     }
 
+    #[inline]
     pub fn stack_get(&self, i: usize) -> ObjRef {
         self.stack[i]
     }
 
+    #[inline]
     pub fn stack_set(&mut self, i: usize, r: ObjRef) {
         self.stack[i] = r;
     }
 
+    #[inline]
     pub fn stack_len(&self) -> usize {
         self.stack.len()
     }
 
+    #[inline]
     pub fn truncate_stack(&mut self, watermark: usize) {
         self.stack.truncate(watermark);
     }

@@ -16,6 +16,7 @@ pub enum SpaceId {
 }
 
 impl SpaceId {
+    #[inline]
     pub fn from_bits(b: u8) -> SpaceId {
         match b {
             0 => SpaceId::Eden,
@@ -45,6 +46,7 @@ impl Space {
     }
 
     /// Whether an object of `nominal_bytes` fits without collection.
+    #[inline]
     pub fn fits(&self, nominal_bytes: usize) -> bool {
         self.nominal_used + nominal_bytes <= self.nominal_cap
     }
@@ -58,6 +60,33 @@ impl Space {
     pub fn bump(&mut self, slot_words: usize, nominal_bytes: usize) -> usize {
         let start = self.words.len();
         self.words.resize(start + 2 + slot_words, 0);
+        self.nominal_used += nominal_bytes;
+        start
+    }
+
+    /// The mutator's bump (the TLAB bump of a JIT-compiled `new`): append
+    /// an object's two header words and `slot_words` zeroed payload words,
+    /// charging `nominal_bytes`. A small payload is zeroed word by word in
+    /// the caller's code, without a `memset` call; only a large array's
+    /// goes through [`Vec::resize`].
+    #[inline]
+    pub(crate) fn bump_object(
+        &mut self,
+        header: [u64; 2],
+        slot_words: usize,
+        nominal_bytes: usize,
+    ) -> usize {
+        const INLINE_ZEROED_WORDS: usize = 16;
+        let start = self.words.len();
+        self.words.extend_from_slice(&header);
+        if slot_words <= INLINE_ZEROED_WORDS {
+            self.words.reserve(slot_words);
+            for _ in 0..slot_words {
+                self.words.push(0);
+            }
+        } else {
+            self.words.resize(start + 2 + slot_words, 0);
+        }
         self.nominal_used += nominal_bytes;
         start
     }
@@ -88,6 +117,7 @@ impl Space {
         self.words.truncate(top_words);
     }
 
+    #[inline]
     pub fn nominal_cap(&self) -> usize {
         self.nominal_cap
     }

@@ -182,12 +182,16 @@ echo "== properties (replayed seeds) =="
 # borrowed-key insert must equal a HashMap fold for i64 and multilingual
 # String keys across growths (`spark_shuffle_*`). The heap's word-wide
 # `byte[]` copies must equal element-by-element access on random spans and
-# leave every byte outside the span alone (`byte_array_*`). These
-# properties draw their cases from DECA_CHECK_SEED; a failure hands the
-# reader the exact replay line.
+# leave every byte outside the span alone (`byte_array_*`). The heap's
+# inlined allocation fast path and its slow path must count, zero and poll
+# as one allocator across the eden-full and humongous boundaries, under PS
+# and CMS with a held concurrent cycle (`alloc_fast_*`). These properties
+# draw their cases from DECA_CHECK_SEED; a failure hands the reader the
+# exact replay line.
 for seed in 11 29 47; do
   for suite in "-p deca-bench --test properties shuffle" "-p deca-core --lib shuffle" \
-      "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array"; do
+      "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array" \
+      "-p deca-heap --lib alloc_fast"; do
     # shellcheck disable=SC2086 # $suite is a word list on purpose
     if ! DECA_CHECK_SEED=$seed cargo test -q --offline $suite; then
       echo "properties failed under seed $seed; replay locally with:"

@@ -7,6 +7,10 @@
 //! allocate exactly the objects and bytes, and run exactly the minor and
 //! full collections, recorded below from the commit before the Spark
 //! buffers took Deca's hash, borrowed-key probes and typed array access.
+//! The collectors' work is pinned beside it — the objects they trace, the
+//! bytes minor collections copy and the bytes they promote, recorded from
+//! the commit before the heap's mutator fast path — so a faster mutator
+//! cannot pass while changing what a collection does.
 //!
 //! Under a storage budget far below the cached set, the cache's tier
 //! traffic is fixed by the job too: LR and PageRank there must demote,
@@ -79,13 +83,13 @@ fn pr_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
 
 /// One run on one executor, under the stop-the-world default collector
 /// (the concurrent ones race a marker thread, so their counts need not
-/// repeat): `[objects_allocated, bytes_allocated, minor_gcs, full_gcs]`
-/// and the cache's `[evictions, demotions, spill_write_bytes,
-/// spill_read_bytes]`.
+/// repeat): `[objects_allocated, bytes_allocated, minor_gcs, full_gcs,
+/// objects_traced, bytes_copied, bytes_promoted]` and the cache's
+/// `[evictions, demotions, spill_write_bytes, spill_read_bytes]`.
 fn run_alone(
     build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
     mode: ExecutionMode,
-) -> ([u64; 4], [u64; 4]) {
+) -> ([u64; 7], [u64; 4]) {
     let (app, config) = build(mode);
     let config = config.gc_algorithm(GcAlgorithm::ParallelScavenge).scheduler(SchedulerMode::Pull);
     let mut session = ClusterSession::new(1, config);
@@ -93,50 +97,82 @@ fn run_alone(
     let e = &session.cluster().executors[0];
     let (s, c) = (e.heap_stats(), e.cache.stats());
     (
-        [s.objects_allocated, s.bytes_allocated, s.minor_collections, s.full_collections],
+        [
+            s.objects_allocated,
+            s.bytes_allocated,
+            s.minor_collections,
+            s.full_collections,
+            s.objects_traced,
+            s.bytes_copied,
+            s.bytes_promoted,
+        ],
         [c.evictions, c.demotions, c.spill_write_bytes, c.spill_read_bytes],
     )
 }
 
-fn same_heap_cost(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), want: [[u64; 4]; 2]) {
+fn same_heap_cost(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), want: [[u64; 7]; 2]) {
     let td = TestDir::executor_default();
     let got = SPARK_MODES.map(|mode| run_alone(build, mode).0);
-    assert_eq!(got, want, "[objects, bytes, minor GCs, full GCs] in [Spark, SparkSer]");
+    assert_eq!(
+        got, want,
+        "[objects, bytes, minor GCs, full GCs, traced, copied, promoted] in [Spark, SparkSer]"
+    );
     td.cleanup();
 }
 
-/// `want` is `[heap cost, cache traffic]` per mode, in [Spark, SparkSer].
+/// `want` is `(heap cost, cache traffic)` per mode, in [Spark, SparkSer].
 fn same_heap_and_cache_cost(
     build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
-    want: [[[u64; 4]; 2]; 2],
+    want: [([u64; 7], [u64; 4]); 2],
 ) {
     let td = TestDir::executor_default();
-    let got = SPARK_MODES.map(|mode| {
-        let (heap, cache) = run_alone(build, mode);
-        [heap, cache]
-    });
+    let got = SPARK_MODES.map(|mode| run_alone(build, mode));
     assert_eq!(got, want, "[heap cost, cache traffic] in [Spark, SparkSer]");
     td.cleanup();
 }
 
 #[test]
 fn wordcount_allocates_and_collects_as_recorded() {
-    same_heap_cost(wc, [[258_850, 6_954_448, 3, 0], [258_850, 6_954_448, 3, 0]]);
+    same_heap_cost(
+        wc,
+        [
+            [258_850, 6_954_448, 3, 0, 5_590, 199_680, 0],
+            [258_850, 6_954_448, 3, 0, 5_590, 199_680, 0],
+        ],
+    );
 }
 
 #[test]
 fn text_wordcount_allocates_and_collects_as_recorded() {
-    same_heap_cost(wc_text, [[209_700, 6_751_080, 3, 0], [209_700, 6_751_080, 3, 0]]);
+    same_heap_cost(
+        wc_text,
+        [
+            [209_700, 6_751_080, 3, 0, 11_043, 429_808, 0],
+            [209_700, 6_751_080, 3, 0, 11_043, 429_808, 0],
+        ],
+    );
 }
 
 #[test]
 fn logreg_allocates_and_collects_as_recorded() {
-    same_heap_cost(lr, [[191_260, 14_921_416, 6, 1], [270_008, 17_850_176, 8, 0]]);
+    same_heap_cost(
+        lr,
+        [
+            [191_260, 14_921_416, 6, 1, 202_179, 11_779_480, 5_940_144],
+            [270_008, 17_850_176, 8, 0, 8, 2_730_176, 2_730_176],
+        ],
+    );
 }
 
 #[test]
 fn pagerank_allocates_and_collects_as_recorded() {
-    same_heap_cost(pr, [[302_565, 8_985_072, 4, 0], [298_805, 8_843_424, 3, 0]]);
+    same_heap_cost(
+        pr,
+        [
+            [302_565, 8_985_072, 4, 0, 15_762, 756_432, 189_088],
+            [298_805, 8_843_424, 3, 0, 5_932, 366_296, 47_440],
+        ],
+    );
 }
 
 #[test]
@@ -144,8 +180,11 @@ fn spilling_logreg_moves_the_cache_as_recorded() {
     same_heap_and_cache_cost(
         lr_spilling,
         [
-            [[450_039, 32_149_416, 7, 0], [31, 7, 10_578_750, 8_190_000]],
-            [[270_032, 26_040_704, 5, 0], [30, 0, 10_237_500, 8_190_000]],
+            (
+                [450_039, 32_149_416, 7, 0, 43_133, 2_595_352, 194_208],
+                [31, 7, 10_578_750, 8_190_000],
+            ),
+            ([270_032, 26_040_704, 5, 0, 10, 2_730_368, 1_706_360], [30, 0, 10_237_500, 8_190_000]),
         ],
     );
 }
@@ -155,8 +194,8 @@ fn spilling_pagerank_moves_the_cache_as_recorded() {
     same_heap_and_cache_cost(
         pr_spilling,
         [
-            [[313_860, 9_588_912, 4, 0], [15, 3, 178_603, 142_083]],
-            [[298_817, 8_985_744, 4, 0], [15, 0, 178_603, 142_083]],
+            ([313_860, 9_588_912, 4, 0, 9_523, 408_336, 0], [15, 3, 178_603, 142_083]),
+            ([298_817, 8_985_744, 4, 0, 5_408, 259_600, 0], [15, 0, 178_603, 142_083]),
         ],
     );
 }
