@@ -282,12 +282,9 @@ fn assert_deca_plan() {
 /// scheduler-equivalence tests can build sessions with the exact same
 /// memory split, then vary retry policy and scheduler mode).
 pub fn pr_config(params: &PrParams) -> ExecutorConfig {
-    ExecutorConfig::builder()
-        .mode(params.mode)
-        .heap_bytes(params.heap_bytes)
+    ExecutorConfig::new(params.mode, params.heap_bytes)
         .storage_fraction(params.storage_fraction)
-        .gc(params.gc_algorithm)
-        .build()
+        .gc_algorithm(params.gc_algorithm)
 }
 
 /// Run PageRank across `executors` parallel executors. The rank vector is

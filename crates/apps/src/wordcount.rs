@@ -63,12 +63,7 @@ impl WcParams {
 /// scheduler-equivalence tests can build sessions with the exact same
 /// memory split, then vary retry policy and scheduler mode).
 pub fn wc_config(params: &WcParams) -> ExecutorConfig {
-    ExecutorConfig::builder()
-        .mode(params.mode)
-        .heap_bytes(params.heap_bytes)
-        .shuffle_fraction(0.6)
-        .storage_fraction(0.2)
-        .build()
+    ExecutorConfig::new(params.mode, params.heap_bytes).storage_fraction(0.2)
 }
 
 /// The WordCount job description: consumed by `DecaServer::submit`

@@ -30,7 +30,7 @@
 //! * [`cache`] — decomposed cache blocks;
 //! * [`shuffle`] / [`var_shuffle`] — decomposed shuffle buffers: the
 //!   pointer-free SFST hash table laid out in its pages, the pointer-array
-//!   buffers for variable-size keys and sorting, and the in-place
+//!   buffer for variable-size keys, and the in-place
 //!   aggregate-value reuse of §4.3.2 (Figure 6b);
 //! * [`hash`] — the word-at-a-time hash every shuffle buffer uses, Deca's
 //!   page tables and the Spark baselines' std maps alike, and the engine
@@ -85,8 +85,7 @@ pub use page::Page;
 pub use record::DecaRecord;
 pub use secondary::SecondaryView;
 pub use shuffle::{
-    ArenaStats, DecaHashShuffle, DecaSortShuffle, PageRun, PayloadChunks, ShuffleArena,
-    ShufflePayload,
+    ArenaStats, DecaHashShuffle, PageRun, PayloadChunks, ShuffleArena, ShufflePayload,
 };
 pub use swap::SpillStore;
 pub use var_shuffle::DecaVarHashShuffle;

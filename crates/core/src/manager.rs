@@ -104,7 +104,6 @@ pub struct MemoryManager {
     free: Vec<usize>,
     clock: u64,
     page_size: usize,
-    spill_dir: PathBuf,
     spill: SpillStore,
     /// Cumulative bytes written to / read from spill files.
     pub spill_write_bytes: u64,
@@ -129,7 +128,6 @@ impl MemoryManager {
             free: Vec::new(),
             clock: 0,
             page_size,
-            spill_dir: spill_dir.clone(),
             spill: SpillStore::new(spill_dir),
             spill_write_bytes: 0,
             spill_read_bytes: 0,
@@ -163,11 +161,6 @@ impl MemoryManager {
 
     pub fn page_size(&self) -> usize {
         self.page_size
-    }
-
-    /// The spill directory (shuffle run files live beside swap files).
-    pub fn spill_dir(&self) -> &std::path::Path {
-        &self.spill_dir
     }
 
     /// Create a fresh page group with reference count 1.

@@ -1,23 +1,20 @@
 //! Decomposed shuffle buffers (§4.2–§4.3, Figure 6b).
 //!
-//! Two buffer shapes, matching Spark's shuffle implementations:
-//!
-//! * [`DecaHashShuffle`] — hash-based with **eager combining**
-//!   (`reduceByKey`) when both Key and Value are SFSTs: the paper's
-//!   pointer-free buffer ("the pointer array can be avoided", §4.3.2). The
-//!   open-addressing table *is* the buffer's pages: slot `i` is a fixed
-//!   `key_size + val_size` segment at page `i / slots_per_page`, offset
-//!   `(i % slots_per_page) * slot_size`, with `slots_per_page` a power of
-//!   two. The only off-page metadata is one control byte per slot (empty,
-//!   or a 7-bit tag of the key's hash), so a probe reads page bytes only on
-//!   a tag match, and a combine **reuses the old value's bytes in place** —
-//!   the paper's fix for the "Value object dies on every aggregate" churn
-//!   that saturates the GC in WordCount (§4.3.2, Figure 8a).
-//!   [`DecaHashShuffle::insert_all`] enters the page group once per run of
-//!   inserts that fit under the 0.7 load threshold.
-//! * [`DecaSortShuffle`] — sort-based: framed entries appended to pages, a
-//!   pointer array sorted by key at the end (pointers are sorted, bytes
-//!   never move).
+//! [`DecaHashShuffle`] is the hash-based buffer with **eager combining**
+//! (`reduceByKey`) when both Key and Value are SFSTs: the paper's
+//! pointer-free buffer ("the pointer array can be avoided", §4.3.2). The
+//! open-addressing table *is* the buffer's pages: slot `i` is a fixed
+//! `key_size + val_size` segment at page `i / slots_per_page`, offset
+//! `(i % slots_per_page) * slot_size`, with `slots_per_page` a power of
+//! two. The only off-page metadata is one control byte per slot (empty,
+//! or a 7-bit tag of the key's hash), so a probe reads page bytes only on
+//! a tag match, and a combine **reuses the old value's bytes in place** —
+//! the paper's fix for the "Value object dies on every aggregate" churn
+//! that saturates the GC in WordCount (§4.3.2, Figure 8a).
+//! [`DecaHashShuffle::insert_all`] enters the page group once per run of
+//! inserts that fit under the 0.7 load threshold. Variable-size keys use
+//! [`crate::DecaVarHashShuffle`]. No job here sorts by key, so the paper's
+//! sort-based buffer (Figure 6b, Appendix C) is not built.
 //!
 //! The table's heap-budget cost is its pages, 0.35–0.7 full of live slots
 //! between growths; the control array sits off the budget at one byte per
@@ -36,7 +33,7 @@ use std::sync::Arc;
 
 use deca_heap::Heap;
 
-use crate::group::{PageGroup, SegPtr};
+use crate::group::PageGroup;
 use crate::hash::hash_bytes;
 use crate::manager::{GroupId, MemError, MemoryManager};
 use crate::page::Page;
@@ -338,234 +335,6 @@ impl DecaHashShuffle {
     pub fn release(&mut self, mm: &mut MemoryManager, heap: &mut Heap) {
         if !self.released {
             mm.release(self.group, heap);
-            self.released = true;
-        }
-    }
-}
-
-/// Sort-based shuffle buffer: framed entries plus a pointer array sorted at
-/// close. Bytes never move — only pointers are sorted (Figure 6b).
-///
-/// Under memory pressure the buffer spills **sorted runs** to disk
-/// (Appendix C: "Deca sorts the pointers before spilling, and writes the
-/// spilled data into files according to the order of the pointers"), and
-/// [`DecaSortShuffle::merge_sorted`] streams a k-way merge of the runs
-/// plus the in-memory remainder.
-#[derive(Debug)]
-pub struct DecaSortShuffle {
-    group: GroupId,
-    /// (entry pointer, entry length) — the pointer array.
-    ptrs: Vec<(SegPtr, u32)>,
-    /// Sorted spilled run files.
-    runs: Vec<std::path::PathBuf>,
-    /// Bytes written to run files.
-    pub spilled_bytes: u64,
-    /// Process-unique id for run file names (group ids are reused slots,
-    /// so they alone could collide across shuffle instances).
-    nonce: u64,
-    released: bool,
-}
-
-static SORT_SHUFFLE_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-impl DecaSortShuffle {
-    pub fn new(mm: &mut MemoryManager) -> DecaSortShuffle {
-        let group = mm.create_group();
-        mm.set_swappable(group, false);
-        DecaSortShuffle {
-            group,
-            ptrs: Vec::new(),
-            runs: Vec::new(),
-            spilled_bytes: 0,
-            nonce: SORT_SHUFFLE_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            released: false,
-        }
-    }
-
-    /// In-memory entry count (spilled runs excluded).
-    pub fn len(&self) -> usize {
-        self.ptrs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ptrs.is_empty() && self.runs.is_empty()
-    }
-
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Append one encoded entry (key and value concatenated; the caller's
-    /// comparator knows the key prefix).
-    pub fn append(
-        &mut self,
-        mm: &mut MemoryManager,
-        heap: &mut Heap,
-        entry: &[u8],
-    ) -> Result<(), MemError> {
-        let ptr = mm.with_group_mut(self.group, heap, |g, h| g.append_framed(h, entry))?;
-        self.ptrs.push((ptr, entry.len() as u32));
-        Ok(())
-    }
-
-    /// Sort the pointer array by a key extracted from each entry's bytes,
-    /// then visit entries in order.
-    pub fn sorted_for_each<K: Ord>(
-        &mut self,
-        mm: &mut MemoryManager,
-        heap: &mut Heap,
-        key_of: impl Fn(&[u8]) -> K,
-        mut f: impl FnMut(&[u8]),
-    ) -> Result<(), MemError> {
-        let ptrs = &mut self.ptrs;
-        mm.with_group(self.group, heap, |g| {
-            ptrs.sort_by_key(|(ptr, len)| key_of(g.slice(*ptr, *len as usize)));
-            for (ptr, len) in ptrs.iter() {
-                f(g.slice(*ptr, *len as usize));
-            }
-        })
-    }
-
-    /// Spill the in-memory entries as one sorted run file, releasing the
-    /// pages (Appendix C). Returns the bytes written.
-    pub fn spill_run<K: Ord>(
-        &mut self,
-        mm: &mut MemoryManager,
-        heap: &mut Heap,
-        key_of: impl Fn(&[u8]) -> K,
-    ) -> Result<u64, MemError> {
-        use std::io::Write;
-        if self.ptrs.is_empty() {
-            return Ok(0);
-        }
-        let dir = mm.spill_dir().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(MemError::Io)?;
-        let path = dir.join(format!("sort-run-{}-{}.spill", self.nonce, self.runs.len()));
-        let ptrs = &mut self.ptrs;
-        let mut written = 0u64;
-        mm.with_group(self.group, heap, |g| -> std::io::Result<()> {
-            ptrs.sort_by_key(|(ptr, len)| key_of(g.slice(*ptr, *len as usize)));
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-            for (ptr, len) in ptrs.iter() {
-                f.write_all(&len.to_le_bytes())?;
-                f.write_all(g.slice(*ptr, *len as usize))?;
-                written += 4 + *len as u64;
-            }
-            f.flush()
-        })?
-        .map_err(MemError::Io)?;
-        self.ptrs.clear();
-        self.spilled_bytes += written;
-        // Release the drained pages and start a fresh group.
-        mm.release(self.group, heap);
-        self.group = mm.create_group();
-        mm.set_swappable(self.group, false);
-        self.runs.push(path);
-        Ok(written)
-    }
-
-    /// Stream all entries in key order, k-way merging the spilled runs
-    /// with the (sorted) in-memory remainder. The merge holds one record
-    /// per source — the paper's "small memory space (normally only one
-    /// page)".
-    pub fn merge_sorted<K: Ord>(
-        &mut self,
-        mm: &mut MemoryManager,
-        heap: &mut Heap,
-        key_of: impl Fn(&[u8]) -> K,
-        mut f: impl FnMut(&[u8]),
-    ) -> Result<(), MemError> {
-        use std::io::Read;
-
-        /// One framed-record reader over a run file.
-        struct RunSource {
-            reader: std::io::BufReader<std::fs::File>,
-            current: Option<Vec<u8>>,
-        }
-        impl RunSource {
-            fn advance(&mut self) -> std::io::Result<()> {
-                let mut lenb = [0u8; 4];
-                match self.reader.read_exact(&mut lenb) {
-                    Ok(()) => {
-                        let len = u32::from_le_bytes(lenb) as usize;
-                        let mut buf = vec![0u8; len];
-                        self.reader.read_exact(&mut buf)?;
-                        self.current = Some(buf);
-                        Ok(())
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                        self.current = None;
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        }
-
-        let mut sources: Vec<RunSource> = Vec::new();
-        for path in &self.runs {
-            let mut src = RunSource {
-                reader: std::io::BufReader::new(std::fs::File::open(path).map_err(MemError::Io)?),
-                current: None,
-            };
-            src.advance().map_err(MemError::Io)?;
-            sources.push(src);
-        }
-
-        // Sort the in-memory remainder and merge inside the group borrow.
-        let ptrs = &mut self.ptrs;
-        mm.with_group(self.group, heap, |g| -> std::io::Result<()> {
-            ptrs.sort_by_key(|(ptr, len)| key_of(g.slice(*ptr, *len as usize)));
-            let mut mem_idx = 0usize;
-            loop {
-                // Pick the minimum-key source among runs and memory.
-                let mem_key =
-                    ptrs.get(mem_idx).map(|(ptr, len)| key_of(g.slice(*ptr, *len as usize)));
-                let mut best_run: Option<(usize, K)> = None;
-                for (i, s) in sources.iter().enumerate() {
-                    if let Some(cur) = &s.current {
-                        let k = key_of(cur);
-                        if best_run.as_ref().is_none_or(|(_, bk)| k < *bk) {
-                            best_run = Some((i, k));
-                        }
-                    }
-                }
-                match (mem_key, best_run) {
-                    (None, None) => return Ok(()),
-                    (Some(_), None) => {
-                        let (ptr, len) = ptrs[mem_idx];
-                        f(g.slice(ptr, len as usize));
-                        mem_idx += 1;
-                    }
-                    (None, Some((i, _))) => {
-                        let rec = sources[i].current.take().expect("current");
-                        f(&rec);
-                        sources[i].advance()?;
-                    }
-                    (Some(mk), Some((i, rk))) => {
-                        if mk <= rk {
-                            let (ptr, len) = ptrs[mem_idx];
-                            f(g.slice(ptr, len as usize));
-                            mem_idx += 1;
-                        } else {
-                            let rec = sources[i].current.take().expect("current");
-                            f(&rec);
-                            sources[i].advance()?;
-                        }
-                    }
-                }
-            }
-        })?
-        .map_err(MemError::Io)?;
-        Ok(())
-    }
-
-    pub fn release(&mut self, mm: &mut MemoryManager, heap: &mut Heap) {
-        if !self.released {
-            mm.release(self.group, heap);
-            for path in self.runs.drain(..) {
-                let _ = std::fs::remove_file(path);
-            }
             self.released = true;
         }
     }
@@ -1004,130 +773,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, 5_000);
-        buf.release(&mut mm, &mut heap);
-    }
-
-    #[test]
-    fn sort_shuffle_orders_by_key() {
-        let (mut heap, mut mm) = setup();
-        let mut buf = DecaSortShuffle::new(&mut mm);
-        let keys = [5i64, 1, 9, 3, 7, 2, 8, 0, 6, 4];
-        for &k in &keys {
-            let entry = (k, k as f64 * 1.5);
-            let mut bytes = vec![0u8; entry.data_size()];
-            entry.encode(&mut bytes);
-            buf.append(&mut mm, &mut heap, &bytes).unwrap();
-        }
-        let mut order = Vec::new();
-        buf.sorted_for_each(&mut mm, &mut heap, i64::decode, |bytes| {
-            let (k, v) = <(i64, f64)>::decode(bytes);
-            assert_eq!(v, k as f64 * 1.5);
-            order.push(k);
-        })
-        .unwrap();
-        assert_eq!(order, (0..10).collect::<Vec<i64>>());
-        buf.release(&mut mm, &mut heap);
-        assert_eq!(heap.external_bytes(), 0);
-    }
-
-    #[test]
-    fn spill_and_merge_produce_global_order() {
-        let (mut heap, mut mm) = setup();
-        let mut buf = DecaSortShuffle::new(&mut mm);
-        // Three batches, spilling after each of the first two.
-        let batches: [&[i64]; 3] = [&[50, 10, 90, 30], &[20, 80, 40], &[60, 0, 70, 100]];
-        for (bi, batch) in batches.iter().enumerate() {
-            for &k in batch.iter() {
-                let entry = (k, k as f64);
-                let mut bytes = vec![0u8; entry.data_size()];
-                entry.encode(&mut bytes);
-                buf.append(&mut mm, &mut heap, &bytes).unwrap();
-            }
-            if bi < 2 {
-                let written = buf.spill_run(&mut mm, &mut heap, i64::decode).unwrap();
-                assert!(written > 0);
-                assert_eq!(buf.len(), 0, "pages drained after spill");
-            }
-        }
-        assert_eq!(buf.run_count(), 2);
-        let mut order = Vec::new();
-        buf.merge_sorted(&mut mm, &mut heap, i64::decode, |bytes| {
-            let (k, v) = <(i64, f64)>::decode(bytes);
-            assert_eq!(v, k as f64);
-            order.push(k);
-        })
-        .unwrap();
-        assert_eq!(order, vec![0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
-        buf.release(&mut mm, &mut heap);
-        assert_eq!(heap.external_bytes(), 0);
-    }
-
-    #[test]
-    fn interleaved_sort_shuffles_do_not_clobber_each_others_runs() {
-        let (mut heap, mut mm) = setup();
-        let mut a = DecaSortShuffle::new(&mut mm);
-        let mut b = DecaSortShuffle::new(&mut mm);
-        let enc = |k: i64| {
-            let e = (k, k as f64);
-            let mut bytes = vec![0u8; e.data_size()];
-            e.encode(&mut bytes);
-            bytes
-        };
-        for k in [5i64, 1, 3] {
-            a.append(&mut mm, &mut heap, &enc(k)).unwrap();
-            b.append(&mut mm, &mut heap, &enc(k + 100)).unwrap();
-        }
-        a.spill_run(&mut mm, &mut heap, |x| i64::decode(x)).unwrap();
-        b.spill_run(&mut mm, &mut heap, |x| i64::decode(x)).unwrap();
-        for k in [4i64, 2] {
-            a.append(&mut mm, &mut heap, &enc(k)).unwrap();
-            b.append(&mut mm, &mut heap, &enc(k + 100)).unwrap();
-        }
-        let mut got_a = Vec::new();
-        a.merge_sorted(
-            &mut mm,
-            &mut heap,
-            |x| i64::decode(x),
-            |x| got_a.push(<(i64, f64)>::decode(x).0),
-        )
-        .unwrap();
-        let mut got_b = Vec::new();
-        b.merge_sorted(
-            &mut mm,
-            &mut heap,
-            |x| i64::decode(x),
-            |x| got_b.push(<(i64, f64)>::decode(x).0),
-        )
-        .unwrap();
-        assert_eq!(got_a, vec![1, 2, 3, 4, 5]);
-        assert_eq!(got_b, vec![101, 102, 103, 104, 105]);
-        a.release(&mut mm, &mut heap);
-        b.release(&mut mm, &mut heap);
-    }
-
-    #[test]
-    fn merge_with_duplicate_keys_is_stable_enough() {
-        let (mut heap, mut mm) = setup();
-        let mut buf = DecaSortShuffle::new(&mut mm);
-        for k in [3i64, 1, 3, 2, 1] {
-            let entry = (k, 0f64);
-            let mut bytes = vec![0u8; entry.data_size()];
-            entry.encode(&mut bytes);
-            buf.append(&mut mm, &mut heap, &bytes).unwrap();
-        }
-        buf.spill_run(&mut mm, &mut heap, i64::decode).unwrap();
-        for k in [2i64, 1, 3] {
-            let entry = (k, 1f64);
-            let mut bytes = vec![0u8; entry.data_size()];
-            entry.encode(&mut bytes);
-            buf.append(&mut mm, &mut heap, &bytes).unwrap();
-        }
-        let mut keys = Vec::new();
-        buf.merge_sorted(&mut mm, &mut heap, i64::decode, |b| {
-            keys.push(<(i64, f64)>::decode(b).0);
-        })
-        .unwrap();
-        assert_eq!(keys, vec![1, 1, 1, 2, 2, 3, 3, 3]);
         buf.release(&mut mm, &mut heap);
     }
 

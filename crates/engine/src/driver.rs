@@ -60,9 +60,8 @@
 //!   executor is instead restarted in place when
 //!   `spare_last_executor` is set;
 //! * OOM-classified failures degrade gracefully: the executor spills its
-//!   cache to disk, collects, and re-runs the task once in place
-//!   (`spill_on_oom`), so memory-pressure runs finish slower instead of
-//!   aborting;
+//!   cache to disk, collects, and re-runs the task once in place, so
+//!   memory-pressure runs finish slower instead of aborting;
 //! * a panicking task body is contained to its attempt and fails the
 //!   stage with a fatal, task-attributed [`EngineError::TaskPanic`].
 //!
@@ -79,7 +78,7 @@
 //! ```
 //! use deca_engine::{ClusterSession, ExecutionMode, ExecutorConfig};
 //!
-//! let cfg = ExecutorConfig::builder().mode(ExecutionMode::Deca).heap_mb(16).build();
+//! let cfg = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20);
 //! let mut s = ClusterSession::new(2, cfg);
 //! let parts: Vec<Vec<i64>> = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
 //! let sums = s
@@ -476,16 +475,10 @@ impl SlotSource for LocalCluster {
         self.executors[lane].is_poisoned()
     }
 
-    /// With `rehydrate` the crash wipes the cache's volatile tiers and cold
-    /// blocks are rehydrated from the spill manifest (saving their lineage
-    /// recompute); without it, the legacy model — a hung JVM brought back
-    /// with its state — applies.
-    fn restart(&mut self, lane: usize, stage: &str, ordinal: u32, rehydrate: bool) -> (u64, u64) {
+    /// The crash wipes the cache's volatile tiers and cold blocks are
+    /// rehydrated from the spill manifest, saving their lineage recompute.
+    fn restart(&mut self, lane: usize, stage: &str, ordinal: u32) -> (u64, u64) {
         let e = &mut self.executors[lane];
-        if !rehydrate {
-            e.recover();
-            return (0, 0);
-        }
         let out = e.restart_in_place(stage, ordinal);
         if out.killed {
             e.poison();
@@ -1067,7 +1060,7 @@ mod tests {
         assert_eq!(t.of_kind(TraceEventKind::TaskAttempt).count(), 5);
 
         // With tracing off, nothing is recorded anywhere.
-        let cfg = ExecutorConfig::builder().heap_mb(8).tracing(false).build();
+        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).tracing(false);
         let mut quiet = ClusterSession::new(2, cfg);
         quiet.run_stage("ids", 3, |ctx, _e| Ok(ctx.task)).unwrap();
         assert!(quiet.merged_trace().is_empty());
@@ -1511,9 +1504,16 @@ mod tests {
         // A map attempt that dies *after* handing over part of its output
         // must not leak those pages, free them twice, or let them reach a
         // reducer — the retry's fresh runs are the only ones exchanged.
+        for mode in [SchedulerMode::Wave, SchedulerMode::Pull] {
+            partial_handover_under(mode);
+        }
+    }
+
+    fn partial_handover_under(mode: SchedulerMode) {
         let first = AtomicBool::new(true);
         let seen = std::sync::Mutex::new(std::collections::HashSet::<usize>::new());
-        let mut s = session(2);
+        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(mode);
+        let mut s = ClusterSession::new(2, cfg);
         s.set_retry_policy(RetryPolicy::resilient());
         let got = s
             .run_shuffle_job(
@@ -1557,9 +1557,9 @@ mod tests {
             assert_eq!(
                 stats.live_pages(),
                 0,
-                "executor {i}: every page settled exactly once (>0 leaks, <0 double-frees)"
+                "{mode}, executor {i}: every page settled once (>0 leaks, <0 double-frees)"
             );
-            assert_eq!(stats.copied_bytes(), 0, "executor {i}: the hand-over path never copies");
+            assert_eq!(stats.copied_bytes(), 0, "{mode}, executor {i}: hand-over never copies");
         }
     }
 

@@ -39,9 +39,7 @@ pub mod trace;
 
 pub use cache::{CacheError, CacheStats, CachedRdd, RehydrateOutcome, Tier};
 pub use cluster::{ExecutorHealth, LocalCluster};
-pub use config::{
-    ExecutionMode, ExecutorConfig, ExecutorConfigBuilder, RetryPolicy, SchedulerMode, ServerConfig,
-};
+pub use config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
 pub use driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};
 pub use error::EngineError;
 pub use executor::Executor;

@@ -441,6 +441,21 @@ struct TenantState {
     in_flight: usize,
 }
 
+/// The index of `name`'s record, created uncapped on first sight.
+fn tenant_slot(tenants: &mut Vec<TenantState>, name: &str) -> usize {
+    if let Some(i) = tenants.iter().position(|t| t.name == name) {
+        return i;
+    }
+    let id = tenants.len() as u32 + 1;
+    tenants.push(TenantState {
+        name: name.to_string(),
+        id,
+        max_in_flight: usize::MAX,
+        in_flight: 0,
+    });
+    tenants.len() - 1
+}
+
 struct ServerInner {
     executors: Vec<Mutex<Executor>>,
     exec_config: ExecutorConfig,
@@ -452,7 +467,6 @@ struct ServerInner {
     shutdown: AtomicBool,
     next_job: AtomicU64,
     tenants: Mutex<Vec<TenantState>>,
-    default_max_in_flight: usize,
 }
 
 // ----------------------------------------------------------------------
@@ -635,13 +649,7 @@ impl SlotSource for PoolSlots {
     /// Virtual restart-in-place: clear the job's poison flag. The shared
     /// physical executor never died, so there is no cache wipe to
     /// rehydrate from — the job's cached blocks are all still live.
-    fn restart(
-        &mut self,
-        lane: usize,
-        _stage: &str,
-        _ordinal: u32,
-        _rehydrate: bool,
-    ) -> (u64, u64) {
+    fn restart(&mut self, lane: usize, _stage: &str, _ordinal: u32) -> (u64, u64) {
         self.vpoison[lane].store(false, Ordering::Relaxed);
         (0, 0)
     }
@@ -851,7 +859,7 @@ fn runner_loop(inner: Arc<ServerInner>) {
 /// ```
 /// use deca_engine::{AppJob, DecaServer, ExecutionMode, ExecutorConfig, JobSpec};
 ///
-/// let cfg = ExecutorConfig::builder().mode(ExecutionMode::Deca).heap_mb(16).build();
+/// let cfg = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20);
 /// let server = DecaServer::new(2, cfg);
 /// let job = AppJob::new("sum", |ctx| {
 ///     let parts = ctx.run_stage("sum", 3, |c, _e| Ok((c.task * 10) as f64))?;
@@ -869,7 +877,7 @@ pub struct DecaServer {
 
 impl DecaServer {
     /// A server over `executors` identical shared executors, with as many
-    /// runner threads and no default admission cap.
+    /// runner threads and no admission cap.
     pub fn new(executors: usize, config: ExecutorConfig) -> DecaServer {
         DecaServer::with_config(ServerConfig::new(executors, config))
     }
@@ -892,7 +900,6 @@ impl DecaServer {
             shutdown: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
             tenants: Mutex::new(Vec::new()),
-            default_max_in_flight: config.default_max_in_flight,
         });
         let workers = (0..config.executors)
             .map(|i| {
@@ -932,19 +939,7 @@ impl DecaServer {
         }
         let tenant_id = {
             let mut tenants = lock(&self.inner.tenants);
-            let idx = match tenants.iter().position(|t| t.name == spec.tenant) {
-                Some(i) => i,
-                None => {
-                    let id = tenants.len() as u32 + 1;
-                    tenants.push(TenantState {
-                        name: spec.tenant.clone(),
-                        id,
-                        max_in_flight: self.inner.default_max_in_flight,
-                        in_flight: 0,
-                    });
-                    tenants.len() - 1
-                }
-            };
+            let idx = tenant_slot(&mut tenants, &spec.tenant);
             let t = &mut tenants[idx];
             if t.in_flight >= t.max_in_flight {
                 return Err(EngineError::AdmissionRejected {
@@ -985,36 +980,17 @@ impl DecaServer {
     /// it was never seen).
     pub fn configure_tenant(&self, tenant: &str, max_in_flight: usize) {
         let mut tenants = lock(&self.inner.tenants);
-        match tenants.iter_mut().find(|t| t.name == tenant) {
-            Some(t) => t.max_in_flight = max_in_flight.max(1),
-            None => {
-                let id = tenants.len() as u32 + 1;
-                tenants.push(TenantState {
-                    name: tenant.to_string(),
-                    id,
-                    max_in_flight: max_in_flight.max(1),
-                    in_flight: 0,
-                });
-            }
-        }
+        let idx = tenant_slot(&mut tenants, tenant);
+        tenants[idx].max_in_flight = max_in_flight.max(1);
     }
 
     fn tenant_id(&self, tenant: &str, create: bool) -> Option<u32> {
         let mut tenants = lock(&self.inner.tenants);
-        if let Some(t) = tenants.iter().find(|t| t.name == tenant) {
-            return Some(t.id);
-        }
         if !create {
-            return None;
+            return tenants.iter().find(|t| t.name == tenant).map(|t| t.id);
         }
-        let id = tenants.len() as u32 + 1;
-        tenants.push(TenantState {
-            name: tenant.to_string(),
-            id,
-            max_in_flight: self.inner.default_max_in_flight,
-            in_flight: 0,
-        });
-        Some(id)
+        let idx = tenant_slot(&mut tenants, tenant);
+        Some(tenants[idx].id)
     }
 
     /// Give `tenant` a shared-cache resident budget on every executor:

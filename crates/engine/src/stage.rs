@@ -79,6 +79,10 @@ pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Simulated scheduling delay per retry or restart, accounted into stage
+/// recovery time (never a wall-clock sleep).
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
 /// One schedulable attempt: `(task, attempt, home lane)`.
 pub(crate) type Slot = (usize, u32, usize);
 
@@ -149,7 +153,7 @@ pub(crate) trait SlotSource {
     /// Restart a dead lane in place (`ordinal` restarts preceded this
     /// one). Returns the `(blocks, bytes)` rehydrated from its spill
     /// manifest; a lane that dies again mid-recovery stays poisoned.
-    fn restart(&mut self, lane: usize, stage: &str, ordinal: u32, rehydrate: bool) -> (u64, u64);
+    fn restart(&mut self, lane: usize, stage: &str, ordinal: u32) -> (u64, u64);
 
     /// Run every slot of `round` through `round.attempt` and hand back one
     /// record per physical attempt, in any order.
@@ -395,9 +399,7 @@ impl StageEngine {
             // re-run once in place. An injected Alloc fault models the
             // same pressure, so the spill relieves it and it is not
             // re-drawn on the in-place re-run.
-            let oom_rerun = policy.spill_on_oom
-                && !died
-                && result.as_ref().is_err_and(|err| err.is_memory_pressure());
+            let oom_rerun = !died && result.as_ref().is_err_and(|err| err.is_memory_pressure());
             if oom_rerun {
                 e.spill_for_memory();
                 result = e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, run_body);
@@ -559,15 +561,15 @@ impl StageEngine {
                     // resolves differently on the next restart — which
                     // still counts, and so runs at a higher ordinal.
                     let ordinal = self.health[x].restarts as u32;
-                    let (blocks, bytes) = source.restart(x, name, ordinal, policy.rehydrate);
+                    let (blocks, bytes) = source.restart(x, name, ordinal);
                     self.health[x].rehydrated_blocks += blocks;
                     stage.rehydrated_blocks += blocks;
                     stage.rehydrated_bytes += bytes;
                     self.health[x].stage_failures = 0;
                     self.health[x].restarts += 1;
                     stage.restarts += 1;
-                    stage.recovery += policy.backoff;
-                    self.trace.restart(name, x, self.sim_now, policy.backoff);
+                    stage.recovery += RETRY_BACKOFF;
+                    self.trace.restart(name, x, self.sim_now, RETRY_BACKOFF);
                 } else {
                     self.health[x].quarantined = true;
                     stage.quarantines += 1;
@@ -585,8 +587,8 @@ impl StageEngine {
                     return Err(err.in_task(name, t));
                 };
                 stage.retries += 1;
-                stage.recovery += policy.backoff;
-                self.trace.retry(name, (t, a), x, y, self.sim_now, policy.backoff);
+                stage.recovery += RETRY_BACKOFF;
+                self.trace.retry(name, (t, a), x, y, self.sim_now, RETRY_BACKOFF);
                 pending.push((t, a + 1, y));
             }
         }

@@ -50,7 +50,6 @@
 //! ```
 
 pub mod fixtures;
-pub mod fusion;
 pub mod global;
 pub mod ir;
 pub mod local;
@@ -60,7 +59,6 @@ pub mod size_type;
 pub mod symbolic;
 pub mod types;
 
-pub use fusion::{fuse, FusionConfig};
 pub use global::{classify_global, GlobalAnalysis};
 pub use ir::{CallGraph, Expr, Method, MethodId, Program, Stmt, VarId};
 pub use local::classify_local;

@@ -8,7 +8,7 @@ use deca_engine::{ClusterSession, ExecutionMode, ExecutorConfig};
 
 fn main() {
     // ---- the driver in miniature: a two-stage job by hand ------------
-    let config = ExecutorConfig::builder().mode(ExecutionMode::Deca).heap_mb(16).build();
+    let config = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20);
     let mut session = ClusterSession::new(2, config);
 
     // Map: 4 tasks, each emitting one byte run per reducer. Reduce: 2

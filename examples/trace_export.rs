@@ -12,11 +12,7 @@ use deca_engine::{
 fn main() {
     // Tracing is on by default; a retry policy plus one forced task
     // failure makes the fault-handling events show up in the timeline.
-    let config = ExecutorConfig::builder()
-        .mode(ExecutionMode::Deca)
-        .heap_mb(16)
-        .retry(RetryPolicy::resilient())
-        .build();
+    let config = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20).retry(RetryPolicy::resilient());
     let mut session = ClusterSession::new(2, config);
     // (run_shuffle_job names its stages `<job>-map` / `<job>-reduce`.)
     session.install_faults(FaultPlan::quiet().force(

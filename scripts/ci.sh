@@ -43,37 +43,34 @@ for mode in deca spark sparkser; do
        " engine.driver.outside_task_share.$mode $(metric "engine.driver.outside_task_share.$mode")"
 done
 
-echo "== fault-tolerance suite (replayed seeds, both schedulers) =="
+echo "== fault-tolerance suite (replayed seeds) =="
 # `cargo test` above already ran the suite under its pinned seed trio;
 # these explicit replays prove the DECA_CHECK_SEED knob reproduces a
-# scenario byte-for-byte under each scheduler mode (DECA_SCHEDULER sets
-# the session default), and hand the reader the exact replay line.
-for sched in wave pull; do
-  for seed in 11 29 47; do
-    if ! DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed \
-        cargo test -q --offline -p deca-bench --test fault_tolerance; then
-      echo "fault suite failed under seed $seed with the $sched scheduler; replay locally with:"
-      echo "  DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test fault_tolerance"
-      exit 1
-    fi
-  done
+# scenario byte-for-byte, and hand the reader the exact replay line. The
+# suite's matrices run both schedulers themselves, so each replay covers
+# Wave and Pull.
+for seed in 11 29 47; do
+  if ! DECA_CHECK_SEED=$seed \
+      cargo test -q --offline -p deca-bench --test fault_tolerance; then
+    echo "fault suite failed under seed $seed; replay locally with:"
+    echo "  DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test fault_tolerance"
+    exit 1
+  fi
 done
 
-echo "== fault-tolerance suite with speculative execution (both schedulers) =="
+echo "== fault-tolerance suite with speculative execution =="
 # The same matrix with DECA_SPECULATE=1: every Pull-mode stage arms the
 # straggler watcher, so speculative duplicates race real injected-fault
 # recovery. Checksums and the six-counter roll-ups must not move — the
 # winner is reconciled deterministically in task order, so duplicates
 # are invisible to the accounting.
-for sched in wave pull; do
-  for seed in 11 29 47; do
-    if ! DECA_SPECULATE=1 DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed \
-        cargo test -q --offline -p deca-bench --test fault_tolerance; then
-      echo "fault suite failed with speculation under seed $seed with the $sched scheduler; replay locally with:"
-      echo "  DECA_SPECULATE=1 DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test fault_tolerance"
-      exit 1
-    fi
-  done
+for seed in 11 29 47; do
+  if ! DECA_SPECULATE=1 DECA_CHECK_SEED=$seed \
+      cargo test -q --offline -p deca-bench --test fault_tolerance; then
+    echo "fault suite failed with speculation under seed $seed; replay locally with:"
+    echo "  DECA_SPECULATE=1 DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test fault_tolerance"
+    exit 1
+  fi
 done
 
 echo "== hang kill matrix (watchdog: TaskHang x schedulers x widths x seeds) =="
@@ -93,85 +90,50 @@ for seed in 11 29 47; do
   fi
 done
 
-echo "== crash-recovery kill-point suite (replayed seeds, both schedulers) =="
+echo "== crash-recovery kill-point suite (replayed seeds) =="
 # Same replay discipline for the cache's spill/manifest/rehydrate kill
-# points: the suite re-runs its kill matrix, rehydration-evidence and
-# property-storm cells under each pinned seed and scheduler, and a
-# failure hands the reader the exact one-line reproduction.
-for sched in wave pull; do
-  for seed in 11 29 47; do
-    if ! DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed \
-        cargo test -q --offline -p deca-bench --test crash_recovery; then
-      echo "crash-recovery suite failed under seed $seed with the $sched scheduler; replay locally with:"
-      echo "  DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test crash_recovery"
-      exit 1
-    fi
-  done
-done
-
-echo "== GC matrix (three collectors x modes x widths x fault seeds, both schedulers) =="
-# The gc_plans suite proves a collector never computes: each of Table 4's
-# three collectors (Parallel Scavenge; CMS and G1 with a real marker
-# thread racing the mutator) must produce bit-identical WC/PR checksums
-# under the pinned fault storm at every width, with recovery roll-ups
-# identical across Wave and Pull. It already ran inside `cargo test`
-# above; this leg re-runs it under each scheduler default so a failure
-# hands the reader the exact replay line. (The cross-mode suite loops
-# over the collectors itself, so it needs no leg of its own.)
-for sched in wave pull; do
-  if ! DECA_SCHEDULER=$sched \
-      cargo test -q --offline -p deca-bench --test gc_plans; then
-    echo "GC matrix failed under the $sched scheduler; replay locally with:"
-    echo "  DECA_SCHEDULER=$sched cargo test --offline -p deca-bench --test gc_plans"
+# points: the suite re-runs its kill matrix (both schedulers at every
+# width above one), rehydration-evidence and property-storm cells under
+# each pinned seed, and a failure hands the reader the exact one-line
+# reproduction.
+for seed in 11 29 47; do
+  if ! DECA_CHECK_SEED=$seed \
+      cargo test -q --offline -p deca-bench --test crash_recovery; then
+    echo "crash-recovery suite failed under seed $seed; replay locally with:"
+    echo "  DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test crash_recovery"
     exit 1
   fi
 done
 
-echo "== no environment knobs in the heap =="
-# A run's collector is its config's GcAlgorithm and nothing else: the heap
-# reads no environment variable, and no variable in the DECA_GC namespace
-# exists anywhere to override a collector from elsewhere in the process.
-# (The pattern's bracket keeps this script from matching itself.)
-knobs=$( (grep -rn 'env::var' crates/heap/src || true)
-  grep -rn 'DECA_GC[_]' crates tests examples scripts || true)
+echo "== no environment knobs in the heap or the engine =="
+# A run is its config and nothing else: neither the heap nor the engine
+# reads an environment variable, and no variable in the DECA_GC namespace,
+# nor the retired scheduler variable, exists anywhere to override a
+# collector or a scheduler from elsewhere in the process. Test harnesses
+# keep their replay knobs (DECA_CHECK_SEED,
+# DECA_SPECULATE, DECA_SOAK_JOBS). (The patterns' brackets keep this
+# script from matching itself.)
+knobs=$( (grep -rn 'env::var' crates/heap/src crates/engine/src || true)
+  grep -rn 'DECA_GC[_]\|DECA_SCHEDULE[R]' crates tests examples scripts || true)
 if [ -n "$knobs" ]; then
-  echo "environment knobs found in the heap or the DECA_GC namespace:"
+  echo "environment knobs found in the heap, the engine, or a retired namespace:"
   echo "$knobs"
   exit 1
 fi
 
 echo "== server soak (concurrent submissions, both schedulers, replayed seeds) =="
-# The soak pushes DECA_SOAK_JOBS mixed WC/PR jobs per leg from 16 client
-# threads through one shared DecaServer and asserts every job is
-# bit-identical — checksum and recovery counters — to a serial
-# ClusterSession run of the same width. 34 jobs x 6 legs > 200 jobs.
-for sched in wave pull; do
-  for seed in 11 29 47; do
-    if ! DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed DECA_SOAK_JOBS=${DECA_SOAK_JOBS:-34} \
-        cargo test -q --offline -p deca-bench --test server_soak; then
-      echo "server soak failed under seed $seed with the $sched scheduler; replay locally with:"
-      echo "  DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed DECA_SOAK_JOBS=${DECA_SOAK_JOBS:-34} cargo test --offline -p deca-bench --test server_soak"
-      exit 1
-    fi
-  done
-done
-
-echo "== partial-handover kill matrix (zero-copy retry safety, both schedulers, replayed seeds) =="
-# A map attempt that dies after handing over part of its page runs must
-# leave the arena ledger exactly balanced: no page leaked, none freed
-# twice, and no reducer ever observes a page from the failed attempt.
-# The test asserts live_pages == 0 on every executor, zero copied bytes
-# on the Deca hand-over path, and pointer-uniqueness of every page slice
-# across reducers while all exchanged pages are simultaneously live.
-for sched in wave pull; do
-  for seed in 11 29 47; do
-    if ! DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed \
-        cargo test -q --offline -p deca-engine --lib partial_handover; then
-      echo "partial-handover kill matrix failed under seed $seed with the $sched scheduler; replay locally with:"
-      echo "  DECA_SCHEDULER=$sched DECA_CHECK_SEED=$seed cargo test --offline -p deca-engine --lib partial_handover"
-      exit 1
-    fi
-  done
+# The soak pushes DECA_SOAK_JOBS mixed WC/PR jobs per scheduler and seed
+# from 16 client threads through one shared DecaServer and asserts every
+# job is bit-identical — checksum and recovery counters — to a serial
+# ClusterSession run of the same width. 34 jobs x 2 schedulers x 3 seeds
+# > 200 jobs.
+for seed in 11 29 47; do
+  if ! DECA_CHECK_SEED=$seed DECA_SOAK_JOBS=${DECA_SOAK_JOBS:-34} \
+      cargo test -q --offline -p deca-bench --test server_soak; then
+    echo "server soak failed under seed $seed; replay locally with:"
+    echo "  DECA_CHECK_SEED=$seed DECA_SOAK_JOBS=${DECA_SOAK_JOBS:-34} cargo test --offline -p deca-bench --test server_soak"
+    exit 1
+  fi
 done
 
 echo "== properties (replayed seeds) =="

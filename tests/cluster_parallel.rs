@@ -41,12 +41,9 @@ fn parallel_wordcount_matches_sequential() {
     // Map combines each partition and writes per-reducer raw byte runs;
     // the driver exchanges them; reduce combines and checksums.
     let run = |sched: SchedulerMode| {
-        let cfg = ExecutorConfig::builder()
-            .mode(ExecutionMode::Deca)
-            .heap_bytes(16 << 20)
+        let cfg = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20)
             .spill_dir(td.path().to_path_buf())
-            .scheduler(sched)
-            .build();
+            .scheduler(sched);
         let mut session = ClusterSession::new(executors, cfg);
         let partials = session
             .run_shuffle_job(
@@ -133,11 +130,7 @@ fn add(acc: &mut [u8], addv: &[u8]) {
 #[test]
 fn task_failures_surface_with_attribution() {
     let td = TestDir::new("cluster-errors");
-    let cfg = ExecutorConfig::builder()
-        .mode(ExecutionMode::Spark)
-        .heap_bytes(8 << 20)
-        .spill_dir(td.path().to_path_buf())
-        .build();
+    let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).spill_dir(td.path().to_path_buf());
     let mut session = ClusterSession::new(2, cfg);
     let err = session
         .run_stage("doomed", 3, |ctx, _e| {

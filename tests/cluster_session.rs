@@ -184,17 +184,7 @@ fn heterogeneous_heaps_do_not_change_results() {
     // more GC and spill work on the small node, but the task model keeps
     // the answer bit-identical to the uniform cluster.
     fn mixed_configs(mode: ExecutionMode, heaps: &[usize]) -> Vec<ExecutorConfig> {
-        heaps
-            .iter()
-            .map(|&h| {
-                ExecutorConfig::builder()
-                    .mode(mode)
-                    .heap_bytes(h)
-                    .shuffle_fraction(0.6)
-                    .storage_fraction(0.2)
-                    .build()
-            })
-            .collect()
+        heaps.iter().map(|&h| ExecutorConfig::new(mode, h).storage_fraction(0.2)).collect()
     }
     for mode in ExecutionMode::ALL {
         let p = wc_params(mode);
@@ -211,12 +201,9 @@ fn heterogeneous_heaps_do_not_change_results() {
             [32 << 20, 12 << 20]
                 .iter()
                 .map(|&h| {
-                    ExecutorConfig::builder()
-                        .mode(mode)
-                        .heap_bytes(h)
+                    ExecutorConfig::new(mode, h)
                         .storage_fraction(pr.storage_fraction)
-                        .gc(pr.gc_algorithm)
-                        .build()
+                        .gc_algorithm(pr.gc_algorithm)
                 })
                 .collect(),
         );

@@ -32,11 +32,9 @@ use deca_check::{prop_assert, prop_assert_eq};
 use deca_engine::cache::BlockId;
 use deca_engine::{
     ClusterSession, ExecutionMode, Executor, ExecutorConfig, FaultPlan, FaultSite, FaultSpec,
-    HeapRecord, RetryPolicy, TraceEventKind,
+    HeapRecord, RetryPolicy, SchedulerMode, TraceEventKind,
 };
-use util::TestDir;
-
-const WIDTHS: [usize; 3] = [1, 2, 4];
+use util::{scheduler_cells, TestDir};
 
 /// Pinned data seeds for the kill-point matrix (the same trio the
 /// fault-tolerance suite pins, so `scripts/ci.sh` replays both suites
@@ -68,8 +66,9 @@ fn pr(mode: ExecutionMode, seed: u64) -> PrParams {
     }
 }
 
-/// Run PageRank on a session with an isolated spill dir, returning the
-/// checksum and the session for metric/trace inspection.
+/// Run PageRank under the default (pull) scheduler on a session with an
+/// isolated spill dir, returning the checksum and the session for
+/// metric/trace inspection.
 fn run_pr(
     params: &PrParams,
     executors: usize,
@@ -77,8 +76,22 @@ fn run_pr(
     plan: Option<FaultPlan>,
     tracing: bool,
 ) -> Result<(f64, ClusterSession), deca_engine::EngineError> {
-    let config =
-        pagerank::pr_config(params).retry(RetryPolicy::resilient()).spill_dir(dir).tracing(tracing);
+    run_pr_under(SchedulerMode::Pull, params, executors, dir, plan, tracing)
+}
+
+fn run_pr_under(
+    scheduler: SchedulerMode,
+    params: &PrParams,
+    executors: usize,
+    dir: std::path::PathBuf,
+    plan: Option<FaultPlan>,
+    tracing: bool,
+) -> Result<(f64, ClusterSession), deca_engine::EngineError> {
+    let config = pagerank::pr_config(params)
+        .retry(RetryPolicy::resilient())
+        .spill_dir(dir)
+        .tracing(tracing)
+        .scheduler(scheduler);
     let mut session = ClusterSession::new(executors, config);
     if let Some(plan) = plan {
         session.install_faults(plan);
@@ -113,8 +126,8 @@ fn reachable(site: FaultSite, mode: ExecutionMode) -> bool {
 }
 
 /// The headline matrix: kill the executor at every instrumented point in
-/// the spill/restore/manifest path, for every mode × width × data seed,
-/// and demand the fault-free answer back.
+/// the spill/restore/manifest path, for every mode × width × scheduler ×
+/// data seed, and demand the fault-free answer back.
 #[test]
 fn every_spill_path_kill_point_recovers_bit_identically() {
     let dir = TestDir::new("kill-matrix");
@@ -125,11 +138,11 @@ fn every_spill_path_kill_point_recovers_bit_identically() {
                 run_pr(&params, 1, dir.path().join(format!("ref-{mode}-{seed}")), None, false)
                     .expect("fault-free reference");
             for site in FaultSite::SPILL_PATH {
-                for width in WIDTHS {
-                    let cell = format!("site {site}, {mode}, width {width}, seed {seed}");
-                    let sub = dir.path().join(format!("{site}-{mode}-w{width}-s{seed}"));
+                for (width, sched) in scheduler_cells() {
+                    let cell = format!("site {site}, {mode}, width {width} {sched}, seed {seed}");
+                    let sub = dir.path().join(format!("{site}-{mode}-w{width}-{sched}-s{seed}"));
                     let (checksum, session) =
-                        run_pr(&params, width, sub, Some(kill_plan(site)), false)
+                        run_pr_under(sched, &params, width, sub, Some(kill_plan(site)), false)
                             .unwrap_or_else(|e| panic!("{cell}: survivable kill died: {e}"));
                     assert_eq!(checksum, reference, "{cell}: result drifted across the crash");
                     let job = session.job_summary();
@@ -302,12 +315,9 @@ fn run_cache_job(
     let parts: Vec<Vec<(i64, i64)>> = (0..4)
         .map(|p| (0..300).map(|i| (p as i64 * 100_000 + i, i * 7 - p as i64)).collect())
         .collect();
-    let config = ExecutorConfig::builder()
-        .mode(mode)
-        .heap_bytes(16 << 20)
+    let config = ExecutorConfig::new(mode, 16 << 20)
         .storage_fraction(0.0001)
         .spill_dir(dir.clone())
-        .build()
         .retry(RetryPolicy::resilient());
     let mut session = ClusterSession::new(1, config);
 
@@ -409,12 +419,9 @@ fn corrupted_manifest_degrades_to_recompute_with_identical_results() {
 fn evict_all_swap_in_cycles_preserve_contents_and_monotone_stats() {
     let dir = TestDir::new("evict-cycles");
     for mode in ExecutionMode::ALL {
-        let config = ExecutorConfig::builder()
-            .mode(mode)
-            .heap_bytes(16 << 20)
+        let config = ExecutorConfig::new(mode, 16 << 20)
             .storage_fraction(0.5)
-            .spill_dir(dir.path().join(format!("{mode}")))
-            .build();
+            .spill_dir(dir.path().join(format!("{mode}")));
         let mut e = Executor::new(config);
         let blocks: Vec<(BlockId, Vec<(i64, i64)>)> = (0..3)
             .map(|b| {
@@ -462,9 +469,10 @@ fn evict_all_swap_in_cycles_preserve_contents_and_monotone_stats() {
 // ---------------------------------------------------------------------
 
 /// For any fault seed drawing spill-path kills at every instrumented
-/// point (conditionally on the cache reaching it), and any width, the
-/// PageRank checksum is bit-identical to the fault-free run. Replay a
-/// failure with the `DECA_CHECK_SEED` line the harness prints.
+/// point (conditionally on the cache reaching it), any width and either
+/// scheduler, the PageRank checksum is bit-identical to the fault-free
+/// run. Replay a failure with the `DECA_CHECK_SEED` line the harness
+/// prints.
 #[test]
 fn seeded_spill_path_storms_keep_results_bit_identical() {
     let dir = TestDir::new("spill-storm");
@@ -483,7 +491,9 @@ fn seeded_spill_path_storms_keep_results_bit_identical() {
         |&(seed, executors)| {
             let m = (seed % 3) as usize;
             let params = pr(ExecutionMode::ALL[m], 13);
+            let sched = if seed & 4 == 0 { SchedulerMode::Wave } else { SchedulerMode::Pull };
             let config = pagerank::pr_config(&params)
+                .scheduler(sched)
                 // Head-room over `resilient()`: a storm can kill the same
                 // task's executor several restarts in a row (the `Rehydrate`
                 // draw is per-ordinal), each costing one attempt.

@@ -1,13 +1,15 @@
 //! Fault-tolerance acceptance: the headline invariant of the resilient
 //! driver is that for any *survivable* fault seed, a job's result is
 //! **bit-identical** to the fault-free run at every mode × executor
-//! width — injected task failures, executor crashes, corrupted shuffle
-//! frames and forced OOMs change the metrics (retries, quarantines,
-//! recovery time), never the answer.
+//! width × scheduler — injected task failures, executor crashes,
+//! corrupted shuffle frames and forced OOMs change the metrics (retries,
+//! quarantines, recovery time), never the answer.
 //!
 //! Faults are drawn deterministically from a seed ([`FaultPlan`]), so
 //! every scenario here replays exactly; `scripts/ci.sh` prints the seed
 //! line to re-run a failing scenario locally.
+
+mod util;
 
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
@@ -18,8 +20,7 @@ use deca_engine::{
     ClusterSession, EngineError, ExecutionMode, FaultPlan, FaultSite, FaultSpec, JobMetrics,
     RetryPolicy, SchedulerMode,
 };
-
-const EXECUTOR_COUNTS: [usize; 3] = [1, 2, 4];
+use util::{scheduler_cells, WIDTHS};
 
 /// Fixed fault seeds for the equivalence matrices. Chosen (and pinned)
 /// so every seed injects at least one retried failure into both
@@ -133,38 +134,31 @@ fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
         let crashes = crashes_somewhere(&plan, &[("wc-map", 4), ("wc-reduce", 4)]);
         for mode in ExecutionMode::ALL {
             let reference = wordcount::run_local(&wc_params(mode), 1).checksum;
-            for executors in EXECUTOR_COUNTS {
+            for (executors, sched) in scheduler_cells() {
+                let cell = format!("seed {seed}, {mode}, {executors}x {sched}");
                 let p = wc_params(mode);
                 let report = run_job_faulty(
                     &wordcount::job(&p),
-                    wordcount::wc_config(&p),
+                    wordcount::wc_config(&p).scheduler(sched),
                     executors,
                     plan.clone(),
                     Some(matrix_policy()),
                 )
-                .unwrap_or_else(|e| {
-                    panic!("seed {seed}, {mode}, {executors} executors: survivable plan died: {e}")
-                });
-                assert_eq!(
-                    report.checksum, reference,
-                    "seed {seed}, {mode}, {executors} executors: result drifted under faults"
-                );
+                .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
+                assert_eq!(report.checksum, reference, "{cell}: result drifted under faults");
                 if pinned {
-                    assert!(
-                        report.metrics.retries > 0,
-                        "seed {seed}, {mode}, {executors} executors: plan injected nothing retried"
-                    );
+                    assert!(report.metrics.retries > 0, "{cell}: plan injected nothing retried");
                 }
                 // 4 map + 4 reduce logical tasks; retries and OOM
                 // in-place re-runs are the only extra physical runs.
                 assert_eq!(
                     report.metrics.attempts,
                     8 + report.metrics.retries + report.metrics.oom_reruns,
-                    "seed {seed}, {mode}, {executors} executors: attempts accounting drifted"
+                    "{cell}: attempts accounting drifted"
                 );
                 assert!(
                     report.metrics.oom_recoveries <= report.metrics.oom_reruns,
-                    "seed {seed}, {mode}, {executors} executors: more recoveries than re-runs"
+                    "{cell}: more recoveries than re-runs"
                 );
                 if crashes {
                     let recovered = if executors == 1 {
@@ -174,8 +168,7 @@ fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
                     };
                     assert!(
                         recovered > 0,
-                        "seed {seed}, {mode}, {executors} executors: crash drawn but no \
-                         quarantine/restart recorded"
+                        "{cell}: crash drawn but no quarantine/restart recorded"
                     );
                 }
             }
@@ -190,37 +183,30 @@ fn pagerank_under_faults_is_bit_identical_across_modes_and_widths() {
         let plan = FaultPlan::seeded(seed, storm());
         for mode in ExecutionMode::ALL {
             let reference = pagerank::run_local(&pr_params(mode), 1).checksum;
-            for executors in EXECUTOR_COUNTS {
+            for (executors, sched) in scheduler_cells() {
+                let cell = format!("seed {seed}, {mode}, {executors}x {sched}");
                 let p = pr_params(mode);
                 let report = run_job_faulty(
                     &pagerank::job(&p),
-                    pagerank::pr_config(&p),
+                    pagerank::pr_config(&p).scheduler(sched),
                     executors,
                     plan.clone(),
                     Some(matrix_policy()),
                 )
-                .unwrap_or_else(|e| {
-                    panic!("seed {seed}, {mode}, {executors} executors: survivable plan died: {e}")
-                });
-                assert_eq!(
-                    report.checksum, reference,
-                    "seed {seed}, {mode}, {executors} executors: ranks drifted under faults"
-                );
+                .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
+                assert_eq!(report.checksum, reference, "{cell}: ranks drifted under faults");
                 if pinned {
-                    assert!(
-                        report.metrics.retries > 0,
-                        "seed {seed}, {mode}, {executors} executors: plan injected nothing retried"
-                    );
+                    assert!(report.metrics.retries > 0, "{cell}: plan injected nothing retried");
                 }
                 // PageRank's stage count varies with convergence-free
                 // iteration structure; the invariant holds relatively.
                 assert!(
                     report.metrics.attempts >= report.metrics.retries + report.metrics.oom_reruns,
-                    "seed {seed}, {mode}, {executors} executors: attempts below extra runs"
+                    "{cell}: attempts below extra runs"
                 );
                 assert!(
                     report.metrics.oom_recoveries <= report.metrics.oom_reruns,
-                    "seed {seed}, {mode}, {executors} executors: more recoveries than re-runs"
+                    "{cell}: more recoveries than re-runs"
                 );
             }
         }
@@ -244,7 +230,7 @@ fn scheduler_modes_are_equivalent_under_faults() {
     for seed in FAULT_SEEDS {
         let plan = FaultPlan::seeded(seed, storm());
         for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
-            for executors in EXECUTOR_COUNTS {
+            for executors in WIDTHS {
                 let wc = |sched: SchedulerMode| {
                     let p = wc_params(mode);
                     let mut session = ClusterSession::new(
@@ -317,7 +303,7 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
         for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
             let wc_reference = wordcount::run_local(&wc_params(mode), 1).checksum;
             let pr_reference = pagerank::run_local(&pr_params(mode), 1).checksum;
-            for executors in EXECUTOR_COUNTS {
+            for executors in WIDTHS {
                 let wc = |sched: SchedulerMode| {
                     let p = wc_params(mode);
                     let mut session = ClusterSession::new(

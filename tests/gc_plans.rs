@@ -3,11 +3,12 @@
 //! CMS and G1 sweeping while a concurrent marker races the mutator — must
 //! therefore produce
 //! bit-identical application results at every execution mode, executor
-//! width, and fault seed, and the recovery roll-up a faulted job charges
-//! must not depend on which scheduler drained the collector's work.
+//! width, scheduler and fault seed, and the recovery roll-up a faulted job
+//! charges must not depend on which scheduler drained the collector's work.
 //!
 //! Seeds replay exactly (`FaultPlan::seeded`); on failure the assert
-//! message names the (collector, mode, width, seed) cell to re-run.
+//! message names the (collector, mode, width, scheduler, seed) cell to
+//! re-run.
 
 mod util;
 
@@ -18,9 +19,7 @@ use deca_engine::{
     ClusterSession, ExecutionMode, FaultPlan, FaultSpec, JobMetrics, RetryPolicy, SchedulerMode,
 };
 use deca_heap::GcAlgorithm;
-use util::TestDir;
-
-const WIDTHS: [usize; 3] = [1, 2, 4];
+use util::{scheduler_cells, TestDir};
 
 /// The pinned fault trio the fault-tolerance matrices use; pinned here
 /// too so a collector that corrupts recovery bookkeeping fails on the
@@ -74,26 +73,26 @@ fn wordcount_is_bit_identical_across_plans_widths_and_fault_seeds() {
     for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
         let p = wc_params(mode);
         // Fault-free, width 1, default collector: the reference answer
-        // every (collector, width, seed) cell must reproduce bit for bit.
+        // every (collector, width, scheduler, seed) cell must reproduce bit
+        // for bit.
         let reference = wordcount::run_local(&p, 1).checksum;
         for seed in FAULT_SEEDS {
             let plan = FaultPlan::seeded(seed, storm());
             for gc in GcAlgorithm::ALL {
-                for width in WIDTHS {
+                for (width, sched) in scheduler_cells() {
+                    let cell = format!("{gc:?}, {mode}, {width}x {sched}, seed {seed}");
                     let report = run_job_faulty(
                         &wordcount::job(&p),
-                        wordcount::wc_config(&p).gc_algorithm(gc),
+                        wordcount::wc_config(&p).gc_algorithm(gc).scheduler(sched),
                         width,
                         plan.clone(),
                         Some(RetryPolicy::resilient()),
                     )
-                    .unwrap_or_else(|e| {
-                        panic!("{gc:?}, {mode}, {width}x, seed {seed}: survivable WC died: {e}")
-                    });
+                    .unwrap_or_else(|e| panic!("{cell}: survivable WC died: {e}"));
                     assert_eq!(
                         report.checksum.to_bits(),
                         reference.to_bits(),
-                        "{gc:?}, {mode}, {width}x, seed {seed}: WC checksum drifted under the collector"
+                        "{cell}: WC checksum drifted under the collector"
                     );
                 }
             }
@@ -111,21 +110,20 @@ fn pagerank_is_bit_identical_across_plans_widths_and_fault_seeds() {
         for seed in FAULT_SEEDS {
             let plan = FaultPlan::seeded(seed, storm());
             for gc in GcAlgorithm::ALL {
-                for width in WIDTHS {
+                for (width, sched) in scheduler_cells() {
+                    let cell = format!("{gc:?}, {mode}, {width}x {sched}, seed {seed}");
                     let report = run_job_faulty(
                         &pagerank::job(&p),
-                        pagerank::pr_config(&p).gc_algorithm(gc),
+                        pagerank::pr_config(&p).gc_algorithm(gc).scheduler(sched),
                         width,
                         plan.clone(),
                         Some(RetryPolicy::resilient()),
                     )
-                    .unwrap_or_else(|e| {
-                        panic!("{gc:?}, {mode}, {width}x, seed {seed}: survivable PR died: {e}")
-                    });
+                    .unwrap_or_else(|e| panic!("{cell}: survivable PR died: {e}"));
                     assert_eq!(
                         report.checksum.to_bits(),
                         reference.to_bits(),
-                        "{gc:?}, {mode}, {width}x, seed {seed}: ranks drifted under the collector"
+                        "{cell}: ranks drifted under the collector"
                     );
                 }
             }

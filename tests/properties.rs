@@ -16,9 +16,7 @@ use std::collections::HashMap;
 use deca_apps::records::{AdjListRec, LabeledPointRec};
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
-use deca_core::{
-    DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaSortShuffle, DecaVarHashShuffle, SecondaryView,
-};
+use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle, SecondaryView};
 use deca_engine::record::{load_str_into, HeapRecord, KryoRecord};
 use deca_engine::{KryoSim, SparkHashShuffle};
 use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig};
@@ -458,48 +456,6 @@ fn var_key_shuffle_equals_fold() {
             prop_assert_eq!(got, expected);
             buf.release(&mut mm, &mut heap);
             prop_assert_eq!(heap.external_bytes(), 0);
-            Ok(())
-        },
-    );
-    td.cleanup();
-}
-
-/// Sort-shuffle merge output equals globally sorting the concatenation
-/// of all batches, for any spill pattern.
-#[test]
-fn sort_shuffle_merge_equals_global_sort() {
-    let td = TestDir::new("prop-sort-shuffle");
-    check(
-        cfg(),
-        gens::pair(
-            gens::vec_of(gens::vec_of(gens::any_i32(), 0..40), 1..5),
-            gens::array_of(gens::bools(), 5),
-        ),
-        |(batches, spill_after)| {
-            let mut heap = Heap::new(HeapConfig::small());
-            let mut mm = td.mm(16 << 10);
-            let mut buf = DecaSortShuffle::new(&mut mm);
-            let mut all: Vec<i32> = Vec::new();
-            for (bi, batch) in batches.iter().enumerate() {
-                for &k in batch {
-                    all.push(k);
-                    let entry = (k as i64, k as f64);
-                    let mut bytes = vec![0u8; entry.data_size()];
-                    entry.encode(&mut bytes);
-                    buf.append(&mut mm, &mut heap, &bytes).unwrap();
-                }
-                if spill_after[bi] {
-                    buf.spill_run(&mut mm, &mut heap, i64::decode).unwrap();
-                }
-            }
-            all.sort_unstable();
-            let mut merged = Vec::new();
-            buf.merge_sorted(&mut mm, &mut heap, i64::decode, |b| {
-                merged.push(<(i64, f64)>::decode(b).0 as i32);
-            })
-            .unwrap();
-            prop_assert_eq!(merged, all);
-            buf.release(&mut mm, &mut heap);
             Ok(())
         },
     );

@@ -6,10 +6,10 @@
 //! traces) hold.
 //!
 //! The soak matrix runs both scheduler modes × the pinned storm seeds
-//! {11, 29, 47} by default; `DECA_SCHEDULER` and `DECA_CHECK_SEED`
-//! narrow it to one cell (the `scripts/ci.sh` soak legs do exactly
-//! that), and `DECA_SOAK_JOBS` scales the job count per cell — the
-//! default is a tier-1-sized smoke, the CI legs push ≥200 jobs total.
+//! {11, 29, 47} by default; `DECA_CHECK_SEED` narrows it to one seed (the
+//! `scripts/ci.sh` soak legs do exactly that), and `DECA_SOAK_JOBS`
+//! scales the job count per cell — the default is a tier-1-sized smoke,
+//! the CI legs push ≥200 jobs total.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,12 +44,7 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn schedulers() -> Vec<SchedulerMode> {
-    match std::env::var("DECA_SCHEDULER") {
-        Ok(_) => vec![SchedulerMode::from_env()],
-        Err(_) => vec![SchedulerMode::Wave, SchedulerMode::Pull],
-    }
-}
+const SCHEDULERS: [SchedulerMode; 2] = [SchedulerMode::Wave, SchedulerMode::Pull];
 
 /// The same survivable scatter the fault-tolerance matrix uses: every
 /// site fires somewhere, `resilient()` absorbs everything.
@@ -69,11 +64,7 @@ fn storm() -> FaultSpec {
 /// references — identical heaps mean identical spill/GC behaviour, so
 /// the comparison isolates the scheduling layer alone.
 fn base_config() -> ExecutorConfig {
-    ExecutorConfig::builder()
-        .mode(ExecutionMode::Deca)
-        .heap_bytes(24 << 20)
-        .storage_fraction(0.4)
-        .build()
+    ExecutorConfig::new(ExecutionMode::Deca, 24 << 20).storage_fraction(0.4)
 }
 
 fn wc_params(mode: ExecutionMode) -> WcParams {
@@ -124,7 +115,7 @@ fn rollup(m: &JobMetrics) -> (u64, u64, u64, u64, u64, u64) {
 #[test]
 fn concurrent_soak_is_bit_identical_to_serial_sessions() {
     let jobs_per_cell = soak_jobs_per_cell();
-    for sched in schedulers() {
+    for sched in SCHEDULERS {
         for seed in seeds() {
             soak_cell(sched, seed, jobs_per_cell);
         }
@@ -295,11 +286,7 @@ fn tenant_cache_budget_shields_a_tenant_from_noisy_neighbours() {
     // eviction the noise forces must fall on the noisy tenant's own
     // blocks — and the victim's block must still be readable, in memory,
     // afterwards.
-    let config = ExecutorConfig::builder()
-        .mode(ExecutionMode::Deca)
-        .heap_bytes(16 << 20)
-        .storage_fraction(0.045)
-        .build();
+    let config = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20).storage_fraction(0.045);
     let server = Arc::new(DecaServer::with_config(ServerConfig::new(1, config).runners(2)));
     server.set_tenant_cache_budget("victim", 256 << 10);
 
@@ -412,7 +399,7 @@ fn cancel_storm_releases_tenant_cache_and_claim_slots() {
     // threads hold no executor lock there), never while they spin.
     const STORM_JOBS: usize = 6;
     const STORM_RUNNERS: usize = 4;
-    for sched in schedulers() {
+    for sched in SCHEDULERS {
         let server = Arc::new(DecaServer::with_config(
             ServerConfig::new(SERVER_EXECUTORS, base_config()).runners(STORM_RUNNERS),
         ));

@@ -13,7 +13,20 @@
 use std::path::{Path, PathBuf};
 
 use deca_core::MemoryManager;
-use deca_engine::ExecutorConfig;
+use deca_engine::{ExecutorConfig, SchedulerMode};
+
+/// The executor widths every equivalence matrix runs.
+pub const WIDTHS: [usize; 3] = [1, 2, 4];
+
+/// Every matrix width under both schedulers, except width 1, where a lone
+/// executor has nothing to steal and the two are one schedule.
+pub fn scheduler_cells() -> impl Iterator<Item = (usize, SchedulerMode)> {
+    let both = [SchedulerMode::Wave, SchedulerMode::Pull];
+    WIDTHS
+        .into_iter()
+        .flat_map(move |w| both.into_iter().map(move |s| (w, s)))
+        .filter(|&(w, s)| w > 1 || s == SchedulerMode::Pull)
+}
 
 /// A per-test spill directory, removed on success.
 pub struct TestDir {
