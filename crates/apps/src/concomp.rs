@@ -114,16 +114,12 @@ pub fn run(params: &CcParams) -> AppReport {
                             mm,
                             heap,
                             |bytes| {
-                                let vertex = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-                                let n =
-                                    u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+                                let (vertex, neighbors) = AdjListRec::fields(bytes);
                                 let l = labels[vertex as usize];
-                                for j in 0..n {
-                                    let dst = u32::from_le_bytes(
-                                        bytes[8 + j * 4..12 + j * 4].try_into().unwrap(),
-                                    );
+                                for &dst in neighbors {
+                                    let dst = u32::from_le_bytes(dst) as usize;
                                     msgs.push((dst as i64, l));
-                                    msgs.push((vertex as i64, labels[dst as usize]));
+                                    msgs.push((vertex as i64, labels[dst]));
                                 }
                             },
                             |_| {},

@@ -226,9 +226,16 @@ fn run_kmeans(
 }
 
 /// Nearest centroid by squared euclidean distance, shared by every kernel
-/// so assignments agree bit-for-bit across modes.
-#[allow(clippy::needless_range_loop)] // kernels index like the paper's code
+/// so assignments agree bit-for-bit across modes. The Spark kernels pass
+/// a heap reader behind `dyn`.
 fn assign(features: &dyn Fn(usize) -> f64, centroids: &[Vec<f64>], d: usize) -> usize {
+    nearest(features, centroids, d)
+}
+
+/// [`assign`]'s body, generic so the Deca kernel's field read is a static
+/// call the compiler inlines, whatever it decides about inlining `assign`.
+#[allow(clippy::needless_range_loop)] // kernels index like the paper's code
+fn nearest(features: impl Fn(usize) -> f64, centroids: &[Vec<f64>], d: usize) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (c, cent) in centroids.iter().enumerate() {
@@ -317,6 +324,7 @@ fn sparkser_assign(
 
 /// Deca kernel — the transformed code: features at fixed offsets inside
 /// the page bytes, accumulation into preallocated arrays; no objects.
+/// Each record is split into its 8-byte words once.
 fn deca_assign(
     e: &mut Executor,
     block: deca_engine::cache::BlockId,
@@ -332,12 +340,11 @@ fn deca_assign(
         mm,
         heap,
         |bytes| {
-            let feat =
-                |j: usize| f64::from_le_bytes(bytes[8 + j * 8..16 + j * 8].try_into().unwrap());
-            let best = assign(&feat, centroids, d);
+            let features = &bytes.as_chunks::<8>().0[1..=d];
+            let best = nearest(|j| f64::from_le_bytes(features[j]), centroids, d);
             counts[best] += 1;
-            for (j, s) in sums[best].iter_mut().enumerate().take(d) {
-                *s += feat(j);
+            for (s, &x) in sums[best].iter_mut().zip(features) {
+                *s += f64::from_le_bytes(x);
             }
         },
         |_| {},

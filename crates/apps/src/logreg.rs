@@ -341,7 +341,10 @@ fn sparkser_gradient(
 
 /// Deca kernel — the Figure 12 transformed code: `label` at offset 0,
 /// features at offsets 8, 16, … within each record's page segment;
-/// accumulation into a preallocated result array.
+/// accumulation into a preallocated result array. Each record is split
+/// into its 8-byte words once, so a field read is one load. The result
+/// array rides through the walk as the fold's accumulator, measurably
+/// faster than updating it through a reference the closure captures.
 fn deca_gradient(
     e: &mut Executor,
     block: deca_engine::cache::BlockId,
@@ -353,26 +356,19 @@ fn deca_gradient(
     let mm = &mut e.mm;
     let cache = &mut e.cache;
     let block = cache.deca_block(block);
-    block.scan_bytes(
-        mm,
-        heap,
-        |bytes| {
-            let label = f64::from_le_bytes(bytes[..8].try_into().unwrap());
-            let mut dot = 0.0;
-            let mut off = 8;
-            for w in weights.iter().take(d) {
-                dot += w * f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-                off += 8;
-            }
-            let factor = factor_of(label, dot);
-            off = 8;
-            for g in gradient.iter_mut().take(d) {
-                *g += f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) * factor;
-                off += 8;
-            }
-        },
-        |_| {},
-    )?;
+    block.fold_bytes(mm, heap, gradient, |gradient, bytes| {
+        let (words, _) = bytes.as_chunks::<8>();
+        let (label, features) = (words[0], &words[1..=d]);
+        let mut dot = 0.0;
+        for (w, &x) in weights.iter().zip(features) {
+            dot += w * f64::from_le_bytes(x);
+        }
+        let factor = factor_of(f64::from_le_bytes(label), dot);
+        for (g, &x) in gradient.iter_mut().zip(features) {
+            *g += f64::from_le_bytes(x) * factor;
+        }
+        gradient
+    })?;
     Ok(())
 }
 

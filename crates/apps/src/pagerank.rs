@@ -217,16 +217,12 @@ fn messages_from_block(
                 mm,
                 heap,
                 |bytes| {
-                    let vertex = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-                    let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+                    let (vertex, neighbors) = AdjListRec::fields(bytes);
                     let deg = degrees[vertex as usize].max(1) as f64;
                     let contrib = ranks[vertex as usize] / deg;
-                    for j in 0..n {
-                        let dst =
-                            u32::from_le_bytes(bytes[8 + j * 4..12 + j * 4].try_into().unwrap())
-                                as i64;
-                        msgs.push((dst, contrib));
-                    }
+                    msgs.extend(
+                        neighbors.iter().map(|&dst| (u32::from_le_bytes(dst) as i64, contrib)),
+                    );
                 },
                 |_| {},
             )?;

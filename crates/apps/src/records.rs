@@ -128,12 +128,10 @@ impl DecaRecord for LabeledPointRec {
     }
 
     fn decode(buf: &[u8]) -> Self {
-        let label = f64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-        let d = (buf.len() - 8) / 8;
-        let features = (0..d)
-            .map(|i| f64::from_le_bytes(buf[8 + i * 8..16 + i * 8].try_into().expect("8 bytes")))
-            .collect();
-        LabeledPointRec { label, features }
+        let (words, _) = buf.as_chunks::<8>();
+        let (label, features) = (words[0], &words[1..]);
+        let features = features.iter().map(|&x| f64::from_le_bytes(x)).collect();
+        LabeledPointRec { label: f64::from_le_bytes(label), features }
     }
 }
 
@@ -223,6 +221,16 @@ impl HeapRecord for AdjListRec {
     }
 }
 
+impl AdjListRec {
+    /// The transformed code's view of an adjacency segment, split once:
+    /// the vertex id and its neighbor ids as little-endian 4-byte words.
+    pub(crate) fn fields(buf: &[u8]) -> (u32, &[[u8; 4]]) {
+        let (words, _) = buf.as_chunks::<4>();
+        let n = u32::from_le_bytes(words[1]) as usize;
+        (u32::from_le_bytes(words[0]), &words[2..2 + n])
+    }
+}
+
 impl DecaRecord for AdjListRec {
     const FIXED_SIZE: Option<usize> = None; // RFST (framed)
 
@@ -239,11 +247,8 @@ impl DecaRecord for AdjListRec {
     }
 
     fn decode(buf: &[u8]) -> Self {
-        let vertex = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-        let n = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")) as usize;
-        let neighbors = (0..n)
-            .map(|i| u32::from_le_bytes(buf[8 + i * 4..12 + i * 4].try_into().expect("4 bytes")))
-            .collect();
+        let (vertex, neighbors) = AdjListRec::fields(buf);
+        let neighbors = neighbors.iter().map(|&n| u32::from_le_bytes(n)).collect();
         AdjListRec { vertex, neighbors }
     }
 }
@@ -334,10 +339,12 @@ impl DecaRecord for RankingRec {
     }
 
     fn decode(buf: &[u8]) -> Self {
+        let (url_id, ints) = buf.split_at(8);
+        let (ints, _) = ints.as_chunks::<4>();
         RankingRec {
-            url_id: i64::from_le_bytes(buf[..8].try_into().expect("8 bytes")),
-            page_rank: i32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")),
-            avg_duration: i32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")),
+            url_id: i64::from_le_bytes(url_id.as_chunks::<8>().0[0]),
+            page_rank: i32::from_le_bytes(ints[0]),
+            avg_duration: i32::from_le_bytes(ints[1]),
         }
     }
 }
@@ -417,10 +424,11 @@ impl DecaRecord for UserVisitRec {
     }
 
     fn decode(buf: &[u8]) -> Self {
+        let (words, _) = buf.as_chunks::<8>();
         UserVisitRec {
-            ip_prefix: i64::from_le_bytes(buf[..8].try_into().expect("8 bytes")),
-            url_id: i64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
-            ad_revenue: f64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")),
+            ip_prefix: i64::from_le_bytes(words[0]),
+            url_id: i64::from_le_bytes(words[1]),
+            ad_revenue: f64::from_le_bytes(words[2]),
         }
     }
 }

@@ -207,8 +207,8 @@ pub fn run_query1(params: &SqlParams) -> AppReport {
                                     mm,
                                     heap,
                                     |bytes| {
-                                        let rank =
-                                            i32::from_le_bytes(bytes[8..12].try_into().unwrap());
+                                        // `pageRank` is the third 4-byte word.
+                                        let rank = i32::from_le_bytes(bytes.as_chunks::<4>().0[2]);
                                         if rank > 100 {
                                             count += 1;
                                             ranksum += rank as i64;
@@ -361,9 +361,9 @@ pub fn run_query2(params: &SqlParams) -> AppReport {
                                 mm,
                                 heap,
                                 |bytes| {
-                                    let ip = i64::from_le_bytes(bytes[..8].try_into().unwrap());
-                                    let rev = f64::from_le_bytes(bytes[16..24].try_into().unwrap());
-                                    pairs.push((ip, rev));
+                                    let (words, _) = bytes.as_chunks::<8>();
+                                    let ip = i64::from_le_bytes(words[0]);
+                                    pairs.push((ip, f64::from_le_bytes(words[2])));
                                 },
                                 |_| {},
                             )

@@ -90,22 +90,7 @@ impl DecaCacheBlock {
         mut f: impl FnMut(&[u8]) -> R,
         mut sink: impl FnMut(R),
     ) -> Result<(), MemError> {
-        let fixed = self.fixed_size;
-        mm.with_group(self.group, heap, |g| {
-            let mut r = g.reader();
-            match fixed {
-                Some(s) => {
-                    while let Some(ptr) = r.next_fixed(s) {
-                        sink(f(g.slice(ptr, s)));
-                    }
-                }
-                None => {
-                    while let Some((ptr, len)) = r.next_framed() {
-                        sink(f(g.slice(ptr, len)));
-                    }
-                }
-            }
-        })
+        self.fold_bytes(mm, heap, (), |(), bytes| sink(f(bytes)))
     }
 
     /// Decode every record (used when a downstream phase genuinely needs
@@ -127,19 +112,13 @@ impl DecaCacheBlock {
         mm: &mut MemoryManager,
         heap: &mut Heap,
         init: A,
-        mut f: impl FnMut(A, &[u8]) -> A,
+        f: impl FnMut(A, &[u8]) -> A,
     ) -> Result<A, MemError> {
-        let mut acc = Some(init);
-        self.scan_bytes(
-            mm,
-            heap,
-            |bytes| {
-                let a = acc.take().expect("acc");
-                acc = Some(f(a, bytes));
-            },
-            |_| {},
-        )?;
-        Ok(acc.expect("acc"))
+        let fixed = self.fixed_size;
+        mm.with_group(self.group, heap, |g| match fixed {
+            Some(s) => g.fixed_records(s).fold(init, f),
+            None => g.framed_records().fold(init, f),
+        })
     }
 
     /// Release the block's reference on its page group (`unpersist()`).

@@ -3,9 +3,9 @@
 //! A page group is the unit of lifetime-based reclamation: "when a
 //! container's lifetime comes to an end, we simply release all the
 //! references of the byte arrays in the container" (§2.3). Each group keeps
-//! the paper's page-info bookkeeping: the page array, `endOffset` (start of
-//! the unused part of the last page), and `curPage`/`curOffset` scan
-//! cursors.
+//! the paper's page-info bookkeeping: the page array and `endOffset` (start
+//! of the unused part of the last page). Its `curPage`/`curOffset` scan
+//! cursor becomes a walk over each page's used prefix, a page at a time.
 //!
 //! Byte segments never span pages; an appender that does not fit in the
 //! current page moves to a fresh one, leaving a wasted tail that the
@@ -150,9 +150,37 @@ impl PageGroup {
         &mut self.pages[i]
     }
 
-    /// A sequential reader positioned at the first segment.
-    pub fn reader(&self) -> GroupReader<'_> {
-        GroupReader { group: self, cur_page: 0, cur_off: 0 }
+    /// Each page's used prefix, in page order: the whole page, except the
+    /// last, which ends at `endOffset`. The record walks below run over
+    /// these slices a page at a time.
+    pub fn used_pages(&self) -> impl Iterator<Item = &[u8]> {
+        let last = self.pages.len().saturating_sub(1);
+        let pages = self.pages.iter().enumerate();
+        pages.map(move |(i, p)| if i == last { &p.bytes()[..self.end_offset] } else { p.bytes() })
+    }
+
+    /// Every segment of a group of `size`-byte (unframed, SFST) records, in
+    /// append order. Segments never span pages and a page's tail is shorter
+    /// than a record, so each used prefix splits into whole records; an
+    /// oversized record fills its own dedicated page.
+    pub fn fixed_records(&self, size: usize) -> impl Iterator<Item = &[u8]> {
+        self.used_pages().flat_map(move |page| page.chunks_exact(size))
+    }
+
+    /// Every framed (RFST) segment's payload, in append order. A page's
+    /// frames end where its used prefix has no room for another length
+    /// prefix or the prefix is the end-of-page sentinel.
+    pub fn framed_records(&self) -> impl Iterator<Item = &[u8]> {
+        self.used_pages().flat_map(|mut page| {
+            std::iter::from_fn(move || {
+                let (prefix, rest) = page.split_first_chunk()?;
+                let prefix = u32::from_le_bytes(*prefix);
+                let (payload, rest) =
+                    (prefix != END_OF_PAGE).then(|| rest.split_at(prefix as usize - 1))?;
+                page = rest;
+                Some(payload)
+            })
+        })
     }
 
     /// Release every page's heap registration. Called by the manager when
@@ -195,68 +223,11 @@ impl PageGroup {
     }
 }
 
-/// Sequential scan over a group's segments (the `curPage`/`curOffset`
-/// cursor of the page-info).
-#[derive(Clone)]
-pub struct GroupReader<'a> {
-    group: &'a PageGroup,
-    cur_page: usize,
-    cur_off: usize,
-}
-
-impl<'a> GroupReader<'a> {
-    /// Next fixed-size segment, or `None` at the end of the group.
-    pub fn next_fixed(&mut self, len: usize) -> Option<SegPtr> {
-        loop {
-            if self.cur_page >= self.group.pages.len() {
-                return None;
-            }
-            let in_last = self.cur_page + 1 == self.group.pages.len();
-            let limit =
-                if in_last { self.group.end_offset } else { self.group.pages[self.cur_page].len() };
-            if self.cur_off + len <= limit {
-                let ptr = SegPtr { page: self.cur_page as u32, off: self.cur_off as u32 };
-                self.cur_off += len;
-                return Some(ptr);
-            }
-            if in_last {
-                return None;
-            }
-            self.cur_page += 1;
-            self.cur_off = 0;
-        }
-    }
-
-    /// Next framed (length-prefixed) segment: `(payload pointer, len)`.
-    pub fn next_framed(&mut self) -> Option<(SegPtr, usize)> {
-        loop {
-            if self.cur_page >= self.group.pages.len() {
-                return None;
-            }
-            let in_last = self.cur_page + 1 == self.group.pages.len();
-            let limit =
-                if in_last { self.group.end_offset } else { self.group.pages[self.cur_page].len() };
-            if self.cur_off + 4 <= limit {
-                let prefix = self.group.pages[self.cur_page].read_i32(self.cur_off) as u32;
-                if prefix != END_OF_PAGE {
-                    let len = (prefix - 1) as usize;
-                    let ptr = SegPtr { page: self.cur_page as u32, off: (self.cur_off + 4) as u32 };
-                    self.cur_off += 4 + len;
-                    return Some((ptr, len));
-                }
-            }
-            if in_last {
-                return None;
-            }
-            self.cur_page += 1;
-            self.cur_off = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::MemoryManager;
+    use deca_check::property::{check, gens, Config};
     use deca_heap::HeapConfig;
 
     fn heap() -> Heap {
@@ -267,24 +238,16 @@ mod tests {
     fn append_and_scan_fixed() {
         let mut h = heap();
         let mut g = PageGroup::new(64);
-        let mut ptrs = Vec::new();
         for i in 0..20u8 {
             // 24-byte records: 2 per 64-byte page (wastes 16-byte tails).
-            let rec = [i; 24];
-            ptrs.push(g.append(&mut h, &rec).unwrap());
+            g.append(&mut h, &[i; 24]).unwrap();
         }
         assert_eq!(g.page_count(), 10);
         assert_eq!(g.used_bytes(), 20 * 24);
         assert_eq!(g.wasted_bytes(), 9 * 16);
         assert_eq!(h.external_count(), 10);
-
-        let mut r = g.reader();
-        for i in 0..20u8 {
-            let ptr = r.next_fixed(24).expect("segment");
-            assert_eq!(g.slice(ptr, 24), &[i; 24]);
-        }
-        assert!(r.next_fixed(24).is_none());
-        let _ = ptrs;
+        let want: Vec<[u8; 24]> = (0..20u8).map(|i| [i; 24]).collect();
+        assert!(g.fixed_records(24).eq(want.iter().map(|r| &r[..])));
     }
 
     #[test]
@@ -295,13 +258,7 @@ mod tests {
         for rec in &recs {
             g.append_framed(&mut h, rec).unwrap();
         }
-        let mut r = g.reader();
-        for rec in &recs {
-            let (ptr, len) = r.next_framed().expect("segment");
-            assert_eq!(len, rec.len());
-            assert_eq!(g.slice(ptr, len), rec.as_slice());
-        }
-        assert!(r.next_framed().is_none());
+        assert!(g.framed_records().eq(recs.iter().map(Vec::as_slice)));
     }
 
     #[test]
@@ -310,12 +267,7 @@ mod tests {
         let mut g = PageGroup::new(64);
         g.append_framed(&mut h, &[]).unwrap();
         g.append_framed(&mut h, &[7]).unwrap();
-        let mut r = g.reader();
-        assert_eq!(r.next_framed().unwrap().1, 0);
-        let (p, l) = r.next_framed().unwrap();
-        assert_eq!(l, 1);
-        assert_eq!(g.slice(p, 1), &[7]);
-        assert!(r.next_framed().is_none());
+        assert!(g.framed_records().eq([&[][..], &[7]]));
     }
 
     #[test]
@@ -353,11 +305,132 @@ mod tests {
         g.append(&mut h, &[2u8; 10]).unwrap();
         assert_eq!(g.page_count(), 3);
         assert_eq!(g.footprint_bytes(), 64 + 300 + 64);
-        // Sequential scan still works across heterogeneous pages.
-        let mut r = g.reader();
-        assert_eq!(g.slice(r.next_fixed(10).unwrap(), 10), &[1u8; 10]);
-        assert_eq!(g.slice(r.next_fixed(300).unwrap(), 300), big.as_slice());
-        assert_eq!(g.slice(r.next_fixed(10).unwrap(), 10), &[2u8; 10]);
-        assert!(r.next_fixed(10).is_none());
+        // A walk sees the first page whole (its tail unused), the dedicated
+        // page exactly, and the last page up to `endOffset`.
+        let pages: Vec<&[u8]> = g.used_pages().collect();
+        assert_eq!(pages[0][..10], [1u8; 10]);
+        assert_eq!(pages[1], big.as_slice());
+        assert_eq!(pages[2], [2u8; 10]);
+    }
+
+    /// The `curPage`/`curOffset` reader the page walks replaced: one
+    /// segment per call, re-deriving the page limit every time. Kept as
+    /// the walks' oracle.
+    struct OracleReader<'a> {
+        group: &'a PageGroup,
+        cur_page: usize,
+        cur_off: usize,
+    }
+
+    impl<'a> OracleReader<'a> {
+        fn limit(&self) -> (usize, bool) {
+            let in_last = self.cur_page + 1 == self.group.pages.len();
+            let page_len = self.group.pages[self.cur_page].len();
+            (if in_last { self.group.end_offset } else { page_len }, in_last)
+        }
+
+        fn next_fixed(&mut self, len: usize) -> Option<&'a [u8]> {
+            while self.cur_page < self.group.pages.len() {
+                let (limit, in_last) = self.limit();
+                if self.cur_off + len <= limit {
+                    let ptr = SegPtr { page: self.cur_page as u32, off: self.cur_off as u32 };
+                    self.cur_off += len;
+                    return Some(self.group.slice(ptr, len));
+                }
+                if in_last {
+                    return None;
+                }
+                self.cur_page += 1;
+                self.cur_off = 0;
+            }
+            None
+        }
+
+        fn next_framed(&mut self) -> Option<&'a [u8]> {
+            while self.cur_page < self.group.pages.len() {
+                let (limit, in_last) = self.limit();
+                if self.cur_off + 4 <= limit {
+                    let prefix = self.group.pages[self.cur_page].read_i32(self.cur_off) as u32;
+                    if prefix != END_OF_PAGE {
+                        let len = (prefix - 1) as usize;
+                        let ptr =
+                            SegPtr { page: self.cur_page as u32, off: self.cur_off as u32 + 4 };
+                        self.cur_off += 4 + len;
+                        return Some(self.group.slice(ptr, len));
+                    }
+                }
+                if in_last {
+                    return None;
+                }
+                self.cur_page += 1;
+                self.cur_off = 0;
+            }
+            None
+        }
+    }
+
+    const PAGE: usize = 64;
+
+    /// Build one group through a manager (fixed `size`-byte records, or
+    /// framed records of the given payload lengths), then check the walks
+    /// against the oracle on the fresh group and again after a swap-out and
+    /// the swap-in of the next access.
+    fn walks_match_the_oracle(fixed: Option<usize>, lens: &[usize]) -> Result<(), String> {
+        let mut heap = heap();
+        let dir = crate::manager::tests::tempdir::TempDir::new();
+        let mut mm = MemoryManager::new(PAGE, dir.path.clone());
+        let id = mm.create_group();
+        for (i, &len) in lens.iter().enumerate() {
+            let rec: Vec<u8> = (0..fixed.unwrap_or(len)).map(|j| (i * 31 + j) as u8).collect();
+            mm.with_group_mut(id, &mut heap, |g, h| match fixed {
+                Some(_) => g.append(h, &rec),
+                None => g.append_framed(h, &rec),
+            })
+            .map_err(|e| format!("append: {e:?}"))?;
+        }
+        for pass in ["fresh", "swapped in"] {
+            mm.with_group(id, &mut heap, |g| {
+                let mut r = OracleReader { group: g, cur_page: 0, cur_off: 0 };
+                let (walked, oracle): (Vec<_>, Vec<_>) = match fixed {
+                    Some(size) => (
+                        g.fixed_records(size).collect(),
+                        std::iter::from_fn(|| r.next_fixed(size)).collect(),
+                    ),
+                    None => (
+                        g.framed_records().collect(),
+                        std::iter::from_fn(|| r.next_framed()).collect(),
+                    ),
+                };
+                deca_check::prop_assert_eq!(walked.len(), lens.len(), "{pass}");
+                deca_check::prop_assert_eq!(walked, oracle, "{pass}");
+                Ok(())
+            })
+            .map_err(|e| format!("{pass}: {e:?}"))??;
+            mm.swap_out(id, &mut heap).map_err(|e| format!("swap-out: {e:?}"))?;
+        }
+        mm.release(id, &mut heap);
+        Ok(())
+    }
+
+    /// SFST groups of every record size up to three pages: page tails,
+    /// single-record pages and dedicated oversized pages all occur.
+    #[test]
+    fn fixed_walk_yields_the_oracles_records() {
+        let gen = gens::pair(gens::usize_in(1..3 * PAGE), gens::usize_in(0..90));
+        check(Config::with_cases(96), gen, |&(size, count)| {
+            walks_match_the_oracle(Some(size), &vec![size; count])
+        });
+    }
+
+    /// Framed groups with empty payloads, page tails too short for a
+    /// prefix, and (one frame in six, tripled) oversized frames.
+    #[test]
+    fn framed_walk_yields_the_oracles_records() {
+        let frame = gens::pair(gens::usize_in(0..PAGE), gens::usize_in(0..6));
+        check(Config::with_cases(96), gens::vec_of(frame, 0..60), |frames| {
+            let lens: Vec<usize> =
+                frames.iter().map(|&(len, k)| if k == 0 { 3 * len } else { len }).collect();
+            walks_match_the_oracle(None, &lens)
+        });
     }
 }

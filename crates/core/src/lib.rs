@@ -19,7 +19,7 @@
 //! Modules:
 //!
 //! * [`page`] / [`group`] — fixed-size pages and the `page-info` structure
-//!   of §4.3.1 (pages, endOffset, curPage/curOffset cursors);
+//!   of §4.3.1 (pages, endOffset, and page-at-a-time record walks);
 //! * [`manager`] — page-group allocation, reference counting (the shared
 //!   page-group optimisation of §4.3.3), LRU swapping (Appendix C);
 //! * [`record`] — the `DecaRecord` trait: the runtime equivalent of the
@@ -77,7 +77,7 @@ pub mod swap;
 pub mod var_shuffle;
 
 pub use cache::DecaCacheBlock;
-pub use group::{GroupReader, PageGroup, SegPtr};
+pub use group::{PageGroup, SegPtr};
 pub use layout::{FieldSlot, Layout, LayoutError};
 pub use manager::{GroupId, HandoverEvent, MemError, MemoryManager, ReleaseEvent};
 pub use optimizer::{ContainerDecision, ContainerInfo, DecompositionPlan, Optimizer};

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use deca_heap::{Heap, OomError};
 
-use crate::group::{PageGroup, SegPtr};
+use crate::group::PageGroup;
 use crate::swap::SpillStore;
 
 /// Handle to a page group managed by a [`MemoryManager`].
@@ -165,13 +165,8 @@ impl MemoryManager {
 
     /// Create a fresh page group with reference count 1.
     pub fn create_group(&mut self) -> GroupId {
-        self.create_group_with_page_size(self.page_size)
-    }
-
-    /// Create a group with a non-default page size (ablation support).
-    pub fn create_group_with_page_size(&mut self, page_size: usize) -> GroupId {
         let entry = Entry {
-            group: PageGroup::new(page_size),
+            group: PageGroup::new(self.page_size),
             refcount: 1,
             last_used: self.tick(),
             swapped: false,
@@ -267,6 +262,12 @@ impl MemoryManager {
     /// must persist, since this record dies with the process.
     pub fn spill_page_sizes(&self, id: GroupId) -> Option<Vec<usize>> {
         self.spill.page_sizes(id.raw()).map(|s| s.to_vec())
+    }
+
+    /// The digest of a swapped group's spill file, taken when it was
+    /// written (see [`SpillStore::digest`]).
+    pub fn spill_digest(&self, id: GroupId) -> Option<u64> {
+        self.spill.digest(id.raw())
     }
 
     /// The path of a group's spill file (see [`SpillStore::file_path`]).
@@ -367,18 +368,6 @@ impl MemoryManager {
         Ok(f(&src_entry.group, &mut dst_entry.group))
     }
 
-    /// Direct read of a segment (convenience over `with_group`).
-    pub fn read_segment(
-        &mut self,
-        id: GroupId,
-        heap: &mut Heap,
-        ptr: SegPtr,
-        out: &mut [u8],
-    ) -> Result<(), MemError> {
-        let len = out.len();
-        self.with_group(id, heap, |g| out.copy_from_slice(g.slice(ptr, len)))
-    }
-
     fn ensure_resident(&mut self, id: GroupId, heap: &mut Heap) -> Result<(), MemError> {
         if !self.entry(id).swapped {
             return Ok(());
@@ -474,7 +463,7 @@ impl MemoryManager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use deca_heap::HeapConfig;
 
@@ -485,7 +474,7 @@ mod tests {
     }
 
     /// Minimal tempdir helper (no external crate).
-    mod tempdir {
+    pub(crate) mod tempdir {
         use std::path::PathBuf;
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -550,8 +539,7 @@ mod tests {
         assert_eq!(heap.external_bytes(), 0);
         assert!(mm.is_swapped(g));
         // Reading swaps back in transparently.
-        let mut out = vec![0u8; 200];
-        mm.read_segment(g, &mut heap, ptr, &mut out).unwrap();
+        let out = mm.with_group(g, &mut heap, |pg| pg.slice(ptr, 200).to_vec()).unwrap();
         assert_eq!(out, data);
         assert!(!mm.is_swapped(g));
         assert_eq!(heap.external_bytes(), resident);
@@ -577,11 +565,7 @@ mod tests {
         // All data still readable.
         for g in &groups {
             let ok = mm
-                .with_group(*g, &mut heap, |pg| {
-                    let mut r = pg.reader();
-                    let ptr = r.next_fixed(1000).expect("segment");
-                    pg.slice(ptr, 1000)[0] == 7
-                })
+                .with_group(*g, &mut heap, |pg| pg.fixed_records(1000).eq([[7u8; 1000]]))
                 .unwrap();
             assert!(ok);
         }

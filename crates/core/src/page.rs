@@ -1,5 +1,5 @@
-//! A memory page: a fixed-size byte array with little-endian primitive
-//! accessors.
+//! A memory page: a fixed-size byte array, read and written as byte
+//! slices (plus the little-endian `i32` of a framed record's prefix).
 //!
 //! Pages are "unified byte arrays with a common fixed size" (§4.3.1). The
 //! page size trade-off the paper describes — too small ⇒ many pages ⇒ GC
@@ -49,36 +49,12 @@ impl Page {
         self.data[off..off + src.len()].copy_from_slice(src);
     }
 
-    pub fn read_f64(&self, off: usize) -> f64 {
-        f64::from_le_bytes(self.data[off..off + 8].try_into().expect("8 bytes"))
-    }
-
-    pub fn write_f64(&mut self, off: usize, v: f64) {
-        self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn read_i64(&self, off: usize) -> i64 {
-        i64::from_le_bytes(self.data[off..off + 8].try_into().expect("8 bytes"))
-    }
-
-    pub fn write_i64(&mut self, off: usize, v: i64) {
-        self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
     pub fn read_i32(&self, off: usize) -> i32 {
         i32::from_le_bytes(self.data[off..off + 4].try_into().expect("4 bytes"))
     }
 
     pub fn write_i32(&mut self, off: usize, v: i32) {
         self.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn read_u8(&self, off: usize) -> u8 {
-        self.data[off]
-    }
-
-    pub fn write_u8(&mut self, off: usize, v: u8) {
-        self.data[off] = v;
     }
 }
 
@@ -89,14 +65,11 @@ mod tests {
     #[test]
     fn primitive_roundtrips() {
         let mut p = Page::new(64);
-        p.write_f64(0, -3.5);
-        p.write_i64(8, i64::MIN);
-        p.write_i32(16, 42);
-        p.write_u8(20, 0xAB);
-        assert_eq!(p.read_f64(0), -3.5);
-        assert_eq!(p.read_i64(8), i64::MIN);
-        assert_eq!(p.read_i32(16), 42);
-        assert_eq!(p.read_u8(20), 0xAB);
+        p.write_i32(16, -42);
+        p.write_i32(60, i32::MAX);
+        assert_eq!(p.read_i32(16), -42);
+        assert_eq!(p.read_i32(60), i32::MAX);
+        assert_eq!(p.slice(16, 4), (-42i32).to_le_bytes());
         assert_eq!(p.len(), 64);
     }
 
@@ -113,6 +86,6 @@ mod tests {
     #[should_panic]
     fn out_of_bounds_read_panics() {
         let p = Page::new(8);
-        p.read_f64(4);
+        p.read_i32(6);
     }
 }

@@ -36,10 +36,6 @@ impl SecondaryView {
         SecondaryView { dep: primary_group, ptrs: Vec::new(), released: false }
     }
 
-    pub fn dep_group(&self) -> GroupId {
-        self.dep
-    }
-
     pub fn len(&self) -> usize {
         self.ptrs.len()
     }
@@ -126,12 +122,11 @@ mod tests {
         let mut view = SecondaryView::new(&mut mm, primary.group());
         let size = <(i64, f64)>::FIXED_SIZE.unwrap();
         mm.with_group(primary.group(), &mut heap, |g| {
-            let mut r = g.reader();
-            let mut ptrs = Vec::new();
-            while let Some(ptr) = r.next_fixed(size) {
-                ptrs.push(ptr);
-            }
-            ptrs
+            let segs = |(page, used): (usize, &[u8])| {
+                (0..used.len() / size)
+                    .map(move |k| SegPtr { page: page as u32, off: (k * size) as u32 })
+            };
+            g.used_pages().enumerate().flat_map(segs).collect::<Vec<_>>()
         })
         .unwrap()
         .into_iter()

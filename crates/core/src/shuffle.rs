@@ -612,10 +612,6 @@ impl ShuffleArena {
     pub fn pooled_pages(&self) -> usize {
         self.free_pages.len()
     }
-
-    pub fn pooled_bufs(&self) -> usize {
-        self.free_bufs.len()
-    }
 }
 
 /// One map task's output for one reducer, as it crosses the exchange.

@@ -5,49 +5,52 @@
 //! unlike Spark, which must serialize cache blocks on eviction. One file
 //! per spilled group, named by group id.
 
+use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::PathBuf;
 
+use crate::hash::hash_bytes;
 use crate::page::Page;
 
 /// Disk storage for swapped-out page groups.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
-    /// Per-page byte sizes of each spilled group (pages may be
-    /// heterogeneous: oversized segments get dedicated pages).
-    sizes: std::collections::HashMap<u32, Vec<usize>>,
+    /// Each spilled group's per-page byte sizes (pages may be
+    /// heterogeneous: oversized segments get dedicated pages) and the
+    /// [`hash_bytes`] of its file's bytes, taken as they were written.
+    spilled: HashMap<u32, (Vec<usize>, u64)>,
 }
 
 impl SpillStore {
     pub fn new(dir: PathBuf) -> SpillStore {
-        SpillStore { dir, sizes: std::collections::HashMap::new() }
+        SpillStore { dir, spilled: HashMap::new() }
     }
 
-    fn path(&self, id: u32) -> PathBuf {
+    /// Where a group's spill file lives (whether or not it exists), so
+    /// callers can checksum the payload without going through `read`.
+    pub fn file_path(&self, id: u32) -> PathBuf {
         self.dir.join(format!("group-{id}.spill"))
     }
 
     /// Write a group's pages to its spill file (raw page bytes
-    /// back-to-back; sizes kept in memory).
+    /// back-to-back; sizes and the payload's digest kept in memory).
     pub fn write(&mut self, id: u32, pages: &[Page]) -> std::io::Result<()> {
         fs::create_dir_all(&self.dir)?;
-        let mut f = std::io::BufWriter::new(fs::File::create(self.path(id))?);
-        for p in pages {
-            f.write_all(p.bytes())?;
-        }
-        f.flush()?;
-        self.sizes.insert(id, pages.iter().map(|p| p.len()).collect());
+        let payload = pages.iter().map(Page::bytes).collect::<Vec<_>>().concat();
+        fs::write(self.file_path(id), &payload)?;
+        let sizes = pages.iter().map(Page::len).collect();
+        self.spilled.insert(id, (sizes, hash_bytes(&payload)));
         Ok(())
     }
 
     /// Read a group's pages back (sizes restored from the spill record).
     pub fn read(&self, id: u32) -> std::io::Result<Vec<Page>> {
-        let sizes = self.sizes.get(&id).cloned().unwrap_or_default();
-        let mut f = std::io::BufReader::new(fs::File::open(self.path(id))?);
+        let mut f = std::io::BufReader::new(fs::File::open(self.file_path(id))?);
+        let sizes = self.page_sizes(id).unwrap_or_default();
         let mut pages = Vec::with_capacity(sizes.len());
-        for size in sizes {
+        for &size in sizes {
             let mut p = Page::new(size);
             f.read_exact(p.bytes_mut())?;
             pages.push(p);
@@ -55,40 +58,37 @@ impl SpillStore {
         Ok(pages)
     }
 
-    pub fn page_count(&self, id: u32) -> usize {
-        self.sizes.get(&id).map(|s| s.len()).unwrap_or(0)
-    }
-
     /// The per-page byte sizes of a spilled group — the part of the spill
     /// record that lives only in memory and would be lost in a crash,
     /// which is why the engine's spill manifest persists a copy.
     pub fn page_sizes(&self, id: u32) -> Option<&[usize]> {
-        self.sizes.get(&id).map(|s| s.as_slice())
+        self.spilled.get(&id).map(|(sizes, _)| sizes.as_slice())
     }
 
-    /// Where a group's spill file lives (whether or not it exists), so
-    /// callers can checksum the payload without going through `read`.
-    pub fn file_path(&self, id: u32) -> PathBuf {
-        self.path(id)
+    /// The digest of a spilled group's payload as it was written: what
+    /// the file must still hash to. The engine's spill manifest records
+    /// it, so later corruption of the file is never vouched for.
+    pub fn digest(&self, id: u32) -> Option<u64> {
+        self.spilled.get(&id).map(|&(_, digest)| digest)
     }
 
     /// Total spilled bytes of one group.
     pub fn group_bytes(&self, id: u32) -> usize {
-        self.sizes.get(&id).map(|s| s.iter().sum()).unwrap_or(0)
+        self.page_sizes(id).unwrap_or_default().iter().sum()
     }
 
     /// Delete a group's spill file (after swap-in or group release).
     pub fn remove(&mut self, id: u32) {
-        if self.sizes.remove(&id).is_some() {
-            let _ = fs::remove_file(self.path(id));
+        if self.spilled.remove(&id).is_some() {
+            let _ = fs::remove_file(self.file_path(id));
         }
     }
 }
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        for (&id, _) in std::mem::take(&mut self.sizes).iter() {
-            let _ = fs::remove_file(self.path(id));
+        for &id in std::mem::take(&mut self.spilled).keys() {
+            let _ = fs::remove_file(self.file_path(id));
         }
     }
 }
@@ -112,16 +112,20 @@ mod tests {
         let dir = tmp();
         let mut store = SpillStore::new(dir.clone());
         let mut pages = vec![Page::new(64), Page::new(64)];
-        pages[0].write_i64(0, 123);
-        pages[1].write_f64(8, 4.5);
+        pages[0].write_bytes(0, &123i64.to_le_bytes());
+        pages[1].write_bytes(8, &4.5f64.to_le_bytes());
         store.write(7, &pages).unwrap();
-        assert_eq!(store.page_count(7), 2);
+        assert_eq!(store.page_sizes(7), Some(&[64, 64][..]));
         assert_eq!(store.group_bytes(7), 128);
         let back = store.read(7).unwrap();
-        assert_eq!(back[0].read_i64(0), 123);
-        assert_eq!(back[1].read_f64(8), 4.5);
+        assert_eq!(back[0].slice(0, 8), 123i64.to_le_bytes());
+        assert_eq!(back[1].slice(8, 8), 4.5f64.to_le_bytes());
+        assert_eq!(
+            store.digest(7),
+            Some(hash_bytes(&[pages[0].bytes(), pages[1].bytes()].concat()))
+        );
         store.remove(7);
-        assert_eq!(store.page_count(7), 0);
+        assert_eq!(store.page_sizes(7), None);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -55,12 +55,8 @@ fn shared_groups_survive_until_the_last_reference_dies() {
             // Data stays readable through every surviving reference.
             let decoded: Vec<i64> = mm
                 .with_group(group, &mut heap, |g| {
-                    let mut out = Vec::new();
-                    let mut r = g.reader();
-                    while let Some(ptr) = r.next_fixed(8) {
-                        out.push(i64::from_le_bytes(g.slice(ptr, 8).try_into().unwrap()));
-                    }
-                    out
+                    let words = g.fixed_records(8).map(|w| w.try_into().unwrap());
+                    words.map(i64::from_le_bytes).collect::<Vec<_>>()
                 })
                 .map_err(|e| format!("group vanished while referenced: {e:?}"))?;
             prop_assert_eq!(&decoded, values);

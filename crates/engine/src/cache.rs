@@ -1298,8 +1298,10 @@ impl CacheManager {
 
     /// Build the manifest rows for the current cold tier. Deca rows carry
     /// the group's per-page sizes (otherwise memory-only state in the
-    /// core layer) and a digest of the verbatim spill file.
-    fn manifest_blocks(&self, mm: &MemoryManager) -> Result<Vec<Json>, CacheError> {
+    /// core layer) and the digest the core layer took of the verbatim
+    /// spill file as it wrote it, so no commit re-reads a payload, and a
+    /// payload corrupted after its swap-out is never vouched for.
+    fn manifest_blocks(&self, mm: &MemoryManager) -> Vec<Json> {
         let mut rows = Vec::new();
         for (i, e) in self.entries.iter().enumerate() {
             let Some(e) = e else { continue };
@@ -1317,11 +1319,11 @@ impl CacheManager {
                 }
                 BlockState::Deca { block } => {
                     let group = block.group();
-                    if !mm.is_swapped(group) {
+                    let (Some(sizes), Some(digest)) =
+                        (mm.spill_page_sizes(group), mm.spill_digest(group))
+                    else {
                         continue;
-                    }
-                    let payload = std::fs::read(mm.spill_file(group))?;
-                    let sizes = mm.spill_page_sizes(group).unwrap_or_default();
+                    };
                     rows.push(Json::obj(vec![
                         ("id", Json::int(i as u64)),
                         ("kind", Json::str("deca")),
@@ -1331,14 +1333,14 @@ impl CacheManager {
                             "page_sizes",
                             Json::Arr(sizes.iter().map(|&s| Json::int(s as u64)).collect()),
                         ),
-                        ("file_bytes", Json::int(payload.len() as u64)),
-                        ("checksum", Json::str(format!("{:016x}", hash_bytes(&payload)))),
+                        ("file_bytes", Json::int(sizes.iter().sum::<usize>() as u64)),
+                        ("checksum", Json::str(format!("{digest:016x}"))),
                     ]));
                 }
                 _ => {}
             }
         }
-        Ok(rows)
+        rows
     }
 
     /// Write the spill manifest: body JSON + whole-document digest,
@@ -1347,7 +1349,7 @@ impl CacheManager {
     /// leaves the *previous* manifest in effect, which is exactly the
     /// consistency the atomic rename buys.
     fn commit_manifest(&mut self, mm: &MemoryManager) -> Result<(), CacheError> {
-        let rows = self.manifest_blocks(mm)?;
+        let rows = self.manifest_blocks(mm);
         self.commit_manifest_rows(rows)
     }
 
@@ -1891,6 +1893,31 @@ mod tests {
                 assert_eq!(back, recs);
             }
         }
+    }
+
+    /// A swapped Deca payload corrupted after its swap-out is not vouched
+    /// for by a later manifest commit: the manifest carries the digest the
+    /// core layer took as it wrote the file, so restart still drops it.
+    #[test]
+    fn a_deca_payload_corrupted_before_a_later_commit_is_still_dropped() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(16 << 20, 4 << 20);
+        let classes = <(i64, i64) as HeapRecord>::register(&mut heap);
+        let recs: Vec<(i64, i64)> = (0..150).map(|i| (i, 5 * i)).collect();
+        let deca = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
+        let other = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
+        cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
+        let path = mm.spill_file(cm.deca_block(deca).group());
+        let mut payload = std::fs::read(&path).unwrap();
+        let mid = payload.len() / 2;
+        payload[mid] ^= 0x20;
+        std::fs::write(&path, payload).unwrap();
+        // Releasing a cold block commits the manifest again.
+        cm.release(other, &mut heap, &mut mm);
+        let out = cm.crash_restart(&mut heap, &mut mm, "s", 0);
+        assert!(out.manifest_ok);
+        assert!(out.rehydrated.is_empty(), "the corrupted payload is not rehydrated");
+        assert_eq!(out.dropped, 1);
+        assert!(!cm.contains(deca));
     }
 
     #[test]

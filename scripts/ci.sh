@@ -121,6 +121,12 @@ if [ -n "$knobs" ]; then
   exit 1
 fi
 
+echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
+# Library paths should return typed errors, not panic. Each crate's count
+# of non-test unwrap/expect lines may only fall; the allowed counts live in
+# scripts/unwrap-baseline.txt.
+scripts/unwrap_ratchet.sh
+
 echo "== server soak (concurrent submissions, both schedulers, replayed seeds) =="
 # The soak pushes DECA_SOAK_JOBS mixed WC/PR jobs per scheduler and seed
 # from 16 client threads through one shared DecaServer and asserts every
@@ -147,13 +153,16 @@ echo "== properties (replayed seeds) =="
 # leave every byte outside the span alone (`byte_array_*`). The heap's
 # inlined allocation fast path and its slow path must count, zero and poll
 # as one allocator across the eden-full and humongous boundaries, under PS
-# and CMS with a held concurrent cycle (`alloc_fast_*`). These properties
+# and CMS with a held concurrent cycle (`alloc_fast_*`). A page group's
+# page-at-a-time record walks must yield exactly the records of the
+# segment-at-a-time reader they replaced, SFST and framed, fresh and after a
+# swap-out and back (`group::tests`). These properties
 # draw their cases from DECA_CHECK_SEED; a failure hands the reader the
 # exact replay line.
 for seed in 11 29 47; do
   for suite in "-p deca-bench --test properties shuffle" "-p deca-core --lib shuffle" \
       "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array" \
-      "-p deca-heap --lib alloc_fast"; do
+      "-p deca-heap --lib alloc_fast" "-p deca-core --lib group::tests"; do
     # shellcheck disable=SC2086 # $suite is a word list on purpose
     if ! DECA_CHECK_SEED=$seed cargo test -q --offline $suite; then
       echo "properties failed under seed $seed; replay locally with:"

@@ -129,3 +129,52 @@ fn sql_queries_agree_across_systems() {
     assert!((q2[1] - q2[2]).abs() < 1e-6);
     td.cleanup();
 }
+
+/// The Deca kernels decode fields straight from page bytes; a rewrite of
+/// a page walk or a field decoder must leave every floating-point sum
+/// bit-for-bit where it was, which the tolerances above cannot see. The
+/// pinned bits are the checksums these sizes produced before the kernels
+/// read their records a page at a time.
+#[test]
+fn deca_checksums_are_pinned_bit_for_bit() {
+    let td = TestDir::executor_default();
+    let deca = ExecutionMode::Deca;
+    let mut lr = logreg::LrParams::small(deca);
+    lr.points = 4_000;
+    lr.iterations = 4;
+    let mut km = kmeans::KmParams::small(deca);
+    km.points = 4_000;
+    km.iterations = 3;
+    let mut pr = pagerank::PrParams::small(deca);
+    pr.vertices = 800;
+    pr.edges = 6_000;
+    pr.iterations = 3;
+    let mut cc = concomp::CcParams::small(deca);
+    cc.vertices = 600;
+    cc.edges = 3_000;
+    let mut q = sql::SqlParams::small(sql::SqlSystem::Deca);
+    q.rankings_rows = 8_000;
+    q.uservisits_rows = 12_000;
+    let got = [
+        ("LR", logreg::run_local(&lr, 1).checksum),
+        ("KMeans", kmeans::run_local(&km, 1).checksum),
+        ("PR", pagerank::run_local(&pr, 1).checksum),
+        ("CC", concomp::run(&cc).checksum),
+        ("SQL q1", sql::run_query1(&q).checksum),
+        ("SQL q2", sql::run_query2(&q).checksum),
+        ("SQL q3", sql::run_query3(&q).checksum),
+    ];
+    let want: [u64; 7] = [
+        0x3ffc_86c0_e196_e8d2,
+        0x403e_3ed3_f04d_8979,
+        0x4086_98f9_e86a_4fd7,
+        0x40b5_b700_0000_0000,
+        0x4087_5000_62c4_5698,
+        0x40e3_30f1_3e2a_c95b,
+        0x4124_1e49_d9e9_0359,
+    ];
+    for ((app, checksum), bits) in got.into_iter().zip(want) {
+        assert_eq!(checksum.to_bits(), bits, "{app}: {checksum} is {:#018x}", checksum.to_bits());
+    }
+    td.cleanup();
+}

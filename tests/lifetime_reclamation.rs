@@ -71,12 +71,7 @@ fn shared_groups_survive_until_last_reference() {
     // Data remains readable through the group.
     let sum = mm
         .with_group(group, &mut heap, |g| {
-            let mut r = g.reader();
-            let mut sum = 0.0;
-            while let Some(ptr) = r.next_fixed(8) {
-                sum += f64::from_le_bytes(g.slice(ptr, 8).try_into().unwrap());
-            }
-            sum
+            g.fixed_records(8).map(|w| f64::from_le_bytes(w.try_into().unwrap())).sum::<f64>()
         })
         .unwrap();
     assert_eq!(sum, (0..1000).map(|i| i as f64).sum::<f64>());

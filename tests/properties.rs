@@ -16,7 +16,9 @@ use std::collections::HashMap;
 use deca_apps::records::{AdjListRec, LabeledPointRec};
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
-use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle, SecondaryView};
+use deca_core::{
+    DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle, SecondaryView, SegPtr,
+};
 use deca_engine::record::{load_str_into, HeapRecord, KryoRecord};
 use deca_engine::{KryoSim, SparkHashShuffle};
 use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig};
@@ -410,13 +412,8 @@ fn page_groups_preserve_segments() {
             prop_assert_eq!(group.slice(*ptr, s.len()), s.as_slice());
         }
         // Sequential scan:
-        let mut r = group.reader();
-        for s in segs {
-            let (ptr, len) = r.next_framed().unwrap();
-            prop_assert_eq!(len, s.len());
-            prop_assert_eq!(group.slice(ptr, len), s.as_slice());
-        }
-        prop_assert!(r.next_framed().is_none());
+        let walked: Vec<&[u8]> = group.framed_records().collect();
+        prop_assert_eq!(walked, segs.iter().map(Vec::as_slice).collect::<Vec<_>>());
         // Group release is the MemoryManager's job; this bare group simply
         // drops with the test heap.
         Ok(())
@@ -476,12 +473,10 @@ fn secondary_view_is_order_independent() {
         }
         let mut view = SecondaryView::new(&mut mm, primary.group());
         mm.with_group(primary.group(), &mut heap, |g| {
-            let mut r = g.reader();
-            let mut ptrs = Vec::new();
-            while let Some(ptr) = r.next_fixed(8) {
-                ptrs.push(ptr);
-            }
-            ptrs
+            let segs = |(page, used): (usize, &[u8])| {
+                (0..used.len() / 8).map(move |k| SegPtr { page: page as u32, off: (k * 8) as u32 })
+            };
+            g.used_pages().enumerate().flat_map(segs).collect::<Vec<_>>()
         })
         .unwrap()
         .into_iter()
