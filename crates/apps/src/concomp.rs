@@ -1,18 +1,23 @@
 //! ConnectedComponents (§6.3, Figure 10b): label propagation over the
 //! cached adjacency, with a min-aggregated message shuffle per iteration.
 //!
-//! Shares the grouping/caching machinery with PageRank; the combine is
-//! `min` instead of `+`, and iteration stops when no label changes (or at
-//! the iteration cap, as in the paper's 10-iteration runs).
+//! CC is PageRank's job with a different message: it reuses PageRank's
+//! adjacency-build stage and lineage rebuild ([`crate::pagerank`]), and
+//! each iteration is the same map/exchange/reduce shuffle job, sending
+//! labels along every edge both ways and combining them with `min` instead
+//! of `+`. Iteration stops when no label changes (or at the iteration cap,
+//! as in the paper's 10-iteration runs). Labels are exact `i64`s, so the
+//! result is the same for every executor count and combine order.
+//!
+//! The description owns its input: [`job`] generates the edge list once,
+//! when it is called (see the crate docs).
 
-use deca_core::DecaHashShuffle;
-use deca_engine::record::{HeapRecord, PairClasses};
-use deca_engine::{ExecutionMode, Executor, ExecutorConfig, SparkHashShuffle};
+use deca_engine::{AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx};
 
 use crate::datagen;
-use crate::pagerank::{build_adjacency, partition_edges};
-use crate::records::AdjListRec;
+use crate::pagerank::{exchange_messages, partition_edges, Adjacency, Messages};
 use crate::report::AppReport;
+use crate::Partitioned;
 
 /// Parameters of one ConnectedComponents run.
 #[derive(Clone, Debug)]
@@ -42,170 +47,68 @@ impl CcParams {
     }
 }
 
-pub fn run(params: &CcParams) -> AppReport {
-    let config = ExecutorConfig::new(params.mode, params.heap_bytes)
-        .storage_fraction(params.storage_fraction);
-    let mut exec = Executor::new(config);
+/// The executor configuration ConnectedComponents runs under.
+pub fn cc_config(params: &CcParams) -> ExecutorConfig {
+    ExecutorConfig::new(params.mode, params.heap_bytes).storage_fraction(params.storage_fraction)
+}
+
+/// Run ConnectedComponents across `executors` parallel executors.
+pub fn run_local(params: &CcParams, executors: usize) -> AppReport {
+    crate::run_job_local(&job(params), cc_config(params), executors)
+}
+
+/// The ConnectedComponents job description: consumed by
+/// `DecaServer::submit` (via `JobSpec::app`) and by [`run_local`].
+pub fn job(params: &CcParams) -> AppJob {
+    let params = params.clone();
     let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
-    let pair_classes = <(i64, i64) as HeapRecord>::register(&mut exec.heap);
-
     let parts = partition_edges(&edges, params.partitions);
-    let blocks = build_adjacency(&mut exec, &parts, params.mode);
-    exec.finish_job();
-    let cache_bytes = exec.job.cache_bytes + exec.job.swapped_cache_bytes;
+    AppJob::new("CC", move |job_ctx| run_cc(&params, &parts, job_ctx))
+}
 
+/// A CC iteration's messages: both ends of every edge learn the other's
+/// label, so components converge; a vertex keeps the smallest it hears.
+struct Labels<'a>(&'a [i64]);
+
+impl Messages for Labels<'_> {
+    type V = i64;
+    type Edge = [(i64, i64); 2];
+
+    fn sends(&self, vertex: u32) -> i64 {
+        self.0[vertex as usize]
+    }
+
+    fn edge(&self, vertex: u32, label: i64, dst: u32) -> [(i64, i64); 2] {
+        [(dst as i64, label), (vertex as i64, self.0[dst as usize])]
+    }
+
+    fn combine(a: i64, b: i64) -> i64 {
+        a.min(b)
+    }
+}
+
+fn run_cc(
+    params: &CcParams,
+    parts: &Partitioned<(u32, u32)>,
+    job_ctx: &mut JobCtx,
+) -> Result<f64, EngineError> {
+    let adj = Adjacency::build(job_ctx, parts, params.mode)?;
     let mut labels: Vec<i64> = (0..params.vertices as i64).collect();
     for iter in 0..params.max_iterations {
-        let mut spark_mins: Option<SparkHashShuffle<i64, i64>> = match params.mode {
-            ExecutionMode::Deca => None,
-            _ => Some(SparkHashShuffle::new(&mut exec.heap).expect("buffer")),
-        };
-        let mut deca_mins: Option<DecaHashShuffle> = match params.mode {
-            ExecutionMode::Deca => Some(DecaHashShuffle::new(&mut exec.mm, 8, 8)),
-            _ => None,
-        };
-
-        for (pi, &block) in blocks.iter().enumerate() {
-            exec.run_task(format!("cc-iter{iter}-{pi}"), |e| match params.mode {
-                ExecutionMode::Spark => {
-                    let buf = spark_mins.as_mut().expect("spark buffer");
-                    let (root, len) = e
-                        .cache
-                        .objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)
-                        .expect("cache access");
-                    // Walk the cached graph in place. Every message
-                    // allocates, and a collection may move the graph, so
-                    // each vertex is re-read through the root.
-                    for i in 0..len {
-                        let vertex_obj =
-                            |e: &Executor| e.heap.array_get_ref(e.heap.root_ref(root), i);
-                        let v = vertex_obj(e);
-                        let vertex = e.heap.read_word(v, 0) as u32;
-                        let n = e.heap.array_len(e.heap.read_ref(v, 1));
-                        for j in 0..n {
-                            let edges = e.heap.read_ref(vertex_obj(e), 1);
-                            let dst = e.heap.array_get_i32(edges, j) as u32;
-                            send_both_ways(e, buf, &pair_classes, &labels, vertex, dst);
-                        }
-                    }
-                }
-                ExecutionMode::SparkSer => {
-                    let buf = spark_mins.as_mut().expect("spark buffer");
-                    let mut adj: Vec<AdjListRec> = Vec::new();
-                    e.cache
-                        .iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| {
-                            adj.push(r)
-                        })
-                        .expect("cache access");
-                    for a in adj {
-                        for &dst in &a.neighbors {
-                            send_both_ways(e, buf, &pair_classes, &labels, a.vertex, dst);
-                        }
-                    }
-                }
-                ExecutionMode::Deca => {
-                    let buf = deca_mins.as_mut().expect("deca buffer");
-                    let heap = &mut e.heap;
-                    let mm = &mut e.mm;
-                    let mut msgs: Vec<(i64, i64)> = Vec::new();
-                    let block = e.cache.deca_block(block);
-                    block
-                        .scan_bytes(
-                            mm,
-                            heap,
-                            |bytes| {
-                                let (vertex, neighbors) = AdjListRec::fields(bytes);
-                                let l = labels[vertex as usize];
-                                for &dst in neighbors {
-                                    let dst = u32::from_le_bytes(dst) as usize;
-                                    msgs.push((dst as i64, l));
-                                    msgs.push((vertex as i64, labels[dst]));
-                                }
-                            },
-                            |_| {},
-                        )
-                        .expect("cache scan");
-                    let msgs = msgs.iter().map(|(k, v)| (k.to_le_bytes(), v.to_le_bytes()));
-                    buf.insert_all(mm, heap, msgs, |acc, add| {
-                        let a = i64::from_le_bytes(acc[..8].try_into().unwrap());
-                        let b = i64::from_le_bytes(add[..8].try_into().unwrap());
-                        acc[..8].copy_from_slice(&a.min(b).to_le_bytes());
-                    })
-                    .expect("combine");
-                }
-            });
+        let mins = exchange_messages(job_ctx, &format!("cc-iter{iter}"), &adj, &Labels(&labels))?;
+        let mut changed = 0usize;
+        for (vertex, min) in mins {
+            let label = &mut labels[vertex as usize];
+            if min < *label {
+                *label = min;
+                changed += 1;
+            }
         }
-
-        let changed = exec.run_task(format!("cc-update{iter}"), |e| {
-            let mut changed = 0usize;
-            if let Some(buf) = &spark_mins {
-                buf.for_each(&e.heap, |k, v| {
-                    let k = k as usize;
-                    if v < labels[k] {
-                        labels[k] = v;
-                        changed += 1;
-                    }
-                });
-            }
-            if let Some(buf) = &mut deca_mins {
-                buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                    let k = i64::from_le_bytes(k[..8].try_into().unwrap()) as usize;
-                    let v = i64::from_le_bytes(v[..8].try_into().unwrap());
-                    if v < labels[k] {
-                        labels[k] = v;
-                        changed += 1;
-                    }
-                })
-                .expect("scan");
-            }
-            if let Some(mut buf) = spark_mins.take() {
-                buf.release(&mut e.heap);
-            }
-            if let Some(mut buf) = deca_mins.take() {
-                buf.release(&mut e.mm, &mut e.heap);
-            }
-            changed
-        });
         if changed == 0 {
             break;
         }
     }
-
-    exec.finish_job();
-    let checksum: f64 = labels.iter().map(|&l| l as f64).sum();
-    AppReport {
-        app: "CC".into(),
-        mode: params.mode,
-        metrics: exec.job.clone(),
-        timeline: exec.timeline.clone(),
-        checksum,
-        cache_bytes,
-        objects_traced: exec.heap.stats().objects_traced,
-        minor_gcs: exec.heap.stats().minor_collections,
-        full_gcs: exec.heap.stats().full_collections,
-        slowest_task: exec.slowest_task().cloned(),
-    }
-}
-
-/// The Spark kernels' messages for one edge `vertex → dst`, both ways so
-/// components converge: each is a temporary `(vertex, label)` tuple on the
-/// heap, then an eager min-combine.
-fn send_both_ways(
-    e: &mut Executor,
-    buf: &mut SparkHashShuffle<i64, i64>,
-    pair_classes: &PairClasses,
-    labels: &[i64],
-    vertex: u32,
-    dst: u32,
-) {
-    let (vertex, dst) = (vertex as usize, dst as usize);
-    for (k, v) in [(dst as i64, labels[vertex]), (vertex as i64, labels[dst])] {
-        let tmp = (k, v).store(&mut e.heap, pair_classes).expect("temp msg");
-        let ts = e.heap.push_stack(tmp);
-        let (k, v) = <(i64, i64) as HeapRecord>::load(&e.heap, pair_classes, e.heap.stack_ref(ts));
-        e.heap.truncate_stack(ts);
-        buf.insert(&mut e.heap, &k, v, |a, b| a.min(b)).expect("combine");
-    }
+    Ok(labels.iter().map(|&l| l as f64).sum())
 }
 
 #[cfg(test)]
@@ -227,20 +130,37 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1);
+        let ser = run_local(&tiny(ExecutionMode::SparkSer), 1);
+        let deca = run_local(&tiny(ExecutionMode::Deca), 1);
         assert_eq!(spark.checksum, deca.checksum);
         assert_eq!(ser.checksum, deca.checksum);
     }
 
     #[test]
     fn labels_decrease_monotonically() {
-        let r = run(&tiny(ExecutionMode::Deca));
+        let r = run_local(&tiny(ExecutionMode::Deca), 1);
         // Components exist: the checksum is well below the no-propagation
         // sum of 0..V.
         let v = 300f64;
         assert!(r.checksum < v * (v - 1.0) / 2.0);
         assert!(r.checksum >= 0.0);
+    }
+
+    #[test]
+    fn executor_count_does_not_change_labels() {
+        for mode in ExecutionMode::ALL {
+            let one = run_local(&tiny(mode), 1);
+            for executors in [2, 4] {
+                let wide = run_local(&tiny(mode), executors);
+                assert_eq!(one.checksum.to_bits(), wide.checksum.to_bits(), "{mode} x{executors}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_description_generates_its_input_once_and_runs_never_do() {
+        let p = tiny(ExecutionMode::Deca);
+        crate::assert_description_owns_its_input(|| job(&p), cc_config(&p), 1);
     }
 }

@@ -142,7 +142,7 @@ fn run_kmeans(
         job_ctx.run_stage("km-load", params.partitions, |ctx, e| {
             let classes = LabeledPointRec::register(&mut e.heap);
             let block = load_block(e, parts.part(ctx.task), mode, d, &classes)?;
-            blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
+            crate::lock(blocks_now).insert((ctx.executor, ctx.task), block);
             Ok(())
         })?;
     }
@@ -172,9 +172,7 @@ fn run_kmeans(
                 // recaches from its input partition (lineage recompute),
                 // so the scanned bytes are identical wherever the task
                 // lands.
-                let cached = blocks_now
-                    .lock()
-                    .unwrap()
+                let cached = crate::lock(blocks_now)
                     .get(&(ctx.executor, ctx.task))
                     .copied()
                     .filter(|b| e.cache.contains(*b));
@@ -182,7 +180,7 @@ fn run_kmeans(
                     Some(b) => b,
                     None => {
                         let b = load_block(e, parts.part(ctx.task), mode, d, &classes)?;
-                        blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
+                        crate::lock(blocks_now).insert((ctx.executor, ctx.task), b);
                         b
                     }
                 };
@@ -385,7 +383,7 @@ mod tests {
     #[test]
     fn the_description_generates_its_input_once_and_runs_never_do() {
         let p = tiny(ExecutionMode::Deca);
-        crate::assert_description_owns_its_input(|| job(&p), km_config(&p));
+        crate::assert_description_owns_its_input(|| job(&p), km_config(&p), 1);
     }
 
     #[test]

@@ -25,13 +25,18 @@
 //!
 //! ## Who owns the data
 //!
-//! A job description owns its dataset. `wordcount::job`, `logreg::job`,
-//! `kmeans::job` and `pagerank::job` call the generator once, while the
-//! description is built, and keep the records behind a shared
-//! [`Partitioned`] buffer; the job body contains no generator call. Every
-//! run of the description — a repeat, a retried or stolen task, a lineage
-//! recompute of a lost cache block, a `clone()` submitted to a
-//! [`deca_engine::DecaServer`] — borrows its partition from that buffer,
+//! Every app runs one way: as a job description, an [`AppJob`] that
+//! `wordcount::job`, `logreg::job`, `kmeans::job`, `pagerank::job`,
+//! `concomp::job` and `sql::job` build, run by the stage engine on a
+//! standalone [`ClusterSession`] (each app's `run_local`) or submitted to a
+//! [`deca_engine::DecaServer`]. No app builds an executor of its own.
+//!
+//! A job description owns its dataset. Each `job` calls the generator once
+//! per table, while the description is built, and keeps the records behind
+//! a shared [`Partitioned`] buffer; the job body contains no generator
+//! call. Every run of the description — a repeat, a retried or stolen
+//! task, a lineage recompute of a lost cache block, a `clone()` submitted
+//! to a server — borrows its partition from that buffer,
 //! as the paper's jobs read an HDFS file or a cached RDD that already
 //! exists (§6). The times in an [`AppReport`] come from `JobMetrics.exec`,
 //! the stages' critical path over *task* times, so they never contained
@@ -50,6 +55,8 @@ pub mod wordcount;
 
 pub use partitioned::Partitioned;
 pub use report::AppReport;
+
+use std::sync::{Mutex, MutexGuard};
 
 use deca_engine::{
     AppJob, ClusterSession, EngineError, ExecutorConfig, FaultPlan, JobCtx, RetryPolicy,
@@ -98,19 +105,27 @@ pub fn run_job_on(app: &AppJob, session: &mut ClusterSession) -> Result<(f64, us
     Ok((checksum, cache_bytes))
 }
 
+/// Lock a job's shared task state, riding through poisoning: the stage
+/// engine contains a panicking task as a failed attempt, and the state it
+/// guards (block handles) is re-validated by every later attempt.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Test support for the apps' own unit tests: building a description
-/// generates its input (one `datagen` call on this thread), and running the
-/// built description — twice, once from a clone, at two widths — generates
-/// nothing more and returns one checksum.
+/// generates its input (one `datagen` call per table on this thread), and
+/// running the built description — twice, once from a clone, at two widths
+/// — generates nothing more and returns one checksum.
 #[cfg(test)]
 pub(crate) fn assert_description_owns_its_input(
     build: impl FnOnce() -> AppJob,
     config: ExecutorConfig,
+    tables: usize,
 ) {
     let before = datagen::calls();
     let app = build();
     let built = datagen::calls();
-    assert_eq!(built, before + 1, "building the description generates the input");
+    assert_eq!(built, before + tables, "building the description generates the input");
     let first = run_job_local(&app, config.clone(), 2);
     let again = run_job_local(&app.clone(), config, 1);
     assert_eq!(datagen::calls(), built, "a run reads the dataset, it does not re-make it");

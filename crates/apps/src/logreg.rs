@@ -173,7 +173,7 @@ fn run_logreg(
         job_ctx.run_stage("lr-load", params.partitions, |ctx, e| {
             let classes = LabeledPointRec::register(&mut e.heap);
             let block = load_block(e, parts.part(ctx.task), mode, dims, &classes)?;
-            blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
+            crate::lock(blocks_now).insert((ctx.executor, ctx.task), block);
             Ok(())
         })?;
     }
@@ -193,9 +193,7 @@ fn run_logreg(
                 // executor without it recaches from its input partition
                 // (lineage recompute), so the scanned bytes are identical
                 // wherever the task lands.
-                let cached = blocks_now
-                    .lock()
-                    .unwrap()
+                let cached = crate::lock(blocks_now)
                     .get(&(ctx.executor, ctx.task))
                     .copied()
                     .filter(|b| e.cache.contains(*b));
@@ -203,7 +201,7 @@ fn run_logreg(
                     Some(b) => b,
                     None => {
                         let b = load_block(e, parts.part(ctx.task), mode, dims, &classes)?;
-                        blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
+                        crate::lock(blocks_now).insert((ctx.executor, ctx.task), b);
                         b
                     }
                 };
@@ -405,7 +403,7 @@ mod tests {
     #[test]
     fn the_description_generates_its_input_once_and_runs_never_do() {
         let p = tiny(ExecutionMode::Deca);
-        crate::assert_description_owns_its_input(|| job(&p), lr_config(&p));
+        crate::assert_description_owns_its_input(|| job(&p), lr_config(&p), 1);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! The same description runs standalone ([`run_local`]) or submitted to a
 //! [`deca_engine::DecaServer`].
 //!
+//! The adjacency stage and the iteration's shuffle job are shared with
+//! ConnectedComponents ([`crate::concomp`]): `Adjacency` owns the cached
+//! blocks and their lineage rebuild, and `exchange_messages` runs one
+//! iteration for any `Messages` — rank contributions summed here, labels
+//! min-ed there.
+//!
 //! The description owns its input: [`job`] generates the edge list once,
 //! when it is called, and derives from it the two things that depend on
 //! the input alone — the source-hash edge partitions and the out-degree
@@ -28,10 +34,11 @@ use std::sync::Mutex;
 
 use deca_core::optimizer::ContainerDecision;
 use deca_core::{DecaHashShuffle, Optimizer};
-use deca_engine::record::HeapRecord;
+use deca_engine::cache::BlockId;
+use deca_engine::record::{HeapRecord, KryoRecord, PairClasses, Record};
 use deca_engine::{
     AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, MapOutputs,
-    ShufflePayload, SparkGroupShuffle, SparkHashShuffle,
+    ShufflePayload, SparkGroupShuffle, SparkHashShuffle, TaskContext,
 };
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
@@ -82,8 +89,8 @@ fn build_adjacency_block(
     e: &mut Executor,
     part: &[(u32, u32)],
     mode: ExecutionMode,
-    adj_classes: &crate::records::AdjClasses,
-) -> Result<deca_engine::cache::BlockId, EngineError> {
+) -> Result<BlockId, EngineError> {
+    let adj_classes = AdjListRec::register(&mut e.heap);
     // The grouping buffer holds heap objects in every mode — its content
     // is a VST while being built (§4.3.3).
     let mut buf: SparkGroupShuffle<u32, i64> = SparkGroupShuffle::new(&mut e.heap);
@@ -99,7 +106,7 @@ fn build_adjacency_block(
     // dying buffer.
     let block = match mode {
         ExecutionMode::Spark => {
-            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, adj_classes, &adj)?
+            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &adj_classes, &adj)?
         }
         ExecutionMode::SparkSer => {
             e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, &adj)?
@@ -110,133 +117,314 @@ fn build_adjacency_block(
     Ok(block)
 }
 
-/// Build the adjacency cache (grouping stage) on one executor from
-/// source-partitioned edges and return its block ids (ConnectedComponents'
-/// single-executor path).
-pub(crate) fn build_adjacency(
-    exec: &mut Executor,
-    parts: &Partitioned<(u32, u32)>,
+/// A graph job's cached adjacency: partition `p`'s block, tracked per
+/// `(executor, partition)`. With the static round-robin pinning every
+/// iteration's map task finds its block executor-local, but a retried task
+/// that migrated rebuilds the block deterministically from its edge
+/// partition first — Spark's lineage story (§6.1) — so the scanned bytes,
+/// and hence every message sequence, are identical wherever the task lands.
+pub(crate) struct Adjacency<'a> {
+    parts: &'a Partitioned<(u32, u32)>,
     mode: ExecutionMode,
-) -> Vec<deca_engine::cache::BlockId> {
-    let adj_classes = AdjListRec::register(&mut exec.heap);
-    parts
-        .iter()
-        .enumerate()
-        .map(|(pi, part)| {
-            exec.run_task(format!("adj-build-{pi}"), |e| {
-                build_adjacency_block(e, part, mode, &adj_classes).expect("adjacency build")
-            })
-        })
-        .collect()
+    blocks: Mutex<HashMap<(usize, usize), BlockId>>,
 }
 
-/// Generate and aggregate one iteration's rank messages from one block.
-/// Cache accesses propagate errors (rather than panicking) because the
-/// cold-read path is fault-instrumented: an injected `SpillRead` kill
-/// must surface as a failed task attempt the driver can retry. The Spark
-/// arms' heap allocations and the Deca arm's page budget propagate theirs
-/// too: a full heap is a memory-pressure error the stage engine spills and
-/// re-runs on.
-#[allow(clippy::too_many_arguments)] // one parameter per shuffle representation
-fn messages_from_block(
+impl<'a> Adjacency<'a> {
+    /// The grouping stage: partition `p`'s adjacency block is cached on
+    /// executor `p % E`, where iteration map task `p` (same pinning) will
+    /// scan it. Notes the job's cache footprint once it is built.
+    pub(crate) fn build(
+        job_ctx: &mut JobCtx,
+        parts: &'a Partitioned<(u32, u32)>,
+        mode: ExecutionMode,
+    ) -> Result<Adjacency<'a>, EngineError> {
+        if mode == ExecutionMode::Deca {
+            assert_deca_plan();
+        }
+        let adj = Adjacency { parts, mode, blocks: Mutex::new(HashMap::new()) };
+        job_ctx.run_stage("adj-build", parts.parts(), |ctx, e| {
+            let block = build_adjacency_block(e, parts.part(ctx.task), mode)?;
+            crate::lock(&adj.blocks).insert((ctx.executor, ctx.task), block);
+            Ok(())
+        })?;
+        job_ctx.note_cache_bytes();
+        Ok(adj)
+    }
+
+    /// The block of partition `ctx.task` on this executor. A crash restart
+    /// may have wiped the block the stage built (restart-in-place
+    /// rehydrates only manifest-verified cold blocks), so the handle is
+    /// only trusted if the cache still holds it; otherwise — or when the
+    /// attempt migrated to an executor that never built the partition —
+    /// the block is recomputed from its lineage.
+    fn block(&self, ctx: &TaskContext, e: &mut Executor) -> Result<BlockId, EngineError> {
+        let key = (ctx.executor, ctx.task);
+        if let Some(&b) = crate::lock(&self.blocks).get(&key).filter(|b| e.cache.contains(**b)) {
+            return Ok(b);
+        }
+        let b = build_adjacency_block(e, self.parts.part(ctx.task), self.mode)?;
+        crate::lock(&self.blocks).insert(key, b);
+        Ok(b)
+    }
+}
+
+/// A message value: 8 little-endian bytes in Deca's pages, a boxed scalar
+/// in the Spark modes' `Tuple2` messages.
+pub(crate) trait MsgValue: Record + Copy + Sync {
+    fn to_bytes(self) -> [u8; 8];
+    fn from_bytes(bytes: &[u8]) -> Self;
+}
+
+impl MsgValue for f64 {
+    fn to_bytes(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+
+    fn from_bytes(bytes: &[u8]) -> f64 {
+        f64::from_le_bytes(bytes.as_chunks::<8>().0[0])
+    }
+}
+
+impl MsgValue for i64 {
+    fn to_bytes(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+
+    fn from_bytes(bytes: &[u8]) -> i64 {
+        i64::from_le_bytes(bytes.as_chunks::<8>().0[0])
+    }
+}
+
+/// What one iteration of a graph job sends along the cached edges, and how
+/// the messages bound for one vertex combine.
+pub(crate) trait Messages: Sync {
+    type V: MsgValue;
+    /// The `(destination, value)` messages of one edge.
+    type Edge: IntoIterator<Item = (i64, Self::V)>;
+    /// What `vertex` sends along each of its edges, computed once per
+    /// adjacency list.
+    fn sends(&self, vertex: u32) -> Self::V;
+    /// The messages of the edge `vertex → dst`, `sent` being
+    /// `self.sends(vertex)`.
+    fn edge(&self, vertex: u32, sent: Self::V, dst: u32) -> Self::Edge;
+    fn combine(a: Self::V, b: Self::V) -> Self::V;
+}
+
+fn combine_bytes<M: Messages>(acc: &mut [u8], add: &[u8]) {
+    let combined = M::combine(M::V::from_bytes(acc), M::V::from_bytes(add));
+    acc[..8].copy_from_slice(&combined.to_bytes());
+}
+
+/// A task's per-destination combine buffer in the mode's representation:
+/// boxed objects on the heap (Spark, SparkSer) or page bytes (Deca).
+enum Combiner<V: MsgValue> {
+    Heap(SparkHashShuffle<i64, V>),
+    Pages(DecaHashShuffle),
+}
+
+impl<V: MsgValue> Combiner<V> {
+    fn new(e: &mut Executor, mode: ExecutionMode) -> Result<Combiner<V>, EngineError> {
+        Ok(match mode {
+            ExecutionMode::Deca => Combiner::Pages(DecaHashShuffle::new(&mut e.mm, 8, 8)),
+            _ => Combiner::Heap(SparkHashShuffle::new(&mut e.heap)?),
+        })
+    }
+}
+
+/// One Spark-mode message: a temporary `(dst, value)` tuple on the heap,
+/// then an eager combine into the buffer.
+fn send<M: Messages>(
     e: &mut Executor,
-    block: deca_engine::cache::BlockId,
+    buf: &mut SparkHashShuffle<i64, M::V>,
+    pair_classes: &PairClasses,
+    (dst, value): (i64, M::V),
+) -> Result<(), EngineError>
+where
+    (i64, M::V): HeapRecord<Classes = PairClasses>,
+{
+    let tmp = (dst, value).store(&mut e.heap, pair_classes)?;
+    let ts = e.heap.push_stack(tmp);
+    let (k, v) = <(i64, M::V) as HeapRecord>::load(&e.heap, pair_classes, e.heap.stack_ref(ts));
+    e.heap.truncate_stack(ts);
+    buf.insert(&mut e.heap, &k, v, M::combine)?;
+    Ok(())
+}
+
+/// Generate and combine one iteration's messages from one block. Cache
+/// accesses propagate errors (rather than panicking) because the cold-read
+/// path is fault-instrumented: an injected `SpillRead` kill must surface as
+/// a failed task attempt the driver can retry. The Spark arms' heap
+/// allocations and the Deca arm's page budget propagate theirs too: a full
+/// heap is a memory-pressure error the stage engine spills and re-runs on.
+fn messages_from_block<M: Messages>(
+    e: &mut Executor,
+    block: BlockId,
     mode: ExecutionMode,
-    ranks: &[f64],
-    degrees: &[u32],
-    spark_sums: &mut Option<SparkHashShuffle<i64, f64>>,
-    deca_sums: &mut Option<DecaHashShuffle>,
-    pair_classes: &deca_engine::record::PairClasses,
-) -> Result<(), EngineError> {
-    match mode {
-        ExecutionMode::Spark | ExecutionMode::SparkSer => {
-            let buf = spark_sums.as_mut().expect("spark buffer");
-            match mode {
-                ExecutionMode::Spark => {
-                    let (root, len) =
-                        e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-                    for i in 0..len {
-                        let arr = e.heap.root_ref(root);
-                        let v = e.heap.array_get_ref(arr, i);
-                        let vertex = e.heap.read_word(v, 0) as u32;
-                        let edges_arr = e.heap.read_ref(v, 1);
-                        let deg = degrees[vertex as usize].max(1) as f64;
-                        let contrib = ranks[vertex as usize] / deg;
-                        let n = e.heap.array_len(edges_arr);
-                        for j in 0..n {
-                            let arr = e.heap.root_ref(root);
-                            let v = e.heap.array_get_ref(arr, i);
-                            let edges_arr = e.heap.read_ref(v, 1);
-                            let dst = e.heap.array_get_i32(edges_arr, j) as i64;
-                            // Temporary message tuple, then eager combine.
-                            let tmp = (dst, contrib).store(&mut e.heap, pair_classes)?;
-                            let ts = e.heap.push_stack(tmp);
-                            let (k, val) = <(i64, f64) as HeapRecord>::load(
-                                &e.heap,
-                                pair_classes,
-                                e.heap.stack_ref(ts),
-                            );
-                            e.heap.truncate_stack(ts);
-                            buf.insert(&mut e.heap, &k, val, |a, b| a + b)?;
-                        }
-                    }
-                }
-                _ => {
-                    // SparkSer: deserialize adjacency, then emit as Spark.
-                    let mut adj: Vec<AdjListRec> = Vec::new();
-                    e.cache.iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| {
-                        adj.push(r)
-                    })?;
-                    for a in adj {
-                        let deg = degrees[a.vertex as usize].max(1) as f64;
-                        let contrib = ranks[a.vertex as usize] / deg;
-                        for &dst in &a.neighbors {
-                            let tmp = (dst as i64, contrib).store(&mut e.heap, pair_classes)?;
-                            let ts = e.heap.push_stack(tmp);
-                            let (k, val) = <(i64, f64) as HeapRecord>::load(
-                                &e.heap,
-                                pair_classes,
-                                e.heap.stack_ref(ts),
-                            );
-                            e.heap.truncate_stack(ts);
-                            buf.insert(&mut e.heap, &k, val, |x, y| x + y)?;
-                        }
+    msgs: &M,
+    combiner: &mut Combiner<M::V>,
+) -> Result<(), EngineError>
+where
+    (i64, M::V): HeapRecord<Classes = PairClasses>,
+{
+    match combiner {
+        Combiner::Heap(buf) if mode == ExecutionMode::Spark => {
+            let pair_classes = <(i64, M::V) as HeapRecord>::register(&mut e.heap);
+            let (root, len) = e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+            // Walk the cached graph in place. Every message allocates, and
+            // a collection may move the graph, so each edge is re-read
+            // through the root.
+            for i in 0..len {
+                let v = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                let vertex = e.heap.read_word(v, 0) as u32;
+                let sent = msgs.sends(vertex);
+                let n = e.heap.array_len(e.heap.read_ref(v, 1));
+                for j in 0..n {
+                    let v = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                    let dst = e.heap.array_get_i32(e.heap.read_ref(v, 1), j) as u32;
+                    for m in msgs.edge(vertex, sent, dst) {
+                        send::<M>(e, buf, &pair_classes, m)?;
                     }
                 }
             }
         }
-        ExecutionMode::Deca => {
-            let buf = deca_sums.as_mut().expect("deca buffer");
+        Combiner::Heap(buf) => {
+            // SparkSer: deserialize the adjacency, then emit as Spark.
+            let pair_classes = <(i64, M::V) as HeapRecord>::register(&mut e.heap);
+            let mut adj: Vec<AdjListRec> = Vec::new();
+            e.cache.iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| adj.push(r))?;
+            for a in adj {
+                let sent = msgs.sends(a.vertex);
+                for &dst in &a.neighbors {
+                    for m in msgs.edge(a.vertex, sent, dst) {
+                        send::<M>(e, buf, &pair_classes, m)?;
+                    }
+                }
+            }
+        }
+        Combiner::Pages(buf) => {
             let heap = &mut e.heap;
             let mm = &mut e.mm;
-            // Two-phase borrow: collect the (dst, contrib) stream from the
-            // scan, then insert (the scan holds the cache borrow).
-            let mut msgs: Vec<(i64, f64)> = Vec::new();
+            // Two-phase borrow: collect the message stream from the scan,
+            // then insert (the scan holds the cache borrow).
+            let mut out: Vec<(i64, M::V)> = Vec::new();
             let block = e.cache.deca_block(block);
             block.scan_bytes(
                 mm,
                 heap,
                 |bytes| {
                     let (vertex, neighbors) = AdjListRec::fields(bytes);
-                    let deg = degrees[vertex as usize].max(1) as f64;
-                    let contrib = ranks[vertex as usize] / deg;
-                    msgs.extend(
-                        neighbors.iter().map(|&dst| (u32::from_le_bytes(dst) as i64, contrib)),
-                    );
+                    let sent = msgs.sends(vertex);
+                    for &dst in neighbors {
+                        out.extend(msgs.edge(vertex, sent, u32::from_le_bytes(dst)));
+                    }
                 },
                 |_| {},
             )?;
-            let msgs = msgs.iter().map(|(dst, contrib)| (dst.to_le_bytes(), contrib.to_le_bytes()));
-            buf.insert_all(mm, heap, msgs, add_f64_bytes)?;
+            let pairs = out.iter().map(|(dst, v)| (dst.to_le_bytes(), v.to_bytes()));
+            buf.insert_all(mm, heap, pairs, combine_bytes::<M>)?;
         }
     }
     Ok(())
 }
 
-fn add_f64_bytes(acc: &mut [u8], add: &[u8]) {
-    let a = f64::from_le_bytes(acc[..8].try_into().unwrap());
-    let b = f64::from_le_bytes(add[..8].try_into().unwrap());
-    acc[..8].copy_from_slice(&(a + b).to_le_bytes());
+/// One iteration of a graph job as the shuffle job `name`. Each map task
+/// scans its adjacency block, emits `msgs`' messages and combines them per
+/// destination, then writes per-reducer runs (Kryo-serialized in the Spark
+/// modes, raw 16-byte records handed over without a copy in Deca). Each
+/// reduce task combines its destinations' subtotals in map-task order, so
+/// the combine sequence per vertex never depends on the cluster shape.
+/// Returns every destination that received a message with its combined
+/// value.
+pub(crate) fn exchange_messages<M: Messages>(
+    job_ctx: &mut JobCtx,
+    name: &str,
+    adj: &Adjacency,
+    msgs: &M,
+) -> Result<Vec<(u32, M::V)>, EngineError>
+where
+    (i64, M::V): HeapRecord<Classes = PairClasses> + KryoRecord,
+{
+    let (mode, reducers) = (adj.mode, adj.parts.parts());
+    let combined = job_ctx.run_shuffle_job(
+        name,
+        reducers,
+        reducers,
+        |ctx, e| {
+            let block = adj.block(ctx, e)?;
+            let mut combiner = Combiner::new(e, mode)?;
+            // Message emission + eager combining is the shuffle write.
+            e.shuffle_write_scope(|e| messages_from_block(e, block, mode, msgs, &mut combiner))?;
+            e.shuffle_write_scope(|e| -> Result<MapOutputs, EngineError> {
+                match combiner {
+                    // Pooled byte buffers: ~2-byte tag + varint key +
+                    // value per record.
+                    Combiner::Heap(mut buf) => {
+                        let cap = 16 * buf.len().div_ceil(reducers);
+                        let mut out: Vec<Vec<u8>> =
+                            (0..reducers).map(|_| e.take_shuffle_buf(cap)).collect();
+                        let pairs = buf.drain(&e.heap);
+                        e.kryo.time_ser(|kr| {
+                            for (k, v) in pairs {
+                                let r = (k as u64 % reducers as u64) as usize;
+                                kr.serialize(&(k, v), &mut out[r]);
+                            }
+                        });
+                        buf.release(&mut e.heap);
+                        Ok(out.into_iter().map(ShufflePayload::from).collect())
+                    }
+                    Combiner::Pages(mut buf) => {
+                        let mut runs: Vec<_> = (0..reducers).map(|_| e.arena.new_run()).collect();
+                        let (mm, heap, arena) = (&mut e.mm, &mut e.heap, &mut e.arena);
+                        buf.for_each(mm, heap, |k, v| {
+                            let r = (<i64 as MsgValue>::from_bytes(k) as u64 % reducers as u64)
+                                as usize;
+                            runs[r].push_parts(arena, &[k, v]);
+                        })?;
+                        buf.release(&mut e.mm, &mut e.heap);
+                        Ok(runs.into_iter().map(|run| e.hand_over(run)).collect())
+                    }
+                }
+            })
+        },
+        |_ctx, e, bufs| {
+            let mut out: Vec<(u32, M::V)> = Vec::new();
+            match Combiner::new(e, mode)? {
+                Combiner::Pages(mut buf) => {
+                    e.shuffle_read_scope(|e| -> Result<(), EngineError> {
+                        // 16-byte records never span pages; chunk
+                        // concatenation is the exact flat sequence.
+                        let recs = bufs
+                            .iter()
+                            .flat_map(|p| p.chunks())
+                            .flat_map(|b| b.chunks_exact(16))
+                            .map(|r| r.split_at(8));
+                        buf.insert_all(&mut e.mm, &mut e.heap, recs, combine_bytes::<M>)?;
+                        Ok(())
+                    })?;
+                    buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
+                        out.push((<i64 as MsgValue>::from_bytes(k) as u32, M::V::from_bytes(v)));
+                    })?;
+                    buf.release(&mut e.mm, &mut e.heap);
+                }
+                Combiner::Heap(mut buf) => {
+                    e.shuffle_read_scope(|e| -> Result<(), EngineError> {
+                        for payload in bufs {
+                            let bytes = payload.contiguous();
+                            let pairs: Vec<(i64, M::V)> = e.kryo.deserialize_all(&bytes);
+                            for (k, v) in pairs {
+                                buf.insert(&mut e.heap, &k, v, M::combine)?;
+                            }
+                        }
+                        Ok(())
+                    })?;
+                    buf.for_each(&e.heap, |k, v| out.push((k as u32, v)));
+                    buf.release(&mut e.heap);
+                }
+            }
+            Ok(out)
+        },
+    )?;
+    Ok(combined.into_iter().flatten().collect())
 }
 
 /// Assert the Deca optimizer reproduces the §4.3.3 plan (VST grouping
@@ -294,13 +482,6 @@ pub fn run_local(params: &PrParams, executors: usize) -> AppReport {
 
 /// The PageRank job description: consumed by `DecaServer::submit` (via
 /// `JobSpec::app`) and by the local shims above.
-///
-/// The adjacency cache is tracked per `(executor, partition)`: with the
-/// static round-robin pinning every iteration's map task finds its block
-/// executor-local, but a retried task that migrated rebuilds the block
-/// deterministically from its edge partition first — Spark's lineage
-/// story (§6.1) — so the scanned bytes, and hence the f64 message
-/// sequence, are identical wherever the task lands.
 pub fn job(params: &PrParams) -> AppJob {
     let params = params.clone();
     let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
@@ -312,180 +493,48 @@ pub fn job(params: &PrParams) -> AppJob {
     AppJob::new("PR", move |job_ctx| run_pagerank(&params, &parts, &degrees, job_ctx))
 }
 
+/// A PageRank iteration's messages: each vertex sends its rank divided by
+/// its out-degree along every out-edge, and a vertex's messages sum.
+struct Contributions<'a> {
+    ranks: &'a [f64],
+    degrees: &'a [u32],
+}
+
+impl Messages for Contributions<'_> {
+    type V = f64;
+    type Edge = [(i64, f64); 1];
+
+    fn sends(&self, vertex: u32) -> f64 {
+        self.ranks[vertex as usize] / self.degrees[vertex as usize].max(1) as f64
+    }
+
+    fn edge(&self, _vertex: u32, contrib: f64, dst: u32) -> [(i64, f64); 1] {
+        [(dst as i64, contrib)]
+    }
+
+    fn combine(a: f64, b: f64) -> f64 {
+        a + b
+    }
+}
+
 fn run_pagerank(
     params: &PrParams,
     parts: &Partitioned<(u32, u32)>,
     degrees: &[u32],
     job_ctx: &mut JobCtx,
 ) -> Result<f64, EngineError> {
-    if params.mode == ExecutionMode::Deca {
-        assert_deca_plan();
-    }
-    let mode = params.mode;
-
-    // Grouping stage: partition p's adjacency block is cached on executor
-    // p % E, where iteration map task p (same pinning) will scan it.
-    let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
-        Mutex::new(HashMap::new());
-    {
-        let blocks_now = &blocks;
-        job_ctx.run_stage("adj-build", params.partitions, |ctx, e| {
-            let adj_classes = AdjListRec::register(&mut e.heap);
-            let block = build_adjacency_block(e, parts.part(ctx.task), mode, &adj_classes)?;
-            blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
-            Ok(())
-        })?;
-    }
-    job_ctx.note_cache_bytes();
-
-    let reducers = params.partitions;
+    let adj = Adjacency::build(job_ctx, parts, params.mode)?;
     let mut ranks = vec![1.0f64; params.vertices];
     for iter in 0..params.iterations {
-        let ranks_now = &ranks;
-        let blocks_now = &blocks;
-        let updates = job_ctx.run_shuffle_job(
-            &format!("pr-iter{iter}"),
-            params.partitions,
-            reducers,
-            // Map: scan the executor-local adjacency block, emit and
-            // eagerly combine rank messages, then write per-reducer
-            // runs (serialized in Spark modes, raw bytes in Deca).
-            |ctx, e| {
-                // A crash restart may have wiped the block the map built
-                // (restart-in-place rehydrates only manifest-verified cold
-                // blocks), so the handle is only trusted if the cache
-                // still holds it — otherwise lineage recompute, exactly as
-                // for a migrated attempt.
-                let cached = blocks_now
-                    .lock()
-                    .unwrap()
-                    .get(&(ctx.executor, ctx.task))
-                    .copied()
-                    .filter(|b| e.cache.contains(*b));
-                let block = match cached {
-                    Some(b) => b,
-                    // Lineage recompute: this attempt migrated to an
-                    // executor that never built partition `task`.
-                    None => {
-                        let adj_classes = AdjListRec::register(&mut e.heap);
-                        let b = build_adjacency_block(e, parts.part(ctx.task), mode, &adj_classes)?;
-                        blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
-                        b
-                    }
-                };
-                let pair_classes = <(i64, f64) as HeapRecord>::register(&mut e.heap);
-                let mut spark_sums: Option<SparkHashShuffle<i64, f64>> = match mode {
-                    ExecutionMode::Deca => None,
-                    _ => Some(SparkHashShuffle::new(&mut e.heap)?),
-                };
-                let mut deca_sums: Option<DecaHashShuffle> = match mode {
-                    ExecutionMode::Deca => Some(DecaHashShuffle::new(&mut e.mm, 8, 8)),
-                    _ => None,
-                };
-                // Message emission + eager combining is the shuffle
-                // write.
-                e.shuffle_write_scope(|e| {
-                    messages_from_block(
-                        e,
-                        block,
-                        mode,
-                        ranks_now,
-                        degrees,
-                        &mut spark_sums,
-                        &mut deca_sums,
-                        &pair_classes,
-                    )
-                })?;
-                let out = e.shuffle_write_scope(|e| -> Result<MapOutputs, EngineError> {
-                    // Spark modes serialize into pooled byte buffers
-                    // (~2-byte tag + varint key + 8-byte f64 per record);
-                    // Deca writes fixed 16-byte records into arena pages
-                    // and hands them over without a copy.
-                    if let Some(mut buf) = spark_sums.take() {
-                        let cap = 16 * buf.len().div_ceil(reducers);
-                        let mut out: Vec<Vec<u8>> =
-                            (0..reducers).map(|_| e.take_shuffle_buf(cap)).collect();
-                        let pairs = buf.drain(&e.heap);
-                        e.kryo.time_ser(|kr| {
-                            for (k, v) in pairs {
-                                let r = (k as u64 % reducers as u64) as usize;
-                                kr.serialize(&(k, v), &mut out[r]);
-                            }
-                        });
-                        buf.release(&mut e.heap);
-                        return Ok(out.into_iter().map(ShufflePayload::from).collect());
-                    }
-                    let mut buf = deca_sums.take().expect("one mode buffer exists");
-                    let mut runs: Vec<_> = (0..reducers).map(|_| e.arena.new_run()).collect();
-                    let (mm, heap, arena) = (&mut e.mm, &mut e.heap, &mut e.arena);
-                    buf.for_each(mm, heap, |k, v| {
-                        let dst = i64::from_le_bytes(k[..8].try_into().unwrap());
-                        let r = (dst as u64 % reducers as u64) as usize;
-                        runs[r].push_parts(arena, &[k, v]);
-                    })?;
-                    buf.release(&mut e.mm, &mut e.heap);
-                    Ok(runs.into_iter().map(|run| e.hand_over(run)).collect())
-                })?;
-                Ok(out)
-            },
-            // Reduce: sum per-destination subtotals in map-task order,
-            // then apply the damped update for the received vertices.
-            |_ctx, e, bufs| {
-                let mut updates: Vec<(u32, f64)> = Vec::new();
-                match mode {
-                    ExecutionMode::Deca => {
-                        let mut buf = DecaHashShuffle::new(&mut e.mm, 8, 8);
-                        e.shuffle_read_scope(|e| -> Result<(), EngineError> {
-                            // 16-byte records never span pages; chunk
-                            // concatenation is the exact flat sequence.
-                            let recs = bufs
-                                .iter()
-                                .flat_map(|p| p.chunks())
-                                .flat_map(|b| b.chunks_exact(16))
-                                .map(|r| r.split_at(8));
-                            buf.insert_all(&mut e.mm, &mut e.heap, recs, add_f64_bytes)?;
-                            Ok(())
-                        })?;
-                        buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                            let dst = i64::from_le_bytes(k[..8].try_into().unwrap()) as u32;
-                            let sum = f64::from_le_bytes(v[..8].try_into().unwrap());
-                            updates.push((dst, 0.15 + 0.85 * sum));
-                        })?;
-                        buf.release(&mut e.mm, &mut e.heap);
-                    }
-                    _ => {
-                        let mut buf: SparkHashShuffle<i64, f64> =
-                            SparkHashShuffle::new(&mut e.heap)?;
-                        e.shuffle_read_scope(|e| -> Result<(), EngineError> {
-                            for payload in bufs {
-                                let bytes = payload.contiguous();
-                                let pairs: Vec<(i64, f64)> = e.kryo.deserialize_all(&bytes);
-                                for (k, v) in pairs {
-                                    buf.insert(&mut e.heap, &k, v, |a, b| a + b)?;
-                                }
-                            }
-                            Ok(())
-                        })?;
-                        buf.for_each(&e.heap, |k, v| {
-                            updates.push((k as u32, 0.15 + 0.85 * v));
-                        });
-                        buf.release(&mut e.heap);
-                    }
-                }
-                Ok(updates)
-            },
-        )?;
-
+        let msgs = Contributions { ranks: &ranks, degrees };
+        let sums = exchange_messages(job_ctx, &format!("pr-iter{iter}"), &adj, &msgs)?;
         // Damped update: vertices with no in-messages keep the 0.15 base.
         let mut next = vec![0.15f64; params.vertices];
-        for task_updates in updates {
-            for (dst, rank) in task_updates {
-                next[dst as usize] = rank;
-            }
+        for (dst, sum) in sums {
+            next[dst as usize] = 0.15 + 0.85 * sum;
         }
         ranks = next;
     }
-
     Ok(ranks.iter().sum())
 }
 
@@ -520,7 +569,7 @@ mod tests {
     #[test]
     fn the_description_generates_its_input_once_and_runs_never_do() {
         let p = tiny(ExecutionMode::Deca);
-        crate::assert_description_owns_its_input(|| job(&p), pr_config(&p));
+        crate::assert_description_owns_its_input(|| job(&p), pr_config(&p), 1);
     }
 
     #[test]

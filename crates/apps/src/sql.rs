@@ -9,16 +9,40 @@
 //! GROUP BY SUBSTR(sourceIP,1,5);
 //! ```
 //!
+//! plus the suite's join query (an *extension*: the paper reports Q1/Q2
+//! but discusses the join pathology in §6.5):
+//!
+//! ```sql
+//! -- Query 3
+//! SELECT SUBSTR(sourceIP,1,5), SUM(adRevenue), AVG(pageRank)
+//! FROM uservisits UV JOIN rankings R ON UV.urlId = R.urlId
+//! GROUP BY SUBSTR(sourceIP,1,5);
+//! ```
+//!
 //! Three systems, as in the paper: hand-written RDD programs on **Spark**
 //! (row objects on the heap) and **Deca** (decomposed rows), plus a
 //! **Spark SQL** simulation — serialized column-oriented in-memory tables
 //! (project Tungsten-style), scanned without materialising row objects and
 //! aggregated in a serialized hash buffer.
+//!
+//! A query is a two-stage job ([`job`]): a load stage caches the tables'
+//! partitions, then a query stage scans them and aggregates. Each stage is
+//! one task, so it runs on lane 0 and the floating-point sums of Q2 and Q3
+//! keep one order. Table 6 times the query stage alone
+//! ([`SqlQuery::stage`]). The query is the tables' last use: it releases
+//! the blocks it read. An attempt that finds its blocks gone — it migrated,
+//! or a crash wiped them — rebuilds them from the description's tables
+//! first, as PageRank's map rebuilds its adjacency.
+
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 use deca_core::{DecaHashShuffle, DecaRecord};
-use deca_engine::record::HeapRecord;
-use deca_engine::{ExecutionMode, Executor, ExecutorConfig, SparkHashShuffle};
-use deca_heap::FieldKind;
+use deca_engine::cache::BlockId;
+use deca_engine::record::{HeapRecord, Record};
+use deca_engine::{
+    AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, SparkHashShuffle,
+};
 
 use crate::datagen;
 use crate::records::{JoinAggRec, RankingRec, UserVisitRec};
@@ -47,10 +71,51 @@ impl SqlSystem {
     fn engine_mode(self) -> ExecutionMode {
         match self {
             SqlSystem::Spark => ExecutionMode::Spark,
-            // SparkSql's columnar store is modelled separately; the engine
-            // mode only sizes the heap.
+            // SparkSql's columnar chunks are byte blocks; the engine mode
+            // only sizes the heap.
             SqlSystem::SparkSql => ExecutionMode::SparkSer,
             SqlSystem::Deca => ExecutionMode::Deca,
+        }
+    }
+}
+
+/// The query a job runs.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum SqlQuery {
+    /// Query 1: a filter on `rankings`.
+    Filter,
+    /// Query 2: a group-by aggregation on `uservisits`.
+    GroupBy,
+    /// Query 3: `uservisits` joined with `rankings`, then grouped.
+    Join,
+}
+
+impl SqlQuery {
+    pub const ALL: [SqlQuery; 3] = [SqlQuery::Filter, SqlQuery::GroupBy, SqlQuery::Join];
+
+    /// The job's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            SqlQuery::Filter => "SQL-Q1",
+            SqlQuery::GroupBy => "SQL-Q2",
+            SqlQuery::Join => "SQL-Q3",
+        }
+    }
+
+    /// The query stage's name; Table 6 reports this stage's times.
+    pub fn stage(self) -> &'static str {
+        match self {
+            SqlQuery::Filter => "q1-filter",
+            SqlQuery::GroupBy => "q2-groupby",
+            SqlQuery::Join => "q3-join",
+        }
+    }
+
+    fn load_stage(self) -> &'static str {
+        match self {
+            SqlQuery::Filter => "q1-cache",
+            SqlQuery::GroupBy => "q2-cache",
+            SqlQuery::Join => "q3-cache",
         }
     }
 }
@@ -81,661 +146,411 @@ impl SqlParams {
     }
 }
 
-/// Columnar table chunks for the Spark SQL simulation: each column is one
-/// heap `byte[]` (few objects; typed scans at fixed strides).
-struct ColumnarRankings {
-    roots: Vec<(deca_heap::RootId, usize)>, // (byte[] root, rows)
+/// The executor configuration the SQL queries run under.
+pub fn sql_config(params: &SqlParams) -> ExecutorConfig {
+    ExecutorConfig::new(params.system.engine_mode(), params.heap_bytes)
 }
 
-struct ColumnarVisits {
-    roots: Vec<(deca_heap::RootId, usize)>,
+/// Run one query across `executors` executors (its two stages are one
+/// task each, so the extra executors stay idle).
+pub fn run_local(params: &SqlParams, query: SqlQuery, executors: usize) -> AppReport {
+    crate::run_job_local(&job(params, query), sql_config(params), executors)
 }
 
-fn byte_array_class(heap: &mut deca_heap::Heap) -> deca_heap::ClassId {
-    match heap.registry().by_name("byte[]") {
-        Some(c) => c,
-        None => heap.define_array_class("byte[]", FieldKind::I8),
+/// The job description of one query: consumed by `DecaServer::submit`
+/// (via `JobSpec::app`) and by [`run_local`]. It generates the tables the
+/// query reads, once, when it is called.
+pub fn job(params: &SqlParams, query: SqlQuery) -> AppJob {
+    let rankings = || {
+        Partitioned::split(datagen::rankings(params.rankings_rows, params.seed), params.partitions)
+    };
+    let visits = |url_space: Option<i64>| {
+        let mut rows = datagen::uservisits(params.uservisits_rows, params.groups, params.seed + 1);
+        if let Some(urls) = url_space {
+            // The generator draws visit urls from 0..1M; the join needs
+            // them to hit the rankings' urls.
+            rows.iter_mut().for_each(|v| v.url_id %= urls);
+        }
+        Partitioned::split(rows, params.partitions)
+    };
+    let system = params.system;
+    let tables = match query {
+        SqlQuery::Filter => {
+            Tables { system, rankings: Some(rankings()), visits: None, urls: false }
+        }
+        SqlQuery::GroupBy => {
+            Tables { system, rankings: None, visits: Some(visits(None)), urls: false }
+        }
+        SqlQuery::Join => Tables {
+            system,
+            rankings: Some(rankings()),
+            visits: Some(visits(Some(params.rankings_rows as i64))),
+            urls: true,
+        },
+    };
+    AppJob::new(query.name(), move |job_ctx| run_query(&tables, query, job_ctx))
+}
+
+/// The tables one query reads, generated when its description is built.
+struct Tables {
+    system: SqlSystem,
+    rankings: Option<Partitioned<RankingRec>>,
+    visits: Option<Partitioned<UserVisitRec>>,
+    /// The visits' columnar chunks carry the `urlId` column (the join
+    /// reads it; the group-by does not).
+    urls: bool,
+}
+
+/// One executor's cached copy of the tables: a block per partition.
+#[derive(Clone, Default)]
+struct Cached {
+    rankings: Vec<BlockId>,
+    visits: Vec<BlockId>,
+}
+
+impl Cached {
+    fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.rankings.iter().chain(&self.visits).copied()
     }
+
+    fn release(&self, e: &mut Executor) {
+        for b in self.blocks() {
+            if e.cache.contains(b) {
+                e.cache.release(b, &mut e.heap, &mut e.mm);
+            }
+        }
+    }
+}
+
+impl Tables {
+    /// Cache every partition of every table in the system's representation:
+    /// row objects (Spark), decomposed rows (Deca) or one byte block of
+    /// columns per partition (Spark SQL).
+    fn load(&self, e: &mut Executor) -> Result<Cached, EngineError> {
+        let mut cached = Cached::default();
+        if let Some(parts) = &self.rankings {
+            for p in parts.iter() {
+                cached.rankings.push(self.put(e, p, rank_columns)?);
+            }
+        }
+        if let Some(parts) = &self.visits {
+            for p in parts.iter() {
+                cached.visits.push(self.put(e, p, |rows| visit_columns(rows, self.urls))?);
+            }
+        }
+        Ok(cached)
+    }
+
+    fn put<T: Record + 'static>(
+        &self,
+        e: &mut Executor,
+        rows: &[T],
+        columns: impl Fn(&[T]) -> Vec<u8>,
+    ) -> Result<BlockId, EngineError>
+    where
+        T::Classes: 'static,
+    {
+        Ok(match self.system {
+            SqlSystem::Spark => {
+                let classes = T::register(&mut e.heap);
+                e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &classes, rows)?
+            }
+            SqlSystem::Deca => e.cache.put_deca(&mut e.heap, &mut e.mm, rows)?,
+            SqlSystem::SparkSql => {
+                let chunk = columns(rows);
+                e.cache.put_bytes(&mut e.heap, &mut e.kryo, &mut e.mm, &chunk, rows.len())?
+            }
+        })
+    }
+}
+
+/// A `rankings` columnar chunk: the url column (i64), then the rank column
+/// (i32).
+fn rank_columns(rows: &[RankingRec]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(12 * rows.len());
+    buf.extend(rows.iter().flat_map(|r| r.url_id.to_le_bytes()));
+    buf.extend(rows.iter().flat_map(|r| r.page_rank.to_le_bytes()));
+    buf
+}
+
+/// A `uservisits` columnar chunk: the ip column, the url column if `urls`,
+/// then the revenue column (8 bytes each).
+fn visit_columns(rows: &[UserVisitRec], urls: bool) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24 * rows.len());
+    buf.extend(rows.iter().flat_map(|v| v.ip_prefix.to_le_bytes()));
+    if urls {
+        buf.extend(rows.iter().flat_map(|v| v.url_id.to_le_bytes()));
+    }
+    buf.extend(rows.iter().flat_map(|v| v.ad_revenue.to_le_bytes()));
+    buf
+}
+
+fn run_query(tables: &Tables, query: SqlQuery, job_ctx: &mut JobCtx) -> Result<f64, EngineError> {
+    let cached: Mutex<HashMap<usize, Cached>> = Mutex::default();
+    job_ctx.run_stage(query.load_stage(), 1, |ctx, e| {
+        let loaded = tables.load(e)?;
+        crate::lock(&cached).insert(ctx.executor, loaded);
+        Ok(())
+    })?;
+    job_ctx.note_cache_bytes();
+    let checksum = job_ctx.run_stage(query.stage(), 1, |ctx, e| {
+        let found = crate::lock(&cached).get(&ctx.executor).cloned();
+        let tables_here = match found {
+            Some(c) if c.blocks().all(|b| e.cache.contains(b)) => c,
+            stale => {
+                // Lineage recompute: this attempt migrated, or a crash
+                // wiped some of the blocks (the survivors go too).
+                if let Some(c) = stale {
+                    c.release(e);
+                }
+                let loaded = tables.load(e)?;
+                crate::lock(&cached).insert(ctx.executor, loaded.clone());
+                loaded
+            }
+        };
+        let checksum = match query {
+            SqlQuery::Filter => filter(e, tables.system, &tables_here)?,
+            SqlQuery::GroupBy => group_by(e, tables.system, &tables_here)?,
+            SqlQuery::Join => join(e, tables.system, &tables_here)?,
+        };
+        crate::lock(&cached).remove(&ctx.executor);
+        tables_here.release(e);
+        Ok(checksum)
+    })?;
+    Ok(checksum[0])
 }
 
 fn add_f64_bytes(acc: &mut [u8], add: &[u8]) {
-    let a = f64::from_le_bytes(acc[..8].try_into().unwrap());
-    let b = f64::from_le_bytes(add[..8].try_into().unwrap());
-    acc[..8].copy_from_slice(&(a + b).to_le_bytes());
+    let sum = f64_at(acc, 0) + f64_at(add, 0);
+    acc[..8].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// A join aggregate's 24 decomposed bytes, as the aggregation buffer
-/// stores them.
-fn agg_bytes(delta: &JoinAggRec) -> [u8; 24] {
-    let mut bytes = [0u8; 24];
-    delta.encode(&mut bytes);
-    bytes
+fn f64_at(bytes: &[u8], i: usize) -> f64 {
+    f64::from_le_bytes(bytes.as_chunks::<8>().0[i])
 }
 
-/// Result of one query run.
-pub struct SqlReport {
-    pub report: AppReport,
+fn i64_at(bytes: &[u8], i: usize) -> i64 {
+    i64::from_le_bytes(bytes.as_chunks::<8>().0[i])
 }
 
-/// Run Query 1 (filter on `rankings`).
-pub fn run_query1(params: &SqlParams) -> AppReport {
-    let mut exec =
-        Executor::new(ExecutorConfig::new(params.system.engine_mode(), params.heap_bytes));
-    let parts =
-        Partitioned::split(datagen::rankings(params.rankings_rows, params.seed), params.partitions);
-    let classes = RankingRec::register(&mut exec.heap);
+/// A group's weight in the Q2/Q3 checksums.
+fn group_weight(ip: i64) -> f64 {
+    (ip as f64 + 1.0).ln_1p()
+}
 
-    // ------------------------------------------------------------ cache
-    enum Cached {
-        Blocks(Vec<deca_engine::cache::BlockId>),
-        Columnar(ColumnarRankings),
-    }
-    let cached = exec.run_task("q1-cache", |e| match params.system {
-        SqlSystem::Spark => Cached::Blocks(
-            parts
-                .iter()
-                .map(|p| {
-                    e.cache
-                        .put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &classes, p)
-                        .expect("cache put")
-                })
-                .collect(),
-        ),
-        SqlSystem::Deca => Cached::Blocks(
-            parts
-                .iter()
-                .map(|p| e.cache.put_deca(&mut e.heap, &mut e.mm, p).expect("cache put"))
-                .collect(),
-        ),
-        SqlSystem::SparkSql => {
-            // Column-oriented serialized chunks: url i64 col + rank i32 col.
-            let cls = byte_array_class(&mut e.heap);
-            let roots = parts
-                .iter()
-                .map(|p| {
-                    let bytes = 12 * p.len();
-                    let arr = e.heap.alloc_array(cls, bytes).expect("column chunk");
-                    let mut buf = vec![0u8; bytes];
-                    for (i, r) in p.iter().enumerate() {
-                        buf[i * 8..i * 8 + 8].copy_from_slice(&r.url_id.to_le_bytes());
-                        let off = 8 * p.len() + i * 4;
-                        buf[off..off + 4].copy_from_slice(&r.page_rank.to_le_bytes());
-                    }
-                    e.heap.byte_array_write(arr, 0, &buf);
-                    (e.heap.add_root(arr), p.len())
-                })
-                .collect();
-            Cached::Columnar(ColumnarRankings { roots })
+/// A join group's value in the Q3 checksum: revenue plus average rank.
+fn join_value(a: &JoinAggRec) -> f64 {
+    a.revenue + a.rank_sum / a.count.max(1) as f64
+}
+
+/// Sum a page-backed aggregate's groups, each weighted by its key, and
+/// release it.
+fn sum_groups(
+    e: &mut Executor,
+    mut agg: DecaHashShuffle,
+    value: impl Fn(&[u8]) -> f64,
+) -> Result<f64, EngineError> {
+    let mut sum = 0.0;
+    agg.for_each(&mut e.mm, &mut e.heap, |k, v| sum += group_weight(i64_at(k, 0)) * value(v))?;
+    agg.release(&mut e.mm, &mut e.heap);
+    Ok(sum)
+}
+
+/// Query 1: count the rankings above 100 and sum their ranks.
+fn filter(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
+    let (mut count, mut ranksum) = (0u64, 0i64);
+    let mut keep = |rank: i32| {
+        if rank > 100 {
+            count += 1;
+            ranksum += rank as i64;
         }
-    });
-    exec.finish_job();
-    let cache_bytes = match &cached {
-        Cached::Blocks(_) => exec.job.cache_bytes,
-        Cached::Columnar(c) => c.roots.iter().map(|&(_, n)| n * 12 + 16).sum(),
     };
-    exec.job = Default::default();
-
-    // ------------------------------------------------------------ query
-    let checksum = exec.run_task("q1-filter", |e| {
-        let mut count = 0u64;
-        let mut ranksum = 0i64;
-        match &cached {
-            Cached::Blocks(blocks) => {
-                for &b in blocks {
-                    match params.system {
-                        SqlSystem::Spark => {
-                            let (root, len) = e
-                                .cache
-                                .objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)
-                                .expect("cache access");
-                            for i in 0..len {
-                                let arr = e.heap.root_ref(root);
-                                let row = e.heap.array_get_ref(arr, i);
-                                let rank = e.heap.read_word(row, 1) as u32 as i32;
-                                if rank > 100 {
-                                    count += 1;
-                                    ranksum += rank as i64;
-                                }
-                            }
-                        }
-                        SqlSystem::Deca => {
-                            let heap = &mut e.heap;
-                            let mm = &mut e.mm;
-                            let block = e.cache.deca_block(b);
-                            block
-                                .scan_bytes(
-                                    mm,
-                                    heap,
-                                    |bytes| {
-                                        // `pageRank` is the third 4-byte word.
-                                        let rank = i32::from_le_bytes(bytes.as_chunks::<4>().0[2]);
-                                        if rank > 100 {
-                                            count += 1;
-                                            ranksum += rank as i64;
-                                        }
-                                    },
-                                    |_| {},
-                                )
-                                .expect("scan");
-                        }
-                        SqlSystem::SparkSql => unreachable!(),
-                    }
+    for &b in &c.rankings {
+        match system {
+            SqlSystem::Spark => {
+                let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+                for i in 0..len {
+                    let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                    keep(e.heap.read_word(row, 1) as u32 as i32);
                 }
             }
-            Cached::Columnar(c) => {
-                for &(root, n) in &c.roots {
-                    let arr = e.heap.root_ref(root);
-                    let mut col = vec![0u8; 4 * n];
-                    e.heap.byte_array_read(arr, 8 * n, &mut col);
-                    for i in 0..n {
-                        let rank = i32::from_le_bytes(col[i * 4..i * 4 + 4].try_into().unwrap());
-                        if rank > 100 {
-                            count += 1;
-                            ranksum += rank as i64;
-                        }
-                    }
+            SqlSystem::Deca => {
+                let (heap, mm) = (&mut e.heap, &mut e.mm);
+                e.cache.deca_block(b).scan_bytes(
+                    mm,
+                    heap,
+                    // `pageRank` is the third 4-byte word.
+                    |bytes| keep(i32::from_le_bytes(bytes.as_chunks::<4>().0[2])),
+                    |_| {},
+                )?;
+            }
+            SqlSystem::SparkSql => {
+                let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+                for &rank in chunk[8 * n..].as_chunks::<4>().0 {
+                    keep(i32::from_le_bytes(rank));
                 }
             }
         }
-        count as f64 + ranksum as f64 / 1e9
-    });
-
-    exec.finish_job();
-    AppReport {
-        app: "SQL-Q1".into(),
-        mode: params.system.engine_mode(),
-        metrics: exec.job.clone(),
-        timeline: exec.timeline.clone(),
-        checksum,
-        cache_bytes,
-        objects_traced: exec.heap.stats().objects_traced,
-        minor_gcs: exec.heap.stats().minor_collections,
-        full_gcs: exec.heap.stats().full_collections,
-        slowest_task: exec.slowest_task().cloned(),
     }
+    Ok(count as f64 + ranksum as f64 / 1e9)
 }
 
-/// Run Query 2 (group-by aggregation on `uservisits`).
-pub fn run_query2(params: &SqlParams) -> AppReport {
-    let mut exec =
-        Executor::new(ExecutorConfig::new(params.system.engine_mode(), params.heap_bytes));
-    let parts = Partitioned::split(
-        datagen::uservisits(params.uservisits_rows, params.groups, params.seed + 1),
-        params.partitions,
-    );
-    let classes = UserVisitRec::register(&mut exec.heap);
-    let pair_classes = <(i64, f64) as HeapRecord>::register(&mut exec.heap);
-
-    enum Cached {
-        Blocks(Vec<deca_engine::cache::BlockId>),
-        Columnar(ColumnarVisits),
-    }
-    let cached = exec.run_task("q2-cache", |e| match params.system {
-        SqlSystem::Spark => Cached::Blocks(
-            parts
-                .iter()
-                .map(|p| {
-                    e.cache
-                        .put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &classes, p)
-                        .expect("cache put")
-                })
-                .collect(),
-        ),
-        SqlSystem::Deca => Cached::Blocks(
-            parts
-                .iter()
-                .map(|p| e.cache.put_deca(&mut e.heap, &mut e.mm, p).expect("cache put"))
-                .collect(),
-        ),
-        SqlSystem::SparkSql => {
-            let cls = byte_array_class(&mut e.heap);
-            let roots = parts
-                .iter()
-                .map(|p| {
-                    // ip col (i64) + revenue col (f64)
-                    let bytes = 16 * p.len();
-                    let arr = e.heap.alloc_array(cls, bytes).expect("column chunk");
-                    let mut buf = vec![0u8; bytes];
-                    for (i, r) in p.iter().enumerate() {
-                        buf[i * 8..i * 8 + 8].copy_from_slice(&r.ip_prefix.to_le_bytes());
-                        let off = 8 * p.len() + i * 8;
-                        buf[off..off + 8].copy_from_slice(&r.ad_revenue.to_le_bytes());
-                    }
-                    e.heap.byte_array_write(arr, 0, &buf);
-                    (e.heap.add_root(arr), p.len())
-                })
-                .collect();
-            Cached::Columnar(ColumnarVisits { roots })
+/// Query 2: sum revenue per ip prefix.
+fn group_by(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
+    if system == SqlSystem::Spark {
+        // Row objects -> temp pair per row -> heap hash agg with
+        // boxed-Double combine churn.
+        let pair_classes = <(i64, f64) as HeapRecord>::register(&mut e.heap);
+        let mut agg: SparkHashShuffle<i64, f64> = SparkHashShuffle::new(&mut e.heap)?;
+        for &b in &c.visits {
+            let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+            for i in 0..len {
+                let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                let (ip, rev) = (e.heap.read_i64(row, 0), e.heap.read_f64(row, 2));
+                let tmp = (ip, rev).store(&mut e.heap, &pair_classes)?;
+                let ts = e.heap.push_stack(tmp);
+                let (k, v) =
+                    <(i64, f64) as HeapRecord>::load(&e.heap, &pair_classes, e.heap.stack_ref(ts));
+                e.heap.truncate_stack(ts);
+                agg.insert(&mut e.heap, &k, v, |a, b| a + b)?;
+            }
         }
-    });
-    exec.finish_job();
-    let cache_bytes = match &cached {
-        Cached::Blocks(_) => exec.job.cache_bytes,
-        Cached::Columnar(c) => c.roots.iter().map(|&(_, n)| n * 16 + 16).sum(),
+        let mut sum = 0.0;
+        agg.for_each(&e.heap, |k, v| sum += group_weight(k) * v);
+        agg.release(&mut e.heap);
+        return Ok(sum);
+    }
+    // Deca's decomposed rows and Spark SQL's columns both aggregate in a
+    // page-backed hash buffer (it models Tungsten's serialized shuffle
+    // state well).
+    let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 8);
+    for &b in &c.visits {
+        if system == SqlSystem::Deca {
+            let (heap, mm) = (&mut e.heap, &mut e.mm);
+            let mut pairs: Vec<(i64, f64)> = Vec::new();
+            e.cache.deca_block(b).scan_bytes(
+                mm,
+                heap,
+                |bytes| pairs.push((i64_at(bytes, 0), f64_at(bytes, 2))),
+                |_| {},
+            )?;
+            let pairs = pairs.iter().map(|(ip, rev)| (ip.to_le_bytes(), rev.to_le_bytes()));
+            agg.insert_all(mm, heap, pairs, add_f64_bytes)?;
+        } else {
+            let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+            let (ips, revs) = chunk.split_at(8 * n);
+            let rows = ips.chunks_exact(8).zip(revs.chunks_exact(8));
+            agg.insert_all(&mut e.mm, &mut e.heap, rows, add_f64_bytes)?;
+        }
+    }
+    sum_groups(e, agg, |v| f64_at(v, 0))
+}
+
+/// Query 3: build url → pageRank from `rankings`, probe it per visit, and
+/// aggregate revenue, rank sum and count per ip prefix. The aggregate is a
+/// 24-byte SFST value per group. In Spark every probe's output materialises
+/// a temporary aggregate object and every combine allocates a new one;
+/// Deca and the columnar engine combine in place.
+fn join(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
+    let mut build: HashMap<i64, i32> = HashMap::new();
+    for &b in &c.rankings {
+        match system {
+            SqlSystem::Spark => {
+                let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+                for i in 0..len {
+                    let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                    build.insert(e.heap.read_i64(row, 0), e.heap.read_word(row, 1) as u32 as i32);
+                }
+            }
+            SqlSystem::Deca => {
+                let (heap, mm) = (&mut e.heap, &mut e.mm);
+                e.cache.deca_block(b).scan_bytes(
+                    mm,
+                    heap,
+                    |bytes| {
+                        let r = RankingRec::decode(bytes);
+                        build.insert(r.url_id, r.page_rank);
+                    },
+                    |_| {},
+                )?;
+            }
+            SqlSystem::SparkSql => {
+                let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+                let (urls, ranks) = chunk.split_at(8 * n);
+                for (url, rank) in urls.as_chunks::<8>().0.iter().zip(ranks.as_chunks::<4>().0) {
+                    build.insert(i64::from_le_bytes(*url), i32::from_le_bytes(*rank));
+                }
+            }
+        }
+    }
+    let delta = |rev: f64, rank: i32| JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
+
+    if system == SqlSystem::Spark {
+        let agg_classes = JoinAggRec::register(&mut e.heap);
+        let mut agg: SparkHashShuffle<i64, JoinAggRec> = SparkHashShuffle::new(&mut e.heap)?;
+        for &b in &c.visits {
+            let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+            for i in 0..len {
+                let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                let ip = e.heap.read_i64(row, 0);
+                let url = e.heap.read_i64(row, 1);
+                let rev = e.heap.read_f64(row, 2);
+                if let Some(&rank) = build.get(&url) {
+                    // Probe output materialises a temp aggregate.
+                    let tmp = delta(rev, rank).store(&mut e.heap, &agg_classes)?;
+                    let ts = e.heap.push_stack(tmp);
+                    let d = JoinAggRec::load(&e.heap, &agg_classes, e.heap.stack_ref(ts));
+                    e.heap.truncate_stack(ts);
+                    agg.insert(&mut e.heap, &ip, d, JoinAggRec::merge)?;
+                }
+            }
+        }
+        let mut sum = 0.0;
+        agg.for_each(&e.heap, |k, v| sum += group_weight(k) * join_value(&v));
+        agg.release(&mut e.heap);
+        return Ok(sum);
+    }
+    let agg_bytes = |ip: i64, d: JoinAggRec| {
+        let mut bytes = [0u8; 24];
+        d.encode(&mut bytes);
+        (ip.to_le_bytes(), bytes)
     };
-    exec.job = Default::default();
-
-    let checksum = exec.run_task("q2-groupby", |e| {
-        match &cached {
-            Cached::Blocks(blocks) => match params.system {
-                SqlSystem::Spark => {
-                    // Row objects -> temp pair per row -> heap hash agg
-                    // with boxed-Double combine churn.
-                    let mut agg: SparkHashShuffle<i64, f64> =
-                        SparkHashShuffle::new(&mut e.heap).expect("agg buffer");
-                    for &b in blocks {
-                        let (root, len) = e
-                            .cache
-                            .objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)
-                            .expect("cache access");
-                        for i in 0..len {
-                            let arr = e.heap.root_ref(root);
-                            let row = e.heap.array_get_ref(arr, i);
-                            let ip = e.heap.read_i64(row, 0);
-                            let rev = e.heap.read_f64(row, 2);
-                            let tmp = (ip, rev).store(&mut e.heap, &pair_classes).expect("temp");
-                            let ts = e.heap.push_stack(tmp);
-                            let (k, v) = <(i64, f64) as HeapRecord>::load(
-                                &e.heap,
-                                &pair_classes,
-                                e.heap.stack_ref(ts),
-                            );
-                            e.heap.truncate_stack(ts);
-                            agg.insert(&mut e.heap, &k, v, |a, b| a + b).expect("combine");
-                        }
+    let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 24);
+    for &b in &c.visits {
+        if system == SqlSystem::Deca {
+            let (heap, mm) = (&mut e.heap, &mut e.mm);
+            let mut deltas: Vec<(i64, JoinAggRec)> = Vec::new();
+            e.cache.deca_block(b).scan_bytes(
+                mm,
+                heap,
+                |bytes| {
+                    let v = UserVisitRec::decode(bytes);
+                    if let Some(&rank) = build.get(&v.url_id) {
+                        deltas.push((v.ip_prefix, delta(v.ad_revenue, rank)));
                     }
-                    let mut sum = 0.0;
-                    agg.for_each(&e.heap, |k, v| sum += (k as f64 + 1.0).ln_1p() * v);
-                    agg.release(&mut e.heap);
-                    sum
-                }
-                SqlSystem::Deca => {
-                    let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 8);
-                    for &b in blocks {
-                        let heap = &mut e.heap;
-                        let mm = &mut e.mm;
-                        let mut pairs: Vec<(i64, f64)> = Vec::new();
-                        let block = e.cache.deca_block(b);
-                        block
-                            .scan_bytes(
-                                mm,
-                                heap,
-                                |bytes| {
-                                    let (words, _) = bytes.as_chunks::<8>();
-                                    let ip = i64::from_le_bytes(words[0]);
-                                    pairs.push((ip, f64::from_le_bytes(words[2])));
-                                },
-                                |_| {},
-                            )
-                            .expect("scan");
-                        let pairs =
-                            pairs.iter().map(|(ip, rev)| (ip.to_le_bytes(), rev.to_le_bytes()));
-                        agg.insert_all(mm, heap, pairs, add_f64_bytes).expect("combine");
-                    }
-                    let mut sum = 0.0;
-                    agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                        let ip = i64::from_le_bytes(k[..8].try_into().unwrap());
-                        let rev = f64::from_le_bytes(v[..8].try_into().unwrap());
-                        sum += (ip as f64 + 1.0).ln_1p() * rev;
-                    })
-                    .expect("scan");
-                    agg.release(&mut e.mm, &mut e.heap);
-                    sum
-                }
-                SqlSystem::SparkSql => unreachable!(),
-            },
-            Cached::Columnar(c) => {
-                // Tungsten-style: columnar scan + serialized agg buffer
-                // (a Deca page-backed hash buffer models Tungsten's
-                // serialized shuffle state well).
-                let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 8);
-                for &(root, n) in &c.roots {
-                    let arr = e.heap.root_ref(root);
-                    let mut buf = vec![0u8; 16 * n];
-                    e.heap.byte_array_read(arr, 0, &mut buf);
-                    let (ips, revs) = buf.split_at(8 * n);
-                    let rows = ips.chunks_exact(8).zip(revs.chunks_exact(8));
-                    agg.insert_all(&mut e.mm, &mut e.heap, rows, add_f64_bytes).expect("combine");
-                }
-                let mut sum = 0.0;
-                agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                    let ip = i64::from_le_bytes(k[..8].try_into().unwrap());
-                    let rev = f64::from_le_bytes(v[..8].try_into().unwrap());
-                    sum += (ip as f64 + 1.0).ln_1p() * rev;
-                })
-                .expect("scan");
-                agg.release(&mut e.mm, &mut e.heap);
-                sum
-            }
+                },
+                |_| {},
+            )?;
+            let deltas = deltas.iter().map(|&(ip, d)| agg_bytes(ip, d));
+            agg.insert_all(mm, heap, deltas, JoinAggRec::combine_bytes)?;
+        } else {
+            let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+            let (ips, rest) = chunk.split_at(8 * n);
+            let (urls, revs) = rest.split_at(8 * n);
+            let deltas = (0..n).filter_map(|i| {
+                let &rank = build.get(&i64_at(urls, i))?;
+                Some(agg_bytes(i64_at(ips, i), delta(f64_at(revs, i), rank)))
+            });
+            agg.insert_all(&mut e.mm, &mut e.heap, deltas, JoinAggRec::combine_bytes)?;
         }
-    });
-
-    exec.finish_job();
-    AppReport {
-        app: "SQL-Q2".into(),
-        mode: params.system.engine_mode(),
-        metrics: exec.job.clone(),
-        timeline: exec.timeline.clone(),
-        checksum,
-        cache_bytes,
-        objects_traced: exec.heap.stats().objects_traced,
-        minor_gcs: exec.heap.stats().minor_collections,
-        full_gcs: exec.heap.stats().full_collections,
-        slowest_task: exec.slowest_task().cloned(),
     }
-}
-
-/// Run Query 3 — the join query of the same exploratory benchmark suite
-/// (an *extension*: the paper reports Q1/Q2 but discusses the join
-/// pathology in §6.5):
-///
-/// ```sql
-/// SELECT SUBSTR(sourceIP,1,5), SUM(adRevenue), AVG(pageRank)
-/// FROM uservisits UV JOIN rankings R ON UV.urlId = R.urlId
-/// GROUP BY SUBSTR(sourceIP,1,5);
-/// ```
-///
-/// The build side (rankings) is probed per visit; the aggregate buffer
-/// holds a 24-byte SFST value per group. In Spark mode every probe's
-/// output materialises a temporary aggregate object and every combine
-/// allocates a new one; Deca and the columnar engine combine in place.
-pub fn run_query3(params: &SqlParams) -> AppReport {
-    let mut exec =
-        Executor::new(ExecutorConfig::new(params.system.engine_mode(), params.heap_bytes));
-    // url space must overlap: rankings urls are 0..rankings_rows, and the
-    // generator draws visit urls from 0..1M — restrict for join hits.
-    let rankings: Vec<RankingRec> = datagen::rankings(params.rankings_rows, params.seed);
-    let visits: Vec<UserVisitRec> =
-        datagen::uservisits(params.uservisits_rows, params.groups, params.seed + 1)
-            .into_iter()
-            .map(|mut v| {
-                v.url_id %= params.rankings_rows as i64;
-                v
-            })
-            .collect();
-    let rank_parts = Partitioned::split(rankings, params.partitions);
-    let visit_parts = Partitioned::split(visits, params.partitions);
-    let r_classes = RankingRec::register(&mut exec.heap);
-    let v_classes = UserVisitRec::register(&mut exec.heap);
-    let agg_classes = JoinAggRec::register(&mut exec.heap);
-
-    enum Cached {
-        Blocks { rank: Vec<deca_engine::cache::BlockId>, visit: Vec<deca_engine::cache::BlockId> },
-        Columnar { rank: Vec<(deca_heap::RootId, usize)>, visit: Vec<(deca_heap::RootId, usize)> },
-    }
-    let cached = exec.run_task("q3-cache", |e| match params.system {
-        SqlSystem::Spark => Cached::Blocks {
-            rank: rank_parts
-                .iter()
-                .map(|p| {
-                    e.cache
-                        .put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &r_classes, p)
-                        .expect("cache put")
-                })
-                .collect(),
-            visit: visit_parts
-                .iter()
-                .map(|p| {
-                    e.cache
-                        .put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &v_classes, p)
-                        .expect("cache put")
-                })
-                .collect(),
-        },
-        SqlSystem::Deca => Cached::Blocks {
-            rank: rank_parts
-                .iter()
-                .map(|p| e.cache.put_deca(&mut e.heap, &mut e.mm, p).expect("cache put"))
-                .collect(),
-            visit: visit_parts
-                .iter()
-                .map(|p| e.cache.put_deca(&mut e.heap, &mut e.mm, p).expect("cache put"))
-                .collect(),
-        },
-        SqlSystem::SparkSql => {
-            let cls = byte_array_class(&mut e.heap);
-            let mut pack = |rows: &[Vec<u8>]| -> Vec<(deca_heap::RootId, usize)> {
-                rows.iter()
-                    .map(|buf| {
-                        let arr = e.heap.alloc_array(cls, buf.len()).expect("column chunk");
-                        e.heap.byte_array_write(arr, 0, buf);
-                        (e.heap.add_root(arr), buf.len())
-                    })
-                    .collect()
-            };
-            // rankings: url col (i64) + rank col (i32); visits: ip col +
-            // url col (i64) + revenue col (f64).
-            let rank_chunks: Vec<Vec<u8>> = rank_parts
-                .iter()
-                .map(|p| {
-                    let mut buf = vec![0u8; 12 * p.len()];
-                    for (i, r) in p.iter().enumerate() {
-                        buf[i * 8..i * 8 + 8].copy_from_slice(&r.url_id.to_le_bytes());
-                        let off = 8 * p.len() + i * 4;
-                        buf[off..off + 4].copy_from_slice(&r.page_rank.to_le_bytes());
-                    }
-                    buf
-                })
-                .collect();
-            let visit_chunks: Vec<Vec<u8>> = visit_parts
-                .iter()
-                .map(|p| {
-                    let mut buf = vec![0u8; 24 * p.len()];
-                    for (i, v) in p.iter().enumerate() {
-                        buf[i * 8..i * 8 + 8].copy_from_slice(&v.ip_prefix.to_le_bytes());
-                        let off = 8 * p.len() + i * 8;
-                        buf[off..off + 8].copy_from_slice(&v.url_id.to_le_bytes());
-                        let off = 16 * p.len() + i * 8;
-                        buf[off..off + 8].copy_from_slice(&v.ad_revenue.to_le_bytes());
-                    }
-                    buf
-                })
-                .collect();
-            Cached::Columnar { rank: pack(&rank_chunks), visit: pack(&visit_chunks) }
-        }
-    });
-    exec.finish_job();
-    let cache_bytes = exec.job.cache_bytes
-        + match &cached {
-            Cached::Columnar { rank, visit } => {
-                rank.iter().chain(visit).map(|&(_, n)| n + 16).sum()
-            }
-            _ => 0,
-        };
-    exec.job = Default::default();
-
-    let checksum = exec.run_task("q3-join", |e| {
-        // Build side: url -> pageRank.
-        let mut build: std::collections::HashMap<i64, i32> = std::collections::HashMap::new();
-        match &cached {
-            Cached::Blocks { rank, .. } => {
-                for &b in rank {
-                    match params.system {
-                        SqlSystem::Spark => {
-                            let (root, len) = e
-                                .cache
-                                .objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)
-                                .expect("cache access");
-                            for i in 0..len {
-                                let arr = e.heap.root_ref(root);
-                                let row = e.heap.array_get_ref(arr, i);
-                                build.insert(
-                                    e.heap.read_i64(row, 0),
-                                    e.heap.read_word(row, 1) as u32 as i32,
-                                );
-                            }
-                        }
-                        SqlSystem::Deca => {
-                            let heap = &mut e.heap;
-                            let mm = &mut e.mm;
-                            let block = e.cache.deca_block(b);
-                            block
-                                .scan_bytes(
-                                    mm,
-                                    heap,
-                                    |bytes| {
-                                        let r = RankingRec::decode(bytes);
-                                        build.insert(r.url_id, r.page_rank);
-                                    },
-                                    |_| {},
-                                )
-                                .expect("scan");
-                        }
-                        SqlSystem::SparkSql => unreachable!(),
-                    }
-                }
-            }
-            Cached::Columnar { rank, .. } => {
-                for &(root, bytes) in rank {
-                    let n = bytes / 12;
-                    let arr = e.heap.root_ref(root);
-                    let mut buf = vec![0u8; bytes];
-                    e.heap.byte_array_read(arr, 0, &mut buf);
-                    for i in 0..n {
-                        let url = i64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-                        let off = 8 * n + i * 4;
-                        let rank = i32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-                        build.insert(url, rank);
-                    }
-                }
-            }
-        }
-
-        // Probe + aggregate per ip group.
-        match (&cached, params.system) {
-            (Cached::Blocks { visit, .. }, SqlSystem::Spark) => {
-                let mut agg: SparkHashShuffle<i64, JoinAggRec> =
-                    SparkHashShuffle::new(&mut e.heap).expect("agg buffer");
-                for &b in visit {
-                    let (root, len) = e
-                        .cache
-                        .objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)
-                        .expect("cache access");
-                    for i in 0..len {
-                        let arr = e.heap.root_ref(root);
-                        let row = e.heap.array_get_ref(arr, i);
-                        let ip = e.heap.read_i64(row, 0);
-                        let url = e.heap.read_i64(row, 1);
-                        let rev = e.heap.read_f64(row, 2);
-                        if let Some(&rank) = build.get(&url) {
-                            // Probe output materialises a temp aggregate.
-                            let delta =
-                                JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
-                            let tmp = delta.store(&mut e.heap, &agg_classes).expect("temp agg");
-                            let ts = e.heap.push_stack(tmp);
-                            let delta =
-                                JoinAggRec::load(&e.heap, &agg_classes, e.heap.stack_ref(ts));
-                            e.heap.truncate_stack(ts);
-                            agg.insert(&mut e.heap, &ip, delta, JoinAggRec::merge)
-                                .expect("combine");
-                        }
-                    }
-                }
-                let mut sum = 0.0;
-                agg.for_each(&e.heap, |k, v| {
-                    sum +=
-                        (k as f64 + 1.0).ln_1p() * (v.revenue + v.rank_sum / v.count.max(1) as f64);
-                });
-                agg.release(&mut e.heap);
-                sum
-            }
-            (Cached::Blocks { visit, .. }, SqlSystem::Deca) => {
-                let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 24);
-                for &b in visit {
-                    let heap = &mut e.heap;
-                    let mm = &mut e.mm;
-                    let mut deltas: Vec<(i64, JoinAggRec)> = Vec::new();
-                    let block = e.cache.deca_block(b);
-                    block
-                        .scan_bytes(
-                            mm,
-                            heap,
-                            |bytes| {
-                                let v = UserVisitRec::decode(bytes);
-                                if let Some(&rank) = build.get(&v.url_id) {
-                                    deltas.push((
-                                        v.ip_prefix,
-                                        JoinAggRec {
-                                            revenue: v.ad_revenue,
-                                            rank_sum: rank as f64,
-                                            count: 1,
-                                        },
-                                    ));
-                                }
-                            },
-                            |_| {},
-                        )
-                        .expect("scan");
-                    let deltas =
-                        deltas.iter().map(|(ip, delta)| (ip.to_le_bytes(), agg_bytes(delta)));
-                    agg.insert_all(mm, heap, deltas, JoinAggRec::combine_bytes).expect("combine");
-                }
-                let mut sum = 0.0;
-                agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                    let ip = i64::from_le_bytes(k[..8].try_into().unwrap());
-                    let a = JoinAggRec::decode(v);
-                    sum += (ip as f64 + 1.0).ln_1p()
-                        * (a.revenue + a.rank_sum / a.count.max(1) as f64);
-                })
-                .expect("scan");
-                agg.release(&mut e.mm, &mut e.heap);
-                sum
-            }
-            (Cached::Columnar { visit, .. }, _) => {
-                let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 24);
-                for &(root, bytes) in visit {
-                    let n = bytes / 24;
-                    let arr = e.heap.root_ref(root);
-                    let mut buf = vec![0u8; bytes];
-                    e.heap.byte_array_read(arr, 0, &mut buf);
-                    let deltas = (0..n).filter_map(|i| {
-                        let ip = i64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-                        let url = i64::from_le_bytes(
-                            buf[8 * n + i * 8..8 * n + i * 8 + 8].try_into().unwrap(),
-                        );
-                        let rev = f64::from_le_bytes(
-                            buf[16 * n + i * 8..16 * n + i * 8 + 8].try_into().unwrap(),
-                        );
-                        let &rank = build.get(&url)?;
-                        let delta = JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
-                        Some((ip.to_le_bytes(), agg_bytes(&delta)))
-                    });
-                    agg.insert_all(&mut e.mm, &mut e.heap, deltas, JoinAggRec::combine_bytes)
-                        .expect("combine");
-                }
-                let mut sum = 0.0;
-                agg.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                    let ip = i64::from_le_bytes(k[..8].try_into().unwrap());
-                    let a = JoinAggRec::decode(v);
-                    sum += (ip as f64 + 1.0).ln_1p()
-                        * (a.revenue + a.rank_sum / a.count.max(1) as f64);
-                })
-                .expect("scan");
-                agg.release(&mut e.mm, &mut e.heap);
-                sum
-            }
-            _ => unreachable!(),
-        }
-    });
-
-    exec.finish_job();
-    AppReport {
-        app: "SQL-Q3".into(),
-        mode: params.system.engine_mode(),
-        metrics: exec.job.clone(),
-        timeline: exec.timeline.clone(),
-        checksum,
-        cache_bytes,
-        objects_traced: exec.heap.stats().objects_traced,
-        minor_gcs: exec.heap.stats().minor_collections,
-        full_gcs: exec.heap.stats().full_collections,
-        slowest_task: exec.slowest_task().cloned(),
-    }
+    sum_groups(e, agg, |v| join_value(&JoinAggRec::decode(v)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deca_engine::ClusterSession;
 
     fn tiny(system: SqlSystem) -> SqlParams {
         SqlParams {
@@ -749,41 +564,73 @@ mod tests {
         }
     }
 
+    fn across_systems(query: SqlQuery) -> [f64; 3] {
+        SqlSystem::ALL.map(|system| run_local(&tiny(system), query, 1).checksum)
+    }
+
     #[test]
     fn query1_agrees_across_systems() {
-        let a = run_query1(&tiny(SqlSystem::Spark));
-        let b = run_query1(&tiny(SqlSystem::SparkSql));
-        let c = run_query1(&tiny(SqlSystem::Deca));
-        assert_eq!(a.checksum, b.checksum);
-        assert_eq!(b.checksum, c.checksum);
-        assert!(a.checksum > 0.0);
+        let [a, b, c] = across_systems(SqlQuery::Filter);
+        assert_eq!(a, b);
+        assert_eq!(b, c);
+        assert!(a > 0.0);
     }
 
     #[test]
     fn query2_agrees_across_systems() {
-        let a = run_query2(&tiny(SqlSystem::Spark));
-        let b = run_query2(&tiny(SqlSystem::SparkSql));
-        let c = run_query2(&tiny(SqlSystem::Deca));
-        assert!((a.checksum - c.checksum).abs() < 1e-6);
-        assert!((b.checksum - c.checksum).abs() < 1e-6);
+        let [a, b, c] = across_systems(SqlQuery::GroupBy);
+        assert!((a - c).abs() < 1e-6);
+        assert!((b - c).abs() < 1e-6);
     }
 
     #[test]
     fn query3_join_agrees_across_systems() {
-        let a = run_query3(&tiny(SqlSystem::Spark));
-        let b = run_query3(&tiny(SqlSystem::SparkSql));
-        let c = run_query3(&tiny(SqlSystem::Deca));
-        assert!((a.checksum - c.checksum).abs() < 1e-6 * c.checksum.abs().max(1.0));
-        assert!((b.checksum - c.checksum).abs() < 1e-6 * c.checksum.abs().max(1.0));
-        assert!(c.checksum > 0.0);
+        let [a, b, c] = across_systems(SqlQuery::Join);
+        assert!((a - c).abs() < 1e-6 * c.abs().max(1.0));
+        assert!((b - c).abs() < 1e-6 * c.abs().max(1.0));
+        assert!(c > 0.0);
     }
 
     #[test]
     fn row_cache_is_larger_than_columnar_and_deca() {
-        let spark = run_query2(&tiny(SqlSystem::Spark));
-        let sql = run_query2(&tiny(SqlSystem::SparkSql));
-        let deca = run_query2(&tiny(SqlSystem::Deca));
+        let [spark, sql, deca] =
+            SqlSystem::ALL.map(|system| run_local(&tiny(system), SqlQuery::GroupBy, 1));
         assert!(spark.cache_bytes > sql.cache_bytes, "Table 6: Spark cache largest");
         assert!(spark.cache_bytes > deca.cache_bytes);
+        assert!(sql.cache_bytes > 0, "the columnar chunks are cached blocks");
+    }
+
+    #[test]
+    fn executor_count_does_not_change_results() {
+        for system in SqlSystem::ALL {
+            for query in SqlQuery::ALL {
+                let one = run_local(&tiny(system), query, 1).checksum;
+                for executors in [2, 4] {
+                    let wide = run_local(&tiny(system), query, executors).checksum;
+                    assert_eq!(one.to_bits(), wide.to_bits(), "{query:?} {system:?} x{executors}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_description_generates_its_input_once_and_runs_never_do() {
+        let p = tiny(SqlSystem::Deca);
+        for (query, tables) in [(SqlQuery::Filter, 1), (SqlQuery::GroupBy, 1), (SqlQuery::Join, 2)]
+        {
+            crate::assert_description_owns_its_input(|| job(&p, query), sql_config(&p), tables);
+        }
+    }
+
+    #[test]
+    fn a_sparksql_query_leaves_no_heap_roots_behind() {
+        let p = tiny(SqlSystem::SparkSql);
+        let app = job(&p, SqlQuery::GroupBy);
+        let mut session = ClusterSession::new(1, sql_config(&p));
+        let roots = |s: &ClusterSession| s.executor(0).heap.root_count();
+        crate::run_job_on(&app, &mut session).unwrap();
+        let after_first = roots(&session);
+        crate::run_job_on(&app, &mut session).unwrap();
+        assert_eq!(roots(&session), after_first, "the second run's chunks were dropped too");
     }
 }

@@ -496,8 +496,8 @@ mod tests {
     #[test]
     fn the_description_generates_its_input_once_and_runs_never_do() {
         let p = tiny(ExecutionMode::Deca);
-        crate::assert_description_owns_its_input(|| job(&p), wc_config(&p));
-        crate::assert_description_owns_its_input(|| text_job(&p), wc_config(&p));
+        crate::assert_description_owns_its_input(|| job(&p), wc_config(&p), 1);
+        crate::assert_description_owns_its_input(|| text_job(&p), wc_config(&p), 1);
     }
 
     #[test]

@@ -375,8 +375,10 @@ impl MemoryManager {
         // Make room first if the heap cannot hold the group.
         let bytes = self.spill.group_bytes(id.0);
         let _ = self.try_reserve(heap, bytes, Some(id));
-        let mut e = self.entries[id.0 as usize].take().expect("group exists");
+        // Read before taking the entry: a missing or short spill file must
+        // leave the group swapped (and the error repeatable), not gone.
         let pages = self.spill.read(id.0)?;
+        let mut e = self.entries[id.0 as usize].take().expect("group exists");
         self.spill_read_bytes += bytes as u64;
         e.group.restore_pages(pages);
         let mut registered = e.group.register_all(heap);
@@ -545,6 +547,22 @@ pub(crate) mod tests {
         assert_eq!(heap.external_bytes(), resident);
         assert_eq!(mm.swap_outs, 1);
         assert_eq!(mm.swap_ins, 1);
+    }
+
+    #[test]
+    fn a_failed_swap_in_keeps_the_group() {
+        let (mut heap, mut mm, _dir) = setup();
+        let g = mm.create_group();
+        mm.with_group_mut(g, &mut heap, |pg, h| pg.append(h, &[3u8; 200]).map(|_| ())).unwrap();
+        mm.swap_out(g, &mut heap).unwrap();
+        let file = mm.spill_file(g);
+        std::fs::write(&file, [3u8; 10]).unwrap(); // truncated
+        assert!(mm.with_group(g, &mut heap, |pg| pg.page_count()).is_err());
+        std::fs::remove_file(&file).unwrap();
+        assert!(mm.with_group(g, &mut heap, |pg| pg.page_count()).is_err());
+        assert!(mm.is_swapped(g), "the group is still there, still swapped");
+        mm.release(g, &mut heap);
+        assert_eq!(mm.live_groups(), 0);
     }
 
     #[test]

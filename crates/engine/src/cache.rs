@@ -619,15 +619,30 @@ impl CacheManager {
         recs: &[T],
     ) -> Result<BlockId, CacheError> {
         let buf = kryo.serialize_all(recs);
+        self.put_bytes(heap, kryo, mm, &buf, recs.len())
+    }
+
+    /// Cache `len` records already laid out in `buf` (a columnar table
+    /// chunk, say) as one heap byte block. It is stored, tiered and
+    /// released exactly like a serialized block; [`CacheManager::read_bytes`]
+    /// reads it back without deserializing.
+    pub fn put_bytes(
+        &mut self,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        mm: &mut MemoryManager,
+        buf: &[u8],
+        len: usize,
+    ) -> Result<BlockId, CacheError> {
         self.make_room(heap, kryo, mm, buf.len())?;
         let cls = byte_array_class(heap);
         let arr = heap.alloc_array(cls, buf.len())?;
-        heap.byte_array_write(arr, 0, &buf);
+        heap.byte_array_write(arr, 0, buf);
         let root = heap.add_root(arr);
         let bytes = buf.len() + 16;
         let t = self.tick();
         Ok(self.push(Entry {
-            state: BlockState::Serialized { root, len: recs.len(), ops: None, mem_bytes: bytes },
+            state: BlockState::Serialized { root, len, ops: None, mem_bytes: bytes },
             bytes,
             last_used: t,
             access_count: 1,
@@ -744,17 +759,7 @@ impl CacheManager {
         mm: &mut MemoryManager,
         mut f: impl FnMut(T),
     ) -> Result<(), CacheError> {
-        self.ensure_resident(id, heap, kryo, mm)?;
-        self.touch(id);
-        let e = self.entries[id.0 as usize].as_ref().expect("block");
-        let (root, len) = match &e.state {
-            BlockState::Serialized { root, len, .. } => (*root, *len),
-            _ => panic!("iter_serialized on a non-Serialized block"),
-        };
-        let arr = heap.root_ref(root);
-        let n = heap.array_len(arr);
-        let mut buf = vec![0u8; n];
-        heap.byte_array_read(arr, 0, &mut buf);
+        let (buf, len) = self.read_bytes(id, heap, kryo, mm)?;
         let recs: Vec<T> = kryo.time_deser(|k| {
             let mut pos = 0;
             (0..len).map(|_| k.deserialize(&buf, &mut pos)).collect()
@@ -763,6 +768,28 @@ impl CacheManager {
             f(rec);
         }
         Ok(())
+    }
+
+    /// A byte block's bytes and record count, read back (swapped in
+    /// first if it was evicted). Panics if the block is not a byte block.
+    pub fn read_bytes(
+        &mut self,
+        id: BlockId,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        mm: &mut MemoryManager,
+    ) -> Result<(Vec<u8>, usize), CacheError> {
+        self.ensure_resident(id, heap, kryo, mm)?;
+        self.touch(id);
+        let e = self.entries[id.0 as usize].as_ref().expect("block");
+        let (root, len) = match &e.state {
+            BlockState::Serialized { root, len, .. } => (*root, *len),
+            _ => panic!("read_bytes on a non-Serialized block"),
+        };
+        let arr = heap.root_ref(root);
+        let mut buf = vec![0u8; heap.array_len(arr)];
+        heap.byte_array_read(arr, 0, &mut buf);
+        Ok((buf, len))
     }
 
     /// The Deca block backing `id` (panics if the block is not Deca).

@@ -308,9 +308,8 @@ impl ClusterSession {
     // ------------------------------------------------------------------
 
     /// Run one stage: `tasks` tasks scheduled over the healthy executors
-    /// (see [`SchedulerMode`] for how), each wrapped in
-    /// [`Executor::run_task`] for metric attribution. Returns the task
-    /// results in task order.
+    /// (see [`SchedulerMode`] for how), each timed and attributed as one
+    /// executor task. Returns the task results in task order.
     ///
     /// The task closure must be deterministic in `(ctx.task, executor
     /// state)` for cluster results to be independent of executor count —

@@ -129,9 +129,9 @@ impl Executor {
     /// Run one task as scheduling attempt `attempt` of `(stage, task)`,
     /// so the run trace attributes the attempt — and every GC pause,
     /// spill, and page-group release inside it — to its logical position.
-    /// The stage engine's attempt body calls this; [`Executor::run_task`] is
-    /// the standalone form (single-executor apps, tests).
-    pub fn run_task_in<R>(
+    /// The stage engine's attempt body calls this; `run_task` is the form
+    /// without a logical position (the engine's own unit tests).
+    pub(crate) fn run_task_in<R>(
         &mut self,
         name: impl Into<String>,
         stage: &str,
@@ -196,7 +196,7 @@ impl Executor {
     }
 
     /// Run one task, attributing its wall time. Returns the task's result.
-    pub fn run_task<R>(
+    pub(crate) fn run_task<R>(
         &mut self,
         name: impl Into<String>,
         f: impl FnOnce(&mut Executor) -> R,

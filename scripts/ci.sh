@@ -121,6 +121,20 @@ if [ -n "$knobs" ]; then
   exit 1
 fi
 
+echo "== one way to run an app (no bare executor in the apps) =="
+# Every app is a job description run by the stage engine, standalone or on
+# a DecaServer: no non-test line under crates/apps/src (those before a
+# file's first `#[cfg(test)]`, as the unwrap ratchet counts) builds an
+# executor of its own.
+bare=$(find crates/apps/src -name '*.rs' | sort | while IFS= read -r file; do
+  awk '/#\[cfg\(test\)\]/ { exit } /Executor::new/ { print FILENAME ":" FNR ": " $0 }' "$file"
+done)
+if [ -n "$bare" ]; then
+  echo "non-test app code builds a bare executor:"
+  echo "$bare"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in

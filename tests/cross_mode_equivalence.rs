@@ -3,9 +3,8 @@
 //! cache, and the heap object graphs are three representations of the same
 //! data, and the "code transformation" must be semantics-preserving.
 //!
-//! The WC, LR, KMeans and PR rows also run under each of Table 4's three
-//! collectors, which reclaim memory and never compute. CC and SQL build
-//! their own executor configs and run under the default collector only.
+//! Every row also runs under each of Table 4's three collectors, which
+//! reclaim memory and never compute.
 
 mod util;
 
@@ -104,29 +103,40 @@ fn connected_components_agree_across_modes() {
         let mut p = concomp::CcParams::small(mode);
         p.vertices = 600;
         p.edges = 3_000;
-        results.push(concomp::run(&p).checksum);
+        let job = concomp::job(&p);
+        for gc in GcAlgorithm::ALL {
+            let report = run_job_local(&job, concomp::cc_config(&p).gc_algorithm(gc), 1);
+            results.push((gc, mode, report.checksum));
+        }
     }
-    assert_eq!(results[0], results[1]);
-    assert_eq!(results[1], results[2]);
+    assert_all_agree("CC", &results, 0.0);
     td.cleanup();
 }
 
 #[test]
 fn sql_queries_agree_across_systems() {
     let td = TestDir::executor_default();
-    let mut q1 = Vec::new();
-    let mut q2 = Vec::new();
-    for system in sql::SqlSystem::ALL {
-        let mut p = sql::SqlParams::small(system);
-        p.rankings_rows = 8_000;
-        p.uservisits_rows = 12_000;
-        q1.push(sql::run_query1(&p).checksum);
-        q2.push(sql::run_query2(&p).checksum);
+    for query in sql::SqlQuery::ALL {
+        let mut results = Vec::new();
+        for system in sql::SqlSystem::ALL {
+            let mut p = sql::SqlParams::small(system);
+            p.rankings_rows = 8_000;
+            p.uservisits_rows = 12_000;
+            let job = sql::job(&p, query);
+            for gc in GcAlgorithm::ALL {
+                let report = run_job_local(&job, sql::sql_config(&p).gc_algorithm(gc), 1);
+                results.push((gc, report.mode, report.checksum));
+            }
+        }
+        // Q1 counts agree exactly, Q2's sums to 1e-6, the join's larger
+        // sums to 1e-6 of their size.
+        let tol = match query {
+            sql::SqlQuery::Filter => 0.0,
+            sql::SqlQuery::GroupBy => 1e-6,
+            sql::SqlQuery::Join => 1e-6 * results[0].2.abs(),
+        };
+        assert_all_agree(query.name(), &results, tol);
     }
-    assert_eq!(q1[0], q1[1]);
-    assert_eq!(q1[1], q1[2]);
-    assert!((q2[0] - q2[1]).abs() < 1e-6);
-    assert!((q2[1] - q2[2]).abs() < 1e-6);
     td.cleanup();
 }
 
@@ -159,10 +169,10 @@ fn deca_checksums_are_pinned_bit_for_bit() {
         ("LR", logreg::run_local(&lr, 1).checksum),
         ("KMeans", kmeans::run_local(&km, 1).checksum),
         ("PR", pagerank::run_local(&pr, 1).checksum),
-        ("CC", concomp::run(&cc).checksum),
-        ("SQL q1", sql::run_query1(&q).checksum),
-        ("SQL q2", sql::run_query2(&q).checksum),
-        ("SQL q3", sql::run_query3(&q).checksum),
+        ("CC", concomp::run_local(&cc, 1).checksum),
+        ("SQL q1", sql::run_local(&q, sql::SqlQuery::Filter, 1).checksum),
+        ("SQL q2", sql::run_local(&q, sql::SqlQuery::GroupBy, 1).checksum),
+        ("SQL q3", sql::run_local(&q, sql::SqlQuery::Join, 1).checksum),
     ];
     let want: [u64; 7] = [
         0x3ffc_86c0_e196_e8d2,

@@ -11,14 +11,15 @@
 
 mod util;
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
-use deca_apps::{run_job_faulty, run_job_on};
+use deca_apps::{run_job_faulty, run_job_local, run_job_on};
 use std::time::Duration;
 
 use deca_engine::{
-    ClusterSession, EngineError, ExecutionMode, FaultPlan, FaultSite, FaultSpec, JobMetrics,
-    RetryPolicy, SchedulerMode,
+    AppJob, ClusterSession, EngineError, ExecutionMode, ExecutorConfig, FaultPlan, FaultSite,
+    FaultSpec, JobMetrics, RetryPolicy, SchedulerMode,
 };
 use util::{scheduler_cells, WIDTHS};
 
@@ -112,6 +113,19 @@ fn pr_params(mode: ExecutionMode) -> PrParams {
     }
 }
 
+fn cc_params(mode: ExecutionMode) -> CcParams {
+    CcParams {
+        vertices: 400,
+        edges: 2_000,
+        max_iterations: 10,
+        partitions: 4,
+        heap_bytes: 24 << 20,
+        mode,
+        storage_fraction: 0.4,
+        seed: 9,
+    }
+}
+
 /// Does the plan draw `site` at attempt 0 anywhere in these stages?
 /// (Attempt-0 draws are the only ones a `repeat_on_retry: false` plan
 /// makes.)
@@ -176,30 +190,36 @@ fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
     }
 }
 
-#[test]
-fn pagerank_under_faults_is_bit_identical_across_modes_and_widths() {
+/// A graph job (PageRank, ConnectedComponents) under the storm returns its
+/// fault-free answer bit for bit at every mode, width and scheduler.
+fn graph_job_under_faults(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig)) {
     let (seeds, pinned) = fault_seeds();
     for seed in seeds {
         let plan = FaultPlan::seeded(seed, storm());
         for mode in ExecutionMode::ALL {
-            let reference = pagerank::run_local(&pr_params(mode), 1).checksum;
+            let (app, config) = build(mode);
+            let reference = run_job_local(&app, config.clone(), 1).checksum;
             for (executors, sched) in scheduler_cells() {
-                let cell = format!("seed {seed}, {mode}, {executors}x {sched}");
-                let p = pr_params(mode);
+                let cell = format!("{} seed {seed}, {mode}, {executors}x {sched}", app.name());
                 let report = run_job_faulty(
-                    &pagerank::job(&p),
-                    pagerank::pr_config(&p).scheduler(sched),
+                    &app,
+                    config.clone().scheduler(sched),
                     executors,
                     plan.clone(),
                     Some(matrix_policy()),
                 )
                 .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
-                assert_eq!(report.checksum, reference, "{cell}: ranks drifted under faults");
+                assert_eq!(
+                    report.checksum.to_bits(),
+                    reference.to_bits(),
+                    "{cell}: result drifted under faults"
+                );
                 if pinned {
                     assert!(report.metrics.retries > 0, "{cell}: plan injected nothing retried");
                 }
-                // PageRank's stage count varies with convergence-free
-                // iteration structure; the invariant holds relatively.
+                // The stage count varies with the iteration structure (CC
+                // stops when its labels settle); the invariant holds
+                // relatively.
                 assert!(
                     report.metrics.attempts >= report.metrics.retries + report.metrics.oom_reruns,
                     "{cell}: attempts below extra runs"
@@ -211,6 +231,22 @@ fn pagerank_under_faults_is_bit_identical_across_modes_and_widths() {
             }
         }
     }
+}
+
+#[test]
+fn pagerank_under_faults_is_bit_identical_across_modes_and_widths() {
+    graph_job_under_faults(|mode| {
+        let p = pr_params(mode);
+        (pagerank::job(&p), pagerank::pr_config(&p))
+    });
+}
+
+#[test]
+fn connected_components_under_faults_is_bit_identical_across_modes_and_widths() {
+    graph_job_under_faults(|mode| {
+        let p = cc_params(mode);
+        (concomp::job(&p), concomp::cc_config(&p))
+    });
 }
 
 /// The recovery counters that must be scheduler-invariant: fault pinning

@@ -9,10 +9,12 @@
 
 mod util;
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_local;
+use deca_apps::sql::{self, SqlParams, SqlQuery, SqlSystem};
 use deca_apps::wordcount::{self, WcParams};
 use deca_engine::{AppJob, DecaServer, ExecutionMode, ExecutorConfig, JobSpec};
 
@@ -59,6 +61,13 @@ fn pr(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
     (pagerank::job(&p), pagerank::pr_config(&p))
 }
 
+fn cc(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let mut p = CcParams::small(mode);
+    p.vertices = 600;
+    p.edges = 3_000;
+    (concomp::job(&p), concomp::cc_config(&p))
+}
+
 /// One description, five uses, one checksum: `want` is `run_local`'s value
 /// (as `f64::to_bits`), which at these sizes is the same in all three modes.
 fn every_use_reads_the_same_data(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), want: u64) {
@@ -101,4 +110,34 @@ fn kmeans_description_is_reusable() {
 #[test]
 fn pagerank_description_is_reusable() {
     every_use_reads_the_same_data(pr, 0x4086_98f9_e86a_4fd7);
+}
+
+#[test]
+fn connected_components_description_is_reusable() {
+    every_use_reads_the_same_data(cc, 0x40b5_b700_0000_0000);
+}
+
+/// A CC job and a SQL Q2 job submitted to a `DecaServer` return the
+/// checksums their local runs return, in every mode and system.
+#[test]
+fn served_cc_and_sql_jobs_match_their_local_runs() {
+    let td = TestDir::executor_default();
+    let served = |app: &AppJob, config: ExecutorConfig| {
+        let server = DecaServer::new(EXECUTORS, config);
+        let handle = server.submit(JobSpec::new("t").app(app.clone())).expect("admitted");
+        handle.wait().expect("served job").checksum
+    };
+    for mode in ExecutionMode::ALL {
+        let (app, config) = cc(mode);
+        let want = run_job_local(&app, config.clone(), 1).checksum;
+        assert_eq!(served(&app, config).to_bits(), want.to_bits(), "CC in {mode} mode");
+    }
+    for system in SqlSystem::ALL {
+        let mut p = SqlParams::small(system);
+        (p.rankings_rows, p.uservisits_rows) = (8_000, 12_000);
+        let (app, config) = (sql::job(&p, SqlQuery::GroupBy), sql::sql_config(&p));
+        let want = run_job_local(&app, config.clone(), 1).checksum;
+        assert_eq!(served(&app, config).to_bits(), want.to_bits(), "SQL Q2 on {}", system.name());
+    }
+    td.cleanup();
 }
