@@ -20,12 +20,10 @@
 //! later run of the description borrow partition `p` from that shared
 //! buffer (see the crate docs).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use deca_engine::record::HeapRecord;
 use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 
+use crate::cached::{CachedDataset, Repr};
 use crate::datagen;
 use crate::records::LabeledPointRec;
 use crate::report::AppReport;
@@ -88,27 +86,6 @@ pub fn km_config(params: &KmParams) -> ExecutorConfig {
     config
 }
 
-/// Cache one partition of labeled points in the mode's representation.
-fn load_block(
-    e: &mut Executor,
-    part: &[LabeledPointRec],
-    mode: ExecutionMode,
-    dims: usize,
-    classes: &crate::records::LabeledPointClasses,
-) -> Result<deca_engine::cache::BlockId, EngineError> {
-    Ok(match mode {
-        ExecutionMode::Spark => {
-            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, classes, part)?
-        }
-        ExecutionMode::SparkSer => {
-            e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, part)?
-        }
-        ExecutionMode::Deca => {
-            e.cache.put_deca_sfst(&mut e.heap, &mut e.mm, part, LabeledPointRec::sfst_size(dims))?
-        }
-    })
-}
-
 /// The KMeans job description: consumed by `DecaServer::submit` (via
 /// `JobSpec::app`) and by the local shims above.
 pub fn job(params: &KmParams) -> AppJob {
@@ -129,24 +106,15 @@ fn run_kmeans(
     parts: &Partitioned<LabeledPointRec>,
     job_ctx: &mut JobCtx,
 ) -> Result<f64, EngineError> {
-    let mode = params.mode;
     let d = params.dims;
     let k = params.clusters;
 
-    // Load stage: partition p's points are cached on executor p % E,
-    // where every iteration's task p (same pinning) will scan them.
-    let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
-        Mutex::new(HashMap::new());
-    {
-        let blocks_now = &blocks;
-        job_ctx.run_stage("km-load", params.partitions, |ctx, e| {
-            let classes = LabeledPointRec::register(&mut e.heap);
-            let block = load_block(e, parts.part(ctx.task), mode, d, &classes)?;
-            crate::lock(blocks_now).insert((ctx.executor, ctx.task), block);
-            Ok(())
-        })?;
-    }
-    job_ctx.note_cache_bytes();
+    // KMeans caches LR's points through LR's loading map, so the optimizer
+    // plans the container from LR's program.
+    let repr = crate::logreg::points_repr(params.mode, crate::records::lr_analysis, d)?;
+    let points = CachedDataset::load(job_ctx, "km-load", params.partitions, repr, |e, p, repr| {
+        repr.put(e, parts.part(p))
+    })?;
 
     // Deterministic initial centroids from the data.
     let mut centroids: Vec<Vec<f64>> = parts
@@ -163,37 +131,19 @@ fn run_kmeans(
     // ------------------------------------------------------ iterations
     for iter in 0..params.iterations {
         let centroids_now = &centroids;
-        let blocks_now = &blocks;
+        let points = &points;
         let partials: Vec<KmPartial> =
             job_ctx.run_stage(&format!("km-iter{iter}"), params.partitions, |ctx, e| {
-                let classes = LabeledPointRec::register(&mut e.heap);
-                // Trust the cached handle only if the block is still
-                // resident on this executor; a retried or stolen attempt
-                // recaches from its input partition (lineage recompute),
-                // so the scanned bytes are identical wherever the task
-                // lands.
-                let cached = crate::lock(blocks_now)
-                    .get(&(ctx.executor, ctx.task))
-                    .copied()
-                    .filter(|b| e.cache.contains(*b));
-                let block = match cached {
-                    Some(b) => b,
-                    None => {
-                        let b = load_block(e, parts.part(ctx.task), mode, d, &classes)?;
-                        crate::lock(blocks_now).insert((ctx.executor, ctx.task), b);
-                        b
-                    }
-                };
+                let block = points.block(ctx, e)?;
                 let mut sums = vec![vec![0.0f64; d]; k];
                 let mut counts = vec![0usize; k];
-                match mode {
-                    ExecutionMode::Spark => {
-                        spark_assign(e, block, centroids_now, &mut sums, &mut counts)?
-                    }
-                    ExecutionMode::SparkSer => {
+                match points.repr() {
+                    Repr::Objects => spark_assign(e, block, centroids_now, &mut sums, &mut counts)?,
+                    Repr::Serialized => {
+                        let classes = LabeledPointRec::register(&mut e.heap);
                         sparkser_assign(e, block, &classes, centroids_now, &mut sums, &mut counts)?
                     }
-                    ExecutionMode::Deca => {
+                    Repr::Pages { .. } => {
                         deca_assign(e, block, centroids_now, &mut sums, &mut counts)?
                     }
                 }

@@ -41,7 +41,13 @@
 //! exists (§6). The times in an [`AppReport`] come from `JobMetrics.exec`,
 //! the stages' critical path over *task* times, so they never contained
 //! generation time.
+//!
+//! LR, KMeans and the graph jobs cache their input through one handle
+//! (`cached.rs`): it runs the load stage, rebuilds a lost block from its
+//! partition, and stores blocks as heap objects (Spark), bytes (SparkSer)
+//! or what `Optimizer::plan` decides (Deca). SQL keeps its own table cache.
 
+mod cached;
 pub mod concomp;
 pub mod datagen;
 pub mod kmeans;

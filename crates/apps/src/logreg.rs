@@ -16,22 +16,22 @@
 //! f64 addition sequence, and hence the weights, are bit-identical for any
 //! executor count, standalone or on a [`deca_engine::DecaServer`]. A
 //! retried or stolen task that lands on an executor without its block
-//! recaches it from its input partition first (lineage recompute).
+//! recaches it from its input partition first (lineage recompute). Before
+//! the load stage, Deca's runtime optimizer picks the cached layout from
+//! the job's IR, and each iteration's kernel follows the layout stored.
 //!
 //! The description owns its input: [`job`] generates the labeled points
 //! once, when it is called, and the load stage, every lineage recompute
 //! and every later run of the description borrow partition `p` from that
 //! shared buffer (see the crate docs).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-use deca_core::optimizer::ContainerDecision;
 use deca_core::Optimizer;
 use deca_engine::record::HeapRecord;
 use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
+use deca_udt::fixtures::LrProgram;
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
+use crate::cached::{CachedDataset, Repr};
 use crate::datagen;
 use crate::records::LabeledPointRec;
 use crate::report::AppReport;
@@ -98,122 +98,78 @@ pub fn lr_config(params: &LrParams) -> ExecutorConfig {
     config
 }
 
-/// Before caching, Deca's runtime optimizer classifies the cached UDT
-/// from the job's IR (Appendix A). The LR stage refines LabeledPoint to
-/// SFST, enabling unframed fixed-size decomposition. Driver-side, once
-/// per job.
-fn assert_deca_plan() {
-    let analysis = crate::records::lr_analysis();
-    let opt = Optimizer::new(&analysis.types.registry, &analysis.program);
-    let phases = JobPhases::new().phase("map", analysis.stage_entry);
-    let cache = deca_core::ContainerInfo {
-        id: ContainerId(0),
-        kind: ContainerKind::CachedRdd,
-        created_seq: 0,
-        content: TypeRef::Udt(analysis.types.labeled_point),
-        write_phase: 0,
-    };
-    let plan = opt.plan(&phases, &[cache], &[]);
-    assert_eq!(
-        plan.decision(ContainerId(0)),
-        &ContainerDecision::DecomposeSfst,
-        "the optimizer must prove LabeledPoint SFST for the LR job"
-    );
-}
-
-/// Cache one partition of labeled points in the mode's representation.
-fn load_block(
-    e: &mut Executor,
-    part: &[crate::records::LabeledPointRec],
+/// How the cached points are stored in `mode`. Deca plans them from
+/// `analysis`, the caching stage's IR (Appendix A): the LR job's program
+/// refines LabeledPoint to SFST, so the points become unframed
+/// `LabeledPointRec::sfst_size(dims)`-byte segments. Driver-side, once per
+/// job; KMeans caches the same points and plans them the same way.
+pub(crate) fn points_repr(
     mode: ExecutionMode,
+    analysis: fn() -> LrProgram,
     dims: usize,
-    classes: &crate::records::LabeledPointClasses,
-) -> Result<deca_engine::cache::BlockId, EngineError> {
-    Ok(match mode {
-        ExecutionMode::Spark => {
-            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, classes, part)?
-        }
-        ExecutionMode::SparkSer => {
-            e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, part)?
-        }
-        ExecutionMode::Deca => {
-            e.cache.put_deca_sfst(&mut e.heap, &mut e.mm, part, LabeledPointRec::sfst_size(dims))?
-        }
-    })
+) -> Result<Repr, EngineError> {
+    let decide = || {
+        let analysis = analysis();
+        let opt = Optimizer::new(&analysis.types.registry, &analysis.program);
+        let phases = JobPhases::new().phase("map", analysis.stage_entry);
+        let cache = deca_core::ContainerInfo {
+            id: ContainerId(0),
+            kind: ContainerKind::CachedRdd,
+            created_seq: 0,
+            content: TypeRef::Udt(analysis.types.labeled_point),
+            write_phase: 0,
+        };
+        opt.plan(&phases, &[cache], &[]).decision(ContainerId(0)).clone()
+    };
+    Repr::plan(mode, decide, Some(LabeledPointRec::sfst_size(dims)))
 }
 
 /// The LR job description: consumed by `DecaServer::submit` (via
 /// `JobSpec::app`) and by the local shims above.
 pub fn job(params: &LrParams) -> AppJob {
+    job_planned_by(params, crate::records::lr_analysis)
+}
+
+/// [`job`] with the cached points planned from `analysis` instead of the
+/// LR job's own program.
+pub(crate) fn job_planned_by(params: &LrParams, analysis: fn() -> LrProgram) -> AppJob {
     let params = params.clone();
     let parts = Partitioned::split(
         datagen::labeled_vectors(params.points, params.dims, params.seed),
         params.partitions,
     );
-    AppJob::new("LR", move |job_ctx| run_logreg(&params, &parts, job_ctx))
+    AppJob::new("LR", move |job_ctx| run_logreg(&params, &parts, analysis, job_ctx))
 }
 
 fn run_logreg(
     params: &LrParams,
     parts: &Partitioned<LabeledPointRec>,
+    analysis: fn() -> LrProgram,
     job_ctx: &mut JobCtx,
 ) -> Result<f64, EngineError> {
-    if params.mode == ExecutionMode::Deca {
-        assert_deca_plan();
-    }
-    let mode = params.mode;
     let dims = params.dims;
-
-    // Load stage: partition p's points are cached on executor p % E,
-    // where every iteration's task p (same pinning) will scan them.
-    let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
-        Mutex::new(HashMap::new());
-    {
-        let blocks_now = &blocks;
-        job_ctx.run_stage("lr-load", params.partitions, |ctx, e| {
-            let classes = LabeledPointRec::register(&mut e.heap);
-            let block = load_block(e, parts.part(ctx.task), mode, dims, &classes)?;
-            crate::lock(blocks_now).insert((ctx.executor, ctx.task), block);
-            Ok(())
-        })?;
-    }
-    job_ctx.note_cache_bytes();
+    let repr = points_repr(params.mode, analysis, dims)?;
+    let points = CachedDataset::load(job_ctx, "lr-load", params.partitions, repr, |e, p, repr| {
+        repr.put(e, parts.part(p))
+    })?;
 
     // ------------------------------------------------------ iterations
     let mut weights: Vec<f64> = (0..dims).map(|i| 0.1 * ((i % 7) as f64 - 3.0)).collect();
     for iter in 0..params.iterations {
         let weights_now = &weights;
-        let blocks_now = &blocks;
+        let points = &points;
         let sample = params.sample_timeline;
         let partials =
             job_ctx.run_stage(&format!("lr-iter{iter}"), params.partitions, |ctx, e| {
                 let classes = LabeledPointRec::register(&mut e.heap);
-                // The handle is only trusted if the cache still holds the
-                // block — a retried or stolen attempt that landed on an
-                // executor without it recaches from its input partition
-                // (lineage recompute), so the scanned bytes are identical
-                // wherever the task lands.
-                let cached = crate::lock(blocks_now)
-                    .get(&(ctx.executor, ctx.task))
-                    .copied()
-                    .filter(|b| e.cache.contains(*b));
-                let block = match cached {
-                    Some(b) => b,
-                    None => {
-                        let b = load_block(e, parts.part(ctx.task), mode, dims, &classes)?;
-                        crate::lock(blocks_now).insert((ctx.executor, ctx.task), b);
-                        b
-                    }
-                };
+                let block = points.block(ctx, e)?;
                 let mut partial = vec![0.0f64; dims];
-                match mode {
-                    ExecutionMode::Spark => {
-                        spark_gradient(e, block, &classes, weights_now, &mut partial)?
-                    }
-                    ExecutionMode::SparkSer => {
+                match points.repr() {
+                    Repr::Objects => spark_gradient(e, block, &classes, weights_now, &mut partial)?,
+                    Repr::Serialized => {
                         sparkser_gradient(e, block, &classes, weights_now, &mut partial)?
                     }
-                    ExecutionMode::Deca => deca_gradient(e, block, weights_now, &mut partial)?,
+                    Repr::Pages { .. } => deca_gradient(e, block, weights_now, &mut partial)?,
                 }
                 if sample {
                     e.sample_timeline(classes.labeled_point);
@@ -373,6 +329,7 @@ fn deca_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deca_engine::ClusterSession;
 
     fn tiny(mode: ExecutionMode) -> LrParams {
         LrParams {
@@ -404,6 +361,49 @@ mod tests {
     fn the_description_generates_its_input_once_and_runs_never_do() {
         let p = tiny(ExecutionMode::Deca);
         crate::assert_description_owns_its_input(|| job(&p), lr_config(&p), 1);
+    }
+
+    /// The analysis alone picks Deca's cached layout: planned with each of
+    /// the three LR fixtures, the same job stores unframed pages (SFST),
+    /// framed pages (RFST) and heap objects (VST), and returns the Spark
+    /// run's weights bit for bit.
+    #[test]
+    fn the_fixture_picks_the_cached_layout_and_never_the_answer() {
+        use deca_udt::fixtures;
+        let p = tiny(ExecutionMode::Deca);
+        let spark = run_local(&tiny(ExecutionMode::Spark), 1).checksum;
+        let sfst = LabeledPointRec::sfst_size(p.dims);
+        let cells: [(fn() -> LrProgram, Repr); 3] = [
+            (fixtures::lr_program, Repr::Pages { record_size: Some(sfst) }),
+            (fixtures::lr_program_variable_dims, Repr::Pages { record_size: None }),
+            (fixtures::lr_program_with_reassignment, Repr::Objects),
+        ];
+        for (analysis, want) in cells {
+            assert_eq!(points_repr(ExecutionMode::Deca, analysis, p.dims).unwrap(), want);
+            let mut session = ClusterSession::new(1, lr_config(&p));
+            let (checksum, _) = crate::run_job_on(&job_planned_by(&p, analysis), &mut session)
+                .unwrap_or_else(|e| panic!("{want:?}: {e}"));
+            assert_eq!(checksum.to_bits(), spark.to_bits(), "{want:?}: weights drifted");
+            let mut stored = 0;
+            for e in &mut session.cluster_mut().executors {
+                for b in e.cache.blocks_of_job(0) {
+                    stored += 1;
+                    match want {
+                        Repr::Pages { record_size } => {
+                            assert_eq!(e.cache.deca_block(b).fixed_size(), record_size, "{want:?}")
+                        }
+                        _ => {
+                            let (_, len) = e
+                                .cache
+                                .objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)
+                                .unwrap();
+                            assert!(len > 0, "{want:?}: an empty object block");
+                        }
+                    }
+                }
+            }
+            assert_eq!(stored, p.partitions, "{want:?}: one block per partition");
+        }
     }
 
     #[test]

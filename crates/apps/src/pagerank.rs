@@ -29,19 +29,17 @@
 //! and every later run of the description borrow edge partition `p` from
 //! that shared buffer (see the crate docs).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use deca_core::optimizer::ContainerDecision;
 use deca_core::{DecaHashShuffle, Optimizer};
 use deca_engine::cache::BlockId;
 use deca_engine::record::{HeapRecord, KryoRecord, PairClasses, Record};
 use deca_engine::{
     AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, MapOutputs,
-    ShufflePayload, SparkGroupShuffle, SparkHashShuffle, TaskContext,
+    ShufflePayload, SparkGroupShuffle, SparkHashShuffle,
 };
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
+use crate::cached::{CachedDataset, Repr};
 use crate::datagen;
 use crate::records::AdjListRec;
 use crate::report::AppReport;
@@ -83,14 +81,13 @@ pub(crate) fn partition_edges(edges: &[(u32, u32)], partitions: usize) -> Partit
 }
 
 /// Group one partition's edges into sorted adjacency lists and copy them
-/// into the executor's cache in the mode's representation (the §4.3.3
-/// scenario: VST grouping buffer, decompose-on-copy cache output).
+/// into the executor's cache in `repr` (the §4.3.3 scenario: VST grouping
+/// buffer, decompose-on-copy cache output).
 fn build_adjacency_block(
     e: &mut Executor,
     part: &[(u32, u32)],
-    mode: ExecutionMode,
+    repr: Repr,
 ) -> Result<BlockId, EngineError> {
-    let adj_classes = AdjListRec::register(&mut e.heap);
     // The grouping buffer holds heap objects in every mode — its content
     // is a VST while being built (§4.3.3).
     let mut buf: SparkGroupShuffle<u32, i64> = SparkGroupShuffle::new(&mut e.heap);
@@ -102,69 +99,59 @@ fn build_adjacency_block(
         adj.push(AdjListRec { vertex, neighbors: values.into_iter().map(|v| v as u32).collect() });
     });
     adj.sort_by_key(|a| a.vertex);
-    // Copy into the cache in the mode's representation, then release the
-    // dying buffer.
-    let block = match mode {
-        ExecutionMode::Spark => {
-            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &adj_classes, &adj)?
-        }
-        ExecutionMode::SparkSer => {
-            e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, &adj)?
-        }
-        ExecutionMode::Deca => e.cache.put_deca(&mut e.heap, &mut e.mm, &adj)?,
-    };
+    // Copy into the cache, then release the dying buffer.
+    let block = repr.put(e, &adj)?;
     buf.release(&mut e.heap);
     Ok(block)
 }
 
-/// A graph job's cached adjacency: partition `p`'s block, tracked per
-/// `(executor, partition)`. With the static round-robin pinning every
-/// iteration's map task finds its block executor-local, but a retried task
-/// that migrated rebuilds the block deterministically from its edge
-/// partition first — Spark's lineage story (§6.1) — so the scanned bytes,
-/// and hence every message sequence, are identical wherever the task lands.
+/// Deca's plan for the adjacency cache (§4.3.3): a group is a VST while the
+/// grouping buffer builds it and fixed once copied out of the dying buffer,
+/// so the cache decomposes on copy. Driver-side, once per job.
+fn adjacency_decision() -> ContainerDecision {
+    let analysis = deca_udt::fixtures::group_by_program();
+    let opt = Optimizer::new(&analysis.registry, &analysis.program);
+    let phases = JobPhases::new()
+        .phase("combine", analysis.build_entry)
+        .phase("iterate", analysis.read_entry);
+    let shuffle = deca_core::ContainerInfo {
+        id: ContainerId(0),
+        kind: ContainerKind::ShuffleBuffer,
+        created_seq: 0,
+        content: TypeRef::Udt(analysis.group),
+        write_phase: 0,
+    };
+    let cache = deca_core::ContainerInfo {
+        id: ContainerId(1),
+        kind: ContainerKind::CachedRdd,
+        created_seq: 1,
+        content: TypeRef::Udt(analysis.group),
+        write_phase: 0,
+    };
+    opt.plan(&phases, &[shuffle, cache], &[]).decision(ContainerId(1)).clone()
+}
+
+/// A graph job's cached adjacency, one block per edge partition (see
+/// [`CachedDataset`]), and the mode its message kernels run in.
 pub(crate) struct Adjacency<'a> {
-    parts: &'a Partitioned<(u32, u32)>,
+    blocks: CachedDataset<'a>,
     mode: ExecutionMode,
-    blocks: Mutex<HashMap<(usize, usize), BlockId>>,
+    partitions: usize,
 }
 
 impl<'a> Adjacency<'a> {
-    /// The grouping stage: partition `p`'s adjacency block is cached on
-    /// executor `p % E`, where iteration map task `p` (same pinning) will
-    /// scan it. Notes the job's cache footprint once it is built.
+    /// The grouping stage.
     pub(crate) fn build(
         job_ctx: &mut JobCtx,
         parts: &'a Partitioned<(u32, u32)>,
         mode: ExecutionMode,
     ) -> Result<Adjacency<'a>, EngineError> {
-        if mode == ExecutionMode::Deca {
-            assert_deca_plan();
-        }
-        let adj = Adjacency { parts, mode, blocks: Mutex::new(HashMap::new()) };
-        job_ctx.run_stage("adj-build", parts.parts(), |ctx, e| {
-            let block = build_adjacency_block(e, parts.part(ctx.task), mode)?;
-            crate::lock(&adj.blocks).insert((ctx.executor, ctx.task), block);
-            Ok(())
-        })?;
-        job_ctx.note_cache_bytes();
-        Ok(adj)
-    }
-
-    /// The block of partition `ctx.task` on this executor. A crash restart
-    /// may have wiped the block the stage built (restart-in-place
-    /// rehydrates only manifest-verified cold blocks), so the handle is
-    /// only trusted if the cache still holds it; otherwise — or when the
-    /// attempt migrated to an executor that never built the partition —
-    /// the block is recomputed from its lineage.
-    fn block(&self, ctx: &TaskContext, e: &mut Executor) -> Result<BlockId, EngineError> {
-        let key = (ctx.executor, ctx.task);
-        if let Some(&b) = crate::lock(&self.blocks).get(&key).filter(|b| e.cache.contains(**b)) {
-            return Ok(b);
-        }
-        let b = build_adjacency_block(e, self.parts.part(ctx.task), self.mode)?;
-        crate::lock(&self.blocks).insert(key, b);
-        Ok(b)
+        let repr = Repr::plan(mode, adjacency_decision, None)?;
+        let blocks =
+            CachedDataset::load(job_ctx, "adj-build", parts.parts(), repr, |e, p, repr| {
+                build_adjacency_block(e, parts.part(p), repr)
+            })?;
+        Ok(Adjacency { blocks, mode, partitions: parts.parts() })
     }
 }
 
@@ -344,13 +331,13 @@ pub(crate) fn exchange_messages<M: Messages>(
 where
     (i64, M::V): HeapRecord<Classes = PairClasses> + KryoRecord,
 {
-    let (mode, reducers) = (adj.mode, adj.parts.parts());
+    let (mode, reducers) = (adj.mode, adj.partitions);
     let combined = job_ctx.run_shuffle_job(
         name,
         reducers,
         reducers,
         |ctx, e| {
-            let block = adj.block(ctx, e)?;
+            let block = adj.blocks.block(ctx, e)?;
             let mut combiner = Combiner::new(e, mode)?;
             // Message emission + eager combining is the shuffle write.
             e.shuffle_write_scope(|e| messages_from_block(e, block, mode, msgs, &mut combiner))?;
@@ -425,41 +412,6 @@ where
         },
     )?;
     Ok(combined.into_iter().flatten().collect())
-}
-
-/// Assert the Deca optimizer reproduces the §4.3.3 plan (VST grouping
-/// buffer kept on the heap, adjacency cache decomposed on copy) before the
-/// engine follows it. Driver-side, once per job.
-fn assert_deca_plan() {
-    let analysis = deca_udt::fixtures::group_by_program();
-    let opt = Optimizer::new(&analysis.registry, &analysis.program);
-    let phases = JobPhases::new()
-        .phase("combine", analysis.build_entry)
-        .phase("iterate", analysis.read_entry);
-    let shuffle = deca_core::ContainerInfo {
-        id: ContainerId(0),
-        kind: ContainerKind::ShuffleBuffer,
-        created_seq: 0,
-        content: TypeRef::Udt(analysis.group),
-        write_phase: 0,
-    };
-    let cache = deca_core::ContainerInfo {
-        id: ContainerId(1),
-        kind: ContainerKind::CachedRdd,
-        created_seq: 1,
-        content: TypeRef::Udt(analysis.group),
-        write_phase: 0,
-    };
-    let plan = opt.plan(&phases, &[shuffle, cache], &[]);
-    assert!(
-        matches!(plan.decision(ContainerId(0)), ContainerDecision::Keep(_)),
-        "the grouping buffer must stay on the heap (VST while combining)"
-    );
-    assert_eq!(
-        plan.decision(ContainerId(1)),
-        &ContainerDecision::DecomposeOnCopy,
-        "the adjacency cache decomposes when the dying shuffle's output is copied"
-    );
 }
 
 /// The executor configuration PageRank runs under (public so the

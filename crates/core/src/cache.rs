@@ -80,6 +80,12 @@ impl DecaCacheBlock {
         self.group
     }
 
+    /// `Some(size)` if the records are unframed SFST segments of `size`
+    /// bytes, `None` if they are framed.
+    pub fn fixed_size(&self) -> Option<usize> {
+        self.fixed_size
+    }
+
     /// Visit every record's bytes sequentially without materialising
     /// objects — the Deca iteration fast path (Figure 12's transformed
     /// loop reads fields at offsets within these slices).

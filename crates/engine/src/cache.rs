@@ -44,7 +44,6 @@
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::time::Duration;
 
 use deca_check::Json;
 use deca_core::hash::hash_bytes;
@@ -1574,12 +1573,6 @@ impl CacheManager {
         payload.len() as u64 == row.file_bytes && hash_bytes(&payload) == row.checksum
     }
 
-    /// Simulated disk time for cache spill traffic since construction.
-    pub fn sim_io_time(&self) -> Duration {
-        let bytes = (self.spill_write_bytes + self.spill_read_bytes) as f64;
-        Duration::from_secs_f64(bytes / crate::executor::SIM_DISK_BPS)
-    }
-
     /// Snapshot of the manager's occupancy and eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -1611,20 +1604,6 @@ pub struct CacheStats {
     /// Bytes written to / read from cache spill files.
     pub spill_write_bytes: u64,
     pub spill_read_bytes: u64,
-}
-
-/// A cached RDD handle: the block ids of its partitions on one executor.
-#[derive(Debug, Default)]
-pub struct CachedRdd<T> {
-    pub name: String,
-    pub blocks: Vec<BlockId>,
-    _t: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T> CachedRdd<T> {
-    pub fn new(name: impl Into<String>) -> CachedRdd<T> {
-        CachedRdd { name: name.into(), blocks: Vec::new(), _t: std::marker::PhantomData }
-    }
 }
 
 #[cfg(test)]

@@ -35,20 +35,23 @@ pub struct LocalCluster {
 }
 
 impl LocalCluster {
+    /// One executor per config. Executor `i` spills under `exec-{i}` in its
+    /// config's spill directory, so executors never alias spill files.
     pub fn new(configs: Vec<ExecutorConfig>) -> LocalCluster {
-        LocalCluster { executors: configs.into_iter().map(Executor::new).collect() }
+        let executors = configs
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut c)| {
+                c.spill_dir = c.spill_dir.join(format!("exec-{i}"));
+                Executor::new(c)
+            })
+            .collect();
+        LocalCluster { executors }
     }
 
     /// A cluster of `n` identical executors.
     pub fn uniform(n: usize, config: ExecutorConfig) -> LocalCluster {
-        let configs = (0..n)
-            .map(|i| {
-                let mut c = config.clone();
-                c.spill_dir = config.spill_dir.join(format!("exec-{i}"));
-                c
-            })
-            .collect();
-        LocalCluster::new(configs)
+        LocalCluster::new(vec![config; n])
     }
 
     pub fn len(&self) -> usize {

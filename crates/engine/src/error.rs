@@ -63,6 +63,10 @@ pub enum EngineError {
     /// attempt — standalone or served — so one bad task cannot wedge an
     /// executor thread other work shares; deterministic, hence fatal.
     TaskPanic { stage: String, task: usize, message: String },
+    /// The runtime optimizer chose a layout the engine cannot store for a
+    /// container (a cached primary told to share another's pages, say).
+    /// Raised before any stage runs; deterministic, hence fatal.
+    Plan(String),
     /// A task failed; carries the stage and task index for diagnosis.
     Task { stage: String, task: usize, source: Box<EngineError> },
 }
@@ -103,6 +107,7 @@ impl EngineError {
             EngineError::ServerShutdown => false,
             EngineError::TaskPanic { .. } => false,
             EngineError::Cancelled { .. } => false,
+            EngineError::Plan(_) => false,
             EngineError::Task { source, .. } => source.is_transient(),
         }
     }
@@ -192,6 +197,7 @@ impl std::fmt::Display for EngineError {
             EngineError::TaskPanic { stage, task, message } => {
                 write!(f, "stage {stage:?} task {task} panicked: {message}")
             }
+            EngineError::Plan(msg) => write!(f, "unstorable plan: {msg}"),
             EngineError::Task { stage, task, source } => {
                 write!(f, "stage {stage:?} task {task}: {source}")
             }
@@ -215,6 +221,7 @@ impl std::error::Error for EngineError {
             EngineError::AdmissionRejected { .. } => None,
             EngineError::ServerShutdown => None,
             EngineError::TaskPanic { .. } => None,
+            EngineError::Plan(_) => None,
             EngineError::Task { source, .. } => Some(source.as_ref()),
         }
     }

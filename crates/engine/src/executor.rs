@@ -475,11 +475,6 @@ impl Executor {
         self.heap.object_count()
     }
 
-    /// Cache manager occupancy and eviction counters.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
-    }
-
     /// The lifetime timeline recorded by [`Executor::sample_timeline`].
     pub fn timeline(&self) -> &Timeline {
         &self.timeline

@@ -37,7 +37,7 @@ pub mod shuffle;
 mod stage;
 pub mod trace;
 
-pub use cache::{CacheError, CacheStats, CachedRdd, RehydrateOutcome, Tier};
+pub use cache::{CacheError, CacheStats, RehydrateOutcome, Tier};
 pub use cluster::{ExecutorHealth, LocalCluster};
 pub use config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
 pub use driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};

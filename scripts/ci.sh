@@ -47,28 +47,13 @@ echo "== fault-tolerance suite (replayed seeds) =="
 # `cargo test` above already ran the suite under its pinned seed trio;
 # these explicit replays prove the DECA_CHECK_SEED knob reproduces a
 # scenario byte-for-byte, and hand the reader the exact replay line. The
-# suite's matrices run both schedulers themselves, so each replay covers
-# Wave and Pull.
+# suite's matrices run both schedulers, and their pull cells both with and
+# without speculative execution, so each replay covers all three.
 for seed in 11 29 47; do
   if ! DECA_CHECK_SEED=$seed \
       cargo test -q --offline -p deca-bench --test fault_tolerance; then
     echo "fault suite failed under seed $seed; replay locally with:"
     echo "  DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test fault_tolerance"
-    exit 1
-  fi
-done
-
-echo "== fault-tolerance suite with speculative execution =="
-# The same matrix with DECA_SPECULATE=1: every Pull-mode stage arms the
-# straggler watcher, so speculative duplicates race real injected-fault
-# recovery. Checksums and the six-counter roll-ups must not move — the
-# winner is reconciled deterministically in task order, so duplicates
-# are invisible to the accounting.
-for seed in 11 29 47; do
-  if ! DECA_SPECULATE=1 DECA_CHECK_SEED=$seed \
-      cargo test -q --offline -p deca-bench --test fault_tolerance; then
-    echo "fault suite failed with speculation under seed $seed; replay locally with:"
-    echo "  DECA_SPECULATE=1 DECA_CHECK_SEED=$seed cargo test --offline -p deca-bench --test fault_tolerance"
     exit 1
   fi
 done
@@ -108,13 +93,13 @@ done
 echo "== no environment knobs in the heap or the engine =="
 # A run is its config and nothing else: neither the heap nor the engine
 # reads an environment variable, and no variable in the DECA_GC namespace,
-# nor the retired scheduler variable, exists anywhere to override a
-# collector or a scheduler from elsewhere in the process. Test harnesses
-# keep their replay knobs (DECA_CHECK_SEED,
-# DECA_SPECULATE, DECA_SOAK_JOBS). (The patterns' brackets keep this
-# script from matching itself.)
+# nor the retired scheduler and speculation variables, exists anywhere to
+# override a collector, a scheduler or speculation from elsewhere in the
+# process (the fault suite runs speculation both ways itself). Test
+# harnesses keep their replay knobs (DECA_CHECK_SEED, DECA_SOAK_JOBS).
+# (The patterns' brackets keep this script from matching itself.)
 knobs=$( (grep -rn 'env::var' crates/heap/src crates/engine/src || true)
-  grep -rn 'DECA_GC[_]\|DECA_SCHEDULE[R]' crates tests examples scripts || true)
+  grep -rn 'DECA_GC[_]\|DECA_SCHEDULE[R]\|DECA_SPECULAT[E]' crates tests examples scripts || true)
 if [ -n "$knobs" ]; then
   echo "environment knobs found in the heap, the engine, or a retired namespace:"
   echo "$knobs"
@@ -132,6 +117,22 @@ done)
 if [ -n "$bare" ]; then
   echo "non-test app code builds a bare executor:"
   echo "$bare"
+  exit 1
+fi
+
+echo "== one cached-dataset handle (no hand-rolled cache put in the apps) =="
+# LR, KMeans and the graph jobs cache through crates/apps/src/cached.rs,
+# which puts a block in the representation its container decision names:
+# no other non-test app line calls a cache put. SQL's tables keep their own
+# puts: one task caches every table per executor, and Spark SQL's columnar
+# chunks are a representation of their own.
+puts=$(find crates/apps/src -name '*.rs' ! -name cached.rs ! -name sql.rs | sort \
+  | while IFS= read -r file; do
+    awk '/#\[cfg\(test\)\]/ { exit } /put_objects|put_serialized|put_deca/ { print FILENAME ":" FNR ": " $0 }' "$file"
+  done)
+if [ -n "$puts" ]; then
+  echo "non-test app code puts a cache block outside the cached-dataset handle:"
+  echo "$puts"
   exit 1
 fi
 

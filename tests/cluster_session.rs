@@ -7,11 +7,16 @@
 //! reduce tasks their inputs in map-task order, so the floating-point
 //! addition sequence per key is a function of the partitioning alone.
 
+mod util;
+
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
 use deca_apps::{run_job_local, run_job_on};
-use deca_engine::{ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode, TraceEventKind};
+use deca_engine::{
+    ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode, Tier, TraceEventKind,
+};
+use util::TestDir;
 
 const EXECUTOR_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -223,4 +228,34 @@ fn merged_timeline_spans_executors() {
     assert!(!report.timeline.samples.is_empty());
     assert!(report.timeline.peak_live() > 0, "temporary tuples were observed live");
     assert!(report.slowest_task.is_some());
+}
+
+#[test]
+fn executors_configured_with_one_spill_directory_keep_their_own_spill_files() {
+    // Every `ExecutorConfig::new` built on one thread names the same
+    // default spill directory, so a session over such configs must still
+    // give each executor its own: block ids are per-executor, and a shared
+    // directory would alias `cache-block-0.bin` across them.
+    let dir = TestDir::new("one-spill-dir");
+    let config =
+        || ExecutorConfig::new(ExecutionMode::SparkSer, 8 << 20).spill_dir(dir.path().into());
+    let mut session = ClusterSession::with_configs(vec![config(), config()]);
+    let records: [Vec<i64>; 2] = [(0..100).collect(), (1_000..1_150).collect()];
+    let executors = &mut session.cluster_mut().executors;
+    let mut blocks = Vec::new();
+    for (e, recs) in executors.iter_mut().zip(&records) {
+        blocks.push(e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, recs).unwrap());
+    }
+    for e in executors.iter_mut() {
+        e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).unwrap();
+    }
+    for (i, (e, b)) in executors.iter_mut().zip(blocks).enumerate() {
+        assert_eq!(e.cache.tier(b, &e.mm), Tier::Cold, "executor {i}'s block was evicted");
+        let mut back: Vec<i64> = Vec::new();
+        e.cache
+            .iter_serialized(b, &mut e.heap, &mut e.kryo, &mut e.mm, |r| back.push(r))
+            .unwrap_or_else(|err| panic!("executor {i} cannot read its block back: {err}"));
+        assert_eq!(back, records[i], "executor {i} read another executor's records");
+    }
+    dir.cleanup();
 }

@@ -77,14 +77,21 @@ fn hang_storm() -> FaultSpec {
     }
 }
 
-/// The matrices' retry policy: resilient, plus speculative execution
-/// when the `DECA_SPECULATE=1` replay leg asks for it. ci.sh re-runs
-/// the fault matrices with duplicates enabled; every checksum and
-/// roll-up assertion must hold unchanged, because losing duplicates
-/// never reach the counters.
-fn matrix_policy() -> RetryPolicy {
-    let speculate = std::env::var("DECA_SPECULATE").is_ok_and(|v| v == "1");
+/// The matrices' retry policy: resilient, with or without speculative
+/// execution. Every checksum and roll-up assertion must hold either way,
+/// because losing duplicates never reach the counters.
+fn matrix_policy(speculate: bool) -> RetryPolicy {
     RetryPolicy::resilient().speculate(speculate)
+}
+
+/// Every scheduler cell with speculation off, and its pull cells again
+/// with speculation on (speculation only arms pull rounds, so a wave cell
+/// with it on runs the same schedule as without).
+fn fault_cells() -> impl Iterator<Item = (usize, SchedulerMode, bool)> {
+    scheduler_cells().flat_map(|(w, sched)| {
+        let speculate = if sched == SchedulerMode::Pull { &[false, true][..] } else { &[false] };
+        speculate.iter().map(move |&spec| (w, sched, spec))
+    })
 }
 
 fn wc_params(mode: ExecutionMode) -> WcParams {
@@ -148,15 +155,16 @@ fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
         let crashes = crashes_somewhere(&plan, &[("wc-map", 4), ("wc-reduce", 4)]);
         for mode in ExecutionMode::ALL {
             let reference = wordcount::run_local(&wc_params(mode), 1).checksum;
-            for (executors, sched) in scheduler_cells() {
-                let cell = format!("seed {seed}, {mode}, {executors}x {sched}");
+            for (executors, sched, speculate) in fault_cells() {
+                let cell =
+                    format!("seed {seed}, {mode}, {executors}x {sched}, speculate {speculate}");
                 let p = wc_params(mode);
                 let report = run_job_faulty(
                     &wordcount::job(&p),
                     wordcount::wc_config(&p).scheduler(sched),
                     executors,
                     plan.clone(),
-                    Some(matrix_policy()),
+                    Some(matrix_policy(speculate)),
                 )
                 .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
                 assert_eq!(report.checksum, reference, "{cell}: result drifted under faults");
@@ -199,14 +207,17 @@ fn graph_job_under_faults(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig)) 
         for mode in ExecutionMode::ALL {
             let (app, config) = build(mode);
             let reference = run_job_local(&app, config.clone(), 1).checksum;
-            for (executors, sched) in scheduler_cells() {
-                let cell = format!("{} seed {seed}, {mode}, {executors}x {sched}", app.name());
+            for (executors, sched, speculate) in fault_cells() {
+                let cell = format!(
+                    "{} seed {seed}, {mode}, {executors}x {sched}, speculate {speculate}",
+                    app.name()
+                );
                 let report = run_job_faulty(
                     &app,
                     config.clone().scheduler(sched),
                     executors,
                     plan.clone(),
-                    Some(matrix_policy()),
+                    Some(matrix_policy(speculate)),
                 )
                 .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
                 assert_eq!(
@@ -259,19 +270,20 @@ fn rollup(m: &JobMetrics) -> (u64, u64, u64, u64, u64, u64) {
 
 #[test]
 fn scheduler_modes_are_equivalent_under_faults() {
-    // {Wave, Pull} × {Spark, Deca} × widths {1, 2, 4} × the pinned fault
-    // seeds, for both workloads: checksums bit-identical AND the full
-    // recovery roll-up (attempts, retries, quarantines, restarts,
-    // oom_reruns, oom_recoveries) identical cell by cell.
+    // {Wave, Pull, Pull with speculation} × {Spark, Deca} × widths
+    // {1, 2, 4} × the pinned fault seeds, for both workloads: checksums
+    // bit-identical AND the full recovery roll-up (attempts, retries,
+    // quarantines, restarts, oom_reruns, oom_recoveries) identical cell by
+    // cell. Speculative duplicates must not move a single counter.
     for seed in FAULT_SEEDS {
         let plan = FaultPlan::seeded(seed, storm());
         for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
             for executors in WIDTHS {
-                let wc = |sched: SchedulerMode| {
+                let wc = |sched: SchedulerMode, speculate: bool| {
                     let p = wc_params(mode);
                     let mut session = ClusterSession::new(
                         executors,
-                        wordcount::wc_config(&p).retry(matrix_policy()).scheduler(sched),
+                        wordcount::wc_config(&p).retry(matrix_policy(speculate)).scheduler(sched),
                     );
                     session.install_faults(plan.clone());
                     let (checksum, _) = run_job_on(&wordcount::job(&p), &mut session)
@@ -280,23 +292,26 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         });
                     (checksum, session.job_summary())
                 };
-                let (wave_sum, wave) = wc(SchedulerMode::Wave);
-                let (pull_sum, pull) = wc(SchedulerMode::Pull);
-                assert_eq!(
-                    wave_sum, pull_sum,
-                    "seed {seed}, {mode}, {executors}x: WC checksums diverge across schedulers"
-                );
-                assert_eq!(
-                    rollup(&wave),
-                    rollup(&pull),
-                    "seed {seed}, {mode}, {executors}x: WC recovery roll-ups diverge"
-                );
+                let (wave_sum, wave) = wc(SchedulerMode::Wave, false);
+                for speculate in [false, true] {
+                    let cell = format!("seed {seed}, {mode}, {executors}x, speculate {speculate}");
+                    let (pull_sum, pull) = wc(SchedulerMode::Pull, speculate);
+                    assert_eq!(
+                        wave_sum, pull_sum,
+                        "{cell}: WC checksums diverge across schedulers"
+                    );
+                    assert_eq!(
+                        rollup(&wave),
+                        rollup(&pull),
+                        "{cell}: WC recovery roll-ups diverge"
+                    );
+                }
 
-                let pr = |sched: SchedulerMode| {
+                let pr = |sched: SchedulerMode, speculate: bool| {
                     let p = pr_params(mode);
                     let mut session = ClusterSession::new(
                         executors,
-                        pagerank::pr_config(&p).retry(matrix_policy()).scheduler(sched),
+                        pagerank::pr_config(&p).retry(matrix_policy(speculate)).scheduler(sched),
                     );
                     session.install_faults(plan.clone());
                     let (checksum, _) = run_job_on(&pagerank::job(&p), &mut session)
@@ -305,17 +320,20 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         });
                     (checksum, session.job_summary())
                 };
-                let (wave_sum, wave) = pr(SchedulerMode::Wave);
-                let (pull_sum, pull) = pr(SchedulerMode::Pull);
-                assert_eq!(
-                    wave_sum, pull_sum,
-                    "seed {seed}, {mode}, {executors}x: PR checksums diverge across schedulers"
-                );
-                assert_eq!(
-                    rollup(&wave),
-                    rollup(&pull),
-                    "seed {seed}, {mode}, {executors}x: PR recovery roll-ups diverge"
-                );
+                let (wave_sum, wave) = pr(SchedulerMode::Wave, false);
+                for speculate in [false, true] {
+                    let cell = format!("seed {seed}, {mode}, {executors}x, speculate {speculate}");
+                    let (pull_sum, pull) = pr(SchedulerMode::Pull, speculate);
+                    assert_eq!(
+                        wave_sum, pull_sum,
+                        "{cell}: PR checksums diverge across schedulers"
+                    );
+                    assert_eq!(
+                        rollup(&wave),
+                        rollup(&pull),
+                        "{cell}: PR recovery roll-ups diverge"
+                    );
+                }
             }
         }
     }
@@ -328,9 +346,8 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
     // must complete — the watchdog turns each hang into a timed-out
     // transient attempt instead of a stalled stage — with checksums
     // bit-identical to the fault-free run and the recovery roll-up
-    // (plus the new timeout counter) identical across Wave and Pull.
-    // ci.sh replays this leg with DECA_SPECULATE=1 as well; duplicates
-    // must not move a single counter.
+    // (plus the timeout counter) identical across Wave, Pull, and Pull
+    // with speculation: duplicates must not move a single counter.
     let deadline = Duration::from_millis(50);
     for seed in FAULT_SEEDS {
         let plan = FaultPlan::seeded(seed, hang_storm());
@@ -340,12 +357,12 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
             let wc_reference = wordcount::run_local(&wc_params(mode), 1).checksum;
             let pr_reference = pagerank::run_local(&pr_params(mode), 1).checksum;
             for executors in WIDTHS {
-                let wc = |sched: SchedulerMode| {
+                let wc = |sched: SchedulerMode, speculate: bool| {
                     let p = wc_params(mode);
                     let mut session = ClusterSession::new(
                         executors,
                         wordcount::wc_config(&p)
-                            .retry(matrix_policy().task_deadline(deadline))
+                            .retry(matrix_policy(speculate).task_deadline(deadline))
                             .scheduler(sched),
                     );
                     session.install_faults(plan.clone());
@@ -355,25 +372,21 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                         });
                     (checksum, session.job_summary())
                 };
-                let (wave_sum, wave) = wc(SchedulerMode::Wave);
-                let (pull_sum, pull) = wc(SchedulerMode::Pull);
+                let (wave_sum, wave) = wc(SchedulerMode::Wave, false);
                 assert_eq!(
                     wave_sum, wc_reference,
                     "seed {seed}, {mode}, {executors}x: WC checksum drifted under hangs"
                 );
-                assert_eq!(
-                    pull_sum, wc_reference,
-                    "seed {seed}, {mode}, {executors}x: WC pull checksum drifted under hangs"
-                );
-                assert_eq!(
-                    rollup(&wave),
-                    rollup(&pull),
-                    "seed {seed}, {mode}, {executors}x: WC hang roll-ups diverge"
-                );
-                assert_eq!(
-                    wave.timeouts, pull.timeouts,
-                    "seed {seed}, {mode}, {executors}x: WC timeout counts diverge"
-                );
+                for speculate in [false, true] {
+                    let cell = format!("seed {seed}, {mode}, {executors}x, speculate {speculate}");
+                    let (pull_sum, pull) = wc(SchedulerMode::Pull, speculate);
+                    assert_eq!(
+                        pull_sum, wc_reference,
+                        "{cell}: WC pull checksum drifted under hangs"
+                    );
+                    assert_eq!(rollup(&wave), rollup(&pull), "{cell}: WC hang roll-ups diverge");
+                    assert_eq!(wave.timeouts, pull.timeouts, "{cell}: WC timeout counts diverge");
+                }
                 if wc_hangs {
                     assert!(
                         wave.timeouts > 0,
@@ -389,12 +402,12 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                     "seed {seed}, {mode}, {executors}x: every timed-out attempt is retried"
                 );
 
-                let pr = |sched: SchedulerMode| {
+                let pr = |sched: SchedulerMode, speculate: bool| {
                     let p = pr_params(mode);
                     let mut session = ClusterSession::new(
                         executors,
                         pagerank::pr_config(&p)
-                            .retry(matrix_policy().task_deadline(deadline))
+                            .retry(matrix_policy(speculate).task_deadline(deadline))
                             .scheduler(sched),
                     );
                     session.install_faults(plan.clone());
@@ -404,25 +417,21 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                         });
                     (checksum, session.job_summary())
                 };
-                let (wave_sum, wave) = pr(SchedulerMode::Wave);
-                let (pull_sum, pull) = pr(SchedulerMode::Pull);
+                let (wave_sum, wave) = pr(SchedulerMode::Wave, false);
                 assert_eq!(
                     wave_sum, pr_reference,
                     "seed {seed}, {mode}, {executors}x: PR checksum drifted under hangs"
                 );
-                assert_eq!(
-                    pull_sum, pr_reference,
-                    "seed {seed}, {mode}, {executors}x: PR pull checksum drifted under hangs"
-                );
-                assert_eq!(
-                    rollup(&wave),
-                    rollup(&pull),
-                    "seed {seed}, {mode}, {executors}x: PR hang roll-ups diverge"
-                );
-                assert_eq!(
-                    wave.timeouts, pull.timeouts,
-                    "seed {seed}, {mode}, {executors}x: PR timeout counts diverge"
-                );
+                for speculate in [false, true] {
+                    let cell = format!("seed {seed}, {mode}, {executors}x, speculate {speculate}");
+                    let (pull_sum, pull) = pr(SchedulerMode::Pull, speculate);
+                    assert_eq!(
+                        pull_sum, pr_reference,
+                        "{cell}: PR pull checksum drifted under hangs"
+                    );
+                    assert_eq!(rollup(&wave), rollup(&pull), "{cell}: PR hang roll-ups diverge");
+                    assert_eq!(wave.timeouts, pull.timeouts, "{cell}: PR timeout counts diverge");
+                }
             }
         }
     }
@@ -442,7 +451,7 @@ fn forced_oom_degrades_gracefully_and_keeps_the_answer() {
             wordcount::wc_config(&p),
             2,
             plan,
-            Some(matrix_policy()),
+            Some(RetryPolicy::resilient()),
         )
         .expect("OOM degradation must absorb a forced alloc failure");
         assert_eq!(report.checksum, reference, "{mode}: OOM recovery changed the result");
@@ -463,7 +472,7 @@ fn exhausted_attempts_fail_with_task_attributed_transient_error() {
         wordcount::wc_config(&p),
         2,
         plan,
-        Some(matrix_policy()),
+        Some(RetryPolicy::resilient()),
     )
     .expect_err("a task failing every attempt is unsurvivable");
     assert!(matches!(err, EngineError::Task { .. }), "must name the failing task: {err}");
