@@ -2,7 +2,7 @@
 //!
 //! | Paper dataset | Generator | Preserved property |
 //! |---|---|---|
-//! | Hadoop RandomWriter text (§6.1) | [`zipf_words`] | key skew & distinct-key count |
+//! | Hadoop RandomWriter text (§6.1) | [`zipf_words`], [`zipf_text`] | key skew & distinct-key count |
 //! | random 10-dim / Amazon 4096-dim vectors (§6.2) | [`labeled_vectors`] | dimensionality, cache/heap ratio |
 //! | LiveJournal / webbase / HiBench graphs (§6.3) | [`power_law_graph`] | degree skew, edge/vertex ratio |
 //! | Common Crawl rankings / uservisits (§6.6) | [`rankings`], [`uservisits`] | group-key cardinality |
@@ -83,20 +83,82 @@ impl Zipf {
     }
 }
 
-/// Word-id stream with Zipf-distributed frequencies over `distinct` keys
-/// (the WC input; the paper varies both size and distinct-key count).
+/// Word-id stream with Zipf-distributed frequencies (the WC input; the
+/// paper varies both size and distinct-key count). `distinct` is the key
+/// universe, not the number of keys drawn: the skew leaves much of its
+/// tail unsampled, so `(800 k, 400 k)` draws about 118 k distinct keys.
 pub fn zipf_words(n: usize, distinct: usize, seed: u64) -> Vec<i64> {
     count_call();
+    zipf_ids(n, distinct, seed).map(|id| id as i64).collect()
+}
+
+/// The ids [`zipf_words`] returns, drawn lazily.
+fn zipf_ids(n: usize, distinct: usize, seed: u64) -> impl Iterator<Item = u64> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let zipf = Zipf::new(distinct, 1.05);
     // Permute ranks to ids so frequent keys are not consecutive.
     let stride = coprime_stride(distinct);
-    (0..n)
-        .map(|_| {
-            let rank = zipf.sample(&mut rng) as u64;
-            ((rank.wrapping_mul(stride)) % distinct as u64) as i64
-        })
-        .collect()
+    (0..n).map(move |_| {
+        let rank = zipf.sample(&mut rng) as u64;
+        (rank.wrapping_mul(stride)) % distinct as u64
+    })
+}
+
+/// Rendered text: every token's bytes back to back, and where each ends.
+/// Only [`zipf_text`] builds one, so its ends never decrease and never pass
+/// the end of the text.
+pub struct Text {
+    pub(crate) text: String,
+    /// `ends[t]` is one past token `t`'s last byte; token `t` starts where
+    /// token `t - 1` ends.
+    pub(crate) ends: Vec<u32>,
+}
+
+/// The text-keyed WordCount input: [`zipf_words`]' ids, in order, each
+/// rendered once by [`write_token`] into one buffer (as the paper's
+/// WordCount reads text that already exists, §6.1).
+pub fn zipf_text(n: usize, distinct: usize, seed: u64) -> Text {
+    count_call();
+    // About 12 bytes a token at 400 k ids: `w`, six digits, five pads.
+    let mut text = String::with_capacity(n * 12);
+    let mut ends = Vec::with_capacity(n);
+    // Draw a batch of ids, then render it: the sampler's binary searches
+    // overlap their cache misses only when they run back to back, and
+    // interleaving each with its token's rendering made the whole call
+    // about a third slower.
+    let (mut ids, mut batch) = (zipf_ids(n, distinct, seed), Vec::with_capacity(4096));
+    loop {
+        batch.clear();
+        batch.extend(ids.by_ref().take(4096));
+        if batch.is_empty() {
+            break;
+        }
+        for &id in &batch {
+            write_token(&mut text, id);
+            ends.push(text.len() as u32);
+        }
+    }
+    assert!(u32::try_from(text.len()).is_ok(), "token ends are 32-bit offsets");
+    Text { text, ends }
+}
+
+/// Append word `id`'s token to `out`: `w<id>` then `id % 11` × `x`, so
+/// tokens vary in length as real words do.
+pub(crate) fn write_token(out: &mut String, id: u64) {
+    const PAD: &str = "xxxxxxxxxx";
+    let mut digits = [0u8; 20];
+    let (mut n, mut at) = (id, digits.len());
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push('w');
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    out.push_str(&PAD[..(id % 11) as usize]);
 }
 
 /// `n` labeled dense vectors of dimension `d` (LR/KMeans input). Labels are
@@ -231,6 +293,27 @@ mod tests {
                 .chain(u.ad_revenue.to_le_bytes())
         }));
         assert_eq!(uc, 0xca44f7e6695176b2, "uservisits(1000, 50, 4) drifted");
+    }
+
+    /// The rendered text, cut as the text WordCount cuts it, is exactly
+    /// each id's token over `zipf_words`' stream, in partition order.
+    #[test]
+    fn rendered_partitions_are_the_tokens_of_the_word_stream() {
+        for (n, distinct, parts) in [(10_000, 500, 3), (7, 5, 4), (0, 1, 2), (2_001, 200_000, 4)] {
+            let words = crate::Partitioned::split(zipf_words(n, distinct, 42), parts);
+            let text = crate::PartitionedText::split(zipf_text(n, distinct, 42), parts);
+            assert_eq!(text.parts(), parts);
+            for p in 0..parts {
+                let mut want = Vec::new();
+                for &id in words.part(p) {
+                    let mut token = String::new();
+                    write_token(&mut token, id as u64);
+                    want.push(token);
+                }
+                let got: Vec<&str> = text.part(p).collect();
+                assert_eq!(got, want, "n={n} distinct={distinct} partition {p}");
+            }
+        }
     }
 
     #[test]

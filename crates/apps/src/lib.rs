@@ -34,7 +34,10 @@
 //! A job description owns its dataset. Each `job` calls the generator once
 //! per table, while the description is built, and keeps the records behind
 //! a shared [`Partitioned`] buffer; the job body contains no generator
-//! call. Every run of the description — a repeat, a retried or stolen
+//! call. Text is data too: `wordcount::text_job` renders its tokens once,
+//! in `datagen::zipf_text`, into one buffer behind a [`PartitionedText`],
+//! and its tasks read `&str` tokens out of it, so no run renders a word.
+//! Every run of the description — a repeat, a retried or stolen
 //! task, a lineage recompute of a lost cache block, a `clone()` submitted
 //! to a server — borrows its partition from that buffer,
 //! as the paper's jobs read an HDFS file or a cached RDD that already
@@ -59,7 +62,7 @@ pub mod report;
 pub mod sql;
 pub mod wordcount;
 
-pub use partitioned::Partitioned;
+pub use partitioned::{Partitioned, PartitionedText};
 pub use report::AppReport;
 
 use std::sync::{Mutex, MutexGuard};

@@ -5,8 +5,12 @@
 //! attempt, retry, stolen or lineage-recomputing — borrows its partition as
 //! a `&[T]` out of the same buffer. Cloning a [`Partitioned`] clones a
 //! pointer, so a description submitted many times shares one copy.
+//! [`PartitionedText`] is the same for rendered text: one byte buffer, and
+//! each partition's tokens borrowed from it as `&str`.
 
 use std::sync::Arc;
+
+use crate::datagen::Text;
 
 /// Records in one allocation plus the partition bounds over it.
 pub struct Partitioned<T> {
@@ -30,10 +34,7 @@ impl<T> Partitioned<T> {
     /// records (the last non-empty run takes the remainder, trailing runs
     /// may be empty), in input order.
     pub fn split(records: Vec<T>, parts: usize) -> Partitioned<T> {
-        assert!(parts > 0);
-        let len = records.len();
-        let per = len.div_ceil(parts);
-        let bounds = (0..=parts).map(|i| (i * per).min(len)).collect();
+        let bounds = split_bounds(records.len(), parts);
         Partitioned { inner: Arc::new(Inner { records, bounds }) }
     }
 
@@ -79,6 +80,50 @@ impl<T> Partitioned<T> {
     /// All records, in partition order.
     pub fn records(&self) -> &[T] {
         &self.inner.records
+    }
+}
+
+/// [`Partitioned::split`]'s bounds over `len` records.
+fn split_bounds(len: usize, parts: usize) -> Vec<usize> {
+    assert!(parts > 0);
+    let per = len.div_ceil(parts);
+    (0..=parts).map(|i| (i * per).min(len)).collect()
+}
+
+/// Rendered tokens in one buffer, cut into partitions by token count
+/// exactly as [`Partitioned::split`] cuts records.
+#[derive(Clone)]
+pub struct PartitionedText {
+    inner: Arc<TextInner>,
+}
+
+struct TextInner {
+    text: Text,
+    /// Token-index bounds, as [`Inner::bounds`].
+    bounds: Vec<usize>,
+}
+
+impl PartitionedText {
+    pub fn split(text: Text, parts: usize) -> PartitionedText {
+        let bounds = split_bounds(text.ends.len(), parts);
+        PartitionedText { inner: Arc::new(TextInner { text, bounds }) }
+    }
+
+    /// Number of partitions.
+    pub fn parts(&self) -> usize {
+        self.inner.bounds.len() - 1
+    }
+
+    /// Partition `i`'s tokens, in order, borrowed from the shared buffer.
+    pub fn part(&self, i: usize) -> impl Iterator<Item = &str> {
+        let Text { text, ends } = &self.inner.text;
+        let (first, last) = (self.inner.bounds[i], self.inner.bounds[i + 1]);
+        let start = first.checked_sub(1).map_or(0, |t| ends[t] as usize);
+        ends[first..last].iter().scan(start, move |at, &end| {
+            let token = &text[*at..end as usize];
+            *at = end as usize;
+            Some(token)
+        })
     }
 }
 

@@ -15,13 +15,15 @@
 //! executor count (the word checksums are integer-valued f64 sums, exact
 //! under any addition order).
 //!
-//! The description owns its input: [`job`] and [`text_job`] generate the
-//! word-id stream once, when they are called, and every run of the
-//! description — and every retried or stolen map task in it — borrows its
-//! partition from that shared buffer (see the crate docs).
+//! The description owns its input: [`job`] generates the word-id stream
+//! and [`text_job`] the rendered text once, when they are called, and every
+//! run of the description — and every retried or stolen map task in it —
+//! borrows its partition from that shared buffer (see the crate docs). The
+//! text exists before the job runs, as the paper's input file does, so no
+//! map task renders a token.
 
 use deca_core::{DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
-use deca_engine::record::{load_str_into, HeapRecord};
+use deca_engine::record::{load_str_into, store_str, HeapRecord};
 use deca_engine::{
     AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx, MapOutputs, ShufflePayload,
     SparkHashShuffle,
@@ -29,7 +31,7 @@ use deca_engine::{
 
 use crate::datagen;
 use crate::report::AppReport;
-use crate::Partitioned;
+use crate::{Partitioned, PartitionedText};
 
 /// Parameters of one WordCount run.
 #[derive(Clone, Debug)]
@@ -202,8 +204,7 @@ fn run_deca(
                 let mut runs: Vec<_> = (0..reducers).map(|_| e.arena.new_run()).collect();
                 let (mm, heap, arena) = (&mut e.mm, &mut e.heap, &mut e.arena);
                 buf.for_each(mm, heap, |k, v| {
-                    let key = i64::from_le_bytes(k[..8].try_into().unwrap());
-                    let r = (key as u64 % reducers as u64) as usize;
+                    let r = (u64::from_le_bytes(k.as_chunks().0[0]) % reducers as u64) as usize;
                     runs[r].push_parts(arena, &[k, v]);
                 })?;
                 Ok(runs.into_iter().map(|run| e.hand_over(run)).collect())
@@ -239,57 +240,19 @@ fn run_deca(
 // variable-size-key shuffle with its mandatory pointer array (§4.3.2).
 // =====================================================================
 
-/// Render a word id as its text token — `w<id>` then `id % 11` × `x`
-/// (variable lengths, as real words) — into `out`, replacing its content.
-/// The map loops reuse one buffer per partition: what the tokenizer costs
-/// in the JVM is modelled by the heap `String::store` in the Spark modes,
-/// so the Rust-side rendering allocates nothing in any mode.
-fn write_token(out: &mut String, id: i64) {
-    const PAD: &str = "xxxxxxxxxx";
-    let mut n = u64::try_from(id).expect("word ids are non-negative");
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.clear();
-    out.push('w');
-    out.extend(digits[at..].iter().map(|&d| d as char));
-    out.push_str(&PAD[..(id % 11) as usize]);
-}
-
-/// A rendered token's bytes held by value — the longest token (`w`, 19
-/// digits, 10 pads) is 30 bytes — so the Deca map streams tokens into its
-/// buffer without allocating one per record.
-struct TokenBytes([u8; 32], usize);
-
-impl TokenBytes {
-    fn of(token: &str) -> TokenBytes {
-        let mut bytes = [0u8; 32];
-        bytes[..token.len()].copy_from_slice(token.as_bytes());
-        TokenBytes(bytes, token.len())
-    }
-}
-
-impl AsRef<[u8]> for TokenBytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.0[..self.1]
-    }
-}
-
-/// The text-keyed WordCount job description. Spark mode materialises each
-/// token as a `java.lang.String` + `char[]` graph (what
+/// The text-keyed WordCount job description. Its input is text, rendered
+/// once when the description is built ([`datagen::zipf_text`]); the map
+/// tasks read their tokens out of it and render nothing. Spark mode
+/// materialises each token as a `java.lang.String` + `char[]` graph (what
 /// `textFile().flatMap(split)` produces) and the buffer holds String keys;
-/// Deca mode stores UTF-8 key bytes framed in pages behind a pointer
-/// array.
+/// Deca mode streams the borrowed token bytes into key segments framed in
+/// pages behind a pointer array.
 pub fn text_job(params: &WcParams) -> AppJob {
     let p = params.clone();
-    let parts = word_ids(params);
+    let parts = PartitionedText::split(
+        datagen::zipf_text(params.words, params.distinct, params.seed),
+        params.partitions,
+    );
     AppJob::new("WC-text", move |ctx| {
         let reducers = p.partitions;
         match p.mode {
@@ -299,13 +262,13 @@ pub fn text_job(params: &WcParams) -> AppJob {
     })
 }
 
-fn text_checksum(word: &str, count: i64) -> f64 {
-    (word.len() as f64 + word.as_bytes()[1] as f64) * count as f64
+fn text_checksum(word: &[u8], count: i64) -> f64 {
+    (word.len() as f64 + word[1] as f64) * count as f64
 }
 
 fn run_text_spark(
     ctx: &mut JobCtx,
-    parts: &Partitioned<i64>,
+    parts: &PartitionedText,
     reducers: usize,
 ) -> Result<f64, EngineError> {
     let sums = ctx.run_shuffle_job(
@@ -315,12 +278,11 @@ fn run_text_spark(
         |ctx, e| {
             let str_classes = <String as HeapRecord>::register(&mut e.heap);
             let mut buf: SparkHashShuffle<String, i64> = SparkHashShuffle::new(&mut e.heap)?;
-            let (mut token, mut word) = (String::new(), String::new());
-            for &id in parts.part(ctx.task) {
+            let mut word = String::new();
+            for token in parts.part(ctx.task) {
                 // The tokenizer materialises a temporary String graph; the
                 // combiner reads its chars back as the key.
-                write_token(&mut token, id);
-                let tok_obj = token.store(&mut e.heap, &str_classes)?;
+                let tok_obj = store_str(&mut e.heap, &str_classes, token)?;
                 load_str_into(&e.heap, tok_obj, &mut word);
                 buf.insert(&mut e.heap, word.as_str(), 1, |a, b| a + b)?;
             }
@@ -368,7 +330,7 @@ fn run_text_spark(
                 Ok(())
             })?;
             let mut sum = 0.0;
-            buf.for_each(&e.heap, |k, v| sum += text_checksum(&k, v));
+            buf.for_each(&e.heap, |k, v| sum += text_checksum(k.as_bytes(), v));
             buf.release(&mut e.heap);
             Ok(sum)
         },
@@ -378,7 +340,7 @@ fn run_text_spark(
 
 fn run_text_deca(
     ctx: &mut JobCtx,
-    parts: &Partitioned<i64>,
+    parts: &PartitionedText,
     reducers: usize,
 ) -> Result<f64, EngineError> {
     let sums = ctx.run_shuffle_job(
@@ -386,12 +348,10 @@ fn run_text_deca(
         parts.parts(),
         reducers,
         |ctx, e| {
+            // The transformed code keeps bytes only: each token's bytes,
+            // borrowed from the input, go straight into the buffer.
             let mut buf = DecaVarHashShuffle::new(&mut e.mm, 8);
-            let mut token = String::new();
-            let pairs = parts.part(ctx.task).iter().map(|&id| {
-                write_token(&mut token, id); // transformed code keeps bytes only
-                (TokenBytes::of(&token), 1i64.to_le_bytes())
-            });
+            let pairs = parts.part(ctx.task).map(|token| (token.as_bytes(), 1i64.to_le_bytes()));
             buf.insert_all(&mut e.mm, &mut e.heap, pairs, add_i64_bytes)?;
             // Raw framed records (u32 key len + key + 8-byte count) written
             // whole into arena pages and handed over copy-free.
@@ -414,8 +374,7 @@ fn run_text_deca(
                 let recs = bufs.iter().flat_map(|p| p.chunks()).flat_map(|bytes| {
                     let mut pos = 0;
                     std::iter::from_fn(move || {
-                        let klen = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().unwrap())
-                            as usize;
+                        let klen = u32::from_le_bytes(*bytes.get(pos..)?.first_chunk()?) as usize;
                         let (key, val) = bytes[pos + 4..pos + 4 + klen + 8].split_at(klen);
                         pos += 4 + klen + 8;
                         Some((key, val))
@@ -425,10 +384,7 @@ fn run_text_deca(
                 Ok(())
             })?;
             let mut sum = 0.0;
-            buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                let word = std::str::from_utf8(k).expect("utf8");
-                sum += text_checksum(word, i64::decode(v));
-            })?;
+            buf.for_each(&mut e.mm, &mut e.heap, |k, v| sum += text_checksum(k, i64::decode(v)))?;
             buf.release(&mut e.mm, &mut e.heap);
             Ok(sum)
         },
@@ -443,9 +399,8 @@ fn counted(words: &[i64]) -> impl Iterator<Item = ([u8; 8], [u8; 8])> + '_ {
 }
 
 fn add_i64_bytes(acc: &mut [u8], add: &[u8]) {
-    let a = i64::from_le_bytes(acc[..8].try_into().unwrap());
-    let b = i64::from_le_bytes(add[..8].try_into().unwrap());
-    acc[..8].copy_from_slice(&(a + b).to_le_bytes());
+    let sum = i64::from_le_bytes(acc.as_chunks().0[0]) + i64::from_le_bytes(add.as_chunks().0[0]);
+    acc[..8].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -486,13 +441,48 @@ mod tests {
 
     #[test]
     fn token_format_is_the_benchmark_oracles() {
-        let mut token = String::from("stale content");
-        for id in [0i64, 7, 10, 11, 99, 12_345, 399_999] {
-            write_token(&mut token, id);
-            assert_eq!(token, format!("w{}{}", id, "x".repeat((id % 11) as usize)), "id {id}");
+        let mut text = String::from("earlier tokens|");
+        for id in [0u64, 7, 10, 11, 99, 12_345, 399_999] {
+            text.truncate("earlier tokens|".len());
+            datagen::write_token(&mut text, id);
+            let want = format!("earlier tokens|w{}{}", id, "x".repeat((id % 11) as usize));
+            assert_eq!(text, want, "id {id}");
         }
     }
 
+    /// The benchmark's oracle: `text_job`'s per-occurrence checksum term
+    /// computed from the word id alone (token length plus the id's leading
+    /// digit).
+    fn id_only_text_checksum(words: &[i64]) -> f64 {
+        let term = |id: i64| {
+            let (mut digits, mut lead) = (1, id);
+            while lead >= 10 {
+                lead /= 10;
+                digits += 1;
+            }
+            (1 + digits + id % 11 + i64::from(b'0') + lead) as f64
+        };
+        words.iter().map(|&id| term(id)).sum()
+    }
+
+    #[test]
+    fn text_checksum_is_the_id_only_oracle_in_every_mode_and_width() {
+        let oracle = {
+            let p = tiny(ExecutionMode::Deca);
+            id_only_text_checksum(&datagen::zipf_words(p.words, p.distinct, p.seed))
+        };
+        for mode in ExecutionMode::ALL {
+            let p = tiny(mode);
+            let app = text_job(&p);
+            for width in [1, 2] {
+                let got = crate::run_job_local(&app, wc_config(&p), width).checksum;
+                assert_eq!(got.to_bits(), oracle.to_bits(), "{mode} at width {width}");
+            }
+        }
+    }
+
+    /// Rendering is `datagen::zipf_text`, a counted generator call, so a
+    /// run that made no generator call rendered no token either.
     #[test]
     fn the_description_generates_its_input_once_and_runs_never_do() {
         let p = tiny(ExecutionMode::Deca);

@@ -8,15 +8,17 @@
 //! primitive types or SFSTs." [`crate::DecaHashShuffle`] is that elided
 //! fast path, its table laid out in its pages; this buffer is the general
 //! one. Each new key appends one `key ++ value` segment to the pages; the
-//! pointer table carries `(full hash, key pointer, key length)` per entry
-//! (the value follows its key), beside the same one-byte control array the
-//! elided buffer probes. A probe compares key bytes only when the control
-//! tag and the stored hash both match, growth re-places entries from the
-//! stored hash without reading a page, and a combine rewrites the SFST
-//! value's bytes in place.
+//! pointer table carries `(hash, key pointer, key length)` in 16 bytes per
+//! entry (the value follows its key), beside the same one-byte control
+//! array the elided buffer probes. The stored hash is the full hash's low
+//! 32 bits: a probe compares key bytes only when the control tag (the top
+//! seven bits) and the stored bits both match, and growth re-places
+//! entries from the stored bits, which hold every home-slot bit of any
+//! table that fits in memory, without reading a page. A combine rewrites
+//! the SFST value's bytes in place.
 //!
 //! Its heap-budget cost is the segments alone; the control array and the
-//! pointer table (25 bytes per slot) live off the pages.
+//! pointer table (17 bytes per slot) live off the pages.
 //!
 //! Used by string-keyed aggregations (the paper's WordCount has text
 //! keys) and by any UDT key the classifier marks RFST.
@@ -29,10 +31,10 @@ use crate::manager::{GroupId, MemError, MemoryManager};
 use crate::shuffle::{max_len, probe, same_bytes, tag, EMPTY};
 
 /// One pointer-array entry: where a key's bytes live (its value follows
-/// them in the same segment) and the key's full hash.
+/// them in the same segment) and the low 32 bits of the key's hash.
 #[derive(Copy, Clone, Debug)]
 struct Slot {
-    hash: u64,
+    hash: u32,
     key: SegPtr,
     key_len: u32,
 }
@@ -45,6 +47,8 @@ impl Slot {
 }
 
 const VACANT: Slot = Slot { hash: 0, key: SegPtr { page: 0, off: 0 }, key_len: 0 };
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 /// How one pass of [`DecaVarHashShuffle::insert_all`] inside the page
 /// group ended.
@@ -150,7 +154,7 @@ impl DecaVarHashShuffle {
                     let hash = hash_bytes(key);
                     let is_key = |i: usize| {
                         let s = slots[i];
-                        s.hash == hash && same_bytes(g.slice(s.key, s.key_len as usize), key)
+                        s.hash == hash as u32 && same_bytes(g.slice(s.key, s.key_len as usize), key)
                     };
                     match probe(ctrl, hash, is_key) {
                         Ok(i) => {
@@ -163,7 +167,8 @@ impl DecaVarHashShuffle {
                         }
                         Err(i) => match g.reserve(h, key.len() + val_size) {
                             Ok(ptr) => {
-                                let slot = Slot { hash, key: ptr, key_len: key.len() as u32 };
+                                let key_len = key.len() as u32;
+                                let slot = Slot { hash: hash as u32, key: ptr, key_len };
                                 g.slice_mut(ptr, key.len()).copy_from_slice(key);
                                 g.slice_mut(slot.val(), val_size).copy_from_slice(val);
                                 ctrl[i] = tag(hash);
@@ -188,14 +193,16 @@ impl DecaVarHashShuffle {
         }
     }
 
-    /// Double the table, re-placing every entry from its stored hash.
+    /// Double the table, re-placing every entry from its stored hash bits:
+    /// a home slot is the hash's low bits, and the probe below matches no
+    /// key, so the tag bits it would compare never matter.
     fn grow(&mut self) {
         let cap = self.ctrl.len() * 2;
         let mut ctrl = vec![EMPTY; cap];
         let mut slots = vec![VACANT; cap];
         for (i, &c) in self.ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
             let slot = self.slots[i];
-            let Err(j) = probe(&ctrl, slot.hash, |_| false) else { unreachable!() };
+            let Err(j) = probe(&ctrl, u64::from(slot.hash), |_| false) else { unreachable!() };
             ctrl[j] = c;
             slots[j] = slot;
         }
@@ -231,6 +238,7 @@ impl DecaVarHashShuffle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deca_check::rng::SplitMix64;
     use deca_heap::HeapConfig;
     use std::collections::HashMap;
     use std::path::PathBuf;
@@ -368,5 +376,87 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// Key `k` of the differential stream. Keys 0..7 have the boundary
+    /// lengths 0, 7, 8, 9, 15, 16 and 17 and are prefixes of one another;
+    /// every other key draws its length (0..40) and bytes from `(salt, k)`,
+    /// so short keys repeat and long ones rarely do.
+    fn diff_key(salt: u32, k: u32) -> Vec<u8> {
+        const FORCED: [usize; 7] = [0, 7, 8, 9, 15, 16, 17];
+        let (len, seed) = match FORCED.get(k as usize) {
+            Some(&len) => (len, u64::from(salt)),
+            None => {
+                let seed = u64::from(salt) << 32 | u64::from(k);
+                (SplitMix64::new(seed).next_u64() as usize % 40, seed)
+            }
+        };
+        let mut rng = SplitMix64::new(seed ^ 0x5eed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// The buffer against a `HashMap` oracle over keys of every tail
+    /// length: each case grows the table at least three times and runs out
+    /// of budget once (the cache group is evicted and the run resumes).
+    #[test]
+    fn matches_a_hash_map_oracle_across_growths_and_a_resume() {
+        use deca_check::property::{check, gens, Config};
+        use std::cell::Cell;
+        const CASES: u32 = 6;
+        // Cases that reached three growths and the resume.
+        let covered = Cell::new(0);
+        check(
+            Config::with_cases(CASES),
+            gens::pair(
+                gens::any_u32(),
+                gens::vec_of(
+                    gens::pair(gens::u32_in(0..6_000), gens::i64_in(-50..50)),
+                    5_000..7_000,
+                ),
+            ),
+            |(salt, stream)| {
+                let (mut heap, mut mm) = setup();
+                let mut buf = DecaVarHashShuffle::new(&mut mm, 8);
+                let mut oracle: HashMap<Vec<u8>, i64> = HashMap::new();
+                let first = diff_key(*salt, 0);
+                buf.insert(&mut mm, &mut heap, &first, &1i64.to_le_bytes(), add_i64).unwrap();
+                oracle.insert(first, 1);
+                let victim = mm.create_group();
+                while mm.with_group_mut(victim, &mut heap, |g, h| g.append(h, &[3u8; 8192])).is_ok()
+                {
+                }
+                let pairs: Vec<(Vec<u8>, i64)> = (0..7)
+                    .map(|k| (k, 7))
+                    .chain(stream.iter().copied())
+                    .map(|(k, v)| (diff_key(*salt, k), v))
+                    .collect();
+                for (k, v) in &pairs {
+                    *oracle.entry(k.clone()).or_insert(0) += v;
+                }
+                let applied = pairs.iter().map(|(k, v)| (k.as_slice(), v.to_le_bytes()));
+                buf.insert_all(&mut mm, &mut heap, applied, add_i64).unwrap();
+                let (mut got, mut visits) = (HashMap::new(), 0);
+                buf.for_each(&mut mm, &mut heap, |k, v| {
+                    got.insert(k.to_vec(), i64::from_le_bytes(v.try_into().unwrap()));
+                    visits += 1;
+                })
+                .unwrap();
+                deca_check::prop_assert_eq!((buf.len(), visits), (oracle.len(), oracle.len()));
+                deca_check::prop_assert_eq!(got, oracle);
+                deca_check::prop_assert_eq!(
+                    buf.combines + buf.len() as u64,
+                    pairs.len() as u64 + 1
+                );
+                // 17 off-page bytes a slot; the table starts at 1024 slots.
+                if buf.off_page_bytes() >= 17 * (1024 << 3) && mm.is_swapped(victim) {
+                    covered.set(covered.get() + 1);
+                }
+                buf.release(&mut mm, &mut heap);
+                mm.release(victim, &mut heap);
+                deca_check::prop_assert_eq!(heap.external_bytes(), 0);
+                Ok(())
+            },
+        );
+        assert_eq!(covered.get(), CASES, "every case grew three times and resumed once");
     }
 }

@@ -450,14 +450,7 @@ impl HeapRecord for String {
     }
 
     fn store(&self, heap: &mut Heap, cls: &StringClasses) -> Result<ObjRef, OomError> {
-        // One UTF-16 code unit per char slot; an astral character takes two.
-        let arr = heap.alloc_array(cls.char_array, self.encode_utf16().count())?;
-        heap.char_array_write(arr, self.encode_utf16());
-        let sa = heap.push_stack(arr);
-        let obj = heap.alloc(cls.string)?;
-        heap.write_ref(obj, 0, heap.stack_ref(sa));
-        heap.truncate_stack(sa);
-        Ok(obj)
+        store_str(heap, cls, self)
     }
 
     fn load(heap: &Heap, _cls: &StringClasses, obj: ObjRef) -> Self {
@@ -471,6 +464,21 @@ impl HeapRecord for String {
         // String 16+8+4 -> 32; char[n] 16+2n aligned
         32 + (16 + 2 * n).div_ceil(8) * 8
     }
+}
+
+/// Store `s` as a heap `java.lang.String` + `char[]` graph, as
+/// [`HeapRecord::store`] does for a `String`, from borrowed text: a kernel
+/// that reads its tokens out of a shared buffer stores each without an
+/// owned copy on the Rust side.
+pub fn store_str(heap: &mut Heap, cls: &StringClasses, s: &str) -> Result<ObjRef, OomError> {
+    // One UTF-16 code unit per char slot; an astral character takes two.
+    let arr = heap.alloc_array(cls.char_array, s.encode_utf16().count())?;
+    heap.char_array_write(arr, s.encode_utf16());
+    let sa = heap.push_stack(arr);
+    let obj = heap.alloc(cls.string)?;
+    heap.write_ref(obj, 0, heap.stack_ref(sa));
+    heap.truncate_stack(sa);
+    Ok(obj)
 }
 
 /// Decode a heap `java.lang.String` into `out`, replacing its content: the
