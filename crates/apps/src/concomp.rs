@@ -9,6 +9,11 @@
 //! as in the paper's 10-iteration runs). Labels are exact `i64`s, so the
 //! result is the same for every executor count and combine order.
 //!
+//! Every edge sends both ways in every iteration, so each Deca combine
+//! table holds the same keys as the iteration before, and starts at the
+//! size that table reached (see [`crate::pagerank`]): only iteration 0
+//! grows one.
+//!
 //! The description owns its input: [`job`] generates the edge list once,
 //! when it is called (see the crate docs).
 
@@ -95,25 +100,37 @@ fn run_cc(
     let adj = Adjacency::build(job_ctx, parts, params.mode)?;
     let mut labels: Vec<i64> = (0..params.vertices as i64).collect();
     for iter in 0..params.max_iterations {
-        let mins = exchange_messages(job_ctx, &format!("cc-iter{iter}"), &adj, &Labels(&labels))?;
-        let mut changed = 0usize;
-        for (vertex, min) in mins {
-            let label = &mut labels[vertex as usize];
-            if min < *label {
-                *label = min;
-                changed += 1;
-            }
-        }
-        if changed == 0 {
+        if cc_iteration(job_ctx, iter, &adj, &mut labels)? == 0 {
             break;
         }
     }
     Ok(labels.iter().map(|&l| l as f64).sum())
 }
 
+/// Iteration `iter`: lower each label to the smallest one its vertex hears,
+/// and return how many changed.
+fn cc_iteration(
+    job_ctx: &mut JobCtx,
+    iter: usize,
+    adj: &Adjacency,
+    labels: &mut [i64],
+) -> Result<usize, EngineError> {
+    let mins = exchange_messages(job_ctx, &format!("cc-iter{iter}"), adj, &Labels(labels))?;
+    let mut changed = 0usize;
+    for (vertex, min) in mins {
+        let label = &mut labels[vertex as usize];
+        if min < *label {
+            *label = min;
+            changed += 1;
+        }
+    }
+    Ok(changed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deca_engine::ClusterSession;
 
     fn tiny(mode: ExecutionMode) -> CcParams {
         CcParams {
@@ -155,6 +172,41 @@ mod tests {
                 let wide = run_local(&tiny(mode), executors);
                 assert_eq!(one.checksum.to_bits(), wide.checksum.to_bits(), "{mode} x{executors}");
             }
+        }
+    }
+
+    /// A graph whose map partitions and reducers each combine more keys
+    /// than a one-page table holds (2 867 at the 0.7 load threshold).
+    fn paged(mode: ExecutionMode) -> CcParams {
+        CcParams { vertices: 16_000, edges: 24_000, ..tiny(mode) }
+    }
+
+    #[test]
+    fn deca_tables_grow_only_in_iteration_0_and_labels_match_spark_bit_for_bit() {
+        let p = paged(ExecutionMode::Deca);
+        let edges = datagen::power_law_graph(p.vertices, p.edges, p.seed);
+        let parts = partition_edges(&edges, p.partitions);
+        for executors in [1, 2] {
+            let mut session = ClusterSession::new(executors, cc_config(&p));
+            let mut ctx = JobCtx::local(&mut session);
+            let adj = Adjacency::build(&mut ctx, &parts, p.mode).unwrap();
+            let mut labels: Vec<i64> = (0..p.vertices as i64).collect();
+            let mut grows = Vec::new();
+            for iter in 0..p.max_iterations {
+                let changed = cc_iteration(&mut ctx, iter, &adj, &mut labels).unwrap();
+                grows.push(adj.table_grows());
+                if changed == 0 {
+                    break;
+                }
+            }
+            let (map, reduce) = grows[0];
+            assert!(map > 0 && reduce > 0, "iteration 0 outgrows one page: {grows:?}");
+            assert!(grows.len() > 2, "labels propagate for a few iterations: {grows:?}");
+            assert!(grows.iter().all(|&g| g == grows[0]), "no later table grows: {grows:?}");
+            let spark = run_local(&paged(ExecutionMode::Spark), executors).checksum.to_bits();
+            let sum: f64 = labels.iter().map(|&l| l as f64).sum();
+            assert_eq!(sum.to_bits(), spark, "x{executors}");
+            assert_eq!(run_local(&p, executors).checksum.to_bits(), spark, "x{executors}");
         }
     }
 

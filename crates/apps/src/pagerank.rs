@@ -22,12 +22,23 @@
 //! iteration for any `Messages` — rank contributions summed here, labels
 //! min-ed there.
 //!
+//! The cached adjacency never changes, so every iteration's map task `p`
+//! combines the same destinations, and every reducer the same vertices, as
+//! the iteration before. `Adjacency` remembers how many keys each Deca
+//! combine table held, and the next iteration's table for the same index
+//! starts at that size ([`DecaHashShuffle::with_keys`]): only iteration 0
+//! grows its tables page group by page group. The results stay
+//! bit-identical, since a reducer combines each vertex's subtotals in
+//! map-task order whatever the table order.
+//!
 //! The description owns its input: [`job`] generates the edge list once,
 //! when it is called, and derives from it the two things that depend on
 //! the input alone — the source-hash edge partitions and the out-degree
 //! table. The adjacency-build stage, every lineage rebuild of a lost block
 //! and every later run of the description borrow edge partition `p` from
 //! that shared buffer (see the crate docs).
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use deca_core::optimizer::ContainerDecision;
 use deca_core::{DecaHashShuffle, Optimizer};
@@ -132,11 +143,47 @@ fn adjacency_decision() -> ContainerDecision {
 }
 
 /// A graph job's cached adjacency, one block per edge partition (see
-/// [`CachedDataset`]), and the mode its message kernels run in.
+/// [`CachedDataset`]), the mode its message kernels run in, and the sizes
+/// its Deca combine tables reached.
 pub(crate) struct Adjacency<'a> {
     blocks: CachedDataset<'a>,
     mode: ExecutionMode,
     partitions: usize,
+    map_tables: TableSizes,
+    reduce_tables: TableSizes,
+}
+
+/// The distinct keys each map partition's (or each reducer's) Deca combine
+/// table held when its task last completed. The next iteration's task for
+/// the same index builds its table for that many keys. The count belongs
+/// to the index, not to an executor, so a stolen, retried or speculative
+/// attempt reads and writes the same value. A count is only a size hint
+/// and publishes no other data, so the atomics are relaxed.
+struct TableSizes {
+    keys: Vec<AtomicUsize>,
+    /// Growths of every recorded table.
+    grows: AtomicU64,
+}
+
+impl TableSizes {
+    fn new(tasks: usize) -> TableSizes {
+        TableSizes {
+            keys: (0..tasks).map(|_| AtomicUsize::new(0)).collect(),
+            grows: AtomicU64::new(0),
+        }
+    }
+
+    /// Task `index`'s table of 8-byte keys and values, sized for the keys
+    /// its last run held.
+    fn table(&self, e: &mut Executor, index: usize) -> DecaHashShuffle {
+        DecaHashShuffle::with_keys(&mut e.mm, 8, 8, self.keys[index].load(Ordering::Relaxed))
+    }
+
+    /// Remember task `index`'s filled table for the next iteration.
+    fn record(&self, index: usize, table: &DecaHashShuffle) {
+        self.keys[index].store(table.len(), Ordering::Relaxed);
+        self.grows.fetch_add(table.grows, Ordering::Relaxed);
+    }
 }
 
 impl<'a> Adjacency<'a> {
@@ -151,7 +198,21 @@ impl<'a> Adjacency<'a> {
             CachedDataset::load(job_ctx, "adj-build", parts.parts(), repr, |e, p, repr| {
                 build_adjacency_block(e, parts.part(p), repr)
             })?;
-        Ok(Adjacency { blocks, mode, partitions: parts.parts() })
+        let partitions = parts.parts();
+        Ok(Adjacency {
+            blocks,
+            mode,
+            partitions,
+            map_tables: TableSizes::new(partitions),
+            reduce_tables: TableSizes::new(partitions),
+        })
+    }
+
+    /// Growths of the recorded `(map, reduce)` Deca combine tables so far.
+    #[cfg(test)]
+    pub(crate) fn table_grows(&self) -> (u64, u64) {
+        let grows = |t: &TableSizes| t.grows.load(Ordering::Relaxed);
+        (grows(&self.map_tables), grows(&self.reduce_tables))
     }
 }
 
@@ -210,9 +271,15 @@ enum Combiner<V: MsgValue> {
 }
 
 impl<V: MsgValue> Combiner<V> {
-    fn new(e: &mut Executor, mode: ExecutionMode) -> Result<Combiner<V>, EngineError> {
+    /// Task `index`'s buffer; Deca sizes its table from `tables`.
+    fn new(
+        e: &mut Executor,
+        mode: ExecutionMode,
+        tables: &TableSizes,
+        index: usize,
+    ) -> Result<Combiner<V>, EngineError> {
         Ok(match mode {
-            ExecutionMode::Deca => Combiner::Pages(DecaHashShuffle::new(&mut e.mm, 8, 8)),
+            ExecutionMode::Deca => Combiner::Pages(tables.table(e, index)),
             _ => Combiner::Heap(SparkHashShuffle::new(&mut e.heap)?),
         })
     }
@@ -338,7 +405,7 @@ where
         reducers,
         |ctx, e| {
             let block = adj.blocks.block(ctx, e)?;
-            let mut combiner = Combiner::new(e, mode)?;
+            let mut combiner = Combiner::new(e, mode, &adj.map_tables, ctx.task)?;
             // Message emission + eager combining is the shuffle write.
             e.shuffle_write_scope(|e| messages_from_block(e, block, mode, msgs, &mut combiner))?;
             e.shuffle_write_scope(|e| -> Result<MapOutputs, EngineError> {
@@ -360,6 +427,7 @@ where
                         Ok(out.into_iter().map(ShufflePayload::from).collect())
                     }
                     Combiner::Pages(mut buf) => {
+                        adj.map_tables.record(ctx.task, &buf);
                         let mut runs: Vec<_> = (0..reducers).map(|_| e.arena.new_run()).collect();
                         let (mm, heap, arena) = (&mut e.mm, &mut e.heap, &mut e.arena);
                         buf.for_each(mm, heap, |k, v| {
@@ -373,9 +441,9 @@ where
                 }
             })
         },
-        |_ctx, e, bufs| {
+        |ctx, e, bufs| {
             let mut out: Vec<(u32, M::V)> = Vec::new();
-            match Combiner::new(e, mode)? {
+            match Combiner::new(e, mode, &adj.reduce_tables, ctx.task)? {
                 Combiner::Pages(mut buf) => {
                     e.shuffle_read_scope(|e| -> Result<(), EngineError> {
                         // 16-byte records never span pages; chunk
@@ -388,6 +456,7 @@ where
                         buf.insert_all(&mut e.mm, &mut e.heap, recs, combine_bytes::<M>)?;
                         Ok(())
                     })?;
+                    adj.reduce_tables.record(ctx.task, &buf);
                     buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
                         out.push((<i64 as MsgValue>::from_bytes(k) as u32, M::V::from_bytes(v)));
                     })?;
@@ -438,11 +507,17 @@ pub fn job(params: &PrParams) -> AppJob {
     let params = params.clone();
     let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
     let parts = partition_edges(&edges, params.partitions);
-    let mut degrees = vec![0u32; params.vertices];
-    for &(s, _) in &edges {
+    let degrees = out_degrees(&edges, params.vertices);
+    AppJob::new("PR", move |job_ctx| run_pagerank(&params, &parts, &degrees, job_ctx))
+}
+
+/// Each vertex's out-degree.
+fn out_degrees(edges: &[(u32, u32)], vertices: usize) -> Vec<u32> {
+    let mut degrees = vec![0u32; vertices];
+    for &(s, _) in edges {
         degrees[s as usize] += 1;
     }
-    AppJob::new("PR", move |job_ctx| run_pagerank(&params, &parts, &degrees, job_ctx))
+    degrees
 }
 
 /// A PageRank iteration's messages: each vertex sends its rank divided by
@@ -478,21 +553,33 @@ fn run_pagerank(
     let adj = Adjacency::build(job_ctx, parts, params.mode)?;
     let mut ranks = vec![1.0f64; params.vertices];
     for iter in 0..params.iterations {
-        let msgs = Contributions { ranks: &ranks, degrees };
-        let sums = exchange_messages(job_ctx, &format!("pr-iter{iter}"), &adj, &msgs)?;
-        // Damped update: vertices with no in-messages keep the 0.15 base.
-        let mut next = vec![0.15f64; params.vertices];
-        for (dst, sum) in sums {
-            next[dst as usize] = 0.15 + 0.85 * sum;
-        }
-        ranks = next;
+        ranks = pagerank_iteration(job_ctx, iter, &adj, degrees, &ranks)?;
     }
     Ok(ranks.iter().sum())
+}
+
+/// Iteration `iter`: the ranks that follow `ranks`.
+fn pagerank_iteration(
+    job_ctx: &mut JobCtx,
+    iter: usize,
+    adj: &Adjacency,
+    degrees: &[u32],
+    ranks: &[f64],
+) -> Result<Vec<f64>, EngineError> {
+    let msgs = Contributions { ranks, degrees };
+    let sums = exchange_messages(job_ctx, &format!("pr-iter{iter}"), adj, &msgs)?;
+    // Damped update: vertices with no in-messages keep the 0.15 base.
+    let mut next = vec![0.15f64; ranks.len()];
+    for (dst, sum) in sums {
+        next[dst as usize] = 0.15 + 0.85 * sum;
+    }
+    Ok(next)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deca_engine::ClusterSession;
 
     fn tiny(mode: ExecutionMode) -> PrParams {
         PrParams {
@@ -539,6 +626,38 @@ mod tests {
             let one = run_local(&tiny(mode), 1);
             let two = run_local(&tiny(mode), 2);
             assert_eq!(one.checksum, two.checksum, "{mode}: ranks must be bit-identical");
+        }
+    }
+
+    /// A graph whose map partitions and reducers each combine more keys
+    /// than a one-page table holds (4 096 slots of a 64 KiB page, 2 867 at
+    /// the 0.7 load threshold).
+    fn paged(mode: ExecutionMode) -> PrParams {
+        PrParams { vertices: 16_000, edges: 40_000, ..tiny(mode) }
+    }
+
+    #[test]
+    fn deca_tables_grow_only_in_iteration_0_and_ranks_match_spark_bit_for_bit() {
+        let p = paged(ExecutionMode::Deca);
+        let edges = datagen::power_law_graph(p.vertices, p.edges, p.seed);
+        let (parts, degrees) =
+            (partition_edges(&edges, p.partitions), out_degrees(&edges, p.vertices));
+        for executors in [1, 2] {
+            let mut session = ClusterSession::new(executors, pr_config(&p));
+            let mut ctx = JobCtx::local(&mut session);
+            let adj = Adjacency::build(&mut ctx, &parts, p.mode).unwrap();
+            let mut ranks = vec![1.0f64; p.vertices];
+            let mut grows = Vec::new();
+            for iter in 0..p.iterations {
+                ranks = pagerank_iteration(&mut ctx, iter, &adj, &degrees, &ranks).unwrap();
+                grows.push(adj.table_grows());
+            }
+            let (map, reduce) = grows[0];
+            assert!(map > 0 && reduce > 0, "iteration 0 outgrows one page: {grows:?}");
+            assert!(grows.iter().all(|&g| g == grows[0]), "no later table grows: {grows:?}");
+            let spark = run_local(&paged(ExecutionMode::Spark), executors).checksum.to_bits();
+            assert_eq!(ranks.iter().sum::<f64>().to_bits(), spark, "x{executors}");
+            assert_eq!(run_local(&p, executors).checksum.to_bits(), spark, "x{executors}");
         }
     }
 }

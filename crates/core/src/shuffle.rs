@@ -22,7 +22,10 @@
 //! behind a pointer table of 12-byte `Option<SegPtr>` slots at the same
 //! load. Growth builds a table twice the size in a fresh page group,
 //! rehashes into it and then releases the old group: the dead table is
-//! reclaimed by its lifetime, not copied forward or traced.
+//! reclaimed by its lifetime, not copied forward or traced. A caller that
+//! knows how many keys are coming — an iterative job whose previous
+//! iteration combined the same keys — starts the table at the size growth
+//! would end at ([`DecaHashShuffle::with_keys`]) and skips the doublings.
 //!
 //! Shuffle buffers pin their page groups (Appendix C: Deca evicts cache
 //! blocks rather than spilling pointer-only shuffle state).
@@ -78,14 +81,14 @@ pub(crate) fn probe(
 /// inlined compare costs less than a call to `memcmp`.
 #[inline]
 pub(crate) fn same_bytes(a: &[u8], b: &[u8]) -> bool {
-    let word = |w: &[u8]| u64::from_ne_bytes(w.try_into().expect("8-byte word"));
-    let (mut x, mut y) = (a.chunks_exact(8), b.chunks_exact(8));
+    let ((x, x_tail), (y, y_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
     a.len() == b.len()
-        && x.by_ref().zip(y.by_ref()).all(|(p, q)| word(p) == word(q))
-        && x.remainder().iter().zip(y.remainder()).all(|(p, q)| p == q)
+        && x.iter().zip(y).all(|(p, q)| u64::from_ne_bytes(*p) == u64::from_ne_bytes(*q))
+        && x_tail.iter().zip(y_tail).all(|(p, q)| p == q)
 }
 
-/// The first table spans one page, but never more than this many slots.
+/// An unhinted first table spans one page, but never more than this many
+/// slots.
 const INITIAL_SLOTS: usize = 1 << 12;
 
 /// Where a [`DecaHashShuffle`] slot's bytes live in its table's pages.
@@ -139,25 +142,51 @@ pub struct DecaHashShuffle {
     /// the table's capacity, zero until the first insert.
     ctrl: Vec<u8>,
     len: usize,
+    /// Slots of the first table, allocated by the first insert.
+    first_cap: usize,
     /// In-place combines performed (each one is a GC'd temporary avoided).
     pub combines: u64,
+    /// Tables built by doubling a full one (the first table not counted).
+    pub grows: u64,
     released: bool,
 }
 
 impl DecaHashShuffle {
     /// Create a buffer for SFST keys of `key_size` bytes and SFST values of
-    /// `val_size` bytes. Its first table page is allocated by the first
-    /// insert.
+    /// `val_size` bytes. Its first table, one page, is allocated by the
+    /// first insert.
     pub fn new(mm: &mut MemoryManager, key_size: usize, val_size: usize) -> DecaHashShuffle {
+        DecaHashShuffle::with_keys(mm, key_size, val_size, 0)
+    }
+
+    /// [`DecaHashShuffle::new`] for a buffer expected to hold `keys`
+    /// distinct keys. Its first table is the smallest doubling of `new`'s
+    /// first table whose 0.7 load threshold holds `keys`: exactly the table
+    /// growth from `new`'s would end at, so the hint changes no contents,
+    /// only the doublings on the way there. An undercount grows as `new`'s
+    /// table does.
+    pub fn with_keys(
+        mm: &mut MemoryManager,
+        key_size: usize,
+        val_size: usize,
+        keys: usize,
+    ) -> DecaHashShuffle {
         let group = mm.create_group();
         mm.set_swappable(group, false);
         let per_page = (mm.page_size() / (key_size + val_size)).max(1);
+        let map = SlotMap { key_size, val_size, page_shift: per_page.ilog2() };
+        let mut first_cap = map.per_page().min(INITIAL_SLOTS);
+        while max_len(first_cap) < keys {
+            first_cap *= 2;
+        }
         DecaHashShuffle {
             group,
-            map: SlotMap { key_size, val_size, page_shift: per_page.ilog2() },
+            map,
             ctrl: Vec::new(),
             len: 0,
+            first_cap,
             combines: 0,
+            grows: 0,
             released: false,
         }
     }
@@ -266,7 +295,7 @@ impl DecaHashShuffle {
     fn grow(&mut self, mm: &mut MemoryManager, heap: &mut Heap) -> Result<(), MemError> {
         let map = self.map;
         let first = self.ctrl.is_empty();
-        let cap = if first { map.per_page().min(INITIAL_SLOTS) } else { self.ctrl.len() * 2 };
+        let cap = if first { self.first_cap } else { self.ctrl.len() * 2 };
         let (pages, page_bytes) =
             (cap.div_ceil(map.per_page()), cap.min(map.per_page()) * map.slot_size());
         let target = if first {
@@ -310,12 +339,14 @@ impl DecaHashShuffle {
         if !first {
             mm.release(self.group, heap);
             self.group = target;
+            self.grows += 1;
         }
         self.ctrl = ctrl;
         Ok(())
     }
 
-    /// Visit every (key, value) byte pair, in table order.
+    /// Visit every (key, value) byte pair, in table order, a page of
+    /// slots at a time.
     pub fn for_each(
         &self,
         mm: &mut MemoryManager,
@@ -324,9 +355,12 @@ impl DecaHashShuffle {
     ) -> Result<(), MemError> {
         let (ctrl, map) = (&self.ctrl, self.map);
         mm.with_group(self.group, heap, |g| {
-            for (i, _) in ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
-                let slot = map.slot(g, i);
-                f(&slot[..map.key_size], &slot[map.key_size..]);
+            for (page, ctrl) in ctrl.chunks(map.per_page()).enumerate() {
+                let slots = g.page(page).bytes().chunks_exact(map.slot_size());
+                for (slot, _) in slots.zip(ctrl).filter(|&(_, &c)| c != EMPTY) {
+                    let (key, val) = slot.split_at(map.key_size);
+                    f(key, val);
+                }
             }
         })
     }
@@ -454,17 +488,15 @@ impl PageRun {
     /// page of exactly their size, as [`PageGroup::reserve`] does.
     pub fn push_parts(&mut self, arena: &mut ShuffleArena, parts: &[&[u8]]) {
         let total: usize = parts.iter().map(|p| p.len()).sum();
-        let fits = match self.pages.last() {
-            Some((page, used)) => page.len() - used >= total,
-            None => false,
-        };
-        if !fits {
-            self.pages.push((arena.take_page(total), 0));
-        }
-        let (page, used) = self.pages.last_mut().expect("page just ensured");
-        for part in parts {
-            page.write_bytes(*used, part);
-            *used += part.len();
+        match self.pages.last_mut() {
+            Some((page, used)) if page.len() - *used >= total => {
+                *used = write_parts(page, *used, parts);
+            }
+            _ => {
+                let mut page = arena.take_page(total);
+                let used = write_parts(&mut page, 0, parts);
+                self.pages.push((page, used));
+            }
         }
         self.len += total;
     }
@@ -490,6 +522,16 @@ impl PageRun {
         }
         out
     }
+}
+
+/// Write `parts` back to back into `page` from byte `at`; returns where
+/// they end.
+#[inline]
+fn write_parts(page: &mut Page, at: usize, parts: &[&[u8]]) -> usize {
+    parts.iter().fold(at, |at, part| {
+        page.write_bytes(at, part);
+        at + part.len()
+    })
 }
 
 impl Drop for PageRun {
@@ -959,6 +1001,148 @@ mod tests {
                 deca_check::prop_assert_eq!(heap.external_bytes(), 0);
                 deca_check::prop_assert_eq!(mm.live_groups(), 1, "only the swapped cache lives");
                 mm.release(victim, &mut heap);
+                Ok(())
+            },
+        );
+    }
+
+    /// `(key_size, val_size)` of the hinted-table property: PageRank's
+    /// 16-byte slots, a 4-byte key in a 12-byte slot (682 fit an 8 KiB
+    /// page, of which the table uses 512), and wide 32- and 64-byte slots.
+    const GEOMETRIES: [(usize, usize); 4] = [(8, 8), (4, 8), (12, 20), (24, 40)];
+
+    /// Key `id` in `size` bytes: its low four bytes, repeated, each XORed
+    /// with its position, so distinct ids give distinct keys.
+    fn key_bytes(id: u32, size: usize) -> Vec<u8> {
+        (0..size).map(|i| (id >> (8 * (i % 4))) as u8 ^ i as u8).collect()
+    }
+
+    /// Value `v` in `size` bytes: the `i64` [`add_i64`] sums, then filler
+    /// that a combine must leave alone.
+    fn value_bytes(v: i64, size: usize) -> Vec<u8> {
+        let mut out = v.to_le_bytes().to_vec();
+        out.resize(size, 0xa5);
+        out
+    }
+
+    /// What [`fill`] saw of one table.
+    #[derive(Debug)]
+    struct Filled {
+        contents: HashMap<Vec<u8>, Vec<u8>>,
+        /// Slots after the first insert, and at the end.
+        first: usize,
+        capacity: usize,
+        grows: u64,
+        combines: u64,
+    }
+
+    /// Insert `pairs` into a table hinted with `keys`: the first pair
+    /// alone, then, once `squeeze` has run, the rest in one batch. Reads
+    /// the table back and releases it.
+    fn fill(
+        mm: &mut MemoryManager,
+        heap: &mut Heap,
+        (key_size, val_size): (usize, usize),
+        keys: usize,
+        pairs: &[(Vec<u8>, Vec<u8>)],
+        squeeze: impl FnOnce(&mut MemoryManager, &mut Heap),
+    ) -> Filled {
+        let mut buf = DecaHashShuffle::with_keys(mm, key_size, val_size, keys);
+        let (k0, v0) = &pairs[0];
+        buf.insert(mm, heap, k0, v0, add_i64).unwrap();
+        // One control byte per slot.
+        let first = buf.off_page_bytes();
+        squeeze(mm, heap);
+        let rest = pairs[1..].iter().map(|(k, v)| (k.as_slice(), v.as_slice()));
+        buf.insert_all(mm, heap, rest, add_i64).unwrap();
+        let mut contents = HashMap::new();
+        buf.for_each(mm, heap, |k, v| {
+            contents.insert(k.to_vec(), v.to_vec());
+        })
+        .unwrap();
+        let filled = Filled {
+            contents,
+            first,
+            capacity: buf.off_page_bytes(),
+            grows: buf.grows,
+            combines: buf.combines,
+        };
+        buf.release(mm, heap);
+        filled
+    }
+
+    /// A table hinted with the number of distinct keys it will hold is the
+    /// table growth ends at, built without growing; an undercount grows by
+    /// doubling to the same size; and every record is applied exactly once
+    /// with or without a hint, including across a growth that must evict
+    /// the cache to fit.
+    #[test]
+    fn a_hinted_table_matches_a_grown_table_and_a_hash_map_fold() {
+        use deca_check::property::{check, gens, Config};
+        check(
+            Config::with_cases(12),
+            gens::pair(
+                gens::u32_in(0..GEOMETRIES.len() as u32),
+                gens::vec_of(
+                    gens::pair(gens::u32_in(0..3_000), gens::i64_in(-50..50)),
+                    2_000..4_000,
+                ),
+            ),
+            |(g, stream)| {
+                let geometry = GEOMETRIES[*g as usize];
+                let pairs: Vec<(Vec<u8>, Vec<u8>)> = stream
+                    .iter()
+                    .map(|&(k, v)| (key_bytes(k, geometry.0), value_bytes(v, geometry.1)))
+                    .collect();
+                let mut oracle: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+                for (k, v) in &pairs {
+                    match oracle.get_mut(k) {
+                        Some(acc) => add_i64(acc, v),
+                        None => drop(oracle.insert(k.clone(), v.clone())),
+                    }
+                }
+                let distinct = oracle.len();
+                let combines = (pairs.len() - distinct) as u64;
+                let (mut heap, mut mm) = setup();
+                let mut fill_hinted =
+                    |keys| fill(&mut mm, &mut heap, geometry, keys, &pairs, |_, _| {});
+
+                let grown = fill_hinted(0);
+                deca_check::prop_assert!(grown.grows >= 2, "the keys outgrow one page twice");
+                deca_check::prop_assert_eq!(grown.capacity, grown.first << grown.grows);
+                let exact = fill_hinted(distinct);
+                deca_check::prop_assert_eq!((exact.first, exact.grows), (grown.capacity, 0));
+                let over = fill_hinted(2 * distinct);
+                deca_check::prop_assert_eq!((over.first, over.grows), (over.capacity, 0));
+                deca_check::prop_assert!(over.capacity >= grown.capacity);
+                let under = fill_hinted(distinct / 3);
+                deca_check::prop_assert!(under.first > grown.first, "the hint skips a doubling");
+                deca_check::prop_assert!(under.grows >= 1, "an undercount still grows");
+                deca_check::prop_assert_eq!(under.capacity, grown.capacity);
+                deca_check::prop_assert_eq!(under.capacity, under.first << under.grows);
+                for table in [&grown, &exact, &over, &under] {
+                    deca_check::prop_assert_eq!(&table.contents, &oracle);
+                    deca_check::prop_assert_eq!(table.combines, combines);
+                }
+
+                // An undercount whose growth finds the budget held by a
+                // swappable cache group evicts it and resumes the batch at
+                // the pair that found the table full.
+                let victim = mm.create_group();
+                let squeezed =
+                    fill(&mut mm, &mut heap, geometry, distinct / 3, &pairs, |mm, heap| {
+                        while mm
+                            .with_group_mut(victim, heap, |g, h| g.append(h, &[3u8; 8192]))
+                            .is_ok()
+                        {}
+                    });
+                deca_check::prop_assert!(mm.is_swapped(victim), "the cache group was evicted");
+                deca_check::prop_assert_eq!(squeezed.grows, under.grows);
+                deca_check::prop_assert_eq!(&squeezed.contents, &oracle);
+                deca_check::prop_assert_eq!(squeezed.combines, combines);
+                mm.release(victim, &mut heap);
+                deca_check::prop_assert_eq!(heap.external_bytes(), 0);
+                deca_check::prop_assert_eq!(mm.live_groups(), 0);
                 Ok(())
             },
         );

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use deca_core::hash::WordHashBuilder;
-use deca_heap::{Heap, OomError, RootId};
+use deca_heap::{ClassId, Heap, OomError, RootId};
 
 use crate::cache::object_array_class;
 use crate::record::Record;
@@ -71,6 +71,8 @@ impl InsertKey<i64> for i64 {
 pub struct SparkHashShuffle<K: Record, V: Record> {
     classes_k: <K as crate::record::HeapRecord>::Classes,
     classes_v: V::Classes,
+    /// The `Object[]` class, looked up once.
+    array_class: ClassId,
     /// Rooted `Object[]` holding interleaved `[key, value]` references, in
     /// first-insertion order.
     array: RootId,
@@ -89,13 +91,14 @@ where
     pub fn new(heap: &mut Heap) -> Result<Self, OomError> {
         let classes_k = <K as crate::record::HeapRecord>::register(heap);
         let classes_v = <V as crate::record::HeapRecord>::register(heap);
-        let cls = object_array_class(heap);
+        let array_class = object_array_class(heap);
         let capacity = 1024;
-        let arr = heap.alloc_array(cls, capacity * 2)?;
+        let arr = heap.alloc_array(array_class, capacity * 2)?;
         let array = heap.add_root(arr);
         Ok(SparkHashShuffle {
             classes_k,
             classes_v,
+            array_class,
             array,
             capacity,
             len: 0,
@@ -157,9 +160,8 @@ where
     }
 
     fn grow(&mut self, heap: &mut Heap) -> Result<(), OomError> {
-        let cls = object_array_class(heap);
         let new_cap = self.capacity * 2;
-        let new_arr = heap.alloc_array(cls, new_cap * 2)?;
+        let new_arr = heap.alloc_array(self.array_class, new_cap * 2)?;
         let old_arr = heap.root_ref(self.array);
         for i in 0..self.len * 2 {
             let v = heap.array_get_ref(old_arr, i);
@@ -206,6 +208,8 @@ where
 /// heap `Object[]`s.
 pub struct SparkGroupShuffle<K, V: Record> {
     classes_v: V::Classes,
+    /// The `Object[]` class of the value lists, looked up once.
+    list_class: ClassId,
     /// slot -> rooted value-list array (list object refs) + length.
     lists: Vec<(RootId, usize, usize)>, // (root, len, cap)
     /// Off-heap key → slot index, as [`SparkHashShuffle`]'s.
@@ -220,8 +224,10 @@ where
 {
     pub fn new(heap: &mut Heap) -> Self {
         let classes_v = <V as crate::record::HeapRecord>::register(heap);
+        let list_class = object_array_class(heap);
         SparkGroupShuffle {
             classes_v,
+            list_class,
             lists: Vec::new(),
             index: HashMap::default(),
             released: false,
@@ -239,8 +245,7 @@ where
         let slot = match self.index.entry(key) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                let cls = object_array_class(heap);
-                let arr = heap.alloc_array(cls, 4)?;
+                let arr = heap.alloc_array(self.list_class, 4)?;
                 let root = heap.add_root(arr);
                 self.lists.push((root, 0, 4));
                 *e.insert(self.lists.len() - 1)
@@ -248,8 +253,7 @@ where
         };
         let (root, len, cap) = self.lists[slot];
         if len == cap {
-            let cls = object_array_class(heap);
-            let bigger = heap.alloc_array(cls, cap * 2)?;
+            let bigger = heap.alloc_array(self.list_class, cap * 2)?;
             let old = heap.root_ref(root);
             for i in 0..len {
                 let v = heap.array_get_ref(old, i);
