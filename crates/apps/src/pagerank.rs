@@ -426,7 +426,7 @@ where
                         buf.release(&mut e.heap);
                         Ok(out.into_iter().map(ShufflePayload::from).collect())
                     }
-                    Combiner::Pages(mut buf) => {
+                    Combiner::Pages(buf) => {
                         adj.map_tables.record(ctx.task, &buf);
                         let mut runs: Vec<_> = (0..reducers).map(|_| e.arena.new_run()).collect();
                         let (mm, heap, arena) = (&mut e.mm, &mut e.heap, &mut e.arena);

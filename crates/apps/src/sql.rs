@@ -347,7 +347,7 @@ fn join_value(a: &JoinAggRec) -> f64 {
 /// release it.
 fn sum_groups(
     e: &mut Executor,
-    mut agg: DecaHashShuffle,
+    agg: DecaHashShuffle,
     value: impl Fn(&[u8]) -> f64,
 ) -> Result<f64, EngineError> {
     let mut sum = 0.0;

@@ -141,8 +141,7 @@ const ARTEFACTS: &[Artefact] = &[
     Artefact {
         name: "ablations",
         paper: "Ablations of Deca's design choices: page size, segment reuse, \
-                pointer-array elision, thrash avoidance, full-GC strategy, phased \
-                refinement",
+                pointer-array elision, full-GC strategy, phased refinement",
         run: ablations,
     },
     Artefact {
@@ -760,7 +759,6 @@ fn ablations(s: &Scale) -> Vec<ShapeCheck> {
     page_size_ablation(s);
     segment_reuse_ablation(s);
     pointer_array_elision_ablation(s);
-    thrash_avoidance_ablation(s);
     full_gc_strategy_ablation();
     phased_refinement_ablation();
     Vec::new()
@@ -890,47 +888,6 @@ fn pointer_array_elision_ablation(s: &Scale) {
         buf.insert_all(&mut mm, &mut heap, keys.iter().map(|k| (k, one)), add_i64_bytes).unwrap();
         row("pointer table (general)", heap.external_bytes(), buf.off_page_bytes(), t);
         buf.release(&mut mm, &mut heap);
-    }
-    println!();
-}
-
-/// Thrash avoidance (§4.3.2): when a phase changes decomposed objects'
-/// data-sizes, Deca re-constructs them — and never re-decomposes that
-/// container. Without the rule, every job pays a decompose + reconstruct
-/// round trip.
-fn thrash_avoidance_ablation(s: &Scale) {
-    println!("# Ablation: re-decomposition thrash avoidance (8 jobs over a mutating cache)\n");
-    table_header(&["policy", "decompositions", "reconstructions", "time_ms"]);
-    let base: Vec<(i64, Vec<f64>)> =
-        (0..s.records(20_000) as i64).map(|i| (i, vec![i as f64; 4])).collect();
-    for (avoidance, policy) in [(true, "avoidance-on (paper)"), (false, "re-decompose-every-job")] {
-        let (mut heap, mut mm) = (abl_heap(96), abl_mm(64 << 10));
-        let mut records = base.clone();
-        let (mut decompositions, mut reconstructions) = (0u32, 0u32);
-        let t = Instant::now();
-        for job in 0..8 {
-            if !avoidance || reconstructions == 0 {
-                let mut block = DecaCacheBlock::new::<(i64, Vec<f64>)>(&mut mm);
-                for r in &records {
-                    block.append(&mut mm, &mut heap, r).unwrap();
-                }
-                decompositions += 1;
-                // The job grows every record's vector: a data-size change
-                // that forces re-construction of the decomposed block.
-                records = block.decode_all(&mut mm, &mut heap).unwrap();
-                block.release(&mut mm, &mut heap);
-                reconstructions += 1;
-            }
-            for r in &mut records {
-                r.1.push(job as f64);
-            }
-        }
-        table_row(&[
-            policy.to_string(),
-            decompositions.to_string(),
-            reconstructions.to_string(),
-            ms_since(t),
-        ]);
     }
     println!();
 }

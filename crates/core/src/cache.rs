@@ -1,36 +1,45 @@
 //! Decomposed cache blocks (§4.3.2, Figure 6a).
 //!
-//! A cache block owns (or shares) a page group holding its records' raw
-//! bytes. SFST records are stored back-to-back with no framing — their
-//! offsets are statically computable, matching the paper's observation that
-//! sequential access needs no pointer array. RFST records are framed with a
-//! length prefix. The block's lifetime is the cached RDD's: `unpersist()`
-//! releases the group reference, and the whole space returns at once.
+//! A cache block owns a page group holding its records' raw bytes. SFST
+//! records are stored back-to-back with no framing — their offsets are
+//! statically computable, matching the paper's observation that sequential
+//! access needs no pointer array. RFST records are framed with a length
+//! prefix. The block's lifetime is the cached RDD's: `unpersist()`
+//! consumes the block and releases its group, and the whole space returns
+//! at once.
 
 use deca_heap::Heap;
 
-use crate::manager::{GroupId, MemError, MemoryManager};
+use crate::manager::{Group, MemError, MemoryManager};
 use crate::record::DecaRecord;
 
 /// A cache block of decomposed records of type `T`.
+///
+/// [`DecaCacheBlock::release`] consumes the block, so nothing reads it
+/// after its pages are gone:
+///
+/// ```compile_fail,E0382
+/// use deca_core::{DecaCacheBlock, MemoryManager};
+/// use deca_heap::{Heap, HeapConfig};
+///
+/// let mut heap = Heap::new(HeapConfig::small());
+/// let mut mm = MemoryManager::new(4096, std::env::temp_dir());
+/// let block = DecaCacheBlock::new::<i64>(&mut mm);
+/// block.release(&mut mm, &mut heap);
+/// block.len();
+/// ```
 #[derive(Debug)]
 pub struct DecaCacheBlock {
-    group: GroupId,
+    group: Group,
     len: usize,
     /// `Some(size)` for SFST records (unframed), `None` for RFST (framed).
     fixed_size: Option<usize>,
-    released: bool,
 }
 
 impl DecaCacheBlock {
     /// Create an empty block backed by a fresh page group.
     pub fn new<T: DecaRecord>(mm: &mut MemoryManager) -> DecaCacheBlock {
-        DecaCacheBlock {
-            group: mm.create_group(),
-            len: 0,
-            fixed_size: T::FIXED_SIZE,
-            released: false,
-        }
+        DecaCacheBlock { group: mm.create_group(), len: 0, fixed_size: T::FIXED_SIZE }
     }
 
     /// Create a block whose records all have the *runtime-resolved*
@@ -39,7 +48,7 @@ impl DecaCacheBlock {
     /// config constant only the runtime optimizer knows (Appendix A).
     /// Records are stored unframed.
     pub fn new_sfst(mm: &mut MemoryManager, size: usize) -> DecaCacheBlock {
-        DecaCacheBlock { group: mm.create_group(), len: 0, fixed_size: Some(size), released: false }
+        DecaCacheBlock { group: mm.create_group(), len: 0, fixed_size: Some(size) }
     }
 
     /// Append one record (encodes straight into the pages).
@@ -51,7 +60,7 @@ impl DecaCacheBlock {
     ) -> Result<(), MemError> {
         let size = rec.data_size();
         let fixed = self.fixed_size;
-        mm.with_group_mut(self.group, heap, |g, h| {
+        mm.with_group_mut(&self.group, heap, |g, h| {
             let ptr = match fixed {
                 Some(s) => {
                     assert_eq!(s, size, "record size must match the block's SFST size");
@@ -75,9 +84,9 @@ impl DecaCacheBlock {
         self.len == 0
     }
 
-    /// The backing page group (for sharing with a secondary container).
-    pub fn group(&self) -> GroupId {
-        self.group
+    /// The backing page group.
+    pub fn group(&self) -> &Group {
+        &self.group
     }
 
     /// `Some(size)` if the records are unframed SFST segments of `size`
@@ -99,9 +108,8 @@ impl DecaCacheBlock {
         self.fold_bytes(mm, heap, (), |(), bytes| sink(f(bytes)))
     }
 
-    /// Decode every record (used when a downstream phase genuinely needs
-    /// materialised values, e.g. re-construction after a data-size change —
-    /// §4.3.2's thrashing-avoidance path).
+    /// Decode every record (for a downstream phase that genuinely needs
+    /// materialised values).
     pub fn decode_all<T: DecaRecord>(
         &self,
         mm: &mut MemoryManager,
@@ -121,27 +129,20 @@ impl DecaCacheBlock {
         f: impl FnMut(A, &[u8]) -> A,
     ) -> Result<A, MemError> {
         let fixed = self.fixed_size;
-        mm.with_group(self.group, heap, |g| match fixed {
+        mm.with_group(&self.group, heap, |g| match fixed {
             Some(s) => g.fixed_records(s).fold(init, f),
             None => g.framed_records().fold(init, f),
         })
     }
 
-    /// Release the block's reference on its page group (`unpersist()`).
-    pub fn release(&mut self, mm: &mut MemoryManager, heap: &mut Heap) {
-        if !self.released {
-            mm.release(self.group, heap);
-            self.released = true;
-        }
-    }
-
-    pub fn is_released(&self) -> bool {
-        self.released
+    /// End the block's lifetime and release its page group (`unpersist()`).
+    pub fn release(self, mm: &mut MemoryManager, heap: &mut Heap) {
+        mm.release(self.group, heap);
     }
 
     /// Resident footprint in bytes.
     pub fn footprint(&self, mm: &mut MemoryManager, heap: &mut Heap) -> Result<usize, MemError> {
-        mm.with_group(self.group, heap, |g| g.footprint_bytes())
+        mm.with_group(&self.group, heap, |g| g.footprint_bytes())
     }
 }
 
@@ -205,16 +206,5 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sum, 5050.0);
-    }
-
-    #[test]
-    fn release_is_idempotent() {
-        let (mut heap, mut mm) = setup();
-        let mut block = DecaCacheBlock::new::<f64>(&mut mm);
-        block.append(&mut mm, &mut heap, &1.0).unwrap();
-        block.release(&mut mm, &mut heap);
-        block.release(&mut mm, &mut heap);
-        assert!(block.is_released());
-        assert_eq!(heap.external_bytes(), 0);
     }
 }

@@ -13,7 +13,7 @@
 //! size gets a dedicated page of exactly its size (the analogue of the
 //! JVM's humongous allocations); subsequent appends open a fresh standard
 //! page. Segments are addressed by [`SegPtr`] — the "pointers" stored in
-//! shuffle pointer arrays and secondary containers (Figure 6/7).
+//! shuffle pointer arrays (Figure 6b).
 
 use deca_heap::{Heap, OomError};
 
@@ -29,8 +29,7 @@ pub struct SegPtr {
 /// Framing sentinel: a zero length-prefix marks "rest of page unused".
 const END_OF_PAGE: u32 = 0;
 
-/// A group of fixed-size pages owned by one data container (or shared by
-/// several through the manager's reference counting).
+/// A group of fixed-size pages owned by one data container.
 #[derive(Debug)]
 pub struct PageGroup {
     pages: Vec<Page>,
@@ -184,8 +183,8 @@ impl PageGroup {
     }
 
     /// Release every page's heap registration. Called by the manager when
-    /// the group's reference count reaches zero or the group is swapped
-    /// out: the whole space returns in O(#pages), no tracing.
+    /// the group's owner releases it or the group is swapped out: the
+    /// whole space returns in O(#pages), no tracing.
     pub(crate) fn unregister_all(&mut self, heap: &mut Heap) {
         for id in self.external_ids.drain(..) {
             heap.unregister_external(id);
@@ -382,14 +381,14 @@ mod tests {
         let id = mm.create_group();
         for (i, &len) in lens.iter().enumerate() {
             let rec: Vec<u8> = (0..fixed.unwrap_or(len)).map(|j| (i * 31 + j) as u8).collect();
-            mm.with_group_mut(id, &mut heap, |g, h| match fixed {
+            mm.with_group_mut(&id, &mut heap, |g, h| match fixed {
                 Some(_) => g.append(h, &rec),
                 None => g.append_framed(h, &rec),
             })
             .map_err(|e| format!("append: {e:?}"))?;
         }
         for pass in ["fresh", "swapped in"] {
-            mm.with_group(id, &mut heap, |g| {
+            mm.with_group(&id, &mut heap, |g| {
                 let mut r = OracleReader { group: g, cur_page: 0, cur_off: 0 };
                 let (walked, oracle): (Vec<_>, Vec<_>) = match fixed {
                     Some(size) => (
@@ -406,7 +405,7 @@ mod tests {
                 Ok(())
             })
             .map_err(|e| format!("{pass}: {e:?}"))??;
-            mm.swap_out(id, &mut heap).map_err(|e| format!("swap-out: {e:?}"))?;
+            mm.swap_out(&id, &mut heap).map_err(|e| format!("swap-out: {e:?}"))?;
         }
         mm.release(id, &mut heap);
         Ok(())

@@ -20,8 +20,9 @@
 //!
 //! * [`page`] / [`group`] — fixed-size pages and the `page-info` structure
 //!   of §4.3.1 (pages, endOffset, and page-at-a-time record walks);
-//! * [`manager`] — page-group allocation, reference counting (the shared
-//!   page-group optimisation of §4.3.3), LRU swapping (Appendix C);
+//! * [`manager`] — page-group allocation, single-owner release through a
+//!   move-only handle, generation-checked plain ids, LRU swapping
+//!   (Appendix C);
 //! * [`record`] — the `DecaRecord` trait: the runtime equivalent of the
 //!   synthesized SUDT accessors produced by Deca's code transformation
 //!   (Appendix B);
@@ -71,7 +72,6 @@ pub mod manager;
 pub mod optimizer;
 pub mod page;
 pub mod record;
-pub mod secondary;
 pub mod shuffle;
 pub mod swap;
 pub mod var_shuffle;
@@ -79,11 +79,10 @@ pub mod var_shuffle;
 pub use cache::DecaCacheBlock;
 pub use group::{PageGroup, SegPtr};
 pub use layout::{FieldSlot, Layout, LayoutError};
-pub use manager::{GroupId, HandoverEvent, MemError, MemoryManager, ReleaseEvent};
+pub use manager::{Group, GroupId, HandoverEvent, MemError, MemoryManager, ReleaseEvent};
 pub use optimizer::{ContainerDecision, ContainerInfo, DecompositionPlan, Optimizer};
 pub use page::Page;
 pub use record::DecaRecord;
-pub use secondary::SecondaryView;
 pub use shuffle::{
     ArenaStats, DecaHashShuffle, PageRun, PayloadChunks, ShuffleArena, ShufflePayload,
 };

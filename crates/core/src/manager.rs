@@ -1,12 +1,18 @@
-//! The Deca memory manager: page-group allocation, reference counting, and
-//! LRU swapping of page groups (§5, Appendix C).
+//! The Deca memory manager: page-group allocation, release, and LRU
+//! swapping of page groups (§5, Appendix C).
 //!
-//! Containers do not own `PageGroup`s directly; they hold [`GroupId`]s.
-//! Sharing a group between a primary and a secondary container is a
-//! [`MemoryManager::retain`] (the paper's "generates a copy of the
-//! page-info ... reference-counting method", §4.3.3); destroying a
-//! container releases its reference, and the group's space returns to the
-//! heap budget the moment the count reaches zero — no tracing involved.
+//! Every page group has exactly one owner, the [`Group`] handle that
+//! [`MemoryManager::create_group`] returns. It is neither `Copy` nor
+//! `Clone`, and [`MemoryManager::release`] consumes it, so a group lives
+//! exactly as long as the container holding its handle: when the
+//! container dies, its pages return to the heap budget at once, with no
+//! tracing involved (§4.3).
+//!
+//! Data that must stay plain — spill file names, manifest rows, release
+//! events — names a group by its [`GroupId`]: the slot plus the
+//! generation the group was created in. Every release moves its slot to a
+//! new generation, so a lookup through the id of a released group fails
+//! with [`MemError::Stale`] instead of reading the slot's next occupant.
 
 use std::path::PathBuf;
 
@@ -15,14 +21,56 @@ use deca_heap::{Heap, OomError};
 use crate::group::PageGroup;
 use crate::swap::SpillStore;
 
-/// Handle to a page group managed by a [`MemoryManager`].
+/// The plain name of a page group: its slot and the generation the group
+/// was created in. Ids compare equal only for the same group, never for an
+/// earlier or later occupant of its slot.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct GroupId(pub(crate) u32);
+pub struct GroupId {
+    slot: u32,
+    generation: u32,
+}
 
 impl GroupId {
-    /// The raw slot index (stable while the group lives; used in spill
-    /// file names and diagnostics).
-    pub fn raw(self) -> u32 {
+    /// The id of the group created in `slot` at `generation` (how a
+    /// manifest row names one).
+    pub fn new(slot: u32, generation: u32) -> GroupId {
+        GroupId { slot, generation }
+    }
+
+    /// The slot index, reused once the group is released.
+    pub fn slot(self) -> u32 {
+        self.slot
+    }
+
+    /// The slot's generation when the group was created.
+    pub fn generation(self) -> u32 {
+        self.generation
+    }
+}
+
+impl std::fmt::Display for GroupId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{}", self.slot, self.generation)
+    }
+}
+
+/// The owner of one page group. Only [`MemoryManager::create_group`] makes
+/// one, and only [`MemoryManager::release`] ends one, so a group has one
+/// owner and is released once:
+///
+/// ```compile_fail,E0599
+/// let mut mm = deca_core::MemoryManager::new(4096, std::env::temp_dir());
+/// let group = mm.create_group();
+/// let second_owner = group.clone();
+/// ```
+///
+/// A handle must be used with the manager that created it.
+#[derive(Debug)]
+pub struct Group(GroupId);
+
+impl Group {
+    /// The group's plain id, for data that outlives a borrow of the handle.
+    pub fn id(&self) -> GroupId {
         self.0
     }
 }
@@ -34,6 +82,8 @@ pub enum MemError {
     Oom(OomError),
     /// Spill I/O failed.
     Io(std::io::Error),
+    /// The id names a group that has been released.
+    Stale(GroupId),
 }
 
 impl From<OomError> for MemError {
@@ -53,6 +103,7 @@ impl std::fmt::Display for MemError {
         match self {
             MemError::Oom(e) => write!(f, "memory manager: {e}"),
             MemError::Io(e) => write!(f, "memory manager spill I/O: {e}"),
+            MemError::Stale(id) => write!(f, "memory manager: group {id} was released"),
         }
     }
 }
@@ -61,7 +112,6 @@ impl std::error::Error for MemError {}
 
 struct Entry {
     group: PageGroup,
-    refcount: u32,
     /// LRU clock stamp (bumped on access).
     last_used: u64,
     /// Whether the group's pages are currently on disk.
@@ -72,13 +122,42 @@ struct Entry {
     swappable: bool,
 }
 
-/// One page group reclaimed at refcount zero — the observable record of a
+/// One slot of the group table: its current generation and, while a group
+/// of that generation lives, the group.
+struct Slot {
+    generation: u32,
+    entry: Option<Entry>,
+}
+
+impl Slot {
+    /// The entry `id` names, if it is this slot's live group.
+    #[inline]
+    fn live(&mut self, id: GroupId) -> Result<&mut Entry, MemError> {
+        match &mut self.entry {
+            Some(e) if self.generation == id.generation => Ok(e),
+            _ => Err(MemError::Stale(id)),
+        }
+    }
+
+    /// Take the live group `id` names out of this slot, moving the slot to
+    /// its next generation: from here on `id` is stale.
+    fn vacate(&mut self, id: GroupId) -> Option<Entry> {
+        if self.generation != id.generation {
+            return None;
+        }
+        let e = self.entry.take()?;
+        self.generation = self.generation.wrapping_add(1);
+        Some(e)
+    }
+}
+
+/// One page group released by its owner — the observable record of a
 /// lifetime-based release (no tracing involved), drained by the engine's
 /// run trace via [`MemoryManager::take_release_events`].
 #[derive(Copy, Clone, Debug)]
 pub struct ReleaseEvent {
-    /// Raw slot index of the released group.
-    pub group: u32,
+    /// The released group.
+    pub group: GroupId,
     /// Pages the group held when released.
     pub pages: usize,
     /// Footprint bytes returned to the heap budget.
@@ -98,9 +177,17 @@ pub struct HandoverEvent {
     pub bytes: usize,
 }
 
+/// A [`Group`] handle passed to a manager that did not create it.
+#[cold]
+#[track_caller]
+fn foreign(id: GroupId) -> ! {
+    panic!("group {id} is not owned through this memory manager")
+}
+
 /// The per-executor memory manager.
 pub struct MemoryManager {
-    entries: Vec<Option<Entry>>,
+    slots: Vec<Slot>,
+    /// Slots with no live group.
     free: Vec<usize>,
     clock: u64,
     page_size: usize,
@@ -111,9 +198,9 @@ pub struct MemoryManager {
     /// Number of swap-out / swap-in events.
     pub swap_outs: u64,
     pub swap_ins: u64,
-    /// Record a [`ReleaseEvent`] per zero-refcount reclamation. Off by
-    /// default so standalone managers never grow an unread log; the engine
-    /// turns it on when executor tracing is enabled and drains it per task.
+    /// Record a [`ReleaseEvent`] per release. Off by default so standalone
+    /// managers never grow an unread log; the engine turns it on when
+    /// executor tracing is enabled and drains it per task.
     pub log_releases: bool,
     release_events: Vec<ReleaseEvent>,
     handover_events: Vec<HandoverEvent>,
@@ -124,7 +211,7 @@ impl MemoryManager {
     /// `spill_dir` (a per-executor temp directory).
     pub fn new(page_size: usize, spill_dir: PathBuf) -> MemoryManager {
         MemoryManager {
-            entries: Vec::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             clock: 0,
             page_size,
@@ -163,25 +250,24 @@ impl MemoryManager {
         self.page_size
     }
 
-    /// Create a fresh page group with reference count 1.
-    pub fn create_group(&mut self) -> GroupId {
+    /// Create a fresh, empty page group owned by the returned handle.
+    pub fn create_group(&mut self) -> Group {
         let entry = Entry {
             group: PageGroup::new(self.page_size),
-            refcount: 1,
             last_used: self.tick(),
             swapped: false,
             swappable: true,
         };
-        match self.free.pop() {
-            Some(i) => {
-                self.entries[i] = Some(entry);
-                GroupId(i as u32)
-            }
+        let slot = match self.free.pop() {
+            Some(i) => i,
             None => {
-                self.entries.push(Some(entry));
-                GroupId((self.entries.len() - 1) as u32)
+                self.slots.push(Slot { generation: 0, entry: None });
+                self.slots.len() - 1
             }
-        }
+        };
+        let s = &mut self.slots[slot];
+        s.entry = Some(entry);
+        Group(GroupId { slot: slot as u32, generation: s.generation })
     }
 
     fn tick(&mut self) -> u64 {
@@ -189,104 +275,102 @@ impl MemoryManager {
         self.clock
     }
 
-    fn entry(&self, id: GroupId) -> &Entry {
-        self.entries[id.0 as usize].as_ref().expect("group released")
+    #[inline]
+    fn entry(&self, id: GroupId) -> Result<&Entry, MemError> {
+        match self.slots.get(id.slot as usize) {
+            Some(Slot { generation, entry: Some(e) }) if *generation == id.generation => Ok(e),
+            _ => Err(MemError::Stale(id)),
+        }
     }
 
-    fn entry_mut(&mut self, id: GroupId) -> &mut Entry {
-        self.entries[id.0 as usize].as_mut().expect("group released")
+    #[inline]
+    fn entry_mut(&mut self, id: GroupId) -> Result<&mut Entry, MemError> {
+        match self.slots.get_mut(id.slot as usize) {
+            Some(slot) => slot.live(id),
+            None => Err(MemError::Stale(id)),
+        }
     }
 
-    /// Share the group with another container (increment the refcount —
-    /// the §4.3.3 shared page-info optimisation).
-    pub fn retain(&mut self, id: GroupId) {
-        self.entry_mut(id).refcount += 1;
+    /// The entry a handle owns. A `Group` lives exactly as long as its
+    /// entry in the manager that created it, so this misses only for a
+    /// handle passed to another manager.
+    fn owned(&self, group: &Group) -> &Entry {
+        self.entry(group.0).unwrap_or_else(|_| foreign(group.0))
     }
 
-    /// Release one reference. At zero the group's pages are unregistered
-    /// from the heap immediately — the lifetime-based reclamation.
-    pub fn release(&mut self, id: GroupId, heap: &mut Heap) {
+    /// End a group's lifetime: its pages are unregistered from the heap
+    /// immediately — the lifetime-based reclamation — and its slot moves
+    /// to a new generation, so its id goes stale.
+    pub fn release(&mut self, group: Group, heap: &mut Heap) {
         // Page releases change old-generation occupancy, so they are a
         // natural point to retire a finished concurrent marking cycle.
         heap.poll_gc();
-        let e = self.entry_mut(id);
-        assert!(e.refcount > 0);
-        e.refcount -= 1;
-        if e.refcount == 0 {
-            let mut e = self.entries[id.0 as usize].take().expect("group exists");
-            if self.log_releases {
-                self.release_events.push(ReleaseEvent {
-                    group: id.0,
-                    pages: e.group.page_count(),
-                    bytes: e.group.footprint_bytes(),
-                });
-            }
-            e.group.unregister_all(heap);
-            if e.swapped {
-                self.spill.remove(id.0);
-            }
-            self.free.push(id.0 as usize);
+        let id = group.0;
+        let Some(mut e) = self.slots.get_mut(id.slot as usize).and_then(|s| s.vacate(id)) else {
+            foreign(id)
+        };
+        if self.log_releases {
+            self.release_events.push(ReleaseEvent {
+                group: id,
+                pages: e.group.page_count(),
+                bytes: e.group.footprint_bytes(),
+            });
         }
-    }
-
-    pub fn refcount(&self, id: GroupId) -> u32 {
-        self.entry(id).refcount
+        e.group.unregister_all(heap);
+        if e.swapped {
+            self.spill.remove(id);
+        }
+        self.free.push(id.slot as usize);
     }
 
     /// Pin (or unpin) a group against swapping.
-    pub fn set_swappable(&mut self, id: GroupId, swappable: bool) {
-        self.entry_mut(id).swappable = swappable;
+    pub fn set_swappable(&mut self, group: &Group, swappable: bool) {
+        let id = group.0;
+        self.entry_mut(id).unwrap_or_else(|_| foreign(id)).swappable = swappable;
     }
 
-    pub fn is_swapped(&self, id: GroupId) -> bool {
-        self.entry(id).swapped
+    pub fn is_swapped(&self, group: &Group) -> bool {
+        self.owned(group).swapped
     }
 
-    pub fn is_swappable(&self, id: GroupId) -> bool {
-        self.entry(id).swappable
-    }
-
-    /// An expected-lifetime weight for a group, in the spirit of ROLP's
-    /// observed-lifetime profiling: groups shared by more consumers
-    /// (higher refcount) live longer and deserve a warmer cache tier.
-    /// Monotone in the refcount; zero only for dead slots.
-    pub fn lifetime_hint(&self, id: GroupId) -> u32 {
-        match self.entries.get(id.0 as usize).and_then(|e| e.as_ref()) {
-            Some(e) => e.refcount,
-            None => 0,
-        }
+    pub fn is_swappable(&self, group: &Group) -> bool {
+        self.owned(group).swappable
     }
 
     /// The in-memory spill record (per-page byte sizes) of a swapped
-    /// group, if it has one — what the engine's crash-consistent manifest
-    /// must persist, since this record dies with the process.
-    pub fn spill_page_sizes(&self, id: GroupId) -> Option<Vec<usize>> {
-        self.spill.page_sizes(id.raw()).map(|s| s.to_vec())
+    /// group — what the engine's crash-consistent manifest must persist,
+    /// since this record dies with the process. `Ok(None)` while the group
+    /// is resident.
+    pub fn spill_page_sizes(&self, id: GroupId) -> Result<Option<Vec<usize>>, MemError> {
+        self.entry(id)?;
+        Ok(self.spill.page_sizes(id).map(|s| s.to_vec()))
     }
 
     /// The digest of a swapped group's spill file, taken when it was
-    /// written (see [`SpillStore::digest`]).
-    pub fn spill_digest(&self, id: GroupId) -> Option<u64> {
-        self.spill.digest(id.raw())
+    /// written (see [`SpillStore::digest`]). `Ok(None)` while the group is
+    /// resident.
+    pub fn spill_digest(&self, id: GroupId) -> Result<Option<u64>, MemError> {
+        self.entry(id)?;
+        Ok(self.spill.digest(id))
     }
 
     /// The path of a group's spill file (see [`SpillStore::file_path`]).
-    pub fn spill_file(&self, id: GroupId) -> std::path::PathBuf {
-        self.spill.file_path(id.raw())
+    pub fn spill_file(&self, id: GroupId) -> PathBuf {
+        self.spill.file_path(id)
     }
 
     /// Total resident footprint of all managed groups.
     pub fn resident_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| !e.swapped)
-            .map(|e| e.group.footprint_bytes())
-            .sum()
+        self.entries().filter(|e| !e.swapped).map(|e| e.group.footprint_bytes()).sum()
     }
 
+    /// Groups created and not yet released.
     pub fn live_groups(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.entries().count()
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.slots.iter().filter_map(|s| s.entry.as_ref())
     }
 
     // ------------------------------------------------------------------
@@ -297,31 +381,32 @@ impl MemoryManager {
     /// the LRU stamp.
     pub fn with_group<R>(
         &mut self,
-        id: GroupId,
+        group: &Group,
         heap: &mut Heap,
         f: impl FnOnce(&PageGroup) -> R,
     ) -> Result<R, MemError> {
-        self.ensure_resident(id, heap)?;
+        self.ensure_resident(group.0, heap)?;
         let t = self.tick();
-        let e = self.entry_mut(id);
+        let e = self.entry_mut(group.0)?;
         e.last_used = t;
         Ok(f(&e.group))
     }
 
     /// Access a group mutably (appends, in-place combines); swaps it in if
     /// needed. `f` runs on the group where it lives. If it reports the heap
-    /// out of budget, least-recently-used swappable groups — never `id`
-    /// itself — are evicted and `f` is invoked once more, so `f` must leave
+    /// out of budget, least-recently-used swappable groups — never this
+    /// one — are evicted and `f` is invoked once more, so `f` must leave
     /// the group untouched when it fails.
     pub fn with_group_mut<R>(
         &mut self,
-        id: GroupId,
+        group: &Group,
         heap: &mut Heap,
         mut f: impl FnMut(&mut PageGroup, &mut Heap) -> Result<R, OomError>,
     ) -> Result<R, MemError> {
+        let id = group.0;
         self.ensure_resident(id, heap)?;
         let t = self.tick();
-        let e = self.entry_mut(id);
+        let e = self.entry_mut(id)?;
         e.last_used = t;
         let oom = match f(&mut e.group, heap) {
             Ok(r) => return Ok(r),
@@ -331,7 +416,7 @@ impl MemoryManager {
         if self.evict_until(heap, needed, Some(id)).is_err() {
             return Err(MemError::Oom(oom));
         }
-        f(&mut self.entry_mut(id).group, heap).map_err(MemError::Oom)
+        f(&mut self.entry_mut(id)?.group, heap).map_err(MemError::Oom)
     }
 
     /// Access two pinned groups at once, `src` for reading and `dst` for
@@ -340,67 +425,67 @@ impl MemoryManager {
     /// push the other out.
     pub(crate) fn with_group_pair<R>(
         &mut self,
-        src: GroupId,
-        dst: GroupId,
+        src: &Group,
+        dst: &Group,
         heap: &mut Heap,
         f: impl FnOnce(&PageGroup, &mut PageGroup) -> R,
     ) -> Result<R, MemError> {
+        let (src, dst) = (src.0, dst.0);
         assert_ne!(src, dst, "a group cannot be both source and destination");
         assert!(
-            !self.is_swappable(src) && !self.is_swappable(dst),
+            !self.entry(src)?.swappable && !self.entry(dst)?.swappable,
             "paired access needs pinned groups"
         );
         self.ensure_resident(src, heap)?;
         self.ensure_resident(dst, heap)?;
         let t = self.tick();
-        let (s, d) = (src.0 as usize, dst.0 as usize);
-        let (src_entry, dst_entry) = if s < d {
-            let (lo, hi) = self.entries.split_at_mut(d);
+        // Two live handles never share a slot, so the split is disjoint.
+        let (s, d) = (src.slot as usize, dst.slot as usize);
+        let (src_slot, dst_slot) = if s < d {
+            let (lo, hi) = self.slots.split_at_mut(d);
             (&mut lo[s], &mut hi[0])
         } else {
-            let (lo, hi) = self.entries.split_at_mut(s);
+            let (lo, hi) = self.slots.split_at_mut(s);
             (&mut hi[0], &mut lo[d])
         };
-        let src_entry = src_entry.as_mut().expect("group released");
-        let dst_entry = dst_entry.as_mut().expect("group released");
+        let (src_entry, dst_entry) = (src_slot.live(src)?, dst_slot.live(dst)?);
         src_entry.last_used = t;
         dst_entry.last_used = t;
         Ok(f(&src_entry.group, &mut dst_entry.group))
     }
 
     fn ensure_resident(&mut self, id: GroupId, heap: &mut Heap) -> Result<(), MemError> {
-        if !self.entry(id).swapped {
+        if !self.entry(id)?.swapped {
             return Ok(());
         }
         // Make room first if the heap cannot hold the group.
-        let bytes = self.spill.group_bytes(id.0);
+        let bytes = self.spill.group_bytes(id);
         let _ = self.try_reserve(heap, bytes, Some(id));
-        // Read before taking the entry: a missing or short spill file must
-        // leave the group swapped (and the error repeatable), not gone.
-        let pages = self.spill.read(id.0)?;
-        let mut e = self.entries[id.0 as usize].take().expect("group exists");
+        // Read before touching the entry: a missing or short spill file
+        // must leave the group swapped (and the error repeatable), not gone.
+        let pages = self.spill.read(id)?;
         self.spill_read_bytes += bytes as u64;
+        // A swapped entry is never an eviction victim, so the pages can
+        // go back in before the budget is secured.
+        let e = self.entry_mut(id)?;
         e.group.restore_pages(pages);
         let mut registered = e.group.register_all(heap);
         if registered.is_err() {
             // Evict others and retry once before giving up.
-            self.entries[id.0 as usize] = Some(e);
             let _ = self.evict_until(heap, bytes, Some(id));
-            e = self.entries[id.0 as usize].take().expect("group exists");
-            registered = e.group.register_all(heap);
+            registered = self.entry_mut(id)?.group.register_all(heap);
         }
+        let e = self.entry_mut(id)?;
         match registered {
             Ok(()) => {
-                self.spill.remove(id.0);
                 e.swapped = false;
+                self.spill.remove(id);
                 self.swap_ins += 1;
-                self.entries[id.0 as usize] = Some(e);
                 Ok(())
             }
             Err(oom) => {
                 // Could not fit: drop the pages again and report.
                 let _ = e.group.take_pages();
-                self.entries[id.0 as usize] = Some(e);
                 Err(MemError::Oom(oom))
             }
         }
@@ -429,33 +514,40 @@ impl MemoryManager {
         let mut freed = 0usize;
         while freed < bytes {
             let victim = self
-                .entries
+                .slots
                 .iter()
                 .enumerate()
-                .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-                .filter(|(i, e)| {
+                .filter_map(|(i, s)| s.entry.as_ref().map(|e| (i, s.generation, e)))
+                .filter(|&(i, _, e)| {
                     !e.swapped
                         && e.swappable
-                        && Some(GroupId(*i as u32)) != protect
+                        && protect.is_none_or(|p| p.slot as usize != i)
                         && e.group.page_count() > 0
                 })
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i);
-            let Some(i) = victim else {
+                .min_by_key(|(_, _, e)| e.last_used)
+                .map(|(i, generation, _)| GroupId { slot: i as u32, generation });
+            let Some(id) = victim else {
                 return Err(MemError::Oom(OomError { requested: bytes - freed }));
             };
-            freed += self.swap_out(GroupId(i as u32), heap)?;
+            freed += self.swap_out_id(id, heap)?;
         }
         Ok(())
     }
 
     /// Swap one group's pages to disk, releasing their heap budget.
-    pub fn swap_out(&mut self, id: GroupId, heap: &mut Heap) -> Result<usize, MemError> {
-        let e = self.entries[id.0 as usize].as_mut().expect("group exists");
+    pub fn swap_out(&mut self, group: &Group, heap: &mut Heap) -> Result<usize, MemError> {
+        self.swap_out_id(group.0, heap)
+    }
+
+    fn swap_out_id(&mut self, id: GroupId, heap: &mut Heap) -> Result<usize, MemError> {
+        let e = match self.slots.get_mut(id.slot as usize) {
+            Some(slot) => slot.live(id)?,
+            None => return Err(MemError::Stale(id)),
+        };
         debug_assert!(!e.swapped && e.swappable);
         let pages = e.group.take_pages();
         let bytes: usize = pages.iter().map(|p| p.len()).sum();
-        self.spill.write(id.0, &pages)?;
+        self.spill.write(id, &pages)?;
         self.spill_write_bytes += bytes as u64;
         e.group.unregister_all(heap);
         e.swapped = true;
@@ -506,28 +598,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn refcount_lifecycle() {
-        let (mut heap, mut mm, _dir) = setup();
-        let g = mm.create_group();
-        mm.with_group_mut(g, &mut heap, |pg, h| pg.append(h, &[1u8; 100]).map(|_| ())).unwrap();
-        assert!(heap.external_bytes() > 0);
-        mm.retain(g);
-        assert_eq!(mm.refcount(g), 2);
-        mm.release(g, &mut heap);
-        assert!(heap.external_bytes() > 0, "still referenced");
-        mm.release(g, &mut heap);
-        assert_eq!(heap.external_bytes(), 0, "released wholesale");
-        assert_eq!(mm.live_groups(), 0);
-    }
-
-    #[test]
     fn group_slot_reuse() {
         let (mut heap, mut mm, _dir) = setup();
         let a = mm.create_group();
+        mm.with_group_mut(&a, &mut heap, |pg, h| pg.append(h, &[1u8; 100]).map(|_| ())).unwrap();
+        let stale = a.id();
         mm.release(a, &mut heap);
+        assert_eq!(heap.external_bytes(), 0, "released wholesale");
         let b = mm.create_group();
-        assert_eq!(a.0, b.0, "slot reused");
-        assert_eq!(mm.refcount(b), 1);
+        mm.with_group_mut(&b, &mut heap, |pg, h| pg.append(h, &[2u8; 100]).map(|_| ())).unwrap();
+        mm.swap_out(&b, &mut heap).unwrap();
+        assert_eq!(b.id().slot(), stale.slot(), "slot reused");
+        assert_ne!(b.id(), stale, "by a new generation");
+        assert!(matches!(mm.spill_page_sizes(stale), Err(MemError::Stale(id)) if id == stale));
+        assert!(matches!(mm.spill_digest(stale), Err(MemError::Stale(_))));
+        assert_eq!(mm.spill_page_sizes(b.id()).unwrap(), Some(vec![4096]));
+        assert_ne!(mm.spill_file(stale), mm.spill_file(b.id()));
+        let back =
+            mm.with_group(&b, &mut heap, |pg| pg.fixed_records(100).next().map(<[u8]>::to_vec));
+        assert_eq!(back.unwrap(), Some(vec![2u8; 100]));
+        mm.release(b, &mut heap);
+        assert_eq!(mm.live_groups(), 0);
     }
 
     #[test]
@@ -535,15 +626,15 @@ pub(crate) mod tests {
         let (mut heap, mut mm, _dir) = setup();
         let g = mm.create_group();
         let data: Vec<u8> = (0..200u8).collect();
-        let ptr = mm.with_group_mut(g, &mut heap, |pg, h| pg.append(h, &data)).unwrap();
+        let ptr = mm.with_group_mut(&g, &mut heap, |pg, h| pg.append(h, &data)).unwrap();
         let resident = heap.external_bytes();
-        mm.swap_out(g, &mut heap).unwrap();
+        mm.swap_out(&g, &mut heap).unwrap();
         assert_eq!(heap.external_bytes(), 0);
-        assert!(mm.is_swapped(g));
+        assert!(mm.is_swapped(&g));
         // Reading swaps back in transparently.
-        let out = mm.with_group(g, &mut heap, |pg| pg.slice(ptr, 200).to_vec()).unwrap();
+        let out = mm.with_group(&g, &mut heap, |pg| pg.slice(ptr, 200).to_vec()).unwrap();
         assert_eq!(out, data);
-        assert!(!mm.is_swapped(g));
+        assert!(!mm.is_swapped(&g));
         assert_eq!(heap.external_bytes(), resident);
         assert_eq!(mm.swap_outs, 1);
         assert_eq!(mm.swap_ins, 1);
@@ -553,14 +644,14 @@ pub(crate) mod tests {
     fn a_failed_swap_in_keeps_the_group() {
         let (mut heap, mut mm, _dir) = setup();
         let g = mm.create_group();
-        mm.with_group_mut(g, &mut heap, |pg, h| pg.append(h, &[3u8; 200]).map(|_| ())).unwrap();
-        mm.swap_out(g, &mut heap).unwrap();
-        let file = mm.spill_file(g);
+        mm.with_group_mut(&g, &mut heap, |pg, h| pg.append(h, &[3u8; 200]).map(|_| ())).unwrap();
+        mm.swap_out(&g, &mut heap).unwrap();
+        let file = mm.spill_file(g.id());
         std::fs::write(&file, [3u8; 10]).unwrap(); // truncated
-        assert!(mm.with_group(g, &mut heap, |pg| pg.page_count()).is_err());
+        assert!(mm.with_group(&g, &mut heap, |pg| pg.page_count()).is_err());
         std::fs::remove_file(&file).unwrap();
-        assert!(mm.with_group(g, &mut heap, |pg| pg.page_count()).is_err());
-        assert!(mm.is_swapped(g), "the group is still there, still swapped");
+        assert!(mm.with_group(&g, &mut heap, |pg| pg.page_count()).is_err());
+        assert!(mm.is_swapped(&g), "the group is still there, still swapped");
         mm.release(g, &mut heap);
         assert_eq!(mm.live_groups(), 0);
     }
@@ -575,16 +666,15 @@ pub(crate) mod tests {
         let mut groups = Vec::new();
         for _ in 0..12 {
             let g = mm.create_group();
-            mm.with_group_mut(g, &mut heap, |pg, h| pg.append(h, &[7u8; 1000]).map(|_| ()))
+            mm.with_group_mut(&g, &mut heap, |pg, h| pg.append(h, &[7u8; 1000]).map(|_| ()))
                 .unwrap();
             groups.push(g);
         }
         assert!(mm.swap_outs > 0, "pressure must trigger eviction");
         // All data still readable.
         for g in &groups {
-            let ok = mm
-                .with_group(*g, &mut heap, |pg| pg.fixed_records(1000).eq([[7u8; 1000]]))
-                .unwrap();
+            let ok =
+                mm.with_group(g, &mut heap, |pg| pg.fixed_records(1000).eq([[7u8; 1000]])).unwrap();
             assert!(ok);
         }
         for g in groups {
@@ -601,12 +691,12 @@ pub(crate) mod tests {
         // `old` is the LRU swappable group; `full` is touched after it and
         // then grown, one page per append, until the budget is gone.
         let old = mm.create_group();
-        mm.with_group_mut(old, &mut heap, |pg, h| pg.append(h, &[7u8; 1000]).map(|_| ())).unwrap();
+        mm.with_group_mut(&old, &mut heap, |pg, h| pg.append(h, &[7u8; 1000]).map(|_| ())).unwrap();
         let full = mm.create_group();
         let mut calls = 0;
         while mm.swap_outs == 0 {
             calls = 0;
-            mm.with_group_mut(full, &mut heap, |pg, h| {
+            mm.with_group_mut(&full, &mut heap, |pg, h| {
                 calls += 1;
                 pg.append(h, &[9u8; 200 << 10]).map(|_| ())
             })
@@ -614,18 +704,18 @@ pub(crate) mod tests {
         }
         assert_eq!(calls, 2, "the failing append was re-invoked exactly once");
         assert_eq!(mm.swap_outs, 1);
-        assert!(mm.is_swapped(old), "the victim is the other, swappable group");
-        assert!(!mm.is_swapped(full), "the group being appended to is protected");
+        assert!(mm.is_swapped(&old), "the victim is the other, swappable group");
+        assert!(!mm.is_swapped(&full), "the group being appended to is protected");
         // With no other candidate left, the protected group is still never
         // the victim: the append fails instead.
         let err = loop {
-            match mm.with_group_mut(full, &mut heap, |pg, h| pg.append(h, &[9u8; 200 << 10])) {
+            match mm.with_group_mut(&full, &mut heap, |pg, h| pg.append(h, &[9u8; 200 << 10])) {
                 Ok(_) => continue,
                 Err(e) => break e,
             }
         };
         assert!(matches!(err, MemError::Oom(_)));
-        assert!(!mm.is_swapped(full));
+        assert!(!mm.is_swapped(&full));
         assert_eq!(mm.swap_outs, 1);
     }
 
@@ -635,13 +725,13 @@ pub(crate) mod tests {
         let dir = tempdir::TempDir::new();
         let mut mm = MemoryManager::new(256 << 10, dir.path.clone());
         let pinned = mm.create_group();
-        mm.set_swappable(pinned, false);
-        mm.with_group_mut(pinned, &mut heap, |pg, h| pg.append(h, &[1u8; 8]).map(|_| ())).unwrap();
+        mm.set_swappable(&pinned, false);
+        mm.with_group_mut(&pinned, &mut heap, |pg, h| pg.append(h, &[1u8; 8]).map(|_| ())).unwrap();
         // Fill the rest of the budget with swappable groups.
         for _ in 0..12 {
             let g = mm.create_group();
-            let _ = mm.with_group_mut(g, &mut heap, |pg, h| pg.append(h, &[2u8; 8]).map(|_| ()));
+            let _ = mm.with_group_mut(&g, &mut heap, |pg, h| pg.append(h, &[2u8; 8]).map(|_| ()));
         }
-        assert!(!mm.is_swapped(pinned));
+        assert!(!mm.is_swapped(&pinned));
     }
 }

@@ -17,12 +17,11 @@
 //!   long-lived cache fed by a dying shuffle buffer ⇒ *decompose on copy*
 //!   (the partially-decomposable scenario of §4.3.3, Figure 7b);
 //! * otherwise keep objects on the managed heap;
-//! * secondary containers of fully-decomposable objects share the primary's
-//!   page group (reference counting) instead of copying (§4.3.3, Figure 7a);
-//! * a container whose objects were re-constructed once is never
-//!   re-decomposed (thrash avoidance, §4.3.2).
+//! * secondary containers of fully-decomposable objects are planned to
+//!   share the primary's page group instead of copying (§4.3.3, Figure 7a).
+//!   No job stores such a container: every page group has one owner.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use deca_udt::{
     analyze_container_flow, assign_ownership, classify_phased, ContainerDecl, ContainerId,
@@ -70,8 +69,6 @@ pub enum KeepReason {
     /// UDF variables are never decomposed (§4.3.2: short-living, cheap
     /// minor collections handle them).
     UdfVariables,
-    /// The container was re-constructed once already (thrash avoidance).
-    Reconstructed,
 }
 
 /// The optimizer's output: one decision per container.
@@ -99,24 +96,15 @@ impl DecompositionPlan {
 }
 
 /// The runtime optimizer. Holds the static knowledge (type registry and
-/// method IR) plus runtime thrash-avoidance state.
+/// method IR).
 pub struct Optimizer<'a> {
     reg: &'a TypeRegistry,
     program: &'a Program,
-    /// Containers whose records were re-constructed once: never decompose
-    /// again (§4.3.2).
-    reconstructed: HashSet<ContainerId>,
 }
 
 impl<'a> Optimizer<'a> {
     pub fn new(reg: &'a TypeRegistry, program: &'a Program) -> Optimizer<'a> {
-        Optimizer { reg, program, reconstructed: HashSet::new() }
-    }
-
-    /// Record that a container's decomposed records had to be
-    /// re-constructed (a later phase changed their data-sizes).
-    pub fn note_reconstructed(&mut self, c: ContainerId) {
-        self.reconstructed.insert(c);
+        Optimizer { reg, program }
     }
 
     /// Plan one job, deriving the object-population sharing from the IR's
@@ -179,9 +167,6 @@ impl<'a> Optimizer<'a> {
     ) -> ContainerDecision {
         if c.kind == ContainerKind::UdfVariables {
             return ContainerDecision::Keep(KeepReason::UdfVariables);
-        }
-        if self.reconstructed.contains(&c.id) {
-            return ContainerDecision::Keep(KeepReason::Reconstructed);
         }
 
         let write_class = per_phase
@@ -370,26 +355,6 @@ mod tests {
             plan.decision(cache_id),
             &ContainerDecision::SharePrimary(shuffle_id),
             "sharing derived from the IR, not declared"
-        );
-    }
-
-    #[test]
-    fn reconstruction_disables_future_decomposition() {
-        let f = fixtures::lr_program();
-        let mut opt = Optimizer::new(&f.types.registry, &f.program);
-        opt.note_reconstructed(ContainerId(0));
-        let phases = JobPhases::new().phase("map", f.stage_entry);
-        let cache = ContainerInfo {
-            id: ContainerId(0),
-            kind: ContainerKind::CachedRdd,
-            created_seq: 0,
-            content: TypeRef::Udt(f.types.labeled_point),
-            write_phase: 0,
-        };
-        let plan = opt.plan(&phases, &[cache], &[]);
-        assert_eq!(
-            plan.decision(ContainerId(0)),
-            &ContainerDecision::Keep(KeepReason::Reconstructed)
         );
     }
 }

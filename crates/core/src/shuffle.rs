@@ -38,7 +38,7 @@ use deca_heap::Heap;
 
 use crate::group::PageGroup;
 use crate::hash::hash_bytes;
-use crate::manager::{GroupId, MemError, MemoryManager};
+use crate::manager::{Group, MemError, MemoryManager};
 use crate::page::Page;
 
 /// Control byte of a free slot; an occupied slot holds [`tag`] of its hash.
@@ -136,7 +136,7 @@ impl SlotMap {
 #[derive(Debug)]
 pub struct DecaHashShuffle {
     /// The group holding the current table's pages, slot order.
-    group: GroupId,
+    group: Group,
     map: SlotMap,
     /// One control byte per slot ([`EMPTY`] or a [`tag`]); its length is
     /// the table's capacity, zero until the first insert.
@@ -148,7 +148,6 @@ pub struct DecaHashShuffle {
     pub combines: u64,
     /// Tables built by doubling a full one (the first table not counted).
     pub grows: u64,
-    released: bool,
 }
 
 impl DecaHashShuffle {
@@ -172,23 +171,14 @@ impl DecaHashShuffle {
         keys: usize,
     ) -> DecaHashShuffle {
         let group = mm.create_group();
-        mm.set_swappable(group, false);
+        mm.set_swappable(&group, false);
         let per_page = (mm.page_size() / (key_size + val_size)).max(1);
         let map = SlotMap { key_size, val_size, page_shift: per_page.ilog2() };
         let mut first_cap = map.per_page().min(INITIAL_SLOTS);
         while max_len(first_cap) < keys {
             first_cap *= 2;
         }
-        DecaHashShuffle {
-            group,
-            map,
-            ctrl: Vec::new(),
-            len: 0,
-            first_cap,
-            combines: 0,
-            grows: 0,
-            released: false,
-        }
+        DecaHashShuffle { group, map, ctrl: Vec::new(), len: 0, first_cap, combines: 0, grows: 0 }
     }
 
     pub fn len(&self) -> usize {
@@ -199,8 +189,8 @@ impl DecaHashShuffle {
         self.len == 0
     }
 
-    pub fn group(&self) -> GroupId {
-        self.group
+    pub fn group(&self) -> &Group {
+        &self.group
     }
 
     /// Bytes of table metadata kept off the pages (and off the heap
@@ -252,7 +242,7 @@ impl DecaHashShuffle {
         loop {
             let room = max_len(self.ctrl.len());
             let (ctrl, len, combines) = (&mut self.ctrl, &mut self.len, &mut self.combines);
-            let full = mm.with_group_mut(self.group, heap, |g, _| {
+            let full = mm.with_group_mut(&self.group, heap, |g, _| {
                 let mut hits = 0;
                 let mut full = false;
                 for (k, v) in pending.take().into_iter().chain(pairs.by_ref()) {
@@ -294,33 +284,29 @@ impl DecaHashShuffle {
     /// group. On failure the buffer is unchanged, so growth may be retried.
     fn grow(&mut self, mm: &mut MemoryManager, heap: &mut Heap) -> Result<(), MemError> {
         let map = self.map;
-        let first = self.ctrl.is_empty();
-        let cap = if first { self.first_cap } else { self.ctrl.len() * 2 };
+        let cap = if self.ctrl.is_empty() { self.first_cap } else { self.ctrl.len() * 2 };
         let (pages, page_bytes) =
             (cap.div_ceil(map.per_page()), cap.min(map.per_page()) * map.slot_size());
-        let target = if first {
-            self.group
-        } else {
-            let g = mm.create_group();
-            mm.set_swappable(g, false);
-            g
-        };
         // Each reservation opens a page of its own, since a page's worth of
         // slots fills more than half of one. Re-invoked after an eviction,
         // the loop resumes where the failed reservation stopped.
-        let reserved = mm.with_group_mut(target, heap, |g, h| {
+        let reserve = |g: &mut PageGroup, h: &mut Heap| {
             while g.page_count() < pages {
                 g.reserve(h, page_bytes)?;
             }
             Ok(())
-        });
+        };
         let mut ctrl = vec![EMPTY; cap];
-        let rehashed = reserved.and_then(|()| {
-            if first {
-                return Ok(());
-            }
-            let old_ctrl = &self.ctrl;
-            mm.with_group_pair(self.group, target, heap, |old, new| {
+        if self.ctrl.is_empty() {
+            mm.with_group_mut(&self.group, heap, reserve)?;
+            self.ctrl = ctrl;
+            return Ok(());
+        }
+        let target = mm.create_group();
+        mm.set_swappable(&target, false);
+        let old_ctrl = &self.ctrl;
+        let rehashed = mm.with_group_mut(&target, heap, reserve).and_then(|()| {
+            mm.with_group_pair(&self.group, &target, heap, |old, new| {
                 for (i, &c) in old_ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
                     let slot = map.slot(old, i);
                     let hash = hash_bytes(&slot[..map.key_size]);
@@ -331,16 +317,11 @@ impl DecaHashShuffle {
             })
         });
         if let Err(e) = rehashed {
-            if !first {
-                mm.release(target, heap);
-            }
+            mm.release(target, heap);
             return Err(e);
         }
-        if !first {
-            mm.release(self.group, heap);
-            self.group = target;
-            self.grows += 1;
-        }
+        mm.release(std::mem::replace(&mut self.group, target), heap);
+        self.grows += 1;
         self.ctrl = ctrl;
         Ok(())
     }
@@ -354,7 +335,7 @@ impl DecaHashShuffle {
         mut f: impl FnMut(&[u8], &[u8]),
     ) -> Result<(), MemError> {
         let (ctrl, map) = (&self.ctrl, self.map);
-        mm.with_group(self.group, heap, |g| {
+        mm.with_group(&self.group, heap, |g| {
             for (page, ctrl) in ctrl.chunks(map.per_page()).enumerate() {
                 let slots = g.page(page).bytes().chunks_exact(map.slot_size());
                 for (slot, _) in slots.zip(ctrl).filter(|&(_, &c)| c != EMPTY) {
@@ -365,12 +346,10 @@ impl DecaHashShuffle {
         })
     }
 
-    /// Release the buffer's page group (end of the reading phase).
-    pub fn release(&mut self, mm: &mut MemoryManager, heap: &mut Heap) {
-        if !self.released {
-            mm.release(self.group, heap);
-            self.released = true;
-        }
+    /// End the buffer's lifetime and release its page group (end of the
+    /// reading phase).
+    pub fn release(self, mm: &mut MemoryManager, heap: &mut Heap) {
+        mm.release(self.group, heap);
     }
 }
 
@@ -968,12 +947,13 @@ mod tests {
                 // the growth below reserves one page of its new table
                 // before it must evict the cache for the next.
                 let spacer = mm.create_group();
-                mm.set_swappable(spacer, false);
-                mm.with_group_mut(spacer, &mut heap, |g, h| g.append(h, &[0u8; 8192])).unwrap();
+                mm.set_swappable(&spacer, false);
+                mm.with_group_mut(&spacer, &mut heap, |g, h| g.append(h, &[0u8; 8192])).unwrap();
                 let victim = mm.create_group();
-                while mm.with_group_mut(victim, &mut heap, |g, h| g.append(h, &[3u8; 8192])).is_ok()
-                {
-                }
+                while mm
+                    .with_group_mut(&victim, &mut heap, |g, h| g.append(h, &[3u8; 8192]))
+                    .is_ok()
+                {}
                 mm.release(spacer, &mut heap);
                 let pairs = stream[1..].iter().map(|&(k, v)| (k.to_le_bytes(), v.to_le_bytes()));
                 buf.insert_all(&mut mm, &mut heap, pairs, add_i64).unwrap();
@@ -985,7 +965,7 @@ mod tests {
                 // 1024-slot table the retried growth built, so it is the one
                 // still live below.
                 deca_check::prop_assert!(expected.len() > 358, "the stream must outgrow a page");
-                deca_check::prop_assert!(mm.is_swapped(victim), "the cache group was evicted");
+                deca_check::prop_assert!(mm.is_swapped(&victim), "the cache group was evicted");
                 deca_check::prop_assert!(!mm.is_swapped(buf.group()), "the buffer stays pinned");
                 // The retried reservation added no page twice: the budget
                 // holds exactly the live table, 16-byte slots.
@@ -1132,11 +1112,11 @@ mod tests {
                 let squeezed =
                     fill(&mut mm, &mut heap, geometry, distinct / 3, &pairs, |mm, heap| {
                         while mm
-                            .with_group_mut(victim, heap, |g, h| g.append(h, &[3u8; 8192]))
+                            .with_group_mut(&victim, heap, |g, h| g.append(h, &[3u8; 8192]))
                             .is_ok()
                         {}
                     });
-                deca_check::prop_assert!(mm.is_swapped(victim), "the cache group was evicted");
+                deca_check::prop_assert!(mm.is_swapped(&victim), "the cache group was evicted");
                 deca_check::prop_assert_eq!(squeezed.grows, under.grows);
                 deca_check::prop_assert_eq!(&squeezed.contents, &oracle);
                 deca_check::prop_assert_eq!(squeezed.combines, combines);

@@ -3,7 +3,8 @@
 //! Decomposed bytes are written to disk *verbatim* — the paper's point that
 //! Deca needs no serialization step before swapping or network transfer,
 //! unlike Spark, which must serialize cache blocks on eviction. One file
-//! per spilled group, named by group id.
+//! per spilled group, named by its [`GroupId`] — slot and generation, so a
+//! file never names an earlier or later occupant of the slot.
 
 use std::collections::HashMap;
 use std::fs;
@@ -11,6 +12,7 @@ use std::io::Read;
 use std::path::PathBuf;
 
 use crate::hash::hash_bytes;
+use crate::manager::GroupId;
 use crate::page::Page;
 
 /// Disk storage for swapped-out page groups.
@@ -20,7 +22,7 @@ pub struct SpillStore {
     /// Each spilled group's per-page byte sizes (pages may be
     /// heterogeneous: oversized segments get dedicated pages) and the
     /// [`hash_bytes`] of its file's bytes, taken as they were written.
-    spilled: HashMap<u32, (Vec<usize>, u64)>,
+    spilled: HashMap<GroupId, (Vec<usize>, u64)>,
 }
 
 impl SpillStore {
@@ -30,13 +32,13 @@ impl SpillStore {
 
     /// Where a group's spill file lives (whether or not it exists), so
     /// callers can checksum the payload without going through `read`.
-    pub fn file_path(&self, id: u32) -> PathBuf {
+    pub fn file_path(&self, id: GroupId) -> PathBuf {
         self.dir.join(format!("group-{id}.spill"))
     }
 
     /// Write a group's pages to its spill file (raw page bytes
     /// back-to-back; sizes and the payload's digest kept in memory).
-    pub fn write(&mut self, id: u32, pages: &[Page]) -> std::io::Result<()> {
+    pub fn write(&mut self, id: GroupId, pages: &[Page]) -> std::io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         let payload = pages.iter().map(Page::bytes).collect::<Vec<_>>().concat();
         fs::write(self.file_path(id), &payload)?;
@@ -46,7 +48,7 @@ impl SpillStore {
     }
 
     /// Read a group's pages back (sizes restored from the spill record).
-    pub fn read(&self, id: u32) -> std::io::Result<Vec<Page>> {
+    pub fn read(&self, id: GroupId) -> std::io::Result<Vec<Page>> {
         let mut f = std::io::BufReader::new(fs::File::open(self.file_path(id))?);
         let sizes = self.page_sizes(id).unwrap_or_default();
         let mut pages = Vec::with_capacity(sizes.len());
@@ -61,24 +63,24 @@ impl SpillStore {
     /// The per-page byte sizes of a spilled group — the part of the spill
     /// record that lives only in memory and would be lost in a crash,
     /// which is why the engine's spill manifest persists a copy.
-    pub fn page_sizes(&self, id: u32) -> Option<&[usize]> {
+    pub fn page_sizes(&self, id: GroupId) -> Option<&[usize]> {
         self.spilled.get(&id).map(|(sizes, _)| sizes.as_slice())
     }
 
     /// The digest of a spilled group's payload as it was written: what
     /// the file must still hash to. The engine's spill manifest records
     /// it, so later corruption of the file is never vouched for.
-    pub fn digest(&self, id: u32) -> Option<u64> {
+    pub fn digest(&self, id: GroupId) -> Option<u64> {
         self.spilled.get(&id).map(|&(_, digest)| digest)
     }
 
     /// Total spilled bytes of one group.
-    pub fn group_bytes(&self, id: u32) -> usize {
+    pub fn group_bytes(&self, id: GroupId) -> usize {
         self.page_sizes(id).unwrap_or_default().iter().sum()
     }
 
     /// Delete a group's spill file (after swap-in or group release).
-    pub fn remove(&mut self, id: u32) {
+    pub fn remove(&mut self, id: GroupId) {
         if self.spilled.remove(&id).is_some() {
             let _ = fs::remove_file(self.file_path(id));
         }
@@ -110,22 +112,23 @@ mod tests {
     #[test]
     fn roundtrip() {
         let dir = tmp();
+        let id = GroupId::new(7, 0);
         let mut store = SpillStore::new(dir.clone());
         let mut pages = vec![Page::new(64), Page::new(64)];
         pages[0].write_bytes(0, &123i64.to_le_bytes());
         pages[1].write_bytes(8, &4.5f64.to_le_bytes());
-        store.write(7, &pages).unwrap();
-        assert_eq!(store.page_sizes(7), Some(&[64, 64][..]));
-        assert_eq!(store.group_bytes(7), 128);
-        let back = store.read(7).unwrap();
+        store.write(id, &pages).unwrap();
+        assert_eq!(store.page_sizes(id), Some(&[64, 64][..]));
+        assert_eq!(store.group_bytes(id), 128);
+        let back = store.read(id).unwrap();
         assert_eq!(back[0].slice(0, 8), 123i64.to_le_bytes());
         assert_eq!(back[1].slice(8, 8), 4.5f64.to_le_bytes());
         assert_eq!(
-            store.digest(7),
+            store.digest(id),
             Some(hash_bytes(&[pages[0].bytes(), pages[1].bytes()].concat()))
         );
-        store.remove(7);
-        assert_eq!(store.page_sizes(7), None);
+        store.remove(id);
+        assert_eq!(store.page_sizes(id), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -134,10 +137,10 @@ mod tests {
         let dir = tmp();
         {
             let mut store = SpillStore::new(dir.clone());
-            store.write(1, &[Page::new(16)]).unwrap();
-            assert!(dir.join("group-1.spill").exists());
+            store.write(GroupId::new(1, 2), &[Page::new(16)]).unwrap();
+            assert!(dir.join("group-1.2.spill").exists());
         }
-        assert!(!dir.join("group-1.spill").exists());
+        assert!(!dir.join("group-1.2.spill").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

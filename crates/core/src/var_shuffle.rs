@@ -27,7 +27,7 @@ use deca_heap::Heap;
 
 use crate::group::SegPtr;
 use crate::hash::hash_bytes;
-use crate::manager::{GroupId, MemError, MemoryManager};
+use crate::manager::{Group, MemError, MemoryManager};
 use crate::shuffle::{max_len, probe, same_bytes, tag, EMPTY};
 
 /// One pointer-array entry: where a key's bytes live (its value follows
@@ -66,7 +66,7 @@ enum Run {
 /// combined in place.
 #[derive(Debug)]
 pub struct DecaVarHashShuffle {
-    group: GroupId,
+    group: Group,
     val_size: usize,
     /// One control byte per slot ([`EMPTY`] or the hash's tag).
     ctrl: Vec<u8>,
@@ -74,13 +74,12 @@ pub struct DecaVarHashShuffle {
     slots: Vec<Slot>,
     len: usize,
     pub combines: u64,
-    released: bool,
 }
 
 impl DecaVarHashShuffle {
     pub fn new(mm: &mut MemoryManager, val_size: usize) -> DecaVarHashShuffle {
         let group = mm.create_group();
-        mm.set_swappable(group, false);
+        mm.set_swappable(&group, false);
         DecaVarHashShuffle {
             group,
             val_size,
@@ -88,7 +87,6 @@ impl DecaVarHashShuffle {
             slots: vec![VACANT; 1024],
             len: 0,
             combines: 0,
-            released: false,
         }
     }
 
@@ -100,8 +98,8 @@ impl DecaVarHashShuffle {
         self.len == 0
     }
 
-    pub fn group(&self) -> GroupId {
-        self.group
+    pub fn group(&self) -> &Group {
+        &self.group
     }
 
     /// Bytes of table kept off the pages (and off the heap budget): the
@@ -146,7 +144,7 @@ impl DecaVarHashShuffle {
             let room = max_len(self.ctrl.len());
             let (ctrl, slots) = (&mut self.ctrl, &mut self.slots);
             let (len, combines) = (&mut self.len, &mut self.combines);
-            let run = mm.with_group_mut(self.group, heap, |g, h| {
+            let run = mm.with_group_mut(&self.group, heap, |g, h| {
                 let mut applied = false;
                 for (k, v) in pending.take().into_iter().chain(pairs.by_ref()) {
                     let (key, val) = (k.as_ref(), v.as_ref());
@@ -219,7 +217,7 @@ impl DecaVarHashShuffle {
     ) -> Result<(), MemError> {
         let val_size = self.val_size;
         let (ctrl, slots) = (&self.ctrl, &self.slots);
-        mm.with_group(self.group, heap, |g| {
+        mm.with_group(&self.group, heap, |g| {
             for (i, _) in ctrl.iter().enumerate().filter(|&(_, &c)| c != EMPTY) {
                 let s = slots[i];
                 f(g.slice(s.key, s.key_len as usize), g.slice(s.val(), val_size));
@@ -227,11 +225,9 @@ impl DecaVarHashShuffle {
         })
     }
 
-    pub fn release(&mut self, mm: &mut MemoryManager, heap: &mut Heap) {
-        if !self.released {
-            mm.release(self.group, heap);
-            self.released = true;
-        }
+    /// End the buffer's lifetime and release its page group.
+    pub fn release(self, mm: &mut MemoryManager, heap: &mut Heap) {
+        mm.release(self.group, heap);
     }
 }
 
@@ -349,9 +345,10 @@ mod tests {
                 buf.insert(&mut mm, &mut heap, b"first", &1i64.to_le_bytes(), add_i64).unwrap();
                 // ... by which time the cache holds all the budget left.
                 let victim = mm.create_group();
-                while mm.with_group_mut(victim, &mut heap, |g, h| g.append(h, &[3u8; 8192])).is_ok()
-                {
-                }
+                while mm
+                    .with_group_mut(&victim, &mut heap, |g, h| g.append(h, &[3u8; 8192]))
+                    .is_ok()
+                {}
                 let pairs = stream.iter().map(|&(k, v)| (key(k), v.to_le_bytes()));
                 buf.insert_all(&mut mm, &mut heap, pairs, add_i64).unwrap();
                 let mut expected: HashMap<Vec<u8>, i64> = HashMap::new();
@@ -359,7 +356,7 @@ mod tests {
                 for &(k, v) in stream {
                     *expected.entry(key(k).into_bytes()).or_insert(0) += v;
                 }
-                deca_check::prop_assert!(mm.is_swapped(victim), "the cache group was evicted");
+                deca_check::prop_assert!(mm.is_swapped(&victim), "the cache group was evicted");
                 let mut got: HashMap<Vec<u8>, i64> = HashMap::new();
                 buf.for_each(&mut mm, &mut heap, |k, v| {
                     got.insert(k.to_vec(), i64::from_le_bytes(v.try_into().unwrap()));
@@ -422,9 +419,10 @@ mod tests {
                 buf.insert(&mut mm, &mut heap, &first, &1i64.to_le_bytes(), add_i64).unwrap();
                 oracle.insert(first, 1);
                 let victim = mm.create_group();
-                while mm.with_group_mut(victim, &mut heap, |g, h| g.append(h, &[3u8; 8192])).is_ok()
-                {
-                }
+                while mm
+                    .with_group_mut(&victim, &mut heap, |g, h| g.append(h, &[3u8; 8192]))
+                    .is_ok()
+                {}
                 let pairs: Vec<(Vec<u8>, i64)> = (0..7)
                     .map(|k| (k, 7))
                     .chain(stream.iter().copied())
@@ -448,7 +446,7 @@ mod tests {
                     pairs.len() as u64 + 1
                 );
                 // 17 off-page bytes a slot; the table starts at 1024 slots.
-                if buf.off_page_bytes() >= 17 * (1024 << 3) && mm.is_swapped(victim) {
+                if buf.off_page_bytes() >= 17 * (1024 << 3) && mm.is_swapped(&victim) {
                     covered.set(covered.get() + 1);
                 }
                 buf.release(&mut mm, &mut heap);

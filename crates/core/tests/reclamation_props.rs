@@ -1,13 +1,13 @@
 //! Property tests for page/group reclamation (§4.2–§4.3), on the
-//! deca-check harness: shared groups live exactly as long as their last
-//! container reference, releasing never needs a collection, and arbitrary
-//! interleavings of append/release leak nothing.
+//! deca-check harness: a released group's id goes stale and never reads
+//! the slot's next occupant, releasing never needs a collection, and
+//! arbitrary interleavings of append/release leak nothing.
 
 use std::path::PathBuf;
 
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
-use deca_core::{DecaCacheBlock, MemoryManager};
+use deca_core::{DecaCacheBlock, Group, GroupId, MemError, MemoryManager};
 use deca_heap::{Heap, HeapConfig};
 
 fn cfg() -> Config {
@@ -28,42 +28,74 @@ fn mm(tag: &str) -> MemoryManager {
     MemoryManager::new(16 << 10, spill_dir(tag))
 }
 
+/// A random schedule over a pool of four groups, each op `(kind, which)`:
+/// create, append a record, release, swap out, or read the group at
+/// `which`. Slots are reused as groups come and go, and the plain id of
+/// every released group is kept. At every step, each stale id is refused
+/// with the typed error and names no spill file, and a read returns
+/// exactly the bytes its own group was given.
 #[test]
-fn shared_groups_survive_until_the_last_reference_dies() {
-    // N extra container references to one cached group: the pages (and the
-    // data behind them) must outlive every release but the last.
-    let gen = gens::pair(gens::usize_in(1..6), gens::vec_of(gens::any_i64(), 1..200));
-    check(cfg(), gen, |(extra_refs, values)| {
+fn stale_ids_never_reach_a_reused_slot() {
+    const POOL: usize = 4;
+    const RECORD: usize = 24;
+    let gen = gens::vec_of(gens::pair(gens::usize_in(0..5), gens::usize_in(0..POOL)), 0..160);
+    check(cfg(), gen, |ops| {
         let mut heap = Heap::new(HeapConfig::small());
-        let mut mm = mm("shared");
-        let mut block = DecaCacheBlock::new::<i64>(&mut mm);
-        for v in values {
-            block.append(&mut mm, &mut heap, v).map_err(|e| format!("append: {e:?}"))?;
+        // Small pages, so a group spans several and swaps a real payload.
+        let mut mm = MemoryManager::new(64, spill_dir("stale"));
+        let mut pool: Vec<Option<(Group, Vec<u8>)>> = (0..POOL).map(|_| None).collect();
+        let mut stale: Vec<GroupId> = Vec::new();
+        let read = |mm: &mut MemoryManager, heap: &mut Heap, g: &Group, want: &[u8]| {
+            let got: Vec<u8> = mm
+                .with_group(g, heap, |pg| pg.fixed_records(RECORD).flatten().copied().collect())
+                .map_err(|e| format!("live group {} unreadable: {e}", g.id()))?;
+            prop_assert_eq!(got, want, "group {} read back other bytes", g.id());
+            Ok(())
+        };
+        for (step, &(kind, which)) in ops.iter().enumerate() {
+            match (kind, pool[which].take()) {
+                (0, None) => pool[which] = Some((mm.create_group(), Vec::new())),
+                (1, Some((g, mut bytes))) => {
+                    let rec = [(step * POOL + which) as u8; RECORD];
+                    mm.with_group_mut(&g, &mut heap, |pg, h| pg.append(h, &rec).map(|_| ()))
+                        .map_err(|e| format!("append: {e}"))?;
+                    bytes.extend_from_slice(&rec);
+                    pool[which] = Some((g, bytes));
+                }
+                (2, Some((g, _))) => {
+                    stale.push(g.id());
+                    mm.release(g, &mut heap);
+                }
+                (3, Some((g, bytes))) => {
+                    if !mm.is_swapped(&g) {
+                        mm.swap_out(&g, &mut heap).map_err(|e| format!("swap-out: {e}"))?;
+                    }
+                    pool[which] = Some((g, bytes));
+                }
+                (4, Some((g, bytes))) => {
+                    read(&mut mm, &mut heap, &g, &bytes)?;
+                    pool[which] = Some((g, bytes));
+                }
+                (_, entry) => pool[which] = entry,
+            }
+            for &id in &stale {
+                let sizes = mm.spill_page_sizes(id);
+                prop_assert!(
+                    matches!(sizes, Err(MemError::Stale(s)) if s == id),
+                    "step {step}: stale id {id} looked up {sizes:?}"
+                );
+                prop_assert!(matches!(mm.spill_digest(id), Err(MemError::Stale(_))));
+                prop_assert!(!mm.spill_file(id).exists(), "step {step}: {id} names a file");
+            }
         }
-        let group = block.group();
-        for _ in 0..*extra_refs {
-            mm.retain(group);
+        for (g, bytes) in pool.iter().flatten() {
+            read(&mut mm, &mut heap, g, bytes)?;
         }
-        prop_assert_eq!(mm.refcount(group), *extra_refs as u32 + 1);
-
-        block.release(&mut mm, &mut heap);
-        for remaining in (1..=*extra_refs).rev() {
-            prop_assert!(
-                heap.external_bytes() > 0,
-                "pages gone with {remaining} references still live"
-            );
-            // Data stays readable through every surviving reference.
-            let decoded: Vec<i64> = mm
-                .with_group(group, &mut heap, |g| {
-                    let words = g.fixed_records(8).map(|w| w.try_into().unwrap());
-                    words.map(i64::from_le_bytes).collect::<Vec<_>>()
-                })
-                .map_err(|e| format!("group vanished while referenced: {e:?}"))?;
-            prop_assert_eq!(&decoded, values);
-            mm.release(group, &mut heap);
+        for (g, _) in pool.into_iter().flatten() {
+            mm.release(g, &mut heap);
         }
-        prop_assert_eq!(heap.external_bytes(), 0, "last release returns every page");
         prop_assert_eq!(mm.live_groups(), 0);
+        prop_assert_eq!(heap.external_bytes(), 0);
         Ok(())
     });
 }
@@ -71,8 +103,8 @@ fn shared_groups_survive_until_the_last_reference_dies() {
 #[test]
 fn release_never_requires_a_collection() {
     // The paper's central claim at micro scale: reclaiming a lifetime-bound
-    // container is a refcount decrement plus free-list pushes — the
-    // tracing collector must not run.
+    // container unregisters its pages and frees its slot — the tracing
+    // collector must not run.
     let gen = gens::vec_of(gens::any_i64(), 0..400);
     check(cfg(), gen, |values| {
         let mut heap = Heap::new(HeapConfig::small());
@@ -102,7 +134,7 @@ fn interleaved_append_and_release_never_leaks_pages() {
         let mut next = 0i64;
         for (slot, is_release) in ops {
             if *is_release {
-                if let Some(mut block) = blocks[*slot].take() {
+                if let Some(block) = blocks[*slot].take() {
                     block.release(&mut mm, &mut heap);
                 }
             } else {
@@ -113,7 +145,7 @@ fn interleaved_append_and_release_never_leaks_pages() {
             }
         }
         // Any block still open holds pages; drain them.
-        for mut block in blocks.iter_mut().filter_map(Option::take) {
+        for block in blocks.iter_mut().filter_map(Option::take) {
             block.release(&mut mm, &mut heap);
         }
         prop_assert_eq!(heap.external_bytes(), 0, "all pages returned");

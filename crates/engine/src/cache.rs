@@ -14,13 +14,11 @@
 //!   `Deca` blocks whose page group is swapped out.
 //!
 //! **Weights.** Demotion victims are picked by *weight*, not pure LRU:
-//! `weight = access_count + lifetime hint`, where the hint comes from
-//! `deca-core`'s refcount-based [`MemoryManager::lifetime_hint`] (a
-//! ROLP-style observed-lifetime signal: a page group shared by more
-//! consumers will live longer and deserves a warmer tier). Ties break on
-//! `last_used`, so equal-weight blocks still age out LRU-fashion. A block
-//! demotes one tier per step (hot → warm → cold) under budget pressure
-//! and promotes back on access.
+//! `weight = access_count`. Ties break on `last_used`, so equal-weight
+//! blocks still age out LRU-fashion. A block demotes one tier per step
+//! (hot → warm → cold) under budget pressure and promotes back on access.
+//! A Deca block owns its page group; releasing the block releases the
+//! group, and nothing else holds it.
 //!
 //! **Crash consistency.** Every cold-tier mutation rewrites a *spill
 //! manifest* (`spill-manifest.json` in the cache dir): a checksummed JSON
@@ -33,8 +31,10 @@
 //! payload digest all match). Anything the manifest cannot verify — or
 //! the whole cold tier, if the manifest itself fails its checksum — is
 //! discarded, and the app's lineage-recompute path rebuilds it. Deca rows
-//! persist the group's per-page sizes, the one part of the spill record
-//! that otherwise lives only in [`deca_core::MemoryManager`] memory.
+//! name the group by its [`GroupId`] — slot *and* generation, so a row
+//! never vouches for a later occupant of the slot — and persist its
+//! per-page sizes, the one part of the spill record that otherwise lives
+//! only in [`deca_core::MemoryManager`] memory.
 //!
 //! The spill/restore/manifest path is fault-instrumented: the four
 //! [`FaultSite`] kill points (`SpillWrite`, `ManifestCommit`, `SpillRead`,
@@ -47,7 +47,7 @@ use std::path::PathBuf;
 
 use deca_check::Json;
 use deca_core::hash::hash_bytes;
-use deca_core::{DecaCacheBlock, MemError, MemoryManager};
+use deca_core::{DecaCacheBlock, GroupId, MemError, MemoryManager};
 use deca_heap::{FieldKind, Heap, OomError, RootId};
 
 use crate::faults::{FaultPlan, FaultSite};
@@ -235,8 +235,7 @@ struct Entry {
     /// Accounted in-memory bytes while resident; disk bytes when cold.
     bytes: usize,
     last_used: u64,
-    /// Accesses since creation — the access-frequency half of the block's
-    /// demotion weight.
+    /// Accesses since creation: the block's demotion weight.
     access_count: u64,
     pinned: bool,
     /// Owning tenant (0 = untenanted single-job use). The server stamps
@@ -275,14 +274,23 @@ struct ManifestRow {
     len: u64,
     file_bytes: u64,
     checksum: u64,
-    group: Option<u64>,
+    group: Option<GroupId>,
     page_sizes: Vec<usize>,
 }
 
-/// The manifest's format. v2 digests with [`hash_bytes`] (v1 used FNV-1a):
-/// a manifest of another schema never verifies, so its cold tier degrades
-/// to lineage recompute instead of being checked with the wrong digest.
-const MANIFEST_SCHEMA: &str = "deca-spill-manifest-v2";
+/// The manifest's format. v2 digests with [`hash_bytes`] (v1 used FNV-1a);
+/// v3 names a Deca row's group by slot and generation (v2 by slot only).
+/// A manifest of another schema never verifies, so its cold tier degrades
+/// to lineage recompute instead of being checked the wrong way.
+const MANIFEST_SCHEMA: &str = "deca-spill-manifest-v3";
+
+/// How a manifest row names a page group: its slot and generation.
+fn group_json(id: GroupId) -> Json {
+    Json::obj(vec![
+        ("slot", Json::int(id.slot().into())),
+        ("generation", Json::int(id.generation().into())),
+    ])
+}
 
 /// Per-executor cache manager.
 pub struct CacheManager {
@@ -500,17 +508,6 @@ impl CacheManager {
         }
     }
 
-    /// Demotion weight: access frequency plus the core layer's lifetime
-    /// hint (Deca page groups only — the hint is refcount-derived).
-    /// Lower weight demotes first.
-    fn weight_of(e: &Entry, mm: &MemoryManager) -> u64 {
-        let hint = match &e.state {
-            BlockState::Deca { block } => mm.lifetime_hint(block.group()) as u64,
-            _ => 0,
-        };
-        e.access_count + hint
-    }
-
     /// Resident (in-memory) cached bytes.
     pub fn resident_bytes(&self) -> usize {
         self.entries
@@ -682,14 +679,21 @@ impl CacheManager {
         mut block: DecaCacheBlock,
         recs: &[T],
     ) -> Result<BlockId, CacheError> {
-        for r in recs {
-            block.append(mm, heap, r)?;
-        }
-        let bytes = block.footprint(mm, heap)?;
+        let filled = recs.iter().try_for_each(|r| block.append(mm, heap, r));
         // Deca puts respect the storage budget too: over it, the
-        // lowest-weight resident page group (access count + lifetime hint)
-        // swaps to the cold tier before the new block is admitted.
-        self.make_room_deca(heap, mm, bytes)?;
+        // lowest-weight resident page group swaps to the cold tier before
+        // the new block is admitted.
+        let admitted = filled.and_then(|()| block.footprint(mm, heap)).map_err(CacheError::from);
+        let admitted =
+            admitted.and_then(|bytes| self.make_room_deca(heap, mm, bytes).map(|()| bytes));
+        // A block that is not admitted dies here, and its group with it.
+        let bytes = match admitted {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                block.release(mm, heap);
+                return Err(e);
+            }
+        };
         let t = self.tick();
         Ok(self.push(Entry {
             state: BlockState::Deca { block },
@@ -810,27 +814,36 @@ impl CacheManager {
     /// blocks release their page group immediately. Cold-tier releases
     /// update the spill manifest.
     pub fn release(&mut self, id: BlockId, heap: &mut Heap, mm: &mut MemoryManager) {
-        let mut cold = false;
-        if let Some(mut e) = self.entries[id.0 as usize].take() {
-            match &mut e.state {
-                BlockState::Objects { root, .. } | BlockState::Serialized { root, .. } => {
-                    heap.remove_root(*root);
-                }
-                BlockState::Deca { block } => {
-                    cold = mm.is_swapped(block.group());
-                    block.release(mm, heap);
-                }
-                BlockState::Disk { .. } => {
-                    let _ = std::fs::remove_file(self.file(id.0));
-                    cold = true;
-                }
-            }
-        }
-        if cold {
+        let Some(e) = self.entries[id.0 as usize].take() else { return };
+        if self.free_entry(id.0, e, heap, mm) {
             // Best-effort: a release is infallible, and a stale manifest
             // row is harmless (restart verification drops it).
             let _ = self.commit_manifest(mm);
         }
+    }
+
+    /// Free what a removed entry holds. Returns whether it was cold.
+    fn free_entry(&self, id: u32, e: Entry, heap: &mut Heap, mm: &mut MemoryManager) -> bool {
+        match e.state {
+            BlockState::Objects { root, .. } | BlockState::Serialized { root, .. } => {
+                heap.remove_root(root);
+                false
+            }
+            BlockState::Deca { block } => {
+                let cold = mm.is_swapped(block.group());
+                block.release(mm, heap);
+                cold
+            }
+            BlockState::Disk { .. } => {
+                let _ = std::fs::remove_file(self.file(id));
+                true
+            }
+        }
+    }
+
+    /// Deca blocks held, each the owner of one page group.
+    pub fn deca_blocks(&self) -> usize {
+        self.entries.iter().flatten().filter(|e| matches!(e.state, BlockState::Deca { .. })).count()
     }
 
     fn make_room(
@@ -908,7 +921,7 @@ impl CacheManager {
                 Some(t) => e.tenant == t,
                 None => !shielded.contains(&e.tenant),
             })
-            .min_by_key(|(i, e)| (Self::weight_of(e, mm), e.last_used, *i))
+            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
             .map(|(i, _)| i)
     }
 
@@ -958,7 +971,7 @@ impl CacheManager {
                 Some(t) => e.tenant == t,
                 None => !shielded.contains(&e.tenant),
             })
-            .min_by_key(|(i, e)| (Self::weight_of(e, mm), e.last_used, *i))
+            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
             .map(|(i, _)| i);
         let Some(i) = victim else { return Ok(false) };
         let id = BlockId(i as u32);
@@ -1126,7 +1139,7 @@ impl CacheManager {
             .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
             .filter(|(_, e)| !e.pinned && Self::tier_of(e, mm) != Tier::Cold)
             .filter(|(_, e)| !shielded.contains(&e.tenant))
-            .min_by_key(|(i, e)| (Self::weight_of(e, mm), e.last_used, *i))
+            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
             .map(|(i, _)| i);
         let Some(i) = victim else { return Ok(false) };
         self.evict(BlockId(i as u32), heap, kryo, mm)?;
@@ -1311,7 +1324,7 @@ impl CacheManager {
                 *i != keep.0 as usize && !e.pinned && Self::tier_of(e, mm) != Tier::Cold
             })
             .filter(|(_, e)| !shielded.contains(&e.tenant))
-            .min_by_key(|(i, e)| (Self::weight_of(e, mm), e.last_used, *i))
+            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
             .map(|(i, _)| i);
         let Some(i) = victim else { return Ok(false) };
         self.evict(BlockId(i as u32), heap, kryo, mm)?;
@@ -1344,8 +1357,8 @@ impl CacheManager {
                     ]));
                 }
                 BlockState::Deca { block } => {
-                    let group = block.group();
-                    let (Some(sizes), Some(digest)) =
+                    let group = block.group().id();
+                    let (Ok(Some(sizes)), Ok(Some(digest))) =
                         (mm.spill_page_sizes(group), mm.spill_digest(group))
                     else {
                         continue;
@@ -1354,7 +1367,7 @@ impl CacheManager {
                         ("id", Json::int(i as u64)),
                         ("kind", Json::str("deca")),
                         ("len", Json::int(block.len() as u64)),
-                        ("group", Json::int(group.raw() as u64)),
+                        ("group", group_json(group)),
                         (
                             "page_sizes",
                             Json::Arr(sizes.iter().map(|&s| Json::int(s as u64)).collect()),
@@ -1451,7 +1464,13 @@ impl CacheManager {
                 len: b.get("len")?.as_u64()?,
                 file_bytes: b.get("file_bytes")?.as_u64()?,
                 checksum: u64::from_str_radix(b.get("checksum")?.as_str()?, 16).ok()?,
-                group: b.get("group").and_then(|g| g.as_u64()),
+                group: match b.get("group") {
+                    Some(g) => Some(GroupId::new(
+                        u32::try_from(g.get("slot")?.as_u64()?).ok()?,
+                        u32::try_from(g.get("generation")?.as_u64()?).ok()?,
+                    )),
+                    None => None,
+                },
                 page_sizes,
             });
         }
@@ -1497,35 +1516,28 @@ impl CacheManager {
                     }
                 }
             }
-            let mut e = self.entries[i].take().expect("block");
-            match &mut e.state {
-                BlockState::Objects { root, .. } | BlockState::Serialized { root, .. } => {
-                    heap.remove_root(*root);
-                    out.dropped += 1;
-                }
+            let e = self.entries[i].take().expect("block");
+            // A kept block's (payload bytes, cached records).
+            let kept = match &e.state {
+                BlockState::Objects { .. } | BlockState::Serialized { .. } => None,
                 BlockState::Deca { block } => {
-                    let group = block.group();
-                    if !mm.is_swapped(group) {
-                        block.release(mm, heap);
-                        out.dropped += 1;
-                    } else if Self::verify_deca_row(&rows, i as u32, block, mm) {
-                        let bytes = mm.spill_file(group).metadata().map(|m| m.len()).unwrap_or(0);
-                        out.rehydrated.push((i as u32, bytes, block.len() as u64));
-                        self.entries[i] = Some(e);
-                    } else {
-                        block.release(mm, heap);
-                        out.dropped += 1;
-                    }
+                    (cold && Self::verify_deca_row(&rows, i as u32, block, mm)).then(|| {
+                        let file = mm.spill_file(block.group().id());
+                        (file.metadata().map(|m| m.len()).unwrap_or(0), block.len() as u64)
+                    })
                 }
-                BlockState::Disk { len, .. } => {
-                    let len = *len;
-                    if self.verify_disk_row(&rows, i as u32, &e) {
-                        out.rehydrated.push((i as u32, e.bytes as u64, len as u64));
-                        self.entries[i] = Some(e);
-                    } else {
-                        let _ = std::fs::remove_file(self.file(i as u32));
-                        out.dropped += 1;
-                    }
+                BlockState::Disk { len, .. } => self
+                    .verify_disk_row(&rows, i as u32, &e)
+                    .then_some((e.bytes as u64, *len as u64)),
+            };
+            match kept {
+                Some((bytes, len)) => {
+                    out.rehydrated.push((i as u32, bytes, len));
+                    self.entries[i] = Some(e);
+                }
+                None => {
+                    self.free_entry(i as u32, e, heap, mm);
+                    out.dropped += 1;
                 }
             }
         }
@@ -1549,24 +1561,22 @@ impl CacheManager {
         payload.len() as u64 == row.file_bytes && hash_bytes(&payload) == row.checksum
     }
 
-    /// Verify one swapped Deca block: the manifest row must name the same
-    /// page group with the same per-page sizes the core layer has, and the
-    /// verbatim spill file must match the recorded digest.
+    /// Verify one swapped Deca block: the manifest row must name the
+    /// block's own page group — slot and generation — with the per-page
+    /// sizes the core layer has, and the verbatim spill file must match
+    /// the recorded digest.
     fn verify_deca_row(
         rows: &[ManifestRow],
         id: u32,
         block: &DecaCacheBlock,
         mm: &MemoryManager,
     ) -> bool {
-        let group = block.group();
         let Some(row) = rows.iter().find(|r| r.id == id) else { return false };
-        if row.kind != "deca"
-            || row.len != block.len() as u64
-            || row.group != Some(group.raw() as u64)
-        {
+        let Some(group) = row.group.filter(|&g| g == block.group().id()) else { return false };
+        if row.kind != "deca" || row.len != block.len() as u64 {
             return false;
         }
-        if mm.spill_page_sizes(group).as_deref() != Some(row.page_sizes.as_slice()) {
+        if !matches!(mm.spill_page_sizes(group), Ok(Some(sizes)) if sizes == row.page_sizes) {
             return false;
         }
         let Ok(payload) = std::fs::read(mm.spill_file(group)) else { return false };
@@ -1849,7 +1859,7 @@ mod tests {
             let objects = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
             let bytes = cm.put_serialized(&mut heap, &mut kryo, &mut mm, &recs).unwrap();
             let deca = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
-            let group = cm.deca_block(deca).group();
+            let group = cm.deca_block(deca).group().id();
             cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
             let blocks = [objects, bytes, deca];
             assert!(blocks.iter().all(|&b| cm.tier(b, &mm) == Tier::Cold));
@@ -1912,7 +1922,7 @@ mod tests {
         let deca = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
         let other = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
         cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
-        let path = mm.spill_file(cm.deca_block(deca).group());
+        let path = mm.spill_file(cm.deca_block(deca).group().id());
         let mut payload = std::fs::read(&path).unwrap();
         let mid = payload.len() / 2;
         payload[mid] ^= 0x20;
@@ -1924,6 +1934,49 @@ mod tests {
         assert!(out.rehydrated.is_empty(), "the corrupted payload is not rehydrated");
         assert_eq!(out.dropped, 1);
         assert!(!cm.contains(deca));
+    }
+
+    /// A Deca row names its group by slot and generation. A row naming
+    /// the block's slot at the generation of the group that held the slot
+    /// before vouches for nothing: restart drops the block, for its
+    /// lineage to recompute, instead of rehydrating it.
+    #[test]
+    fn a_row_naming_an_earlier_generation_of_the_slot_is_dropped() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(16 << 20, 4 << 20);
+        let recs: Vec<(i64, i64)> = (0..150).map(|i| (i, 9 * i)).collect();
+        let first = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
+        let earlier = cm.deca_block(first).group().id();
+        cm.release(first, &mut heap, &mut mm);
+        let deca = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
+        let group = cm.deca_block(deca).group().id();
+        assert_eq!(group.slot(), earlier.slot(), "the second group reuses the slot");
+        assert_ne!(group, earlier);
+        cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
+        // Every field of the committed row holds but the generation.
+        let rows = cm
+            .manifest_blocks(&mm)
+            .into_iter()
+            .map(|row| match row {
+                Json::Obj(members) => Json::Obj(
+                    members
+                        .into_iter()
+                        .map(|(k, v)| if k == "group" { (k, group_json(earlier)) } else { (k, v) })
+                        .collect(),
+                ),
+                other => other,
+            })
+            .collect();
+        cm.commit_manifest_rows(rows).unwrap();
+        let out = cm.crash_restart(&mut heap, &mut mm, "s", 0);
+        assert!(out.manifest_ok);
+        assert!(out.rehydrated.is_empty(), "the stale row is not trusted");
+        assert_eq!(out.dropped, 1);
+        assert!(!cm.contains(deca));
+        assert_eq!(mm.live_groups(), 0, "the dropped block released its group");
+        // Lineage recompute caches the records again.
+        let again = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
+        let back: Vec<(i64, i64)> = cm.deca_block(again).decode_all(&mut mm, &mut heap).unwrap();
+        assert_eq!(back, recs);
     }
 
     #[test]

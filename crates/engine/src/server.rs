@@ -1024,6 +1024,13 @@ impl DecaServer {
         self.inner.executors.iter().map(|m| lock(m).cache.tenant_evictions(id)).sum()
     }
 
+    /// Page groups alive across the shared executors. Each is owned by a
+    /// running job's container or cached block, so with no job in flight
+    /// it is zero.
+    pub fn live_groups(&self) -> usize {
+        self.inner.executors.iter().map(|m| lock(m).mm.live_groups()).sum()
+    }
+
     /// Every finished job's trace merged, in submission order. Per-job
     /// views come from [`RunTrace::of_job`]; events never bleed across
     /// jobs because every event is job-stamped at record time.

@@ -77,7 +77,7 @@ pub enum TraceEventKind {
     CacheRehydrate,
     /// An OOM-classified failure absorbed by spill-and-re-run.
     OomRecovery,
-    /// A page group reclaimed at refcount zero — lifetime-based release
+    /// A page group released by its owner — lifetime-based release
     /// (`count` = pages, `bytes` = footprint returned).
     PageGroupRelease,
     /// A shuffle run's page ownership moved to a reducer without a byte

@@ -34,7 +34,7 @@ use deca_engine::{
     ClusterSession, ExecutionMode, Executor, ExecutorConfig, FaultPlan, FaultSite, FaultSpec,
     HeapRecord, RetryPolicy, SchedulerMode, TraceEventKind,
 };
-use util::{scheduler_cells, TestDir};
+use util::{assert_groups_owned_by_cache, scheduler_cells, TestDir};
 
 /// Pinned data seeds for the kill-point matrix (the same trio the
 /// fault-tolerance suite pins, so `scripts/ci.sh` replays both suites
@@ -97,6 +97,7 @@ fn run_pr_under(
         session.install_faults(plan);
     }
     let (checksum, _) = run_job_on(&pagerank::job(params), &mut session)?;
+    assert_groups_owned_by_cache(&session, &format!("{}, {executors}x {scheduler}", params.mode));
     Ok((checksum, session))
 }
 
@@ -504,6 +505,7 @@ fn seeded_spill_path_storms_keep_results_bit_identical() {
             let (checksum, _) = run_job_on(&pagerank::job(&params), &mut session)
                 .map_err(|e| format!("survivable storm died: {e}"))?;
             prop_assert_eq!(checksum, references[m], "spill storm changed the answer");
+            assert_groups_owned_by_cache(&session, &format!("storm seed {seed}, {executors}x"));
             prop_assert!(session.job_summary().attempts >= 40, "the job ran all its stages");
             Ok(())
         },

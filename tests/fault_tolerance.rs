@@ -14,14 +14,14 @@ mod util;
 use deca_apps::concomp::{self, CcParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
-use deca_apps::{run_job_faulty, run_job_local, run_job_on};
+use deca_apps::{run_job_faulty, run_job_local, run_job_on, AppReport};
 use std::time::Duration;
 
 use deca_engine::{
     AppJob, ClusterSession, EngineError, ExecutionMode, ExecutorConfig, FaultPlan, FaultSite,
     FaultSpec, JobMetrics, RetryPolicy, SchedulerMode,
 };
-use util::{scheduler_cells, WIDTHS};
+use util::{assert_groups_owned_by_cache, scheduler_cells, WIDTHS};
 
 /// Fixed fault seeds for the equivalence matrices. Chosen (and pinned)
 /// so every seed injects at least one retried failure into both
@@ -147,6 +147,23 @@ fn crashes_somewhere(plan: &FaultPlan, stages: &[(&str, usize)]) -> bool {
     fires_somewhere(plan, FaultSite::ExecutorCrash, stages)
 }
 
+/// Run `app` under `plan` and the matrix policy, then check the ownership
+/// ledger: a failed attempt leaves no page group behind.
+fn run_faulty(
+    app: &AppJob,
+    config: ExecutorConfig,
+    executors: usize,
+    plan: FaultPlan,
+    speculate: bool,
+    cell: &str,
+) -> Result<AppReport, EngineError> {
+    let mut session = ClusterSession::new(executors, config.retry(matrix_policy(speculate)));
+    session.install_faults(plan);
+    let (checksum, cache_bytes) = run_job_on(app, &mut session)?;
+    assert_groups_owned_by_cache(&session, cell);
+    Ok(AppReport::from_cluster(app.name(), &session, checksum, cache_bytes))
+}
+
 #[test]
 fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
     let (seeds, pinned) = fault_seeds();
@@ -159,12 +176,13 @@ fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
                 let cell =
                     format!("seed {seed}, {mode}, {executors}x {sched}, speculate {speculate}");
                 let p = wc_params(mode);
-                let report = run_job_faulty(
+                let report = run_faulty(
                     &wordcount::job(&p),
                     wordcount::wc_config(&p).scheduler(sched),
                     executors,
                     plan.clone(),
-                    Some(matrix_policy(speculate)),
+                    speculate,
+                    &cell,
                 )
                 .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
                 assert_eq!(report.checksum, reference, "{cell}: result drifted under faults");
@@ -212,12 +230,13 @@ fn graph_job_under_faults(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig)) 
                     "{} seed {seed}, {mode}, {executors}x {sched}, speculate {speculate}",
                     app.name()
                 );
-                let report = run_job_faulty(
+                let report = run_faulty(
                     &app,
                     config.clone().scheduler(sched),
                     executors,
                     plan.clone(),
-                    Some(matrix_policy(speculate)),
+                    speculate,
+                    &cell,
                 )
                 .unwrap_or_else(|e| panic!("{cell}: survivable plan died: {e}"));
                 assert_eq!(
@@ -290,6 +309,8 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         .unwrap_or_else(|e| {
                             panic!("seed {seed}, {mode}, {executors}x, {sched}: WC died: {e}")
                         });
+                    let cell = format!("seed {seed}, {mode}, {executors}x, {sched}");
+                    assert_groups_owned_by_cache(&session, &cell);
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = wc(SchedulerMode::Wave, false);
@@ -318,6 +339,8 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         .unwrap_or_else(|e| {
                             panic!("seed {seed}, {mode}, {executors}x, {sched}: PR died: {e}")
                         });
+                    let cell = format!("seed {seed}, {mode}, {executors}x, {sched}");
+                    assert_groups_owned_by_cache(&session, &cell);
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = pr(SchedulerMode::Wave, false);
@@ -370,6 +393,8 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                         .unwrap_or_else(|e| {
                             panic!("seed {seed}, {mode}, {executors}x, {sched}: hung WC died: {e}")
                         });
+                    let cell = format!("seed {seed}, {mode}, {executors}x, {sched}");
+                    assert_groups_owned_by_cache(&session, &cell);
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = wc(SchedulerMode::Wave, false);
@@ -415,6 +440,8 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                         .unwrap_or_else(|e| {
                             panic!("seed {seed}, {mode}, {executors}x, {sched}: hung PR died: {e}")
                         });
+                    let cell = format!("seed {seed}, {mode}, {executors}x, {sched}");
+                    assert_groups_owned_by_cache(&session, &cell);
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = pr(SchedulerMode::Wave, false);

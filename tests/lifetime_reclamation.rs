@@ -1,7 +1,6 @@
 //! Lifetime-based reclamation invariants (§2.3, §4.2–§4.3): container
 //! release returns the whole page budget without tracing; Spark-style
-//! release requires a collection; shared groups survive until the last
-//! reference dies.
+//! release requires a collection.
 
 mod util;
 
@@ -51,32 +50,6 @@ fn spark_release_needs_a_collection() {
     );
     exec.heap.full_gc();
     assert_eq!(exec.heap.object_count(), 0, "the collector must trace to reclaim");
-    td.cleanup();
-}
-
-#[test]
-fn shared_groups_survive_until_last_reference() {
-    let td = TestDir::new("lifetime-shared");
-    let mut heap = Heap::new(HeapConfig::small());
-    let mut mm = td.mm(16 << 10);
-    let mut block = DecaCacheBlock::new::<f64>(&mut mm);
-    for i in 0..1000 {
-        block.append(&mut mm, &mut heap, &(i as f64)).unwrap();
-    }
-    let group = block.group();
-    // A secondary container shares the group (§4.3.3 refcounting).
-    mm.retain(group);
-    block.release(&mut mm, &mut heap);
-    assert!(heap.external_bytes() > 0, "secondary still holds the pages");
-    // Data remains readable through the group.
-    let sum = mm
-        .with_group(group, &mut heap, |g| {
-            g.fixed_records(8).map(|w| f64::from_le_bytes(w.try_into().unwrap())).sum::<f64>()
-        })
-        .unwrap();
-    assert_eq!(sum, (0..1000).map(|i| i as f64).sum::<f64>());
-    mm.release(group, &mut heap);
-    assert_eq!(heap.external_bytes(), 0);
     td.cleanup();
 }
 

@@ -130,27 +130,3 @@ fn ownership_rules_and_shared_groups() {
     );
     assert!(matches!(plan.decision(ContainerId(0)), ContainerDecision::Keep(_)));
 }
-
-#[test]
-fn thrash_avoidance_sticks_across_plans() {
-    let lr = lr_program();
-    let lp = TypeRef::Udt(lr.types.labeled_point);
-    let mut opt = Optimizer::new(&lr.types.registry, &lr.program);
-    let phases = JobPhases::new().phase("map", lr.stage_entry);
-    let cache = ContainerInfo {
-        id: ContainerId(0),
-        kind: ContainerKind::CachedRdd,
-        created_seq: 0,
-        content: lp,
-        write_phase: 0,
-    };
-    let plan = opt.plan(&phases, std::slice::from_ref(&cache), &[]);
-    assert_eq!(plan.decision(ContainerId(0)), &ContainerDecision::DecomposeSfst);
-    // The runtime reports a re-construction; subsequent jobs never
-    // re-decompose (§4.3.2).
-    opt.note_reconstructed(ContainerId(0));
-    for _ in 0..3 {
-        let plan = opt.plan(&phases, std::slice::from_ref(&cache), &[]);
-        assert!(matches!(plan.decision(ContainerId(0)), ContainerDecision::Keep(_)));
-    }
-}

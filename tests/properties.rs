@@ -16,9 +16,7 @@ use std::collections::HashMap;
 use deca_apps::records::{AdjListRec, LabeledPointRec};
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
-use deca_core::{
-    DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle, SecondaryView, SegPtr,
-};
+use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
 use deca_engine::record::{load_str_into, HeapRecord, KryoRecord};
 use deca_engine::{KryoSim, SparkHashShuffle};
 use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig};
@@ -456,42 +454,6 @@ fn var_key_shuffle_equals_fold() {
             Ok(())
         },
     );
-    td.cleanup();
-}
-
-/// A secondary view always sees exactly the primary's bytes in its own
-/// order, and the bytes survive the primary's release.
-#[test]
-fn secondary_view_is_order_independent() {
-    let td = TestDir::new("prop-secondary");
-    check(cfg(), gens::vec_of(gens::any_i64(), 1..80), |keys| {
-        let mut heap = Heap::new(HeapConfig::small());
-        let mut mm = td.mm(16 << 10);
-        let mut primary = DecaCacheBlock::new::<i64>(&mut mm);
-        for &k in keys {
-            primary.append(&mut mm, &mut heap, &k).unwrap();
-        }
-        let mut view = SecondaryView::new(&mut mm, primary.group());
-        mm.with_group(primary.group(), &mut heap, |g| {
-            let segs = |(page, used): (usize, &[u8])| {
-                (0..used.len() / 8).map(move |k| SegPtr { page: page as u32, off: (k * 8) as u32 })
-            };
-            g.used_pages().enumerate().flat_map(segs).collect::<Vec<_>>()
-        })
-        .unwrap()
-        .into_iter()
-        .for_each(|p| view.push(p, 8));
-        view.sort_by_key(&mut mm, &mut heap, i64::decode).unwrap();
-        primary.release(&mut mm, &mut heap);
-        let mut got = Vec::new();
-        view.for_each(&mut mm, &mut heap, |b| got.push(i64::decode(b))).unwrap();
-        let mut want = keys.clone();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-        view.release(&mut mm, &mut heap);
-        prop_assert_eq!(heap.external_bytes(), 0);
-        Ok(())
-    });
     td.cleanup();
 }
 

@@ -185,6 +185,11 @@ fn soak_cell(sched: SchedulerMode, seed: u64, jobs: usize) {
         }
     });
     assert_eq!(done.load(Ordering::Relaxed), jobs, "every submitted job must complete");
+    assert_eq!(
+        server.live_groups(),
+        0,
+        "seed {seed}, {sched}: a page group outlived the jobs that released their blocks"
+    );
 }
 
 // ---------------------------------------------------------------------

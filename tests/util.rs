@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use deca_core::MemoryManager;
-use deca_engine::{ExecutorConfig, SchedulerMode};
+use deca_engine::{ClusterSession, ExecutorConfig, SchedulerMode};
 
 /// The executor widths every equivalence matrix runs.
 pub const WIDTHS: [usize; 3] = [1, 2, 4];
@@ -26,6 +26,19 @@ pub fn scheduler_cells() -> impl Iterator<Item = (usize, SchedulerMode)> {
         .into_iter()
         .flat_map(move |w| both.into_iter().map(move |s| (w, s)))
         .filter(|&(w, s)| w > 1 || s == SchedulerMode::Pull)
+}
+
+/// The ownership ledger at the end of a job: every page group an
+/// executor's memory manager still holds is owned by a Deca block its
+/// cache still holds, so no shuffle table outlived its task.
+pub fn assert_groups_owned_by_cache(session: &ClusterSession, cell: &str) {
+    for (i, e) in session.cluster().executors.iter().enumerate() {
+        assert_eq!(
+            e.mm.live_groups(),
+            e.cache.deca_blocks(),
+            "{cell}: executor {i} holds page groups that no cached block owns"
+        );
+    }
 }
 
 /// A per-test spill directory, removed on success.
