@@ -37,19 +37,20 @@ pub(crate) enum Repr {
 
 impl Repr {
     /// A cached primary container's representation in `mode`. Only Deca
-    /// plans: it stores what `decide`, the optimizer's decision, names.
+    /// plans: it stores what `decide`, the optimizer's decision, names, and
+    /// an error planning it is the plan's.
     /// `sfst_size` is the runtime value of a record size the analysis
     /// proved constant (LR's `D`). An SFST without one, or a decision a
     /// cached primary cannot take, is [`EngineError::Plan`].
     pub(crate) fn plan(
         mode: ExecutionMode,
-        decide: impl FnOnce() -> ContainerDecision,
+        decide: impl FnOnce() -> Result<ContainerDecision, EngineError>,
         sfst_size: Option<usize>,
     ) -> Result<Repr, EngineError> {
         let decision = match mode {
             ExecutionMode::Spark => return Ok(Repr::Objects),
             ExecutionMode::SparkSer => return Ok(Repr::Serialized),
-            ExecutionMode::Deca => decide(),
+            ExecutionMode::Deca => decide()?,
         };
         match decision {
             ContainerDecision::DecomposeSfst if sfst_size.is_some() => {
@@ -262,10 +263,12 @@ mod tests {
 
     #[test]
     fn the_mode_and_the_decision_pick_the_representation() {
-        let unplanned = || -> ContainerDecision { panic!("only Deca consults the optimizer") };
+        let unplanned = || -> Result<ContainerDecision, EngineError> {
+            panic!("only Deca consults the optimizer")
+        };
         assert_eq!(Repr::plan(ExecutionMode::Spark, unplanned, None).unwrap(), Repr::Objects);
         assert_eq!(Repr::plan(ExecutionMode::SparkSer, unplanned, None).unwrap(), Repr::Serialized);
-        let deca = |d: ContainerDecision, size| Repr::plan(ExecutionMode::Deca, || d, size);
+        let deca = |d: ContainerDecision, size| Repr::plan(ExecutionMode::Deca, || Ok(d), size);
         let sfst = deca(ContainerDecision::DecomposeSfst, Some(24)).unwrap();
         assert_eq!(sfst, Repr::Pages { record_size: Some(24) });
         let framed = Repr::Pages { record_size: None };
@@ -279,7 +282,7 @@ mod tests {
     #[test]
     fn a_decision_a_cached_primary_cannot_take_fails_before_any_stage_runs() {
         let app = AppJob::new("share", |job_ctx| {
-            let share = || ContainerDecision::SharePrimary(ContainerId(0));
+            let share = || Ok(ContainerDecision::SharePrimary(ContainerId(0)));
             let repr = Repr::plan(ExecutionMode::Deca, share, None)?;
             CachedDataset::load(job_ctx, "load", 1, repr, |e, _, repr| repr.put(e, &[7i64]))?;
             Ok(0.0)

@@ -111,7 +111,7 @@ fn run_kmeans(
 
     // KMeans caches LR's points through LR's loading map, so the optimizer
     // plans the container from LR's program.
-    let repr = crate::logreg::points_repr(params.mode, crate::records::lr_analysis, d)?;
+    let repr = crate::logreg::points_repr(params.mode, crate::records::lr_plan_input, d)?;
     let points = CachedDataset::load(job_ctx, "km-load", params.partitions, repr, |e, p, repr| {
         repr.put(e, parts.part(p))
     })?;
@@ -245,7 +245,7 @@ fn spark_assign(
 fn sparkser_assign(
     e: &mut Executor,
     block: deca_engine::cache::BlockId,
-    classes: &crate::records::LabeledPointClasses,
+    classes: &<LabeledPointRec as HeapRecord>::Classes,
     centroids: &[Vec<f64>],
     sums: &mut [Vec<f64>],
     counts: &mut [usize],
@@ -272,7 +272,7 @@ fn sparkser_assign(
 
 /// Deca kernel — the transformed code: features at fixed offsets inside
 /// the page bytes, accumulation into preallocated arrays; no objects.
-/// Each record is split into its 8-byte words once.
+/// Each record is split into its fields once.
 fn deca_assign(
     e: &mut Executor,
     block: deca_engine::cache::BlockId,
@@ -288,7 +288,7 @@ fn deca_assign(
         mm,
         heap,
         |bytes| {
-            let features = &bytes.as_chunks::<8>().0[1..=d];
+            let (_, features) = LabeledPointRec::fields(bytes);
             let best = nearest(|j| f64::from_le_bytes(features[j]), centroids, d);
             counts[best] += 1;
             for (s, &x) in sums[best].iter_mut().zip(features) {

@@ -98,6 +98,10 @@ pub fn lr_config(params: &LrParams) -> ExecutorConfig {
     config
 }
 
+/// Builds the caching stage's program for the optimizer; an error is the
+/// plan's.
+pub(crate) type Analysis = fn() -> Result<LrProgram, EngineError>;
+
 /// How the cached points are stored in `mode`. Deca plans them from
 /// `analysis`, the caching stage's IR (Appendix A): the LR job's program
 /// refines LabeledPoint to SFST, so the points become unframed
@@ -105,11 +109,11 @@ pub fn lr_config(params: &LrParams) -> ExecutorConfig {
 /// job; KMeans caches the same points and plans them the same way.
 pub(crate) fn points_repr(
     mode: ExecutionMode,
-    analysis: fn() -> LrProgram,
+    analysis: Analysis,
     dims: usize,
 ) -> Result<Repr, EngineError> {
     let decide = || {
-        let analysis = analysis();
+        let analysis = analysis()?;
         let opt = Optimizer::new(&analysis.types.registry, &analysis.program);
         let phases = JobPhases::new().phase("map", analysis.stage_entry);
         let cache = deca_core::ContainerInfo {
@@ -119,7 +123,7 @@ pub(crate) fn points_repr(
             content: TypeRef::Udt(analysis.types.labeled_point),
             write_phase: 0,
         };
-        opt.plan(&phases, &[cache], &[]).decision(ContainerId(0)).clone()
+        Ok(opt.plan(&phases, &[cache], &[]).decision(ContainerId(0)).clone())
     };
     Repr::plan(mode, decide, Some(LabeledPointRec::sfst_size(dims)))
 }
@@ -127,12 +131,12 @@ pub(crate) fn points_repr(
 /// The LR job description: consumed by `DecaServer::submit` (via
 /// `JobSpec::app`) and by the local shims above.
 pub fn job(params: &LrParams) -> AppJob {
-    job_planned_by(params, crate::records::lr_analysis)
+    job_planned_by(params, crate::records::lr_plan_input)
 }
 
 /// [`job`] with the cached points planned from `analysis` instead of the
 /// LR job's own program.
-pub(crate) fn job_planned_by(params: &LrParams, analysis: fn() -> LrProgram) -> AppJob {
+pub(crate) fn job_planned_by(params: &LrParams, analysis: Analysis) -> AppJob {
     let params = params.clone();
     let parts = Partitioned::split(
         datagen::labeled_vectors(params.points, params.dims, params.seed),
@@ -144,7 +148,7 @@ pub(crate) fn job_planned_by(params: &LrParams, analysis: fn() -> LrProgram) -> 
 fn run_logreg(
     params: &LrParams,
     parts: &Partitioned<LabeledPointRec>,
-    analysis: fn() -> LrProgram,
+    analysis: Analysis,
     job_ctx: &mut JobCtx,
 ) -> Result<f64, EngineError> {
     let dims = params.dims;
@@ -172,7 +176,7 @@ fn run_logreg(
                     Repr::Pages { .. } => deca_gradient(e, block, weights_now, &mut partial)?,
                 }
                 if sample {
-                    e.sample_timeline(classes.labeled_point);
+                    e.sample_timeline(classes.record);
                 }
                 Ok(partial)
             })?;
@@ -206,7 +210,7 @@ fn factor_of(label: f64, dot: f64) -> f64 {
 fn spark_gradient(
     e: &mut Executor,
     block: deca_engine::cache::BlockId,
-    classes: &crate::records::LabeledPointClasses,
+    classes: &<LabeledPointRec as HeapRecord>::Classes,
     weights: &[f64],
     gradient: &mut [f64],
 ) -> Result<(), EngineError> {
@@ -224,7 +228,7 @@ fn spark_gradient(
         }
         let factor = factor_of(label, dot);
         // Temporary map-output vector (allocated, filled, consumed, dead).
-        let tmp = e.heap.alloc_array(classes.double_array, d)?;
+        let tmp = e.heap.alloc_array(classes.array.class, d)?;
         let ts = e.heap.push_stack(tmp);
         let data = {
             let arr = e.heap.root_ref(root);
@@ -253,7 +257,7 @@ fn spark_gradient(
 fn sparkser_gradient(
     e: &mut Executor,
     block: deca_engine::cache::BlockId,
-    classes: &crate::records::LabeledPointClasses,
+    classes: &<LabeledPointRec as HeapRecord>::Classes,
     weights: &[f64],
     gradient: &mut [f64],
 ) -> Result<(), EngineError> {
@@ -296,7 +300,8 @@ fn sparkser_gradient(
 /// Deca kernel — the Figure 12 transformed code: `label` at offset 0,
 /// features at offsets 8, 16, … within each record's page segment;
 /// accumulation into a preallocated result array. Each record is split
-/// into its 8-byte words once, so a field read is one load. The result
+/// into its fields once (`LabeledPointRec::fields`), so a feature read is
+/// one load. The result
 /// array rides through the walk as the fold's accumulator, measurably
 /// faster than updating it through a reference the closure captures.
 fn deca_gradient(
@@ -305,19 +310,17 @@ fn deca_gradient(
     weights: &[f64],
     gradient: &mut [f64],
 ) -> Result<(), EngineError> {
-    let d = weights.len();
     let heap = &mut e.heap;
     let mm = &mut e.mm;
     let cache = &mut e.cache;
     let block = cache.deca_block(block);
     block.fold_bytes(mm, heap, gradient, |gradient, bytes| {
-        let (words, _) = bytes.as_chunks::<8>();
-        let (label, features) = (words[0], &words[1..=d]);
+        let (label, features) = LabeledPointRec::fields(bytes);
         let mut dot = 0.0;
         for (w, &x) in weights.iter().zip(features) {
             dot += w * f64::from_le_bytes(x);
         }
-        let factor = factor_of(f64::from_le_bytes(label), dot);
+        let factor = factor_of(label, dot);
         for (g, &x) in gradient.iter_mut().zip(features) {
             *g += f64::from_le_bytes(x) * factor;
         }
@@ -373,10 +376,10 @@ mod tests {
         let p = tiny(ExecutionMode::Deca);
         let spark = run_local(&tiny(ExecutionMode::Spark), 1).checksum;
         let sfst = LabeledPointRec::sfst_size(p.dims);
-        let cells: [(fn() -> LrProgram, Repr); 3] = [
-            (fixtures::lr_program, Repr::Pages { record_size: Some(sfst) }),
-            (fixtures::lr_program_variable_dims, Repr::Pages { record_size: None }),
-            (fixtures::lr_program_with_reassignment, Repr::Objects),
+        let cells: [(Analysis, Repr); 3] = [
+            (|| Ok(fixtures::lr_program()), Repr::Pages { record_size: Some(sfst) }),
+            (|| Ok(fixtures::lr_program_variable_dims()), Repr::Pages { record_size: None }),
+            (|| Ok(fixtures::lr_program_with_reassignment()), Repr::Objects),
         ];
         for (analysis, want) in cells {
             assert_eq!(points_repr(ExecutionMode::Deca, analysis, p.dims).unwrap(), want);

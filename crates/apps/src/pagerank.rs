@@ -118,9 +118,10 @@ fn build_adjacency_block(
 
 /// Deca's plan for the adjacency cache (§4.3.3): a group is a VST while the
 /// grouping buffer builds it and fixed once copied out of the dying buffer,
-/// so the cache decomposes on copy. Driver-side, once per job.
-fn adjacency_decision() -> ContainerDecision {
-    let analysis = deca_udt::fixtures::group_by_program();
+/// so the cache decomposes on copy. Driver-side, once per job, over the
+/// record the cache stores.
+fn adjacency_decision() -> Result<ContainerDecision, EngineError> {
+    let analysis = crate::records::adjacency_analysis()?;
     let opt = Optimizer::new(&analysis.registry, &analysis.program);
     let phases = JobPhases::new()
         .phase("combine", analysis.build_entry)
@@ -139,7 +140,7 @@ fn adjacency_decision() -> ContainerDecision {
         content: TypeRef::Udt(analysis.group),
         write_phase: 0,
     };
-    opt.plan(&phases, &[shuffle, cache], &[]).decision(ContainerId(1)).clone()
+    Ok(opt.plan(&phases, &[shuffle, cache], &[]).decision(ContainerId(1)).clone())
 }
 
 /// A graph job's cached adjacency, one block per edge partition (see
@@ -659,5 +660,30 @@ mod tests {
             assert_eq!(ranks.iter().sum::<f64>().to_bits(), spark, "x{executors}");
             assert_eq!(run_local(&p, executors).checksum.to_bits(), spark, "x{executors}");
         }
+    }
+
+    /// PageRank's Deca combine tables grow as recorded under `pr-pressure`'s
+    /// storage budget on one executor (the shape `tests/deca_memory_cost.rs`
+    /// pins the job's pages for; the counter is crate-private, so its pin
+    /// lives here). Values recorded from the commit before the app records
+    /// became one declaration each.
+    #[test]
+    fn spilling_tables_grow_as_recorded() {
+        let mut p = PrParams::small(ExecutionMode::Deca);
+        (p.vertices, p.edges, p.iterations, p.heap_bytes) = (2_000, 20_000, 3, 8 << 20);
+        p.storage_fraction = 0.0001;
+        let edges = datagen::power_law_graph(p.vertices, p.edges, p.seed);
+        let (parts, degrees) =
+            (partition_edges(&edges, p.partitions), out_degrees(&edges, p.vertices));
+        let mut session = ClusterSession::new(1, pr_config(&p));
+        let mut ctx = JobCtx::local(&mut session);
+        let adj = Adjacency::build(&mut ctx, &parts, p.mode).unwrap();
+        let mut ranks = vec![1.0f64; p.vertices];
+        let mut grows = Vec::new();
+        for iter in 0..p.iterations {
+            ranks = pagerank_iteration(&mut ctx, iter, &adj, &degrees, &ranks).unwrap();
+            grows.push(adj.table_grows());
+        }
+        assert_eq!(grows, [(0, 0); 3]);
     }
 }

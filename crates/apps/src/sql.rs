@@ -379,8 +379,7 @@ fn filter(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, Engine
                 e.cache.deca_block(b).scan_bytes(
                     mm,
                     heap,
-                    // `pageRank` is the third 4-byte word.
-                    |bytes| keep(i32::from_le_bytes(bytes.as_chunks::<4>().0[2])),
+                    |bytes| keep(RankingRec::fields(bytes).1),
                     |_| {},
                 )?;
             }

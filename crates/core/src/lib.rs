@@ -26,8 +26,6 @@
 //! * [`record`] — the `DecaRecord` trait: the runtime equivalent of the
 //!   synthesized SUDT accessors produced by Deca's code transformation
 //!   (Appendix B);
-//! * [`layout`] — the layout compiler: flattens a UDT's static object
-//!   reference graph into field offsets (Figure 2);
 //! * [`cache`] — decomposed cache blocks;
 //! * [`shuffle`] / [`var_shuffle`] — decomposed shuffle buffers: the
 //!   pointer-free SFST hash table laid out in its pages, the pointer-array
@@ -67,7 +65,6 @@
 pub mod cache;
 pub mod group;
 pub mod hash;
-pub mod layout;
 pub mod manager;
 pub mod optimizer;
 pub mod page;
@@ -78,7 +75,6 @@ pub mod var_shuffle;
 
 pub use cache::DecaCacheBlock;
 pub use group::{PageGroup, SegPtr};
-pub use layout::{FieldSlot, Layout, LayoutError};
 pub use manager::{Group, GroupId, HandoverEvent, MemError, MemoryManager, ReleaseEvent};
 pub use optimizer::{ContainerDecision, ContainerInfo, DecompositionPlan, Optimizer};
 pub use page::Page;

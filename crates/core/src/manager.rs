@@ -547,7 +547,11 @@ impl MemoryManager {
         debug_assert!(!e.swapped && e.swappable);
         let pages = e.group.take_pages();
         let bytes: usize = pages.iter().map(|p| p.len()).sum();
-        self.spill.write(id, &pages)?;
+        if let Err(err) = self.spill.write(id, &pages) {
+            // A failed write keeps the pages where they were.
+            e.group.restore_pages(pages);
+            return Err(err.into());
+        }
         self.spill_write_bytes += bytes as u64;
         e.group.unregister_all(heap);
         e.swapped = true;
@@ -619,6 +623,26 @@ pub(crate) mod tests {
         assert_eq!(back.unwrap(), Some(vec![2u8; 100]));
         mm.release(b, &mut heap);
         assert_eq!(mm.live_groups(), 0);
+    }
+
+    /// A swap-out whose write fails (a regular file where the spill
+    /// directory should be) errors and keeps the group's pages resident.
+    #[test]
+    fn a_failed_swap_out_keeps_the_pages() {
+        let (mut heap, _, dir) = setup();
+        let blocked = dir.path.join("blocked");
+        std::fs::write(&blocked, b"not a directory").unwrap();
+        let mut mm = MemoryManager::new(4096, blocked);
+        let g = mm.create_group();
+        let data: Vec<u8> = (0..200u8).collect();
+        let ptr = mm.with_group_mut(&g, &mut heap, |pg, h| pg.append(h, &data)).unwrap();
+        let resident = heap.external_bytes();
+        assert!(matches!(mm.swap_out(&g, &mut heap), Err(MemError::Io(_))));
+        assert!(!mm.is_swapped(&g));
+        assert_eq!((heap.external_bytes(), mm.swap_outs), (resident, 0));
+        let out = mm.with_group(&g, &mut heap, |pg| pg.slice(ptr, 200).to_vec()).unwrap();
+        assert_eq!(out, data);
+        mm.release(g, &mut heap);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! per-instance for RFSTs).
 //!
 //! Unlike a general serializer, there are no per-field tags, no varints and
-//! no class descriptors — the layout is compiled from the type, which is
-//! why Deca's "serialization" costs as little as Kryo's while *reading*
-//! costs nothing at all (§6.5, Table 5: fields are accessed directly in the
+//! no class descriptors — the layout is fixed by the record's declaration
+//! (`deca_engine::record!`), which is why Deca's "serialization" costs as
+//! little as Kryo's while *reading* costs nothing at all (§6.5, Table 5: fields are accessed directly in the
 //! page bytes, no deserialization step materialises objects).
 
 /// A type that can be decomposed into a raw byte segment.
@@ -34,14 +34,17 @@ pub trait DecaRecord: Sized {
 impl DecaRecord for f64 {
     const FIXED_SIZE: Option<usize> = Some(8);
 
+    #[inline]
     fn data_size(&self) -> usize {
         8
     }
 
+    #[inline]
     fn encode(&self, out: &mut [u8]) {
         out[..8].copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         f64::from_le_bytes(buf[..8].try_into().expect("8 bytes"))
     }
@@ -50,14 +53,17 @@ impl DecaRecord for f64 {
 impl DecaRecord for i64 {
     const FIXED_SIZE: Option<usize> = Some(8);
 
+    #[inline]
     fn data_size(&self) -> usize {
         8
     }
 
+    #[inline]
     fn encode(&self, out: &mut [u8]) {
         out[..8].copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         i64::from_le_bytes(buf[..8].try_into().expect("8 bytes"))
     }
@@ -66,14 +72,17 @@ impl DecaRecord for i64 {
 impl DecaRecord for i32 {
     const FIXED_SIZE: Option<usize> = Some(4);
 
+    #[inline]
     fn data_size(&self) -> usize {
         4
     }
 
+    #[inline]
     fn encode(&self, out: &mut [u8]) {
         out[..4].copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         i32::from_le_bytes(buf[..4].try_into().expect("4 bytes"))
     }
@@ -82,14 +91,17 @@ impl DecaRecord for i32 {
 impl DecaRecord for u32 {
     const FIXED_SIZE: Option<usize> = Some(4);
 
+    #[inline]
     fn data_size(&self) -> usize {
         4
     }
 
+    #[inline]
     fn encode(&self, out: &mut [u8]) {
         out[..4].copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"))
     }

@@ -1165,61 +1165,81 @@ impl CacheManager {
                 return Err(CacheError::Injected(FaultSite::SpillWrite));
             }
         }
+        // The entry leaves the table while it is written out and goes back
+        // whether or not the write succeeds: a block whose spill failed
+        // stays where it was, readable and owned.
         let mut e = self.entries[id.0 as usize].take().expect("block");
-        let path = self.file(id.0);
-        std::fs::create_dir_all(self.dir())?;
-        let mut went_cold = false;
-        match e.state {
-            BlockState::Objects { root, len, ops } => {
-                // Spark serializes object blocks before writing them out.
-                let mem_bytes = e.bytes;
-                let bytes = ops.serialize(heap, kryo, root, len, mem_bytes);
-                heap.remove_root(root);
-                std::fs::File::create(&path)?.write_all(&bytes)?;
-                self.spill_write_bytes += bytes.len() as u64;
-                let checksum = hash_bytes(&bytes);
-                e.bytes = bytes.len();
-                e.state = BlockState::Disk { len, was_objects: Some(ops), mem_bytes, checksum };
-                went_cold = true;
-            }
-            BlockState::Serialized { root, len, ops, mem_bytes } => {
-                let arr = heap.root_ref(root);
-                let n = heap.array_len(arr);
-                let mut buf = vec![0u8; n];
-                heap.byte_array_read(arr, 0, &mut buf);
-                heap.remove_root(root);
-                std::fs::File::create(&path)?.write_all(&buf)?;
-                self.spill_write_bytes += buf.len() as u64;
-                let checksum = hash_bytes(&buf);
-                // A demoted Objects block restores its hot footprint; a
-                // native SparkSer block its byte[] footprint.
-                let mem_bytes = if ops.is_some() { mem_bytes } else { e.bytes };
-                e.bytes = buf.len();
-                e.state = BlockState::Disk { len, was_objects: ops, mem_bytes, checksum };
-                went_cold = true;
-            }
-            BlockState::Deca { ref block } => {
-                // Deca swaps page groups verbatim through its own manager.
-                // The group may already be out (swapped by an earlier
-                // pressure event, or pinned unswappable): only resident
-                // swappable groups go to disk.
-                let group = block.group();
-                if !mm.is_swapped(group) && mm.is_swappable(group) {
-                    let freed = mm.swap_out(group, heap)?;
-                    self.spill_write_bytes += freed as u64;
-                    went_cold = true;
-                }
-                // state stays Deca; residency tracked by mm.
-            }
-            BlockState::Disk { .. } => {}
-        }
-        self.evictions += 1;
-        self.bump_tenant_eviction(e.tenant);
+        let written = self.write_cold(id, &mut e, heap, kryo, mm);
+        let tenant = e.tenant;
         self.entries[id.0 as usize] = Some(e);
+        let went_cold = written?;
+        self.evictions += 1;
+        self.bump_tenant_eviction(tenant);
         if went_cold {
             self.commit_manifest(mm)?;
         }
         Ok(())
+    }
+
+    /// Write block `id`'s entry `e` to the cold tier; true when a payload
+    /// went to disk. `e` changes only once its bytes are durable: an
+    /// object or serialized block gives up its heap root after its file is
+    /// written, and a failed page-group swap keeps the group's pages.
+    fn write_cold(
+        &mut self,
+        id: BlockId,
+        e: &mut Entry,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        mm: &mut MemoryManager,
+    ) -> Result<bool, CacheError> {
+        std::fs::create_dir_all(self.dir())?;
+        let payload = match &e.state {
+            // Spark serializes object blocks before writing them out.
+            BlockState::Objects { root, len, ops } => {
+                ops.serialize(heap, kryo, *root, *len, e.bytes)
+            }
+            BlockState::Serialized { root, .. } => {
+                let arr = heap.root_ref(*root);
+                let mut buf = vec![0u8; heap.array_len(arr)];
+                heap.byte_array_read(arr, 0, &mut buf);
+                buf
+            }
+            BlockState::Deca { block } => {
+                // Deca swaps page groups verbatim through its own manager.
+                // The group may already be out (swapped by an earlier
+                // pressure event, or pinned unswappable): only resident
+                // swappable groups go to disk. The state stays Deca;
+                // residency is tracked by mm.
+                let group = block.group();
+                if mm.is_swapped(group) || !mm.is_swappable(group) {
+                    return Ok(false);
+                }
+                self.spill_write_bytes += mm.swap_out(group, heap)? as u64;
+                return Ok(true);
+            }
+            BlockState::Disk { .. } => return Ok(false),
+        };
+        std::fs::File::create(self.file(id.0))?.write_all(&payload)?;
+        self.spill_write_bytes += payload.len() as u64;
+        let checksum = hash_bytes(&payload);
+        let cold = BlockState::Disk { len: 0, was_objects: None, mem_bytes: 0, checksum };
+        let (root, len, was_objects, mem_bytes) = match std::mem::replace(&mut e.state, cold) {
+            BlockState::Objects { root, len, ops } => (root, len, Some(ops), e.bytes),
+            // A demoted Objects block restores its hot footprint; a native
+            // SparkSer block its byte[] footprint.
+            BlockState::Serialized { root, len, ops, mem_bytes } => {
+                let mem_bytes = if ops.is_some() { mem_bytes } else { e.bytes };
+                (root, len, ops, mem_bytes)
+            }
+            BlockState::Deca { .. } | BlockState::Disk { .. } => unreachable!("returned above"),
+        };
+        // The payload is durable: only now does the block give up its heap
+        // root.
+        heap.remove_root(root);
+        e.bytes = payload.len();
+        e.state = BlockState::Disk { len, was_objects, mem_bytes, checksum };
+        Ok(true)
     }
 
     fn ensure_resident(
@@ -1687,6 +1707,44 @@ mod tests {
         assert_eq!(back, recs);
         cm.release(id, &mut heap, &mut mm);
         assert_eq!(heap.external_bytes(), 0);
+    }
+
+    /// A spill whose write fails (a regular file where the spill
+    /// directory should be) leaves the block where it was: `evict` errors,
+    /// each block reads back its records, and every page group is still
+    /// owned by a cached block.
+    #[test]
+    fn a_failed_spill_write_keeps_the_block() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(16 << 20, 4 << 20);
+        let blocked = cm.dir();
+        std::fs::write(&blocked, b"not a directory").unwrap();
+        let classes = <(i64, i64) as HeapRecord>::register(&mut heap);
+        let recs: Vec<(i64, i64)> = (0..200).map(|i| (i, -i)).collect();
+        let objects = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
+        let serialized = cm.put_serialized(&mut heap, &mut kryo, &mut mm, &recs).unwrap();
+        let deca = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
+        for id in [objects, serialized, deca] {
+            assert!(cm.evict(id, &mut heap, &mut kryo, &mut mm).is_err(), "{id:?}");
+        }
+        assert_eq!((cm.evictions, cm.disk_bytes()), (0, 0));
+        // A collection now would free an object block that lost its root.
+        heap.full_gc();
+        let (root, len) = cm.objects_root(objects, &mut heap, &mut kryo, &mut mm).unwrap();
+        let arr = heap.root_ref(root);
+        let back: Vec<(i64, i64)> = (0..len)
+            .map(|i| <(i64, i64) as HeapRecord>::load(&heap, &classes, heap.array_get_ref(arr, i)))
+            .collect();
+        assert_eq!(back, recs);
+        let mut back = Vec::new();
+        cm.iter_serialized::<(i64, i64)>(serialized, &mut heap, &mut kryo, &mut mm, |r| {
+            back.push(r)
+        })
+        .unwrap();
+        assert_eq!(back, recs);
+        let back: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+        assert_eq!(back, recs);
+        assert_eq!(mm.live_groups(), cm.deca_blocks());
+        std::fs::remove_file(&blocked).unwrap();
     }
 
     #[test]

@@ -2,11 +2,62 @@
 //! (Figures 1–3), expressed in the type/IR model.
 //!
 //! These are used by this crate's tests, by `deca-core`'s optimizer tests,
-//! and by the benchmark harnesses, so they live in the library rather than
-//! in `#[cfg(test)]` code.
+//! by the apps, which build the LR and group-by programs over the types
+//! their records declare, and by the benchmark harnesses, so they live in
+//! the library rather than in `#[cfg(test)]` code.
+
+use std::fmt;
 
 use crate::ir::{Expr, Method, MethodId, Program, Stmt, StoreValue, VarId};
 use crate::types::{ArrayId, FieldDecl, PrimKind, TypeRef, TypeRegistry, UdtDescriptor, UdtId};
+
+/// A program names a field its type universe does not declare, or
+/// declares with another kind of type.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownField {
+    pub udt: String,
+    pub field: String,
+    /// The kind of type the program needs the field to have.
+    pub kind: &'static str,
+}
+
+impl fmt::Display for UnknownField {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "`{}` declares no {} field `{}`", self.udt, self.kind, self.field)
+    }
+}
+
+/// Field `name` of `udt`, by index, with what `pick` finds in its declared
+/// type.
+fn field_of<T>(
+    registry: &TypeRegistry,
+    udt: UdtId,
+    name: &str,
+    kind: &'static str,
+    pick: fn(TypeRef) -> Option<T>,
+) -> Result<(usize, T), UnknownField> {
+    let desc = registry.udt(udt);
+    let found = desc.fields.iter().position(|f| f.name == name);
+    found.and_then(|i| Some((i, pick(desc.fields[i].declared)?))).ok_or_else(|| UnknownField {
+        udt: desc.name.clone(),
+        field: name.into(),
+        kind,
+    })
+}
+
+fn udt_ref(t: TypeRef) -> Option<UdtId> {
+    match t {
+        TypeRef::Udt(u) => Some(u),
+        _ => None,
+    }
+}
+
+fn array_ref(t: TypeRef) -> Option<ArrayId> {
+    match t {
+        TypeRef::Array(a) => Some(a),
+        _ => None,
+    }
+}
 
 /// The LR type universe: `LabeledPoint { label: Double, features: Vector }`
 /// with `DenseVector { data: double[] (final), offset/stride/length: Int }`.
@@ -15,6 +66,22 @@ pub struct LrTypes {
     pub double_array: ArrayId,
     pub dense_vector: UdtId,
     pub labeled_point: UdtId,
+    /// The fields the stage program stores, by index:
+    /// `LabeledPoint.features` and `DenseVector.data`.
+    pub features: usize,
+    pub data: usize,
+}
+
+impl LrTypes {
+    /// The LR universe of a registry in which `labeled_point` is defined:
+    /// Figure 1's `features` and `data` fields resolve by name, and their
+    /// declared types are the vector and its array.
+    pub fn resolve(registry: TypeRegistry, labeled_point: UdtId) -> Result<LrTypes, UnknownField> {
+        let (features, dense_vector) =
+            field_of(&registry, labeled_point, "features", "object", udt_ref)?;
+        let (data, double_array) = field_of(&registry, dense_vector, "data", "array", array_ref)?;
+        Ok(LrTypes { registry, double_array, dense_vector, labeled_point, features, data })
+    }
 }
 
 /// Build the LR types exactly as in Figure 1: `features` is a `var`
@@ -49,7 +116,7 @@ fn lr_types_inner(final_features: bool) -> LrTypes {
         name: "LabeledPoint".into(),
         fields: vec![FieldDecl::new("label", TypeRef::Prim(PrimKind::F64)), features],
     });
-    LrTypes { registry, double_array, dense_vector, labeled_point }
+    LrTypes { registry, double_array, dense_vector, labeled_point, features: 1, data: 0 }
 }
 
 /// The LR stage program plus its types.
@@ -77,19 +144,25 @@ pub struct LrProgram {
 /// `double[]` allocations reaching `DenseVector.data` use the single global
 /// `D`, so the global analysis refines `LabeledPoint` to SFST.
 pub fn lr_program() -> LrProgram {
-    build_lr_program(DimMode::GlobalConstant)
+    lr_program_over(lr_types())
+}
+
+/// [`lr_program`] over a given LR type universe (e.g. one a record
+/// declaration defines).
+pub fn lr_program_over(types: LrTypes) -> LrProgram {
+    build_lr_program(types, DimMode::GlobalConstant)
 }
 
 /// Variant where the vector dimension is read per record: allocation sites
 /// no longer agree, so `LabeledPoint` is only RFST.
 pub fn lr_program_variable_dims() -> LrProgram {
-    build_lr_program(DimMode::PerRecord)
+    build_lr_program(lr_types(), DimMode::PerRecord)
 }
 
 /// Variant where user code re-assigns `features` outside the constructor:
 /// the field is not init-only, so `LabeledPoint` stays VST.
 pub fn lr_program_with_reassignment() -> LrProgram {
-    build_lr_program(DimMode::Reassigned)
+    build_lr_program(lr_types(), DimMode::Reassigned)
 }
 
 enum DimMode {
@@ -98,8 +171,7 @@ enum DimMode {
     Reassigned,
 }
 
-fn build_lr_program(mode: DimMode) -> LrProgram {
-    let types = lr_types();
+fn build_lr_program(types: LrTypes, mode: DimMode) -> LrProgram {
     let mut program = Program::new();
 
     // DenseVector ctor: this.data = <param array>. The array parameter is
@@ -110,7 +182,7 @@ fn build_lr_program(mode: DimMode) -> LrProgram {
             .stmt(Stmt::Assign(VarId(100), Expr::Param(0)))
             .stmt(Stmt::StoreField {
                 object_ty: types.dense_vector,
-                field: 0,
+                field: types.data,
                 value: StoreValue::Var(VarId(100)),
             }),
     );
@@ -120,7 +192,7 @@ fn build_lr_program(mode: DimMode) -> LrProgram {
         program.add(Method::ctor("LabeledPoint::<init>", types.labeled_point).params(1).stmt(
             Stmt::StoreField {
                 object_ty: types.labeled_point,
-                field: 1,
+                field: types.features,
                 value: StoreValue::Opaque, // a DenseVector, not an array
             },
         ));
@@ -196,7 +268,7 @@ fn build_lr_program(mode: DimMode) -> LrProgram {
                 // point.features = otherVector  — outside any constructor.
                 .stmt(Stmt::StoreField {
                     object_ty: types.labeled_point,
-                    field: 1,
+                    field: types.features,
                     value: StoreValue::Opaque,
                 });
         }
@@ -317,6 +389,44 @@ pub fn sparse_lr_program() -> SparseLrProgram {
     SparseLrProgram { registry, labeled_point, dense_vector, sparse_vector, program, stage_entry }
 }
 
+/// The group-by's type universe: a group record and the array field its
+/// combine grows.
+pub struct GroupTypes {
+    pub registry: TypeRegistry,
+    pub group: UdtId,
+    pub value_array: ArrayId,
+    /// The grown array field, by index.
+    pub values: usize,
+}
+
+impl GroupTypes {
+    /// The universe of a registry in which `group` is defined, growing
+    /// its array field `values`, resolved by name.
+    pub fn resolve(
+        registry: TypeRegistry,
+        group: UdtId,
+        values: &str,
+    ) -> Result<GroupTypes, UnknownField> {
+        let (values, value_array) = field_of(&registry, group, values, "array", array_ref)?;
+        Ok(GroupTypes { registry, group, value_array, values })
+    }
+}
+
+/// `Group { key: long, values: long[] }`, with `values` non-final: the
+/// building phase grows the array by replacing it.
+pub fn group_types() -> GroupTypes {
+    let mut registry = TypeRegistry::new();
+    let value_array = registry.define_array("long[]", TypeRef::Prim(PrimKind::I64));
+    let group = registry.define_udt(UdtDescriptor {
+        name: "Group".into(),
+        fields: vec![
+            FieldDecl::new("key", TypeRef::Prim(PrimKind::I64)),
+            FieldDecl::new("values", TypeRef::Array(value_array)),
+        ],
+    });
+    GroupTypes { registry, group, value_array, values: 1 }
+}
+
 /// A two-phase program for the phased-refinement tests (§3.4): phase 1
 /// builds value arrays by appending (a VST while under construction);
 /// phase 2 only reads the materialised arrays.
@@ -330,30 +440,52 @@ pub struct GroupByProgram {
 }
 
 pub fn group_by_program() -> GroupByProgram {
-    let mut registry = TypeRegistry::new();
-    let value_array = registry.define_array("long[]", TypeRef::Prim(PrimKind::I64));
-    let group = registry.define_udt(UdtDescriptor {
-        name: "Group".into(),
-        fields: vec![
-            FieldDecl::new("key", TypeRef::Prim(PrimKind::I64)),
-            // Non-final: the building phase grows the array by replacing it.
-            FieldDecl::new("values", TypeRef::Array(value_array)),
-        ],
-    });
+    group_by_program_over(group_types())
+}
 
+/// [`group_by_program`] over a given group-by universe.
+pub fn group_by_program_over(types: GroupTypes) -> GroupByProgram {
+    let GroupTypes { registry, group, value_array, values } = types;
     let mut program = Program::new();
     // Phase 1: combining appends => values re-assigned with grown arrays of
     // differing lengths, outside any constructor.
     let grown = VarId(0);
+    let grow = Stmt::StoreField { object_ty: group, field: values, value: StoreValue::Var(grown) };
     let build_entry = program.add(
         Method::new("groupByKey::combine")
             .stmt(Stmt::NewArray { dst: grown, ty: value_array, len: Expr::ExternalRead })
-            .stmt(Stmt::StoreField { object_ty: group, field: 1, value: StoreValue::Var(grown) })
+            .stmt(grow.clone())
             .stmt(Stmt::NewArray { dst: grown, ty: value_array, len: Expr::ExternalRead })
-            .stmt(Stmt::StoreField { object_ty: group, field: 1, value: StoreValue::Var(grown) }),
+            .stmt(grow),
     );
     // Phase 2: pure reads — no stores, no allocations.
     let read_entry = program.add(Method::new("iterate::read"));
 
     GroupByProgram { registry, value_array, group, program, build_entry, read_entry }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_1s_fields_resolve_by_name() {
+        let hand = lr_types();
+        let lr = LrTypes::resolve(lr_types().registry, hand.labeled_point).unwrap();
+        assert_eq!((lr.features, lr.data), (hand.features, hand.data));
+        assert_eq!((lr.dense_vector, lr.double_array), (hand.dense_vector, hand.double_array));
+        let hand = group_types();
+        let g = GroupTypes::resolve(group_types().registry, hand.group, "values").unwrap();
+        assert_eq!((g.values, g.value_array), (hand.values, hand.value_array));
+    }
+
+    #[test]
+    fn a_field_missing_or_of_another_kind_does_not_resolve() {
+        let g = group_types();
+        let err = GroupTypes::resolve(g.registry, g.group, "key").err().map(|e| e.to_string());
+        assert_eq!(err.as_deref(), Some("`Group` declares no array field `key`"));
+        let lr = lr_types();
+        let err = GroupTypes::resolve(lr.registry, lr.labeled_point, "feature").err();
+        assert_eq!(err.map(|e| e.field), Some("feature".to_string()));
+    }
 }

@@ -31,7 +31,7 @@ fn main() {
     }
     // Plus some floating garbage from a half-finished iteration.
     for _ in 0..20_000 {
-        let _ = heap.alloc_array(classes.double_array, 10).expect("temp vector");
+        let _ = heap.alloc_array(classes.array.class, 10).expect("temp vector");
     }
 
     println!("class histogram (allocated, jmap -histo style):");
@@ -44,13 +44,13 @@ fn main() {
     println!("\nreachable (what a full collection must trace and re-trace):");
     println!(
         "  LabeledPoint: {} live of {} allocated",
-        reachable[classes.labeled_point.index()],
-        heap.live_count(classes.labeled_point)
+        reachable[classes.record.index()],
+        heap.live_count(classes.record)
     );
     println!(
         "  double[]:     {} live of {} allocated (temp vectors are garbage)",
-        reachable[classes.double_array.index()],
-        heap.live_count(classes.double_array)
+        reachable[classes.array.class.index()],
+        heap.live_count(classes.array.class)
     );
 
     let raw = n * LabeledPointRec::sfst_size(10);

@@ -112,7 +112,7 @@ echo "== one way to run an app (no bare executor in the apps) =="
 # file's first `#[cfg(test)]`, as the unwrap ratchet counts) builds an
 # executor of its own.
 bare=$(find crates/apps/src -name '*.rs' | sort | while IFS= read -r file; do
-  awk '/#\[cfg\(test\)\]/ { exit } /Executor::new/ { print FILENAME ":" FNR ": " $0 }' "$file"
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /Executor::new/ { print FILENAME ":" FNR ": " $0 }' "$file"
 done)
 if [ -n "$bare" ]; then
   echo "non-test app code builds a bare executor:"
@@ -128,11 +128,26 @@ echo "== one cached-dataset handle (no hand-rolled cache put in the apps) =="
 # chunks are a representation of their own.
 puts=$(find crates/apps/src -name '*.rs' ! -name cached.rs ! -name sql.rs | sort \
   | while IFS= read -r file; do
-    awk '/#\[cfg\(test\)\]/ { exit } /put_objects|put_serialized|put_deca/ { print FILENAME ":" FNR ": " $0 }' "$file"
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /put_objects|put_serialized|put_deca/ { print FILENAME ":" FNR ": " $0 }' "$file"
   done)
 if [ -n "$puts" ]; then
   echo "non-test app code puts a cache block outside the cached-dataset handle:"
   echo "$puts"
+  exit 1
+fi
+
+echo "== one declaration per record (no hand-written record trait impl in the apps) =="
+# Each app record is one `deca_engine::record!` declaration, which emits its
+# heap class, Kryo walk, page layout and analysis descriptor together, so
+# they cannot disagree: no non-test line under crates/apps/src implements a
+# record trait by hand.
+impls=$(find crates/apps/src -name '*.rs' | sort | while IFS= read -r file; do
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /impl.*(HeapRecord|KryoRecord|DecaRecord) for/ { print FILENAME ":" FNR ": " $0 }' "$file"
+done)
+if [ -n "$impls" ]; then
+  echo "non-test app code implements a record trait by hand (declare the record instead):"
+  echo "$impls"
   exit 1
 fi
 

@@ -12,7 +12,7 @@ for dir in crates/*/; do
   crate=$(basename "$dir")
   count=0
   while IFS= read -r file; do
-    n=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -c '\.unwrap()\|\.expect(' || true)
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -c '\.unwrap()\|\.expect(' || true)
     count=$((count + n))
   done < <(find "$dir/src" -name '*.rs' | sort)
   allowed=$(awk -v c="$crate" '$1 == c { print $2 }' "$baseline")
