@@ -49,8 +49,11 @@
 //! (`cached.rs`): it runs the load stage, rebuilds a lost block from its
 //! partition, and stores blocks as heap objects (Spark), bytes (SparkSer)
 //! or what `Optimizer::plan` decides (Deca). SQL keeps its own table cache.
+//! WordCount and the graph jobs shuffle through one combine-by-key path
+//! (`combine.rs`), whose table is heap objects or pages by mode.
 
 mod cached;
+mod combine;
 pub mod concomp;
 pub mod datagen;
 pub mod kmeans;

@@ -22,14 +22,19 @@
 //! iteration for any `Messages` — rank contributions summed here, labels
 //! min-ed there.
 //!
+//! Each iteration's messages go through the combine-by-key shuffle
+//! ([`crate::combine`]) with integer keys: the map reads its block as the
+//! plan stored it (heap objects, Kryo bytes or pages) and the table, picked
+//! by the mode, combines what it emits.
+//!
 //! The cached adjacency never changes, so every iteration's map task `p`
 //! combines the same destinations, and every reducer the same vertices, as
 //! the iteration before. `Adjacency` remembers how many keys each Deca
-//! combine table held, and the next iteration's table for the same index
-//! starts at that size ([`DecaHashShuffle::with_keys`]): only iteration 0
-//! grows its tables page group by page group. The results stay
-//! bit-identical, since a reducer combines each vertex's subtotals in
-//! map-task order whatever the table order.
+//! combine table held ([`TableSizes`]), and the next iteration's table for
+//! the same index starts at that size: only iteration 0 grows its tables
+//! page group by page group. The results stay bit-identical, since a
+//! reducer combines each vertex's subtotals in map-task order whatever the
+//! table order.
 //!
 //! The description owns its input: [`job`] generates the edge list once,
 //! when it is called, and derives from it the two things that depend on
@@ -38,19 +43,19 @@
 //! and every later run of the description borrow edge partition `p` from
 //! that shared buffer (see the crate docs).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::marker::PhantomData;
 
 use deca_core::optimizer::ContainerDecision;
-use deca_core::{DecaHashShuffle, Optimizer};
+use deca_core::Optimizer;
 use deca_engine::cache::BlockId;
-use deca_engine::record::{HeapRecord, KryoRecord, PairClasses, Record};
 use deca_engine::{
-    AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, MapOutputs,
-    ShufflePayload, SparkGroupShuffle, SparkHashShuffle,
+    AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, SparkGroupShuffle,
+    TaskContext,
 };
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
 use crate::cached::{CachedDataset, Repr};
+use crate::combine::{self, IntKeys, Shuffle, TableSizes, Value};
 use crate::datagen;
 use crate::records::AdjListRec;
 use crate::report::AppReport;
@@ -102,18 +107,20 @@ fn build_adjacency_block(
     // The grouping buffer holds heap objects in every mode — its content
     // is a VST while being built (§4.3.3).
     let mut buf: SparkGroupShuffle<u32, i64> = SparkGroupShuffle::new(&mut e.heap);
-    for &(s, d) in part {
-        buf.append(&mut e.heap, s, d as i64)?;
-    }
-    let mut adj: Vec<AdjListRec> = Vec::new();
-    buf.for_each_group(&e.heap, |&vertex, values| {
-        adj.push(AdjListRec { vertex, neighbors: values.into_iter().map(|v| v as u32).collect() });
+    let grouped = part.iter().try_for_each(|&(s, d)| buf.append(&mut e.heap, s, d as i64));
+    let block = grouped.map_err(EngineError::from).and_then(|()| {
+        let mut adj: Vec<AdjListRec> = Vec::new();
+        buf.for_each_group(&e.heap, |&vertex, values| {
+            let neighbors = values.into_iter().map(|v| v as u32).collect();
+            adj.push(AdjListRec { vertex, neighbors });
+        });
+        adj.sort_by_key(|a| a.vertex);
+        // Copy into the cache before the buffer dies.
+        repr.put(e, &adj)
     });
-    adj.sort_by_key(|a| a.vertex);
-    // Copy into the cache, then release the dying buffer.
-    let block = repr.put(e, &adj)?;
+    // The dying buffer is released on every exit.
     buf.release(&mut e.heap);
-    Ok(block)
+    block
 }
 
 /// Deca's plan for the adjacency cache (§4.3.3): a group is a VST while the
@@ -143,111 +150,57 @@ fn adjacency_decision() -> Result<ContainerDecision, EngineError> {
     Ok(opt.plan(&phases, &[shuffle, cache], &[]).decision(ContainerId(1)).clone())
 }
 
+/// Decides Deca's layout of the adjacency cache; an error is the plan's.
+pub(crate) type Decide = fn() -> Result<ContainerDecision, EngineError>;
+
 /// A graph job's cached adjacency, one block per edge partition (see
-/// [`CachedDataset`]), the mode its message kernels run in, and the sizes
+/// [`CachedDataset`]), the mode its message shuffles run in, and the sizes
 /// its Deca combine tables reached.
 pub(crate) struct Adjacency<'a> {
     blocks: CachedDataset<'a>,
     mode: ExecutionMode,
     partitions: usize,
-    map_tables: TableSizes,
-    reduce_tables: TableSizes,
-}
-
-/// The distinct keys each map partition's (or each reducer's) Deca combine
-/// table held when its task last completed. The next iteration's task for
-/// the same index builds its table for that many keys. The count belongs
-/// to the index, not to an executor, so a stolen, retried or speculative
-/// attempt reads and writes the same value. A count is only a size hint
-/// and publishes no other data, so the atomics are relaxed.
-struct TableSizes {
-    keys: Vec<AtomicUsize>,
-    /// Growths of every recorded table.
-    grows: AtomicU64,
-}
-
-impl TableSizes {
-    fn new(tasks: usize) -> TableSizes {
-        TableSizes {
-            keys: (0..tasks).map(|_| AtomicUsize::new(0)).collect(),
-            grows: AtomicU64::new(0),
-        }
-    }
-
-    /// Task `index`'s table of 8-byte keys and values, sized for the keys
-    /// its last run held.
-    fn table(&self, e: &mut Executor, index: usize) -> DecaHashShuffle {
-        DecaHashShuffle::with_keys(&mut e.mm, 8, 8, self.keys[index].load(Ordering::Relaxed))
-    }
-
-    /// Remember task `index`'s filled table for the next iteration.
-    fn record(&self, index: usize, table: &DecaHashShuffle) {
-        self.keys[index].store(table.len(), Ordering::Relaxed);
-        self.grows.fetch_add(table.grows, Ordering::Relaxed);
-    }
+    tables: TableSizes,
 }
 
 impl<'a> Adjacency<'a> {
-    /// The grouping stage.
+    /// The grouping stage, its cache planned as [`adjacency_decision`]
+    /// decides.
     pub(crate) fn build(
         job_ctx: &mut JobCtx,
         parts: &'a Partitioned<(u32, u32)>,
         mode: ExecutionMode,
     ) -> Result<Adjacency<'a>, EngineError> {
-        let repr = Repr::plan(mode, adjacency_decision, None)?;
+        Adjacency::planned_by(job_ctx, parts, mode, adjacency_decision)
+    }
+
+    /// The grouping stage, its cache planned as `decide` decides.
+    pub(crate) fn planned_by(
+        job_ctx: &mut JobCtx,
+        parts: &'a Partitioned<(u32, u32)>,
+        mode: ExecutionMode,
+        decide: Decide,
+    ) -> Result<Adjacency<'a>, EngineError> {
+        let repr = Repr::plan(mode, decide, None)?;
         let blocks =
             CachedDataset::load(job_ctx, "adj-build", parts.parts(), repr, |e, p, repr| {
                 build_adjacency_block(e, parts.part(p), repr)
             })?;
         let partitions = parts.parts();
-        Ok(Adjacency {
-            blocks,
-            mode,
-            partitions,
-            map_tables: TableSizes::new(partitions),
-            reduce_tables: TableSizes::new(partitions),
-        })
+        Ok(Adjacency { blocks, mode, partitions, tables: TableSizes::new(partitions) })
     }
 
     /// Growths of the recorded `(map, reduce)` Deca combine tables so far.
     #[cfg(test)]
     pub(crate) fn table_grows(&self) -> (u64, u64) {
-        let grows = |t: &TableSizes| t.grows.load(Ordering::Relaxed);
-        (grows(&self.map_tables), grows(&self.reduce_tables))
-    }
-}
-
-/// A message value: 8 little-endian bytes in Deca's pages, a boxed scalar
-/// in the Spark modes' `Tuple2` messages.
-pub(crate) trait MsgValue: Record + Copy + Sync {
-    fn to_bytes(self) -> [u8; 8];
-    fn from_bytes(bytes: &[u8]) -> Self;
-}
-
-impl MsgValue for f64 {
-    fn to_bytes(self) -> [u8; 8] {
-        self.to_le_bytes()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> f64 {
-        f64::from_le_bytes(bytes.as_chunks::<8>().0[0])
-    }
-}
-
-impl MsgValue for i64 {
-    fn to_bytes(self) -> [u8; 8] {
-        self.to_le_bytes()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> i64 {
-        i64::from_le_bytes(bytes.as_chunks::<8>().0[0])
+        self.tables.grows()
     }
 }
 
 /// What one iteration of a graph job sends along the cached edges, and how
 /// the messages bound for one vertex combine.
 pub(crate) trait Messages: Sync {
-    type V: MsgValue;
+    type V: Value;
     /// The `(destination, value)` messages of one edge.
     type Edge: IntoIterator<Item = (i64, Self::V)>;
     /// What `vertex` sends along each of its edges, computed once per
@@ -259,227 +212,100 @@ pub(crate) trait Messages: Sync {
     fn combine(a: Self::V, b: Self::V) -> Self::V;
 }
 
-fn combine_bytes<M: Messages>(acc: &mut [u8], add: &[u8]) {
-    let combined = M::combine(M::V::from_bytes(acc), M::V::from_bytes(add));
-    acc[..8].copy_from_slice(&combined.to_bytes());
-}
-
-/// A task's per-destination combine buffer in the mode's representation:
-/// boxed objects on the heap (Spark, SparkSer) or page bytes (Deca).
-enum Combiner<V: MsgValue> {
-    Heap(SparkHashShuffle<i64, V>),
-    Pages(DecaHashShuffle),
-}
-
-impl<V: MsgValue> Combiner<V> {
-    /// Task `index`'s buffer; Deca sizes its table from `tables`.
-    fn new(
-        e: &mut Executor,
-        mode: ExecutionMode,
-        tables: &TableSizes,
-        index: usize,
-    ) -> Result<Combiner<V>, EngineError> {
-        Ok(match mode {
-            ExecutionMode::Deca => Combiner::Pages(tables.table(e, index)),
-            _ => Combiner::Heap(SparkHashShuffle::new(&mut e.heap)?),
-        })
-    }
-}
-
-/// One Spark-mode message: a temporary `(dst, value)` tuple on the heap,
-/// then an eager combine into the buffer.
-fn send<M: Messages>(
+/// One iteration's messages from partition `ctx.task`'s block, read as the
+/// block stores them. Cache accesses propagate errors (rather than
+/// panicking) because the cold-read path is fault-instrumented: an
+/// injected `SpillRead` kill must surface as a failed task attempt the
+/// driver can retry.
+fn messages<M: Messages>(
+    ctx: &TaskContext,
     e: &mut Executor,
-    buf: &mut SparkHashShuffle<i64, M::V>,
-    pair_classes: &PairClasses,
-    (dst, value): (i64, M::V),
-) -> Result<(), EngineError>
-where
-    (i64, M::V): HeapRecord<Classes = PairClasses>,
-{
-    let tmp = (dst, value).store(&mut e.heap, pair_classes)?;
-    let ts = e.heap.push_stack(tmp);
-    let (k, v) = <(i64, M::V) as HeapRecord>::load(&e.heap, pair_classes, e.heap.stack_ref(ts));
-    e.heap.truncate_stack(ts);
-    buf.insert(&mut e.heap, &k, v, M::combine)?;
-    Ok(())
-}
-
-/// Generate and combine one iteration's messages from one block. Cache
-/// accesses propagate errors (rather than panicking) because the cold-read
-/// path is fault-instrumented: an injected `SpillRead` kill must surface as
-/// a failed task attempt the driver can retry. The Spark arms' heap
-/// allocations and the Deca arm's page budget propagate theirs too: a full
-/// heap is a memory-pressure error the stage engine spills and re-runs on.
-fn messages_from_block<M: Messages>(
-    e: &mut Executor,
-    block: BlockId,
-    mode: ExecutionMode,
+    adj: &Adjacency,
     msgs: &M,
-    combiner: &mut Combiner<M::V>,
-) -> Result<(), EngineError>
-where
-    (i64, M::V): HeapRecord<Classes = PairClasses>,
-{
-    match combiner {
-        Combiner::Heap(buf) if mode == ExecutionMode::Spark => {
-            let pair_classes = <(i64, M::V) as HeapRecord>::register(&mut e.heap);
+) -> Result<Vec<(i64, M::V)>, EngineError> {
+    let block = adj.blocks.block(ctx, e)?;
+    let mut out: Vec<(i64, M::V)> = Vec::new();
+    match adj.blocks.repr() {
+        Repr::Objects => {
+            // Walk the cached graph in place; nothing allocates meanwhile.
             let (root, len) = e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-            // Walk the cached graph in place. Every message allocates, and
-            // a collection may move the graph, so each edge is re-read
-            // through the root.
+            let heap = &e.heap;
+            let lists = heap.root_ref(root);
             for i in 0..len {
-                let v = e.heap.array_get_ref(e.heap.root_ref(root), i);
-                let vertex = e.heap.read_word(v, 0) as u32;
-                let sent = msgs.sends(vertex);
-                let n = e.heap.array_len(e.heap.read_ref(v, 1));
-                for j in 0..n {
-                    let v = e.heap.array_get_ref(e.heap.root_ref(root), i);
-                    let dst = e.heap.array_get_i32(e.heap.read_ref(v, 1), j) as u32;
-                    for m in msgs.edge(vertex, sent, dst) {
-                        send::<M>(e, buf, &pair_classes, m)?;
-                    }
-                }
+                let list = heap.array_get_ref(lists, i);
+                let neighbors = heap.read_ref(list, 1);
+                let dsts =
+                    (0..heap.array_len(neighbors)).map(|j| heap.array_get_i32(neighbors, j) as u32);
+                send(msgs, &mut out, heap.read_word(list, 0) as u32, dsts);
             }
         }
-        Combiner::Heap(buf) => {
-            // SparkSer: deserialize the adjacency, then emit as Spark.
-            let pair_classes = <(i64, M::V) as HeapRecord>::register(&mut e.heap);
-            let mut adj: Vec<AdjListRec> = Vec::new();
-            e.cache.iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| adj.push(r))?;
-            for a in adj {
-                let sent = msgs.sends(a.vertex);
-                for &dst in &a.neighbors {
-                    for m in msgs.edge(a.vertex, sent, dst) {
-                        send::<M>(e, buf, &pair_classes, m)?;
-                    }
-                }
-            }
+        Repr::Serialized => {
+            e.cache.iter_serialized(
+                block,
+                &mut e.heap,
+                &mut e.kryo,
+                &mut e.mm,
+                |a: AdjListRec| send(msgs, &mut out, a.vertex, a.neighbors.iter().copied()),
+            )?;
         }
-        Combiner::Pages(buf) => {
-            let heap = &mut e.heap;
-            let mm = &mut e.mm;
-            // Two-phase borrow: collect the message stream from the scan,
-            // then insert (the scan holds the cache borrow).
-            let mut out: Vec<(i64, M::V)> = Vec::new();
-            let block = e.cache.deca_block(block);
-            block.scan_bytes(
+        Repr::Pages { .. } => {
+            let (heap, mm) = (&mut e.heap, &mut e.mm);
+            e.cache.deca_block(block).scan_bytes(
                 mm,
                 heap,
                 |bytes| {
                     let (vertex, neighbors) = AdjListRec::fields(bytes);
-                    let sent = msgs.sends(vertex);
-                    for &dst in neighbors {
-                        out.extend(msgs.edge(vertex, sent, u32::from_le_bytes(dst)));
-                    }
+                    let dsts = neighbors.iter().map(|&dst| u32::from_le_bytes(dst));
+                    send(msgs, &mut out, vertex, dsts);
                 },
                 |_| {},
             )?;
-            let pairs = out.iter().map(|(dst, v)| (dst.to_le_bytes(), v.to_bytes()));
-            buf.insert_all(mm, heap, pairs, combine_bytes::<M>)?;
         }
     }
-    Ok(())
+    Ok(out)
 }
 
-/// One iteration of a graph job as the shuffle job `name`. Each map task
-/// scans its adjacency block, emits `msgs`' messages and combines them per
-/// destination, then writes per-reducer runs (Kryo-serialized in the Spark
-/// modes, raw 16-byte records handed over without a copy in Deca). Each
-/// reduce task combines its destinations' subtotals in map-task order, so
-/// the combine sequence per vertex never depends on the cluster shape.
-/// Returns every destination that received a message with its combined
-/// value.
+/// The messages `vertex` sends to its `neighbors`, appended to `out`.
+fn send<M: Messages>(
+    msgs: &M,
+    out: &mut Vec<(i64, M::V)>,
+    vertex: u32,
+    neighbors: impl Iterator<Item = u32>,
+) {
+    let sent = msgs.sends(vertex);
+    for dst in neighbors {
+        out.extend(msgs.edge(vertex, sent, dst));
+    }
+}
+
+/// One iteration of a graph job as the combine-by-key shuffle `name`. Each
+/// map task reads its adjacency block, emits `msgs`' messages and combines
+/// them per destination. Each reduce task combines its destinations'
+/// subtotals in map-task order, so the combine sequence per vertex never
+/// depends on the cluster shape. Returns every destination that received a
+/// message with its combined value.
 pub(crate) fn exchange_messages<M: Messages>(
     job_ctx: &mut JobCtx,
     name: &str,
     adj: &Adjacency,
     msgs: &M,
-) -> Result<Vec<(u32, M::V)>, EngineError>
-where
-    (i64, M::V): HeapRecord<Classes = PairClasses> + KryoRecord,
-{
-    let (mode, reducers) = (adj.mode, adj.partitions);
-    let combined = job_ctx.run_shuffle_job(
+) -> Result<Vec<(u32, M::V)>, EngineError> {
+    let shuffle = Shuffle {
         name,
-        reducers,
-        reducers,
-        |ctx, e| {
-            let block = adj.blocks.block(ctx, e)?;
-            let mut combiner = Combiner::new(e, mode, &adj.map_tables, ctx.task)?;
-            // Message emission + eager combining is the shuffle write.
-            e.shuffle_write_scope(|e| messages_from_block(e, block, mode, msgs, &mut combiner))?;
-            e.shuffle_write_scope(|e| -> Result<MapOutputs, EngineError> {
-                match combiner {
-                    // Pooled byte buffers: ~2-byte tag + varint key +
-                    // value per record.
-                    Combiner::Heap(mut buf) => {
-                        let cap = 16 * buf.len().div_ceil(reducers);
-                        let mut out: Vec<Vec<u8>> =
-                            (0..reducers).map(|_| e.take_shuffle_buf(cap)).collect();
-                        let pairs = buf.drain(&e.heap);
-                        e.kryo.time_ser(|kr| {
-                            for (k, v) in pairs {
-                                let r = (k as u64 % reducers as u64) as usize;
-                                kr.serialize(&(k, v), &mut out[r]);
-                            }
-                        });
-                        buf.release(&mut e.heap);
-                        Ok(out.into_iter().map(ShufflePayload::from).collect())
-                    }
-                    Combiner::Pages(buf) => {
-                        adj.map_tables.record(ctx.task, &buf);
-                        let mut runs: Vec<_> = (0..reducers).map(|_| e.arena.new_run()).collect();
-                        let (mm, heap, arena) = (&mut e.mm, &mut e.heap, &mut e.arena);
-                        buf.for_each(mm, heap, |k, v| {
-                            let r = (<i64 as MsgValue>::from_bytes(k) as u64 % reducers as u64)
-                                as usize;
-                            runs[r].push_parts(arena, &[k, v]);
-                        })?;
-                        buf.release(&mut e.mm, &mut e.heap);
-                        Ok(runs.into_iter().map(|run| e.hand_over(run)).collect())
-                    }
-                }
-            })
+        keys: PhantomData::<IntKeys>,
+        mode: adj.mode,
+        partitions: adj.partitions,
+        partition: combine::modulo,
+        combine: M::combine,
+        sizes: Some(&adj.tables),
+    };
+    let combined = shuffle.run(
+        job_ctx,
+        |ctx, e, table| {
+            let sent = messages(ctx, e, adj, msgs)?;
+            table.insert_all(e, sent)
         },
-        |ctx, e, bufs| {
-            let mut out: Vec<(u32, M::V)> = Vec::new();
-            match Combiner::new(e, mode, &adj.reduce_tables, ctx.task)? {
-                Combiner::Pages(mut buf) => {
-                    e.shuffle_read_scope(|e| -> Result<(), EngineError> {
-                        // 16-byte records never span pages; chunk
-                        // concatenation is the exact flat sequence.
-                        let recs = bufs
-                            .iter()
-                            .flat_map(|p| p.chunks())
-                            .flat_map(|b| b.chunks_exact(16))
-                            .map(|r| r.split_at(8));
-                        buf.insert_all(&mut e.mm, &mut e.heap, recs, combine_bytes::<M>)?;
-                        Ok(())
-                    })?;
-                    adj.reduce_tables.record(ctx.task, &buf);
-                    buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                        out.push((<i64 as MsgValue>::from_bytes(k) as u32, M::V::from_bytes(v)));
-                    })?;
-                    buf.release(&mut e.mm, &mut e.heap);
-                }
-                Combiner::Heap(mut buf) => {
-                    e.shuffle_read_scope(|e| -> Result<(), EngineError> {
-                        for payload in bufs {
-                            let bytes = payload.contiguous();
-                            let pairs: Vec<(i64, M::V)> = e.kryo.deserialize_all(&bytes);
-                            for (k, v) in pairs {
-                                buf.insert(&mut e.heap, &k, v, M::combine)?;
-                            }
-                        }
-                        Ok(())
-                    })?;
-                    buf.for_each(&e.heap, |k, v| out.push((k as u32, v)));
-                    buf.release(&mut e.heap);
-                }
-            }
-            Ok(out)
-        },
+        |out: &mut Vec<(u32, M::V)>, dst: i64, v: M::V| out.push((dst as u32, v)),
     )?;
     Ok(combined.into_iter().flatten().collect())
 }
@@ -505,11 +331,17 @@ pub fn run_local(params: &PrParams, executors: usize) -> AppReport {
 /// The PageRank job description: consumed by `DecaServer::submit` (via
 /// `JobSpec::app`) and by the local shims above.
 pub fn job(params: &PrParams) -> AppJob {
+    job_planned_by(params, adjacency_decision)
+}
+
+/// [`job`] with the adjacency cache planned by `decide` instead of the
+/// job's own analysis.
+pub(crate) fn job_planned_by(params: &PrParams, decide: Decide) -> AppJob {
     let params = params.clone();
     let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
     let parts = partition_edges(&edges, params.partitions);
     let degrees = out_degrees(&edges, params.vertices);
-    AppJob::new("PR", move |job_ctx| run_pagerank(&params, &parts, &degrees, job_ctx))
+    AppJob::new("PR", move |job_ctx| run_pagerank(&params, &parts, &degrees, decide, job_ctx))
 }
 
 /// Each vertex's out-degree.
@@ -549,9 +381,10 @@ fn run_pagerank(
     params: &PrParams,
     parts: &Partitioned<(u32, u32)>,
     degrees: &[u32],
+    decide: Decide,
     job_ctx: &mut JobCtx,
 ) -> Result<f64, EngineError> {
-    let adj = Adjacency::build(job_ctx, parts, params.mode)?;
+    let adj = Adjacency::planned_by(job_ctx, parts, params.mode, decide)?;
     let mut ranks = vec![1.0f64; params.vertices];
     for iter in 0..params.iterations {
         ranks = pagerank_iteration(job_ctx, iter, &adj, degrees, &ranks)?;
@@ -628,6 +461,34 @@ mod tests {
             let two = run_local(&tiny(mode), 2);
             assert_eq!(one.checksum, two.checksum, "{mode}: ranks must be bit-identical");
         }
+    }
+
+    /// The map reads a block as the plan stored it, and the combine table
+    /// follows the mode: a Deca job whose adjacency plan keeps heap objects
+    /// walks object blocks, combines in pages, and ranks as Spark does.
+    #[test]
+    fn a_kept_adjacency_is_read_as_objects_and_combined_in_pages() {
+        use deca_core::optimizer::KeepReason;
+        let p = tiny(ExecutionMode::Deca);
+        let keep: Decide = || Ok(ContainerDecision::Keep(KeepReason::Variable));
+        let mut session = ClusterSession::new(2, pr_config(&p));
+        let (checksum, _) = crate::run_job_on(&job_planned_by(&p, keep), &mut session).unwrap();
+        let spark = run_local(&tiny(ExecutionMode::Spark), 2).checksum;
+        assert_eq!(checksum.to_bits(), spark.to_bits(), "ranks drifted");
+        let mut stored = 0;
+        for e in &mut session.cluster_mut().executors {
+            for b in e.cache.blocks_of_job(0) {
+                let (_, len) =
+                    e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm).unwrap();
+                assert!(len > 0, "an empty object block");
+                stored += 1;
+            }
+        }
+        // A stolen task caches its own copy of the block it reads.
+        assert!(stored >= p.partitions, "an object block per partition");
+        let maps: Vec<_> = session.stages().iter().filter(|s| s.name.ends_with("-map")).collect();
+        assert_eq!(maps.len(), p.iterations);
+        assert!(maps.iter().all(|s| s.shuffle_pages > 0), "map outputs are page runs");
     }
 
     /// A graph whose map partitions and reducers each combine more keys

@@ -298,7 +298,9 @@ pub struct CacheManager {
     clock: u64,
     budget: usize,
     dir: Option<PathBuf>,
-    /// Bytes written/read to cache spill files (adds simulated disk time).
+    /// Bytes written/read to the cache's own block files (adds simulated
+    /// disk time). A Deca block's page group is swapped by the memory
+    /// manager, which counts that traffic itself.
     pub spill_write_bytes: u64,
     pub spill_read_bytes: u64,
     /// Cold-tier eviction events (a block moved to disk / swapped out).
@@ -941,8 +943,8 @@ impl CacheManager {
         let group = block.group();
         let tenant = e.tenant;
         if !mm.is_swapped(group) && mm.is_swappable(group) {
-            let freed = mm.swap_out(group, heap)?;
-            self.spill_write_bytes += freed as u64;
+            // The memory manager counts the bytes it writes.
+            mm.swap_out(group, heap)?;
             self.evictions += 1;
             self.bump_tenant_eviction(tenant);
             self.commit_manifest(mm)?;
@@ -1210,12 +1212,12 @@ impl CacheManager {
                 // The group may already be out (swapped by an earlier
                 // pressure event, or pinned unswappable): only resident
                 // swappable groups go to disk. The state stays Deca;
-                // residency is tracked by mm.
+                // residency, and the bytes written, are tracked by mm.
                 let group = block.group();
                 if mm.is_swapped(group) || !mm.is_swappable(group) {
                     return Ok(false);
                 }
-                self.spill_write_bytes += mm.swap_out(group, heap)? as u64;
+                mm.swap_out(group, heap)?;
                 return Ok(true);
             }
             BlockState::Disk { .. } => return Ok(false),
@@ -1631,7 +1633,10 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Hot → warm demotion events since construction.
     pub demotions: u64,
-    /// Bytes written to / read from cache spill files.
+    /// Bytes written to / read from the cache's own block files: Spark
+    /// and SparkSer blocks. A Deca block's page-group swaps are the memory
+    /// manager's traffic (`MemoryManager::spill_write_bytes` and
+    /// `spill_read_bytes`), counted there alone.
     pub spill_write_bytes: u64,
     pub spill_read_bytes: u64,
 }

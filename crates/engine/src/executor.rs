@@ -208,6 +208,8 @@ impl Executor {
         let deser0 = self.kryo.deser_time;
         self.pending_shuffle_read = Duration::ZERO;
         self.pending_shuffle_write = Duration::ZERO;
+        // Disk traffic: the memory manager's page-group swaps plus the
+        // cache's block files, each byte counted by one of them.
         self.spill_mark = self.mm.spill_write_bytes
             + self.mm.spill_read_bytes
             + self.cache.spill_write_bytes
@@ -517,6 +519,27 @@ mod tests {
         assert!(e.heap.stats().minor_collections > 0);
         assert!(t.gc_pause > Duration::ZERO, "allocation churn must show GC time");
         assert!(e.job.exec >= t.gc_pause);
+    }
+
+    /// A Deca block swapped out and read back is the memory manager's disk
+    /// traffic alone, so the task is charged each of its bytes once.
+    #[test]
+    fn a_spilled_deca_block_charges_each_byte_once() {
+        let dir = std::env::temp_dir().join(format!("deca-exec-io-{}", std::process::id()));
+        let config = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20).spill_dir(dir.clone());
+        let mut e = Executor::new(config);
+        let recs: Vec<(i64, i64)> = (0..4_000).map(|i| (i, -i)).collect();
+        let back = e.run_task("spill", |e| {
+            let b = e.cache.put_deca(&mut e.heap, &mut e.mm, &recs).unwrap();
+            e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).unwrap();
+            e.cache.deca_block(b).decode_all::<(i64, i64)>(&mut e.mm, &mut e.heap).unwrap()
+        });
+        assert_eq!(back, recs);
+        let (written, read) = (e.mm.spill_write_bytes, e.mm.spill_read_bytes);
+        assert!(written > 0 && read > 0, "the block went out and came back");
+        let want = Duration::from_secs_f64((written + read) as f64 / SIM_DISK_BPS);
+        assert_eq!(e.last_task().unwrap().io, want);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

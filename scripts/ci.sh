@@ -136,6 +136,23 @@ if [ -n "$puts" ]; then
   exit 1
 fi
 
+echo "== one combine-by-key shuffle (no shuffle table named outside combine.rs) =="
+# WordCount, text WordCount, PageRank and CC shuffle through
+# crates/apps/src/combine.rs, whose table constructor is the one place that
+# picks a heap or a page table from the mode: no other non-test app line
+# names a combine table type. SQL's single-stage aggregates keep their own
+# tables: Spark SQL shares Deca's page table there. A file's non-test lines
+# end at its `mod tests`, not at its first `#[cfg(test)]` item.
+tables=$(find crates/apps/src -name '*.rs' ! -name combine.rs ! -name sql.rs | sort \
+  | while IFS= read -r file; do
+    awk '/^[[:space:]]*mod tests/ { exit } /SparkHashShuffle|DecaHashShuffle|DecaVarHashShuffle/ { print FILENAME ":" FNR ": " $0 }' "$file"
+  done)
+if [ -n "$tables" ]; then
+  echo "non-test app code names a combine table outside the combine-by-key shuffle:"
+  echo "$tables"
+  exit 1
+fi
+
 echo "== one declaration per record (no hand-written record trait impl in the apps) =="
 # Each app record is one `deca_engine::record!` declaration, which emits its
 # heap class, Kryo walk, page layout and analysis descriptor together, so

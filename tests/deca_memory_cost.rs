@@ -12,10 +12,12 @@
 //! every iteration. A combine table that grows releases the group it
 //! outgrew, so the released-group counts also pin the tables' growths.
 //! The values were recorded from the commit before the app records became
-//! one declaration each.
+//! one declaration each; ConnectedComponents' from the commit before the
+//! four combine-by-key jobs shared one shuffle path.
 
 mod util;
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_on;
@@ -59,6 +61,12 @@ fn pr_spilling() -> (AppJob, ExecutorConfig) {
     (pagerank::job(&p), pagerank::pr_config(&p))
 }
 
+fn cc() -> (AppJob, ExecutorConfig) {
+    let mut p = CcParams::small(DECA);
+    (p.vertices, p.edges, p.max_iterations, p.heap_bytes) = (2_000, 20_000, 4, 8 << 20);
+    (concomp::job(&p), concomp::cc_config(&p))
+}
+
 /// What one run did with its pages.
 #[derive(Debug, PartialEq, Eq)]
 struct DecaCost {
@@ -74,8 +82,9 @@ struct DecaCost {
     /// The cached blocks' `[records, record bytes]`, as their pages hold
     /// them at job end.
     cached: [u64; 2],
-    /// The cache's `[spill_write_bytes, spill_read_bytes]`, then the memory
-    /// manager's `[spill_write_bytes, spill_read_bytes, swap_outs, swap_ins]`.
+    /// The cache's `[spill_write_bytes, spill_read_bytes]` (its own block
+    /// files, none in Deca), then the memory manager's `[spill_write_bytes,
+    /// spill_read_bytes, swap_outs, swap_ins]`.
     spill: [u64; 6],
 }
 
@@ -199,7 +208,30 @@ fn spilling_pagerank_pages_as_recorded() {
         ]),
         cache_bytes: 262_144,
         cached: [1_880, 95_040],
-        spill: [196_608, 0, 196_608, 196_608, 3, 3],
+        spill: [0, 0, 196_608, 196_608, 3, 3],
     };
     assert_eq!(run_alone(pr_spilling), want);
+}
+
+#[test]
+fn concomp_pages_as_recorded() {
+    let want = DecaCost {
+        released: [32, 32, 2_097_152],
+        handed_over: [64, 64, 363_456],
+        stages: stages(&[
+            ("adj-build", 0, 0),
+            ("cc-iter0-map", 90_864, 16),
+            ("cc-iter0-reduce", 0, 0),
+            ("cc-iter1-map", 90_864, 16),
+            ("cc-iter1-reduce", 0, 0),
+            ("cc-iter2-map", 90_864, 16),
+            ("cc-iter2-reduce", 0, 0),
+            ("cc-iter3-map", 90_864, 16),
+            ("cc-iter3-reduce", 0, 0),
+        ]),
+        cache_bytes: 262_144,
+        cached: [1_904, 95_232],
+        spill: [0; 6],
+    };
+    assert_eq!(run_alone(cc), want);
 }

@@ -6,9 +6,10 @@ mod util;
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, run_local, LrParams};
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
+use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_faulty, run_job_on};
 use deca_engine::record::HeapRecord;
-use deca_engine::{ExecutionMode, Executor, ExecutorConfig, FaultPlan};
+use deca_engine::{ClusterSession, ExecutionMode, Executor, ExecutorConfig, FaultPlan};
 
 use util::TestDir;
 
@@ -210,6 +211,49 @@ fn kmeans_on_a_tight_heap_completes_or_reports_memory_pressure_never_panics() {
                     "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
                 ),
             }
+        }
+    }
+    assert!(reference.is_some(), "the sweep starts at a size that completes");
+    td.cleanup();
+}
+
+#[test]
+fn wordcount_on_a_tight_heap_fails_typed_and_leaves_no_combine_table() {
+    let td = TestDir::executor_default();
+    // The sweep for integer WordCount, 40 000 distinct words, from a heap
+    // where every mode completes down to 256 KB, where every mode's map
+    // fails (the Spark modes' from 1 MB, Deca's from 512 KB). A failed
+    // task used to return through `?` before releasing its combine table:
+    // Spark's rooted `Object[]` stayed reachable and Deca's page group had
+    // no owner, one per attempt, for good on a long-lived executor.
+    // Whatever the outcome, the executor afterwards holds no root and no
+    // page group (WordCount caches nothing).
+    let mut reference = None;
+    for heap_kb in [8192, 2048, 1024, 512, 256] {
+        for mode in ExecutionMode::ALL {
+            let mut p = WcParams::small(mode);
+            (p.words, p.distinct, p.partitions, p.heap_bytes) = (80_000, 40_000, 2, heap_kb << 10);
+            let mut session = ClusterSession::new(1, wordcount::wc_config(&p));
+            match run_job_on(&wordcount::job(&p), &mut session) {
+                Ok((checksum, _)) => {
+                    assert!(heap_kb > 256, "{mode} at {heap_kb} KB: the pinned point completed");
+                    assert_eq!(
+                        checksum,
+                        *reference.get_or_insert(checksum),
+                        "{mode} at {heap_kb} KB: completed with the wrong counts"
+                    );
+                }
+                Err(e) => assert!(
+                    e.is_memory_pressure(),
+                    "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
+                ),
+            }
+            let e = &session.cluster().executors[0];
+            assert_eq!(
+                (e.heap.root_count(), e.mm.live_groups()),
+                (0, 0),
+                "{mode} at {heap_kb} KB: [heap roots, live page groups] after the job"
+            );
         }
     }
     assert!(reference.is_some(), "the sweep starts at a size that completes");

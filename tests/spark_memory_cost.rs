@@ -17,9 +17,15 @@
 //! spill and read back exactly the blocks and bytes recorded from the
 //! commit before `byte[]` copies went word-wide and the spill digest became
 //! the word hash — besides allocating and collecting as recorded.
+//!
+//! Every run also writes exactly the shuffle bytes recorded per stage: the
+//! Kryo wire form of each combined record, from the commit before the four
+//! combine-by-key jobs shared one shuffle path. ConnectedComponents joined
+//! the pinned jobs at that commit too.
 
 mod util;
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_on;
@@ -65,6 +71,12 @@ fn pr(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
     (pagerank::job(&p), pagerank::pr_config(&p))
 }
 
+fn cc(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let mut p = CcParams::small(mode);
+    (p.vertices, p.edges, p.max_iterations, p.heap_bytes) = (2_000, 20_000, 4, 8 << 20);
+    (concomp::job(&p), concomp::cc_config(&p))
+}
+
 /// LR with a storage budget a fifth of its cached set's: Spark blocks
 /// demote to the warm tier and both modes spill and read back every
 /// iteration.
@@ -84,16 +96,18 @@ fn pr_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
 /// One run on one executor, under the stop-the-world default collector
 /// (the concurrent ones race a marker thread, so their counts need not
 /// repeat): `[objects_allocated, bytes_allocated, minor_gcs, full_gcs,
-/// objects_traced, bytes_copied, bytes_promoted]` and the cache's
-/// `[evictions, demotions, spill_write_bytes, spill_read_bytes]`.
+/// objects_traced, bytes_copied, bytes_promoted]`, the cache's
+/// `[evictions, demotions, spill_write_bytes, spill_read_bytes]`, and each
+/// stage's `(name, shuffle_bytes)` in run order.
 fn run_alone(
     build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
     mode: ExecutionMode,
-) -> ([u64; 7], [u64; 4]) {
+) -> ([u64; 7], [u64; 4], Vec<(String, u64)>) {
     let (app, config) = build(mode);
     let config = config.gc_algorithm(GcAlgorithm::ParallelScavenge).scheduler(SchedulerMode::Pull);
     let mut session = ClusterSession::new(1, config);
     run_job_on(&app, &mut session).expect("the job completes");
+    let stages = session.stages().iter().map(|s| (s.name.clone(), s.shuffle_bytes)).collect();
     let e = &session.cluster().executors[0];
     let (s, c) = (e.heap_stats(), e.cache.stats());
     (
@@ -107,27 +121,49 @@ fn run_alone(
             s.bytes_promoted,
         ],
         [c.evictions, c.demotions, c.spill_write_bytes, c.spill_read_bytes],
+        stages,
     )
 }
 
-fn same_heap_cost(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), want: [[u64; 7]; 2]) {
+/// `stages` as `run_alone` returns them.
+fn stages(rows: &[(&str, u64)]) -> Vec<(String, u64)> {
+    rows.iter().map(|&(name, bytes)| (name.to_string(), bytes)).collect()
+}
+
+/// `shuffled` is every stage's `(name, shuffle_bytes)`, the same in both
+/// modes.
+fn same_heap_cost(
+    build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
+    want: [[u64; 7]; 2],
+    shuffled: &[(&str, u64)],
+) {
     let td = TestDir::executor_default();
-    let got = SPARK_MODES.map(|mode| run_alone(build, mode).0);
+    let runs = SPARK_MODES.map(|mode| run_alone(build, mode));
+    let got = runs.each_ref().map(|r| r.0);
     assert_eq!(
         got, want,
         "[objects, bytes, minor GCs, full GCs, traced, copied, promoted] in [Spark, SparkSer]"
     );
+    for (mode, run) in SPARK_MODES.iter().zip(&runs) {
+        assert_eq!(run.2, stages(shuffled), "{mode}: (stage, shuffle bytes)");
+    }
     td.cleanup();
 }
 
-/// `want` is `(heap cost, cache traffic)` per mode, in [Spark, SparkSer].
+/// `want` is `(heap cost, cache traffic)` per mode, in [Spark, SparkSer];
+/// `shuffled` as [`same_heap_cost`]'s.
 fn same_heap_and_cache_cost(
     build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
     want: [([u64; 7], [u64; 4]); 2],
+    shuffled: &[(&str, u64)],
 ) {
     let td = TestDir::executor_default();
-    let got = SPARK_MODES.map(|mode| run_alone(build, mode));
+    let runs = SPARK_MODES.map(|mode| run_alone(build, mode));
+    let got = runs.each_ref().map(|r| (r.0, r.1));
     assert_eq!(got, want, "[heap cost, cache traffic] in [Spark, SparkSer]");
+    for (mode, run) in SPARK_MODES.iter().zip(&runs) {
+        assert_eq!(run.2, stages(shuffled), "{mode}: (stage, shuffle bytes)");
+    }
     td.cleanup();
 }
 
@@ -139,6 +175,7 @@ fn wordcount_allocates_and_collects_as_recorded() {
             [258_850, 6_954_448, 3, 0, 5_590, 199_680, 0],
             [258_850, 6_954_448, 3, 0, 5_590, 199_680, 0],
         ],
+        &[("wc-map", 39_867), ("wc-reduce", 0)],
     );
 }
 
@@ -150,6 +187,7 @@ fn text_wordcount_allocates_and_collects_as_recorded() {
             [209_700, 6_751_080, 3, 0, 11_043, 429_808, 0],
             [209_700, 6_751_080, 3, 0, 11_043, 429_808, 0],
         ],
+        &[("wct-map", 124_740), ("wct-reduce", 0)],
     );
 }
 
@@ -161,6 +199,7 @@ fn logreg_allocates_and_collects_as_recorded() {
             [191_260, 14_921_416, 6, 1, 202_179, 11_779_480, 5_940_144],
             [270_008, 17_850_176, 8, 0, 8, 2_730_176, 2_730_176],
         ],
+        &[("lr-load", 0), ("lr-iter0", 0), ("lr-iter1", 0), ("lr-iter2", 0)],
     );
 }
 
@@ -171,6 +210,15 @@ fn pagerank_allocates_and_collects_as_recorded() {
         [
             [302_565, 8_985_072, 4, 0, 15_762, 756_432, 189_088],
             [298_805, 8_843_424, 3, 0, 5_932, 366_296, 47_440],
+        ],
+        &[
+            ("adj-build", 0),
+            ("pr-iter0-map", 59_316),
+            ("pr-iter0-reduce", 0),
+            ("pr-iter1-map", 59_316),
+            ("pr-iter1-reduce", 0),
+            ("pr-iter2-map", 59_316),
+            ("pr-iter2-reduce", 0),
         ],
     );
 }
@@ -186,6 +234,7 @@ fn spilling_logreg_moves_the_cache_as_recorded() {
             ),
             ([270_032, 26_040_704, 5, 0, 10, 2_730_368, 1_706_360], [30, 0, 10_237_500, 8_190_000]),
         ],
+        &[("lr-load", 0), ("lr-iter0", 0), ("lr-iter1", 0), ("lr-iter2", 0)],
     );
 }
 
@@ -196,6 +245,37 @@ fn spilling_pagerank_moves_the_cache_as_recorded() {
         [
             ([313_860, 9_588_912, 4, 0, 9_523, 408_336, 0], [15, 3, 178_603, 142_083]),
             ([298_817, 8_985_744, 4, 0, 5_408, 259_600, 0], [15, 0, 178_603, 142_083]),
+        ],
+        &[
+            ("adj-build", 0),
+            ("pr-iter0-map", 59_316),
+            ("pr-iter0-reduce", 0),
+            ("pr-iter1-map", 59_316),
+            ("pr-iter1-reduce", 0),
+            ("pr-iter2-map", 59_316),
+            ("pr-iter2-reduce", 0),
+        ],
+    );
+}
+
+#[test]
+fn concomp_allocates_and_collects_as_recorded() {
+    same_heap_cost(
+        cc,
+        [
+            [720_660, 20_091_848, 8, 0, 22_700, 931_688, 190_792],
+            [716_852, 19_948_544, 8, 0, 17_711, 780_168, 47_488],
+        ],
+        &[
+            ("adj-build", 0),
+            ("cc-iter0-map", 32_587),
+            ("cc-iter0-reduce", 0),
+            ("cc-iter1-map", 28_568),
+            ("cc-iter1-reduce", 0),
+            ("cc-iter2-map", 28_268),
+            ("cc-iter2-reduce", 0),
+            ("cc-iter3-map", 28_267),
+            ("cc-iter3-reduce", 0),
         ],
     );
 }
