@@ -130,7 +130,7 @@ pub(crate) fn adjacency_analysis() -> Result<GroupByProgram, EngineError> {
 mod tests {
     use super::*;
     use deca_engine::record::{HeapRecord, KryoRecord};
-    use deca_heap::{Heap, HeapConfig};
+    use deca_heap::{Heap, HeapConfig, ObjRef};
 
     fn roundtrip_all<T>(rec: T)
     where
@@ -154,6 +154,39 @@ mod tests {
         assert_eq!(T::load(&heap, &cls, obj), rec, "heap graph roundtrip");
         let stored = heap.stats().bytes_allocated - before;
         assert_eq!(rec.heap_size() as u64, stored, "heap_size is what store allocates");
+    }
+
+    /// Each heap record allocates its objects in the JVM's order, read off
+    /// their eden offsets (eden bump-allocates): an array before the
+    /// object that holds it, and boxes before their `Tuple2`. The graph is
+    /// exactly the objects listed, innermost first.
+    #[test]
+    fn heap_records_allocate_their_objects_innermost_first() {
+        fn assert_order<T: HeapRecord>(rec: T, graph: impl Fn(&Heap, ObjRef) -> Vec<ObjRef>) {
+            let mut heap = Heap::new(HeapConfig::small());
+            let cls = T::register(&mut heap);
+            let before = heap.stats().objects_allocated;
+            let obj = rec.store(&mut heap, &cls).unwrap();
+            let objects = graph(&heap, obj);
+            assert_eq!(heap.stats().objects_allocated - before, objects.len() as u64);
+            let names: Vec<&str> =
+                objects.iter().map(|&o| heap.registry().get(heap.class_of(o)).name()).collect();
+            let offsets: Vec<usize> =
+                objects.iter().map(|&o| heap.eden_offset(o).expect("born in eden")).collect();
+            assert!(offsets.is_sorted(), "{names:?} allocated at {offsets:?}");
+        }
+        assert_order(String::from("w12xx"), |h, s| vec![h.read_ref(s, 0), s]);
+        assert_order(String::from("\u{e9}\u{1f600}"), |h, s| vec![h.read_ref(s, 0), s]);
+        let lp = LabeledPointRec { label: 1.0, features: vec![0.5, -2.5] };
+        assert_order(lp, |h, lp| {
+            let vector = h.read_ref(lp, 1);
+            vec![h.read_ref(vector, 0), vector, lp]
+        });
+        assert_order(AdjListRec { vertex: 3, neighbors: vec![1, 2] }, |h, v| {
+            vec![h.read_ref(v, 1), v]
+        });
+        assert_order((7i64, 1i64), |h, t| vec![h.read_ref(t, 0), h.read_ref(t, 1), t]);
+        assert_order((7i64, 0.5f64), |h, t| vec![h.read_ref(t, 0), h.read_ref(t, 1), t]);
     }
 
     /// Page and Kryo bytes, byte for byte as the records wrote them before

@@ -132,7 +132,9 @@ pub fn run_local(params: &WcParams, executors: usize) -> AppReport {
 /// materialises each token as a `java.lang.String` + `char[]` graph (what
 /// `textFile().flatMap(split)` produces) and the buffer holds String keys;
 /// Deca mode streams the borrowed token bytes into key segments framed in
-/// pages behind a pointer array.
+/// pages behind a pointer array. Asked for a timeline, the map samples the
+/// live `String` count after every `sample_every` tokens, as [`job`]
+/// samples `Tuple2`s; otherwise it inserts its partition in one pass.
 pub fn text_job(params: &WcParams) -> AppJob {
     let p = params.clone();
     let parts = PartitionedText::split(
@@ -151,7 +153,19 @@ pub fn text_job(params: &WcParams) -> AppJob {
         };
         let sums = shuffle.run(
             ctx,
-            |ctx, e, table| table.insert_all(e, parts.part(ctx.task).map(|token| (token, 1))),
+            |ctx, e, table| {
+                let pairs = parts.part(ctx.task).map(|token| (token, 1));
+                if p.sample_every == 0 {
+                    return table.insert_all(e, pairs);
+                }
+                let string = <String as HeapRecord>::register(&mut e.heap).string;
+                let mut pairs = pairs.peekable();
+                while pairs.peek().is_some() {
+                    table.insert_all(e, pairs.by_ref().take(p.sample_every))?;
+                    e.sample_timeline(string);
+                }
+                Ok(())
+            },
             |sum: &mut f64, k: &[u8], v: i64| *sum += text_checksum(k, v),
         )?;
         Ok(sums.into_iter().sum())
@@ -268,6 +282,25 @@ mod tests {
             spark.timeline.peak_live()
         );
         assert_eq!(deca.timeline.peak_live(), 0, "Deca: no Tuple2 is ever instantiated");
+    }
+
+    /// A text run asked for a timeline samples it in every mode, after
+    /// each chunk of tokens, and the chunking leaves the checksum alone.
+    /// The Spark modes' tables hold `String` keys; Deca makes none.
+    #[test]
+    fn text_timeline_is_sampled_in_every_mode_without_moving_the_checksum() {
+        for mode in ExecutionMode::ALL {
+            let run = |sample_every| {
+                let p = WcParams { sample_every, ..tiny(mode) };
+                crate::run_job_local(&text_job(&p), wc_config(&p), 1)
+            };
+            let (plain, sampled) = (run(0), run(1000));
+            assert!(plain.timeline.samples.is_empty(), "{mode}: no timeline unless asked");
+            assert!(!sampled.timeline.samples.is_empty(), "{mode}: the timeline was asked for");
+            let strings = sampled.timeline.peak_live() > 0;
+            assert_eq!(strings, mode != ExecutionMode::Deca, "{mode}: String keys live");
+            assert_eq!(sampled.checksum.to_bits(), plain.checksum.to_bits(), "{mode}");
+        }
     }
 
     #[test]

@@ -16,11 +16,19 @@
 //! scalars and their pairs ([`BoxedScalar`]) and `String` are implemented
 //! here.
 //!
-//! A `String`'s `char[]` is written and read in bulk
-//! ([`Heap::char_array_write`] / [`Heap::char_array_units`]), as the JVM's
-//! `String` intrinsics and `System.arraycopy` move it: the heap allocations
-//! and their sizes are the JVM's, but no per-element interpretation or
-//! intermediate `Vec<u16>` sits between the record and its heap graph.
+//! A `String`'s `char[]` is written and read in bulk, as the JVM's `String`
+//! intrinsics and `System.arraycopy` move it. ASCII text — every token the
+//! text workloads store — crosses as bytes, four units a word: it is
+//! inflated into the array ([`Heap::char_array_inflate`], the JDK's
+//! Latin-1 inflate) and compressed out of it ([`Heap::char_array_compress`],
+//! Kryo's `writeAscii` check). Any other text is transcoded to and from
+//! UTF-16 ([`Heap::char_array_write`] / [`Heap::char_array_units`]). Both
+//! paths make the same allocations, in the same order and of the same
+//! nominal sizes, and write the same `char[]` words: what the Spark
+//! baseline pays for a `String` is its objects, their tracing and their
+//! Kryo bytes, not a per-character transcoding the JVM does not do. No
+//! per-element interpretation or intermediate `Vec<u16>` sits between the
+//! record and its heap graph.
 
 use std::marker::PhantomData;
 
@@ -482,20 +490,35 @@ impl HeapRecord for String {
     }
 
     fn heap_size(&self) -> usize {
-        let n = self.encode_utf16().count();
         // String 16+8+4 -> 32; char[n] 16+2n aligned
-        32 + (16 + 2 * n).div_ceil(8) * 8
+        32 + object_bytes(2 * utf16_len(self))
+    }
+}
+
+/// The UTF-16 code units of `s`, one per `char[]` element: one per byte
+/// of ASCII text, two for an astral character.
+#[inline]
+fn utf16_len(s: &str) -> usize {
+    if s.is_ascii() {
+        s.len()
+    } else {
+        s.encode_utf16().count()
     }
 }
 
 /// Store `s` as a heap `java.lang.String` + `char[]` graph, as
 /// [`HeapRecord::store`] does for a `String`, from borrowed text: a kernel
 /// that reads its tokens out of a shared buffer stores each without an
-/// owned copy on the Rust side.
+/// owned copy on the Rust side. ASCII text is inflated from its bytes
+/// ([`Heap::char_array_inflate`]); any other text is transcoded to UTF-16.
+/// Either way the `char[]` is allocated first and holds the same units.
 pub fn store_str(heap: &mut Heap, cls: &StringClasses, s: &str) -> Result<ObjRef, OomError> {
-    // One UTF-16 code unit per char slot; an astral character takes two.
-    let arr = heap.alloc_array(cls.char_array, s.encode_utf16().count())?;
-    heap.char_array_write(arr, s.encode_utf16());
+    let arr = heap.alloc_array(cls.char_array, utf16_len(s))?;
+    if s.is_ascii() {
+        heap.char_array_inflate(arr, s.as_bytes());
+    } else {
+        heap.char_array_write(arr, s.encode_utf16());
+    }
     let sa = heap.push_stack(arr);
     let obj = heap.alloc(cls.string)?;
     heap.write_ref(obj, 0, heap.stack_ref(sa));
@@ -504,13 +527,22 @@ pub fn store_str(heap: &mut Heap, cls: &StringClasses, s: &str) -> Result<ObjRef
 }
 
 /// Decode a heap `java.lang.String` into `out`, replacing its content: the
-/// `String` object's `char[]` read in bulk (see [`Heap::char_array_units`]).
-/// A kernel that decodes one key per record reuses one `out` buffer, so
-/// the Rust side allocates nothing per record.
+/// `String` object's `char[]` read in bulk, compressed straight into
+/// `out`'s bytes when every unit is ASCII ([`Heap::char_array_compress`])
+/// and decoded from UTF-16 otherwise ([`Heap::char_array_units`]). A kernel
+/// that decodes one key per record reuses one `out` buffer, so the Rust
+/// side allocates nothing per record.
 pub fn load_str_into(heap: &Heap, obj: ObjRef, out: &mut String) {
     let arr = heap.read_ref(obj, 0);
-    out.clear();
-    out.extend(char::decode_utf16(heap.char_array_units(arr)).map(|c| c.expect("valid UTF-16")));
+    let mut bytes = std::mem::take(out).into_bytes();
+    bytes.clear();
+    let ascii = heap.char_array_compress(arr, &mut bytes);
+    // ASCII bytes are UTF-8, and so is an empty buffer.
+    *out = String::from_utf8(bytes).unwrap_or_default();
+    if !ascii {
+        let units = heap.char_array_units(arr);
+        out.extend(char::decode_utf16(units).map(|c| c.expect("valid UTF-16")));
+    }
 }
 
 impl KryoRecord for String {

@@ -9,6 +9,9 @@
 //!   like `ArrayBuffer`s, re-allocating doubled backing arrays whose old
 //!   versions become garbage.
 //!
+//! Both grow as the JVM does, by copying the old `Object[]` into a doubled
+//! one in bulk (`System.arraycopy`, [`Heap::array_copy_refs`]).
+//!
 //! Both keep all key/value object references reachable from a rooted heap
 //! `Object[]`, so the collector must trace the whole buffer on every full
 //! collection — exactly Spark's behaviour. The Deca counterparts live in
@@ -163,10 +166,7 @@ where
         let new_cap = self.capacity * 2;
         let new_arr = heap.alloc_array(self.array_class, new_cap * 2)?;
         let old_arr = heap.root_ref(self.array);
-        for i in 0..self.len * 2 {
-            let v = heap.array_get_ref(old_arr, i);
-            heap.array_set_ref(new_arr, i, v);
-        }
+        heap.array_copy_refs(old_arr, 0, new_arr, 0, self.len * 2);
         heap.set_root(self.array, new_arr); // old array becomes garbage
         self.capacity = new_cap;
         Ok(())
@@ -255,10 +255,7 @@ where
         if len == cap {
             let bigger = heap.alloc_array(self.list_class, cap * 2)?;
             let old = heap.root_ref(root);
-            for i in 0..len {
-                let v = heap.array_get_ref(old, i);
-                heap.array_set_ref(bigger, i, v);
-            }
+            heap.array_copy_refs(old, 0, bigger, 0, len);
             heap.set_root(root, bigger); // old list array becomes garbage
             self.lists[slot].2 = cap * 2;
         }

@@ -3,10 +3,15 @@
 //!
 //! Arrays pack their elements into the object's words. Element access goes
 //! one element at a time; the bulk paths are the JVM's copy intrinsics:
-//! `char[]` moves four UTF-16 units per word (the `String` paths), and
-//! `byte[]` moves whole words between the heap and a Rust slice
-//! ([`Heap::byte_array_write`] / [`Heap::byte_array_read`], the
-//! `System.arraycopy` a serialized cache block's bytes go through).
+//! - `char[]` moves four UTF-16 units per word (the `String` paths), and
+//!   ASCII text crosses as bytes: [`Heap::char_array_inflate`] widens a
+//!   byte slice into units and [`Heap::char_array_compress`] narrows an
+//!   all-ASCII array back, a word at a time;
+//! - `byte[]` moves whole words between the heap and a Rust slice
+//!   ([`Heap::byte_array_write`] / [`Heap::byte_array_read`], the
+//!   `System.arraycopy` a serialized cache block's bytes go through);
+//! - `Object[]` copies in bulk ([`Heap::array_copy_refs`], a buffer's
+//!   growth), with one write-barrier decision per copy.
 //!
 //! ## The mutator fast path
 //!
@@ -403,6 +408,14 @@ impl Heap {
         ClassId(h.class_id())
     }
 
+    /// The word offset of `r` in eden, or `None` if it lives elsewhere
+    /// (born old, or moved by a collection). Eden bump-allocates, so these
+    /// offsets order its objects by allocation: what a test of the order a
+    /// record's `store` makes its objects in reads.
+    pub fn eden_offset(&self, r: ObjRef) -> Option<usize> {
+        (r.space() == SpaceId::Eden).then(|| r.offset())
+    }
+
     #[inline]
     pub(crate) fn header(&self, r: ObjRef) -> Header {
         Header(self.spaces[r.space() as usize].words[r.offset()])
@@ -630,6 +643,92 @@ impl Heap {
         let base = r.offset() + 2;
         let words = &self.spaces[r.space() as usize].words[base..base + len.div_ceil(4)];
         (0..len).map(move |i| (words[i / 4] >> (i % 4 * 16)) as u16)
+    }
+
+    /// Fill a `char[]` from element 0 with `bytes`, each widened to one
+    /// UTF-16 unit, four units a word: the JDK's Latin-1 inflate (the UTF-8
+    /// decoder's ASCII loop). The units are the words
+    /// [`Heap::char_array_write`] writes for the same text, and elements
+    /// past `bytes.len()` keep their values.
+    pub fn char_array_inflate(&mut self, r: ObjRef, bytes: &[u8]) {
+        let len = self.array_len(r);
+        assert!(bytes.len() <= len, "char array write out of bounds (len {len})");
+        debug_assert_eq!(self.array_elem_kind(r), FieldKind::Char);
+        let base = r.offset() + 2;
+        let words =
+            &mut self.spaces[r.space() as usize].words[base..base + bytes.len().div_ceil(4)];
+        let mut quads = bytes.chunks_exact(4);
+        for (w, q) in words.iter_mut().zip(&mut quads) {
+            *w = widen([q[0], q[1], q[2], q[3]]);
+        }
+        let tail = quads.remainder();
+        if let Some(w) = words.last_mut().filter(|_| !tail.is_empty()) {
+            let mut q = [0; 4];
+            q[..tail.len()].copy_from_slice(tail);
+            let kept = !((1u64 << (tail.len() * 16)) - 1);
+            *w = (*w & kept) | widen(q);
+        }
+    }
+
+    /// Append a `char[]`'s units to `out` narrowed to one byte each, four
+    /// units a word, if every unit is ASCII: Kryo's `writeAscii` check (the
+    /// words ORed together against `0xff80` in each lane) and copy. Returns
+    /// `false`, with `out` untouched, if any unit is `0x80` or above.
+    pub fn char_array_compress(&self, r: ObjRef, out: &mut Vec<u8>) -> bool {
+        const NON_ASCII: u64 = 0xff80_ff80_ff80_ff80;
+        let len = self.array_len(r);
+        debug_assert_eq!(self.array_elem_kind(r), FieldKind::Char);
+        let base = r.offset() + 2;
+        let (full, tail) = (len / 4, len % 4);
+        let words = &self.spaces[r.space() as usize].words[base..base + len.div_ceil(4)];
+        // The lanes of the last word past `len` are not elements.
+        let last = words.get(full).map_or(0, |w| w & ((1u64 << (tail * 16)) - 1));
+        if words[..full].iter().fold(last, |acc, w| acc | w) & NON_ASCII != 0 {
+            return false;
+        }
+        out.reserve(len);
+        for &w in &words[..full] {
+            out.extend_from_slice(&narrow(w));
+        }
+        out.extend_from_slice(&narrow(last)[..tail]);
+        true
+    }
+
+    /// Copy references `src[src_pos..src_pos + n]` to
+    /// `dst[dst_pos..dst_pos + n]` (`Object[]`s, which may be one array):
+    /// `System.arraycopy`, with one write-barrier decision for the whole
+    /// copy — `dst` is remembered once if it is old and any copied
+    /// reference is young, as the per-element barrier would remember it.
+    pub fn array_copy_refs(
+        &mut self,
+        src: ObjRef,
+        src_pos: usize,
+        dst: ObjRef,
+        dst_pos: usize,
+        n: usize,
+    ) {
+        let (src_len, dst_len) = (self.array_len(src), self.array_len(dst));
+        assert!(src_pos + n <= src_len, "array copy reads past the source (len {src_len})");
+        assert!(dst_pos + n <= dst_len, "array copy writes past the destination (len {dst_len})");
+        debug_assert_eq!(self.array_elem_kind(src), FieldKind::Ref);
+        debug_assert_eq!(self.array_elem_kind(dst), FieldKind::Ref);
+        let (s, d) = (src.space() as usize, dst.space() as usize);
+        let (from, to) = (src.offset() + 2 + src_pos, dst.offset() + 2 + dst_pos);
+        if s == d {
+            self.spaces[d].words.copy_within(from..from + n, to);
+        } else {
+            let (lo, hi) = self.spaces.split_at_mut(s.max(d));
+            let (src_space, dst_space) =
+                if s < d { (&lo[s], &mut hi[0]) } else { (&hi[0], &mut lo[d]) };
+            dst_space.words[to..to + n].copy_from_slice(&src_space.words[from..from + n]);
+        }
+        if dst.space() == SpaceId::Old {
+            let copied = &self.spaces[d].words[to..to + n];
+            let young = |&w: &u64| w != 0 && ObjRef::from_raw(w).space() != SpaceId::Old;
+            if copied.iter().any(young) {
+                self.remember(dst);
+            }
+        }
     }
 
     /// Where elements `offset..offset + n` (`n > 0`) of a byte array live:
@@ -903,6 +1002,22 @@ impl Heap {
     }
 }
 
+/// Four bytes widened into the four 16-bit lanes of a `char[]` word, byte
+/// `i` in lane `i`.
+#[inline]
+fn widen(bytes: [u8; 4]) -> u64 {
+    let x = u64::from(u32::from_le_bytes(bytes));
+    let x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+    (x | (x << 8)) & 0x00ff_00ff_00ff_00ff
+}
+
+/// The inverse of [`widen`] on a word whose lanes are all below `0x100`.
+#[inline]
+fn narrow(word: u64) -> [u8; 4] {
+    let x = (word | (word >> 8)) & 0x0000_ffff_0000_ffff;
+    ((x | (x >> 16)) as u32).to_le_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1070,6 +1185,99 @@ mod tests {
             let read: Vec<u16> = h.char_array_units(bulk).take(len).collect();
             assert_eq!(read, units, "len {len}");
             assert_eq!(h.array_get(bulk, len + 1), 0x7777, "len {len}");
+        }
+    }
+
+    /// Inflate and compress against the general UTF-16 paths on every
+    /// length up to a few words: the same words, slack elements past the
+    /// text untouched, the same units read back, and a unit `>= 0x80` in
+    /// any lane refused with `out` untouched.
+    #[test]
+    fn char_array_inflate_and_compress_match_the_utf16_paths() {
+        let mut h = heap();
+        let ca = h.define_array_class("char[]", FieldKind::Char);
+        for len in 0..=17usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (0x20 + i * 7 % 0x5f) as u8).collect();
+            let [inflated, written] = [(); 2].map(|_| {
+                let a = h.alloc_array(ca, len + 3).unwrap();
+                (len..len + 3).for_each(|i| h.array_set(a, i, 0xfeed));
+                a
+            });
+            h.char_array_inflate(inflated, &bytes);
+            h.char_array_write(written, bytes.iter().map(|&b| u16::from(b)));
+            for i in 0..len + 3 {
+                assert_eq!(
+                    h.array_get(inflated, i),
+                    h.array_get(written, i),
+                    "len {len}, unit {i}"
+                );
+            }
+            let exact = h.alloc_array(ca, len).unwrap();
+            h.char_array_inflate(exact, &bytes);
+            let mut out = vec![b'>'];
+            assert!(h.char_array_compress(exact, &mut out), "len {len}");
+            assert_eq!(out[1..], bytes[..], "len {len}");
+            for (i, &b) in bytes.iter().enumerate() {
+                h.array_set(exact, i, 0x80);
+                let mut out = vec![b'>'];
+                assert!(!h.char_array_compress(exact, &mut out), "len {len}, 0x80 at {i}");
+                assert_eq!(out, b">", "len {len}");
+                h.array_set(exact, i, u64::from(b));
+            }
+        }
+    }
+
+    /// `array_copy_refs` against the element loop of `array_get_ref` /
+    /// `array_set_ref`, within one array and between young and old arrays:
+    /// the same elements, and an old destination remembered exactly when a
+    /// copied reference is young, so a minor collection keeps it alive.
+    #[test]
+    fn array_copy_refs_matches_the_element_loop_and_its_barrier() {
+        let mut h = heap();
+        let oa = h.define_array_class("Object[]", FieldKind::Ref);
+        let boxed = h.define_class(ClassBuilder::new("Box").field("v", FieldKind::I64));
+        // Larger than half of eden: born old.
+        let old_len = 80_000;
+        let [old_src, bulk, each] = [(); 3].map(|_| {
+            let a = h.alloc_array(oa, old_len).unwrap();
+            h.add_root(a)
+        });
+        assert_eq!(h.root_ref(bulk).space(), SpaceId::Old);
+        let young_src = h.alloc_array(oa, 40).unwrap();
+        let young_src = h.add_root(young_src);
+        for i in 0..40 {
+            let o = h.alloc(boxed).unwrap();
+            h.write_i64(o, 0, i as i64);
+            let src = h.root_ref(young_src);
+            h.array_set_ref(src, i, if i % 3 == 0 { ObjRef::NULL } else { o });
+        }
+        let (bulk, each, old_src) = (h.root_ref(bulk), h.root_ref(each), h.root_ref(old_src));
+        // Old to old, nulls only: nothing young is copied.
+        h.array_copy_refs(old_src, 0, bulk, 0, 64);
+        assert!(!h.header(bulk).is_remembered(), "a copy of no young ref remembers nothing");
+        let src = h.root_ref(young_src);
+        h.array_copy_refs(src, 3, bulk, 100, 30);
+        for i in 0..30 {
+            let v = h.array_get_ref(src, 3 + i);
+            h.array_set_ref(each, 100 + i, v);
+        }
+        for i in 0..old_len {
+            assert_eq!(h.array_get_ref(bulk, i), h.array_get_ref(each, i), "element {i}");
+        }
+        assert!(h.header(bulk).is_remembered());
+        assert_eq!(h.remset.iter().filter(|&&r| r == bulk).count(), 1, "remembered once");
+        // Within one array, overlapping: memmove semantics.
+        let want: Vec<ObjRef> = (0..30).map(|i| h.array_get_ref(src, i)).collect();
+        h.array_copy_refs(src, 0, src, 5, 30);
+        assert_eq!((0..30).map(|i| h.array_get_ref(src, 5 + i)).collect::<Vec<_>>(), want);
+        h.remove_root(young_src);
+        h.minor_gc();
+        for i in 0..30 {
+            let (b, e) = (h.array_get_ref(bulk, 100 + i), h.array_get_ref(each, 100 + i));
+            assert_eq!(b.is_null(), e.is_null(), "element {i}");
+            if !b.is_null() {
+                assert_eq!(h.read_i64(b, 0), (3 + i) as i64, "survived through the remset");
+            }
         }
     }
 

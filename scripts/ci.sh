@@ -108,12 +108,12 @@ fi
 
 echo "== one way to run an app (no bare executor in the apps) =="
 # Every app is a job description run by the stage engine, standalone or on
-# a DecaServer: no non-test line under crates/apps/src (those before a
-# file's first `#[cfg(test)]`, as the unwrap ratchet counts) builds an
-# executor of its own.
-bare=$(find crates/apps/src -name '*.rs' | sort | while IFS= read -r file; do
-  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /Executor::new/ { print FILENAME ":" FNR ": " $0 }' "$file"
-done)
+# a DecaServer: no non-test line under crates/apps/src builds an executor
+# of its own. Here, as in every source guard below and in the unwrap
+# ratchet, a file's non-test lines end at its `#[cfg(test)] mod tests`
+# (scripts/non_test_lines.awk).
+bare=$(find crates/apps/src -name '*.rs' | sort | xargs awk -f scripts/non_test_lines.awk \
+  | grep 'Executor::new' || true)
 if [ -n "$bare" ]; then
   echo "non-test app code builds a bare executor:"
   echo "$bare"
@@ -127,9 +127,7 @@ echo "== one cached-dataset handle (no hand-rolled cache put in the apps) =="
 # puts: one task caches every table per executor, and Spark SQL's columnar
 # chunks are a representation of their own.
 puts=$(find crates/apps/src -name '*.rs' ! -name cached.rs ! -name sql.rs | sort \
-  | while IFS= read -r file; do
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /put_objects|put_serialized|put_deca/ { print FILENAME ":" FNR ": " $0 }' "$file"
-  done)
+  | xargs awk -f scripts/non_test_lines.awk | grep -E 'put_objects|put_serialized|put_deca' || true)
 if [ -n "$puts" ]; then
   echo "non-test app code puts a cache block outside the cached-dataset handle:"
   echo "$puts"
@@ -141,12 +139,10 @@ echo "== one combine-by-key shuffle (no shuffle table named outside combine.rs) 
 # crates/apps/src/combine.rs, whose table constructor is the one place that
 # picks a heap or a page table from the mode: no other non-test app line
 # names a combine table type. SQL's single-stage aggregates keep their own
-# tables: Spark SQL shares Deca's page table there. A file's non-test lines
-# end at its `mod tests`, not at its first `#[cfg(test)]` item.
+# tables: Spark SQL shares Deca's page table there.
 tables=$(find crates/apps/src -name '*.rs' ! -name combine.rs ! -name sql.rs | sort \
-  | while IFS= read -r file; do
-    awk '/^[[:space:]]*mod tests/ { exit } /SparkHashShuffle|DecaHashShuffle|DecaVarHashShuffle/ { print FILENAME ":" FNR ": " $0 }' "$file"
-  done)
+  | xargs awk -f scripts/non_test_lines.awk \
+  | grep -E 'SparkHashShuffle|DecaHashShuffle|DecaVarHashShuffle' || true)
 if [ -n "$tables" ]; then
   echo "non-test app code names a combine table outside the combine-by-key shuffle:"
   echo "$tables"
@@ -158,10 +154,8 @@ echo "== one declaration per record (no hand-written record trait impl in the ap
 # heap class, Kryo walk, page layout and analysis descriptor together, so
 # they cannot disagree: no non-test line under crates/apps/src implements a
 # record trait by hand.
-impls=$(find crates/apps/src -name '*.rs' | sort | while IFS= read -r file; do
-  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-       /impl.*(HeapRecord|KryoRecord|DecaRecord) for/ { print FILENAME ":" FNR ": " $0 }' "$file"
-done)
+impls=$(find crates/apps/src -name '*.rs' | sort | xargs awk -f scripts/non_test_lines.awk \
+  | grep -E 'impl.*(HeapRecord|KryoRecord|DecaRecord) for' || true)
 if [ -n "$impls" ]; then
   echo "non-test app code implements a record trait by hand (declare the record instead):"
   echo "$impls"
@@ -203,13 +197,17 @@ echo "== properties (replayed seeds) =="
 # and CMS with a held concurrent cycle (`alloc_fast_*`). A page group's
 # page-at-a-time record walks must yield exactly the records of the
 # segment-at-a-time reader they replaced, SFST and framed, fresh and after a
-# swap-out and back (`group::tests`). These properties
+# swap-out and back (`group::tests`). A heap `String`'s ASCII fast path must
+# write the same `char[]` words, leave the same slack and decode the same
+# text as the general UTF-16 path, for ASCII, Latin-1, BMP and astral
+# strings at every length to 33 (`string_fast_path_*`). These properties
 # draw their cases from DECA_CHECK_SEED; a failure hands the reader the
 # exact replay line.
 for seed in 11 29 47; do
   for suite in "-p deca-bench --test properties shuffle" "-p deca-core --lib shuffle" \
       "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array" \
-      "-p deca-heap --lib alloc_fast" "-p deca-core --lib group::tests"; do
+      "-p deca-heap --lib alloc_fast" "-p deca-core --lib group::tests" \
+      "-p deca-bench --test properties string_fast_path"; do
     # shellcheck disable=SC2086 # $suite is a word list on purpose
     if ! DECA_CHECK_SEED=$seed cargo test -q --offline $suite; then
       echo "properties failed under seed $seed; replay locally with:"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The unwrap ratchet: count each crate's non-test `.unwrap()` / `.expect(`
-# lines (those before a source file's first `#[cfg(test)]`) and fail if
-# any crate has more than scripts/unwrap-baseline.txt allows, or is not
-# listed there. Run from anywhere: `scripts/unwrap_ratchet.sh`.
+# lines (those before a source file's `#[cfg(test)] mod tests`, the rule
+# scripts/non_test_lines.awk states) and fail if any crate has more than
+# scripts/unwrap-baseline.txt allows, or is not listed there. Run from
+# anywhere: `scripts/unwrap_ratchet.sh`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,7 +13,7 @@ for dir in crates/*/; do
   crate=$(basename "$dir")
   count=0
   while IFS= read -r file; do
-    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -c '\.unwrap()\|\.expect(' || true)
+    n=$(awk -f scripts/non_test_lines.awk "$file" | grep -c '\.unwrap()\|\.expect(' || true)
     count=$((count + n))
   done < <(find "$dir/src" -name '*.rs' | sort)
   allowed=$(awk -v c="$crate" '$1 == c { print $2 }' "$baseline")

@@ -261,6 +261,49 @@ fn wordcount_on_a_tight_heap_fails_typed_and_leaves_no_combine_table() {
 }
 
 #[test]
+fn text_wordcount_on_a_tight_heap_fails_typed_and_leaves_no_combine_table() {
+    let td = TestDir::executor_default();
+    // The sweep for text WordCount, whose Spark modes store every token as
+    // a `String` + `char[]` and key their table by it: an allocation that
+    // meets the full heap while a token is inflated, or while a key is
+    // stored in the table, must surface as a typed memory-pressure error.
+    // The Spark modes' maps fail from 1 MB and Deca's at 256 KB, where
+    // every mode fails. Every completed point matches the roomiest one's
+    // checksum, and the executor afterwards holds no root and no page
+    // group.
+    let mut reference = None;
+    for heap_kb in [8192, 2048, 1024, 512, 256] {
+        for mode in ExecutionMode::ALL {
+            let mut p = WcParams::small(mode);
+            (p.words, p.distinct, p.partitions, p.heap_bytes) = (80_000, 40_000, 2, heap_kb << 10);
+            let mut session = ClusterSession::new(1, wordcount::wc_config(&p));
+            match run_job_on(&wordcount::text_job(&p), &mut session) {
+                Ok((checksum, _)) => {
+                    assert!(heap_kb > 256, "{mode} at {heap_kb} KB: the pinned point completed");
+                    assert_eq!(
+                        checksum,
+                        *reference.get_or_insert(checksum),
+                        "{mode} at {heap_kb} KB: completed with the wrong counts"
+                    );
+                }
+                Err(e) => assert!(
+                    e.is_memory_pressure(),
+                    "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
+                ),
+            }
+            let e = &session.cluster().executors[0];
+            assert_eq!(
+                (e.heap.root_count(), e.mm.live_groups()),
+                (0, 0),
+                "{mode} at {heap_kb} KB: [heap roots, live page groups] after the job"
+            );
+        }
+    }
+    assert!(reference.is_some(), "the sweep starts at a size that completes");
+    td.cleanup();
+}
+
+#[test]
 fn heap_oom_is_reported_not_corrupting() {
     let td = TestDir::executor_default();
     let mut exec = Executor::new(ExecutorConfig::new(ExecutionMode::Spark, 2 << 20));

@@ -367,6 +367,107 @@ fn spark_shuffle_string_keys_round_trip_heap_and_kryo() {
     });
 }
 
+/// One string of `len` characters from `draws`: ASCII (`0x00..0x80`), then
+/// Latin-1 (`0x80..0x100`), BMP (`0x100..0x10000` less the surrogates) and
+/// astral for `class` 0..4. A non-ASCII class mixes its characters with
+/// ASCII ones and puts one of its own at a drawn position.
+fn string_of_class(class: u32, len: usize, draws: &[u32]) -> String {
+    let own = |d: u32| {
+        let code = match class {
+            1 => 0x80 + d % 0x80,
+            2 => {
+                let c = 0x100 + d % (0x1_0000 - 0x100 - 0x800);
+                if c >= 0xd800 {
+                    c + 0x800
+                } else {
+                    c
+                }
+            }
+            _ => 0x1_0000 + d % 0x10_0000,
+        };
+        char::from_u32(code).unwrap()
+    };
+    let forced = draws[0] as usize % len.max(1);
+    (0..len)
+        .map(|i| match draws[i] {
+            d if class == 0 || (i != forced && d % 2 == 0) => char::from(d as u8 % 0x80),
+            d => own(d >> 1),
+        })
+        .collect()
+}
+
+/// The `String` path's ASCII fast path (inflate into, and compress out of,
+/// the `char[]`) against the general UTF-16 path, for ASCII, Latin-1, BMP
+/// and astral strings at every length 0..=33 (length 0 is the empty
+/// string):
+/// - the stored `char[]` holds the string's UTF-16 units, and inflating an
+///   ASCII string writes the same elements as the UTF-16 write, leaving
+///   the slack elements past it untouched;
+/// - the stored string decodes to itself through the reused decode buffer,
+///   the owned load and the general UTF-16 decode, and an array the
+///   general path wrote decodes through the reused buffer to its units;
+/// - `heap_size` is the store's nominal bytes, in two objects.
+///
+/// Cases come from `DECA_CHECK_SEED` when set.
+#[test]
+fn string_fast_path_matches_the_utf16_path_at_every_length() {
+    const SLACK: usize = 5;
+    let background = |i: usize| 0xbe00 | i as u16;
+    check(Config::with_cases(16), gens::array_of(gens::any_u32(), 34), |draws| {
+        let mut heap = Heap::new(HeapConfig::with_total(64 << 20));
+        let cls = <String as HeapRecord>::register(&mut heap);
+        let mut decoded = String::from("stale");
+        for class in 0..4 {
+            for len in 0..=33 {
+                let s = string_of_class(class, len, draws);
+                let units: Vec<u16> = s.encode_utf16().collect();
+                let ctx = format!("{s:?} (class {class}, {len} chars)");
+
+                let before = heap.stats().clone();
+                let obj = s.store(&mut heap, &cls).unwrap();
+                let after = heap.stats();
+                prop_assert_eq!(after.objects_allocated - before.objects_allocated, 2, "{ctx}");
+                let bytes = (after.bytes_allocated - before.bytes_allocated) as usize;
+                prop_assert_eq!(bytes, s.heap_size(), "{ctx}");
+                let arr = heap.read_ref(obj, 0);
+                let stored: Vec<u16> = heap.char_array_units(arr).collect();
+                prop_assert_eq!(&stored, &units, "stored units of {ctx}");
+                load_str_into(&heap, obj, &mut decoded);
+                prop_assert_eq!(&decoded, &s, "decode of {ctx}");
+                prop_assert_eq!(&String::load(&heap, &cls, obj), &s, "owned load of {ctx}");
+                let general: String =
+                    char::decode_utf16(stored.iter().copied()).map(|c| c.unwrap()).collect();
+                prop_assert_eq!(&general, &s, "UTF-16 decode of {ctx}");
+
+                let n = units.len() + SLACK;
+                let [fast, utf16] = [(); 2].map(|_| {
+                    let a = heap.alloc_array(cls.char_array, n).unwrap();
+                    (0..n).for_each(|i| heap.array_set(a, i, u64::from(background(i))));
+                    heap.push_stack(a)
+                });
+                heap.char_array_write(heap.stack_ref(utf16), s.encode_utf16());
+                if s.is_ascii() {
+                    heap.char_array_inflate(heap.stack_ref(fast), s.as_bytes());
+                    for i in 0..n {
+                        let (f, u) = (heap.stack_ref(fast), heap.stack_ref(utf16));
+                        let (f, u) = (heap.array_get(f, i), heap.array_get(u, i));
+                        prop_assert_eq!(f, u, "element {i} of {ctx}");
+                    }
+                }
+                let string = heap.alloc(cls.string).unwrap();
+                heap.write_ref(string, 0, heap.stack_ref(utf16));
+                heap.truncate_stack(fast);
+                load_str_into(&heap, string, &mut decoded);
+                let slack = units.len()..n;
+                let want: Vec<u16> = units.iter().copied().chain(slack.map(background)).collect();
+                let want = String::from_utf16(&want).unwrap();
+                prop_assert_eq!(&decoded, &want, "decode of the UTF-16 path's array for {ctx}");
+            }
+        }
+        Ok(())
+    });
+}
+
 /// The global classification never reports a *more* variable size-type
 /// than the local one (it only refines downward in the §3.2 order).
 #[test]
