@@ -19,10 +19,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use deca_core::{DecaHashShuffle, DecaVarHashShuffle, MemoryManager, PageRun};
 use deca_core::{DecaRecord, ShuffleArena};
-use deca_engine::record::{load_str_into, store_str, BoxedScalar, PairClasses, StringClasses};
+use deca_engine::record::{
+    load_str_into, store_str, BoxedScalar, HeapKey, PairClasses, StringClasses,
+};
 use deca_engine::{EngineError, ExecutionMode, Executor, HeapRecord, JobCtx, KryoSim};
 use deca_engine::{MapOutputs, Record, ShufflePayload, SparkHashShuffle, TaskContext};
-use deca_heap::{Heap, OomError};
+use deca_heap::{Heap, ObjRef, OomError};
 
 /// A combined value: its 8-byte `DecaRecord` form in Deca's pages, a boxed
 /// scalar in the Spark modes' objects.
@@ -53,7 +55,7 @@ pub(crate) trait Keys: Sync {
     type In<'a>: Copy;
     type View<'a>: Copy;
     /// What the Spark table is probed with; it owns a copy of each key.
-    type Probe: ?Sized + Hash + Eq + ToOwned<Owned: Record + Eq + Hash>;
+    type Probe: ?Sized + Hash + Eq + ToOwned<Owned: Record + HeapKey + Eq + Hash>;
     /// The Spark map's output-object classes, and scratch.
     type Output;
     /// A key's bytes in Deca's table.
@@ -70,8 +72,17 @@ pub(crate) trait Keys: Sync {
         value: V,
     ) -> Result<(Self::In<'o>, V), OomError>;
     fn probe<'k>(key: &'k Self::In<'_>) -> &'k Self::Probe;
-    fn view(key: &Owned<Self>) -> Self::View<'_>;
-    fn serialize<V: Value>(kryo: &mut KryoSim, key: &Owned<Self>, value: V, out: &mut Vec<u8>);
+    /// A key as the Spark table reads it back off the heap.
+    fn view<'k>(key: HeapView<'k, Self>) -> Self::View<'k>;
+    /// Serialize one combined pair straight from the Spark table's key
+    /// and value objects.
+    fn serialize<V: Value>(
+        kryo: &mut KryoSim,
+        heap: &Heap,
+        table: &SparkHashShuffle<Owned<Self>, V>,
+        pair: (ObjRef, ObjRef),
+        out: &mut Vec<u8>,
+    );
     /// Decode one run, under the deserializer's timer.
     fn deserialize<'b, V: Value>(kryo: &mut KryoSim, run: &'b [u8]) -> Vec<(Self::In<'b>, V)>;
     /// An empty table expected to hold `keys` distinct keys.
@@ -86,6 +97,9 @@ pub(crate) trait Keys: Sync {
 
 /// The Spark table's key of shape `K`.
 type Owned<K> = <<K as Keys>::Probe as ToOwned>::Owned;
+
+/// A key of shape `K` as the Spark table reads it back off the heap.
+type HeapView<'b, K> = <Owned<K> as HeapKey>::View<'b>;
 
 /// `i64` keys (word and vertex ids): a `Tuple2` of boxes on the heap, a
 /// Kryo `(k, v)` pair on the wire, and a 16-byte `[k|v]` page record (no
@@ -122,12 +136,19 @@ impl Keys for IntKeys {
         key
     }
 
-    fn view(key: &i64) -> i64 {
-        *key
+    fn view<'k>(key: HeapView<'k, Self>) -> Self::View<'k> {
+        key
     }
 
-    fn serialize<V: Value>(kryo: &mut KryoSim, key: &i64, value: V, out: &mut Vec<u8>) {
-        kryo.serialize(&(*key, value), out);
+    /// One `(k, v)` pair record.
+    fn serialize<V: Value>(
+        kryo: &mut KryoSim,
+        heap: &Heap,
+        table: &SparkHashShuffle<i64, V>,
+        pair: (ObjRef, ObjRef),
+        out: &mut Vec<u8>,
+    ) {
+        kryo.serialize_heap_pair::<i64, V>(heap, table.classes(), pair, out);
     }
 
     fn deserialize<V: Value>(kryo: &mut KryoSim, run: &[u8]) -> Vec<(i64, V)> {
@@ -190,13 +211,21 @@ impl Keys for TextKeys {
         key
     }
 
-    fn view(key: &String) -> &[u8] {
+    fn view<'k>(key: HeapView<'k, Self>) -> Self::View<'k> {
         key.as_bytes()
     }
 
-    fn serialize<V: Value>(kryo: &mut KryoSim, key: &String, value: V, out: &mut Vec<u8>) {
-        kryo.serialize(key, out);
-        kryo.serialize(&value, out);
+    /// A string record, then the value's record.
+    fn serialize<V: Value>(
+        kryo: &mut KryoSim,
+        heap: &Heap,
+        table: &SparkHashShuffle<String, V>,
+        (key, value): (ObjRef, ObjRef),
+        out: &mut Vec<u8>,
+    ) {
+        let (key_classes, value_classes) = table.classes();
+        kryo.serialize_heap::<String>(heap, key_classes, key, out);
+        kryo.serialize_heap::<V>(heap, value_classes, value, out);
     }
 
     fn deserialize<'b, V: Value>(kryo: &mut KryoSim, run: &'b [u8]) -> Vec<(&'b str, V)> {
@@ -316,13 +345,14 @@ impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
     ) -> Result<MapOutputs, EngineError> {
         match &self.store {
             Store::Heap(table, _) => {
-                let pairs = table.drain(&e.heap);
-                let cap = K::WIRE_BYTES * pairs.len().div_ceil(reducers);
+                let cap = K::WIRE_BYTES * table.len().div_ceil(reducers);
                 let mut out: Vec<_> = (0..reducers).map(|_| e.take_shuffle_buf(cap)).collect();
+                let heap = &e.heap;
                 e.kryo.time_ser(|kr| {
-                    for (k, v) in pairs {
-                        K::serialize(kr, &k, v, &mut out[partition(K::view(&k), reducers)]);
-                    }
+                    table.for_each_object(heap, |k, kobj, vobj| {
+                        let run = &mut out[partition(K::view(k), reducers)];
+                        K::serialize(kr, heap, table, (kobj, vobj), run);
+                    })
                 });
                 Ok(out.into_iter().map(ShufflePayload::from).collect())
             }
@@ -367,7 +397,7 @@ impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
     ) -> Result<R, EngineError> {
         let mut acc = R::default();
         match &self.store {
-            Store::Heap(table, _) => table.for_each(&e.heap, |k, v| fold(&mut acc, K::view(&k), v)),
+            Store::Heap(table, _) => table.for_each(&e.heap, |k, v| fold(&mut acc, K::view(k), v)),
             Store::Pages(table) => {
                 with_table!(table, t => t.for_each(&mut e.mm, &mut e.heap, |k, v| {
                     fold(&mut acc, K::stored(k), V::decode(v))

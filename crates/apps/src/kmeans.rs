@@ -20,7 +20,7 @@
 //! later run of the description borrow partition `p` from that shared
 //! buffer (see the crate docs).
 
-use deca_engine::record::HeapRecord;
+use deca_engine::record::{HeapRecord, Record};
 use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 
 use crate::cached::{CachedDataset, Repr};
@@ -239,8 +239,9 @@ fn spark_assign(
     Ok(())
 }
 
-/// SparkSer kernel: deserialize each point (Kryo cost), materialise it as
-/// temporary heap objects, then compute as the Spark kernel does.
+/// SparkSer kernel: decode the block (Kryo cost), store each point's
+/// temporary heap objects from its decoded bytes, then compute as the
+/// Spark kernel does.
 #[allow(clippy::needless_range_loop)]
 fn sparkser_assign(
     e: &mut Executor,
@@ -251,23 +252,24 @@ fn sparkser_assign(
     counts: &mut [usize],
 ) -> Result<(), EngineError> {
     let d = centroids[0].len();
-    let mut recs: Vec<LabeledPointRec> = Vec::new();
-    e.cache.iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| recs.push(r))?;
-    for rec in recs {
-        let lp = rec.store(&mut e.heap, classes)?;
-        let ls = e.heap.push_stack(lp);
-        let lp = e.heap.stack_ref(ls);
-        let dv = e.heap.read_ref(lp, 1);
-        let data_arr = e.heap.read_ref(dv, 0);
-        let heap = &e.heap;
-        let best = assign(&|j| heap.array_get_f64(data_arr, j), centroids, d);
-        counts[best] += 1;
-        for j in 0..d {
-            sums[best][j] += e.heap.array_get_f64(data_arr, j);
-        }
-        e.heap.truncate_stack(ls);
-    }
-    Ok(())
+    e.cache.scan_serialized::<LabeledPointRec, EngineError>(
+        block,
+        &mut e.heap,
+        &mut e.kryo,
+        &mut e.mm,
+        |heap, bytes| {
+            // Nothing allocates after the store, so the graph stays put.
+            let lp = LabeledPointRec::store_page(bytes, heap, classes)?;
+            let dv = heap.read_ref(lp, 1);
+            let data_arr = heap.read_ref(dv, 0);
+            let best = assign(&|j| heap.array_get_f64(data_arr, j), centroids, d);
+            counts[best] += 1;
+            for j in 0..d {
+                sums[best][j] += heap.array_get_f64(data_arr, j);
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Deca kernel — the transformed code: features at fixed offsets inside

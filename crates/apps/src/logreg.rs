@@ -26,7 +26,7 @@
 //! shared buffer (see the crate docs).
 
 use deca_core::Optimizer;
-use deca_engine::record::HeapRecord;
+use deca_engine::record::{HeapRecord, Record};
 use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 use deca_udt::fixtures::LrProgram;
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
@@ -250,9 +250,10 @@ fn spark_gradient(
     Ok(())
 }
 
-/// SparkSer kernel: deserialize each point (Kryo cost), materialise it as
-/// temporary heap objects (the deserializer's output), then compute as the
-/// Spark kernel does.
+/// SparkSer kernel: decode the block (Kryo cost), store each point's
+/// temporary heap objects from its decoded bytes (the deserializer's
+/// output: `double[]`, `DenseVector`, `LabeledPoint`, as `store` allocates
+/// them), then compute as the Spark kernel does.
 #[allow(clippy::needless_range_loop)]
 fn sparkser_gradient(
     e: &mut Executor,
@@ -262,39 +263,28 @@ fn sparkser_gradient(
     gradient: &mut [f64],
 ) -> Result<(), EngineError> {
     let d = weights.len();
-    // Collect first (the iterator holds &mut e), then process.
-    let mut recs: Vec<LabeledPointRec> = Vec::new();
-    e.cache.iter_serialized::<LabeledPointRec>(
+    e.cache.scan_serialized::<LabeledPointRec, EngineError>(
         block,
         &mut e.heap,
         &mut e.kryo,
         &mut e.mm,
-        |r| recs.push(r),
-    )?;
-    for rec in recs {
-        // The deserializer materialises a temporary object graph.
-        let lp = rec.store(&mut e.heap, classes)?;
-        let ls = e.heap.push_stack(lp);
-        let lp = e.heap.stack_ref(ls);
-        let label = e.heap.read_f64(lp, 0);
-        let dv = e.heap.read_ref(lp, 1);
-        let data = e.heap.read_ref(dv, 0);
-        let mut dot = 0.0;
-        for j in 0..d {
-            dot += weights[j] * e.heap.array_get_f64(data, j);
-        }
-        let factor = factor_of(label, dot);
-        for j in 0..d {
-            let data = {
-                let lp = e.heap.stack_ref(ls);
-                let dv = e.heap.read_ref(lp, 1);
-                e.heap.read_ref(dv, 0)
-            };
-            gradient[j] += e.heap.array_get_f64(data, j) * factor;
-        }
-        e.heap.truncate_stack(ls);
-    }
-    Ok(())
+        |heap, bytes| {
+            // Nothing allocates after the store, so the graph stays put.
+            let lp = LabeledPointRec::store_page(bytes, heap, classes)?;
+            let label = heap.read_f64(lp, 0);
+            let dv = heap.read_ref(lp, 1);
+            let data = heap.read_ref(dv, 0);
+            let mut dot = 0.0;
+            for j in 0..d {
+                dot += weights[j] * heap.array_get_f64(data, j);
+            }
+            let factor = factor_of(label, dot);
+            for j in 0..d {
+                gradient[j] += heap.array_get_f64(data, j) * factor;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Deca kernel — the Figure 12 transformed code: `label` at offset 0,

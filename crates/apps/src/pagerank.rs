@@ -239,13 +239,17 @@ fn messages<M: Messages>(
                 send(msgs, &mut out, heap.read_word(list, 0) as u32, dsts);
             }
         }
+        // SparkSer decodes the block into the page form Deca scans.
         Repr::Serialized => {
-            e.cache.iter_serialized(
+            e.cache.scan_serialized::<AdjListRec, EngineError>(
                 block,
                 &mut e.heap,
                 &mut e.kryo,
                 &mut e.mm,
-                |a: AdjListRec| send(msgs, &mut out, a.vertex, a.neighbors.iter().copied()),
+                |_, bytes| {
+                    send_list(msgs, &mut out, bytes);
+                    Ok(())
+                },
             )?;
         }
         Repr::Pages { .. } => {
@@ -253,16 +257,18 @@ fn messages<M: Messages>(
             e.cache.deca_block(block).scan_bytes(
                 mm,
                 heap,
-                |bytes| {
-                    let (vertex, neighbors) = AdjListRec::fields(bytes);
-                    let dsts = neighbors.iter().map(|&dst| u32::from_le_bytes(dst));
-                    send(msgs, &mut out, vertex, dsts);
-                },
+                |bytes| send_list(msgs, &mut out, bytes),
                 |_| {},
             )?;
         }
     }
     Ok(out)
+}
+
+/// The messages of the adjacency list whose page bytes are `list`.
+fn send_list<M: Messages>(msgs: &M, out: &mut Vec<(i64, M::V)>, list: &[u8]) {
+    let (vertex, neighbors) = AdjListRec::fields(list);
+    send(msgs, out, vertex, neighbors.iter().map(|&dst| u32::from_le_bytes(dst)));
 }
 
 /// The messages `vertex` sends to its `neighbors`, appended to `out`.

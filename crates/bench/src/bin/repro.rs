@@ -616,7 +616,8 @@ fn table5(s: &Scale) -> Vec<ShapeCheck> {
     let per_obj = |t: Instant| t.elapsed().as_nanos() as f64 / recs.len() as f64;
     let mut kryo = KryoSim::new();
     let buf = kryo.serialize_all(&recs);
-    let _back: Vec<LabeledPointRec> = kryo.deserialize_all(&buf);
+    // What a SparkSer access pays to decode: the block into page form.
+    kryo.decode_block::<LabeledPointRec>(&buf);
     println!(
         "kryo:  serialize {:>8.1} ns/obj   deserialize {:>8.1} ns/obj",
         kryo.avg_ser().as_nanos() as f64,

@@ -48,7 +48,7 @@ use std::path::PathBuf;
 use deca_check::Json;
 use deca_core::hash::hash_bytes;
 use deca_core::{DecaCacheBlock, GroupId, MemError, MemoryManager};
-use deca_heap::{FieldKind, Heap, OomError, RootId};
+use deca_heap::{FieldKind, Heap, ObjRef, OomError, RootId};
 
 use crate::faults::{FaultPlan, FaultSite};
 use crate::record::Record;
@@ -113,11 +113,13 @@ impl std::fmt::Display for CacheError {
 impl std::error::Error for CacheError {}
 
 /// Type-erased operations on an `Objects` block (needed to demote it
-/// without knowing `T` at the eviction site).
+/// without knowing `T` at the eviction site). Both cross straight between
+/// the block's heap graphs and its Kryo bytes, with no owned record in
+/// between.
 trait ObjectBlockOps: Send {
-    /// Serialize all records of the block (for demotion) into a buffer
-    /// pre-sized to `capacity` bytes — the block's accounted heap
-    /// footprint, which bounds its Kryo encoding.
+    /// Serialize all records of the block (for demotion) from their heap
+    /// graphs into a buffer pre-sized to `capacity` bytes — the block's
+    /// accounted heap footprint, which bounds its Kryo encoding.
     fn serialize(
         &self,
         heap: &mut Heap,
@@ -126,7 +128,8 @@ trait ObjectBlockOps: Send {
         len: usize,
         capacity: usize,
     ) -> Vec<u8>;
-    /// Re-materialise records from serialized bytes; returns the new root.
+    /// Re-materialise records from serialized bytes, each stored on the
+    /// heap from its decoded page form; returns the new root.
     fn deserialize(
         &self,
         heap: &mut Heap,
@@ -155,9 +158,7 @@ where
         kryo.time_ser(|k| {
             let mut out = Vec::with_capacity(capacity);
             for i in 0..len {
-                let obj = heap.array_get_ref(arr, i);
-                let rec = T::load(heap, &self.classes, obj);
-                k.serialize(&rec, &mut out);
+                k.serialize_heap::<T>(heap, &self.classes, heap.array_get_ref(arr, i), &mut out);
             }
             out
         })
@@ -169,27 +170,39 @@ where
         kryo: &mut KryoSim,
         bytes: &[u8],
     ) -> Result<(RootId, usize), OomError> {
-        let recs: Vec<T> = kryo.deserialize_all(bytes);
-        store_object_array(heap, &self.classes, &recs).map(|root| (root, recs.len()))
+        let recs = kryo.decode_block::<T>(bytes);
+        let root = store_object_array(heap, recs.len(), |heap, i| {
+            T::store_page(recs.get(i), heap, &self.classes)
+        })?;
+        Ok((root, recs.len()))
     }
 }
 
-/// Allocate a heap `Object[]` holding each record's stored graph; returns
-/// a root id keeping the whole block alive.
-pub(crate) fn store_object_array<T: Record>(
+/// Allocate a heap `Object[]` of `len` records, each graph allocated by
+/// `store(heap, i)`; returns a root id keeping the whole block alive. A
+/// store that meets a full heap drops the root, so the part-filled block
+/// is garbage.
+fn store_object_array(
     heap: &mut Heap,
-    classes: &T::Classes,
-    recs: &[T],
+    len: usize,
+    mut store: impl FnMut(&mut Heap, usize) -> Result<ObjRef, OomError>,
 ) -> Result<RootId, OomError> {
     let arr_class = object_array_class(heap);
-    let arr = heap.alloc_array(arr_class, recs.len())?;
+    let arr = heap.alloc_array(arr_class, len)?;
     let root = heap.add_root(arr);
-    for (i, rec) in recs.iter().enumerate() {
-        let obj = rec.store(heap, classes)?;
+    let filled = (0..len).try_for_each(|i| {
+        let obj = store(heap, i)?;
         let arr = heap.root_ref(root);
         heap.array_set_ref(arr, i, obj);
+        Ok(())
+    });
+    match filled {
+        Ok(()) => Ok(root),
+        Err(oom) => {
+            heap.remove_root(root);
+            Err(oom)
+        }
     }
-    Ok(root)
 }
 
 /// The shared `Object[]` class (registered once per heap).
@@ -582,14 +595,15 @@ impl CacheManager {
     {
         let bytes: usize = recs.iter().map(|r| r.heap_size()).sum::<usize>() + 16 + recs.len() * 8;
         self.make_room(heap, kryo, mm, bytes)?;
-        let root = match store_object_array(heap, classes, recs) {
+        let store = |heap: &mut Heap, i: usize| recs[i].store(heap, classes);
+        let root = match store_object_array(heap, recs.len(), store) {
             Ok(r) => r,
             Err(oom) => {
                 // Heap pressure beyond the budget model: evict everything
                 // evictable, collect, and retry once.
                 while self.evict_lru(heap, kryo, mm)? {}
                 heap.full_gc();
-                store_object_array(heap, classes, recs).map_err(|_| CacheError::Oom(oom))?
+                store_object_array(heap, recs.len(), store).map_err(|_| CacheError::Oom(oom))?
             }
         };
         let t = self.tick();
@@ -753,26 +767,25 @@ impl CacheManager {
         }
     }
 
-    /// Iterate a Serialized block by deserializing every record (the
-    /// SparkSer access path: real deser cost + temporary objects created by
-    /// the caller).
-    pub fn iter_serialized<T: Record>(
+    /// Visit a Serialized block's records as page-form bytes (the SparkSer
+    /// access path): the block is decoded once per access, under one
+    /// deserializer timer pair ([`KryoSim::decode_block`]), and `f` reads
+    /// each record's bytes as a Deca scan does
+    /// ([`DecaCacheBlock::scan_bytes`]), materialising on the heap what
+    /// its kernel needs. No owned record sits between the Kryo bytes and
+    /// `f`.
+    pub fn scan_serialized<T: Record, E: From<CacheError>>(
         &mut self,
         id: BlockId,
         heap: &mut Heap,
         kryo: &mut KryoSim,
         mm: &mut MemoryManager,
-        mut f: impl FnMut(T),
-    ) -> Result<(), CacheError> {
+        mut f: impl FnMut(&mut Heap, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let (buf, len) = self.read_bytes(id, heap, kryo, mm)?;
-        let recs: Vec<T> = kryo.time_deser(|k| {
-            let mut pos = 0;
-            (0..len).map(|_| k.deserialize(&buf, &mut pos)).collect()
-        });
-        for rec in recs {
-            f(rec);
-        }
-        Ok(())
+        let recs = kryo.decode_block::<T>(&buf);
+        debug_assert_eq!(recs.len(), len);
+        (0..recs.len()).try_for_each(|i| f(heap, recs.get(i)))
     }
 
     /// A byte block's bytes and record count, read back (swapped in
@@ -1645,6 +1658,7 @@ pub struct CacheStats {
 mod tests {
     use super::*;
     use crate::record::HeapRecord;
+    use deca_core::DecaRecord;
     use deca_heap::HeapConfig;
 
     fn setup(heap_bytes: usize, budget: usize) -> (Heap, KryoSim, MemoryManager, CacheManager) {
@@ -1694,11 +1708,25 @@ mod tests {
         // One byte[] object on the heap, regardless of record count.
         assert_eq!(heap.object_count(), 1);
         assert_eq!(cm.tier(id, &mm), Tier::Warm);
-        let mut got = Vec::new();
-        cm.iter_serialized::<(i64, i64)>(id, &mut heap, &mut kryo, &mut mm, |r| got.push(r))
-            .unwrap();
-        assert_eq!(got, recs);
+        assert_eq!(scan_pairs(&mut cm, id, &mut heap, &mut kryo, &mut mm), recs);
         assert!(kryo.objects_deserialized >= 300);
+    }
+
+    /// A serialized block's `(i64, i64)` records, through the SparkSer scan.
+    fn scan_pairs(
+        cm: &mut CacheManager,
+        id: BlockId,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        mm: &mut MemoryManager,
+    ) -> Vec<(i64, i64)> {
+        let mut got = Vec::new();
+        cm.scan_serialized::<(i64, i64), CacheError>(id, heap, kryo, mm, |_, r| {
+            got.push(<(i64, i64)>::decode(r));
+            Ok(())
+        })
+        .unwrap();
+        got
     }
 
     #[test]
@@ -1740,12 +1768,7 @@ mod tests {
             .map(|i| <(i64, i64) as HeapRecord>::load(&heap, &classes, heap.array_get_ref(arr, i)))
             .collect();
         assert_eq!(back, recs);
-        let mut back = Vec::new();
-        cm.iter_serialized::<(i64, i64)>(serialized, &mut heap, &mut kryo, &mut mm, |r| {
-            back.push(r)
-        })
-        .unwrap();
-        assert_eq!(back, recs);
+        assert_eq!(scan_pairs(&mut cm, serialized, &mut heap, &mut kryo, &mut mm), recs);
         let back: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
         assert_eq!(back, recs);
         assert_eq!(mm.live_groups(), cm.deca_blocks());
@@ -1959,12 +1982,7 @@ mod tests {
                 assert_eq!(back, recs);
             }
             if cm.contains(bytes) {
-                let mut back = Vec::new();
-                cm.iter_serialized::<(i64, i64)>(bytes, &mut heap, &mut kryo, &mut mm, |r| {
-                    back.push(r)
-                })
-                .unwrap();
-                assert_eq!(back, recs);
+                assert_eq!(scan_pairs(&mut cm, bytes, &mut heap, &mut kryo, &mut mm), recs);
             }
             if cm.contains(deca) {
                 let back: Vec<(i64, i64)> =

@@ -8,13 +8,23 @@
 //! * [`KryoRecord`] — Kryo-style tagged encoding (SparkSer mode).
 //! * `deca_core::DecaRecord` — flat decomposed layout (Deca mode).
 //!
-//! The umbrella trait [`Record`] ties them together for the cache manager.
+//! The umbrella trait [`Record`] ties them together for the cache manager,
+//! and is the Spark modes' Kryo boundary: a record crosses between Kryo
+//! bytes, its page form (its `DecaRecord` bytes) and its heap graph with
+//! no owned Rust record in between. `kryo_to_page` decodes Kryo into page
+//! bytes appended to a reused buffer, `store_page` allocates the heap
+//! graph from them (exactly the objects `store` allocates, in its order:
+//! array, wrapper, record), and `kryo_from_heap` encodes the graph's
+//! fields straight into the Kryo run. The owned `load`, `kryo_decode` and
+//! `decode` remain for tests, for reading back a Spark table's values and
+//! for the Deca modes' own decodes. [`HeapKey`] reads a shuffle key off
+//! the heap the same way, a `String` into one reused buffer.
 //!
 //! An app record is declared once with [`record!`](crate::record!), which
-//! emits all three from one list of fields, plus the descriptor the
-//! optimizer analyses; the primitives it stores are [`Scalar`]s. Boxed
-//! scalars and their pairs ([`BoxedScalar`]) and `String` are implemented
-//! here.
+//! emits all three, and its boundary walks, from one list of fields, plus
+//! the descriptor the optimizer analyses; the primitives it stores are
+//! [`Scalar`]s. Boxed scalars and their pairs ([`BoxedScalar`]),
+//! `(i64, Vec<f64>)` and `String` are implemented here.
 //!
 //! A `String`'s `char[]` is written and read in bulk, as the JVM's `String`
 //! intrinsics and `System.arraycopy` move it. ASCII text — every token the
@@ -28,7 +38,12 @@
 //! baseline pays for a `String` is its objects, their tracing and their
 //! Kryo bytes, not a per-character transcoding the JVM does not do. No
 //! per-element interpretation or intermediate `Vec<u16>` sits between the
-//! record and its heap graph.
+//! record and its heap graph. The Kryo encode from the heap compresses an
+//! ASCII `char[]` straight into the run, so its bytes are the owned
+//! path's. A primitive array likewise crosses between page bytes and the
+//! heap in one copy ([`Heap::array_write_le`] / [`Heap::array_read_le`]),
+//! and an `f64` array between Kryo and page bytes, whose element bytes
+//! are the same.
 
 use std::marker::PhantomData;
 
@@ -70,10 +85,43 @@ pub trait KryoRecord: Sized {
     fn kryo_decode(buf: &[u8], pos: &mut usize) -> Self;
 }
 
-/// A record usable in all three execution modes.
-pub trait Record: DecaRecord + HeapRecord + KryoRecord + Clone + Send {}
+/// A record usable in all three execution modes, and the Spark modes'
+/// Kryo boundary with no owned record on it: each crossing goes straight
+/// between Kryo bytes, the record's page form (its [`DecaRecord`] bytes)
+/// and its heap graph. `record!` emits these for a declared record; the
+/// boxed scalars, their pairs, `(i64, Vec<f64>)` and `String` implement
+/// them here.
+pub trait Record: DecaRecord + HeapRecord + KryoRecord + Clone + Send {
+    /// Kryo → page form: decode the record at `*pos` and append its page
+    /// bytes to `out`, the bytes `DecaRecord::encode` writes for what
+    /// `kryo_decode` returns.
+    fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>);
 
-impl<T: DecaRecord + HeapRecord + KryoRecord + Clone + Send> Record for T {}
+    /// Page form → heap: allocate the graph of the record whose page bytes
+    /// are `page`, exactly the objects `store` allocates, in its order. The
+    /// returned root is not yet rooted, as `store`'s.
+    fn store_page(page: &[u8], heap: &mut Heap, cls: &Self::Classes) -> Result<ObjRef, OomError>;
+
+    /// Heap → Kryo: append the Kryo bytes of the graph at `obj`, read off
+    /// its fields: the bytes `kryo_encode` writes for what `load` returns.
+    fn kryo_from_heap(heap: &Heap, cls: &Self::Classes, obj: ObjRef, out: &mut Vec<u8>);
+}
+
+/// A shuffle key read back off the heap without an owned copy, as the
+/// Spark shuffle's write and reduce fold read their keys: a boxed scalar,
+/// or a pair of them, as its value; a `String` as its text, decoded into
+/// one reused buffer ([`load_str_into`]).
+pub trait HeapKey: HeapRecord {
+    /// The reused decode buffer.
+    type Buf: Default;
+    type View<'b>;
+    fn view<'b>(
+        heap: &Heap,
+        cls: &Self::Classes,
+        obj: ObjRef,
+        buf: &'b mut Self::Buf,
+    ) -> Self::View<'b>;
+}
 
 /// Look up a class by name, defining it only if absent. `register` must be
 /// idempotent: under the cluster driver and [`crate::DecaServer`] every task
@@ -119,12 +167,24 @@ pub trait Scalar: DecaRecord + Copy {
     fn get(heap: &Heap, arr: ObjRef, i: usize) -> Self;
     fn kryo_write(self, out: &mut Vec<u8>);
     fn kryo_read(buf: &[u8], pos: &mut usize) -> Self;
+    /// Its Kryo bytes are its page bytes (an `f64`'s raw little-endian
+    /// word), so an array of it crosses between the two as one copy.
+    const KRYO_RAW: bool = false;
+}
+
+/// Append `v`'s page bytes, its little-endian [`DecaRecord`] form, to `out`.
+#[inline]
+pub fn push_page<T: Scalar>(v: T, out: &mut Vec<u8>) {
+    let mut word = [0u8; 8];
+    v.encode(&mut word);
+    out.extend_from_slice(&word[..T::WIDTH]);
 }
 
 impl Scalar for f64 {
     const KIND: FieldKind = FieldKind::F64;
     const PRIM: PrimKind = PrimKind::F64;
     const WIDTH: usize = 8;
+    const KRYO_RAW: bool = true;
     #[inline]
     fn write(self, heap: &mut Heap, obj: ObjRef, field: usize) {
         heap.write_f64(obj, field, self)
@@ -349,6 +409,33 @@ impl<T: BoxedScalar> KryoRecord for T {
     }
 }
 
+impl<T: BoxedScalar + Send> Record for T {
+    #[inline]
+    fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
+        push_page(T::kryo_box_read(buf, pos), out);
+    }
+
+    #[inline]
+    fn store_page(page: &[u8], heap: &mut Heap, cls: &BoxClasses) -> Result<ObjRef, OomError> {
+        store_box(T::decode(page), heap, cls.class)
+    }
+
+    #[inline]
+    fn kryo_from_heap(heap: &Heap, _cls: &BoxClasses, obj: ObjRef, out: &mut Vec<u8>) {
+        T::read(heap, obj, 0).kryo_box_write(out);
+    }
+}
+
+impl<T: BoxedScalar> HeapKey for T {
+    type Buf = ();
+    type View<'b> = T;
+
+    #[inline]
+    fn view(heap: &Heap, _cls: &BoxClasses, obj: ObjRef, _buf: &mut ()) -> T {
+        T::read(heap, obj, 0)
+    }
+}
+
 /// Classes of a boxed pair: `Tuple2 { _1: ref, _2: ref }` with boxed
 /// primitive fields, as Scala generics produce on the JVM.
 #[derive(Copy, Clone)]
@@ -373,22 +460,29 @@ impl<A: BoxedScalar, B: BoxedScalar> HeapRecord for (A, B) {
         let a = store_box(self.0, heap, cls.box_a)?;
         let sa = heap.push_stack(a);
         let b = store_box(self.1, heap, cls.box_b)?;
-        let sb = heap.push_stack(b);
-        let t = heap.alloc(cls.tuple)?;
-        heap.write_ref(t, 0, heap.stack_ref(sa));
-        heap.write_ref(t, 1, heap.stack_ref(sb));
-        heap.truncate_stack(sa);
-        Ok(t)
+        heap.push_stack(b);
+        store_tuple(heap, cls, sa)
     }
 
     #[inline]
-    fn load(heap: &Heap, _cls: &PairClasses, obj: ObjRef) -> Self {
-        (A::read(heap, heap.read_ref(obj, 0), 0), B::read(heap, heap.read_ref(obj, 1), 0))
+    fn load(heap: &Heap, cls: &PairClasses, obj: ObjRef) -> Self {
+        Self::view(heap, cls, obj, &mut ())
     }
 
     fn heap_size(&self) -> usize {
         object_bytes(16) + object_bytes(A::WIDTH) + object_bytes(B::WIDTH)
     }
+}
+
+/// Allocate a `Tuple2` around the two parts on the shadow stack from slot
+/// `parts`, and pop them.
+#[inline]
+fn store_tuple(heap: &mut Heap, cls: &PairClasses, parts: usize) -> Result<ObjRef, OomError> {
+    let t = heap.alloc(cls.tuple)?;
+    heap.write_ref(t, 0, heap.stack_ref(parts));
+    heap.write_ref(t, 1, heap.stack_ref(parts + 1));
+    heap.truncate_stack(parts);
+    Ok(t)
 }
 
 impl<A: BoxedScalar, B: BoxedScalar> KryoRecord for (A, B) {
@@ -405,6 +499,36 @@ impl<A: BoxedScalar, B: BoxedScalar> KryoRecord for (A, B) {
     }
 }
 
+impl<A: BoxedScalar + Send, B: BoxedScalar + Send> Record for (A, B) {
+    #[inline]
+    fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
+        A::kryo_to_page(buf, pos, out);
+        B::kryo_to_page(buf, pos, out);
+    }
+
+    #[inline]
+    fn store_page(page: &[u8], heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
+        (A::decode(page), B::decode(&page[A::WIDTH..])).store(heap, cls)
+    }
+
+    #[inline]
+    fn kryo_from_heap(heap: &Heap, cls: &PairClasses, obj: ObjRef, out: &mut Vec<u8>) {
+        let (a, b) = Self::view(heap, cls, obj, &mut ());
+        a.kryo_box_write(out);
+        b.kryo_box_write(out);
+    }
+}
+
+impl<A: BoxedScalar, B: BoxedScalar> HeapKey for (A, B) {
+    type Buf = ();
+    type View<'b> = (A, B);
+
+    #[inline]
+    fn view(heap: &Heap, _cls: &PairClasses, obj: ObjRef, _buf: &mut ()) -> (A, B) {
+        (A::read(heap, heap.read_ref(obj, 0), 0), B::read(heap, heap.read_ref(obj, 1), 0))
+    }
+}
+
 /// `(i64, Vec<f64>)` pairs (keyed vectors): heap graph is a Tuple2 with a
 /// boxed key and a raw double[] value.
 impl HeapRecord for (i64, Vec<f64>) {
@@ -418,18 +542,11 @@ impl HeapRecord for (i64, Vec<f64>) {
     }
 
     fn store(&self, heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
-        let a = store_box(self.0, heap, cls.box_a)?;
-        let sa = heap.push_stack(a);
-        let arr = heap.alloc_array(cls.box_b, self.1.len())?;
-        for (i, v) in self.1.iter().enumerate() {
-            heap.array_set_f64(arr, i, *v);
-        }
-        let sb = heap.push_stack(arr);
-        let t = heap.alloc(cls.tuple)?;
-        heap.write_ref(t, 0, heap.stack_ref(sa));
-        heap.write_ref(t, 1, heap.stack_ref(sb));
-        heap.truncate_stack(sa);
-        Ok(t)
+        store_keyed_vector(heap, cls, self.0, self.1.len(), |heap, arr| {
+            for (i, v) in self.1.iter().enumerate() {
+                heap.array_set_f64(arr, i, *v);
+            }
+        })
     }
 
     fn load(heap: &Heap, _cls: &PairClasses, obj: ObjRef) -> Self {
@@ -445,15 +562,52 @@ impl HeapRecord for (i64, Vec<f64>) {
     }
 }
 
+/// A keyed vector's graph: the key's box, then the `double[]` of `len`
+/// values `fill` writes, then the `Tuple2`.
+fn store_keyed_vector(
+    heap: &mut Heap,
+    cls: &PairClasses,
+    key: i64,
+    len: usize,
+    fill: impl FnOnce(&mut Heap, ObjRef),
+) -> Result<ObjRef, OomError> {
+    let a = store_box(key, heap, cls.box_a)?;
+    let sa = heap.push_stack(a);
+    let arr = heap.alloc_array(cls.box_b, len)?;
+    fill(heap, arr);
+    heap.push_stack(arr);
+    store_tuple(heap, cls, sa)
+}
+
 impl KryoRecord for (i64, Vec<f64>) {
     fn kryo_encode(&self, out: &mut Vec<u8>) {
-        write_varint(zigzag(self.0), out);
+        self.0.kryo_box_write(out);
         kryo_write_array(&self.1, out);
     }
 
     fn kryo_decode(buf: &[u8], pos: &mut usize) -> Self {
-        let k = unzigzag(read_varint(buf, pos));
+        let k = i64::kryo_box_read(buf, pos);
         (k, kryo_read_array(buf, pos))
+    }
+}
+
+/// Page form: the key, then the vector's `u32` count and elements.
+impl Record for (i64, Vec<f64>) {
+    fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
+        i64::kryo_to_page(buf, pos, out);
+        kryo_array_to_page::<f64>(buf, pos, true, out);
+    }
+
+    fn store_page(page: &[u8], heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
+        let values = array_words::<8>(&page[8..], true);
+        store_keyed_vector(heap, cls, i64::decode(page), values.len(), |heap, arr| {
+            heap.array_write_le(arr, values.as_flattened())
+        })
+    }
+
+    fn kryo_from_heap(heap: &Heap, _cls: &PairClasses, obj: ObjRef, out: &mut Vec<u8>) {
+        heap.read_i64(heap.read_ref(obj, 0), 0).kryo_box_write(out);
+        kryo_write_heap_array::<f64>(heap, heap.read_ref(obj, 1), out);
     }
 }
 
@@ -556,6 +710,50 @@ impl KryoRecord for String {
     }
 }
 
+/// Page form: the text's UTF-8 bytes (the frame carries the length).
+impl Record for String {
+    fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(kryo_decode_str(buf, pos).as_bytes());
+    }
+
+    fn store_page(page: &[u8], heap: &mut Heap, cls: &StringClasses) -> Result<ObjRef, OomError> {
+        // Page bytes are the UTF-8 of a `str`; borrowed, never copied.
+        store_str(heap, cls, &String::from_utf8_lossy(page))
+    }
+
+    /// ASCII text is compressed out of its `char[]` straight into the run
+    /// ([`Heap::char_array_compress`]), one byte per unit after a varint
+    /// of the unit count; any other text is transcoded from UTF-16, a
+    /// Latin-1 unit to two UTF-8 bytes, an astral pair to four.
+    fn kryo_from_heap(heap: &Heap, _cls: &StringClasses, obj: ObjRef, out: &mut Vec<u8>) {
+        let arr = heap.read_ref(obj, 0);
+        let at = out.len();
+        write_varint(heap.array_len(arr) as u64, out);
+        if heap.char_array_compress(arr, out) {
+            return;
+        }
+        out.truncate(at);
+        let chars = || {
+            char::decode_utf16(heap.char_array_units(arr))
+                .map(|c| c.unwrap_or(char::REPLACEMENT_CHARACTER))
+        };
+        write_varint(chars().map(char::len_utf8).sum::<usize>() as u64, out);
+        for c in chars() {
+            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+        }
+    }
+}
+
+impl HeapKey for String {
+    type Buf = String;
+    type View<'b> = &'b str;
+
+    fn view<'b>(heap: &Heap, _cls: &StringClasses, obj: ObjRef, buf: &'b mut String) -> &'b str {
+        load_str_into(heap, obj, buf);
+        buf
+    }
+}
+
 /// A Kryo-encoded string (varint byte length, then UTF-8) borrowed from
 /// `buf`.
 pub(crate) fn kryo_decode_str<'b>(buf: &'b [u8], pos: &mut usize) -> &'b str {
@@ -620,25 +818,64 @@ impl<T: Scalar> ArrayClasses<T> {
     /// record holds it.
     #[inline]
     pub fn store(&self, heap: &mut Heap, values: &[T]) -> Result<(usize, usize), OomError> {
-        let arr = heap.alloc_array(self.class, values.len())?;
-        for (i, v) in values.iter().enumerate() {
-            v.set(heap, arr, i);
-        }
+        self.store_with(heap, values.len(), |heap, arr| {
+            for (i, v) in values.iter().enumerate() {
+                v.set(heap, arr, i);
+            }
+        })
+    }
+
+    /// [`ArrayClasses::store`] of the array whose elements are the page
+    /// bytes `elements`, copied into it in bulk ([`Heap::array_write_le`]).
+    #[inline]
+    pub fn store_page(&self, heap: &mut Heap, elements: &[u8]) -> Result<(usize, usize), OomError> {
+        let len = elements.len() / T::WIDTH;
+        self.store_with(heap, len, |heap, arr| heap.array_write_le(arr, elements))
+    }
+
+    /// Allocate the array of `len` elements and `fill` it, then its
+    /// wrapper.
+    #[inline]
+    fn store_with(
+        &self,
+        heap: &mut Heap,
+        len: usize,
+        fill: impl FnOnce(&mut Heap, ObjRef),
+    ) -> Result<(usize, usize), OomError> {
+        let arr = heap.alloc_array(self.class, len)?;
+        fill(heap, arr);
         let mark = heap.push_stack(arr);
         let Some(wrapper) = self.wrapper else { return Ok((mark, mark)) };
         let w = heap.alloc(wrapper)?;
         heap.write_ref(w, 0, heap.stack_ref(mark));
         heap.write_word(w, 1, 0); // offset
         heap.write_word(w, 2, 1); // stride
-        heap.write_word(w, 3, values.len() as u64); // length
+        heap.write_word(w, 3, len as u64); // length
         Ok((heap.push_stack(w), mark))
+    }
+
+    /// The array behind the object the record refers to.
+    #[inline]
+    fn array(&self, heap: &Heap, held: ObjRef) -> ObjRef {
+        if self.wrapper.is_some() {
+            heap.read_ref(held, 0)
+        } else {
+            held
+        }
     }
 
     /// Read the array back from the object the record refers to.
     #[inline]
     pub fn load(&self, heap: &Heap, held: ObjRef) -> Vec<T> {
-        let arr = if self.wrapper.is_some() { heap.read_ref(held, 0) } else { held };
+        let arr = self.array(heap, held);
         (0..heap.array_len(arr)).map(|i| T::get(heap, arr, i)).collect()
+    }
+
+    /// Append the array's Kryo bytes, read off the heap from the object
+    /// the record refers to.
+    #[inline]
+    pub fn kryo_write(&self, heap: &Heap, held: ObjRef, out: &mut Vec<u8>) {
+        kryo_write_heap_array::<T>(heap, self.array(heap, held), out);
     }
 
     /// Heap bytes of the array of `len` elements and of its wrapper, if
@@ -714,6 +951,45 @@ pub fn kryo_read_array<T: Scalar>(buf: &[u8], pos: &mut usize) -> Vec<T> {
     values
 }
 
+/// A Kryo array at `*pos` decoded into its page bytes, appended to `out`:
+/// a `u32` count first when `counted`, then each element little-endian.
+#[inline]
+pub fn kryo_array_to_page<T: Scalar>(
+    buf: &[u8],
+    pos: &mut usize,
+    counted: bool,
+    out: &mut Vec<u8>,
+) {
+    let n = read_varint(buf, pos) as usize;
+    if counted {
+        push_page(n as u32, out);
+    }
+    if T::KRYO_RAW {
+        let elements = &buf[*pos..*pos + n * T::WIDTH];
+        out.extend_from_slice(elements);
+        *pos += elements.len();
+    } else {
+        for _ in 0..n {
+            push_page(T::kryo_read(buf, pos), out);
+        }
+    }
+}
+
+/// Append the Kryo bytes of the heap array `arr` of `T`s, as
+/// [`kryo_write_array`] writes its elements.
+#[inline]
+pub fn kryo_write_heap_array<T: Scalar>(heap: &Heap, arr: ObjRef, out: &mut Vec<u8>) {
+    let n = heap.array_len(arr);
+    write_varint(n as u64, out);
+    if T::KRYO_RAW {
+        heap.array_read_le(arr, out);
+    } else {
+        for i in 0..n {
+            T::get(heap, arr, i).kryo_write(out);
+        }
+    }
+}
+
 /// Declare a record once and get all of its representations.
 ///
 /// A declaration lists primitive fields (`i32`, `u32`, `i64`, `f64`) and at
@@ -723,10 +999,11 @@ pub fn kryo_read_array<T: Scalar>(buf: &[u8], pos: &mut usize) -> Vec<T> {
 /// as the JVM would; sizes by the heap's own rule), its [`KryoRecord`]
 /// (`f64` raw, integers as plain varints, an array as a varint length and
 /// its elements), its [`DecaRecord`] (the fields back to back, little
-/// endian; `counted` puts a `u32` element count before the array), a
-/// `fields(buf)` split of a record's page bytes, and `describe`, the
-/// type the analysis classifies (record fields are `var`s, the wrapper's
-/// are `val`s).
+/// endian; `counted` puts a `u32` element count before the array), its
+/// [`Record`] boundary walks (Kryo → page bytes, page bytes → heap graph
+/// in `store`'s order, heap graph → Kryo), a `fields(buf)` split of a
+/// record's page bytes, and `describe`, the type the analysis classifies
+/// (record fields are `var`s, the wrapper's are `val`s).
 ///
 /// ```
 /// deca_engine::record! {
@@ -892,6 +1169,61 @@ macro_rules! record {
                 $(let $field = <$ty as $crate::record::Scalar>::kryo_read(buf, pos);)*
                 $(let $arr = $crate::record::kryo_read_array::<$elem>(buf, pos);)?
                 $name { $($field,)* $($arr,)? }
+            }
+        }
+
+        impl $crate::record::Record for $name {
+            #[inline]
+            fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
+                $($crate::record::push_page(
+                    <$ty as $crate::record::Scalar>::kryo_read(buf, pos),
+                    out,
+                );)*
+                $($crate::record::kryo_array_to_page::<$elem>(buf, pos, $counted, out);)?
+            }
+
+            /// As `store`: the array, then the wrapper, then the record.
+            #[inline]
+            #[allow(unused_assignments, unused_mut)]
+            fn store_page(
+                page: &[u8],
+                heap: &mut $crate::record::deca_heap::Heap,
+                cls: &Self::Classes,
+            ) -> Result<$crate::record::deca_heap::ObjRef, $crate::record::deca_heap::OomError> {
+                use $crate::record::Scalar;
+                let ($($field,)* $($arr,)?) = Self::fields(page);
+                $(let $arr = cls.array.store_page(heap, $arr.as_flattened())?;)?
+                let obj = heap.alloc(cls.record)?;
+                let mut slot = 0;
+                $(
+                    $field.write(heap, obj, slot);
+                    slot += 1;
+                )*
+                $(
+                    heap.write_ref(obj, slot, heap.stack_ref($arr.0));
+                    heap.truncate_stack($arr.1);
+                )?
+                Ok(obj)
+            }
+
+            #[inline]
+            #[allow(unused_assignments, unused_mut)]
+            fn kryo_from_heap(
+                heap: &$crate::record::deca_heap::Heap,
+                cls: &Self::Classes,
+                obj: $crate::record::deca_heap::ObjRef,
+                out: &mut Vec<u8>,
+            ) {
+                use $crate::record::Scalar;
+                let mut slot = 0;
+                $(
+                    <$ty as Scalar>::read(heap, obj, slot).kryo_write(out);
+                    slot += 1;
+                )*
+                $(
+                    let $arr = heap.read_ref(obj, slot);
+                    cls.array.kryo_write(heap, $arr, out);
+                )?
             }
         }
 

@@ -9,6 +9,22 @@
 //! paper's observation that Deca serialization ≈ Kryo serialization while
 //! Deca needs no deserialization at all.
 //!
+//! ## No owned record at the boundary
+//!
+//! The JVM's Kryo reads a record straight into the objects it allocates
+//! and writes one straight from the graph's fields. Here the Spark modes
+//! do the same, through [`Record`]'s walks: [`KryoSim::decode_block`]
+//! decodes a cached block into its records' page form, back to back in
+//! one reused buffer ([`PageRecords`]), which a SparkSer scan visits and a
+//! cache restore stores on the heap record by record;
+//! [`KryoSim::serialize_heap`] (and, for a shuffle buffer's key and value,
+//! [`KryoSim::serialize_heap_pair`]) encodes a heap graph into the run.
+//! The bytes and object counts are the owned path's: `serialize` of what
+//! `load` returns, `deserialize` of what `encode` wrote. The owned
+//! `serialize`/`deserialize` calls remain for Rust-side input (a cache
+//! put of a generated dataset) and for the shuffle's scalar and
+//! borrowed-string reads.
+//!
 //! ## Timing granularity
 //!
 //! Timing is **phase-scoped**, not per-record: encoding one `(i64, i64)`
@@ -22,11 +38,15 @@
 //! [`KryoSim::time_ser`]/[`KryoSim::time_deser`]. `ser_time`/`deser_time`
 //! therefore cover the serialization *phase* (including buffer walking
 //! interleaved with encode calls); the `objects_*` counters stay exact
-//! per record.
+//! per record. A block decode is one timer pair; the heap stores a SparkSer
+//! kernel then makes from the decoded bytes are the kernel's compute, as
+//! they were when the decode built owned records.
 
 use std::time::{Duration, Instant};
 
-use crate::record::{kryo_decode_str, KryoRecord};
+use deca_heap::{Heap, ObjRef};
+
+use crate::record::{kryo_decode_str, BoxedScalar, KryoRecord, Record};
 
 /// A Kryo-ish serializer with timing counters.
 #[derive(Debug, Default)]
@@ -35,6 +55,34 @@ pub struct KryoSim {
     pub deser_time: Duration,
     pub objects_serialized: u64,
     pub objects_deserialized: u64,
+    /// The last block [`KryoSim::decode_block`] decoded, its buffers
+    /// reused by the next.
+    pages: PageRecords,
+}
+
+/// A block's records in page form, back to back: each record's
+/// [`DecaRecord`](deca_core::DecaRecord) bytes, as a Deca block holds them.
+#[derive(Debug, Default)]
+pub struct PageRecords {
+    bytes: Vec<u8>,
+    /// Where each record's bytes end.
+    ends: Vec<usize>,
+}
+
+impl PageRecords {
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Record `i`'s page bytes.
+    pub fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
 }
 
 /// Per-object framing overhead: a 2-byte class registration id (Kryo's
@@ -67,6 +115,67 @@ impl KryoSim {
     /// [`KryoSim::deserialize`].
     pub fn deserialize_str<'b>(&mut self, buf: &'b [u8], pos: &mut usize) -> &'b str {
         self.tagged(buf, pos, kryo_decode_str)
+    }
+
+    /// Deserialize one record at `*pos` into its page form, appended to
+    /// `out` (Kryo → page, no owned record): the same tag check and object
+    /// count as [`KryoSim::deserialize`]. Untimed.
+    pub fn deserialize_page<T: Record>(
+        &mut self,
+        buf: &[u8],
+        pos: &mut usize,
+        out: &mut PageRecords,
+    ) {
+        self.tagged(buf, pos, |buf, pos| T::kryo_to_page(buf, pos, &mut out.bytes));
+        out.ends.push(out.bytes.len());
+    }
+
+    /// Decode every record of a block into page form, under one
+    /// deserializer timer pair: what a SparkSer read and a cache restore
+    /// visit. The result lives until the next decode.
+    pub fn decode_block<T: Record>(&mut self, buf: &[u8]) -> &PageRecords {
+        let mut pages = std::mem::take(&mut self.pages);
+        pages.bytes.clear();
+        pages.ends.clear();
+        self.time_deser(|k| {
+            let mut pos = 0;
+            while pos < buf.len() {
+                k.deserialize_page::<T>(buf, &mut pos, &mut pages);
+            }
+        });
+        self.pages = pages;
+        &self.pages
+    }
+
+    /// Serialize one record straight from its heap graph at `obj` (heap →
+    /// Kryo, no owned record): the bytes and object count of
+    /// `serialize(&T::load(..))`. Untimed.
+    pub fn serialize_heap<T: Record>(
+        &mut self,
+        heap: &Heap,
+        cls: &T::Classes,
+        obj: ObjRef,
+        out: &mut Vec<u8>,
+    ) {
+        out.extend_from_slice(&CLASS_TAG);
+        T::kryo_from_heap(heap, cls, obj, out);
+        self.objects_serialized += 1;
+    }
+
+    /// Serialize one boxed pair record `(A, B)` from its two boxes, as a
+    /// shuffle buffer holds a key and its value apart: the bytes and
+    /// object count of `serialize(&(a, b))`. Untimed.
+    pub fn serialize_heap_pair<A: BoxedScalar + Record, B: BoxedScalar + Record>(
+        &mut self,
+        heap: &Heap,
+        (ca, cb): (&A::Classes, &B::Classes),
+        (a, b): (ObjRef, ObjRef),
+        out: &mut Vec<u8>,
+    ) {
+        out.extend_from_slice(&CLASS_TAG);
+        A::kryo_from_heap(heap, ca, a, out);
+        B::kryo_from_heap(heap, cb, b, out);
+        self.objects_serialized += 1;
     }
 
     fn tagged<'b, R>(

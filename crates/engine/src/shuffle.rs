@@ -30,10 +30,10 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use deca_core::hash::WordHashBuilder;
-use deca_heap::{ClassId, Heap, OomError, RootId};
+use deca_heap::{ClassId, Heap, ObjRef, OomError, RootId};
 
 use crate::cache::object_array_class;
-use crate::record::Record;
+use crate::record::{HeapKey, Record};
 
 /// A key as [`SparkHashShuffle::insert`] takes it. A borrowed key (`&str`
 /// for a `String` buffer, `&i64` for an `i64` one) probes the index as it
@@ -88,7 +88,7 @@ pub struct SparkHashShuffle<K: Record, V: Record> {
 
 impl<K, V> SparkHashShuffle<K, V>
 where
-    K: Record + Eq + Hash,
+    K: Record + HeapKey + Eq + Hash,
     V: Record,
 {
     pub fn new(heap: &mut Heap) -> Result<Self, OomError> {
@@ -172,26 +172,30 @@ where
         Ok(())
     }
 
-    /// Read out all pairs (loading each from its heap objects).
-    pub fn drain(&self, heap: &Heap) -> Vec<(K, V)> {
-        let arr = heap.root_ref(self.array);
-        let mut out = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            let kobj = heap.array_get_ref(arr, i * 2);
-            let vobj = heap.array_get_ref(arr, i * 2 + 1);
-            out.push((K::load(heap, &self.classes_k, kobj), V::load(heap, &self.classes_v, vobj)));
-        }
-        out
+    /// The key and value classes, for a caller that serializes the pairs
+    /// straight from their objects.
+    pub fn classes(&self) -> (&K::Classes, &V::Classes) {
+        (&self.classes_k, &self.classes_v)
     }
 
-    /// Visit each pair without collecting.
-    pub fn for_each(&self, heap: &Heap, mut f: impl FnMut(K, V)) {
+    /// Visit each pair in first-insertion order as its key's view, read
+    /// off the heap through one reused buffer ([`HeapKey`]), and its key
+    /// and value objects: the shuffle write serializes straight from
+    /// them, with no owned key.
+    pub fn for_each_object(&self, heap: &Heap, mut f: impl FnMut(K::View<'_>, ObjRef, ObjRef)) {
         let arr = heap.root_ref(self.array);
+        let mut buf = K::Buf::default();
         for i in 0..self.len {
             let kobj = heap.array_get_ref(arr, i * 2);
             let vobj = heap.array_get_ref(arr, i * 2 + 1);
-            f(K::load(heap, &self.classes_k, kobj), V::load(heap, &self.classes_v, vobj));
+            f(K::view(heap, &self.classes_k, kobj, &mut buf), kobj, vobj);
         }
+    }
+
+    /// Visit each pair in first-insertion order as its key's view and its
+    /// value.
+    pub fn for_each(&self, heap: &Heap, mut f: impl FnMut(K::View<'_>, V)) {
+        self.for_each_object(heap, |k, _, vobj| f(k, V::load(heap, &self.classes_v, vobj)));
     }
 
     /// Release the buffer: the root dies; space is reclaimed only by the
@@ -312,9 +316,7 @@ mod tests {
             buf.insert(&mut heap, &(k, 0), (i, 0), |a, b| (a.0 + b.0, 0)).unwrap();
         }
         assert_eq!(buf.len(), 313);
-        for (k, v) in buf.drain(&heap) {
-            assert_eq!(v.0, expected[&k.0], "aggregate for key {}", k.0);
-        }
+        buf.for_each(&heap, |k, v| assert_eq!(v.0, expected[&k.0], "aggregate for key {}", k.0));
         // Combines churned garbage: allocations far exceed live objects.
         assert!(heap.stats().objects_allocated > 20_000);
         buf.release(&mut heap);

@@ -752,6 +752,36 @@ impl Heap {
         let len = self.array_len(r);
         assert!(offset + data.len() <= len, "byte array write out of bounds");
         debug_assert_eq!(self.array_elem_kind(r), FieldKind::I8);
+        self.write_span(r, offset, data);
+    }
+
+    /// Bulk-copy little-endian elements, back to back, into a primitive
+    /// array from element 0: `System.arraycopy` into a `double[]` or an
+    /// `int[]` from a byte view of its elements. The words are the ones
+    /// per-element sets write, and elements past `data` keep their values.
+    pub fn array_write_le(&mut self, r: ObjRef, data: &[u8]) {
+        assert!(data.len() <= self.primitive_array_bytes(r), "array write out of bounds");
+        self.write_span(r, 0, data);
+    }
+
+    /// Append a primitive array's elements to `out`, little-endian, back
+    /// to back: the bytes [`Heap::array_write_le`] takes.
+    pub fn array_read_le(&self, r: ObjRef, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.resize(at + self.primitive_array_bytes(r), 0);
+        self.read_span(r, 0, &mut out[at..]);
+    }
+
+    /// The bytes a primitive array's elements take.
+    fn primitive_array_bytes(&self, r: ObjRef) -> usize {
+        let elem = self.array_elem_kind(r);
+        assert!(!elem.is_ref(), "not a primitive array");
+        self.array_len(r) * elem.nominal_bytes()
+    }
+
+    /// Copy `data` into an array's payload from byte `offset`: an
+    /// unaligned head, whole words, then a tail.
+    fn write_span(&mut self, r: ObjRef, offset: usize, data: &[u8]) {
         if data.is_empty() {
             return;
         }
@@ -782,6 +812,12 @@ impl Heap {
         let len = self.array_len(r);
         assert!(offset + out.len() <= len, "byte array read out of bounds");
         debug_assert_eq!(self.array_elem_kind(r), FieldKind::I8);
+        self.read_span(r, offset, out);
+    }
+
+    /// Copy an array's payload from byte `offset` into `out`, in the same
+    /// three steps as [`Heap::write_span`].
+    fn read_span(&self, r: ObjRef, offset: usize, out: &mut [u8]) {
         if out.is_empty() {
             return;
         }

@@ -162,6 +162,25 @@ if [ -n "$impls" ]; then
   exit 1
 fi
 
+echo "== no owned record across the Kryo boundary =="
+# The Spark modes cross between Kryo bytes and the heap with no owned Rust
+# record in between: a SparkSer read decodes a block into page-form bytes
+# and visits them (`CacheManager::scan_serialized`), and the cache's tier
+# moves serialize from, and store into, the heap graph. No non-test line
+# under the apps or the engine names the retired decode-to-`Vec<T>`
+# access, and no non-test line of the engine's cache.rs decodes a block
+# into owned records or loads one off the heap. (The patterns' brackets
+# keep this script from matching itself.)
+owned=$( (find crates/apps/src crates/engine/src -name '*.rs' | sort \
+    | xargs awk -f scripts/non_test_lines.awk | grep 'iter_serialize[d]' || true)
+  awk -f scripts/non_test_lines.awk crates/engine/src/cache.rs \
+    | grep -E 'deserialize_al[l]|T::loa[d]' || true)
+if [ -n "$owned" ]; then
+  echo "non-test code builds an owned record at the Kryo boundary:"
+  echo "$owned"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in
@@ -200,14 +219,19 @@ echo "== properties (replayed seeds) =="
 # swap-out and back (`group::tests`). A heap `String`'s ASCII fast path must
 # write the same `char[]` words, leave the same slack and decode the same
 # text as the general UTF-16 path, for ASCII, Latin-1, BMP and astral
-# strings at every length to 33 (`string_fast_path_*`). These properties
-# draw their cases from DECA_CHECK_SEED; a failure hands the reader the
-# exact replay line.
+# strings at every length to 33 (`string_fast_path_*`). Each record's Kryo
+# boundary walks must match the owned path they replaced: Kryo to page
+# bytes, page bytes to the heap graph `store` allocates (same eden offsets
+# and bytes), and the heap graph back to Kryo, for every declared and
+# hand-written record and for strings of every class at every length to
+# 33 (`kryo_walks_*`). These properties draw their cases from
+# DECA_CHECK_SEED; a failure hands the reader the exact replay line.
 for seed in 11 29 47; do
   for suite in "-p deca-bench --test properties shuffle" "-p deca-core --lib shuffle" \
       "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array" \
       "-p deca-heap --lib alloc_fast" "-p deca-core --lib group::tests" \
-      "-p deca-bench --test properties string_fast_path"; do
+      "-p deca-bench --test properties string_fast_path" \
+      "-p deca-bench --test properties kryo_walks"; do
     # shellcheck disable=SC2086 # $suite is a word list on purpose
     if ! DECA_CHECK_SEED=$seed cargo test -q --offline $suite; then
       echo "properties failed under seed $seed; replay locally with:"

@@ -13,8 +13,9 @@ use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
 use deca_apps::{run_job_local, run_job_on};
+use deca_core::DecaRecord;
 use deca_engine::{
-    ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode, Tier, TraceEventKind,
+    CacheError, ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode, Tier, TraceEventKind,
 };
 use util::TestDir;
 
@@ -253,7 +254,10 @@ fn executors_configured_with_one_spill_directory_keep_their_own_spill_files() {
         assert_eq!(e.cache.tier(b, &e.mm), Tier::Cold, "executor {i}'s block was evicted");
         let mut back: Vec<i64> = Vec::new();
         e.cache
-            .iter_serialized(b, &mut e.heap, &mut e.kryo, &mut e.mm, |r| back.push(r))
+            .scan_serialized::<i64, CacheError>(b, &mut e.heap, &mut e.kryo, &mut e.mm, |_, r| {
+                back.push(i64::decode(r));
+                Ok(())
+            })
             .unwrap_or_else(|err| panic!("executor {i} cannot read its block back: {err}"));
         assert_eq!(back, records[i], "executor {i} read another executor's records");
     }

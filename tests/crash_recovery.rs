@@ -29,10 +29,11 @@ use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_on;
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
+use deca_core::DecaRecord;
 use deca_engine::cache::BlockId;
 use deca_engine::{
-    ClusterSession, ExecutionMode, Executor, ExecutorConfig, FaultPlan, FaultSite, FaultSpec,
-    HeapRecord, RetryPolicy, SchedulerMode, TraceEventKind,
+    CacheError, ClusterSession, ExecutionMode, Executor, ExecutorConfig, FaultPlan, FaultSite,
+    FaultSpec, HeapRecord, RetryPolicy, SchedulerMode, TraceEventKind,
 };
 use util::{assert_groups_owned_by_cache, scheduler_cells, TestDir};
 
@@ -289,10 +290,17 @@ fn read_block(e: &mut Executor, mode: ExecutionMode, id: BlockId) -> Vec<(i64, i
         ExecutionMode::SparkSer => {
             let mut got = Vec::new();
             e.cache
-                .iter_serialized::<(i64, i64)>(id, &mut e.heap, &mut e.kryo, &mut e.mm, |r| {
-                    got.push(r)
-                })
-                .expect("iter");
+                .scan_serialized::<(i64, i64), CacheError>(
+                    id,
+                    &mut e.heap,
+                    &mut e.kryo,
+                    &mut e.mm,
+                    |_, r| {
+                        got.push(DecaRecord::decode(r));
+                        Ok(())
+                    },
+                )
+                .expect("scan");
             got
         }
         ExecutionMode::Deca => {

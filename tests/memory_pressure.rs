@@ -3,6 +3,7 @@
 
 mod util;
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, run_local, LrParams};
 use deca_apps::pagerank::{self, PrParams};
@@ -182,6 +183,55 @@ fn pagerank_on_a_shrinking_heap_completes_or_reports_memory_pressure_never_panic
         }
     }
     assert!(reference.is_some(), "the sweep starts at a size that completes");
+    td.cleanup();
+}
+
+#[test]
+fn concomp_on_a_shrinking_heap_completes_or_reports_memory_pressure_never_panics() {
+    let td = TestDir::executor_default();
+    // PageRank's sweep for ConnectedComponents, whose labels cross the
+    // same combine-by-key shuffle, over the same adjacency cache, in
+    // 256 KB steps from a heap where every mode completes. From 3584 KB
+    // the Spark mode evicts adjacency blocks and restores them from their
+    // Kryo bytes, each record's graph stored from its page form, on a heap
+    // near its limit; a store there that meets the full heap used to leave
+    // the part-filled block's `Object[]` rooted for good (one root left
+    // after the 3584 KB job). Deca's adjacency build meets a page budget
+    // the heap cannot grant from 2816 KB, and every mode's build fails at
+    // 2304 KB, each with a typed error. Whatever the outcome, once the
+    // job's cached blocks are released the executor holds no heap root and
+    // no page group.
+    let mut reference = None;
+    let mut evicted = false;
+    for heap_kb in [4096, 3584, 3072, 2816, 2560, 2304] {
+        for mode in ExecutionMode::ALL {
+            let mut p = CcParams::small(mode);
+            (p.vertices, p.edges, p.max_iterations, p.partitions) = (20_000, 100_000, 2, 2);
+            p.heap_bytes = heap_kb << 10;
+            let mut session = ClusterSession::new(1, concomp::cc_config(&p));
+            match run_job_on(&concomp::job(&p), &mut session) {
+                Ok((checksum, _)) => assert_eq!(
+                    checksum,
+                    *reference.get_or_insert(checksum),
+                    "{mode} at {heap_kb} KB: completed with the wrong labels"
+                ),
+                Err(e) => assert!(
+                    e.is_memory_pressure(),
+                    "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
+                ),
+            }
+            let e = &mut session.cluster_mut().executors[0];
+            evicted |= mode == ExecutionMode::Spark && e.cache.evictions > 0;
+            e.release_job_blocks(0);
+            assert_eq!(
+                (e.heap.root_count(), e.mm.live_groups()),
+                (0, 0),
+                "{mode} at {heap_kb} KB: [heap roots, live page groups] after the job"
+            );
+        }
+    }
+    assert!(reference.is_some(), "the sweep starts at a size that completes");
+    assert!(evicted, "a Spark point evicts its cache and restores it");
     td.cleanup();
 }
 

@@ -13,13 +13,14 @@ mod util;
 
 use std::collections::HashMap;
 
-use deca_apps::records::{AdjListRec, LabeledPointRec};
-use deca_check::property::{check, gens, Config};
+use deca_apps::records::{AdjListRec, JoinAggRec, LabeledPointRec, RankingRec, UserVisitRec};
+use deca_check::property::{check, gens, Config, TestResult};
 use deca_check::{prop_assert, prop_assert_eq};
 use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
-use deca_engine::record::{load_str_into, HeapRecord, KryoRecord};
+use deca_engine::record::{load_str_into, HeapRecord, KryoRecord, Record};
+use deca_engine::serde_sim::PageRecords;
 use deca_engine::{KryoSim, SparkHashShuffle};
-use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig};
+use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig, ObjRef};
 
 use util::TestDir;
 
@@ -281,7 +282,8 @@ fn key_text(n: u32) -> String {
 /// (passed borrowed and owned) and `String` keys passed as `&str`, across
 /// growths of the 1024-slot `Object[]`. The combine is order-sensitive,
 /// so equality proves values combine in arrival order; the buffer also
-/// drains in first-arrival order, the order Spark-mode checksums sum in.
+/// visits its keys, each read back through one reused buffer, in
+/// first-arrival order, the order Spark-mode checksums sum in.
 #[test]
 fn spark_shuffle_borrowed_key_insert_equals_fold() {
     fn combine(acc: i64, new: i64) -> i64 {
@@ -322,9 +324,13 @@ fn spark_shuffle_borrowed_key_insert_equals_fold() {
             }
             let want = fold(stream.iter().map(|&(id, v)| (i64::from(id), v)));
             prop_assert_eq!(ints.len(), want.len());
-            prop_assert_eq!(ints.drain(&heap), want);
+            let mut got = Vec::new();
+            ints.for_each(&heap, |k, v| got.push((k, v)));
+            prop_assert_eq!(got, want);
             let want = fold(stream.iter().map(|&(id, v)| (key_text(id), v)));
-            prop_assert_eq!(texts.drain(&heap), want);
+            let mut got = Vec::new();
+            texts.for_each(&heap, |k, v| got.push((k.to_owned(), v)));
+            prop_assert_eq!(got, want);
             ints.release(&mut heap);
             texts.release(&mut heap);
             Ok(())
@@ -466,6 +472,138 @@ fn string_fast_path_matches_the_utf16_path_at_every_length() {
         }
         Ok(())
     });
+}
+
+/// A heap object graph as its objects' eden offsets and classes, depth
+/// first from `obj`: two heaps that allocated the same objects in the same
+/// order and sizes give the same list.
+fn eden_graph(heap: &Heap, obj: ObjRef) -> Vec<(usize, String)> {
+    let class = heap.registry().get(heap.class_of(obj));
+    let mut out = vec![(heap.eden_offset(obj).expect("born in eden"), class.name().to_string())];
+    if !class.is_array() {
+        for slot in (0..class.slot_count()).filter(|&i| class.slot_is_ref(i)) {
+            let r = heap.read_ref(obj, slot);
+            if !r.is_null() {
+                out.extend(eden_graph(heap, r));
+            }
+        }
+    }
+    out
+}
+
+/// `rec` across each crossing of the Kryo boundary, against the owned path
+/// it replaced. `owned` and `paged` are two heaps that have made the same
+/// allocations so far; the record is stored on `owned` with `store` and
+/// on `paged` from its page bytes.
+fn boundary_matches_owned_path<T: Record + PartialEq + std::fmt::Debug>(
+    rec: &T,
+    owned: &mut Heap,
+    paged: &mut Heap,
+    ctx: &str,
+) -> TestResult {
+    let mut kryo = KryoSim::new();
+    let mut bytes = Vec::new();
+    kryo.serialize(rec, &mut bytes);
+    // Kryo → page: the page bytes of what the owned decode returns, with
+    // the same tag check and object count.
+    let mut want = Vec::new();
+    let mut pos = 2;
+    let decoded = T::kryo_decode(&bytes, &mut pos);
+    want.resize(decoded.data_size(), 0);
+    decoded.encode(&mut want);
+    let (mut at, mut pages) = (0, PageRecords::default());
+    kryo.deserialize_page::<T>(&bytes, &mut at, &mut pages);
+    prop_assert_eq!((at, pages.len(), kryo.objects_deserialized), (pos, 1, 1), "{ctx}");
+    prop_assert_eq!(pages.get(0), &want[..], "page bytes of {ctx}");
+    // Page → heap: what `store` allocates, where it allocates it.
+    let (cls, paged_cls) = (T::register(owned), T::register(paged));
+    let (was, paged_was) = (owned.stats().clone(), paged.stats().clone());
+    let obj = rec.store(owned, &cls).unwrap();
+    let paged_obj = T::store_page(pages.get(0), paged, &paged_cls).unwrap();
+    let grew = |heap: &Heap, was: &deca_heap::GcStats| {
+        let now = heap.stats();
+        [now.objects_allocated - was.objects_allocated, now.bytes_allocated - was.bytes_allocated]
+    };
+    prop_assert_eq!(grew(paged, &paged_was), grew(owned, &was), "[objects, bytes] of {ctx}");
+    prop_assert_eq!(eden_graph(paged, paged_obj), eden_graph(owned, obj), "graph of {ctx}");
+    prop_assert_eq!(&T::load(paged, &paged_cls, paged_obj), rec, "load of {ctx}");
+    // Heap → Kryo: the Kryo bytes of what the owned load returns.
+    let mut want = Vec::new();
+    T::load(owned, &cls, obj).kryo_encode(&mut want);
+    let mut got = Vec::new();
+    T::kryo_from_heap(owned, &cls, obj, &mut got);
+    prop_assert_eq!(&got, &want, "Kryo bytes of {ctx}'s graph");
+    let mut tagged = Vec::new();
+    kryo.serialize_heap::<T>(paged, &paged_cls, paged_obj, &mut tagged);
+    prop_assert_eq!((&tagged, kryo.objects_serialized), (&bytes, 2), "{ctx}");
+    Ok(())
+}
+
+/// The Spark modes cross between Kryo bytes, page bytes and the heap with
+/// no owned record, and each crossing matches the owned path it replaced,
+/// for the five declared records and every hand-written `Record`: boxed
+/// `i64` and `f64`, `(i64, i64)`, `(i64, f64)`, `(i64, Vec<f64>)`, and
+/// `String` in ASCII, Latin-1, BMP and astral text at every length 0..=33:
+/// - Kryo → page: the bytes `DecaRecord::encode` writes for what
+///   `kryo_decode` returns, with the same tag check and object count;
+/// - page → heap: the objects `store` allocates, at the same eden offsets
+///   (so in the same order and sizes), the same bytes, and a graph that
+///   loads back equal;
+/// - heap → Kryo: the bytes `kryo_encode` writes for what `load` returns,
+///   and, tagged, the bytes and object count `serialize` gives.
+///
+/// Cases come from `DECA_CHECK_SEED` when set.
+#[test]
+fn kryo_walks_match_the_owned_path() {
+    check(
+        Config::with_cases(16),
+        gens::pair(gens::array_of(gens::any_i64(), 6), gens::array_of(gens::any_u32(), 34)),
+        |(ints, draws)| {
+            let mut owned = Heap::new(HeapConfig::with_total(64 << 20));
+            let mut paged = Heap::new(HeapConfig::with_total(64 << 20));
+            let real = |i: usize| ints[i] as f64 / 8.0;
+            let reals: Vec<f64> = draws.iter().map(|&d| f64::from(d) * 0.25 - 5e8).collect();
+            let n = draws[0] as usize % draws.len();
+            let mut walk = |ctx: &str, walk: &dyn Fn(&mut Heap, &mut Heap) -> TestResult| {
+                walk(&mut owned, &mut paged).map_err(|e| format!("{ctx}: {e}"))
+            };
+            walk("LabeledPoint", &|o, p| {
+                let rec = LabeledPointRec { label: real(0), features: reals[..n].to_vec() };
+                boundary_matches_owned_path(&rec, o, p, &format!("{rec:?}"))
+            })?;
+            walk("VertexEdges", &|o, p| {
+                let rec = AdjListRec { vertex: draws[1], neighbors: draws[..n].to_vec() };
+                boundary_matches_owned_path(&rec, o, p, &format!("{rec:?}"))
+            })?;
+            walk("table rows", &|o, p| {
+                let (a, b) = (ints[1] as i32, (ints[2] >> 32) as i32);
+                let rank = RankingRec { url_id: ints[0], page_rank: a, avg_duration: b };
+                boundary_matches_owned_path(&rank, o, p, &format!("{rank:?}"))?;
+                let visit =
+                    UserVisitRec { ip_prefix: ints[3], url_id: ints[4], ad_revenue: real(5) };
+                boundary_matches_owned_path(&visit, o, p, &format!("{visit:?}"))?;
+                let agg = JoinAggRec { revenue: real(1), rank_sum: real(2), count: ints[3] };
+                boundary_matches_owned_path(&agg, o, p, &format!("{agg:?}"))
+            })?;
+            walk("boxed scalars", &|o, p| {
+                boundary_matches_owned_path(&ints[0], o, p, "i64")?;
+                boundary_matches_owned_path(&real(1), o, p, "f64")?;
+                boundary_matches_owned_path(&(ints[2], ints[3]), o, p, "(i64, i64)")?;
+                boundary_matches_owned_path(&(ints[4], real(5)), o, p, "(i64, f64)")?;
+                let keyed = (ints[0], reals[..n].to_vec());
+                boundary_matches_owned_path(&keyed, o, p, "(i64, Vec<f64>)")
+            })?;
+            walk("strings", &|o, p| {
+                for class in 0..4 {
+                    for len in 0..=33 {
+                        let s = string_of_class(class, len, draws);
+                        boundary_matches_owned_path(&s, o, p, &format!("{s:?}"))?;
+                    }
+                }
+                Ok(())
+            })
+        },
+    );
 }
 
 /// The global classification never reports a *more* variable size-type

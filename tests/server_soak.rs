@@ -18,9 +18,10 @@ use std::time::Duration;
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
+use deca_core::DecaRecord;
 use deca_engine::{
-    AppJob, DecaServer, EngineError, ExecutionMode, ExecutorConfig, FaultPlan, FaultSpec,
-    JobMetrics, JobSpec, RetryPolicy, SchedulerMode, ServerConfig, Tier,
+    AppJob, CacheError, DecaServer, EngineError, ExecutionMode, ExecutorConfig, FaultPlan,
+    FaultSpec, JobMetrics, JobSpec, RetryPolicy, SchedulerMode, ServerConfig, Tier,
 };
 
 /// Executors backing the shared server in the soak.
@@ -326,12 +327,15 @@ fn tenant_cache_budget_shields_a_tenant_from_noisy_neighbours() {
                 );
                 let mut sum = 0.0;
                 e.cache
-                    .iter_serialized::<(i64, f64)>(
+                    .scan_serialized::<(i64, f64), CacheError>(
                         got,
                         &mut e.heap,
                         &mut e.kryo,
                         &mut e.mm,
-                        |(_, v)| sum += v,
+                        |_, r| {
+                            sum += <(i64, f64)>::decode(r).1;
+                            Ok(())
+                        },
                     )
                     .expect("victim block reads back");
                 Ok(sum)

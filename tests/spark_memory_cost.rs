@@ -22,10 +22,17 @@
 //! Kryo wire form of each combined record, from the commit before the four
 //! combine-by-key jobs shared one shuffle path. ConnectedComponents joined
 //! the pinned jobs at that commit too.
+//!
+//! Every run also counts exactly the Kryo objects recorded, serialized and
+//! deserialized, and KMeans joins the pinned jobs, in both tiers of the
+//! cache: both recorded from the commit before the Spark modes' Kryo
+//! boundary stopped building an owned record between the bytes and the
+//! heap.
 
 mod util;
 
 use deca_apps::concomp::{self, CcParams};
+use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::run_job_on;
@@ -86,6 +93,21 @@ fn lr_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
     (logreg::job(&p), logreg::lr_config(&p))
 }
 
+fn km(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let mut p = KmParams::small(mode);
+    // As LR's: the cache nearly fills the old generation.
+    (p.points, p.iterations, p.heap_bytes, p.storage_fraction) = (30_000, 3, 8 << 20, 0.62);
+    (kmeans::job(&p), kmeans::km_config(&p))
+}
+
+/// KMeans with a storage budget a fifth of its cached set's, as
+/// [`lr_spilling`]'s.
+fn km_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
+    let mut p = KmParams::small(mode);
+    (p.points, p.iterations, p.heap_bytes, p.storage_fraction) = (30_000, 3, 16 << 20, 0.05);
+    (kmeans::job(&p), kmeans::km_config(&p))
+}
+
 /// PageRank under `pr-pressure`'s near-zero storage budget.
 fn pr_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
     let mut p = pr_params(mode);
@@ -93,16 +115,17 @@ fn pr_spilling(mode: ExecutionMode) -> (AppJob, ExecutorConfig) {
     (pagerank::job(&p), pagerank::pr_config(&p))
 }
 
+/// What [`run_alone`] reads off one run.
+type Costs = ([u64; 7], [u64; 4], [u64; 2], Vec<(String, u64)>);
+
 /// One run on one executor, under the stop-the-world default collector
 /// (the concurrent ones race a marker thread, so their counts need not
 /// repeat): `[objects_allocated, bytes_allocated, minor_gcs, full_gcs,
 /// objects_traced, bytes_copied, bytes_promoted]`, the cache's
-/// `[evictions, demotions, spill_write_bytes, spill_read_bytes]`, and each
-/// stage's `(name, shuffle_bytes)` in run order.
-fn run_alone(
-    build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
-    mode: ExecutionMode,
-) -> ([u64; 7], [u64; 4], Vec<(String, u64)>) {
+/// `[evictions, demotions, spill_write_bytes, spill_read_bytes]`, Kryo's
+/// `[objects_serialized, objects_deserialized]`, and each stage's
+/// `(name, shuffle_bytes)` in run order.
+fn run_alone(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), mode: ExecutionMode) -> Costs {
     let (app, config) = build(mode);
     let config = config.gc_algorithm(GcAlgorithm::ParallelScavenge).scheduler(SchedulerMode::Pull);
     let mut session = ClusterSession::new(1, config);
@@ -121,6 +144,7 @@ fn run_alone(
             s.bytes_promoted,
         ],
         [c.evictions, c.demotions, c.spill_write_bytes, c.spill_read_bytes],
+        [e.kryo.objects_serialized, e.kryo.objects_deserialized],
         stages,
     )
 }
@@ -130,11 +154,13 @@ fn stages(rows: &[(&str, u64)]) -> Vec<(String, u64)> {
     rows.iter().map(|&(name, bytes)| (name.to_string(), bytes)).collect()
 }
 
-/// `shuffled` is every stage's `(name, shuffle_bytes)`, the same in both
-/// modes.
+/// `kryo` is `[objects serialized, objects deserialized]` per mode, in
+/// [Spark, SparkSer]; `shuffled` is every stage's `(name, shuffle_bytes)`,
+/// the same in both modes.
 fn same_heap_cost(
     build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
     want: [[u64; 7]; 2],
+    kryo: [[u64; 2]; 2],
     shuffled: &[(&str, u64)],
 ) {
     let td = TestDir::executor_default();
@@ -144,25 +170,26 @@ fn same_heap_cost(
         got, want,
         "[objects, bytes, minor GCs, full GCs, traced, copied, promoted] in [Spark, SparkSer]"
     );
+    assert_eq!(runs.each_ref().map(|r| r.2), kryo, "Kryo [serialized, deserialized]");
     for (mode, run) in SPARK_MODES.iter().zip(&runs) {
-        assert_eq!(run.2, stages(shuffled), "{mode}: (stage, shuffle bytes)");
+        assert_eq!(run.3, stages(shuffled), "{mode}: (stage, shuffle bytes)");
     }
     td.cleanup();
 }
 
-/// `want` is `(heap cost, cache traffic)` per mode, in [Spark, SparkSer];
-/// `shuffled` as [`same_heap_cost`]'s.
+/// `want` is `(heap cost, cache traffic, Kryo objects)` per mode, in
+/// [Spark, SparkSer]; `shuffled` as [`same_heap_cost`]'s.
 fn same_heap_and_cache_cost(
     build: fn(ExecutionMode) -> (AppJob, ExecutorConfig),
-    want: [([u64; 7], [u64; 4]); 2],
+    want: [([u64; 7], [u64; 4], [u64; 2]); 2],
     shuffled: &[(&str, u64)],
 ) {
     let td = TestDir::executor_default();
     let runs = SPARK_MODES.map(|mode| run_alone(build, mode));
-    let got = runs.each_ref().map(|r| (r.0, r.1));
-    assert_eq!(got, want, "[heap cost, cache traffic] in [Spark, SparkSer]");
+    let got = runs.each_ref().map(|r| (r.0, r.1, r.2));
+    assert_eq!(got, want, "[heap cost, cache traffic, Kryo objects] in [Spark, SparkSer]");
     for (mode, run) in SPARK_MODES.iter().zip(&runs) {
-        assert_eq!(run.2, stages(shuffled), "{mode}: (stage, shuffle bytes)");
+        assert_eq!(run.3, stages(shuffled), "{mode}: (stage, shuffle bytes)");
     }
     td.cleanup();
 }
@@ -175,6 +202,7 @@ fn wordcount_allocates_and_collects_as_recorded() {
             [258_850, 6_954_448, 3, 0, 5_590, 199_680, 0],
             [258_850, 6_954_448, 3, 0, 5_590, 199_680, 0],
         ],
+        [[7_988, 7_988], [7_988, 7_988]],
         &[("wc-map", 39_867), ("wc-reduce", 0)],
     );
 }
@@ -187,6 +215,7 @@ fn text_wordcount_allocates_and_collects_as_recorded() {
             [209_700, 6_751_080, 3, 0, 11_043, 429_808, 0],
             [209_700, 6_751_080, 3, 0, 11_043, 429_808, 0],
         ],
+        [[15_976, 15_976], [15_976, 15_976]],
         &[("wct-map", 124_740), ("wct-reduce", 0)],
     );
 }
@@ -199,7 +228,44 @@ fn logreg_allocates_and_collects_as_recorded() {
             [191_260, 14_921_416, 6, 1, 202_179, 11_779_480, 5_940_144],
             [270_008, 17_850_176, 8, 0, 8, 2_730_176, 2_730_176],
         ],
+        [[3_750, 3_750], [30_000, 90_000]],
         &[("lr-load", 0), ("lr-iter0", 0), ("lr-iter1", 0), ("lr-iter2", 0)],
+    );
+}
+
+#[test]
+fn kmeans_allocates_and_collects_as_recorded() {
+    same_heap_and_cache_cost(
+        km,
+        [
+            (
+                [371_260, 13_481_416, 6, 1, 202_184, 11_779_600, 5_940_168],
+                [0, 1, 0, 0],
+                [3_750, 3_750],
+            ),
+            ([270_008, 17_850_176, 8, 0, 8, 2_730_176, 2_730_176], [0, 0, 0, 0], [30_000, 90_000]),
+        ],
+        &[("km-load", 0), ("km-iter0", 0), ("km-iter1", 0), ("km-iter2", 0)],
+    );
+}
+
+#[test]
+fn spilling_kmeans_moves_the_cache_as_recorded() {
+    same_heap_and_cache_cost(
+        km_spilling,
+        [
+            (
+                [630_039, 30_709_416, 6, 0, 57_399, 3_394_048, 928_960],
+                [31, 7, 10_578_750, 8_190_000],
+                [116_250, 90_000],
+            ),
+            (
+                [270_032, 26_040_704, 5, 0, 10, 2_730_368, 1_706_360],
+                [30, 0, 10_237_500, 8_190_000],
+                [30_000, 90_000],
+            ),
+        ],
+        &[("km-load", 0), ("km-iter0", 0), ("km-iter1", 0), ("km-iter2", 0)],
     );
 }
 
@@ -211,6 +277,7 @@ fn pagerank_allocates_and_collects_as_recorded() {
             [302_565, 8_985_072, 4, 0, 15_762, 756_432, 189_088],
             [298_805, 8_843_424, 3, 0, 5_932, 366_296, 47_440],
         ],
+        [[14_853, 14_853], [16_733, 20_493]],
         &[
             ("adj-build", 0),
             ("pr-iter0-map", 59_316),
@@ -231,8 +298,13 @@ fn spilling_logreg_moves_the_cache_as_recorded() {
             (
                 [450_039, 32_149_416, 7, 0, 43_133, 2_595_352, 194_208],
                 [31, 7, 10_578_750, 8_190_000],
+                [116_250, 90_000],
             ),
-            ([270_032, 26_040_704, 5, 0, 10, 2_730_368, 1_706_360], [30, 0, 10_237_500, 8_190_000]),
+            (
+                [270_032, 26_040_704, 5, 0, 10, 2_730_368, 1_706_360],
+                [30, 0, 10_237_500, 8_190_000],
+                [30_000, 90_000],
+            ),
         ],
         &[("lr-load", 0), ("lr-iter0", 0), ("lr-iter1", 0), ("lr-iter2", 0)],
     );
@@ -243,8 +315,16 @@ fn spilling_pagerank_moves_the_cache_as_recorded() {
     same_heap_and_cache_cost(
         pr_spilling,
         [
-            ([313_860, 9_588_912, 4, 0, 9_523, 408_336, 0], [15, 3, 178_603, 142_083]),
-            ([298_817, 8_985_744, 4, 0, 5_408, 259_600, 0], [15, 0, 178_603, 142_083]),
+            (
+                [313_860, 9_588_912, 4, 0, 9_523, 408_336, 0],
+                [15, 3, 178_603, 142_083],
+                [21_901, 20_493],
+            ),
+            (
+                [298_817, 8_985_744, 4, 0, 5_408, 259_600, 0],
+                [15, 0, 178_603, 142_083],
+                [16_733, 20_493],
+            ),
         ],
         &[
             ("adj-build", 0),
@@ -266,6 +346,7 @@ fn concomp_allocates_and_collects_as_recorded() {
             [720_660, 20_091_848, 8, 0, 22_700, 931_688, 190_792],
             [716_852, 19_948_544, 8, 0, 17_711, 780_168, 47_488],
         ],
+        [[22_716, 22_716], [24_620, 30_332]],
         &[
             ("adj-build", 0),
             ("cc-iter0-map", 32_587),
