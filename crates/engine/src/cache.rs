@@ -13,12 +13,25 @@
 //! * **cold** — on disk: `Disk` blocks (serialized payload files) and
 //!   `Deca` blocks whose page group is swapped out.
 //!
-//! **Weights.** Demotion victims are picked by *weight*, not pure LRU:
-//! `weight = access_count`. Ties break on `last_used`, so equal-weight
-//! blocks still age out LRU-fashion. A block demotes one tier per step
-//! (hot → warm → cold) under budget pressure and promotes back on access.
-//! A Deca block owns its page group; releasing the block releases the
-//! group, and nothing else holds it.
+//! **One victim order.** Every victim search goes through one picker,
+//! which takes the block with the lowest `(access_count, last_used, id)`:
+//! the least-accessed block, ties going to the least recently used, then
+//! to the oldest id. So `weight = access_count`, and equal-weight blocks
+//! still age out LRU-fashion. Storage-budget pressure demotes the
+//! victim one tier per step (hot → warm → cold); an object block's put,
+//! promotion or restore that meets a full heap sends every other block
+//! straight cold, collects, and tries once more. A block promotes back on
+//! access. A Deca block owns its page group; releasing the block releases
+//! the group, and nothing else holds it.
+//!
+//! **Ownership.** A block stays in the table through every tier move. A
+//! move builds the block's new form and swaps it in only once that form
+//! exists, so a move that fails leaves the block as it was: an error never
+//! costs a block, a root or a page group. The one exception is a
+//! demotion's no-room fallback: the object graph is unrooted before the
+//! warm copy is allocated (so that allocation can collect it), and if the
+//! cold write of the bytes in hand fails too, the block is released like
+//! any other and the app's lineage recompute rebuilds it.
 //!
 //! **Crash consistency.** Every cold-tier mutation rewrites a *spill
 //! manifest* (`spill-manifest.json` in the cache dir): a checksummed JSON
@@ -42,8 +55,9 @@
 //! operation mid-flight, modelling the executor dying at exactly that
 //! point; `tests/crash_recovery.rs` proves recovery from every one.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use deca_check::Json;
 use deca_core::hash::hash_bytes;
@@ -116,7 +130,7 @@ impl std::error::Error for CacheError {}
 /// without knowing `T` at the eviction site). Both cross straight between
 /// the block's heap graphs and its Kryo bytes, with no owned record in
 /// between.
-trait ObjectBlockOps: Send {
+trait ObjectBlockOps: Send + Sync {
     /// Serialize all records of the block (for demotion) from their heap
     /// graphs into a buffer pre-sized to `capacity` bytes — the block's
     /// accounted heap footprint, which bounds its Kryo encoding.
@@ -135,8 +149,12 @@ trait ObjectBlockOps: Send {
         heap: &mut Heap,
         kryo: &mut KryoSim,
         bytes: &[u8],
-    ) -> Result<(RootId, usize), OomError>;
+    ) -> Result<RootId, OomError>;
 }
+
+/// An object block's operations, shared by every tier the block moves
+/// through.
+type BlockOps = Arc<dyn ObjectBlockOps>;
 
 struct Ops<T: Record> {
     classes: T::Classes,
@@ -169,24 +187,24 @@ where
         heap: &mut Heap,
         kryo: &mut KryoSim,
         bytes: &[u8],
-    ) -> Result<(RootId, usize), OomError> {
+    ) -> Result<RootId, OomError> {
         let recs = kryo.decode_block::<T>(bytes);
-        let root = store_object_array(heap, recs.len(), |heap, i| {
+        store_object_array(heap, recs.len(), |heap, i| {
             T::store_page(recs.get(i), heap, &self.classes)
-        })?;
-        Ok((root, recs.len()))
+        })
     }
 }
 
 /// Allocate a heap `Object[]` of `len` records, each graph allocated by
 /// `store(heap, i)`; returns a root id keeping the whole block alive. A
-/// store that meets a full heap drops the root, so the part-filled block
-/// is garbage.
+/// store that meets a full heap drops the root, and the parts it left on
+/// the shadow stack, so the part-filled block is garbage.
 fn store_object_array(
     heap: &mut Heap,
     len: usize,
     mut store: impl FnMut(&mut Heap, usize) -> Result<ObjRef, OomError>,
 ) -> Result<RootId, OomError> {
+    let frame = heap.stack_watermark();
     let arr_class = object_array_class(heap);
     let arr = heap.alloc_array(arr_class, len)?;
     let root = heap.add_root(arr);
@@ -199,10 +217,28 @@ fn store_object_array(
     match filled {
         Ok(()) => Ok(root),
         Err(oom) => {
+            heap.truncate_stack(frame);
             heap.remove_root(root);
             Err(oom)
         }
     }
+}
+
+/// Allocate a heap `byte[]` holding `buf`; returns the root keeping it
+/// alive.
+fn alloc_bytes(heap: &mut Heap, buf: &[u8]) -> Result<RootId, OomError> {
+    let cls = byte_array_class(heap);
+    let arr = heap.alloc_array(cls, buf.len())?;
+    heap.byte_array_write(arr, 0, buf);
+    Ok(heap.add_root(arr))
+}
+
+/// The bytes of the rooted `byte[]` `root`.
+fn read_byte_array(heap: &Heap, root: RootId) -> Vec<u8> {
+    let arr = heap.root_ref(root);
+    let mut buf = vec![0u8; heap.array_len(arr)];
+    heap.byte_array_read(arr, 0, &mut buf);
+    buf
 }
 
 /// The shared `Object[]` class (registered once per heap).
@@ -223,24 +259,21 @@ pub(crate) fn byte_array_class(heap: &mut Heap) -> deca_heap::ClassId {
 
 enum BlockState {
     /// Hot tier: a heap `Object[]` of record graphs.
-    Objects { root: RootId, len: usize, ops: Box<dyn ObjectBlockOps> },
+    Objects { root: RootId, len: usize, ops: BlockOps },
     /// Warm tier: one heap `byte[]` of Kryo bytes. `ops` is `Some` for a
     /// demoted Objects block (so it can promote back to hot), `None` for
-    /// a native SparkSer block. `mem_bytes` is the hot-tier footprint a
-    /// promotion restores.
-    Serialized { root: RootId, len: usize, ops: Option<Box<dyn ObjectBlockOps>>, mem_bytes: usize },
+    /// a native SparkSer block. `mem_bytes` is the footprint the block's
+    /// resident form restores: the hot graph's for a demoted block, the
+    /// `byte[]`'s own for a native one.
+    Serialized { root: RootId, len: usize, ops: Option<BlockOps>, mem_bytes: usize },
     /// Hot or cold tier depending on whether the page group is resident
     /// (residency is tracked by `deca-core`, not here).
     Deca { block: DecaCacheBlock },
-    /// Cold tier: a serialized payload file. `was_objects` says how to
-    /// re-materialise, `mem_bytes` what residency will cost again, and
-    /// `checksum` the digest the manifest records for the payload.
-    Disk {
-        len: usize,
-        was_objects: Option<Box<dyn ObjectBlockOps>>,
-        mem_bytes: usize,
-        checksum: u64,
-    },
+    /// Cold tier: a serialized payload file. `ops` says how to
+    /// re-materialise (graphs for an object block, a `byte[]` without),
+    /// `mem_bytes` what residency will cost again, and `checksum` the
+    /// digest the manifest records for the payload.
+    Disk { len: usize, ops: Option<BlockOps>, mem_bytes: usize, checksum: u64 },
 }
 
 struct Entry {
@@ -250,7 +283,6 @@ struct Entry {
     last_used: u64,
     /// Accesses since creation: the block's demotion weight.
     access_count: u64,
-    pinned: bool,
     /// Owning tenant (0 = untenanted single-job use). The server stamps
     /// the submitting tenant so budget isolation can shield one tenant's
     /// resident blocks from another tenant's pressure.
@@ -259,6 +291,25 @@ struct Entry {
     /// release a finished job's blocks without tracking ids app-side.
     job: u64,
 }
+
+/// One kind of tier move under pressure: which blocks the victim picker
+/// may take, and how far each one goes.
+#[derive(Clone, Copy)]
+struct Pressure {
+    /// Only this tenant's blocks (a budgeted tenant's own pass); `None`
+    /// takes any block whose tenant is not shielded.
+    tenant: Option<u32>,
+    /// Never this block: the one being brought back in.
+    keep: Option<BlockId>,
+    /// Only page groups: a Deca put has no serializer in hand.
+    pages_only: bool,
+    /// Straight to the cold tier, because the caller needs heap bytes
+    /// back, rather than one tier down.
+    cold: bool,
+}
+
+/// Heap pressure: any block, straight to the cold tier.
+const EVICT: Pressure = Pressure { tenant: None, keep: None, pages_only: false, cold: true };
 
 /// What one `crash_restart` did, for the driver's trace/metrics wiring.
 #[derive(Clone, Debug, Default)]
@@ -399,7 +450,7 @@ impl CacheManager {
     /// resident + swapped footprint apps report as their job's cache
     /// usage).
     pub fn job_bytes(&self, job: u64) -> usize {
-        self.entries.iter().flatten().filter(|e| e.job == job).map(|e| e.bytes).sum()
+        self.sum_bytes(|e| e.job == job)
     }
 
     fn tenant_budget(&self, tenant: u32) -> Option<usize> {
@@ -407,19 +458,9 @@ impl CacheManager {
     }
 
     /// Resident in-memory bytes owned by `tenant` (Deca residency via
-    /// `mm`, as in [`CacheManager::resident_bytes_mm`]).
+    /// `mm`, as in [`CacheManager::resident_in`]).
     pub fn tenant_resident_bytes(&self, tenant: u32, mm: &MemoryManager) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| e.tenant == tenant)
-            .filter(|e| match &e.state {
-                BlockState::Disk { .. } => false,
-                BlockState::Deca { block } => !mm.is_swapped(block.group()),
-                _ => true,
-            })
-            .map(|e| e.bytes)
-            .sum()
+        self.resident_in(Some(tenant), mm)
     }
 
     /// Cold-tier evictions whose victim belonged to `tenant`.
@@ -490,9 +531,30 @@ impl CacheManager {
         self.clock
     }
 
-    fn push(&mut self, e: Entry) -> BlockId {
-        self.entries.push(Some(e));
+    /// Admit a new block, stamped with the running task's tenant and job.
+    fn push(&mut self, state: BlockState, bytes: usize) -> BlockId {
+        let last_used = self.tick();
+        let tenant = self.tenant_ctx.unwrap_or(0);
+        let job = self.job_ctx.unwrap_or(0);
+        self.entries.push(Some(Entry { state, bytes, last_used, access_count: 1, tenant, job }));
         BlockId((self.entries.len() - 1) as u32)
+    }
+
+    /// The entry of block `id`. Panics on a released block: app code
+    /// holding ids across stages checks [`CacheManager::contains`] first.
+    fn entry(&self, id: BlockId) -> &Entry {
+        self.entries[id.0 as usize].as_ref().expect("a live block")
+    }
+
+    fn entry_mut(&mut self, id: BlockId) -> &mut Entry {
+        self.entries[id.0 as usize].as_mut().expect("a live block")
+    }
+
+    /// Swap block `id`'s new form in, with the bytes it accounts.
+    fn set(&mut self, id: BlockId, state: BlockState, bytes: usize) {
+        let e = self.entry_mut(id);
+        e.state = state;
+        e.bytes = bytes;
     }
 
     /// Is `id` still a live block? False once released — and, after a
@@ -504,8 +566,7 @@ impl CacheManager {
 
     /// The tier a block currently occupies (Deca residency via `mm`).
     pub fn tier(&self, id: BlockId, mm: &MemoryManager) -> Tier {
-        let e = self.entries[id.0 as usize].as_ref().expect("block");
-        Self::tier_of(e, mm)
+        Self::tier_of(self.entry(id), mm)
     }
 
     fn tier_of(e: &Entry, mm: &MemoryManager) -> Tier {
@@ -523,50 +584,46 @@ impl CacheManager {
         }
     }
 
-    /// Resident (in-memory) cached bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| !matches!(e.state, BlockState::Disk { .. }))
-            .map(|e| e.bytes)
-            .sum()
+    /// Can the block move a tier down now? Hot and warm blocks can; a Deca
+    /// block while its page group is resident and the memory manager may
+    /// swap it; a cold block cannot.
+    fn movable(e: &Entry, mm: &MemoryManager) -> bool {
+        match &e.state {
+            BlockState::Objects { .. } | BlockState::Serialized { .. } => true,
+            BlockState::Deca { block } => {
+                !mm.is_swapped(block.group()) && mm.is_swappable(block.group())
+            }
+            BlockState::Disk { .. } => false,
+        }
     }
 
-    /// Resident bytes with Deca residency resolved through `mm`: a swapped
-    /// page group's entry stays `Deca` but its pages are on disk, so the
-    /// budget loops must not count it against the in-memory cap.
-    fn resident_bytes_mm(&self, mm: &MemoryManager) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| match &e.state {
-                BlockState::Disk { .. } => false,
-                BlockState::Deca { block } => !mm.is_swapped(block.group()),
-                _ => true,
-            })
-            .map(|e| e.bytes)
-            .sum()
+    fn sum_bytes(&self, counted: impl Fn(&Entry) -> bool) -> usize {
+        self.entries.iter().flatten().filter(|e| counted(e)).map(|e| e.bytes).sum()
+    }
+
+    /// Resident (in-memory) cached bytes.
+    pub fn resident_bytes(&self) -> usize {
+        self.sum_bytes(|e| !matches!(e.state, BlockState::Disk { .. }))
+    }
+
+    /// Resident bytes of `tenant`'s blocks, or of every block, with Deca
+    /// residency resolved through `mm`: a swapped page group's entry stays
+    /// `Deca` but its pages are on disk, so the budget loops must not
+    /// count it against the in-memory cap.
+    fn resident_in(&self, tenant: Option<u32>, mm: &MemoryManager) -> usize {
+        self.sum_bytes(|e| {
+            tenant.is_none_or(|t| e.tenant == t) && Self::tier_of(e, mm) != Tier::Cold
+        })
     }
 
     /// Resident bytes held in the warm (serialized in-memory) tier.
-    pub fn warm_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| matches!(e.state, BlockState::Serialized { .. }))
-            .map(|e| e.bytes)
-            .sum()
+    fn warm_bytes(&self) -> usize {
+        self.sum_bytes(|e| matches!(e.state, BlockState::Serialized { .. }))
     }
 
     /// Bytes of cached data currently on disk.
     pub fn disk_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| matches!(e.state, BlockState::Disk { .. }))
-            .map(|e| e.bytes)
-            .sum()
+        self.sum_bytes(|e| matches!(e.state, BlockState::Disk { .. }))
     }
 
     fn file(&self, id: u32) -> PathBuf {
@@ -594,32 +651,13 @@ impl CacheManager {
         T::Classes: 'static,
     {
         let bytes: usize = recs.iter().map(|r| r.heap_size()).sum::<usize>() + 16 + recs.len() * 8;
-        self.make_room(heap, kryo, mm, bytes)?;
+        self.make_room(heap, kryo, mm, bytes, false)?;
         let store = |heap: &mut Heap, i: usize| recs[i].store(heap, classes);
-        let root = match store_object_array(heap, recs.len(), store) {
-            Ok(r) => r,
-            Err(oom) => {
-                // Heap pressure beyond the budget model: evict everything
-                // evictable, collect, and retry once.
-                while self.evict_lru(heap, kryo, mm)? {}
-                heap.full_gc();
-                store_object_array(heap, recs.len(), store).map_err(|_| CacheError::Oom(oom))?
-            }
-        };
-        let t = self.tick();
-        Ok(self.push(Entry {
-            state: BlockState::Objects {
-                root,
-                len: recs.len(),
-                ops: Box::new(Ops::<T> { classes: *classes }),
-            },
-            bytes,
-            last_used: t,
-            access_count: 1,
-            pinned: false,
-            tenant: self.tenant_ctx.unwrap_or(0),
-            job: self.job_ctx.unwrap_or(0),
-        }))
+        let root = self.retry_after_evicting(None, heap, kryo, mm, |heap, _| {
+            store_object_array(heap, recs.len(), store)
+        })?;
+        let ops = Arc::new(Ops::<T> { classes: *classes });
+        Ok(self.push(BlockState::Objects { root, len: recs.len(), ops }, bytes))
     }
 
     /// Cache records as a serialized heap byte block (SparkSer mode).
@@ -646,22 +684,10 @@ impl CacheManager {
         buf: &[u8],
         len: usize,
     ) -> Result<BlockId, CacheError> {
-        self.make_room(heap, kryo, mm, buf.len())?;
-        let cls = byte_array_class(heap);
-        let arr = heap.alloc_array(cls, buf.len())?;
-        heap.byte_array_write(arr, 0, buf);
-        let root = heap.add_root(arr);
+        self.make_room(heap, kryo, mm, buf.len(), false)?;
+        let root = alloc_bytes(heap, buf)?;
         let bytes = buf.len() + 16;
-        let t = self.tick();
-        Ok(self.push(Entry {
-            state: BlockState::Serialized { root, len, ops: None, mem_bytes: bytes },
-            bytes,
-            last_used: t,
-            access_count: 1,
-            pinned: false,
-            tenant: self.tenant_ctx.unwrap_or(0),
-            job: self.job_ctx.unwrap_or(0),
-        }))
+        Ok(self.push(BlockState::Serialized { root, len, ops: None, mem_bytes: bytes }, bytes))
     }
 
     /// Cache records as decomposed pages (Deca mode).
@@ -696,12 +722,13 @@ impl CacheManager {
         recs: &[T],
     ) -> Result<BlockId, CacheError> {
         let filled = recs.iter().try_for_each(|r| block.append(mm, heap, r));
-        // Deca puts respect the storage budget too: over it, the
-        // lowest-weight resident page group swaps to the cold tier before
-        // the new block is admitted.
+        // Deca puts respect the storage budget too. A Deca put has no
+        // serializer in hand, so its admission moves only page groups,
+        // which swap verbatim: the idle serializer it passes is never used.
         let admitted = filled.and_then(|()| block.footprint(mm, heap)).map_err(CacheError::from);
-        let admitted =
-            admitted.and_then(|bytes| self.make_room_deca(heap, mm, bytes).map(|()| bytes));
+        let admitted = admitted.and_then(|bytes| {
+            self.make_room(heap, &mut KryoSim::new(), mm, bytes, true).map(|()| bytes)
+        });
         // A block that is not admitted dies here, and its group with it.
         let bytes = match admitted {
             Ok(bytes) => bytes,
@@ -710,16 +737,7 @@ impl CacheManager {
                 return Err(e);
             }
         };
-        let t = self.tick();
-        Ok(self.push(Entry {
-            state: BlockState::Deca { block },
-            bytes,
-            last_used: t,
-            access_count: 1,
-            pinned: false,
-            tenant: self.tenant_ctx.unwrap_or(0),
-            job: self.job_ctx.unwrap_or(0),
-        }))
+        Ok(self.push(BlockState::Deca { block }, bytes))
     }
 
     // ------------------------------------------------------------------
@@ -727,8 +745,9 @@ impl CacheManager {
     // ------------------------------------------------------------------
 
     /// Number of records in a block.
-    pub fn block_len(&self, id: BlockId) -> usize {
-        match &self.entries[id.0 as usize].as_ref().expect("block").state {
+    #[cfg(test)]
+    fn block_len(&self, id: BlockId) -> usize {
+        match &self.entry(id).state {
             BlockState::Objects { len, .. }
             | BlockState::Serialized { len, .. }
             | BlockState::Disk { len, .. } => *len,
@@ -738,7 +757,7 @@ impl CacheManager {
 
     fn touch(&mut self, id: BlockId) {
         let t = self.tick();
-        let e = self.entries[id.0 as usize].as_mut().expect("block");
+        let e = self.entry_mut(id);
         e.last_used = t;
         e.access_count += 1;
     }
@@ -755,13 +774,8 @@ impl CacheManager {
     ) -> Result<(RootId, usize), CacheError> {
         self.ensure_resident(id, heap, kryo, mm)?;
         self.touch(id);
-        if matches!(
-            self.entries[id.0 as usize].as_ref().expect("block").state,
-            BlockState::Serialized { ops: Some(_), .. }
-        ) {
-            self.promote_warm(id, heap, kryo, mm)?;
-        }
-        match &self.entries[id.0 as usize].as_ref().expect("block").state {
+        self.promote_warm(id, heap, kryo, mm)?;
+        match &self.entry(id).state {
             BlockState::Objects { root, len, .. } => Ok((*root, *len)),
             _ => panic!("objects_root on a non-Objects block"),
         }
@@ -799,29 +813,23 @@ impl CacheManager {
     ) -> Result<(Vec<u8>, usize), CacheError> {
         self.ensure_resident(id, heap, kryo, mm)?;
         self.touch(id);
-        let e = self.entries[id.0 as usize].as_ref().expect("block");
-        let (root, len) = match &e.state {
-            BlockState::Serialized { root, len, .. } => (*root, *len),
-            _ => panic!("read_bytes on a non-Serialized block"),
+        let BlockState::Serialized { root, len, .. } = self.entry(id).state else {
+            panic!("read_bytes on a non-Serialized block")
         };
-        let arr = heap.root_ref(root);
-        let mut buf = vec![0u8; heap.array_len(arr)];
-        heap.byte_array_read(arr, 0, &mut buf);
-        Ok((buf, len))
+        Ok((read_byte_array(heap, root), len))
     }
 
     /// The Deca block backing `id` (panics if the block is not Deca).
     pub fn deca_block(&mut self, id: BlockId) -> &mut DecaCacheBlock {
         self.touch(id);
-        let e = self.entries[id.0 as usize].as_mut().expect("block");
-        match &mut e.state {
+        match &mut self.entry_mut(id).state {
             BlockState::Deca { block } => block,
             _ => panic!("deca_block on a non-Deca block"),
         }
     }
 
     // ------------------------------------------------------------------
-    // lifetime / eviction
+    // lifetime
     // ------------------------------------------------------------------
 
     /// Release a block (`unpersist()`): Objects/Serialized drop their
@@ -861,198 +869,146 @@ impl CacheManager {
         self.entries.iter().flatten().filter(|e| matches!(e.state, BlockState::Deca { .. })).count()
     }
 
+    // ------------------------------------------------------------------
+    // tier moves
+    // ------------------------------------------------------------------
+
+    /// The blocks a move under `p` may take, in id order: each can move a
+    /// tier down now, is not `p.keep`, is a page group if `p.pages_only`,
+    /// and belongs to `p.tenant` or, without one, to no shielded tenant.
+    fn candidates<'a>(
+        &'a self,
+        mm: &'a MemoryManager,
+        p: Pressure,
+    ) -> impl Iterator<Item = (BlockId, &'a Entry)> + 'a {
+        let shielded = if p.tenant.is_none() { self.shielded_tenants(mm) } else { Vec::new() };
+        self.entries.iter().enumerate().filter_map(move |(i, e)| {
+            let (id, e) = (BlockId(i as u32), e.as_ref()?);
+            let scoped = match p.tenant {
+                Some(t) => e.tenant == t,
+                None => !shielded.contains(&e.tenant),
+            };
+            let kind = !p.pages_only || matches!(e.state, BlockState::Deca { .. });
+            (scoped && kind && p.keep != Some(id) && Self::movable(e, mm)).then_some((id, e))
+        })
+    }
+
+    /// The victim picker: of the candidates under `p`, the lowest
+    /// `(access_count, last_used, id)`.
+    fn victim(&self, mm: &MemoryManager, p: Pressure) -> Option<BlockId> {
+        self.candidates(mm, p)
+            .min_by_key(|(id, e)| (e.access_count, e.last_used, id.0))
+            .map(|(id, _)| id)
+    }
+
+    /// Move the picker's victims under `p` while `over` holds, or until
+    /// none is left.
+    fn move_down_while(
+        &mut self,
+        p: Pressure,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        mm: &mut MemoryManager,
+        over: impl Fn(&Self, &MemoryManager) -> bool,
+    ) -> Result<(), CacheError> {
+        while over(self, mm) {
+            let Some(id) = self.victim(mm, p) else { break };
+            if p.cold {
+                self.evict(id, heap, kryo, mm)?;
+            } else {
+                self.demote(id, heap, kryo, mm)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Budget admission for `incoming` resident bytes. A budgeted tenant
+    /// first demotes its own blocks until it fits its allotment, so its
+    /// pressure lands on its own blocks before anyone else's; then the
+    /// cache demotes until it fits the global budget. With nothing left to
+    /// move, the put overshoots (the heap will GC or OOM).
     fn make_room(
         &mut self,
         heap: &mut Heap,
         kryo: &mut KryoSim,
         mm: &mut MemoryManager,
         incoming: usize,
+        pages_only: bool,
     ) -> Result<(), CacheError> {
-        // A budgeted tenant first makes room within its own allotment, so
-        // its pressure lands on its own blocks before anyone else's.
-        if let Some(t) = self.tenant_ctx {
-            if let Some(budget) = self.tenant_budget(t) {
-                while self.tenant_resident_bytes(t, mm) + incoming > budget {
-                    if !self.demote_coldest(heap, kryo, mm, Some(t))? {
-                        break;
-                    }
-                }
-            }
-        }
-        while self.resident_bytes_mm(mm) + incoming > self.budget {
-            if !self.demote_coldest(heap, kryo, mm, None)? {
-                break; // nothing demotable: allow overshoot (heap will GC/OOM)
-            }
+        let own = self.tenant_ctx.and_then(|t| Some((Some(t), self.tenant_budget(t)?)));
+        for (tenant, budget) in own.into_iter().chain([(None, self.budget)]) {
+            let p = Pressure { tenant, keep: None, pages_only, cold: false };
+            self.move_down_while(p, heap, kryo, mm, |cm, mm| {
+                cm.resident_in(tenant, mm) + incoming > budget
+            })?;
         }
         Ok(())
     }
 
-    /// Budget admission for Deca puts. No serializer is in hand on this
-    /// path, so only Deca victims can move — and they go straight cold via
-    /// a page-group swap (Deca has no warm form: its pages *are* the
-    /// serialized representation).
-    fn make_room_deca(
+    /// Run `attempt`; if it meets a full heap, send every block but `keep`
+    /// to the cold tier, collect, and run it once more. A second failure
+    /// returns the first `OomError`.
+    fn retry_after_evicting<R>(
         &mut self,
-        heap: &mut Heap,
-        mm: &mut MemoryManager,
-        incoming: usize,
-    ) -> Result<(), CacheError> {
-        // Per-tenant admission first: the active tenant swaps its own
-        // groups out until it fits its allotment.
-        if let Some(t) = self.tenant_ctx {
-            if let Some(budget) = self.tenant_budget(t) {
-                while self.tenant_resident_bytes(t, mm) + incoming > budget {
-                    let Some(i) = self.deca_victim(mm, Some(t), &[]) else { break };
-                    self.evict_deca(BlockId(i as u32), heap, mm)?;
-                }
-            }
-        }
-        while self.resident_bytes_mm(mm) + incoming > self.budget {
-            let shielded = self.shielded_tenants(mm);
-            let Some(i) = self.deca_victim(mm, None, &shielded) else { break };
-            self.evict_deca(BlockId(i as u32), heap, mm)?;
-        }
-        Ok(())
-    }
-
-    /// Lowest-weight resident, swappable Deca victim — optionally
-    /// restricted to one tenant, otherwise skipping shielded tenants.
-    fn deca_victim(
-        &self,
-        mm: &MemoryManager,
-        restrict: Option<u32>,
-        shielded: &[u32],
-    ) -> Option<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .filter(|(_, e)| {
-                !e.pinned
-                    && matches!(&e.state, BlockState::Deca { block }
-                        if !mm.is_swapped(block.group()) && mm.is_swappable(block.group()))
-            })
-            .filter(|(_, e)| match restrict {
-                Some(t) => e.tenant == t,
-                None => !shielded.contains(&e.tenant),
-            })
-            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
-            .map(|(i, _)| i)
-    }
-
-    /// Swap one resident Deca page group to the cold tier and commit the
-    /// manifest. Same kill windows as [`CacheManager::evict`].
-    fn evict_deca(
-        &mut self,
-        id: BlockId,
-        heap: &mut Heap,
-        mm: &mut MemoryManager,
-    ) -> Result<(), CacheError> {
-        if self.killed(FaultSite::SpillWrite) {
-            return Err(CacheError::Injected(FaultSite::SpillWrite));
-        }
-        let e = self.entries[id.0 as usize].as_ref().expect("block");
-        let BlockState::Deca { block } = &e.state else { return Ok(()) };
-        let group = block.group();
-        let tenant = e.tenant;
-        if !mm.is_swapped(group) && mm.is_swappable(group) {
-            // The memory manager counts the bytes it writes.
-            mm.swap_out(group, heap)?;
-            self.evictions += 1;
-            self.bump_tenant_eviction(tenant);
-            self.commit_manifest(mm)?;
-        }
-        Ok(())
-    }
-
-    /// Demote the lowest-weight non-cold block one tier: a hot Objects
-    /// block serializes into the warm tier; warm blocks and hot Deca
-    /// blocks go cold. Returns false when nothing is demotable.
-    fn demote_coldest(
-        &mut self,
+        keep: Option<BlockId>,
         heap: &mut Heap,
         kryo: &mut KryoSim,
         mm: &mut MemoryManager,
-        only_tenant: Option<u32>,
-    ) -> Result<bool, CacheError> {
-        let shielded = if only_tenant.is_some() { Vec::new() } else { self.shielded_tenants(mm) };
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .filter(|(_, e)| !e.pinned && Self::tier_of(e, mm) != Tier::Cold)
-            .filter(|(_, e)| match only_tenant {
-                Some(t) => e.tenant == t,
-                None => !shielded.contains(&e.tenant),
-            })
-            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
-            .map(|(i, _)| i);
-        let Some(i) = victim else { return Ok(false) };
-        let id = BlockId(i as u32);
-        match self.entries[i].as_ref().expect("block").state {
-            BlockState::Objects { .. } => self.demote_to_warm(id, heap, kryo)?,
-            _ => self.evict(id, heap, kryo, mm)?,
-        }
-        Ok(true)
-    }
-
-    /// Hot → warm: serialize an Objects block into one heap `byte[]`,
-    /// keeping its ops so a later access can promote it back. If the heap
-    /// cannot even hold the serialized form, the block skips the warm
-    /// tier and spills straight to disk.
-    fn demote_to_warm(
-        &mut self,
-        id: BlockId,
-        heap: &mut Heap,
-        kryo: &mut KryoSim,
-    ) -> Result<(), CacheError> {
-        let mut e = self.entries[id.0 as usize].take().expect("block");
-        let BlockState::Objects { root, len, ops } = e.state else {
-            self.entries[id.0 as usize] = Some(e);
-            return Ok(());
+        mut attempt: impl FnMut(&mut Heap, &mut KryoSim) -> Result<R, OomError>,
+    ) -> Result<R, CacheError> {
+        let oom = match attempt(heap, kryo) {
+            Ok(done) => return Ok(done),
+            Err(oom) => oom,
         };
-        let mem_bytes = e.bytes;
+        self.move_down_while(Pressure { keep, ..EVICT }, heap, kryo, mm, |_, _| true)?;
+        heap.full_gc();
+        attempt(heap, kryo).map_err(|_| CacheError::Oom(oom))
+    }
+
+    /// Demote a block one tier: a hot Objects block serializes into one
+    /// heap `byte[]` in the warm tier, keeping its ops so a later access
+    /// can promote it back; a warm block or a resident page group goes
+    /// cold. The graph is unrooted before the warm copy is allocated, so
+    /// that allocation can collect it. If the heap cannot hold even the
+    /// serialized form, the bytes in hand go straight to the cold tier.
+    fn demote(
+        &mut self,
+        id: BlockId,
+        heap: &mut Heap,
+        kryo: &mut KryoSim,
+        mm: &mut MemoryManager,
+    ) -> Result<(), CacheError> {
+        let e = self.entry(id);
+        let BlockState::Objects { root, len, ref ops } = e.state else {
+            return self.evict(id, heap, kryo, mm);
+        };
+        let (ops, mem_bytes) = (ops.clone(), e.bytes);
         let buf = ops.serialize(heap, kryo, root, len, mem_bytes);
         heap.remove_root(root);
-        let cls = byte_array_class(heap);
-        match heap.alloc_array(cls, buf.len()) {
-            Ok(arr) => {
-                heap.byte_array_write(arr, 0, &buf);
-                let new_root = heap.add_root(arr);
-                e.bytes = buf.len() + 16;
-                e.state = BlockState::Serialized { root: new_root, len, ops: Some(ops), mem_bytes };
-                self.demotions += 1;
-                self.entries[id.0 as usize] = Some(e);
-            }
-            Err(_) => {
-                // No heap room for the warm form: write the bytes we
-                // already have straight to the cold tier.
-                let path = self.file(id.0);
-                std::fs::create_dir_all(self.dir())?;
-                std::fs::File::create(&path)?.write_all(&buf)?;
-                self.spill_write_bytes += buf.len() as u64;
-                let checksum = hash_bytes(&buf);
-                e.bytes = buf.len();
-                e.state = BlockState::Disk { len, was_objects: Some(ops), mem_bytes, checksum };
-                self.evictions += 1;
-                self.bump_tenant_eviction(e.tenant);
-                self.entries[id.0 as usize] = Some(e);
-                // The cold tier changed: record it durably. (No mm access
-                // needed for digesting, but the manifest also re-lists
-                // swapped Deca rows; callers of the demote path always
-                // hold mm, so this rare edge re-commits on next cold step
-                // instead.)
-                self.commit_manifest_blocks_only()?;
+        if let Ok(warm) = alloc_bytes(heap, &buf) {
+            let state = BlockState::Serialized { root: warm, len, ops: Some(ops), mem_bytes };
+            self.set(id, state, buf.len() + 16);
+            self.demotions += 1;
+            return Ok(());
+        }
+        match self.write_cold(id, &buf, len, Some(ops), mem_bytes) {
+            Ok(()) => self.went_cold(id, mm),
+            Err(err) => {
+                // The graph is gone and its bytes never reached disk, so
+                // the block is gone too. It leaves as the cold block it was
+                // becoming — any partial payload is removed, the manifest
+                // recommitted — and lineage recompute rebuilds it.
+                self.set(id, BlockState::Disk { len, ops: None, mem_bytes, checksum: 0 }, 0);
+                self.release(id, heap, mm);
+                Err(err)
             }
         }
-        Ok(())
     }
 
     /// Warm → hot: deserialize a demoted Objects block back into record
-    /// graphs. The serialized copy stays alive until the new graph is
-    /// built (Spark's unroll does the same), so an OOM mid-promotion
-    /// leaves the block intact in the warm tier.
+    /// graphs. The serialized copy stays rooted until the new graph is
+    /// built (Spark's unroll does the same), so a promotion that meets a
+    /// full heap leaves the block intact in the warm tier.
     fn promote_warm(
         &mut self,
         id: BlockId,
@@ -1060,53 +1016,19 @@ impl CacheManager {
         kryo: &mut KryoSim,
         mm: &mut MemoryManager,
     ) -> Result<(), CacheError> {
-        let mut e = self.entries[id.0 as usize].take().expect("block");
-        let BlockState::Serialized { root, len, ops: Some(ops), mem_bytes } = e.state else {
-            self.entries[id.0 as usize] = Some(e);
+        let BlockState::Serialized { root, len, ops: Some(ref ops), mem_bytes } =
+            self.entry(id).state
+        else {
             return Ok(());
         };
-        let arr = heap.root_ref(root);
-        let n = heap.array_len(arr);
-        let mut buf = vec![0u8; n];
-        heap.byte_array_read(arr, 0, &mut buf);
-        match ops.deserialize(heap, kryo, &buf) {
-            Ok((new_root, n)) => {
-                debug_assert_eq!(n, len);
-                heap.remove_root(root);
-                e.bytes = mem_bytes;
-                e.state = BlockState::Objects { root: new_root, len, ops };
-                self.entries[id.0 as usize] = Some(e);
-                Ok(())
-            }
-            Err(oom) => {
-                // Heap pressure: put the block back warm, evict harder,
-                // collect, and retry once.
-                e.state = BlockState::Serialized { root, len, ops: Some(ops), mem_bytes };
-                self.entries[id.0 as usize] = Some(e);
-                while self.evict_lru_excluding(id, heap, kryo, mm)? {}
-                heap.full_gc();
-                let mut e = self.entries[id.0 as usize].take().expect("block");
-                let BlockState::Serialized { root, len, ops: Some(ops), mem_bytes } = e.state
-                else {
-                    unreachable!()
-                };
-                match ops.deserialize(heap, kryo, &buf) {
-                    Ok((new_root, n)) => {
-                        debug_assert_eq!(n, len);
-                        heap.remove_root(root);
-                        e.bytes = mem_bytes;
-                        e.state = BlockState::Objects { root: new_root, len, ops };
-                        self.entries[id.0 as usize] = Some(e);
-                        Ok(())
-                    }
-                    Err(_) => {
-                        e.state = BlockState::Serialized { root, len, ops: Some(ops), mem_bytes };
-                        self.entries[id.0 as usize] = Some(e);
-                        Err(CacheError::Oom(oom))
-                    }
-                }
-            }
-        }
+        let ops = ops.clone();
+        let buf = read_byte_array(heap, root);
+        let graph = self.retry_after_evicting(Some(id), heap, kryo, mm, |heap, kryo| {
+            ops.deserialize(heap, kryo, &buf)
+        })?;
+        heap.remove_root(root);
+        self.set(id, BlockState::Objects { root: graph, len, ops }, mem_bytes);
+        Ok(())
     }
 
     /// Evict every evictable resident block to disk — the graceful OOM
@@ -1121,52 +1043,20 @@ impl CacheManager {
         mm: &mut MemoryManager,
     ) -> Result<u64, CacheError> {
         let before = self.resident_bytes();
-        let shielded = self.shielded_tenants(mm);
-        let victims: Vec<u32> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .filter(|(_, e)| !e.pinned && Self::tier_of(e, mm) != Tier::Cold)
-            .filter(|(_, e)| !shielded.contains(&e.tenant))
-            .map(|(i, _)| i as u32)
-            .collect();
-        for i in victims {
-            self.evict(BlockId(i), heap, kryo, mm)?;
+        let victims: Vec<BlockId> = self.candidates(mm, EVICT).map(|(id, _)| id).collect();
+        for id in victims {
+            self.evict(id, heap, kryo, mm)?;
         }
         Ok(before.saturating_sub(self.resident_bytes()) as u64)
     }
 
-    /// Evict the lowest-weight resident block straight to disk (skipping
-    /// the warm tier — callers need real heap bytes back). Returns false
-    /// if no candidate exists.
-    fn evict_lru(
-        &mut self,
-        heap: &mut Heap,
-        kryo: &mut KryoSim,
-        mm: &mut MemoryManager,
-    ) -> Result<bool, CacheError> {
-        let shielded = self.shielded_tenants(mm);
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .filter(|(_, e)| !e.pinned && Self::tier_of(e, mm) != Tier::Cold)
-            .filter(|(_, e)| !shielded.contains(&e.tenant))
-            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
-            .map(|(i, _)| i);
-        let Some(i) = victim else { return Ok(false) };
-        self.evict(BlockId(i as u32), heap, kryo, mm)?;
-        Ok(true)
-    }
-
     /// Move one block to the cold tier (serialize + payload file for
     /// Spark/SparkSer blocks, a verbatim page-group swap for Deca), then
-    /// commit the spill manifest. Fault-instrumented: `SpillWrite` kills
-    /// before anything durable is written; the manifest commit's own
-    /// `ManifestCommit` kill lands after the payload but before the
-    /// rename — the two windows the recovery suite must survive.
+    /// commit the spill manifest; a block that cannot move stays put.
+    /// Fault-instrumented: `SpillWrite` kills before anything durable is
+    /// written; the manifest commit's own `ManifestCommit` kill lands after
+    /// the payload but before the rename — the two windows the recovery
+    /// suite must survive.
     fn evict(
         &mut self,
         id: BlockId,
@@ -1174,196 +1064,109 @@ impl CacheManager {
         kryo: &mut KryoSim,
         mm: &mut MemoryManager,
     ) -> Result<(), CacheError> {
-        {
-            let e = self.entries[id.0 as usize].as_ref().expect("block");
-            if !matches!(e.state, BlockState::Disk { .. }) && self.killed(FaultSite::SpillWrite) {
-                return Err(CacheError::Injected(FaultSite::SpillWrite));
-            }
+        let e = self.entry(id);
+        if !Self::movable(e, mm) {
+            return Ok(());
         }
-        // The entry leaves the table while it is written out and goes back
-        // whether or not the write succeeds: a block whose spill failed
-        // stays where it was, readable and owned.
-        let mut e = self.entries[id.0 as usize].take().expect("block");
-        let written = self.write_cold(id, &mut e, heap, kryo, mm);
-        let tenant = e.tenant;
-        self.entries[id.0 as usize] = Some(e);
-        let went_cold = written?;
-        self.evictions += 1;
-        self.bump_tenant_eviction(tenant);
-        if went_cold {
-            self.commit_manifest(mm)?;
+        if self.killed(FaultSite::SpillWrite) {
+            return Err(CacheError::Injected(FaultSite::SpillWrite));
         }
-        Ok(())
-    }
-
-    /// Write block `id`'s entry `e` to the cold tier; true when a payload
-    /// went to disk. `e` changes only once its bytes are durable: an
-    /// object or serialized block gives up its heap root after its file is
-    /// written, and a failed page-group swap keeps the group's pages.
-    fn write_cold(
-        &mut self,
-        id: BlockId,
-        e: &mut Entry,
-        heap: &mut Heap,
-        kryo: &mut KryoSim,
-        mm: &mut MemoryManager,
-    ) -> Result<bool, CacheError> {
-        std::fs::create_dir_all(self.dir())?;
-        let payload = match &e.state {
+        let (root, len, ops, mem_bytes, payload) = match &e.state {
             // Spark serializes object blocks before writing them out.
             BlockState::Objects { root, len, ops } => {
-                ops.serialize(heap, kryo, *root, *len, e.bytes)
+                let payload = ops.serialize(heap, kryo, *root, *len, e.bytes);
+                (*root, *len, Some(ops.clone()), e.bytes, payload)
             }
-            BlockState::Serialized { root, .. } => {
-                let arr = heap.root_ref(*root);
-                let mut buf = vec![0u8; heap.array_len(arr)];
-                heap.byte_array_read(arr, 0, &mut buf);
-                buf
-            }
-            BlockState::Deca { block } => {
-                // Deca swaps page groups verbatim through its own manager.
-                // The group may already be out (swapped by an earlier
-                // pressure event, or pinned unswappable): only resident
-                // swappable groups go to disk. The state stays Deca;
-                // residency, and the bytes written, are tracked by mm.
-                let group = block.group();
-                if mm.is_swapped(group) || !mm.is_swappable(group) {
-                    return Ok(false);
-                }
-                mm.swap_out(group, heap)?;
-                return Ok(true);
-            }
-            BlockState::Disk { .. } => return Ok(false),
-        };
-        std::fs::File::create(self.file(id.0))?.write_all(&payload)?;
-        self.spill_write_bytes += payload.len() as u64;
-        let checksum = hash_bytes(&payload);
-        let cold = BlockState::Disk { len: 0, was_objects: None, mem_bytes: 0, checksum };
-        let (root, len, was_objects, mem_bytes) = match std::mem::replace(&mut e.state, cold) {
-            BlockState::Objects { root, len, ops } => (root, len, Some(ops), e.bytes),
-            // A demoted Objects block restores its hot footprint; a native
-            // SparkSer block its byte[] footprint.
             BlockState::Serialized { root, len, ops, mem_bytes } => {
-                let mem_bytes = if ops.is_some() { mem_bytes } else { e.bytes };
-                (root, len, ops, mem_bytes)
+                (*root, *len, ops.clone(), *mem_bytes, read_byte_array(heap, *root))
             }
-            BlockState::Deca { .. } | BlockState::Disk { .. } => unreachable!("returned above"),
+            // Deca swaps page groups verbatim through its own manager,
+            // which counts the bytes it writes. The state stays Deca;
+            // residency is tracked by mm.
+            BlockState::Deca { block } => {
+                mm.swap_out(block.group(), heap)?;
+                return self.went_cold(id, mm);
+            }
+            BlockState::Disk { .. } => return Ok(()),
         };
+        self.write_cold(id, &payload, len, ops, mem_bytes)?;
         // The payload is durable: only now does the block give up its heap
         // root.
         heap.remove_root(root);
-        e.bytes = payload.len();
-        e.state = BlockState::Disk { len, was_objects, mem_bytes, checksum };
-        Ok(true)
+        self.went_cold(id, mm)
     }
 
+    /// The one cold write: `payload` becomes block `id`'s file, and the
+    /// block a `Disk` block that re-materialises through `ops`. The entry
+    /// changes only once the file is written, so a failed write leaves the
+    /// block as it was.
+    fn write_cold(
+        &mut self,
+        id: BlockId,
+        payload: &[u8],
+        len: usize,
+        ops: Option<BlockOps>,
+        mem_bytes: usize,
+    ) -> Result<(), CacheError> {
+        std::fs::create_dir_all(self.dir())?;
+        std::fs::File::create(self.file(id.0))?.write_all(payload)?;
+        self.spill_write_bytes += payload.len() as u64;
+        let checksum = hash_bytes(payload);
+        self.set(id, BlockState::Disk { len, ops, mem_bytes, checksum }, payload.len());
+        Ok(())
+    }
+
+    /// Count block `id`'s move to the cold tier and commit the manifest
+    /// that records it.
+    fn went_cold(&mut self, id: BlockId, mm: &MemoryManager) -> Result<(), CacheError> {
+        self.evictions += 1;
+        let tenant = self.entry(id).tenant;
+        self.bump_tenant_eviction(tenant);
+        self.commit_manifest(mm)
+    }
+
+    /// Cold → resident for a Spark or SparkSer block: the payload is read
+    /// back and re-materialised, an object block's as graphs (hot), a byte
+    /// block's as its `byte[]` (warm). Re-materialising costs memory, so
+    /// low-weight blocks go cold first, both to respect the storage budget
+    /// and to leave heap headroom (Spark's unified memory manager does the
+    /// same before unrolling). The entry changes only once the resident
+    /// form exists: a failed read or allocation leaves the block cold and
+    /// its payload file in place. Deca blocks re-register through `mm`
+    /// lazily on access, so they never need this.
     fn ensure_resident(
         &mut self,
         id: BlockId,
         heap: &mut Heap,
         kryo: &mut KryoSim,
-        // Deca blocks re-register through `mm` lazily on access, so this
-        // path only handles evicted Spark/SparkSer blocks.
         mm: &mut MemoryManager,
     ) -> Result<(), CacheError> {
-        let mem_bytes = match self.entries[id.0 as usize].as_ref().expect("block").state {
-            BlockState::Disk { mem_bytes, .. } => mem_bytes,
-            _ => return Ok(()),
+        let BlockState::Disk { len, ref ops, mem_bytes, .. } = self.entry(id).state else {
+            return Ok(());
         };
+        let ops = ops.clone();
         if self.killed(FaultSite::SpillRead) {
             return Err(CacheError::Injected(FaultSite::SpillRead));
         }
-        // Re-materialising costs memory: evict low-weight blocks first,
-        // both to respect the storage budget and to leave heap headroom
-        // (Spark's unified memory manager does the same before unrolling).
-        while self.resident_bytes_mm(mm) + mem_bytes > self.budget {
-            if !self.evict_lru_excluding(id, heap, kryo, mm)? {
-                break;
-            }
-        }
-        let mut e = self.entries[id.0 as usize].take().expect("block");
+        let p = Pressure { keep: Some(id), ..EVICT };
+        self.move_down_while(p, heap, kryo, mm, |cm, mm| {
+            cm.resident_in(None, mm) + mem_bytes > cm.budget
+        })?;
         let path = self.file(id.0);
-        let mut buf = Vec::new();
-        std::fs::File::open(&path)?.read_to_end(&mut buf)?;
+        let buf = std::fs::read(&path)?;
         self.spill_read_bytes += buf.len() as u64;
-        let BlockState::Disk { len, was_objects, mem_bytes, checksum } = e.state else {
-            unreachable!()
-        };
-        match was_objects {
+        let state = match ops {
             Some(ops) => {
-                let (root, n) = match ops.deserialize(heap, kryo, &buf) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        // Heap-level pressure: evict harder and retry once.
-                        self.entries[id.0 as usize] = Some(Entry {
-                            state: BlockState::Disk {
-                                len,
-                                was_objects: Some(ops),
-                                mem_bytes,
-                                checksum,
-                            },
-                            ..e
-                        });
-                        while self.evict_lru_excluding(id, heap, kryo, mm)? {}
-                        heap.full_gc();
-                        let mut e = self.entries[id.0 as usize].take().expect("block");
-                        let BlockState::Disk { len, was_objects, .. } = e.state else {
-                            unreachable!()
-                        };
-                        let ops = was_objects.expect("objects block");
-                        let (root, n) = ops.deserialize(heap, kryo, &buf)?;
-                        debug_assert_eq!(n, len);
-                        e.bytes = mem_bytes;
-                        e.state = BlockState::Objects { root, len, ops };
-                        let _ = std::fs::remove_file(&path);
-                        self.entries[id.0 as usize] = Some(e);
-                        self.commit_manifest(mm)?;
-                        return Ok(());
-                    }
-                };
-                debug_assert_eq!(n, len);
-                e.bytes = mem_bytes;
-                e.state = BlockState::Objects { root, len, ops };
+                let graph = self.retry_after_evicting(Some(id), heap, kryo, mm, |heap, kryo| {
+                    ops.deserialize(heap, kryo, &buf)
+                })?;
+                BlockState::Objects { root: graph, len, ops }
             }
-            None => {
-                let cls = byte_array_class(heap);
-                let arr = heap.alloc_array(cls, buf.len())?;
-                heap.byte_array_write(arr, 0, &buf);
-                let root = heap.add_root(arr);
-                e.bytes = mem_bytes;
-                e.state = BlockState::Serialized { root, len, ops: None, mem_bytes };
-            }
-        }
+            None => BlockState::Serialized { root: alloc_bytes(heap, &buf)?, len, ops, mem_bytes },
+        };
+        self.set(id, state, mem_bytes);
         let _ = std::fs::remove_file(&path);
-        self.entries[id.0 as usize] = Some(e);
-        self.commit_manifest(mm)?;
-        Ok(())
-    }
-
-    /// Evict the lowest-weight resident block other than `keep`. Returns
-    /// false when nothing is evictable.
-    fn evict_lru_excluding(
-        &mut self,
-        keep: BlockId,
-        heap: &mut Heap,
-        kryo: &mut KryoSim,
-        mm: &mut MemoryManager,
-    ) -> Result<bool, CacheError> {
-        let shielded = self.shielded_tenants(mm);
-        let victim = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .filter(|(i, e)| {
-                *i != keep.0 as usize && !e.pinned && Self::tier_of(e, mm) != Tier::Cold
-            })
-            .filter(|(_, e)| !shielded.contains(&e.tenant))
-            .min_by_key(|(i, e)| (e.access_count, e.last_used, *i))
-            .map(|(i, _)| i);
-        let Some(i) = victim else { return Ok(false) };
-        self.evict(BlockId(i as u32), heap, kryo, mm)?;
-        Ok(true)
+        self.commit_manifest(mm)
     }
 
     // ------------------------------------------------------------------
@@ -1380,8 +1183,8 @@ impl CacheManager {
         for (i, e) in self.entries.iter().enumerate() {
             let Some(e) = e else { continue };
             match &e.state {
-                BlockState::Disk { len, was_objects, mem_bytes, checksum } => {
-                    let kind = if was_objects.is_some() { "objects" } else { "bytes" };
+                BlockState::Disk { len, ops, mem_bytes, checksum } => {
+                    let kind = if ops.is_some() { "objects" } else { "bytes" };
                     rows.push(Json::obj(vec![
                         ("id", Json::int(i as u64)),
                         ("kind", Json::str(kind)),
@@ -1424,27 +1227,6 @@ impl CacheManager {
     /// consistency the atomic rename buys.
     fn commit_manifest(&mut self, mm: &MemoryManager) -> Result<(), CacheError> {
         let rows = self.manifest_blocks(mm);
-        self.commit_manifest_rows(rows)
-    }
-
-    /// Manifest commit without Deca rows (only used on the rare
-    /// demote-to-warm fallback path, which has no `mm` in hand).
-    fn commit_manifest_blocks_only(&mut self) -> Result<(), CacheError> {
-        let mut rows = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            let Some(e) = e else { continue };
-            if let BlockState::Disk { len, was_objects, mem_bytes, checksum } = &e.state {
-                let kind = if was_objects.is_some() { "objects" } else { "bytes" };
-                rows.push(Json::obj(vec![
-                    ("id", Json::int(i as u64)),
-                    ("kind", Json::str(kind)),
-                    ("len", Json::int(*len as u64)),
-                    ("mem_bytes", Json::int(*mem_bytes as u64)),
-                    ("file_bytes", Json::int(e.bytes as u64)),
-                    ("checksum", Json::str(format!("{checksum:016x}"))),
-                ]));
-            }
-        }
         self.commit_manifest_rows(rows)
     }
 
@@ -1537,21 +1319,18 @@ impl CacheManager {
             RehydrateOutcome { manifest_ok: manifest.is_some(), ..RehydrateOutcome::default() };
         let rows = manifest.unwrap_or_default();
         for i in 0..self.entries.len() {
-            let Some(e) = self.entries[i].as_ref() else { continue };
-            let cold = match &e.state {
-                BlockState::Disk { .. } => true,
-                BlockState::Deca { block } => mm.is_swapped(block.group()),
-                _ => false,
-            };
-            if cold {
-                if let Some(p) = &self.probe {
-                    if p.fires(FaultSite::Rehydrate, stage, i, ordinal) {
-                        out.killed = true;
-                        return out;
-                    }
-                }
+            let Some(e) = &self.entries[i] else { continue };
+            let cold = Self::tier_of(e, mm) == Tier::Cold;
+            if cold
+                && self
+                    .probe
+                    .as_ref()
+                    .is_some_and(|p| p.fires(FaultSite::Rehydrate, stage, i, ordinal))
+            {
+                out.killed = true;
+                return out;
             }
-            let e = self.entries[i].take().expect("block");
+            let Some(e) = self.entries[i].take() else { continue };
             // A kept block's (payload bytes, cached records).
             let kept = match &e.state {
                 BlockState::Objects { .. } | BlockState::Serialized { .. } => None,
@@ -1586,8 +1365,8 @@ impl CacheManager {
     /// the row must exist with the block's kind and record count, and the
     /// payload file must match the recorded size and digest.
     fn verify_disk_row(&self, rows: &[ManifestRow], id: u32, e: &Entry) -> bool {
-        let BlockState::Disk { len, was_objects, .. } = &e.state else { return false };
-        let kind = if was_objects.is_some() { "objects" } else { "bytes" };
+        let BlockState::Disk { len, ops, .. } = &e.state else { return false };
+        let kind = if ops.is_some() { "objects" } else { "bytes" };
         let Some(row) = rows.iter().find(|r| r.id == id) else { return false };
         if row.kind != kind || row.len != *len as u64 {
             return false;
@@ -2103,5 +1882,152 @@ mod tests {
         assert!(!cm.contains(a), "block dropped for lineage recompute");
         // The re-committed manifest is valid (and empty) again.
         assert_eq!(cm.load_manifest().expect("fresh manifest").len(), 0);
+    }
+
+    /// Root rooted 16 KB `byte[]`s until the heap refuses one.
+    fn fill_heap(heap: &mut Heap) -> Vec<RootId> {
+        let cls = byte_array_class(heap);
+        let mut filler = Vec::new();
+        while let Ok(arr) = heap.alloc_array(cls, 16 << 10) {
+            filler.push(heap.add_root(arr));
+        }
+        filler
+    }
+
+    fn free_heap(heap: &mut Heap, filler: Vec<RootId>) {
+        for root in filler {
+            heap.remove_root(root);
+        }
+        heap.full_gc();
+    }
+
+    fn load_pairs(
+        heap: &Heap,
+        classes: &<(i64, i64) as HeapRecord>::Classes,
+        root: RootId,
+        len: usize,
+    ) -> Vec<(i64, i64)> {
+        let arr = heap.root_ref(root);
+        (0..len)
+            .map(|i| <(i64, i64) as HeapRecord>::load(heap, classes, heap.array_get_ref(arr, i)))
+            .collect()
+    }
+
+    /// A byte block whose restore meets a full heap stays cold and owned:
+    /// the read fails with a typed `Oom`, no root is left behind, and once
+    /// the heap has room the block reads back its records.
+    #[test]
+    fn a_bytes_restore_on_a_full_heap_keeps_the_block() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(4 << 20, 3 << 20);
+        let recs: Vec<(i64, i64)> = (0..150_000).map(|i| (i, i * 3)).collect();
+        let id = cm.put_serialized(&mut heap, &mut kryo, &mut mm, &recs).unwrap();
+        cm.evict(id, &mut heap, &mut kryo, &mut mm).unwrap();
+        let filler = fill_heap(&mut heap);
+        let err = cm.read_bytes(id, &mut heap, &mut kryo, &mut mm).err();
+        assert!(matches!(err, Some(CacheError::Oom(_))), "{err:?}");
+        assert!(cm.contains(id), "the block survives its failed restore");
+        assert_eq!(cm.tier(id, &mm), Tier::Cold);
+        assert_eq!(heap.root_count(), filler.len(), "the failed restore left no root");
+        free_heap(&mut heap, filler);
+        assert_eq!(scan_pairs(&mut cm, id, &mut heap, &mut kryo, &mut mm), recs);
+        assert_eq!(cm.tier(id, &mm), Tier::Warm);
+    }
+
+    /// An object block whose restore fails, and fails again after the
+    /// evict-and-collect retry, stays cold and owned, and reads back once
+    /// the heap has room.
+    #[test]
+    fn an_objects_restore_that_fails_twice_keeps_the_block() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(4 << 20, 3 << 20);
+        let classes = <(i64, i64) as HeapRecord>::register(&mut heap);
+        // A graph larger than eden: its restore needs the full old
+        // generation to take eden's survivors.
+        let recs: Vec<(i64, i64)> = (0..20_000).map(|i| (i, -i)).collect();
+        let id = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
+        cm.evict(id, &mut heap, &mut kryo, &mut mm).unwrap();
+        let filler = fill_heap(&mut heap);
+        let full_gcs = heap.stats().full_collections;
+        let err = cm.objects_root(id, &mut heap, &mut kryo, &mut mm).err();
+        assert!(matches!(err, Some(CacheError::Oom(_))), "{err:?}");
+        assert!(heap.stats().full_collections > full_gcs, "the restore retried after a collection");
+        assert!(cm.contains(id), "the block survives its failed restore");
+        assert_eq!(cm.tier(id, &mm), Tier::Cold);
+        assert_eq!(heap.root_count(), filler.len(), "the failed restore left no root");
+        free_heap(&mut heap, filler);
+        let (root, len) = cm.objects_root(id, &mut heap, &mut kryo, &mut mm).unwrap();
+        assert_eq!(load_pairs(&heap, &classes, root, len), recs);
+    }
+
+    /// A payload file that cannot be read (a directory stands in its
+    /// place) fails the read with a typed I/O error and keeps the block,
+    /// for an object block and a byte block alike; with the file back, the
+    /// block reads back its records.
+    #[test]
+    fn an_unreadable_payload_keeps_the_block() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(16 << 20, 4 << 20);
+        let classes = <(i64, i64) as HeapRecord>::register(&mut heap);
+        let recs: Vec<(i64, i64)> = (0..300).map(|i| (i, 2 * i + 1)).collect();
+        let objects = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs).unwrap();
+        let bytes = cm.put_serialized(&mut heap, &mut kryo, &mut mm, &recs).unwrap();
+        cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
+        for id in [objects, bytes] {
+            let path = cm.file(id.0);
+            let payload = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            std::fs::create_dir(&path).unwrap();
+            let err = if id == objects {
+                cm.objects_root(id, &mut heap, &mut kryo, &mut mm).err()
+            } else {
+                cm.read_bytes(id, &mut heap, &mut kryo, &mut mm).err()
+            };
+            assert!(matches!(err, Some(CacheError::Io(_))), "{id:?}: {err:?}");
+            assert!(cm.contains(id), "{id:?}: the block survives its failed read");
+            assert_eq!(cm.tier(id, &mm), Tier::Cold);
+            std::fs::remove_dir(&path).unwrap();
+            std::fs::write(&path, payload).unwrap();
+        }
+        let (root, len) = cm.objects_root(objects, &mut heap, &mut kryo, &mut mm).unwrap();
+        assert_eq!(load_pairs(&heap, &classes, root, len), recs);
+        assert_eq!(scan_pairs(&mut cm, bytes, &mut heap, &mut kryo, &mut mm), recs);
+    }
+
+    /// A demotion whose warm copy finds no heap room writes the bytes it
+    /// already has to disk and commits the whole manifest: the row of a
+    /// page group swapped earlier stays in it, so a crash right after
+    /// still rehydrates that group.
+    #[test]
+    fn a_demote_to_disk_fallback_keeps_a_swapped_groups_manifest_row() {
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(8 << 20, 1 << 20);
+        let pairs: Vec<(i64, i64)> = (0..400).map(|i| (i, i + 7)).collect();
+        let deca = cm.put_deca(&mut heap, &mut mm, &pairs).unwrap();
+        cm.evict(deca, &mut heap, &mut kryo, &mut mm).unwrap();
+        assert_eq!(cm.tier(deca, &mm), Tier::Cold);
+        // Humongous rooted arrays fill most of the old generation.
+        let cls = byte_array_class(&mut heap);
+        let filler: Vec<RootId> = (0..4)
+            .map(|_| {
+                let arr = heap.alloc_array(cls, 1200 << 10).unwrap();
+                heap.add_root(arr)
+            })
+            .collect();
+        // Points whose Kryo bytes are about as large as their graph, so the
+        // warm copy is humongous and needs the old generation.
+        let classes = <(i64, Vec<f64>) as HeapRecord>::register(&mut heap);
+        let points: Vec<(i64, Vec<f64>)> = (0..180).map(|i| (i, vec![i as f64; 1000])).collect();
+        let objects = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &points).unwrap();
+        assert_eq!(cm.tier(objects, &mm), Tier::Hot);
+        // A small put over the budget demotes the point block.
+        cm.put_serialized(&mut heap, &mut kryo, &mut mm, &pairs[..10]).unwrap();
+        assert_eq!(cm.tier(objects, &mm), Tier::Cold, "no room for the warm copy");
+        assert_eq!((cm.demotions, cm.evictions), (0, 2));
+        let rows = cm.load_manifest().expect("the fallback commits the manifest");
+        assert!(rows.iter().any(|r| r.kind == "deca" && r.id == deca.0), "{rows:?}");
+        assert!(rows.iter().any(|r| r.kind == "objects" && r.id == objects.0), "{rows:?}");
+        free_heap(&mut heap, filler);
+        let out = cm.crash_restart(&mut heap, &mut mm, "s", 0);
+        let kept: Vec<u32> = out.rehydrated.iter().map(|r| r.0).collect();
+        assert_eq!(kept, [deca.0, objects.0], "both cold blocks survive the crash");
+        let back: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+        assert_eq!(back, pairs);
     }
 }

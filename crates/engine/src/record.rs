@@ -60,7 +60,7 @@ pub use {deca_core, deca_heap, deca_udt};
 /// Heap (Spark-mode) representation of a record.
 pub trait HeapRecord: Sized {
     /// App-defined bundle of `ClassId`s for this record's object graph.
-    type Classes: Copy + Send;
+    type Classes: Copy + Send + Sync;
 
     /// Register the record's classes on a fresh heap.
     fn register(heap: &mut Heap) -> Self::Classes;

@@ -181,6 +181,23 @@ if [ -n "$owned" ]; then
   exit 1
 fi
 
+echo "== one tier move (one victim picker; a block leaves its table only when released) =="
+# The cache manager's tier moves keep a block in its table: a move builds
+# the block's new form and swaps it in, so an error never costs a block.
+# No non-test line of the engine's cache.rs takes an entry out of the
+# table outside `release` and `crash_restart`, and every victim search
+# goes through the one picker, the file's single `min_by_key`.
+taken=$(awk -f scripts/non_test_lines.awk crates/engine/src/cache.rs \
+  | awk '/ fn [a-z_]+/ { match($0, / fn [a-z_]+/); f = substr($0, RSTART + 4, RLENGTH - 4) }
+         /\.take\(\)/ && f != "release" && f != "crash_restart" { print }')
+pickers=$(awk -f scripts/non_test_lines.awk crates/engine/src/cache.rs | grep -c 'min_by_key' || true)
+if [ -n "$taken" ] || [ "$pickers" != 1 ]; then
+  echo "cache.rs takes an entry out of its table outside release/crash_restart, or has" \
+       "$pickers victim searches (want 1):"
+  echo "$taken"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in
@@ -224,14 +241,19 @@ echo "== properties (replayed seeds) =="
 # bytes, page bytes to the heap graph `store` allocates (same eden offsets
 # and bytes), and the heap graph back to Kryo, for every declared and
 # hand-written record and for strings of every class at every length to
-# 33 (`kryo_walks_*`). These properties draw their cases from
-# DECA_CHECK_SEED; a failure hands the reader the exact replay line.
+# 33 (`kryo_walks_*`). The cache's tier moves never lose a block: seeded
+# puts, reads, spills and releases against a full heap and an unwritable
+# spill directory leave every block held and readable, every heap root
+# and page group owned by one (`cache_tier_*`). These properties draw
+# their cases from DECA_CHECK_SEED; a failure hands the reader the exact
+# replay line.
 for seed in 11 29 47; do
   for suite in "-p deca-bench --test properties shuffle" "-p deca-core --lib shuffle" \
       "-p deca-engine --lib shuffle" "-p deca-heap --lib byte_array" \
       "-p deca-heap --lib alloc_fast" "-p deca-core --lib group::tests" \
       "-p deca-bench --test properties string_fast_path" \
-      "-p deca-bench --test properties kryo_walks"; do
+      "-p deca-bench --test properties kryo_walks" \
+      "-p deca-bench --test properties cache_tier"; do
     # shellcheck disable=SC2086 # $suite is a word list on purpose
     if ! DECA_CHECK_SEED=$seed cargo test -q --offline $suite; then
       echo "properties failed under seed $seed; replay locally with:"

@@ -16,10 +16,11 @@ use std::collections::HashMap;
 use deca_apps::records::{AdjListRec, JoinAggRec, LabeledPointRec, RankingRec, UserVisitRec};
 use deca_check::property::{check, gens, Config, TestResult};
 use deca_check::{prop_assert, prop_assert_eq};
-use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
+use deca_core::{DecaCacheBlock, DecaHashShuffle, DecaRecord, DecaVarHashShuffle, MemoryManager};
+use deca_engine::cache::{BlockId, CacheManager};
 use deca_engine::record::{load_str_into, HeapRecord, KryoRecord, Record};
 use deca_engine::serde_sim::PageRecords;
-use deca_engine::{KryoSim, SparkHashShuffle};
+use deca_engine::{CacheError, KryoSim, SparkHashShuffle, Tier};
 use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig, ObjRef};
 
 use util::TestDir;
@@ -604,6 +605,211 @@ fn kryo_walks_match_the_owned_path() {
             })
         },
     );
+}
+
+/// What a block in [`cache_tier_moves_keep_every_block`] was put as.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Put {
+    Objects,
+    Bytes,
+    Deca,
+}
+
+/// A block [`cache_tier_moves_keep_every_block`] holds: its id, what it
+/// was put as, and its records.
+type Held = (BlockId, Put, Vec<(i64, i64)>);
+
+/// Read block `id` back through the access path of its kind.
+fn read_block(
+    cm: &mut CacheManager,
+    (id, put): (BlockId, Put),
+    heap: &mut Heap,
+    kryo: &mut KryoSim,
+    mm: &mut MemoryManager,
+    classes: &<(i64, i64) as HeapRecord>::Classes,
+) -> Result<Vec<(i64, i64)>, String> {
+    let err = |e: &dyn std::fmt::Display| format!("{id:?} ({put:?}): {e}");
+    match put {
+        Put::Objects => {
+            let (root, len) = cm.objects_root(id, heap, kryo, mm).map_err(|e| err(&e))?;
+            let arr = heap.root_ref(root);
+            Ok((0..len)
+                .map(|i| {
+                    <(i64, i64) as HeapRecord>::load(heap, classes, heap.array_get_ref(arr, i))
+                })
+                .collect())
+        }
+        Put::Bytes => {
+            let mut got = Vec::new();
+            cm.scan_serialized::<(i64, i64), CacheError>(id, heap, kryo, mm, |_, r| {
+                got.push(<(i64, i64)>::decode(r));
+                Ok(())
+            })
+            .map_err(|e| err(&e))?;
+            Ok(got)
+        }
+        Put::Deca => cm.deca_block(id).decode_all(mm, heap).map_err(|e| err(&e)),
+    }
+}
+
+/// Root 16 KB arrays until the heap refuses one. A refusal comes at a
+/// minor collection, which empties eden, so then root as many arrays as
+/// eden held between two refusals: the heap is full and so is eden, and
+/// an allocation of more than a few KB meets a full heap.
+fn fill_heap(heap: &mut Heap, class: deca_heap::ClassId, filler: &mut Vec<deca_heap::RootId>) {
+    let mut fill = |heap: &mut Heap, limit: usize| {
+        let mut rooted = 0;
+        while rooted < limit {
+            let Ok(arr) = heap.alloc_array(class, 16 << 10) else { break };
+            filler.push(heap.add_root(arr));
+            rooted += 1;
+        }
+        rooted
+    };
+    fill(heap, usize::MAX);
+    let eden = fill(heap, usize::MAX);
+    fill(heap, eden);
+}
+
+/// The cache's tier moves never lose a block. Seeded sequences of puts
+/// (objects, bytes, Deca), reads, `evict_all`, releases, a heap filled
+/// with rooted arrays and a spill directory that cannot be written (a file
+/// stands in its place) run against one cache. After every operation:
+///
+/// - each live block is still held, but for the one exception: a Spark
+///   put that returned a typed error may have released an object block
+///   whose demotion lost its graph and then its cold write (lineage
+///   recompute rebuilds it);
+/// - every heap root belongs to the filler or to a hot or warm Spark
+///   block, and every page group to a Deca block;
+/// - a read that succeeds returns the block's records.
+///
+/// At the end, with the heap and the directory back, every block still
+/// held reads back its records.
+///
+/// Cases come from `DECA_CHECK_SEED` when set.
+#[test]
+fn cache_tier_moves_keep_every_block() {
+    let td = TestDir::new("prop-cache-tiers");
+    check(
+        Config::with_cases(24),
+        gens::vec_of(gens::pair(gens::any_u32(), gens::any_u32()), 1..60),
+        |steps| {
+            let _ = std::fs::remove_dir_all(td.path());
+            std::fs::create_dir_all(td.path()).unwrap();
+            let (spill, parked) = (td.path().join("cache"), td.path().join("cache-parked"));
+            let mut heap = Heap::new(HeapConfig::with_total(4 << 20));
+            let mut kryo = KryoSim::new();
+            let mut mm = MemoryManager::new(16 << 10, td.path().join("pages"));
+            let mut cm = CacheManager::new(384 << 10);
+            cm.set_dir(spill.clone());
+            let classes = <(i64, i64) as HeapRecord>::register(&mut heap);
+            let filler_class = heap.define_array_class("filler[]", FieldKind::I8);
+            let mut live: Vec<Held> = Vec::new();
+            let mut filler: Vec<deca_heap::RootId> = Vec::new();
+            let mut blocked = false;
+            let toggle_dir = |blocked: &mut bool| {
+                if *blocked {
+                    std::fs::remove_file(&spill).unwrap();
+                    if parked.exists() {
+                        std::fs::rename(&parked, &spill).unwrap();
+                    }
+                } else {
+                    if spill.exists() {
+                        std::fs::rename(&spill, &parked).unwrap();
+                    }
+                    std::fs::write(&spill, b"not a directory").unwrap();
+                }
+                *blocked = !*blocked;
+            };
+            for (step, &(op, arg)) in steps.iter().enumerate() {
+                let n = 50 + arg as i64 % 2500;
+                let recs: Vec<(i64, i64)> =
+                    (0..n).map(|i| (i + step as i64, i * 7 - arg as i64)).collect();
+                let at = (!live.is_empty()).then(|| arg as usize % live.len());
+                let (h, k, m) = (&mut heap, &mut kryo, &mut mm);
+                let outcome: Result<(), String> = match op % 10 {
+                    0 | 1 => cm
+                        .put_objects(h, k, m, &classes, &recs)
+                        .map(|id| live.push((id, Put::Objects, recs)))
+                        .map_err(|e| e.to_string()),
+                    2 => cm
+                        .put_serialized(h, k, m, &recs)
+                        .map(|id| live.push((id, Put::Bytes, recs)))
+                        .map_err(|e| e.to_string()),
+                    3 => cm
+                        .put_deca(h, m, &recs)
+                        .map(|id| live.push((id, Put::Deca, recs)))
+                        .map_err(|e| e.to_string()),
+                    4 | 5 => match at {
+                        Some(at) => {
+                            let (id, put, want) = &live[at];
+                            match read_block(&mut cm, (*id, *put), h, k, m, &classes) {
+                                Ok(got) => {
+                                    prop_assert_eq!(&got, want, "step {step}: {id:?} read back");
+                                    Ok(())
+                                }
+                                Err(e) => Err(e),
+                            }
+                        }
+                        None => Ok(()),
+                    },
+                    6 => cm.evict_all(h, k, m).map(drop).map_err(|e| e.to_string()),
+                    7 => {
+                        if let Some(at) = at {
+                            cm.release(live.remove(at).0, h, m);
+                        }
+                        Ok(())
+                    }
+                    8 => {
+                        fill_heap(h, filler_class, &mut filler);
+                        Ok(())
+                    }
+                    _ if arg % 2 == 0 => {
+                        filler.drain(..).for_each(|root| {
+                            h.remove_root(root);
+                        });
+                        Ok(())
+                    }
+                    _ => {
+                        toggle_dir(&mut blocked);
+                        Ok(())
+                    }
+                };
+                // Only a Spark put demotes, and only a demoted object block
+                // whose warm copy and cold write both failed is released.
+                let demoted = outcome.is_err() && op % 10 <= 2;
+                for (id, put, _) in &live {
+                    prop_assert!(
+                        cm.contains(*id) || (demoted && *put == Put::Objects),
+                        "step {step} (op {}, {outcome:?}): lost {id:?} ({put:?})",
+                        op % 10
+                    );
+                }
+                live.retain(|(id, _, _)| cm.contains(*id));
+                let rooted = live
+                    .iter()
+                    .filter(|(id, put, _)| *put != Put::Deca && cm.tier(*id, &mm) != Tier::Cold)
+                    .count();
+                prop_assert_eq!(heap.root_count(), filler.len() + rooted, "step {step}: roots");
+                let deca = live.iter().filter(|(_, put, _)| *put == Put::Deca).count();
+                prop_assert_eq!((mm.live_groups(), cm.deca_blocks()), (deca, deca), "step {step}");
+            }
+            filler.drain(..).for_each(|root| {
+                heap.remove_root(root);
+            });
+            if blocked {
+                toggle_dir(&mut blocked);
+            }
+            for (id, put, want) in &live {
+                let got =
+                    read_block(&mut cm, (*id, *put), &mut heap, &mut kryo, &mut mm, &classes)?;
+                prop_assert_eq!(&got, want, "{id:?} ({put:?}) read back at the end");
+            }
+            Ok(())
+        },
+    );
+    td.cleanup();
 }
 
 /// The global classification never reports a *more* variable size-type
