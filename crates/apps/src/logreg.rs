@@ -378,7 +378,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{want:?}: {e}"));
             assert_eq!(checksum.to_bits(), spark.to_bits(), "{want:?}: weights drifted");
             let mut stored = 0;
-            for e in &mut session.cluster_mut().executors {
+            for i in 0..session.executors() {
+                let e = &mut *session.executor(i);
                 for b in e.cache.blocks_of_job(0) {
                     stored += 1;
                     match want {

@@ -482,7 +482,8 @@ mod tests {
         let spark = run_local(&tiny(ExecutionMode::Spark), 2).checksum;
         assert_eq!(checksum.to_bits(), spark.to_bits(), "ranks drifted");
         let mut stored = 0;
-        for e in &mut session.cluster_mut().executors {
+        for i in 0..session.executors() {
+            let e = &mut *session.executor(i);
             for b in e.cache.blocks_of_job(0) {
                 let (_, len) =
                     e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm).unwrap();

@@ -38,7 +38,9 @@ impl AppReport {
         checksum: f64,
         cache_bytes: usize,
     ) -> AppReport {
-        let execs = &session.cluster().executors;
+        let gc_total = |count: fn(&deca_heap::GcStats) -> u64| -> u64 {
+            (0..session.executors()).map(|i| count(session.executor(i).heap_stats())).sum()
+        };
         AppReport {
             app: app.into(),
             mode: session.mode(),
@@ -46,10 +48,10 @@ impl AppReport {
             timeline: session.merged_timeline(),
             checksum,
             cache_bytes,
-            objects_traced: execs.iter().map(|e| e.heap_stats().objects_traced).sum(),
-            minor_gcs: execs.iter().map(|e| e.heap_stats().minor_collections).sum(),
-            full_gcs: execs.iter().map(|e| e.heap_stats().full_collections).sum(),
-            slowest_task: session.slowest_task().cloned(),
+            objects_traced: gc_total(|s| s.objects_traced),
+            minor_gcs: gc_total(|s| s.minor_collections),
+            full_gcs: gc_total(|s| s.full_collections),
+            slowest_task: session.slowest_task(),
         }
     }
 

@@ -197,14 +197,14 @@ where
 
 /// Allocate a heap `Object[]` of `len` records, each graph allocated by
 /// `store(heap, i)`; returns a root id keeping the whole block alive. A
-/// store that meets a full heap drops the root, and the parts it left on
-/// the shadow stack, so the part-filled block is garbage.
+/// store that meets a full heap drops the root (a failed record store
+/// leaves no part on the shadow stack), so the part-filled block is
+/// garbage.
 fn store_object_array(
     heap: &mut Heap,
     len: usize,
     mut store: impl FnMut(&mut Heap, usize) -> Result<ObjRef, OomError>,
 ) -> Result<RootId, OomError> {
-    let frame = heap.stack_watermark();
     let arr_class = object_array_class(heap);
     let arr = heap.alloc_array(arr_class, len)?;
     let root = heap.add_root(arr);
@@ -217,7 +217,6 @@ fn store_object_array(
     match filled {
         Ok(()) => Ok(root),
         Err(oom) => {
-            heap.truncate_stack(frame);
             heap.remove_root(root);
             Err(oom)
         }

@@ -1,13 +1,12 @@
-//! A local "cluster": several executors, each owning its heap and memory
-//! manager, running in parallel OS threads.
+//! Cluster-wide rules a job's driver applies between rounds: lane health
+//! and its round-robin helpers, the shuffle exchange, and key
+//! partitioning. (The executors themselves, and the threads that run
+//! them, are the worker pool's.)
 //!
 //! Shuffle data moves between executors as serialized byte buffers (Spark
 //! serializes shuffle writes; Deca writes its decomposed bytes verbatim —
 //! §6.1's "saves the cost of data (de-)serialization by directly
 //! outputting the raw bytes").
-
-use crate::config::ExecutorConfig;
-use crate::executor::Executor;
 
 /// Driver-side health record of one executor (a job's *lane*: a physical
 /// executor standalone, a virtual one on the server), owned by the job's
@@ -19,7 +18,7 @@ pub struct ExecutorHealth {
     /// (Spark's per-stage blacklisting counter; reset at stage start).
     pub stage_failures: u32,
     /// Quarantined executors receive no further tasks (persists across
-    /// stages until [`Executor::recover`] + un-quarantine).
+    /// stages).
     pub quarantined: bool,
     /// Times this executor was restarted in place (the
     /// spare-last-executor path).
@@ -27,78 +26,6 @@ pub struct ExecutorHealth {
     /// Cached blocks rehydrated from the spill manifest across this
     /// executor's restarts (each saved its lineage recompute).
     pub rehydrated_blocks: u64,
-}
-
-/// A set of executors driven stage-by-stage by the workload code.
-pub struct LocalCluster {
-    pub executors: Vec<Executor>,
-}
-
-impl LocalCluster {
-    /// One executor per config. Executor `i` spills under `exec-{i}` in its
-    /// config's spill directory, so executors never alias spill files.
-    pub fn new(configs: Vec<ExecutorConfig>) -> LocalCluster {
-        let executors = configs
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut c)| {
-                c.spill_dir = c.spill_dir.join(format!("exec-{i}"));
-                Executor::new(c)
-            })
-            .collect();
-        LocalCluster { executors }
-    }
-
-    /// A cluster of `n` identical executors.
-    pub fn uniform(n: usize, config: ExecutorConfig) -> LocalCluster {
-        LocalCluster::new(vec![config; n])
-    }
-
-    pub fn len(&self) -> usize {
-        self.executors.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.executors.is_empty()
-    }
-
-    /// Run `f` on every executor in parallel (one stage's task wave).
-    /// Results are returned in executor order.
-    pub fn par_run<R: Send>(&mut self, f: impl Fn(usize, &mut Executor) -> R + Sync) -> Vec<R> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .executors
-                .iter_mut()
-                .enumerate()
-                .map(|(i, e)| {
-                    let f = &f;
-                    s.spawn(move || f(i, e))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("executor task")).collect()
-        })
-    }
-
-    /// Aggregate job metrics across executors (sums; exec time is the max,
-    /// since executors run in parallel).
-    pub fn job_summary(&self) -> crate::metrics::JobMetrics {
-        let mut out = crate::metrics::JobMetrics::default();
-        for e in &self.executors {
-            let j = &e.job;
-            out.exec = out.exec.max(j.exec);
-            out.gc += j.gc;
-            out.ser += j.ser;
-            out.deser += j.deser;
-            out.shuffle_read += j.shuffle_read;
-            out.shuffle_write += j.shuffle_write;
-            out.io += j.io;
-            out.cache_bytes += j.cache_bytes;
-            out.swapped_cache_bytes += j.swapped_cache_bytes;
-            out.minor_gcs += j.minor_gcs;
-            out.full_gcs += j.full_gcs;
-        }
-        out
-    }
 }
 
 /// Lanes currently accepting tasks.
@@ -150,20 +77,6 @@ pub fn partition_of(key_hash: u64, reducers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecutionMode;
-
-    #[test]
-    fn parallel_execution_and_summary() {
-        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 4 << 20);
-        let mut cluster = LocalCluster::uniform(3, cfg);
-        let ids = cluster.par_run(|i, e| {
-            e.run_task(format!("t{i}"), |_| i * 10);
-            i
-        });
-        assert_eq!(ids, vec![0, 1, 2]);
-        assert!(cluster.executors.iter().all(|e| e.tasks.len() == 1));
-        let _ = cluster.job_summary();
-    }
 
     #[test]
     fn health_helpers_respect_quarantine() {

@@ -1,23 +1,21 @@
-//! The standalone job driver: multi-stage jobs across a private
-//! [`LocalCluster`].
+//! The standalone job driver: multi-stage jobs on a private worker pool.
 //!
 //! The paper's executors are parallel JVM processes driven stage-by-stage
 //! by Spark's DAG scheduler (§6.1): a job splits at shuffle boundaries
 //! into a map stage, an all-to-all exchange of shuffle bytes, and a reduce
 //! stage. [`ClusterSession`] is that driver layer for one job on its own
-//! cluster: apps describe the task bodies; the session runs the task
-//! rounds in parallel OS threads, moves the shuffle bytes between
-//! executors (serialized blocks for Spark/SparkSer, raw page bytes for
-//! Deca — §6.1's "directly outputting the raw bytes"), and rolls per-stage
-//! metrics into [`StageMetrics`].
+//! executors: apps describe the task bodies; the session hands each round
+//! of tasks to the executors' long-lived worker threads, moves the shuffle
+//! bytes between executors (serialized blocks for Spark/SparkSer, raw page
+//! bytes for Deca — §6.1's "directly outputting the raw bytes"), and rolls
+//! per-stage metrics into [`StageMetrics`].
 //!
-//! A session is a [`LocalCluster`] plus the crate's one stage engine
-//! (`stage.rs`): the retry/round loop, the per-attempt fault body,
-//! quarantine/restart decisions and the metric roll-up live there, shared
-//! with [`DecaServer`](crate::DecaServer) jobs. This module contributes
-//! the standalone *slot source* — how a round of `(task, attempt, home)`
-//! slots physically runs on scoped threads over the session's own
-//! executors — and the session's read-out API.
+//! A session is a private worker pool (`pool.rs`, the same pool a
+//! [`DecaServer`](crate::DecaServer) shares among its jobs) plus the
+//! crate's one stage engine (`stage.rs`), driven on the caller's thread:
+//! the retry/round loop, the per-attempt fault body, quarantine/restart
+//! decisions and the metric roll-up live there. This module contributes
+//! only the session's set-up and read-out API.
 //!
 //! ## Task model and determinism
 //!
@@ -88,16 +86,17 @@
 //! assert_eq!(s.stages()[0].tasks, 3);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::MutexGuard;
 
-use crate::cluster::{ExecutorHealth, LocalCluster};
+use crate::cluster::ExecutorHealth;
 use crate::config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode};
 use crate::error::EngineError;
 use crate::executor::Executor;
 use crate::faults::FaultPlan;
-use crate::metrics::{JobMetrics, StageMetrics, Timeline};
-use crate::stage::{AttemptDone, Round, Site, SlotSource, StageEngine};
+use crate::metrics::{JobMetrics, StageMetrics, TaskMetrics, Timeline};
+use crate::pool::{Pool, PoolJob};
+use crate::stage::StageEngine;
 use crate::trace::{RunTrace, TraceRecorder};
 pub use deca_core::ShufflePayload;
 
@@ -123,10 +122,6 @@ pub struct TaskContext<'a> {
     pub(crate) cancel: &'a AtomicBool,
 }
 
-/// Token for attempts that can never be cancelled (wave scheduling,
-/// non-speculative pull rounds, and plain local sessions).
-pub(crate) static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
-
 impl TaskContext<'_> {
     /// Has this attempt been cancelled cooperatively? Long-running task
     /// bodies should poll this and bail out with
@@ -145,94 +140,23 @@ impl TaskContext<'_> {
 /// over without a copy (Deca) or a pooled byte buffer (Spark/SparkSer).
 pub type MapOutputs = Vec<ShufflePayload>;
 
-/// Shared bookkeeping for one speculative pull round
-/// (`RetryPolicy::speculate`): who is running each slot, since when,
-/// whether a finished copy exists, and the cancel token pair
-/// (`[primary, duplicate]`) each slot's copies poll.
-struct SpecRound {
-    epoch: Instant,
-    /// Per-slot primary start, ns since `epoch` plus one (0 = unstarted).
-    started: Vec<AtomicU64>,
-    /// Executor running each slot's primary copy.
-    runner: Vec<AtomicUsize>,
-    /// A finished copy exists for the slot.
-    done: Vec<AtomicBool>,
-    /// Wall duration of a finished copy, ns (the watchdog's runtime
-    /// estimate sample).
-    dur: Vec<AtomicU64>,
-    /// A duplicate has been launched for the slot.
-    taken: Vec<AtomicBool>,
-    /// Cooperative cancel tokens per slot: `[primary, duplicate]`.
-    cancels: Vec<[AtomicBool; 2]>,
-    /// Slots with a finished copy (the round ends at `slots`).
-    finished: AtomicUsize,
-}
-
-impl SpecRound {
-    fn new(slots: usize) -> SpecRound {
-        SpecRound {
-            epoch: Instant::now(),
-            started: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            runner: (0..slots).map(|_| AtomicUsize::new(usize::MAX)).collect(),
-            done: (0..slots).map(|_| AtomicBool::new(false)).collect(),
-            dur: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            taken: (0..slots).map(|_| AtomicBool::new(false)).collect(),
-            cancels: (0..slots).map(|_| [AtomicBool::new(false), AtomicBool::new(false)]).collect(),
-            finished: AtomicUsize::new(0),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// One copy of slot `j` finished: record its duration sample, mark
-    /// the slot complete, and cancel the other copy cooperatively.
-    fn finish(&self, j: usize, started_ns: u64, loser_copy: usize) {
-        self.dur[j].store(self.now_ns().saturating_sub(started_ns).max(1), Ordering::Relaxed);
-        if !self.done[j].swap(true, Ordering::Relaxed) {
-            self.finished.fetch_add(1, Ordering::Relaxed);
-        }
-        self.cancels[j][loser_copy].store(true, Ordering::Relaxed);
-    }
-
-    /// The watchdog's staleness threshold: twice the median duration of
-    /// the round's completed copies — available only once at least half
-    /// the round has completed (the quantile estimate needs evidence).
-    fn stale_threshold_ns(&self, total: usize) -> Option<u64> {
-        let completed = self.finished.load(Ordering::Relaxed);
-        if completed == 0 || completed * 2 < total {
-            return None;
-        }
-        let mut ds: Vec<u64> = (0..self.done.len())
-            .filter(|&j| self.done[j].load(Ordering::Relaxed))
-            .map(|j| self.dur[j].load(Ordering::Relaxed))
-            .filter(|&d| d > 0)
-            .collect();
-        if ds.is_empty() {
-            return None;
-        }
-        ds.sort_unstable();
-        Some(ds[ds.len() / 2].saturating_mul(2).max(1))
-    }
-}
-
-/// A standalone multi-stage job driver: a private [`LocalCluster`] driven by
-/// a stage engine.
+/// A standalone multi-stage job driver: a private worker pool driven by a
+/// stage engine on the caller's thread.
 pub struct ClusterSession {
-    pub(crate) cluster: LocalCluster,
     pub(crate) engine: StageEngine,
+    /// The session's one job on its pool: physical lanes, no stop handle.
+    pub(crate) job: PoolJob,
+    pool: Pool,
 }
 
 impl ClusterSession {
-    /// A session over `executors` identical executors (per-executor spill
-    /// subdirectories, as [`LocalCluster::uniform`]). The retry policy is
-    /// taken from the config; no faults are injected until
+    /// A session over `executors` identical executors (executor `i` spills
+    /// under `exec-{i}` of the config's spill directory). The retry policy
+    /// is taken from the config; no faults are injected until
     /// [`ClusterSession::install_faults`].
     pub fn new(executors: usize, config: ExecutorConfig) -> ClusterSession {
         assert!(executors > 0, "a cluster needs at least one executor");
-        let engine = StageEngine::new(executors, config.retry, config.scheduler, config.tracing);
-        ClusterSession { cluster: LocalCluster::uniform(executors, config), engine }
+        ClusterSession::with_configs(vec![config; executors])
     }
 
     /// A session over explicitly configured (possibly heterogeneous)
@@ -242,21 +166,24 @@ impl ClusterSession {
         assert!(!configs.is_empty(), "a cluster needs at least one executor");
         let first = &configs[0];
         let engine = StageEngine::new(configs.len(), first.retry, first.scheduler, first.tracing);
-        ClusterSession { cluster: LocalCluster::new(configs), engine }
+        let pool = Pool::new(configs);
+        ClusterSession { engine, job: pool.job(0, None, None, None), pool }
     }
 
     pub fn executors(&self) -> usize {
-        self.cluster.len()
+        self.pool.executors()
     }
 
     /// The cluster's execution mode (executor 0's; `uniform` clusters are
     /// homogeneous).
     pub fn mode(&self) -> ExecutionMode {
-        self.cluster.executors[0].mode()
+        self.job.mode()
     }
 
-    pub fn executor(&self, i: usize) -> &Executor {
-        &self.cluster.executors[i]
+    /// Executor `i`, locked for as long as the guard lives. No task runs
+    /// between stages, so the lock is always free here.
+    pub fn executor(&self, i: usize) -> MutexGuard<'_, Executor> {
+        self.pool.executor(i)
     }
 
     // ------------------------------------------------------------------
@@ -278,7 +205,7 @@ impl ClusterSession {
     /// the spill-path kill points (`SpillWrite`, `ManifestCommit`,
     /// `SpillRead`, `Rehydrate`) can fire inside the cache itself.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        for e in &mut self.cluster.executors {
+        for mut e in self.pool.each() {
             e.install_fault_plan(&plan);
         }
         self.engine.faults = plan;
@@ -290,15 +217,17 @@ impl ClusterSession {
     }
 
     /// Executors currently quarantined.
-    pub fn quarantined_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn quarantined_count(&self) -> usize {
         self.engine.health.iter().filter(|h| h.quarantined).count()
     }
 
     /// Bring executor `i` back into service: clear its crash poison,
     /// quarantine flag, and per-stage failure count (the operator
     /// replacing a node between jobs).
-    pub fn recover_executor(&mut self, i: usize) {
-        self.cluster.executors[i].recover();
+    #[cfg(test)]
+    pub(crate) fn recover_executor(&mut self, i: usize) {
+        self.executor(i).recover();
         self.engine.health[i].quarantined = false;
         self.engine.health[i].stage_failures = 0;
     }
@@ -322,7 +251,7 @@ impl ClusterSession {
         tasks: usize,
         f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
     ) -> Result<Vec<R>, EngineError> {
-        self.engine.run_stage(&mut self.cluster, name, tasks, f, false)
+        self.engine.run_stage(&mut self.job, name, tasks, f, false)
     }
 
     /// Run a two-stage shuffle job: a map wave producing per-reducer byte
@@ -341,7 +270,7 @@ impl ClusterSession {
         map: impl Fn(&TaskContext, &mut Executor) -> Result<MapOutputs, EngineError> + Sync,
         reduce: impl Fn(&TaskContext, &mut Executor, &[ShufflePayload]) -> Result<R, EngineError> + Sync,
     ) -> Result<Vec<R>, EngineError> {
-        self.engine.run_shuffle_job(&mut self.cluster, name, map_tasks, reduce_tasks, map, reduce)
+        self.engine.run_shuffle_job(&mut self.job, name, map_tasks, reduce_tasks, map, reduce)
     }
 
     // ------------------------------------------------------------------
@@ -355,16 +284,15 @@ impl ClusterSession {
 
     /// The most recent stage with the given name. Iterative jobs reuse
     /// stage names (multi-iteration PageRank/CC loops), and callers
-    /// reading "the" stage after a run want the latest execution — use
-    /// [`ClusterSession::stages_named`] for the full history.
+    /// reading "the" stage after a run want the latest execution.
     pub fn stage(&self, name: &str) -> Option<&StageMetrics> {
         self.engine.stages.iter().rev().find(|s| s.name == name)
     }
 
-    /// Every execution of the named stage, in run order (indexed access
-    /// for repeated-name jobs; `stages_named(n).last()` ==
-    /// [`ClusterSession::stage`]`(n)`).
-    pub fn stages_named(&self, name: &str) -> Vec<&StageMetrics> {
+    /// Every execution of the named stage, in run order
+    /// (`stages_named(n).last()` == [`ClusterSession::stage`]`(n)`).
+    #[cfg(test)]
+    pub(crate) fn stages_named(&self, name: &str) -> Vec<&StageMetrics> {
         self.engine.stages.iter().filter(|s| s.name == name).collect()
     }
 
@@ -377,7 +305,7 @@ impl ClusterSession {
     /// Refresh job-level cache statistics on every executor (call before
     /// reading [`ClusterSession::job_summary`] cache fields).
     pub fn finish_job(&mut self) {
-        for e in &mut self.cluster.executors {
+        for mut e in self.pool.each() {
             e.finish_job();
         }
     }
@@ -386,7 +314,21 @@ impl ClusterSession {
     /// executors run in parallel), plus the fault-handling counters
     /// folded up from every stage run so far.
     pub fn job_summary(&self) -> JobMetrics {
-        let mut out = self.cluster.job_summary();
+        let mut out = JobMetrics::default();
+        for e in self.pool.each() {
+            let j = &e.job;
+            out.exec = out.exec.max(j.exec);
+            out.gc += j.gc;
+            out.ser += j.ser;
+            out.deser += j.deser;
+            out.shuffle_read += j.shuffle_read;
+            out.shuffle_write += j.shuffle_write;
+            out.io += j.io;
+            out.cache_bytes += j.cache_bytes;
+            out.swapped_cache_bytes += j.swapped_cache_bytes;
+            out.minor_gcs += j.minor_gcs;
+            out.full_gcs += j.full_gcs;
+        }
         for s in &self.engine.stages {
             out.add_stage_recovery(s);
         }
@@ -397,20 +339,18 @@ impl ClusterSession {
     /// (each executor samples against its own clock; the merge orders by
     /// per-executor elapsed time, which is what Figures 8a/9a plot).
     pub fn merged_timeline(&self) -> Timeline {
-        let mut samples: Vec<_> = self
-            .cluster
-            .executors
-            .iter()
-            .flat_map(|e| e.timeline().samples.iter().copied())
-            .collect();
+        let mut samples = Vec::new();
+        for e in self.pool.each() {
+            samples.extend_from_slice(&e.timeline().samples);
+        }
         samples.sort_by_key(|s| s.at);
         Timeline { samples }
     }
 
     /// The slowest task across all executors (Figure 11 reports the
     /// slowest task).
-    pub fn slowest_task(&self) -> Option<&crate::metrics::TaskMetrics> {
-        self.cluster.executors.iter().filter_map(|e| e.slowest_task()).max_by_key(|t| t.total())
+    pub fn slowest_task(&self) -> Option<TaskMetrics> {
+        self.pool.each().filter_map(|e| e.slowest_task().cloned()).max_by_key(|t| t.total())
     }
 
     // ------------------------------------------------------------------
@@ -423,13 +363,13 @@ impl ClusterSession {
         &self.engine.trace
     }
 
-    /// The merged run trace: driver events plus every executor's,
-    /// deterministically ordered by logical position (see
-    /// [`RunTrace::merge`]). Empty when tracing is off.
+    /// The merged run trace: driver events plus the executor events routed
+    /// from every attempt, deterministically ordered by logical position
+    /// (see [`RunTrace::from_events`]). Empty when tracing is off.
     pub fn merged_trace(&self) -> RunTrace {
-        let executors: Vec<&TraceRecorder> =
-            self.cluster.executors.iter().map(|e| &e.trace).collect();
-        RunTrace::merge(&self.engine.trace, &executors)
+        let mut events = self.engine.trace.events().to_vec();
+        events.extend_from_slice(&self.job.events);
+        RunTrace::from_events(events)
     }
 
     /// Write the merged trace as Chrome trace-event JSON (loadable in
@@ -442,183 +382,14 @@ impl ClusterSession {
     pub fn export_manifest(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.merged_trace().to_manifest_string())
     }
-
-    /// The underlying cluster (raw `par_run` waves, direct executor
-    /// iteration).
-    pub fn cluster(&self) -> &LocalCluster {
-        &self.cluster
-    }
-
-    pub fn cluster_mut(&mut self) -> &mut LocalCluster {
-        &mut self.cluster
-    }
-}
-
-/// The standalone slot source: lanes are the cluster's physical executors,
-/// and a round runs on one scoped thread per executor.
-impl SlotSource for LocalCluster {
-    fn lanes(&self) -> usize {
-        self.len()
-    }
-
-    fn mode(&self) -> ExecutionMode {
-        self.executors[0].mode()
-    }
-
-    /// A standalone session has no cancel handle and no deadline.
-    fn stop_reason(&mut self) -> Option<String> {
-        None
-    }
-
-    fn is_poisoned(&self, lane: usize) -> bool {
-        self.executors[lane].is_poisoned()
-    }
-
-    /// The crash wipes the cache's volatile tiers and cold blocks are
-    /// rehydrated from the spill manifest, saving their lineage recompute.
-    fn restart(&mut self, lane: usize, stage: &str, ordinal: u32) -> (u64, u64) {
-        let e = &mut self.executors[lane];
-        let out = e.restart_in_place(stage, ordinal);
-        if out.killed {
-            e.poison();
-        }
-        (out.rehydrated.len() as u64, out.rehydrated.iter().map(|r| r.1).sum())
-    }
-
-    /// Shared-list claiming, affinity-first: each executor drains its own
-    /// home slots in ascending task order (the only way pinned slots run,
-    /// so a crash dooms exactly its home suffix), then steals remaining
-    /// unpinned slots in ascending order, then — under speculation —
-    /// watches the round for stragglers to duplicate.
-    fn run_round(&mut self, round: Round<'_>) -> Vec<AttemptDone> {
-        let executors = self.len();
-        let Round { stage, slots, pinned, benched, .. } = &round;
-        let claimed: Vec<AtomicBool> = slots.iter().map(|_| AtomicBool::new(false)).collect();
-        // Speculation bookkeeping, shared across the round's executor
-        // threads. Physical wall-clock here steers *where* duplicates
-        // launch — never what the job computes, because the engine
-        // reconciles the copies deterministically in task order.
-        let spec = round.speculate.then(|| SpecRound::new(slots.len()));
-        let (claimed, spec) = (&claimed, &spec);
-        // One physical attempt of `(t, a)` on executor `i`: a thief
-        // observes its own process's health, never the home's.
-        let run = |e: &mut Executor, i, (t, a): (usize, u32), cancel: &AtomicBool, speculative| {
-            let poisoned = e.is_poisoned();
-            let site = Site {
-                task: t,
-                attempt: a,
-                lane: i,
-                executor: i,
-                executors,
-                poisoned,
-                speculative,
-                cancel,
-            };
-            let done = (round.attempt)(e, &site);
-            if done.died {
-                e.poison();
-            }
-            done
-        };
-        let per_executor = self.par_run(|i, e| {
-            let mut out = Vec::new();
-            if benched[i] {
-                return out;
-            }
-            // One primary (non-duplicate) attempt for slot j. With
-            // speculation on, publish who runs it and when it started so
-            // idle executors can spot a straggler, and on completion raise
-            // the duplicate's cancel token.
-            let run_primary = |e: &mut Executor, j: usize, slot: (usize, u32)| {
-                let Some(s) = spec else {
-                    return run(e, i, slot, &NEVER_CANCELLED, false);
-                };
-                s.runner[j].store(i, Ordering::Relaxed);
-                let start = s.now_ns().max(1);
-                s.started[j].store(start, Ordering::Relaxed);
-                let done = run(e, i, slot, &s.cancels[j][0], false);
-                s.finish(j, start, 1);
-                done
-            };
-            for (j, &(t, a, home)) in slots.iter().enumerate() {
-                if home == i && !claimed[j].swap(true, Ordering::Relaxed) {
-                    out.push(run_primary(e, j, (t, a)));
-                }
-            }
-            // An executor that crashed this round must not pull in work
-            // the wave scheduler would never have handed it.
-            for (j, &(t, a, home)) in slots.iter().enumerate() {
-                if e.is_poisoned() {
-                    break;
-                }
-                if home == i || pinned[j] || claimed[j].swap(true, Ordering::Relaxed) {
-                    continue;
-                }
-                let sim = e.sim_now();
-                e.trace.task_steal(stage, (t, a), home, sim);
-                out.push(run_primary(e, j, (t, a)));
-            }
-            // Speculation pass: every slot is claimed, so an idle executor
-            // watches the round instead of returning. Once at least half
-            // the round has completed, a primary running past 2× the
-            // median completed duration gets a duplicate launched here;
-            // first completion raises the loser's cancel token. Pinned
-            // (fault-affected) slots are never duplicated — their failure
-            // must land on the home executor.
-            if let Some(s) = spec {
-                'watch: while !e.is_poisoned() && s.finished.load(Ordering::Relaxed) < slots.len() {
-                    let Some(stale) = s.stale_threshold_ns(slots.len()) else {
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
-                    };
-                    let now_ns = s.now_ns();
-                    for (j, &(t, a, _)) in slots.iter().enumerate() {
-                        if pinned[j] || s.done[j].load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let started = s.started[j].load(Ordering::Relaxed);
-                        if started == 0
-                            || s.runner[j].load(Ordering::Relaxed) == i
-                            || now_ns.saturating_sub(started) <= stale
-                            || s.taken[j].swap(true, Ordering::Relaxed)
-                        {
-                            continue;
-                        }
-                        let primary = s.runner[j].load(Ordering::Relaxed);
-                        let sim = e.sim_now();
-                        e.trace.task_speculative(stage, (t, a), primary, sim);
-                        let start = s.now_ns().max(1);
-                        out.push(run(e, i, (t, a), &s.cancels[j][1], true));
-                        s.finish(j, start, 0);
-                        continue 'watch;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-            out
-        });
-        per_executor.into_iter().flatten().collect()
-    }
-
-    fn recycle_payload(&mut self, i: usize, payload: ShufflePayload) {
-        let n = self.executors.len();
-        self.executors[i % n].recycle_payload(payload);
-    }
-
-    fn cache_footprint(&mut self) -> usize {
-        self.executors
-            .iter_mut()
-            .map(|e| {
-                e.finish_job();
-                e.job.cache_bytes + e.job.swapped_cache_bytes
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
     use crate::faults::FaultSite;
     use crate::trace::{dur_ns, TraceEventKind};
 
@@ -647,6 +418,15 @@ mod tests {
             assert_eq!(s.stages()[0].attempts, 7, "fault-free: one attempt per task");
             assert_eq!(s.total_tasks(), 7);
         }
+    }
+
+    #[test]
+    fn parallel_execution_and_summary() {
+        let mut s = wave_session(3);
+        let ids = s.run_stage("t", 3, |ctx, _e| Ok(ctx.executor)).unwrap();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert!((0..3).all(|i| s.executor(i).tasks.len() == 1));
+        let _ = s.job_summary();
     }
 
     #[test]
@@ -755,13 +535,12 @@ mod tests {
         })
         .unwrap();
         assert_eq!(s.total_tasks(), 4);
-        assert_eq!(s.cluster().executors.iter().map(|e| e.task_metrics().len()).sum::<usize>(), 4);
+        assert_eq!((0..2).map(|i| s.executor(i).task_metrics().len()).sum::<usize>(), 4);
         // Metric sanity on counts, not timings: this must never flake on
         // a frozen clock. job_summary sums collection counts across
         // executors.
         let summary = s.job_summary();
-        let minors: u64 =
-            s.cluster().executors.iter().map(|e| e.heap_stats().minor_collections).sum();
+        let minors: u64 = (0..2).map(|i| s.executor(i).heap_stats().minor_collections).sum();
         assert_eq!(summary.minor_gcs, minors);
         assert!(!s.stages().is_empty());
     }
@@ -1351,11 +1130,10 @@ mod tests {
             })
             .unwrap();
             let st = s.stage("work").unwrap();
-            let totals: Vec<Duration> = s
-                .cluster()
-                .executors
-                .iter()
-                .flat_map(|e| e.task_metrics().iter().map(|t| t.total()))
+            let totals: Vec<Duration> = (0..2)
+                .flat_map(|i| {
+                    s.executor(i).task_metrics().iter().map(|t| t.total()).collect::<Vec<_>>()
+                })
                 .collect();
             let sum: Duration = totals.iter().sum();
             let max = *totals.iter().max().unwrap();
@@ -1407,8 +1185,9 @@ mod tests {
         // Regression: merging used to deep-clone every executor's sample
         // vector per call; repeated merges must return the same samples,
         // exactly once each, still sorted by per-executor elapsed time.
-        let mut s = session(2);
-        for (i, e) in s.cluster.executors.iter_mut().enumerate() {
+        let s = session(2);
+        for i in 0..2 {
+            let mut e = s.executor(i);
             e.timeline.record(Duration::from_millis(i as u64), 10 + i, Duration::ZERO);
             e.timeline.record(Duration::from_millis(10 + i as u64), 20 + i, Duration::ZERO);
         }
@@ -1418,7 +1197,7 @@ mod tests {
         assert_eq!(once, twice, "re-merging must not duplicate or reorder samples");
         assert!(once.samples.windows(2).all(|w| w[0].at <= w[1].at), "sorted by elapsed time");
         // The executors' own timelines are untouched by the merge.
-        assert!(s.cluster.executors.iter().all(|e| e.timeline.samples.len() == 2));
+        assert!((0..2).all(|i| s.executor(i).timeline.samples.len() == 2));
     }
 
     /// A page-run shuffle job for the fault-invariance and hand-over
@@ -1551,7 +1330,8 @@ mod tests {
         // were exchanged, in map-task order.
         assert_eq!(got, vec![vec![0, 0, 1, 0, 2, 0], vec![0, 1, 1, 1, 2, 1]]);
         assert_eq!(s.stage("ph-map").unwrap().retries, 1);
-        for (i, e) in s.cluster.executors.iter().enumerate() {
+        for i in 0..2 {
+            let e = s.executor(i);
             let stats = e.arena.stats();
             assert_eq!(
                 stats.live_pages(),
@@ -1568,7 +1348,8 @@ mod tests {
         let mut s = session(2);
         let got = run_page_shuffle(&mut s, "zc").unwrap();
         let (copied, handed_runs, handed_bytes): (u64, u64, u64) =
-            s.cluster.executors.iter().map(|e| e.arena.stats()).fold((0, 0, 0), |acc, st| {
+            (0..2).map(|i| s.executor(i)).fold((0, 0, 0), |acc, e| {
+                let st = e.arena.stats();
                 (acc.0 + st.copied_bytes(), acc.1 + st.handed_runs(), acc.2 + st.handed_bytes())
             });
         assert_eq!(copied, 0, "zero bytes copied on the Deca hand-over path");

@@ -2,8 +2,8 @@
 //! serializer + metrics), running its tasks sequentially.
 //!
 //! The paper's executors are JVM processes running task threads; here each
-//! executor is single-threaded and a [`crate::LocalCluster`] runs several
-//! executors in parallel OS threads. Task timing attributes wall time to
+//! executor is single-threaded, and the engine's worker pool runs each
+//! executor on its own long-lived OS thread, several in parallel. Task timing attributes wall time to
 //! compute / GC pause / (de)serialization / shuffle / spill-IO buckets
 //! (Figure 11's breakdown). Collector pauses are *measured*: the heap's
 //! stop-the-world time is charged to the triggering task, and concurrent
@@ -98,7 +98,7 @@ impl Executor {
 
     /// Mark this executor as crashed: subsequent tasks fail with
     /// `ExecutorLost` until [`Executor::recover`]. The flag is only set
-    /// from the executor's own thread and read between waves, so crash
+    /// from the executor's own worker and read between rounds, so crash
     /// semantics are deterministic.
     pub fn poison(&mut self) {
         self.poisoned = true;

@@ -30,6 +30,7 @@ pub mod error;
 pub mod executor;
 pub mod faults;
 pub mod metrics;
+mod pool;
 pub mod record;
 pub mod serde_sim;
 pub mod server;
@@ -38,7 +39,7 @@ mod stage;
 pub mod trace;
 
 pub use cache::{CacheError, CacheStats, RehydrateOutcome, Tier};
-pub use cluster::{ExecutorHealth, LocalCluster};
+pub use cluster::ExecutorHealth;
 pub use config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
 pub use driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};
 pub use error::EngineError;

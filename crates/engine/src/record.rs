@@ -459,7 +459,7 @@ impl<A: BoxedScalar, B: BoxedScalar> HeapRecord for (A, B) {
     fn store(&self, heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
         let a = store_box(self.0, heap, cls.box_a)?;
         let sa = heap.push_stack(a);
-        let b = store_box(self.1, heap, cls.box_b)?;
+        let b = store_box(self.1, heap, cls.box_b).inspect_err(|_| heap.truncate_stack(sa))?;
         heap.push_stack(b);
         store_tuple(heap, cls, sa)
     }
@@ -475,10 +475,10 @@ impl<A: BoxedScalar, B: BoxedScalar> HeapRecord for (A, B) {
 }
 
 /// Allocate a `Tuple2` around the two parts on the shadow stack from slot
-/// `parts`, and pop them.
+/// `parts`, and pop them, whether or not the allocation succeeds.
 #[inline]
 fn store_tuple(heap: &mut Heap, cls: &PairClasses, parts: usize) -> Result<ObjRef, OomError> {
-    let t = heap.alloc(cls.tuple)?;
+    let t = heap.alloc(cls.tuple).inspect_err(|_| heap.truncate_stack(parts))?;
     heap.write_ref(t, 0, heap.stack_ref(parts));
     heap.write_ref(t, 1, heap.stack_ref(parts + 1));
     heap.truncate_stack(parts);
@@ -573,7 +573,7 @@ fn store_keyed_vector(
 ) -> Result<ObjRef, OomError> {
     let a = store_box(key, heap, cls.box_a)?;
     let sa = heap.push_stack(a);
-    let arr = heap.alloc_array(cls.box_b, len)?;
+    let arr = heap.alloc_array(cls.box_b, len).inspect_err(|_| heap.truncate_stack(sa))?;
     fill(heap, arr);
     heap.push_stack(arr);
     store_tuple(heap, cls, sa)
@@ -674,7 +674,7 @@ pub fn store_str(heap: &mut Heap, cls: &StringClasses, s: &str) -> Result<ObjRef
         heap.char_array_write(arr, s.encode_utf16());
     }
     let sa = heap.push_stack(arr);
-    let obj = heap.alloc(cls.string)?;
+    let obj = heap.alloc(cls.string).inspect_err(|_| heap.truncate_stack(sa))?;
     heap.write_ref(obj, 0, heap.stack_ref(sa));
     heap.truncate_stack(sa);
     Ok(obj)
@@ -815,7 +815,8 @@ impl<T: Scalar> ArrayClasses<T> {
     /// Allocate and fill the array, then its wrapper, each rooted on the
     /// shadow stack as it is made. Returns the stack slot of the object the
     /// record refers to and the mark to truncate the stack to once the
-    /// record holds it.
+    /// record holds it; a failed allocation leaves the stack as it found
+    /// it.
     #[inline]
     pub fn store(&self, heap: &mut Heap, values: &[T]) -> Result<(usize, usize), OomError> {
         self.store_with(heap, values.len(), |heap, arr| {
@@ -846,7 +847,7 @@ impl<T: Scalar> ArrayClasses<T> {
         fill(heap, arr);
         let mark = heap.push_stack(arr);
         let Some(wrapper) = self.wrapper else { return Ok((mark, mark)) };
-        let w = heap.alloc(wrapper)?;
+        let w = heap.alloc(wrapper).inspect_err(|_| heap.truncate_stack(mark))?;
         heap.write_ref(w, 0, heap.stack_ref(mark));
         heap.write_word(w, 1, 0); // offset
         heap.write_word(w, 2, 1); // stride
@@ -1120,7 +1121,9 @@ macro_rules! record {
             ) -> Result<$crate::record::deca_heap::ObjRef, $crate::record::deca_heap::OomError> {
                 use $crate::record::Scalar;
                 $(let $arr = cls.array.store(heap, &self.$arr)?;)?
-                let obj = heap.alloc(cls.record)?;
+                let obj = heap.alloc(cls.record).inspect_err(|_| {
+                    $(heap.truncate_stack($arr.1);)?
+                })?;
                 let mut slot = 0;
                 $(
                     self.$field.write(heap, obj, slot);
@@ -1193,7 +1196,9 @@ macro_rules! record {
                 use $crate::record::Scalar;
                 let ($($field,)* $($arr,)?) = Self::fields(page);
                 $(let $arr = cls.array.store_page(heap, $arr.as_flattened())?;)?
-                let obj = heap.alloc(cls.record)?;
+                let obj = heap.alloc(cls.record).inspect_err(|_| {
+                    $(heap.truncate_stack($arr.1);)?
+                })?;
                 let mut slot = 0;
                 $(
                     $field.write(heap, obj, slot);
@@ -1344,5 +1349,110 @@ mod tests {
             assert_eq!(<(i64, i64)>::kryo_decode(&buf, &mut pos), rec);
             assert_eq!(pos, buf.len());
         }
+    }
+
+    #[allow(dead_code, unused_imports)]
+    mod wrapped {
+        crate::record! {
+            /// A record with a wrapped array: the store's longest walk
+            /// (array, wrapper, record).
+            #[derive(Clone, Debug, PartialEq)]
+            pub struct Wrapped as "WrappedProbe" {
+                pub id: i64 as "id",
+                pub values: [f64] as "values" in "DenseVectorProbe" of "double[]",
+            }
+        }
+    }
+    use wrapped::Wrapped;
+
+    /// Run `store` against heaps with room for `room` more filler objects,
+    /// for `room` from 0 until the store succeeds, so each of its
+    /// allocations meets the full heap in turn. Every failed store must
+    /// return `Err` and leave the heap's root count as it found it (no
+    /// part left on the shadow stack).
+    fn each_allocation_fails_in_turn<C>(
+        shape: &str,
+        setup: impl Fn(&mut Heap) -> C,
+        store: impl Fn(&mut Heap, &mut C) -> Result<(), OomError>,
+    ) {
+        // Root empty objects until `limit` of them are made or one is
+        // refused; returns how many were made.
+        fn fill(heap: &mut Heap, limit: usize) -> usize {
+            let class = class_or_define(heap, "Filler", || ClassBuilder::new("Filler"));
+            (0..limit).take_while(|_| heap.alloc(class).map(|o| heap.add_root(o)).is_ok()).count()
+        }
+        let mut failed_at = std::collections::BTreeSet::new();
+        for room in 0.. {
+            assert!(room < 1024, "{shape}: never succeeded");
+            let mut heap = Heap::new(HeapConfig::with_total(256 << 10));
+            let mut ctx = setup(&mut heap);
+            // A refused allocation collects the rooted eden into the old
+            // generation and leaves eden empty: the second refusal counts
+            // eden's capacity, and the third fill leaves `room` of it.
+            fill(&mut heap, usize::MAX);
+            let eden = fill(&mut heap, usize::MAX);
+            assert_eq!(fill(&mut heap, eden - room), eden - room, "{shape}: eden holds its fill");
+            let roots = heap.root_count();
+            // Counts every allocation attempted, a refused one included.
+            let attempted = heap.stats().objects_allocated;
+            let result = store(&mut heap, &mut ctx);
+            let attempts = heap.stats().objects_allocated - attempted;
+            if result.is_ok() {
+                let want: std::collections::BTreeSet<u64> = (1..=attempts).collect();
+                assert_eq!(failed_at, want, "{shape}: each allocation failed in turn");
+                return;
+            }
+            assert_eq!(heap.root_count(), roots, "{shape}: allocation {attempts} failed");
+            failed_at.insert(attempts);
+        }
+    }
+
+    #[test]
+    fn a_store_that_meets_a_full_heap_leaves_no_part_on_the_shadow_stack() {
+        fn shape<T: HeapRecord>(name: &str, rec: T) {
+            each_allocation_fails_in_turn(name, T::register, |heap, cls| {
+                rec.store(heap, cls).map(drop)
+            });
+        }
+        shape("(i64, i64)", (3i64, 4i64));
+        shape("(i64, Vec<f64>)", (3i64, vec![1.0f64, 2.0]));
+        shape("String", String::from("héllo"));
+        shape("record! with a wrapped array", Wrapped { id: 3, values: vec![1.0, 2.0] });
+        each_allocation_fails_in_turn("store_str", String::register, |heap, cls| {
+            store_str(heap, cls, "borrowed").map(drop)
+        });
+        each_allocation_fails_in_turn(
+            "the wrapped-array page walk",
+            Wrapped::register,
+            |heap, cls| {
+                let rec = Wrapped { id: 3, values: vec![1.0, 2.0] };
+                let mut page = vec![0u8; deca_core::DecaRecord::data_size(&rec)];
+                deca_core::DecaRecord::encode(&rec, &mut page);
+                Wrapped::store_page(&page, heap, cls).map(drop)
+            },
+        );
+        each_allocation_fails_in_turn(
+            "SparkHashShuffle::insert",
+            |heap| crate::shuffle::SparkHashShuffle::<i64, (i64, i64)>::new(heap).unwrap(),
+            |heap, table| table.insert(heap, 7i64, (1, 2), |a, _| a),
+        );
+        each_allocation_fails_in_turn(
+            "SparkGroupShuffle::append",
+            |heap| {
+                let mut groups = crate::shuffle::SparkGroupShuffle::<i64, i64>::new(heap);
+                // Four values fill key 7's first list, so the next append
+                // stores its value and then grows the list.
+                for v in 0..4 {
+                    groups.append(heap, 7, v).unwrap();
+                }
+                groups
+            },
+            |heap, groups| groups.append(heap, 7, 4),
+        );
+        each_allocation_fails_in_turn(
+            "SparkGroupShuffle::append of a new key",
+            crate::shuffle::SparkGroupShuffle::<i64, i64>::new,
+            |heap, groups| groups.append(heap, 7, 4),
+        );
     }
 }

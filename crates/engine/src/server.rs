@@ -1,5 +1,5 @@
-//! The multi-job submission service: one shared [`LocalCluster`] (and its
-//! tiered cache) multiplexing N concurrent jobs behind a
+//! The multi-job submission service: one shared worker pool (and its
+//! executors' tiered caches) multiplexing N concurrent jobs behind a
 //! `submit(JobSpec) -> JobHandle` API.
 //!
 //! ## Why a server
@@ -16,28 +16,15 @@
 //!
 //! ## Execution model
 //!
-//! The server owns `E` physical executors, each bound to one *worker*
-//! thread (executor state is only ever touched by a worker holding its
-//! mutex, preserving the single-writer discipline the deterministic
-//! heap/GC model relies on). `R` *runner* threads drain the submission
-//! queue; each runs one job's driver loop — the same stage engine
-//! (`stage.rs`) a standalone [`ClusterSession`] runs, over this module's
-//! pool-side *slot source* — which publishes each round of claimable task
-//! slots into a shared pool: the pull scheduler's claim list generalized
-//! across jobs. What a server job does differently from a standalone
-//! session is exactly the slot-source contract tabled in the stage
-//! module's docs (virtual lanes, home-only poison observation, virtual
-//! restart, home-lane charging, job-stamped events, cancellation, no
-//! speculation); every retry, quarantine and roll-up decision is the
-//! engine's, made once.
-//!
-//! Workers claim slots under the pool lock: **affinity first** (a slot
-//! whose home maps to this worker, lowest task index first — pinned
-//! fault-affected slots are only ever claimable here), then **steals**
-//! (unpinned slots of pull-mode jobs, ascending). When several jobs have
-//! claimable work, a worker picks the job with the fewest claims already
-//! running (ties to the lowest job id): cross-job **fair sharing** without
-//! per-job worker reservations.
+//! The server owns one worker pool (`pool.rs`), the same kind a
+//! [`ClusterSession`] owns privately. `R` *runner* threads drain the
+//! submission queue; each drives one job through the same stage engine
+//! (`stage.rs`) a session runs, publishing its rounds to the shared pool,
+//! whose workers share fairly across jobs. A server job differs from a
+//! session only as the stage module's slot-source table lists: virtual
+//! lanes, and a cancel handle with a deadline. It never speculates:
+//! `run_job` clears `RetryPolicy::speculate`, so idle workers serve other
+//! jobs instead.
 //!
 //! ## Virtual executors
 //!
@@ -65,21 +52,19 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::cluster::LocalCluster;
 use crate::config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
 use crate::driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};
 use crate::error::EngineError;
 use crate::executor::Executor;
 use crate::faults::FaultPlan;
 use crate::metrics::{JobMetrics, StageMetrics};
-use crate::stage::{
-    lock, panic_message, AttemptDone, AttemptFn, Round, Site, Slot, SlotSource, StageEngine,
-};
+use crate::pool::{spawn, Pool, PoolJob, Stop};
+use crate::stage::{lock, panic_message, StageEngine};
 use crate::trace::{RunTrace, TraceEvent};
 
 // ----------------------------------------------------------------------
@@ -122,19 +107,20 @@ impl std::fmt::Debug for AppJob {
 }
 
 /// The stage API an [`AppJob`] body runs against: the job's stage engine
-/// over its slot source — a [`ClusterSession`]'s own cluster standalone,
-/// the shared pool on the server — with identical semantics (same retry
-/// engine, same task→home mapping, same deterministic results).
+/// over its view of a worker pool — a [`ClusterSession`]'s private pool
+/// standalone, the shared pool on the server — with identical semantics
+/// (same retry engine, same task→home mapping, same deterministic
+/// results).
 pub struct JobCtx<'a> {
     engine: &'a mut StageEngine,
-    slots: &'a mut dyn SlotSource,
+    slots: &'a mut PoolJob,
     noted_cache_bytes: usize,
 }
 
 impl<'a> JobCtx<'a> {
     /// A context over a standalone session (the apps' `run_local` path).
     pub fn local(session: &'a mut ClusterSession) -> JobCtx<'a> {
-        JobCtx { engine: &mut session.engine, slots: &mut session.cluster, noted_cache_bytes: 0 }
+        JobCtx { engine: &mut session.engine, slots: &mut session.job, noted_cache_bytes: 0 }
     }
 
     /// The job's executor width (virtual width on the server).
@@ -230,8 +216,8 @@ impl JobSpec {
         self
     }
 
-    /// The job's retry policy. `RetryPolicy::speculate` is ignored on the
-    /// server: the shared claim pool never launches a speculative
+    /// The job's retry policy. `RetryPolicy::speculate` is cleared on the
+    /// server: a job on the shared pool never launches a speculative
     /// duplicate (idle workers serve other jobs instead).
     pub fn retry(mut self, policy: RetryPolicy) -> JobSpec {
         self.retry = Some(policy);
@@ -336,7 +322,7 @@ impl JobHandle {
     }
 
     /// The result if the job has finished, without blocking.
-    pub fn try_result(&self) -> Option<Result<JobOutput, Arc<EngineError>>> {
+    fn try_result(&self) -> Option<Result<JobOutput, Arc<EngineError>>> {
         lock(&self.state.result).clone()
     }
 
@@ -372,51 +358,6 @@ impl JobHandle {
     }
 }
 
-// ----------------------------------------------------------------------
-// the shared task pool
-// ----------------------------------------------------------------------
-
-/// What a worker hands back for one executed slot: the attempt outcome
-/// plus the trace events it produced on the physical executor, routed to
-/// the owning job for its per-job trace.
-type SlotDone = (AttemptDone, Vec<TraceEvent>);
-
-struct RoundState {
-    done: Vec<Option<SlotDone>>,
-    completed: usize,
-}
-
-/// One scheduling round of one job's stage, published to the pool: the
-/// cross-job generalization of the standalone claim list. Slots are
-/// `(task, attempt, virtual home)`, ascending by task.
-struct PoolRound {
-    job: u64,
-    tenant: u32,
-    stage: String,
-    slots: Vec<Slot>,
-    /// Slots that must run at home (fault-affected under pull, every slot
-    /// under wave); the rest may be stolen by any worker.
-    pinned: Vec<bool>,
-    claimed: Vec<AtomicBool>,
-    /// Claims of this round currently executing — the fair-share signal.
-    /// A job publishes one round at a time, so this is the job's count.
-    running: AtomicUsize,
-    /// The owning job's virtual-executor poison flags (width-sized,
-    /// persistent across the job's stages).
-    vpoison: Arc<Vec<AtomicBool>>,
-    /// The owning job's cooperative cancel flag: set, remaining attempts
-    /// of this round fail fast with [`EngineError::Cancelled`] so the
-    /// round still fully retires and releases its claim-pool slots.
-    cancel: Arc<AtomicBool>,
-    /// The engine's attempt body, borrowed from the runner's stage frame.
-    /// SAFETY: `PoolSlots::run_round` waits for every slot's `SlotDone`
-    /// and retires the round from the pool before returning, so no worker
-    /// dereferences this afterwards.
-    attempt: &'static AttemptFn<'static>,
-    state: Mutex<RoundState>,
-    done_cv: Condvar,
-}
-
 struct QueuedJob {
     id: u64,
     tenant_id: u32,
@@ -424,14 +365,6 @@ struct QueuedJob {
     state: Arc<JobState>,
     /// When the job was admitted — the epoch its deadline counts from.
     submitted: Instant,
-}
-
-struct PoolState {
-    rounds: Vec<Arc<PoolRound>>,
-    queue: VecDeque<QueuedJob>,
-    /// Jobs admitted but not yet finished (queued or running). Workers
-    /// may only exit when this reaches zero after shutdown.
-    active_jobs: usize,
 }
 
 struct TenantState {
@@ -457,11 +390,9 @@ fn tenant_slot(tenants: &mut Vec<TenantState>, name: &str) -> usize {
 }
 
 struct ServerInner {
-    executors: Vec<Mutex<Executor>>,
+    pool: Pool,
     exec_config: ExecutorConfig,
-    pool: Mutex<PoolState>,
-    /// Workers wait here for claimable slots (and shutdown).
-    work_cv: Condvar,
+    queue: Mutex<VecDeque<QueuedJob>>,
     /// Runners wait here for queued jobs (and shutdown).
     job_cv: Condvar,
     shutdown: AtomicBool,
@@ -469,275 +400,28 @@ struct ServerInner {
     tenants: Mutex<Vec<TenantState>>,
 }
 
-// ----------------------------------------------------------------------
-// worker threads
-// ----------------------------------------------------------------------
-
-/// Pick the best claimable slot for `worker` under the pool lock, or
-/// `None` to wait. Affinity candidates (home slot on this worker — the
-/// only way pinned slots run) beat steal candidates across all rounds;
-/// within a class, prefer the job with the fewest running claims, tie on
-/// the lower job id, then the lower task index — deterministic fair
-/// sharing.
-fn find_claim(pool: &PoolState, worker: usize, executors: usize) -> Option<(usize, usize)> {
-    let mut best: Option<((bool, usize, u64, usize), usize, usize)> = None;
-    for (ri, round) in pool.rounds.iter().enumerate() {
-        let mut cand: Option<(usize, usize, bool)> = None;
-        for (j, &(t, _a, v)) in round.slots.iter().enumerate() {
-            if round.claimed[j].load(Ordering::Relaxed) {
-                continue;
-            }
-            if v % executors == worker {
-                cand = Some((j, t, false));
-                break;
-            }
-        }
-        if cand.is_none() {
-            for (j, &(t, _a, v)) in round.slots.iter().enumerate() {
-                if round.pinned[j]
-                    || round.claimed[j].load(Ordering::Relaxed)
-                    || v % executors == worker
-                {
-                    continue;
-                }
-                cand = Some((j, t, true));
-                break;
-            }
-        }
-        let Some((j, t, steal)) = cand else { continue };
-        let key = (steal, round.running.load(Ordering::Relaxed), round.job, t);
-        if best.as_ref().is_none_or(|(k, ..)| key < *k) {
-            best = Some((key, ri, j));
-        }
-    }
-    best.map(|(_, ri, j)| (ri, j))
-}
-
-/// Execute one claimed slot: lock the physical executor, stamp its trace
-/// and cache with the owning job/tenant, run the engine's attempt body with
-/// the crash machinery pointed at the job's virtual executor `v`, and
-/// collect the trace events it produced for routing to the job.
-fn execute_slot(inner: &ServerInner, worker: usize, round: &PoolRound, j: usize) -> SlotDone {
-    let executors = inner.executors.len();
-    let (t, a, v) = round.slots[j];
-    let at_home = v % executors == worker;
-    let e = &mut *lock(&inner.executors[worker]);
-    e.trace.set_job(round.job);
-    e.cache.set_tenant_ctx(Some(round.tenant));
-    e.cache.set_job_ctx(Some(round.job));
-    let trace_mark = e.trace.len();
-    if !at_home {
-        let sim = e.sim_now();
-        e.trace.task_steal(&round.stage, (t, a), v, sim);
-    }
-    // Only an at-home attempt observes the virtual executor's death.
-    // Stolen slots are fault-free by construction (the pin walk pins every
-    // slot a crash dooms), so reading the home's *live* poison flag from a
-    // thief would add an ExecutorLost that depends on when the steal ran
-    // relative to the crash — a timing-dependent extra retry the serial
-    // reference never sees. The standalone analog: a poisoned executor
-    // never steals, and a thief checks its own health, not the home's.
-    let vpoison = &round.vpoison[v];
-    let site = Site {
-        task: t,
-        attempt: a,
-        lane: v,
-        executor: worker,
-        executors,
-        poisoned: at_home && vpoison.load(Ordering::Relaxed),
-        speculative: false,
-        cancel: &round.cancel,
-    };
-    let done = (round.attempt)(e, &site);
-    // The death is virtual: it poisons the job's lane, never the shared
-    // process. (Job fault plans are not installed into the shared caches,
-    // so spill-path kills only arrive as errors the body itself surfaces.)
-    if done.died {
-        vpoison.store(true, Ordering::Relaxed);
-    }
-    let mut events = e.trace.drain_from(trace_mark);
-    for ev in &mut events {
-        ev.executor = ev.executor.or(Some(worker));
-    }
-    e.cache.set_job_ctx(None);
-    e.cache.set_tenant_ctx(None);
-    e.trace.set_job(0);
-    (done, events)
-}
-
-fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
-    let executors = inner.executors.len();
-    loop {
-        let claim = {
-            let mut pool = lock(&inner.pool);
-            loop {
-                if let Some((ri, j)) = find_claim(&pool, worker, executors) {
-                    let round = pool.rounds[ri].clone();
-                    round.claimed[j].store(true, Ordering::Relaxed);
-                    round.running.fetch_add(1, Ordering::Relaxed);
-                    break Some((round, j));
-                }
-                if inner.shutdown.load(Ordering::Relaxed) && pool.active_jobs == 0 {
-                    break None;
-                }
-                pool = inner.work_cv.wait(pool).unwrap_or_else(|p| p.into_inner());
-            }
-        };
-        let Some((round, j)) = claim else { return };
-        let done = execute_slot(&inner, worker, &round, j);
-        round.running.fetch_sub(1, Ordering::Relaxed);
-        let mut st = lock(&round.state);
-        st.done[j] = Some(done);
-        st.completed += 1;
-        if st.completed == round.slots.len() {
-            round.done_cv.notify_all();
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// PoolSlots: the pool-side slot source of one job
-// ----------------------------------------------------------------------
-
-/// One job's slot source on its runner thread: `width` virtual executors
-/// whose attempts execute on the shared pool, plus the job-scoped state
-/// the pool side owns — cancellation, the routed executor events, and the
-/// job's metric roll-up.
-struct PoolSlots {
-    inner: Arc<ServerInner>,
-    job: u64,
-    tenant: u32,
-    /// The job's virtual-executor poison flags, one per lane.
-    vpoison: Arc<Vec<AtomicBool>>,
-    /// Shared with the [`JobHandle`] and every published round.
-    cancel: Arc<AtomicBool>,
-    /// Wall-clock deadline measured from `submitted`.
-    deadline: Option<Duration>,
-    submitted: Instant,
-    /// Executor-side events routed back from workers, job-stamped.
-    exec_events: Vec<TraceEvent>,
-    metrics: JobMetrics,
-    /// Cumulative busy time per virtual executor; the job's `exec` is its
-    /// max (virtual executors run in parallel, as a width-W cluster's
-    /// physical ones would).
-    busy_job: Vec<Duration>,
-}
-
-impl SlotSource for PoolSlots {
-    fn lanes(&self) -> usize {
-        self.vpoison.len()
-    }
-
-    fn mode(&self) -> ExecutionMode {
-        self.inner.exec_config.mode
-    }
-
-    /// A tripped deadline raises the shared cancel flag so in-flight
-    /// attempts fail fast too.
-    fn stop_reason(&mut self) -> Option<String> {
-        if let Some(d) = self.deadline.filter(|d| self.submitted.elapsed() >= *d) {
-            self.cancel.store(true, Ordering::Relaxed);
-            return Some(format!("deadline {d:?} exceeded"));
-        }
-        self.cancel.load(Ordering::Relaxed).then(|| "cancelled via JobHandle::cancel".to_string())
-    }
-
-    fn is_poisoned(&self, lane: usize) -> bool {
-        self.vpoison[lane].load(Ordering::Relaxed)
-    }
-
-    /// Virtual restart-in-place: clear the job's poison flag. The shared
-    /// physical executor never died, so there is no cache wipe to
-    /// rehydrate from — the job's cached blocks are all still live.
-    fn restart(&mut self, lane: usize, _stage: &str, _ordinal: u32) -> (u64, u64) {
-        self.vpoison[lane].store(false, Ordering::Relaxed);
-        (0, 0)
-    }
-
-    /// Publish the round to the pool, wait for the workers to execute
-    /// every slot, retire it. `round.speculate` is ignored: the pool never
-    /// duplicates an attempt.
-    fn run_round(&mut self, round: Round<'_>) -> Vec<AttemptDone> {
-        // SAFETY: the attempt body outlives every use — the round is fully
-        // executed (every slot's SlotDone deposited) and retired from the
-        // pool before this frame returns, and no code between publishing
-        // it and retiring it can panic out of the frame.
-        let attempt: &'static AttemptFn<'static> =
-            unsafe { std::mem::transmute::<&AttemptFn<'_>, _>(round.attempt) };
-        let n = round.slots.len();
-        let published = Arc::new(PoolRound {
-            job: self.job,
-            tenant: self.tenant,
-            stage: round.stage.to_string(),
-            slots: round.slots,
-            pinned: round.pinned,
-            claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            running: AtomicUsize::new(0),
-            vpoison: self.vpoison.clone(),
-            cancel: self.cancel.clone(),
-            attempt,
-            state: Mutex::new(RoundState { done: (0..n).map(|_| None).collect(), completed: 0 }),
-            done_cv: Condvar::new(),
-        });
-        {
-            let mut pool = lock(&self.inner.pool);
-            pool.rounds.push(published.clone());
-            self.inner.work_cv.notify_all();
-        }
-        let done: Vec<SlotDone> = {
-            let mut st = lock(&published.state);
-            while st.completed < n {
-                st = published.done_cv.wait(st).unwrap_or_else(|p| p.into_inner());
-            }
-            st.done.iter_mut().map(|d| d.take().expect("completed slot")).collect()
-        };
-        lock(&self.inner.pool).rounds.retain(|r| !Arc::ptr_eq(r, &published));
-
-        let mut attempts = Vec::with_capacity(n);
-        for (d, events) in done {
-            for tm in &d.task_metrics {
-                self.metrics.add_task(tm);
-                self.busy_job[d.lane] += tm.total();
-            }
-            self.exec_events.extend(events);
-            attempts.push(d);
-        }
-        attempts
-    }
-
-    fn recycle_payload(&mut self, i: usize, payload: ShufflePayload) {
-        let n = self.inner.executors.len();
-        lock(&self.inner.executors[i % n]).recycle_payload(payload);
-    }
-
-    /// Cached bytes currently stamped with this job across the shared
-    /// executors (all tiers).
-    fn cache_footprint(&mut self) -> usize {
-        self.inner.executors.iter().map(|m| lock(m).cache.job_bytes(self.job)).sum()
-    }
-}
-
 /// Seal a job: roll its stages into the job metrics, stamp the job id, and
 /// build the per-job deterministic trace (driver events first, then routed
-/// executor events — the same order `RunTrace::merge` uses).
+/// executor events, as a session's merged trace).
 fn seal_job(
     mut engine: StageEngine,
-    slots: PoolSlots,
+    slots: PoolJob,
     checksum: f64,
     cache_bytes: usize,
 ) -> JobOutput {
+    let job = slots.job;
     let mut metrics = slots.metrics;
-    metrics.job = slots.job;
-    metrics.exec = slots.busy_job.iter().copied().max().unwrap_or(Duration::ZERO);
+    metrics.job = job;
+    metrics.exec = slots.busy.iter().copied().max().unwrap_or(Duration::ZERO);
     for s in &engine.stages {
         metrics.add_stage_recovery(s);
     }
     metrics.cancelled = engine.cancelled as u64;
     metrics.cache_bytes = cache_bytes;
     let mut events = engine.trace.drain_from(0);
-    events.extend(slots.exec_events);
+    events.extend(slots.events);
     JobOutput {
-        job: slots.job,
+        job,
         checksum,
         cache_bytes,
         metrics,
@@ -750,27 +434,19 @@ fn seal_job(
 // runner threads
 // ----------------------------------------------------------------------
 
-fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
+fn run_job(inner: &ServerInner, q: QueuedJob) {
     let QueuedJob { id, tenant_id, spec, state, submitted } = q;
-    let width = if spec.executors == 0 { inner.executors.len() } else { spec.executors };
-    let policy = spec.retry.unwrap_or(inner.exec_config.retry);
+    let width = if spec.executors == 0 { inner.pool.executors() } else { spec.executors };
+    // The shared pool never duplicates an attempt: idle workers serve
+    // other jobs instead.
+    let policy = spec.retry.unwrap_or(inner.exec_config.retry).speculate(false);
     let scheduler = spec.scheduler.unwrap_or(inner.exec_config.scheduler);
     let app = spec.app.expect("submit validates the app");
     let mut engine = StageEngine::new(width, policy, scheduler, inner.exec_config.tracing);
     engine.trace.set_job(id);
     engine.faults = spec.faults;
-    let mut slots = PoolSlots {
-        inner: inner.clone(),
-        job: id,
-        tenant: tenant_id,
-        vpoison: Arc::new((0..width).map(|_| AtomicBool::new(false)).collect()),
-        cancel: state.cancelled.clone(),
-        deadline: spec.deadline,
-        submitted,
-        exec_events: Vec::new(),
-        metrics: JobMetrics::default(),
-        busy_job: vec![Duration::ZERO; width],
-    };
+    let stop = Stop { cancel: state.cancelled.clone(), deadline: spec.deadline, submitted };
+    let mut slots = inner.pool.job(id, Some(width), Some(tenant_id), Some(stop));
     // A job cancelled (or overdue) while still queued never runs its
     // body; it still flows through the full cleanup path below so its
     // admission slot and any stamped state are released.
@@ -794,7 +470,7 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
         Err(err) => {
             // A cancel observed mid-stage (the tasks failed fast before
             // any boundary check ran) still gets its event and counter.
-            if slots.cancel.load(Ordering::Relaxed) {
+            if state.cancelled.load(Ordering::Relaxed) {
                 engine.note_cancelled("job cancelled");
             }
             // Keep the failed job's partial roll-up reachable (the
@@ -806,8 +482,8 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
     // End-of-job cleanup: release this job's cache blocks on every shared
     // executor so a long-lived server never accumulates finished jobs'
     // state.
-    for m in inner.executors.iter() {
-        lock(m).release_job_blocks(id);
+    for mut e in inner.pool.each() {
+        e.release_job_blocks(id);
     }
     // Release the tenant's admission slot *before* publishing the result:
     // a waiter that wakes on the result and immediately resubmits must not
@@ -818,35 +494,27 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
             t.in_flight = t.in_flight.saturating_sub(1);
         }
     }
-    {
-        let mut slot = lock(&state.result);
-        *slot = Some(output);
-        state.cv.notify_all();
-    }
-    {
-        let mut pool = lock(&inner.pool);
-        pool.active_jobs -= 1;
-        // Wake idle workers so they can observe shutdown + drained pool.
-        inner.work_cv.notify_all();
-    }
+    let mut slot = lock(&state.result);
+    *slot = Some(output);
+    state.cv.notify_all();
 }
 
-fn runner_loop(inner: Arc<ServerInner>) {
+fn runner_loop(inner: &ServerInner) {
     loop {
         let next = {
-            let mut pool = lock(&inner.pool);
+            let mut queue = lock(&inner.queue);
             loop {
-                if let Some(q) = pool.queue.pop_front() {
+                if let Some(q) = queue.pop_front() {
                     break Some(q);
                 }
                 if inner.shutdown.load(Ordering::Relaxed) {
                     break None;
                 }
-                pool = inner.job_cv.wait(pool).unwrap_or_else(|p| p.into_inner());
+                queue = inner.job_cv.wait(queue).unwrap_or_else(|p| p.into_inner());
             }
         };
         let Some(q) = next else { return };
-        run_job(&inner, q);
+        run_job(inner, q);
     }
 }
 
@@ -871,7 +539,6 @@ fn runner_loop(inner: Arc<ServerInner>) {
 pub struct DecaServer {
     inner: Arc<ServerInner>,
     jobs: Mutex<Vec<Arc<JobState>>>,
-    workers: Vec<JoinHandle<()>>,
     runners: Vec<JoinHandle<()>>,
 }
 
@@ -884,48 +551,28 @@ impl DecaServer {
 
     pub fn with_config(config: ServerConfig) -> DecaServer {
         assert!(config.executors > 0, "a server needs at least one executor");
-        let cluster = LocalCluster::uniform(config.executors, config.executor.clone());
-        let executors: Vec<Mutex<Executor>> =
-            cluster.executors.into_iter().map(Mutex::new).collect();
         let inner = Arc::new(ServerInner {
-            executors,
+            pool: Pool::new(vec![config.executor.clone(); config.executors]),
             exec_config: config.executor,
-            pool: Mutex::new(PoolState {
-                rounds: Vec::new(),
-                queue: VecDeque::new(),
-                active_jobs: 0,
-            }),
-            work_cv: Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
             job_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
             tenants: Mutex::new(Vec::new()),
         });
-        let workers = (0..config.executors)
-            .map(|i| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("deca-worker-{i}"))
-                    .spawn(move || worker_loop(inner, i))
-                    .expect("spawn worker")
-            })
-            .collect();
         let runner_count = if config.runners == 0 { config.executors } else { config.runners };
         let runners = (0..runner_count)
             .map(|i| {
                 let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("deca-runner-{i}"))
-                    .spawn(move || runner_loop(inner))
-                    .expect("spawn runner")
+                spawn(format!("deca-runner-{i}"), move || runner_loop(&inner))
             })
             .collect();
-        DecaServer { inner, jobs: Mutex::new(Vec::new()), workers, runners }
+        DecaServer { inner, jobs: Mutex::new(Vec::new()), runners }
     }
 
     /// Physical executors shared by all jobs.
     pub fn executors(&self) -> usize {
-        self.inner.executors.len()
+        self.inner.pool.executors()
     }
 
     /// Submit a job. Fails with [`EngineError::AdmissionRejected`] when
@@ -961,18 +608,14 @@ impl DecaServer {
             cv: Condvar::new(),
         });
         lock(&self.jobs).push(state.clone());
-        {
-            let mut pool = lock(&self.inner.pool);
-            pool.queue.push_back(QueuedJob {
-                id,
-                tenant_id,
-                spec,
-                state: state.clone(),
-                submitted: Instant::now(),
-            });
-            pool.active_jobs += 1;
-            self.inner.job_cv.notify_one();
-        }
+        lock(&self.inner.queue).push_back(QueuedJob {
+            id,
+            tenant_id,
+            spec,
+            state: state.clone(),
+            submitted: Instant::now(),
+        });
+        self.inner.job_cv.notify_one();
         Ok(JobHandle { state })
     }
 
@@ -998,8 +641,8 @@ impl DecaServer {
     /// its blocks (see the cache's tenant shielding).
     pub fn set_tenant_cache_budget(&self, tenant: &str, bytes: usize) {
         let id = self.tenant_id(tenant, true).expect("tenant created");
-        for m in self.inner.executors.iter() {
-            lock(m).cache.set_tenant_budget(id, bytes);
+        for mut e in self.inner.pool.each() {
+            e.cache.set_tenant_budget(id, bytes);
         }
     }
 
@@ -1007,28 +650,21 @@ impl DecaServer {
     /// shared executors.
     pub fn tenant_resident_bytes(&self, tenant: &str) -> usize {
         let Some(id) = self.tenant_id(tenant, false) else { return 0 };
-        self.inner
-            .executors
-            .iter()
-            .map(|m| {
-                let e = lock(m);
-                e.cache.tenant_resident_bytes(id, &e.mm)
-            })
-            .sum()
+        self.inner.pool.each().map(|e| e.cache.tenant_resident_bytes(id, &e.mm)).sum()
     }
 
     /// Cold-tier evictions charged to `tenant` across the shared
     /// executors.
     pub fn tenant_evictions(&self, tenant: &str) -> u64 {
         let Some(id) = self.tenant_id(tenant, false) else { return 0 };
-        self.inner.executors.iter().map(|m| lock(m).cache.tenant_evictions(id)).sum()
+        self.inner.pool.each().map(|e| e.cache.tenant_evictions(id)).sum()
     }
 
     /// Page groups alive across the shared executors. Each is owned by a
     /// running job's container or cached block, so with no job in flight
     /// it is zero.
     pub fn live_groups(&self) -> usize {
-        self.inner.executors.iter().map(|m| lock(m).mm.live_groups()).sum()
+        self.inner.pool.each().map(|e| e.mm.live_groups()).sum()
     }
 
     /// Every finished job's trace merged, in submission order. Per-job
@@ -1049,21 +685,13 @@ impl DecaServer {
     /// Called by `Drop`; safe to call twice.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
-        {
-            let _pool = lock(&self.inner.pool);
-            self.inner.job_cv.notify_all();
-            self.inner.work_cv.notify_all();
-        }
+        drop(lock(&self.inner.queue));
+        self.inner.job_cv.notify_all();
         for h in self.runners.drain(..) {
             let _ = h.join();
         }
-        {
-            let _pool = lock(&self.inner.pool);
-            self.inner.work_cv.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        // Every job has finished, so no round is left on the pool's board.
+        self.inner.pool.shutdown();
     }
 }
 

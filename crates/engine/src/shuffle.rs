@@ -152,7 +152,7 @@ where
         let key = key.into_key();
         let kobj = key.store(heap, &self.classes_k)?;
         let ks = heap.push_stack(kobj);
-        let vobj = value.store(heap, &self.classes_v)?;
+        let vobj = value.store(heap, &self.classes_v).inspect_err(|_| heap.truncate_stack(ks))?;
         let arr = heap.root_ref(self.array);
         heap.array_set_ref(arr, slot * 2, heap.stack_ref(ks));
         heap.array_set_ref(arr, slot * 2 + 1, vobj);
@@ -249,7 +249,9 @@ where
         let slot = match self.index.entry(key) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                let arr = heap.alloc_array(self.list_class, 4)?;
+                let arr = heap
+                    .alloc_array(self.list_class, 4)
+                    .inspect_err(|_| heap.truncate_stack(vs))?;
                 let root = heap.add_root(arr);
                 self.lists.push((root, 0, 4));
                 *e.insert(self.lists.len() - 1)
@@ -257,7 +259,9 @@ where
         };
         let (root, len, cap) = self.lists[slot];
         if len == cap {
-            let bigger = heap.alloc_array(self.list_class, cap * 2)?;
+            let bigger = heap
+                .alloc_array(self.list_class, cap * 2)
+                .inspect_err(|_| heap.truncate_stack(vs))?;
             let old = heap.root_ref(root);
             heap.array_copy_refs(old, 0, bigger, 0, len);
             heap.set_root(root, bigger); // old list array becomes garbage

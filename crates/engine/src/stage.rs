@@ -13,7 +13,7 @@
 //! * the **round loop**: a stage runs as rounds of `(task, attempt, home)`
 //!   slots — the initial task set, then batches of retries;
 //! * the **per-attempt fault body** ([`FaultSite`] draws, OOM
-//!   spill-and-re-run, panic containment), run wherever a slot source
+//!   spill-and-re-run, panic containment), run by whichever pool worker
 //!   executes an attempt;
 //! * speculative-duplicate reconciliation, outcome processing, health
 //!   charging, quarantine-or-restart, retry routing and the `StageEnd`
@@ -23,22 +23,25 @@
 //!
 //! ## Slot sources
 //!
-//! *Who physically runs a round* is the engine's one parameter, the
-//! crate-private [`SlotSource`] trait. A *lane* is an executor as the job
-//! sees it: the unit of task homes (`task % lanes`), health, quarantine
-//! and busy-time charging. The two sources differ in exactly these ways,
-//! and in nothing else:
+//! *Who physically runs a round* is the crate-private worker pool
+//! (`pool.rs`), for both ways of running a job: a round is published to the
+//! pool's long-lived workers, which claim its slots affinity-first, steal,
+//! and — when `Round::speculate` — duplicate stragglers. A *lane* is an
+//! executor as the job sees it: the unit of task homes (`task % lanes`),
+//! health, quarantine and busy-time charging. A job's slot source, its
+//! [`PoolJob`], differs between the two ways in exactly these ways:
 //!
-//! | concern | standalone ([`LocalCluster`](crate::LocalCluster)) | server job (the cross-job pool) |
+//! | concern | standalone ([`ClusterSession`](crate::ClusterSession)) | server job |
 //! |---|---|---|
-//! | lanes | the physical executors | `W` virtual executors; lane `v` is at home on worker `v % E` |
-//! | who runs a round | `par_run` scoped threads over a claim list, plus the speculation watch loop | publish the round to the pool, wait for the long-lived workers, retire it |
-//! | poison state | the physical process's flag; a thief observes its own | per-job flag per lane; only an at-home attempt observes it |
+//! | lanes | the pool's physical executors | `W` virtual executors; lane `v` is at home on worker `v % E` |
+//! | poison state | the process's flag; a thief observes its own | per-job flag per lane; only an at-home attempt observes it |
 //! | restart in place | crash-restart the process and rehydrate its cold cache | clear the lane's flag; rehydration counters stay 0 |
 //! | lane charged for an attempt | the executor that ran it | the slot's virtual home |
-//! | executor-side events | stay in the executors' recorders | drained per attempt, job-stamped, routed to the job |
 //! | cancellation / deadline | none | checked at stage and round boundaries |
-//! | speculation | pull rounds, when `RetryPolicy::speculate` | never |
+//!
+//! Executor-side events are drained per attempt and job-stamped (job 0
+//! standalone) in both. The server never speculates because it clears
+//! `RetryPolicy::speculate` in every job's policy.
 //!
 //! Both schedulers are one claim list: `Pull` pins exactly the
 //! fault-affected slots to their home (see [`pin_faulted_slots_in`]) and
@@ -53,12 +56,13 @@ use std::time::Duration;
 use crate::cluster::{
     exchange, healthy_after_in, healthy_count_in, healthy_from_in, ExecutorHealth,
 };
-use crate::config::{ExecutionMode, RetryPolicy, SchedulerMode};
+use crate::config::{RetryPolicy, SchedulerMode};
 use crate::driver::{MapOutputs, ShufflePayload, TaskContext};
 use crate::error::EngineError;
 use crate::executor::Executor;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::metrics::{StageMetrics, TaskMetrics};
+use crate::pool::PoolJob;
 use crate::trace::TraceRecorder;
 
 /// Lock a mutex, riding through poisoning: task panics are caught per
@@ -86,7 +90,7 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// One schedulable attempt: `(task, attempt, home lane)`.
 pub(crate) type Slot = (usize, u32, usize);
 
-/// Where one physical attempt runs, as its slot source sees it.
+/// Where one physical attempt runs, as the pool sees it.
 pub(crate) struct Site<'a> {
     pub task: usize,
     pub attempt: u32,
@@ -103,7 +107,7 @@ pub(crate) struct Site<'a> {
     pub cancel: &'a AtomicBool,
 }
 
-/// One finished physical attempt, as a slot source hands it back.
+/// One finished physical attempt, as the pool hands it back.
 pub(crate) struct AttemptDone {
     pub task: usize,
     pub attempt: u32,
@@ -113,17 +117,17 @@ pub(crate) struct AttemptDone {
     pub oom_rerun: bool,
     pub oom_recovered: bool,
     /// The modelled executor process died in this attempt (an injected
-    /// crash or spill-path kill): the source must poison the lane.
+    /// crash or spill-path kill): the pool poisons the lane.
     pub died: bool,
     /// Metrics of every physical run the attempt made (one, or two with
     /// an OOM in-place re-run).
     pub task_metrics: Vec<TaskMetrics>,
 }
 
-/// The engine's per-attempt fault body, type-erased for a slot source.
+/// The engine's per-attempt fault body, type-erased for the pool.
 pub(crate) type AttemptFn<'a> = dyn Fn(&mut Executor, &Site<'_>) -> AttemptDone + Sync + 'a;
 
-/// One scheduling round handed to a slot source.
+/// One scheduling round handed to the pool.
 pub(crate) struct Round<'a> {
     pub stage: &'a str,
     /// Ascending by task index.
@@ -135,36 +139,6 @@ pub(crate) struct Round<'a> {
     /// Idle executors may duplicate unpinned stragglers.
     pub speculate: bool,
     pub attempt: &'a AttemptFn<'a>,
-}
-
-/// Who physically runs a job's rounds. See the module docs for the
-/// contract the two implementations keep.
-pub(crate) trait SlotSource {
-    fn lanes(&self) -> usize;
-
-    fn mode(&self) -> ExecutionMode;
-
-    /// Why the job must stop scheduling (cancelled, past its deadline),
-    /// checked at stage and round boundaries.
-    fn stop_reason(&mut self) -> Option<String>;
-
-    fn is_poisoned(&self, lane: usize) -> bool;
-
-    /// Restart a dead lane in place (`ordinal` restarts preceded this
-    /// one). Returns the `(blocks, bytes)` rehydrated from its spill
-    /// manifest; a lane that dies again mid-recovery stays poisoned.
-    fn restart(&mut self, lane: usize, stage: &str, ordinal: u32) -> (u64, u64);
-
-    /// Run every slot of `round` through `round.attempt` and hand back one
-    /// record per physical attempt, in any order.
-    fn run_round(&mut self, round: Round<'_>) -> Vec<AttemptDone>;
-
-    /// Return a consumed shuffle payload's storage to the `i`-th
-    /// (round-robin) physical executor's arena.
-    fn recycle_payload(&mut self, i: usize, payload: ShufflePayload);
-
-    /// The job's current cached footprint, resident plus spilled.
-    fn cache_footprint(&mut self) -> usize;
 }
 
 /// A job's driver state: everything about running its stages that does not
@@ -206,7 +180,7 @@ impl StageEngine {
 
     /// Fail with [`EngineError::Cancelled`] if the source says the job
     /// must stop, noting the cancellation.
-    pub fn check_stop(&mut self, source: &mut dyn SlotSource) -> Result<(), EngineError> {
+    pub fn check_stop(&mut self, source: &mut PoolJob) -> Result<(), EngineError> {
         let Some(reason) = source.stop_reason() else { return Ok(()) };
         self.note_cancelled(&reason);
         Err(EngineError::Cancelled { reason })
@@ -229,7 +203,7 @@ impl StageEngine {
     /// never consumed).
     pub fn run_stage<R: Send>(
         &mut self,
-        source: &mut dyn SlotSource,
+        source: &mut PoolJob,
         name: &str,
         tasks: usize,
         f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
@@ -262,7 +236,7 @@ impl StageEngine {
     /// per task, whether the canonical successful copy was the duplicate.
     fn run_rounds(
         &mut self,
-        source: &mut dyn SlotSource,
+        source: &mut PoolJob,
         name: &str,
         tasks: usize,
         body: &(dyn Fn(&TaskContext, &mut Executor, bool) -> Result<(), EngineError> + Sync),
@@ -304,7 +278,7 @@ impl StageEngine {
     /// successful canonical attempt or the stage fails.
     fn rounds(
         &mut self,
-        source: &mut dyn SlotSource,
+        source: &mut PoolJob,
         stage: &mut StageMetrics,
         name: &str,
         body: &(dyn Fn(&TaskContext, &mut Executor, bool) -> Result<(), EngineError> + Sync),
@@ -602,7 +576,7 @@ impl StageEngine {
     /// the map stage's `shuffle_bytes` / `shuffle_pages`.
     pub fn run_shuffle_job<R: Send>(
         &mut self,
-        source: &mut dyn SlotSource,
+        source: &mut PoolJob,
         name: &str,
         map_tasks: usize,
         reduce_tasks: usize,

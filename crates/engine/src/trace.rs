@@ -24,7 +24,7 @@
 //!
 //! Wall values vary run to run; the *event structure* — which events, in
 //! which logical order — is deterministic for a deterministic job, which
-//! is why [`RunTrace::merge`] orders by logical position (stage, task,
+//! is why [`RunTrace::from_events`] orders by logical position (stage, task,
 //! attempt, kind, executor, sequence), not by timestamp.
 //!
 //! ## Exporters
@@ -243,8 +243,10 @@ impl TraceEvent {
     }
 }
 
-/// Per-recorder event sink. One lives in each executor (its thread is the
-/// only writer) and one in the driver; [`RunTrace::merge`] combines them.
+/// Per-recorder event sink. One lives in each executor (the worker holding
+/// it is the only writer) and one in the driver; the pool drains each
+/// attempt's executor events to its job, and [`RunTrace::from_events`]
+/// orders the driver's and the job's events into one trace.
 #[derive(Debug)]
 pub struct TraceRecorder {
     enabled: bool,
@@ -559,27 +561,12 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Merge the driver's events with each executor's. Executor `i`'s
-    /// events get `executor = Some(i)` unless already attributed. Order
-    /// is logical — (stage first-run rank, task, attempt, kind, executor,
-    /// seq) — so two runs of the same deterministic job merge to the same
-    /// event sequence even though wall timestamps differ.
-    pub fn merge(driver: &TraceRecorder, executors: &[&TraceRecorder]) -> RunTrace {
-        let mut events: Vec<TraceEvent> = driver.events().to_vec();
-        for (i, rec) in executors.iter().enumerate() {
-            for ev in rec.events() {
-                let mut ev = ev.clone();
-                ev.executor = ev.executor.or(Some(i));
-                events.push(ev);
-            }
-        }
-        RunTrace::from_events(events)
-    }
-
-    /// Merge pre-collected, already executor-attributed events (the
-    /// server's per-job path). Stage rank is encounter order in `events`,
-    /// so callers push driver events first — exactly as [`RunTrace::merge`]
-    /// does.
+    /// Order a job's driver events, then its executor-attributed events,
+    /// into one trace. Order is logical — (stage first-run rank, task,
+    /// attempt, kind, executor, seq) — so two runs of the same
+    /// deterministic job merge to the same event sequence even though wall
+    /// timestamps differ. Stage rank is encounter order in `events`, which
+    /// is why the driver's events come first.
     pub fn from_events(mut events: Vec<TraceEvent>) -> RunTrace {
         // Stage rank = order of first StageStart (driver events come
         // first above, so ranks are driver-defined); stages only ever
@@ -843,6 +830,20 @@ pub fn dur_ns(d: Duration) -> u64 {
 mod tests {
     use super::*;
 
+    /// The driver's events, then executor `i`'s attributed to `i` (as the
+    /// pool routes them), ordered into one trace.
+    fn merge(driver: &TraceRecorder, executors: &[&TraceRecorder]) -> RunTrace {
+        let mut events = driver.events().to_vec();
+        for (i, rec) in executors.iter().enumerate() {
+            events.extend(
+                rec.events()
+                    .iter()
+                    .map(|ev| TraceEvent { executor: ev.executor.or(Some(i)), ..ev.clone() }),
+            );
+        }
+        RunTrace::from_events(events)
+    }
+
     fn ev(kind: TraceEventKind, stage: &str, task: Option<usize>, seq: u64) -> TraceEvent {
         TraceEvent {
             kind,
@@ -954,7 +955,7 @@ mod tests {
             2,
         );
         e1.clear_context();
-        RunTrace::merge(&driver, &[&e0, &e1])
+        merge(&driver, &[&e0, &e1])
     }
 
     #[test]
@@ -1023,7 +1024,7 @@ mod tests {
                     0,
                 );
             }
-            RunTrace::merge(&driver, &[&e0])
+            merge(&driver, &[&e0])
         };
         let a = make(1);
         let b = make(1_000_000);

@@ -198,6 +198,28 @@ if [ -n "$taken" ] || [ "$pickers" != 1 ]; then
   exit 1
 fi
 
+echo "== one worker pool (engine threads start only in the pool; one unsafe, in the pool) =="
+# A standalone session and a server job run their rounds on the same
+# long-lived workers (crates/engine/src/pool.rs): no non-test engine line
+# outside pool.rs starts a thread, no non-test engine line opens a scoped
+# thread set, and the engine's only `unsafe` is the pool's round hand-off,
+# which lends a stage's attempt body to the workers. (The patterns'
+# brackets keep this script from matching itself.)
+engine_src=$(find crates/engine/src -name '*.rs' | sort)
+spawns=$( (grep -v '/pool\.rs$' <<<"$engine_src" | xargs awk -f scripts/non_test_lines.awk \
+    | grep -E 'thread::(spawn|[B]uilder)' || true)
+  xargs awk -f scripts/non_test_lines.awk <<<"$engine_src" | grep 'thread::[s]cope' || true)
+unsafes=$(xargs awk -f scripts/non_test_lines.awk <<<"$engine_src" \
+  | grep -E '(^|[^a-z_])unsaf[e]([^a-z_]|$)' || true)
+outside=$(grep -v '/pool\.rs:' <<<"$unsafes" || true)
+if [ -n "$spawns" ] || [ -n "$outside" ] || [ "$(grep -c . <<<"$unsafes")" -gt 1 ]; then
+  echo "non-test engine code starts threads outside the worker pool, or has an unsafe" \
+       "other than the pool's one:"
+  echo "$spawns"
+  echo "$unsafes"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in

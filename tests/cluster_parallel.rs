@@ -10,7 +10,12 @@ mod util;
 
 use deca_core::DecaHashShuffle;
 use deca_engine::cluster::partition_of;
-use deca_engine::{ClusterSession, EngineError, ExecutionMode, ExecutorConfig, SchedulerMode};
+use std::sync::Mutex;
+
+use deca_engine::{
+    ClusterSession, EngineError, ExecutionMode, ExecutorConfig, FaultPlan, FaultSite, RetryPolicy,
+    SchedulerMode,
+};
 
 use util::TestDir;
 
@@ -150,17 +155,69 @@ fn task_failures_surface_with_attribution() {
 fn executors_are_isolated() {
     let td = TestDir::new("cluster-isolated");
     let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).spill_dir(td.path().to_path_buf());
-    let mut session = ClusterSession::new(3, cfg);
-    // Each executor allocates its own classes/objects; ids do not clash.
-    let counts = session.cluster_mut().par_run(|i, e| {
-        let c = e.heap.define_class(
-            deca_heap::ClassBuilder::new(format!("T{i}")).field("v", deca_heap::FieldKind::I64),
-        );
-        for _ in 0..(i + 1) * 100 {
-            e.heap.alloc(c).unwrap();
-        }
-        e.heap.live_count(c)
-    });
+    let mut session = ClusterSession::new(3, cfg.scheduler(SchedulerMode::Wave));
+    // One task per executor: each allocates its own classes/objects, and
+    // ids do not clash.
+    let counts = session
+        .run_stage("isolated", 3, |ctx, e| {
+            let i = ctx.executor;
+            let c = e.heap.define_class(
+                deca_heap::ClassBuilder::new(format!("T{i}")).field("v", deca_heap::FieldKind::I64),
+            );
+            for _ in 0..(i + 1) * 100 {
+                e.heap.alloc(c)?;
+            }
+            Ok(e.heap.live_count(c))
+        })
+        .unwrap();
     assert_eq!(counts, vec![100, 200, 300]);
+    td.cleanup();
+}
+
+#[test]
+fn each_executor_runs_on_one_long_lived_worker() {
+    // A session's executor `i` runs every attempt — across stages, and
+    // across the retry rounds of a stage — on the same named worker
+    // thread, under both schedulers.
+    let td = TestDir::new("cluster-workers");
+    for sched in [SchedulerMode::Wave, SchedulerMode::Pull] {
+        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+            .spill_dir(td.path().to_path_buf())
+            .scheduler(sched)
+            .retry(RetryPolicy::resilient());
+        let mut session = ClusterSession::new(3, cfg);
+        // Task 1's first attempt fails in every stage, so each stage runs
+        // a second round.
+        session.install_faults(FaultPlan::quiet().force(
+            FaultSite::TaskBody,
+            "s",
+            Some(1),
+            Some(0),
+        ));
+        let seen = Mutex::new(Vec::new());
+        for _ in 0..3 {
+            session
+                .run_stage("s", 7, |ctx, _e| {
+                    let me = std::thread::current();
+                    seen.lock().unwrap().push((ctx.executor, me.name().map(String::from), me.id()));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(session.stage("s").unwrap().retries, 1, "{sched}: a second round ran");
+        }
+        let seen = seen.into_inner().unwrap();
+        // The injected failure fires before the body, so each stage's
+        // bodies are its 7 tasks, task 1's from the retry round.
+        assert_eq!(seen.len(), 3 * 7, "{sched}");
+        for (executor, name, id) in &seen {
+            assert_eq!(
+                name.as_deref(),
+                Some(format!("deca-worker-{executor}").as_str()),
+                "{sched}"
+            );
+            let first = seen.iter().find(|s| s.0 == *executor).unwrap();
+            assert_eq!(first.2, *id, "{sched}: executor {executor} changed threads");
+        }
+    }
     td.cleanup();
 }

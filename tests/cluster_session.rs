@@ -240,9 +240,10 @@ fn executors_configured_with_one_spill_directory_keep_their_own_spill_files() {
     let dir = TestDir::new("one-spill-dir");
     let config =
         || ExecutorConfig::new(ExecutionMode::SparkSer, 8 << 20).spill_dir(dir.path().into());
-    let mut session = ClusterSession::with_configs(vec![config(), config()]);
+    let session = ClusterSession::with_configs(vec![config(), config()]);
     let records: [Vec<i64>; 2] = [(0..100).collect(), (1_000..1_150).collect()];
-    let executors = &mut session.cluster_mut().executors;
+    let mut guards: Vec<_> = (0..2).map(|i| session.executor(i)).collect();
+    let mut executors: Vec<&mut _> = guards.iter_mut().map(|g| &mut **g).collect();
     let mut blocks = Vec::new();
     for (e, recs) in executors.iter_mut().zip(&records) {
         blocks.push(e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, recs).unwrap());

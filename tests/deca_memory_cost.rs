@@ -110,7 +110,7 @@ fn run_alone(build: fn() -> (AppJob, ExecutorConfig)) -> DecaCost {
         .iter()
         .map(|s| (s.name.clone(), s.shuffle_bytes, s.shuffle_pages))
         .collect();
-    let e = &mut session.cluster_mut().executors[0];
+    let e = &mut *session.executor(0);
     // Releases after the job's last task (its blocks, at job end) are
     // still in the manager's log.
     for r in e.mm.take_release_events() {

@@ -220,7 +220,7 @@ fn concomp_on_a_shrinking_heap_completes_or_reports_memory_pressure_never_panics
                     "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
                 ),
             }
-            let e = &mut session.cluster_mut().executors[0];
+            let e = &mut *session.executor(0);
             evicted |= mode == ExecutionMode::Spark && e.cache.evictions > 0;
             e.release_job_blocks(0);
             assert_eq!(
@@ -298,7 +298,7 @@ fn wordcount_on_a_tight_heap_fails_typed_and_leaves_no_combine_table() {
                     "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
                 ),
             }
-            let e = &session.cluster().executors[0];
+            let e = session.executor(0);
             assert_eq!(
                 (e.heap.root_count(), e.mm.live_groups()),
                 (0, 0),
@@ -341,7 +341,7 @@ fn text_wordcount_on_a_tight_heap_fails_typed_and_leaves_no_combine_table() {
                     "{mode} at {heap_kb} KB: expected a memory-pressure error, got: {e}"
                 ),
             }
-            let e = &session.cluster().executors[0];
+            let e = session.executor(0);
             assert_eq!(
                 (e.heap.root_count(), e.mm.live_groups()),
                 (0, 0),

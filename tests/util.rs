@@ -32,7 +32,8 @@ pub fn scheduler_cells() -> impl Iterator<Item = (usize, SchedulerMode)> {
 /// executor's memory manager still holds is owned by a Deca block its
 /// cache still holds, so no shuffle table outlived its task.
 pub fn assert_groups_owned_by_cache(session: &ClusterSession, cell: &str) {
-    for (i, e) in session.cluster().executors.iter().enumerate() {
+    for i in 0..session.executors() {
+        let e = session.executor(i);
         assert_eq!(
             e.mm.live_groups(),
             e.cache.deca_blocks(),
