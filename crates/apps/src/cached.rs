@@ -1,5 +1,5 @@
 //! A cached dataset: one block per `(executor, partition)`, stored in the
-//! representation its container decision names.
+//! representation its container decision names, and scanned by one UDF.
 //!
 //! LR, KMeans and the graph jobs' adjacency cache an input once and scan it
 //! every iteration. [`CachedDataset::load`] runs the load stage: task `p`
@@ -14,22 +14,28 @@
 //! the runtime optimizer's decision for the container, made before anything
 //! is cached (§4.3, Appendix A): an SFST becomes unframed pages, an RFST
 //! framed pages, and a kept container stays as heap objects.
+//!
+//! [`CachedDataset::scan`] is the one place that reads the representation:
+//! it hands each record's [`View`] to the app's one [`Udf`], as the paper's
+//! Figure 12 transforms one UDF.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use deca_core::optimizer::ContainerDecision;
-use deca_engine::cache::BlockId;
-use deca_engine::record::Record;
+use deca_engine::cache::{BlockId, CacheManager};
+use deca_engine::record::{ArrayKind, OnHeap, Record, View};
 use deca_engine::{EngineError, ExecutionMode, Executor, JobCtx, TaskContext};
+use deca_heap::{Heap, ObjRef, OomError};
 
 /// How a cached dataset's records are stored.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Repr {
     /// Heap object graphs (Spark; a container Deca keeps on the heap).
     Objects,
-    /// Kryo bytes in one heap byte array (SparkSer).
-    Serialized,
+    /// Kryo bytes in one heap byte array (SparkSer), each record read back
+    /// as the app says.
+    Serialized(Deserialized),
     /// Decomposed page segments: unframed records of `Some(size)` bytes
     /// (SFST), or length-framed records (RFST, decompose-on-copy).
     Pages { record_size: Option<usize> },
@@ -41,15 +47,17 @@ impl Repr {
     /// an error planning it is the plan's.
     /// `sfst_size` is the runtime value of a record size the analysis
     /// proved constant (LR's `D`). An SFST without one, or a decision a
-    /// cached primary cannot take, is [`EngineError::Plan`].
+    /// cached primary cannot take, is [`EngineError::Plan`]. `read` is how
+    /// a SparkSer scan reads each record.
     pub(crate) fn plan(
         mode: ExecutionMode,
         decide: impl FnOnce() -> Result<ContainerDecision, EngineError>,
         sfst_size: Option<usize>,
+        read: Deserialized,
     ) -> Result<Repr, EngineError> {
         let decision = match mode {
             ExecutionMode::Spark => return Ok(Repr::Objects),
-            ExecutionMode::SparkSer => return Ok(Repr::Serialized),
+            ExecutionMode::SparkSer => return Ok(Repr::Serialized(read)),
             ExecutionMode::Deca => decide()?,
         };
         match decision {
@@ -80,7 +88,7 @@ impl Repr {
                 let classes = T::register(&mut e.heap);
                 e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, &classes, recs)?
             }
-            Repr::Serialized => {
+            Repr::Serialized(_) => {
                 e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, recs)?
             }
             Repr::Pages { record_size: Some(size) } => {
@@ -88,6 +96,46 @@ impl Repr {
             }
             Repr::Pages { record_size: None } => e.cache.put_deca(&mut e.heap, &mut e.mm, recs)?,
         })
+    }
+}
+
+/// How a SparkSer scan reads each record it decodes; the app fixes it
+/// where it plans the dataset.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Deserialized {
+    /// Through the graph the deserializer allocates per record, SparkSer's
+    /// per-access garbage (LR, KMeans).
+    Objects,
+    /// In its page bytes (the graph jobs: the gap DESIGN.md §2.6 records).
+    Bytes,
+}
+
+/// A cached app's per-record UDF over records `R`, written once over a
+/// view of the record and monomorphised per view: `map` returns what the
+/// job's map emits, `fold` folds it in. Spark's map output is a heap
+/// object (LR's `double[d]`, KMeans's `Tuple2`): the scan stores it
+/// between the two and `fold_back` reads it back (by default nothing is
+/// stored).
+pub(crate) trait Udf<R: View> {
+    type Out: Copy;
+    fn map<K: ArrayKind>(&self, rec: &R::Fields<'_, K>) -> Self::Out;
+    fn fold<K: ArrayKind>(&mut self, rec: R::Fields<'_, K>, out: Self::Out);
+
+    /// Allocate `out` on the heap and push its root on the shadow stack.
+    /// The allocation may move the record: `find` finds it again.
+    fn store_out(
+        &self,
+        _out: Self::Out,
+        _heap: &mut Heap,
+        _cls: &R::Classes,
+        _find: impl Fn(&Heap) -> ObjRef,
+    ) -> Result<(), OomError> {
+        Ok(())
+    }
+
+    /// Fold the output `store_out` rooted at shadow-stack slot `at`.
+    fn fold_back(&mut self, rec: R::Fields<'_, OnHeap>, out: Self::Out, _heap: &Heap, _at: usize) {
+        self.fold::<OnHeap>(rec, out);
     }
 }
 
@@ -119,18 +167,65 @@ impl<'a> CachedDataset<'a> {
         Ok(data)
     }
 
-    /// How the blocks store their records; kernels dispatch on it.
-    pub(crate) fn repr(&self) -> Repr {
-        self.repr
+    /// Run `udf` over partition `ctx.task`'s records, in order, read as
+    /// the block stores them.
+    pub(crate) fn scan<R: View, U: Udf<R>>(
+        &self,
+        ctx: &TaskContext,
+        e: &mut Executor,
+        mut udf: U,
+    ) -> Result<U, EngineError> {
+        let block = self.block(ctx, e)?;
+        let (heap, kryo, mm) = (&mut e.heap, &mut e.kryo, &mut e.mm);
+        match self.repr {
+            Repr::Objects => {
+                let cls = R::register(heap);
+                let (root, len) = e.cache.objects_root(block, heap, kryo, mm)?;
+                for i in 0..len {
+                    let find = |heap: &Heap| CacheManager::object(heap, root, i);
+                    let obj = find(heap);
+                    let out = udf.map(&R::heap_fields(heap, &cls, obj));
+                    let at = heap.stack_watermark();
+                    udf.store_out(out, heap, &cls, find)?;
+                    // Only a stored output, rooted above `at`, can have moved it.
+                    let obj = if heap.stack_watermark() == at { obj } else { find(heap) };
+                    udf.fold_back(R::heap_fields(heap, &cls, obj), out, heap, at);
+                    heap.truncate_stack(at);
+                }
+            }
+            // Nothing allocates after the store, so the graph stays put.
+            Repr::Serialized(Deserialized::Objects) => {
+                let cls = R::register(heap);
+                e.cache.scan_serialized::<R, EngineError>(
+                    block,
+                    heap,
+                    kryo,
+                    mm,
+                    |heap, bytes| {
+                        let obj = R::store_page(bytes, heap, &cls)?;
+                        Ok(apply(&mut udf, R::heap_fields(heap, &cls, obj)))
+                    },
+                )?;
+            }
+            Repr::Serialized(Deserialized::Bytes) => {
+                e.cache.scan_serialized::<R, EngineError>(block, heap, kryo, mm, |_, bytes| {
+                    Ok(apply(&mut udf, R::fields(bytes)))
+                })?;
+            }
+            // The UDF rides through the walk as the fold's accumulator.
+            Repr::Pages { .. } => {
+                udf = e.cache.deca_block(block).fold_bytes(mm, heap, udf, |mut udf, bytes| {
+                    apply(&mut udf, R::fields(bytes));
+                    udf
+                })?;
+            }
+        }
+        Ok(udf)
     }
 
     /// Partition `ctx.task`'s block on this executor, recomputed if this
     /// executor has no live copy.
-    pub(crate) fn block(
-        &self,
-        ctx: &TaskContext,
-        e: &mut Executor,
-    ) -> Result<BlockId, EngineError> {
+    fn block(&self, ctx: &TaskContext, e: &mut Executor) -> Result<BlockId, EngineError> {
         let key = (ctx.executor, ctx.task);
         if let Some(&b) = crate::lock(&self.blocks).get(&key).filter(|b| e.cache.contains(**b)) {
             return Ok(b);
@@ -143,6 +238,14 @@ impl<'a> CachedDataset<'a> {
         crate::lock(&self.blocks).insert((ctx.executor, ctx.task), b);
         Ok(b)
     }
+}
+
+/// The UDF's map, then its fold, over one record with nothing stored
+/// between.
+#[inline]
+fn apply<R: View, U: Udf<R>, K: ArrayKind>(udf: &mut U, rec: R::Fields<'_, K>) {
+    let out = udf.map(&rec);
+    udf.fold(rec, out);
 }
 
 #[cfg(test)]
@@ -266,9 +369,13 @@ mod tests {
         let unplanned = || -> Result<ContainerDecision, EngineError> {
             panic!("only Deca consults the optimizer")
         };
-        assert_eq!(Repr::plan(ExecutionMode::Spark, unplanned, None).unwrap(), Repr::Objects);
-        assert_eq!(Repr::plan(ExecutionMode::SparkSer, unplanned, None).unwrap(), Repr::Serialized);
-        let deca = |d: ContainerDecision, size| Repr::plan(ExecutionMode::Deca, || Ok(d), size);
+        let plan = |mode, decide, size| Repr::plan(mode, decide, size, Deserialized::Objects);
+        assert_eq!(plan(ExecutionMode::Spark, unplanned, None).unwrap(), Repr::Objects);
+        let serialized = Repr::Serialized(Deserialized::Objects);
+        assert_eq!(plan(ExecutionMode::SparkSer, unplanned, None).unwrap(), serialized);
+        let deca = |d: ContainerDecision, size| {
+            Repr::plan(ExecutionMode::Deca, || Ok(d), size, Deserialized::Objects)
+        };
         let sfst = deca(ContainerDecision::DecomposeSfst, Some(24)).unwrap();
         assert_eq!(sfst, Repr::Pages { record_size: Some(24) });
         let framed = Repr::Pages { record_size: None };
@@ -283,7 +390,7 @@ mod tests {
     fn a_decision_a_cached_primary_cannot_take_fails_before_any_stage_runs() {
         let app = AppJob::new("share", |job_ctx| {
             let share = || Ok(ContainerDecision::SharePrimary(ContainerId(0)));
-            let repr = Repr::plan(ExecutionMode::Deca, share, None)?;
+            let repr = Repr::plan(ExecutionMode::Deca, share, None, Deserialized::Bytes)?;
             CachedDataset::load(job_ctx, "load", 1, repr, |e, _, repr| repr.put(e, &[7i64]))?;
             Ok(0.0)
         });

@@ -3,7 +3,8 @@
 //!
 //! The cached vectors behave exactly as LR's; the per-iteration map emits
 //! `(closestCenter, point)` pairs whose temporaries churn the young
-//! generation in Spark mode, and cluster sums are eagerly aggregated.
+//! generation in Spark mode, and cluster sums are eagerly aggregated, by
+//! one UDF (`Nearest`) over a view of a point however it is cached.
 //!
 //! Like LR, the job is described once as an [`AppJob`] ([`job`]) and runs
 //! through the cluster driver: a `km-load` stage caches partition `p`'s
@@ -20,10 +21,11 @@
 //! later run of the description borrow partition `p` from that shared
 //! buffer (see the crate docs).
 
-use deca_engine::record::{HeapRecord, Record};
-use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
+use deca_engine::record::{ArrayKind, Elements, HeapArray, HeapRecord, OnHeap, PairClasses};
+use deca_engine::{AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx};
+use deca_heap::{Heap, ObjRef, OomError};
 
-use crate::cached::{CachedDataset, Repr};
+use crate::cached::{CachedDataset, Udf};
 use crate::datagen;
 use crate::records::LabeledPointRec;
 use crate::report::AppReport;
@@ -134,19 +136,13 @@ fn run_kmeans(
         let points = &points;
         let partials: Vec<KmPartial> =
             job_ctx.run_stage(&format!("km-iter{iter}"), params.partitions, |ctx, e| {
-                let block = points.block(ctx, e)?;
-                let mut sums = vec![vec![0.0f64; d]; k];
-                let mut counts = vec![0usize; k];
-                match points.repr() {
-                    Repr::Objects => spark_assign(e, block, centroids_now, &mut sums, &mut counts)?,
-                    Repr::Serialized => {
-                        let classes = LabeledPointRec::register(&mut e.heap);
-                        sparkser_assign(e, block, &classes, centroids_now, &mut sums, &mut counts)?
-                    }
-                    Repr::Pages { .. } => {
-                        deca_assign(e, block, centroids_now, &mut sums, &mut counts)?
-                    }
-                }
+                let nearest = Nearest {
+                    centroids: centroids_now,
+                    sums: vec![vec![0.0f64; d]; k],
+                    counts: vec![0usize; k],
+                    pair: <(i64, f64)>::register(&mut e.heap),
+                };
+                let Nearest { sums, counts, .. } = points.scan(ctx, e, nearest)?;
                 Ok((sums, counts))
             })?;
         // Fold partials in task order (each partial is itself the
@@ -173,133 +169,70 @@ fn run_kmeans(
     Ok(centroids.iter().flatten().map(|v| v.abs()).sum())
 }
 
-/// Nearest centroid by squared euclidean distance, shared by every kernel
-/// so assignments agree bit-for-bit across modes. The Spark kernels pass
-/// a heap reader behind `dyn`.
-fn assign(features: &dyn Fn(usize) -> f64, centroids: &[Vec<f64>], d: usize) -> usize {
-    nearest(features, centroids, d)
+/// KMeans's UDF: the map emits each point's nearest centroid as a
+/// `(center, 1.0)` pair, and the fold adds the point to that cluster's sum
+/// and the pair's weight to its count.
+struct Nearest<'a> {
+    centroids: &'a [Vec<f64>],
+    sums: Vec<Vec<f64>>,
+    counts: Vec<usize>,
+    pair: PairClasses,
 }
 
-/// [`assign`]'s body, generic so the Deca kernel's field read is a static
-/// call the compiler inlines, whatever it decides about inlining `assign`.
-#[allow(clippy::needless_range_loop)] // kernels index like the paper's code
-fn nearest(features: impl Fn(usize) -> f64, centroids: &[Vec<f64>], d: usize) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, cent) in centroids.iter().enumerate() {
-        let mut dist = 0.0;
-        for j in 0..d {
-            let diff = features(j) - cent[j];
-            dist += diff * diff;
+impl Udf<LabeledPointRec> for Nearest<'_> {
+    type Out = (i64, f64);
+
+    /// Nearest centroid by squared euclidean distance.
+    #[inline]
+    fn map<K: ArrayKind>(&self, p: &LabeledPointRec<K::Array<'_, f64>>) -> (i64, f64) {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (c, cent) in self.centroids.iter().enumerate() {
+            let mut dist = 0.0;
+            for (j, y) in cent.iter().enumerate() {
+                let diff = p.features.get(j) - y;
+                dist += diff * diff;
+            }
+            if dist < best_d {
+                best_d = dist;
+                best = c;
+            }
         }
-        if dist < best_d {
-            best_d = dist;
-            best = c;
+        (best as i64, 1.0)
+    }
+
+    #[inline]
+    fn fold<K: ArrayKind>(&mut self, p: LabeledPointRec<K::Array<'_, f64>>, (c, w): (i64, f64)) {
+        self.counts[c as usize] += w as usize;
+        for (s, x) in self.sums[c as usize].iter_mut().zip(p.features.iter()) {
+            *s += x;
         }
     }
-    best
-}
 
-/// Spark kernel: walk the heap object graphs; per point, allocate the
-/// map's temporary `(closestCenter, 1.0)` pair which dies after the
-/// aggregation consumes it. A full heap there is a memory-pressure error
-/// the stage engine spills and re-runs on, not a panic.
-#[allow(clippy::needless_range_loop)]
-fn spark_assign(
-    e: &mut Executor,
-    block: deca_engine::cache::BlockId,
-    centroids: &[Vec<f64>],
-    sums: &mut [Vec<f64>],
-    counts: &mut [usize],
-) -> Result<(), EngineError> {
-    let d = centroids[0].len();
-    let pair_classes = <(i64, f64) as HeapRecord>::register(&mut e.heap);
-    let (root, len) = e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-    for i in 0..len {
-        let arr = e.heap.root_ref(root);
-        let lp = e.heap.array_get_ref(arr, i);
-        let dv = e.heap.read_ref(lp, 1);
-        let data_arr = e.heap.read_ref(dv, 0);
-        let heap = &e.heap;
-        let best = assign(&|j| heap.array_get_f64(data_arr, j), centroids, d);
-        // The map's temporary (closest, 1.0) pair.
-        let tmp = (best as i64, 1.0f64).store(&mut e.heap, &pair_classes)?;
-        let ts = e.heap.push_stack(tmp);
-        let (c, w) = <(i64, f64) as HeapRecord>::load(&e.heap, &pair_classes, e.heap.stack_ref(ts));
-        e.heap.truncate_stack(ts);
-        counts[c as usize] += w as usize;
-        let arr = e.heap.root_ref(root);
-        let lp = e.heap.array_get_ref(arr, i);
-        let dv = e.heap.read_ref(lp, 1);
-        let data_arr = e.heap.read_ref(dv, 0);
-        for j in 0..d {
-            sums[c as usize][j] += e.heap.array_get_f64(data_arr, j);
-        }
+    /// Spark's map output: the pair as a `Tuple2` of boxes, dead once the
+    /// fold has read it.
+    fn store_out(
+        &self,
+        pair: (i64, f64),
+        heap: &mut Heap,
+        _: &<LabeledPointRec as HeapRecord>::Classes,
+        _: impl Fn(&Heap) -> ObjRef,
+    ) -> Result<(), OomError> {
+        let pair = pair.store(heap, &self.pair)?;
+        heap.push_stack(pair);
+        Ok(())
     }
-    Ok(())
-}
 
-/// SparkSer kernel: decode the block (Kryo cost), store each point's
-/// temporary heap objects from its decoded bytes, then compute as the
-/// Spark kernel does.
-#[allow(clippy::needless_range_loop)]
-fn sparkser_assign(
-    e: &mut Executor,
-    block: deca_engine::cache::BlockId,
-    classes: &<LabeledPointRec as HeapRecord>::Classes,
-    centroids: &[Vec<f64>],
-    sums: &mut [Vec<f64>],
-    counts: &mut [usize],
-) -> Result<(), EngineError> {
-    let d = centroids[0].len();
-    e.cache.scan_serialized::<LabeledPointRec, EngineError>(
-        block,
-        &mut e.heap,
-        &mut e.kryo,
-        &mut e.mm,
-        |heap, bytes| {
-            // Nothing allocates after the store, so the graph stays put.
-            let lp = LabeledPointRec::store_page(bytes, heap, classes)?;
-            let dv = heap.read_ref(lp, 1);
-            let data_arr = heap.read_ref(dv, 0);
-            let best = assign(&|j| heap.array_get_f64(data_arr, j), centroids, d);
-            counts[best] += 1;
-            for j in 0..d {
-                sums[best][j] += heap.array_get_f64(data_arr, j);
-            }
-            Ok(())
-        },
-    )
-}
-
-/// Deca kernel — the transformed code: features at fixed offsets inside
-/// the page bytes, accumulation into preallocated arrays; no objects.
-/// Each record is split into its fields once.
-fn deca_assign(
-    e: &mut Executor,
-    block: deca_engine::cache::BlockId,
-    centroids: &[Vec<f64>],
-    sums: &mut [Vec<f64>],
-    counts: &mut [usize],
-) -> Result<(), EngineError> {
-    let d = centroids[0].len();
-    let heap = &mut e.heap;
-    let mm = &mut e.mm;
-    let block = e.cache.deca_block(block);
-    block.scan_bytes(
-        mm,
-        heap,
-        |bytes| {
-            let (_, features) = LabeledPointRec::fields(bytes);
-            let best = nearest(|j| f64::from_le_bytes(features[j]), centroids, d);
-            counts[best] += 1;
-            for (s, &x) in sums[best].iter_mut().zip(features) {
-                *s += f64::from_le_bytes(x);
-            }
-        },
-        |_| {},
-    )?;
-    Ok(())
+    fn fold_back(
+        &mut self,
+        p: LabeledPointRec<HeapArray<f64>>,
+        _: (i64, f64),
+        heap: &Heap,
+        at: usize,
+    ) {
+        let pair = <(i64, f64)>::load(heap, &self.pair, heap.stack_ref(at));
+        self.fold::<OnHeap>(p, pair);
+    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@
 //! The cached `LabeledPoint`s dominate the heap. In Spark mode every
 //! iteration walks millions of live objects (full collections trace them
 //! all, fruitlessly) and the gradient map allocates a temporary
-//! `DenseVector` per point. The Deca kernel is the runtime equivalent of
-//! the transformed code in the paper's Figure 12: it reads `label` and the
-//! feature doubles at fixed offsets inside the page bytes and accumulates
-//! into a preallocated result array — no objects, no collections.
+//! `double[d]` per point. The gradient is one UDF (`Gradient`) over a view
+//! of a point; over page bytes it is Figure 12's transformed code, reading
+//! `label` and the features at fixed offsets into a preallocated result
+//! array — no objects, no collections.
 //!
 //! The job is described once as an [`AppJob`] ([`job`]) and runs through
 //! the cluster driver: an `lr-load` stage caches partition `p`'s points on
@@ -18,7 +18,7 @@
 //! retried or stolen task that lands on an executor without its block
 //! recaches it from its input partition first (lineage recompute). Before
 //! the load stage, Deca's runtime optimizer picks the cached layout from
-//! the job's IR, and each iteration's kernel follows the layout stored.
+//! the job's IR, and each iteration's scan reads the layout stored.
 //!
 //! The description owns its input: [`job`] generates the labeled points
 //! once, when it is called, and the load stage, every lineage recompute
@@ -26,12 +26,13 @@
 //! shared buffer (see the crate docs).
 
 use deca_core::Optimizer;
-use deca_engine::record::{HeapRecord, Record};
-use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
+use deca_engine::record::{ArrayKind, Elements, HeapArray, HeapRecord, View};
+use deca_engine::{AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx};
+use deca_heap::{Heap, ObjRef, OomError};
 use deca_udt::fixtures::LrProgram;
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
-use crate::cached::{CachedDataset, Repr};
+use crate::cached::{CachedDataset, Deserialized, Repr, Udf};
 use crate::datagen;
 use crate::records::LabeledPointRec;
 use crate::report::AppReport;
@@ -125,7 +126,8 @@ pub(crate) fn points_repr(
         };
         Ok(opt.plan(&phases, &[cache], &[]).decision(ContainerId(0)).clone())
     };
-    Repr::plan(mode, decide, Some(LabeledPointRec::sfst_size(dims)))
+    let size = Some(LabeledPointRec::sfst_size(dims));
+    Repr::plan(mode, decide, size, Deserialized::Objects)
 }
 
 /// The LR job description: consumed by `DecaServer::submit` (via
@@ -165,17 +167,10 @@ fn run_logreg(
         let sample = params.sample_timeline;
         let partials =
             job_ctx.run_stage(&format!("lr-iter{iter}"), params.partitions, |ctx, e| {
-                let classes = LabeledPointRec::register(&mut e.heap);
-                let block = points.block(ctx, e)?;
-                let mut partial = vec![0.0f64; dims];
-                match points.repr() {
-                    Repr::Objects => spark_gradient(e, block, &classes, weights_now, &mut partial)?,
-                    Repr::Serialized => {
-                        sparkser_gradient(e, block, &classes, weights_now, &mut partial)?
-                    }
-                    Repr::Pages { .. } => deca_gradient(e, block, weights_now, &mut partial)?,
-                }
+                let gradient = Gradient { weights: weights_now, sum: vec![0.0f64; dims] };
+                let partial = points.scan(ctx, e, gradient)?.sum;
                 if sample {
+                    let classes = LabeledPointRec::register(&mut e.heap);
                     e.sample_timeline(classes.record);
                 }
                 Ok(partial)
@@ -196,127 +191,68 @@ fn run_logreg(
     Ok(weights.iter().map(|w| w.abs()).sum())
 }
 
-/// One point's gradient term given the dot product machinery, shared by
-/// every kernel so results agree bit-for-bit across modes.
+/// LR's UDF (Figure 1): the map emits each point's features scaled by
+/// its gradient factor, and the fold sums them into `sum`.
+struct Gradient<'a> {
+    weights: &'a [f64],
+    sum: Vec<f64>,
+}
+
+/// One term of the map's output: a feature scaled by its point's factor.
 #[inline]
-fn factor_of(label: f64, dot: f64) -> f64 {
-    (1.0 / (1.0 + (-label * dot).exp()) - 1.0) * label
+fn term(x: f64, factor: f64) -> f64 {
+    x * factor
 }
 
-/// Spark kernel: walk the heap object graphs; per point, allocate the
-/// map's temporary gradient `DenseVector` (Figure 1 line 21-24) which dies
-/// after the reduce consumes it.
-#[allow(clippy::needless_range_loop)] // kernels index like the paper's code
-fn spark_gradient(
-    e: &mut Executor,
-    block: deca_engine::cache::BlockId,
-    classes: &<LabeledPointRec as HeapRecord>::Classes,
-    weights: &[f64],
-    gradient: &mut [f64],
-) -> Result<(), EngineError> {
-    let d = weights.len();
-    let (root, len) = e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-    for i in 0..len {
-        let arr = e.heap.root_ref(root);
-        let lp = e.heap.array_get_ref(arr, i);
-        let label = e.heap.read_f64(lp, 0);
-        let dv = e.heap.read_ref(lp, 1);
-        let data = e.heap.read_ref(dv, 0);
-        let mut dot = 0.0;
-        for j in 0..d {
-            dot += weights[j] * e.heap.array_get_f64(data, j);
-        }
-        let factor = factor_of(label, dot);
-        // Temporary map-output vector (allocated, filled, consumed, dead).
-        let tmp = e.heap.alloc_array(classes.array.class, d)?;
-        let ts = e.heap.push_stack(tmp);
-        let data = {
-            let arr = e.heap.root_ref(root);
-            let lp = e.heap.array_get_ref(arr, i);
-            let dv = e.heap.read_ref(lp, 1);
-            e.heap.read_ref(dv, 0)
-        };
-        for j in 0..d {
-            let v = e.heap.array_get_f64(data, j) * factor;
-            let tmp = e.heap.stack_ref(ts);
-            e.heap.array_set_f64(tmp, j, v);
-        }
-        let tmp = e.heap.stack_ref(ts);
-        for j in 0..d {
-            gradient[j] += e.heap.array_get_f64(tmp, j);
-        }
-        e.heap.truncate_stack(ts);
+/// Add the map's output terms into the sum.
+#[inline]
+fn add(sum: &mut [f64], terms: impl Iterator<Item = f64>) {
+    for (g, t) in sum.iter_mut().zip(terms) {
+        *g += t;
     }
-    Ok(())
 }
 
-/// SparkSer kernel: decode the block (Kryo cost), store each point's
-/// temporary heap objects from its decoded bytes (the deserializer's
-/// output: `double[]`, `DenseVector`, `LabeledPoint`, as `store` allocates
-/// them), then compute as the Spark kernel does.
-#[allow(clippy::needless_range_loop)]
-fn sparkser_gradient(
-    e: &mut Executor,
-    block: deca_engine::cache::BlockId,
-    classes: &<LabeledPointRec as HeapRecord>::Classes,
-    weights: &[f64],
-    gradient: &mut [f64],
-) -> Result<(), EngineError> {
-    let d = weights.len();
-    e.cache.scan_serialized::<LabeledPointRec, EngineError>(
-        block,
-        &mut e.heap,
-        &mut e.kryo,
-        &mut e.mm,
-        |heap, bytes| {
-            // Nothing allocates after the store, so the graph stays put.
-            let lp = LabeledPointRec::store_page(bytes, heap, classes)?;
-            let label = heap.read_f64(lp, 0);
-            let dv = heap.read_ref(lp, 1);
-            let data = heap.read_ref(dv, 0);
-            let mut dot = 0.0;
-            for j in 0..d {
-                dot += weights[j] * heap.array_get_f64(data, j);
-            }
-            let factor = factor_of(label, dot);
-            for j in 0..d {
-                gradient[j] += heap.array_get_f64(data, j) * factor;
-            }
-            Ok(())
-        },
-    )
-}
+impl Udf<LabeledPointRec> for Gradient<'_> {
+    /// The point's factor.
+    type Out = f64;
 
-/// Deca kernel — the Figure 12 transformed code: `label` at offset 0,
-/// features at offsets 8, 16, … within each record's page segment;
-/// accumulation into a preallocated result array. Each record is split
-/// into its fields once (`LabeledPointRec::fields`), so a feature read is
-/// one load. The result
-/// array rides through the walk as the fold's accumulator, measurably
-/// faster than updating it through a reference the closure captures.
-fn deca_gradient(
-    e: &mut Executor,
-    block: deca_engine::cache::BlockId,
-    weights: &[f64],
-    gradient: &mut [f64],
-) -> Result<(), EngineError> {
-    let heap = &mut e.heap;
-    let mm = &mut e.mm;
-    let cache = &mut e.cache;
-    let block = cache.deca_block(block);
-    block.fold_bytes(mm, heap, gradient, |gradient, bytes| {
-        let (label, features) = LabeledPointRec::fields(bytes);
+    #[inline]
+    fn map<K: ArrayKind>(&self, p: &LabeledPointRec<K::Array<'_, f64>>) -> f64 {
         let mut dot = 0.0;
-        for (w, &x) in weights.iter().zip(features) {
-            dot += w * f64::from_le_bytes(x);
+        for (w, x) in self.weights.iter().zip(p.features.iter()) {
+            dot += w * x;
         }
-        let factor = factor_of(label, dot);
-        for (g, &x) in gradient.iter_mut().zip(features) {
-            *g += f64::from_le_bytes(x) * factor;
+        (1.0 / (1.0 + (-p.label * dot).exp()) - 1.0) * p.label
+    }
+
+    #[inline]
+    fn fold<K: ArrayKind>(&mut self, p: LabeledPointRec<K::Array<'_, f64>>, factor: f64) {
+        add(&mut self.sum, p.features.iter().map(|x| term(x, factor)));
+    }
+
+    /// Spark's map output: the scaled features as a temporary `double[d]`
+    /// (Figure 1 lines 21-24), dead once the fold has read it.
+    fn store_out(
+        &self,
+        factor: f64,
+        heap: &mut Heap,
+        point: &<LabeledPointRec as HeapRecord>::Classes,
+        find: impl Fn(&Heap) -> ObjRef,
+    ) -> Result<(), OomError> {
+        let d = self.sum.len();
+        let scaled = heap.alloc_array(point.array.class, d)?;
+        heap.push_stack(scaled);
+        let features = LabeledPointRec::heap_fields(heap, point, find(heap)).features.obj();
+        for j in 0..d {
+            let x = HeapArray::<f64>::new(heap, features).get(j);
+            heap.array_set_f64(scaled, j, term(x, factor));
         }
-        gradient
-    })?;
-    Ok(())
+        Ok(())
+    }
+
+    fn fold_back(&mut self, _: LabeledPointRec<HeapArray<f64>>, _: f64, heap: &Heap, at: usize) {
+        add(&mut self.sum, HeapArray::<f64>::new(heap, heap.stack_ref(at)).iter());
+    }
 }
 
 #[cfg(test)]

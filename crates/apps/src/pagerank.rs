@@ -23,9 +23,10 @@
 //! min-ed there.
 //!
 //! Each iteration's messages go through the combine-by-key shuffle
-//! ([`crate::combine`]) with integer keys: the map reads its block as the
-//! plan stored it (heap objects, Kryo bytes or pages) and the table, picked
-//! by the mode, combines what it emits.
+//! ([`crate::combine`]) with integer keys: the map is one UDF (`Sends`)
+//! over a view of an adjacency list, which the cached dataset's scan reads
+//! as the plan stored it (heap objects, decoded Kryo bytes or pages), and
+//! the table, picked by the mode, combines what it emits.
 //!
 //! The cached adjacency never changes, so every iteration's map task `p`
 //! combines the same destinations, and every reducer the same vertices, as
@@ -48,13 +49,13 @@ use std::marker::PhantomData;
 use deca_core::optimizer::ContainerDecision;
 use deca_core::Optimizer;
 use deca_engine::cache::BlockId;
+use deca_engine::record::{ArrayKind, Elements};
 use deca_engine::{
     AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, SparkGroupShuffle,
-    TaskContext,
 };
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
-use crate::cached::{CachedDataset, Repr};
+use crate::cached::{CachedDataset, Deserialized, Repr, Udf};
 use crate::combine::{self, IntKeys, Shuffle, TableSizes, Value};
 use crate::datagen;
 use crate::records::AdjListRec;
@@ -181,7 +182,8 @@ impl<'a> Adjacency<'a> {
         mode: ExecutionMode,
         decide: Decide,
     ) -> Result<Adjacency<'a>, EngineError> {
-        let repr = Repr::plan(mode, decide, None)?;
+        // SparkSer reads the decoded lists' page bytes (DESIGN.md §2.6).
+        let repr = Repr::plan(mode, decide, None, Deserialized::Bytes)?;
         let blocks =
             CachedDataset::load(job_ctx, "adj-build", parts.parts(), repr, |e, p, repr| {
                 build_adjacency_block(e, parts.part(p), repr)
@@ -212,75 +214,25 @@ pub(crate) trait Messages: Sync {
     fn combine(a: Self::V, b: Self::V) -> Self::V;
 }
 
-/// One iteration's messages from partition `ctx.task`'s block, read as the
-/// block stores them. Cache accesses propagate errors (rather than
-/// panicking) because the cold-read path is fault-instrumented: an
-/// injected `SpillRead` kill must surface as a failed task attempt the
-/// driver can retry.
-fn messages<M: Messages>(
-    ctx: &TaskContext,
-    e: &mut Executor,
-    adj: &Adjacency,
-    msgs: &M,
-) -> Result<Vec<(i64, M::V)>, EngineError> {
-    let block = adj.blocks.block(ctx, e)?;
-    let mut out: Vec<(i64, M::V)> = Vec::new();
-    match adj.blocks.repr() {
-        Repr::Objects => {
-            // Walk the cached graph in place; nothing allocates meanwhile.
-            let (root, len) = e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-            let heap = &e.heap;
-            let lists = heap.root_ref(root);
-            for i in 0..len {
-                let list = heap.array_get_ref(lists, i);
-                let neighbors = heap.read_ref(list, 1);
-                let dsts =
-                    (0..heap.array_len(neighbors)).map(|j| heap.array_get_i32(neighbors, j) as u32);
-                send(msgs, &mut out, heap.read_word(list, 0) as u32, dsts);
-            }
-        }
-        // SparkSer decodes the block into the page form Deca scans.
-        Repr::Serialized => {
-            e.cache.scan_serialized::<AdjListRec, EngineError>(
-                block,
-                &mut e.heap,
-                &mut e.kryo,
-                &mut e.mm,
-                |_, bytes| {
-                    send_list(msgs, &mut out, bytes);
-                    Ok(())
-                },
-            )?;
-        }
-        Repr::Pages { .. } => {
-            let (heap, mm) = (&mut e.heap, &mut e.mm);
-            e.cache.deca_block(block).scan_bytes(
-                mm,
-                heap,
-                |bytes| send_list(msgs, &mut out, bytes),
-                |_| {},
-            )?;
-        }
-    }
-    Ok(out)
+/// A graph job's UDF over the cached adjacency: each list sends
+/// `msgs`' messages along its edges into `out`. Nothing is stored between
+/// the map and the fold.
+struct Sends<'m, M: Messages> {
+    msgs: &'m M,
+    out: Vec<(i64, M::V)>,
 }
 
-/// The messages of the adjacency list whose page bytes are `list`.
-fn send_list<M: Messages>(msgs: &M, out: &mut Vec<(i64, M::V)>, list: &[u8]) {
-    let (vertex, neighbors) = AdjListRec::fields(list);
-    send(msgs, out, vertex, neighbors.iter().map(|&dst| u32::from_le_bytes(dst)));
-}
+impl<M: Messages> Udf<AdjListRec> for Sends<'_, M> {
+    type Out = ();
 
-/// The messages `vertex` sends to its `neighbors`, appended to `out`.
-fn send<M: Messages>(
-    msgs: &M,
-    out: &mut Vec<(i64, M::V)>,
-    vertex: u32,
-    neighbors: impl Iterator<Item = u32>,
-) {
-    let sent = msgs.sends(vertex);
-    for dst in neighbors {
-        out.extend(msgs.edge(vertex, sent, dst));
+    fn map<K: ArrayKind>(&self, _: &AdjListRec<K::Array<'_, u32>>) {}
+
+    #[inline]
+    fn fold<K: ArrayKind>(&mut self, list: AdjListRec<K::Array<'_, u32>>, (): ()) {
+        let sent = self.msgs.sends(list.vertex);
+        for dst in list.neighbors.iter() {
+            self.out.extend(self.msgs.edge(list.vertex, sent, dst));
+        }
     }
 }
 
@@ -308,7 +260,7 @@ pub(crate) fn exchange_messages<M: Messages>(
     let combined = shuffle.run(
         job_ctx,
         |ctx, e, table| {
-            let sent = messages(ctx, e, adj, msgs)?;
+            let sent = adj.blocks.scan(ctx, e, Sends { msgs, out: Vec::new() })?.out;
             table.insert_all(e, sent)
         },
         |out: &mut Vec<(u32, M::V)>, dst: i64, v: M::V| out.push((dst as u32, v)),

@@ -129,7 +129,7 @@ pub(crate) fn adjacency_analysis() -> Result<GroupByProgram, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deca_engine::record::{HeapRecord, KryoRecord};
+    use deca_engine::record::{Elements, HeapRecord, KryoRecord, OnHeap, Page, View};
     use deca_heap::{Heap, HeapConfig, ObjRef};
 
     fn roundtrip_all<T>(rec: T)
@@ -154,6 +154,20 @@ mod tests {
         assert_eq!(T::load(&heap, &cls, obj), rec, "heap graph roundtrip");
         let stored = heap.stats().bytes_allocated - before;
         assert_eq!(rec.heap_size() as u64, stored, "heap_size is what store allocates");
+    }
+
+    /// Hand `check` the two views of `rec`: `heap_fields` of its stored
+    /// graph and `fields` of its page bytes.
+    fn with_views<T: View>(
+        rec: &T,
+        check: impl FnOnce(T::Fields<'_, OnHeap>, T::Fields<'_, Page>),
+    ) {
+        let mut heap = Heap::new(HeapConfig::small());
+        let cls = T::register(&mut heap);
+        let obj = rec.store(&mut heap, &cls).unwrap();
+        let mut page = vec![0u8; rec.data_size()];
+        rec.encode(&mut page);
+        check(T::heap_fields(&heap, &cls, obj), T::fields(&page));
     }
 
     /// Each heap record allocates its objects in the JVM's order, read off
@@ -232,8 +246,18 @@ mod tests {
 
     #[test]
     fn labeled_point_roundtrips() {
-        roundtrip_all(LabeledPointRec { label: 1.0, features: vec![0.5, -2.5, 3.25] });
-        roundtrip_all(LabeledPointRec { label: -1.0, features: vec![] });
+        for lp in [
+            LabeledPointRec { label: 1.0, features: vec![0.5, -2.5, 3.25] },
+            LabeledPointRec { label: -1.0, features: vec![] },
+        ] {
+            roundtrip_all(lp.clone());
+            with_views(&lp, |heap, page| {
+                let heap = (heap.label, heap.features.iter().collect::<Vec<_>>());
+                let page = (page.label, page.features.iter().collect::<Vec<_>>());
+                assert_eq!(heap, (lp.label, lp.features.clone()), "heap view");
+                assert_eq!(page, heap, "page view");
+            });
+        }
     }
 
     #[test]
@@ -248,15 +272,32 @@ mod tests {
 
     #[test]
     fn adjacency_roundtrips() {
-        roundtrip_all(AdjListRec { vertex: 7, neighbors: vec![1, 2, 3, 4, 5] });
-        roundtrip_all(AdjListRec { vertex: 0, neighbors: vec![] });
+        for adj in [
+            AdjListRec { vertex: 7, neighbors: vec![1, 2, 3, 4, 5] },
+            AdjListRec { vertex: 0, neighbors: vec![] },
+        ] {
+            roundtrip_all(adj.clone());
+            with_views(&adj, |heap, page| {
+                let heap = (heap.vertex, heap.neighbors.iter().collect::<Vec<_>>());
+                let page = (page.vertex, page.neighbors.iter().collect::<Vec<_>>());
+                assert_eq!(heap, (adj.vertex, adj.neighbors.clone()), "heap view");
+                assert_eq!(page, heap, "page view");
+            });
+        }
     }
 
     #[test]
     fn sql_rows_roundtrip() {
-        roundtrip_all(RankingRec { url_id: 123, page_rank: 77, avg_duration: 9 });
-        roundtrip_all(UserVisitRec { ip_prefix: 0x3132333435, url_id: 5, ad_revenue: 0.75 });
-        roundtrip_all(JoinAggRec { revenue: 1.5, rank_sum: 300.0, count: 4 });
+        // A record without an array is its own view.
+        let row = RankingRec { url_id: 123, page_rank: 77, avg_duration: 9 };
+        roundtrip_all(row);
+        with_views(&row, |heap, page| assert_eq!([heap, page], [row; 2]));
+        let visit = UserVisitRec { ip_prefix: 0x3132333435, url_id: 5, ad_revenue: 0.75 };
+        roundtrip_all(visit);
+        with_views(&visit, |heap, page| assert_eq!([heap, page], [visit; 2]));
+        let agg = JoinAggRec { revenue: 1.5, rank_sum: 300.0, count: 4 };
+        roundtrip_all(agg);
+        with_views(&agg, |heap, page| assert_eq!([heap, page], [agg; 2]));
     }
 
     #[test]

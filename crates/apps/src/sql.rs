@@ -38,8 +38,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use deca_core::{DecaHashShuffle, DecaRecord};
-use deca_engine::cache::BlockId;
-use deca_engine::record::{HeapRecord, Record};
+use deca_engine::cache::{BlockId, CacheManager};
+use deca_engine::record::{HeapRecord, OnHeap, Page, Record, View};
 use deca_engine::{
     AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, SparkHashShuffle,
 };
@@ -356,6 +356,29 @@ fn sum_groups(
     Ok(sum)
 }
 
+/// Each row of a row-store block of `R`s (Spark's heap objects, Deca's
+/// pages), read through its view: a row is its own view.
+fn each_row<R>(
+    e: &mut Executor,
+    system: SqlSystem,
+    b: BlockId,
+    mut f: impl FnMut(R),
+) -> Result<(), EngineError>
+where
+    for<'a> R: View<Fields<'a, OnHeap> = R> + View<Fields<'a, Page> = R>,
+{
+    if system == SqlSystem::Deca {
+        let (heap, mm) = (&mut e.heap, &mut e.mm);
+        return Ok(e.cache.deca_block(b).scan_bytes(mm, heap, |row| f(R::fields(row)), |_| {})?);
+    }
+    let cls = R::register(&mut e.heap);
+    let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+    for i in 0..len {
+        f(R::heap_fields(&e.heap, &cls, CacheManager::object(&e.heap, root, i)));
+    }
+    Ok(())
+}
+
 /// Query 1: count the rankings above 100 and sum their ranks.
 fn filter(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
     let (mut count, mut ranksum) = (0u64, 0i64);
@@ -366,29 +389,13 @@ fn filter(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, Engine
         }
     };
     for &b in &c.rankings {
-        match system {
-            SqlSystem::Spark => {
-                let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-                for i in 0..len {
-                    let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
-                    keep(e.heap.read_word(row, 1) as u32 as i32);
-                }
-            }
-            SqlSystem::Deca => {
-                let (heap, mm) = (&mut e.heap, &mut e.mm);
-                e.cache.deca_block(b).scan_bytes(
-                    mm,
-                    heap,
-                    |bytes| keep(RankingRec::fields(bytes).1),
-                    |_| {},
-                )?;
-            }
-            SqlSystem::SparkSql => {
-                let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-                for &rank in chunk[8 * n..].as_chunks::<4>().0 {
-                    keep(i32::from_le_bytes(rank));
-                }
-            }
+        if system != SqlSystem::SparkSql {
+            each_row(e, system, b, |r: RankingRec| keep(r.page_rank))?;
+            continue;
+        }
+        let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+        for &rank in chunk[8 * n..].as_chunks::<4>().0 {
+            keep(i32::from_le_bytes(rank));
         }
     }
     Ok(count as f64 + ranksum as f64 / 1e9)
@@ -399,14 +406,15 @@ fn group_by(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, Engi
     if system == SqlSystem::Spark {
         // Row objects -> temp pair per row -> heap hash agg with
         // boxed-Double combine churn.
+        let cls = UserVisitRec::register(&mut e.heap);
         let pair_classes = <(i64, f64) as HeapRecord>::register(&mut e.heap);
         let mut agg: SparkHashShuffle<i64, f64> = SparkHashShuffle::new(&mut e.heap)?;
         for &b in &c.visits {
             let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
             for i in 0..len {
-                let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
-                let (ip, rev) = (e.heap.read_i64(row, 0), e.heap.read_f64(row, 2));
-                let tmp = (ip, rev).store(&mut e.heap, &pair_classes)?;
+                let row = CacheManager::object(&e.heap, root, i);
+                let visit = UserVisitRec::heap_fields(&e.heap, &cls, row);
+                let tmp = (visit.ip_prefix, visit.ad_revenue).store(&mut e.heap, &pair_classes)?;
                 let ts = e.heap.push_stack(tmp);
                 let (k, v) =
                     <(i64, f64) as HeapRecord>::load(&e.heap, &pair_classes, e.heap.stack_ref(ts));
@@ -425,16 +433,10 @@ fn group_by(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, Engi
     let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 8);
     for &b in &c.visits {
         if system == SqlSystem::Deca {
-            let (heap, mm) = (&mut e.heap, &mut e.mm);
             let mut pairs: Vec<(i64, f64)> = Vec::new();
-            e.cache.deca_block(b).scan_bytes(
-                mm,
-                heap,
-                |bytes| pairs.push((i64_at(bytes, 0), f64_at(bytes, 2))),
-                |_| {},
-            )?;
+            each_row(e, system, b, |v: UserVisitRec| pairs.push((v.ip_prefix, v.ad_revenue)))?;
             let pairs = pairs.iter().map(|(ip, rev)| (ip.to_le_bytes(), rev.to_le_bytes()));
-            agg.insert_all(mm, heap, pairs, add_f64_bytes)?;
+            agg.insert_all(&mut e.mm, &mut e.heap, pairs, add_f64_bytes)?;
         } else {
             let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
             let (ips, revs) = chunk.split_at(8 * n);
@@ -453,54 +455,36 @@ fn group_by(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, Engi
 fn join(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
     let mut build: HashMap<i64, i32> = HashMap::new();
     for &b in &c.rankings {
-        match system {
-            SqlSystem::Spark => {
-                let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-                for i in 0..len {
-                    let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
-                    build.insert(e.heap.read_i64(row, 0), e.heap.read_word(row, 1) as u32 as i32);
-                }
-            }
-            SqlSystem::Deca => {
-                let (heap, mm) = (&mut e.heap, &mut e.mm);
-                e.cache.deca_block(b).scan_bytes(
-                    mm,
-                    heap,
-                    |bytes| {
-                        let r = RankingRec::decode(bytes);
-                        build.insert(r.url_id, r.page_rank);
-                    },
-                    |_| {},
-                )?;
-            }
-            SqlSystem::SparkSql => {
-                let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-                let (urls, ranks) = chunk.split_at(8 * n);
-                for (url, rank) in urls.as_chunks::<8>().0.iter().zip(ranks.as_chunks::<4>().0) {
-                    build.insert(i64::from_le_bytes(*url), i32::from_le_bytes(*rank));
-                }
-            }
+        if system != SqlSystem::SparkSql {
+            each_row(e, system, b, |r: RankingRec| {
+                build.insert(r.url_id, r.page_rank);
+            })?;
+            continue;
+        }
+        let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+        let (urls, ranks) = chunk.split_at(8 * n);
+        for (url, rank) in urls.as_chunks::<8>().0.iter().zip(ranks.as_chunks::<4>().0) {
+            build.insert(i64::from_le_bytes(*url), i32::from_le_bytes(*rank));
         }
     }
     let delta = |rev: f64, rank: i32| JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
 
     if system == SqlSystem::Spark {
+        let cls = UserVisitRec::register(&mut e.heap);
         let agg_classes = JoinAggRec::register(&mut e.heap);
         let mut agg: SparkHashShuffle<i64, JoinAggRec> = SparkHashShuffle::new(&mut e.heap)?;
         for &b in &c.visits {
             let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
             for i in 0..len {
-                let row = e.heap.array_get_ref(e.heap.root_ref(root), i);
-                let ip = e.heap.read_i64(row, 0);
-                let url = e.heap.read_i64(row, 1);
-                let rev = e.heap.read_f64(row, 2);
-                if let Some(&rank) = build.get(&url) {
+                let row = CacheManager::object(&e.heap, root, i);
+                let v = UserVisitRec::heap_fields(&e.heap, &cls, row);
+                if let Some(&rank) = build.get(&v.url_id) {
                     // Probe output materialises a temp aggregate.
-                    let tmp = delta(rev, rank).store(&mut e.heap, &agg_classes)?;
+                    let tmp = delta(v.ad_revenue, rank).store(&mut e.heap, &agg_classes)?;
                     let ts = e.heap.push_stack(tmp);
                     let d = JoinAggRec::load(&e.heap, &agg_classes, e.heap.stack_ref(ts));
                     e.heap.truncate_stack(ts);
-                    agg.insert(&mut e.heap, &ip, d, JoinAggRec::merge)?;
+                    agg.insert(&mut e.heap, &v.ip_prefix, d, JoinAggRec::merge)?;
                 }
             }
         }
@@ -517,21 +501,14 @@ fn join(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineEr
     let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 24);
     for &b in &c.visits {
         if system == SqlSystem::Deca {
-            let (heap, mm) = (&mut e.heap, &mut e.mm);
             let mut deltas: Vec<(i64, JoinAggRec)> = Vec::new();
-            e.cache.deca_block(b).scan_bytes(
-                mm,
-                heap,
-                |bytes| {
-                    let v = UserVisitRec::decode(bytes);
-                    if let Some(&rank) = build.get(&v.url_id) {
-                        deltas.push((v.ip_prefix, delta(v.ad_revenue, rank)));
-                    }
-                },
-                |_| {},
-            )?;
+            each_row(e, system, b, |v: UserVisitRec| {
+                if let Some(&rank) = build.get(&v.url_id) {
+                    deltas.push((v.ip_prefix, delta(v.ad_revenue, rank)));
+                }
+            })?;
             let deltas = deltas.iter().map(|&(ip, d)| agg_bytes(ip, d));
-            agg.insert_all(mm, heap, deltas, JoinAggRec::combine_bytes)?;
+            agg.insert_all(&mut e.mm, &mut e.heap, deltas, JoinAggRec::combine_bytes)?;
         } else {
             let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
             let (ips, rest) = chunk.split_at(8 * n);

@@ -10,6 +10,7 @@
 
 use deca_heap::Heap;
 
+use crate::group::frames;
 use crate::manager::{Group, MemError, MemoryManager};
 use crate::record::DecaRecord;
 
@@ -121,17 +122,32 @@ impl DecaCacheBlock {
     }
 
     /// Fold over records' bytes (aggregations without materialisation).
+    /// The loops call `f` directly, so it inlines into them; a fold of the
+    /// flattened pages calls it through a `&mut F` shim that need not.
     pub fn fold_bytes<A>(
         &self,
         mm: &mut MemoryManager,
         heap: &mut Heap,
-        init: A,
-        f: impl FnMut(A, &[u8]) -> A,
+        mut acc: A,
+        mut f: impl FnMut(A, &[u8]) -> A,
     ) -> Result<A, MemError> {
         let fixed = self.fixed_size;
-        mm.with_group(&self.group, heap, |g| match fixed {
-            Some(s) => g.fixed_records(s).fold(init, f),
-            None => g.framed_records().fold(init, f),
+        mm.with_group(&self.group, heap, |g| {
+            for page in g.used_pages() {
+                match fixed {
+                    Some(s) => {
+                        for bytes in page.chunks_exact(s) {
+                            acc = f(acc, bytes);
+                        }
+                    }
+                    None => {
+                        for bytes in frames(page) {
+                            acc = f(acc, bytes);
+                        }
+                    }
+                }
+            }
+            acc
         })
     }
 

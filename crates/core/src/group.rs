@@ -170,16 +170,7 @@ impl PageGroup {
     /// frames end where its used prefix has no room for another length
     /// prefix or the prefix is the end-of-page sentinel.
     pub fn framed_records(&self) -> impl Iterator<Item = &[u8]> {
-        self.used_pages().flat_map(|mut page| {
-            std::iter::from_fn(move || {
-                let (prefix, rest) = page.split_first_chunk()?;
-                let prefix = u32::from_le_bytes(*prefix);
-                let (payload, rest) =
-                    (prefix != END_OF_PAGE).then(|| rest.split_at(prefix as usize - 1))?;
-                page = rest;
-                Some(payload)
-            })
-        })
+        self.used_pages().flat_map(frames)
     }
 
     /// Release every page's heap registration. Called by the manager when
@@ -220,6 +211,18 @@ impl PageGroup {
         debug_assert!(self.pages.is_empty());
         self.pages = pages;
     }
+}
+
+/// The framed payloads of one page's used prefix, in order.
+pub(crate) fn frames(mut page: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (prefix, rest) = page.split_first_chunk()?;
+        let prefix = u32::from_le_bytes(*prefix);
+        let (payload, rest) =
+            (prefix != END_OF_PAGE).then(|| rest.split_at(prefix as usize - 1))?;
+        page = rest;
+        Some(payload)
+    })
 }
 
 #[cfg(test)]

@@ -780,6 +780,13 @@ impl CacheManager {
         }
     }
 
+    /// Record `i` of the Objects block whose root is `root`, found afresh
+    /// (an allocation may have moved it since [`Self::objects_root`]).
+    #[inline]
+    pub fn object(heap: &Heap, root: RootId, i: usize) -> ObjRef {
+        heap.array_get_ref(heap.root_ref(root), i)
+    }
+
     /// Visit a Serialized block's records as page-form bytes (the SparkSer
     /// access path): the block is decoded once per access, under one
     /// deserializer timer pair ([`KryoSim::decode_block`]), and `f` reads

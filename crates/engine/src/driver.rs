@@ -90,7 +90,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::MutexGuard;
 
 use crate::cluster::ExecutorHealth;
-use crate::config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode};
+use crate::config::{ExecutionMode, ExecutorConfig};
 use crate::error::EngineError;
 use crate::executor::Executor;
 use crate::faults::FaultPlan;
@@ -190,15 +190,6 @@ impl ClusterSession {
     // fault-handling knobs
     // ------------------------------------------------------------------
 
-    /// Replace the driver's retry policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.engine.policy = policy;
-    }
-
-    pub fn scheduler(&self) -> SchedulerMode {
-        self.engine.scheduler
-    }
-
     /// Install a fault plan; subsequent stages consult it at every
     /// injection site. Installing [`FaultPlan::quiet`] turns faults off.
     /// The plan is also installed into every executor's cache manager so
@@ -296,12 +287,6 @@ impl ClusterSession {
         self.engine.stages.iter().filter(|s| s.name == name).collect()
     }
 
-    /// Tasks run so far, across all stages (logical tasks; see
-    /// [`JobMetrics::attempts`] for runs including retries).
-    pub fn total_tasks(&self) -> usize {
-        self.engine.stages.iter().map(|s| s.tasks).sum()
-    }
-
     /// Refresh job-level cache statistics on every executor (call before
     /// reading [`ClusterSession::job_summary`] cache fields).
     pub fn finish_job(&mut self) {
@@ -390,11 +375,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
+    use crate::config::{RetryPolicy, SchedulerMode};
     use crate::faults::FaultSite;
     use crate::trace::{dur_ns, TraceEventKind};
 
+    fn config() -> ExecutorConfig {
+        ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+    }
+
     fn session(executors: usize) -> ClusterSession {
-        ClusterSession::new(executors, ExecutorConfig::new(ExecutionMode::Spark, 8 << 20))
+        ClusterSession::new(executors, config())
     }
 
     /// A session pinned to wave scheduling, for tests that assert *which*
@@ -416,7 +406,7 @@ mod tests {
             assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60], "{executors} executors");
             assert_eq!(s.stages()[0].tasks, 7);
             assert_eq!(s.stages()[0].attempts, 7, "fault-free: one attempt per task");
-            assert_eq!(s.total_tasks(), 7);
+            assert_eq!(s.stages().iter().map(|st| st.tasks).sum::<usize>(), 7);
         }
     }
 
@@ -534,7 +524,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(s.total_tasks(), 4);
+        assert_eq!(s.stages().iter().map(|st| st.tasks).sum::<usize>(), 4);
         assert_eq!((0..2).map(|i| s.executor(i).task_metrics().len()).sum::<usize>(), 4);
         // Metric sanity on counts, not timings: this must never flake on
         // a frozen clock. job_summary sums collection counts across
@@ -551,8 +541,10 @@ mod tests {
 
     #[test]
     fn transient_failure_retries_on_next_executor() {
-        let mut s = wave_session(2);
-        s.set_retry_policy(RetryPolicy::resilient());
+        let mut s = ClusterSession::new(
+            2,
+            config().scheduler(SchedulerMode::Wave).retry(RetryPolicy::resilient()),
+        );
         s.install_faults(FaultPlan::quiet().force(FaultSite::TaskBody, "flaky", Some(1), Some(0)));
         let out = s.run_stage("flaky", 4, |ctx, _e| Ok(ctx.executor)).unwrap();
         // Task 1's first attempt (executor 1) fails; the retry migrates
@@ -567,8 +559,10 @@ mod tests {
 
     #[test]
     fn crash_poisons_executor_then_quarantines_it() {
-        let mut s = wave_session(2);
-        s.set_retry_policy(RetryPolicy::resilient());
+        let mut s = ClusterSession::new(
+            2,
+            config().scheduler(SchedulerMode::Wave).retry(RetryPolicy::resilient()),
+        );
         s.install_faults(FaultPlan::quiet().force(
             FaultSite::ExecutorCrash,
             "crashy",
@@ -595,8 +589,7 @@ mod tests {
 
     #[test]
     fn last_executor_is_restarted_in_place_not_quarantined() {
-        let mut s = session(1);
-        s.set_retry_policy(RetryPolicy::resilient());
+        let mut s = ClusterSession::new(1, config().retry(RetryPolicy::resilient()));
         s.install_faults(FaultPlan::quiet().force(
             FaultSite::ExecutorCrash,
             "solo",
@@ -629,8 +622,7 @@ mod tests {
 
     #[test]
     fn shuffle_frame_corruption_forces_map_rerun() {
-        let mut s = session(2);
-        s.set_retry_policy(RetryPolicy::resilient());
+        let mut s = ClusterSession::new(2, config().retry(RetryPolicy::resilient()));
         s.install_faults(FaultPlan::quiet().force(
             FaultSite::ShuffleFrame,
             "x-map",
@@ -662,8 +654,7 @@ mod tests {
         assert_eq!(s.stage("x-map").unwrap().retries, 1);
         assert_eq!(s.stage("x-reduce").unwrap().retries, 0);
         // The same site never fires on a non-shuffle stage.
-        let mut s2 = session(2);
-        s2.set_retry_policy(RetryPolicy::resilient());
+        let mut s2 = ClusterSession::new(2, config().retry(RetryPolicy::resilient()));
         s2.install_faults(FaultPlan::quiet().force(FaultSite::ShuffleFrame, "plain", None, None));
         s2.run_stage("plain", 4, |_ctx, _e| Ok(())).unwrap();
         assert_eq!(s2.stage("plain").unwrap().retries, 0);
@@ -671,8 +662,8 @@ mod tests {
 
     #[test]
     fn attempts_exhausted_fails_with_task_attributed_transient_error() {
-        let mut s = session(2);
-        s.set_retry_policy(RetryPolicy::resilient().max_attempts(2));
+        let mut s =
+            ClusterSession::new(2, config().retry(RetryPolicy::resilient().max_attempts(2)));
         // Fails on every attempt: survivability is impossible.
         s.install_faults(FaultPlan::quiet().force(FaultSite::TaskBody, "doom", Some(1), None));
         let err = s.run_stage("doom", 2, |_ctx, _e| Ok(())).unwrap_err();
@@ -687,8 +678,10 @@ mod tests {
 
     #[test]
     fn losing_every_executor_fails_cleanly() {
-        let mut s = session(2);
-        s.set_retry_policy(RetryPolicy::resilient().quarantine_after(1).spare_last_executor(false));
+        let mut s = ClusterSession::new(
+            2,
+            config().retry(RetryPolicy::resilient().quarantine_after(1).spare_last_executor(false)),
+        );
         s.install_faults(FaultPlan::quiet().force(FaultSite::ExecutorCrash, "melt", None, None));
         let err = s.run_stage("melt", 4, |_ctx, _e| Ok(())).unwrap_err();
         assert!(matches!(err, EngineError::Task { .. }), "{err}");
@@ -706,8 +699,10 @@ mod tests {
         // Regression: the up-front abort used to report `ExecutorLost
         // { executor: t % executors }` — an arbitrary round-robin slot —
         // and push a half-initialized row (tasks set, zero attempts).
-        let mut s = session(2);
-        s.set_retry_policy(RetryPolicy::resilient().quarantine_after(1).spare_last_executor(false));
+        let mut s = ClusterSession::new(
+            2,
+            config().retry(RetryPolicy::resilient().quarantine_after(1).spare_last_executor(false)),
+        );
         s.install_faults(FaultPlan::quiet().force(FaultSite::ExecutorCrash, "melt", None, None));
         s.run_stage("melt", 4, |_ctx, _e| Ok(())).unwrap_err();
         assert_eq!(s.quarantined_count(), s.executors(), "no healthy executor is left");
@@ -808,8 +803,7 @@ mod tests {
     #[test]
     fn trace_records_fault_handling_events() {
         use crate::trace::TraceEventKind;
-        let mut s = session(2);
-        s.set_retry_policy(RetryPolicy::resilient());
+        let mut s = ClusterSession::new(2, config().retry(RetryPolicy::resilient()));
         s.install_faults(FaultPlan::quiet().force(FaultSite::TaskBody, "flaky", Some(1), Some(0)));
         s.run_stage("flaky", 4, |ctx, _e| Ok(ctx.executor)).unwrap();
         let t = s.merged_trace();
@@ -860,7 +854,7 @@ mod tests {
         let run = |mode: SchedulerMode| {
             let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(mode);
             let mut s = ClusterSession::new(2, cfg);
-            assert_eq!(s.scheduler(), mode);
+            assert_eq!(s.engine.scheduler, mode);
             let stolen = AtomicBool::new(false);
             let out = s
                 .run_stage("skew", 6, |ctx, _e| {
@@ -905,9 +899,10 @@ mod tests {
         // quarantines_it`, under pull: fault pinning must reproduce the
         // wave's roll-ups exactly, and poisoned executor 1 must not
         // steal work after its crash.
-        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(SchedulerMode::Pull);
+        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+            .scheduler(SchedulerMode::Pull)
+            .retry(RetryPolicy::resilient());
         let mut s = ClusterSession::new(2, cfg);
-        s.set_retry_policy(RetryPolicy::resilient());
         s.install_faults(FaultPlan::quiet().force(
             FaultSite::ExecutorCrash,
             "crashy",
@@ -933,9 +928,10 @@ mod tests {
     #[test]
     fn hung_task_is_timed_out_charged_and_retried() {
         for mode in [SchedulerMode::Wave, SchedulerMode::Pull] {
-            let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(mode);
+            let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+                .scheduler(mode)
+                .retry(RetryPolicy::resilient().task_deadline(Duration::from_millis(25)));
             let mut s = ClusterSession::new(2, cfg);
-            s.set_retry_policy(RetryPolicy::resilient().task_deadline(Duration::from_millis(25)));
             s.install_faults(FaultPlan::quiet().force(
                 FaultSite::TaskHang,
                 "hang",
@@ -970,8 +966,10 @@ mod tests {
 
     #[test]
     fn hang_without_a_configured_deadline_uses_the_default_budget() {
-        let mut s = wave_session(2);
-        s.set_retry_policy(RetryPolicy::resilient());
+        let mut s = ClusterSession::new(
+            2,
+            config().scheduler(SchedulerMode::Wave).retry(RetryPolicy::resilient()),
+        );
         s.install_faults(FaultPlan::quiet().force(FaultSite::TaskHang, "h", Some(0), Some(0)));
         let out = s.run_stage("h", 2, |ctx, _e| Ok(ctx.task)).unwrap();
         assert_eq!(out, vec![0, 1]);
@@ -1049,9 +1047,10 @@ mod tests {
         // and natural failures are not part of the deterministic fault
         // scenario), and it is why quiet-plan runs may attribute
         // failures differently across schedulers.
-        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(SchedulerMode::Pull);
+        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+            .scheduler(SchedulerMode::Pull)
+            .retry(RetryPolicy::resilient());
         let mut s = ClusterSession::new(2, cfg);
-        s.set_retry_policy(RetryPolicy::resilient());
         let tripped = AtomicBool::new(false);
         let holding = AtomicBool::new(false);
         let failed_task = AtomicUsize::new(usize::MAX);
@@ -1108,9 +1107,10 @@ mod tests {
         // busiest executor when rounds alternate who is busy; Pull
         // computes max per-executor busy time directly.)
         for mode in [SchedulerMode::Wave, SchedulerMode::Pull] {
-            let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(mode);
+            let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+                .scheduler(mode)
+                .retry(RetryPolicy::resilient());
             let mut s = ClusterSession::new(2, cfg);
-            s.set_retry_policy(RetryPolicy::resilient());
             // A retried failure adds a second scheduling round, so the
             // bound is exercised over multiple rounds, not just one.
             s.install_faults(FaultPlan::quiet().force(
@@ -1237,8 +1237,10 @@ mod tests {
         // only: retries, OOM re-runs, crashes, and speculation must all
         // report the fault-free value (and the fault-free bytes).
         let run = |faults: Option<FaultPlan>, speculate: bool| {
-            let mut s = session(2);
-            s.set_retry_policy(RetryPolicy::resilient().speculate(speculate));
+            let mut s = ClusterSession::new(
+                2,
+                config().retry(RetryPolicy::resilient().speculate(speculate)),
+            );
             if let Some(f) = faults {
                 s.install_faults(f);
             }
@@ -1290,9 +1292,10 @@ mod tests {
     fn partial_handover_under(mode: SchedulerMode) {
         let first = AtomicBool::new(true);
         let seen = std::sync::Mutex::new(std::collections::HashSet::<usize>::new());
-        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20).scheduler(mode);
+        let cfg = ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
+            .scheduler(mode)
+            .retry(RetryPolicy::resilient());
         let mut s = ClusterSession::new(2, cfg);
-        s.set_retry_policy(RetryPolicy::resilient());
         let got = s
             .run_shuffle_job(
                 "ph",

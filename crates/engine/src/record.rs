@@ -21,9 +21,9 @@
 //! the heap the same way, a `String` into one reused buffer.
 //!
 //! An app record is declared once with [`record!`](crate::record!), which
-//! emits all three, and its boundary walks, from one list of fields, plus
-//! the descriptor the optimizer analyses; the primitives it stores are
-//! [`Scalar`]s. Boxed scalars and their pairs ([`BoxedScalar`]),
+//! emits all three, its boundary walks and its [`View`], from one list of
+//! fields, plus the descriptor the optimizer analyses; the primitives it
+//! stores are [`Scalar`]s. Boxed scalars and their pairs ([`BoxedScalar`]),
 //! `(i64, Vec<f64>)` and `String` are implemented here.
 //!
 //! A `String`'s `char[]` is written and read in bulk, as the JVM's `String`
@@ -155,12 +155,14 @@ pub fn array_class_or_define(heap: &mut Heap, name: &str, elem: FieldKind) -> Cl
 /// or an array element, in page bytes (its little-endian [`DecaRecord`]
 /// form) and in a declared record's Kryo bytes (an `f64` raw, an integer a
 /// plain varint).
-pub trait Scalar: DecaRecord + Copy {
+pub trait Scalar: DecaRecord + Copy + 'static {
     /// Its JVM kind, on the heap and to the analysis.
     const KIND: FieldKind;
     const PRIM: PrimKind;
     /// Its width in page bytes.
     const WIDTH: usize;
+    /// Its page bytes as one word, `[u8; WIDTH]`.
+    type Word: Copy + AsRef<[u8]> + 'static;
     fn write(self, heap: &mut Heap, obj: ObjRef, field: usize);
     fn read(heap: &Heap, obj: ObjRef, field: usize) -> Self;
     fn set(self, heap: &mut Heap, arr: ObjRef, i: usize);
@@ -181,6 +183,7 @@ pub fn push_page<T: Scalar>(v: T, out: &mut Vec<u8>) {
 }
 
 impl Scalar for f64 {
+    type Word = [u8; 8];
     const KIND: FieldKind = FieldKind::F64;
     const PRIM: PrimKind = PrimKind::F64;
     const WIDTH: usize = 8;
@@ -214,6 +217,7 @@ impl Scalar for f64 {
 }
 
 impl Scalar for i64 {
+    type Word = [u8; 8];
     const KIND: FieldKind = FieldKind::I64;
     const PRIM: PrimKind = PrimKind::I64;
     const WIDTH: usize = 8;
@@ -245,6 +249,7 @@ impl Scalar for i64 {
 
 /// A JVM `int`: one 4-byte heap word; an `i32` varint is its `u32` bits.
 impl Scalar for i32 {
+    type Word = [u8; 4];
     const KIND: FieldKind = FieldKind::I32;
     const PRIM: PrimKind = PrimKind::I32;
     const WIDTH: usize = 4;
@@ -276,6 +281,7 @@ impl Scalar for i32 {
 
 /// An unsigned id: a JVM `int` on the heap.
 impl Scalar for u32 {
+    type Word = [u8; 4];
     const KIND: FieldKind = FieldKind::I32;
     const PRIM: PrimKind = PrimKind::I32;
     const WIDTH: usize = 4;
@@ -550,11 +556,8 @@ impl HeapRecord for (i64, Vec<f64>) {
     }
 
     fn load(heap: &Heap, _cls: &PairClasses, obj: ObjRef) -> Self {
-        let a = heap.read_ref(obj, 0);
-        let b = heap.read_ref(obj, 1);
-        let n = heap.array_len(b);
-        let v = (0..n).map(|i| heap.array_get_f64(b, i)).collect();
-        (heap.read_i64(a, 0), v)
+        let v = HeapArray::<f64>::new(heap, heap.read_ref(obj, 1)).iter().collect();
+        (heap.read_i64(heap.read_ref(obj, 0), 0), v)
     }
 
     fn heap_size(&self) -> usize {
@@ -607,7 +610,7 @@ impl Record for (i64, Vec<f64>) {
 
     fn kryo_from_heap(heap: &Heap, _cls: &PairClasses, obj: ObjRef, out: &mut Vec<u8>) {
         heap.read_i64(heap.read_ref(obj, 0), 0).kryo_box_write(out);
-        kryo_write_heap_array::<f64>(heap, heap.read_ref(obj, 1), out);
+        HeapArray::<f64>::new(heap, heap.read_ref(obj, 1)).kryo_write(out);
     }
 }
 
@@ -857,26 +860,9 @@ impl<T: Scalar> ArrayClasses<T> {
 
     /// The array behind the object the record refers to.
     #[inline]
-    fn array(&self, heap: &Heap, held: ObjRef) -> ObjRef {
-        if self.wrapper.is_some() {
-            heap.read_ref(held, 0)
-        } else {
-            held
-        }
-    }
-
-    /// Read the array back from the object the record refers to.
-    #[inline]
-    pub fn load(&self, heap: &Heap, held: ObjRef) -> Vec<T> {
-        let arr = self.array(heap, held);
-        (0..heap.array_len(arr)).map(|i| T::get(heap, arr, i)).collect()
-    }
-
-    /// Append the array's Kryo bytes, read off the heap from the object
-    /// the record refers to.
-    #[inline]
-    pub fn kryo_write(&self, heap: &Heap, held: ObjRef, out: &mut Vec<u8>) {
-        kryo_write_heap_array::<T>(heap, self.array(heap, held), out);
+    pub fn heap_array<'h>(&self, heap: &'h Heap, held: ObjRef) -> HeapArray<'h, T> {
+        let arr = if self.wrapper.is_some() { heap.read_ref(held, 0) } else { held };
+        HeapArray::new(heap, arr)
     }
 
     /// Heap bytes of the array of `len` elements and of its wrapper, if
@@ -976,19 +962,114 @@ pub fn kryo_array_to_page<T: Scalar>(
     }
 }
 
-/// Append the Kryo bytes of the heap array `arr` of `T`s, as
-/// [`kryo_write_array`] writes its elements.
-#[inline]
-pub fn kryo_write_heap_array<T: Scalar>(heap: &Heap, arr: ObjRef, out: &mut Vec<u8>) {
-    let n = heap.array_len(arr);
-    write_varint(n as u64, out);
-    if T::KRYO_RAW {
-        heap.array_read_le(arr, out);
-    } else {
-        for i in 0..n {
-            T::get(heap, arr, i).kryo_write(out);
+// ---------------------------------------------------------------------
+// views: a declared record read in place
+// ---------------------------------------------------------------------
+
+/// A declared record's trailing array as a UDF reads it in place: its
+/// page words ([`PageArray`]) or its heap array ([`HeapArray`]).
+pub trait Elements<T>: Copy {
+    fn len(&self) -> usize;
+    fn get(&self, i: usize) -> T;
+    fn iter(&self) -> impl Iterator<Item = T>;
+}
+
+/// A trailing array in page bytes: its elements as little-endian words.
+#[derive(Copy, Clone)]
+pub struct PageArray<'b, T: Scalar>(pub &'b [T::Word]);
+
+impl<T: Scalar> Elements<T> for PageArray<'_, T> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, i: usize) -> T {
+        T::decode(self.0[i].as_ref())
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> {
+        self.0.iter().map(|w| T::decode(w.as_ref()))
+    }
+}
+
+/// A trailing array on the heap, read an element at a time as the JVM's
+/// typed array loads read it.
+#[derive(Copy, Clone)]
+pub struct HeapArray<'h, T> {
+    heap: &'h Heap,
+    arr: ObjRef,
+    elem: PhantomData<T>,
+}
+
+impl<'h, T: Scalar> HeapArray<'h, T> {
+    pub fn new(heap: &'h Heap, arr: ObjRef) -> Self {
+        HeapArray { heap, arr, elem: PhantomData }
+    }
+
+    /// The array object, to view again after the heap was borrowed.
+    pub fn obj(&self) -> ObjRef {
+        self.arr
+    }
+
+    /// Append its Kryo bytes, as [`kryo_write_array`] writes its elements.
+    pub fn kryo_write(&self, out: &mut Vec<u8>) {
+        write_varint(self.len() as u64, out);
+        if T::KRYO_RAW {
+            self.heap.array_read_le(self.arr, out);
+        } else {
+            self.iter().for_each(|v| v.kryo_write(out));
         }
     }
+}
+
+impl<T: Scalar> Elements<T> for HeapArray<'_, T> {
+    fn len(&self) -> usize {
+        self.heap.array_len(self.arr)
+    }
+
+    fn get(&self, i: usize) -> T {
+        T::get(self.heap, self.arr, i)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// Where a view reads a record's trailing array: in [`Page`] bytes or
+/// [`OnHeap`].
+pub trait ArrayKind: 'static {
+    type Array<'a, T: Scalar>: Elements<T>;
+}
+
+/// A record read from its page bytes ([`View::fields`]).
+pub enum Page {}
+
+impl ArrayKind for Page {
+    type Array<'a, T: Scalar> = PageArray<'a, T>;
+}
+
+/// A record read from its heap graph ([`View::heap_fields`]).
+pub enum OnHeap {}
+
+impl ArrayKind for OnHeap {
+    type Array<'a, T: Scalar> = HeapArray<'a, T>;
+}
+
+/// A declared record read in place (`record!` emits it): its own struct,
+/// each scalar read from its declared place, the trailing array a view.
+pub trait View: Record {
+    /// The record's struct with its array read where `K` says (the struct
+    /// itself for a record without one).
+    type Fields<'a, K: ArrayKind>;
+    /// Split the record's page bytes.
+    fn fields(buf: &[u8]) -> Self::Fields<'_, Page>;
+    /// Read the record's heap graph at `obj`.
+    fn heap_fields<'h>(
+        heap: &'h Heap,
+        cls: &Self::Classes,
+        obj: ObjRef,
+    ) -> Self::Fields<'h, OnHeap>;
 }
 
 /// Declare a record once and get all of its representations.
@@ -1002,11 +1083,18 @@ pub fn kryo_write_heap_array<T: Scalar>(heap: &Heap, arr: ObjRef, out: &mut Vec<
 /// its elements), its [`DecaRecord`] (the fields back to back, little
 /// endian; `counted` puts a `u32` element count before the array), its
 /// [`Record`] boundary walks (Kryo → page bytes, page bytes → heap graph
-/// in `store`'s order, heap graph → Kryo), a `fields(buf)` split of a
-/// record's page bytes, and `describe`, the type the analysis classifies
-/// (record fields are `var`s, the wrapper's are `val`s).
+/// in `store`'s order, heap graph → Kryo), its [`View`], and `describe`,
+/// the type the analysis classifies (record fields are `var`s, the
+/// wrapper's are `val`s).
+///
+/// The struct is generic over its trailing array (`Vec` by default), so
+/// its [`View`] is the struct itself: a UDF reads a record by field name,
+/// from page bytes or the heap graph alike, and the declaration is the
+/// only code that knows the record's slots and offsets.
 ///
 /// ```
+/// use deca_engine::record::{Elements, HeapRecord, View};
+///
 /// deca_engine::record! {
 ///     /// `VertexEdges { id: int, edges: int[] }`.
 ///     #[derive(Clone, Debug, PartialEq)]
@@ -1019,8 +1107,15 @@ pub fn kryo_write_heap_array<T: Scalar>(heap: &Heap, arr: ObjRef, out: &mut Vec<
 /// let v = Vertex { id: 7, edges: vec![1, 2] };
 /// let mut page = vec![0u8; deca_core::DecaRecord::data_size(&v)];
 /// deca_core::DecaRecord::encode(&v, &mut page);
-/// let (id, edges) = Vertex::fields(&page);
+/// let Vertex { id, edges } = Vertex::fields(&page);
 /// assert_eq!((id, edges.len(), page.len()), (7, 2, 4 + 4 + 8));
+///
+/// let mut heap = deca_heap::Heap::new(deca_heap::HeapConfig::small());
+/// let cls = Vertex::register(&mut heap);
+/// let Ok(obj) = v.store(&mut heap, &cls) else { panic!("the heap has room") };
+/// let on_heap = Vertex::heap_fields(&heap, &cls, obj);
+/// assert_eq!(on_heap.id, id);
+/// assert!(on_heap.edges.iter().eq(edges.iter()));
 /// ```
 #[macro_export]
 macro_rules! record {
@@ -1052,30 +1147,12 @@ macro_rules! record {
             $counted:expr)?]
     ) => {
         $(#[$meta])*
-        $vis struct $name {
+        $vis struct $name $(<A = Vec<$elem>>)? {
             $($fvis $field: $ty,)*
-            $($avis $arr: Vec<$elem>,)?
+            $($avis $arr: A,)?
         }
 
-        #[allow(unused_assignments, unused_mut)]
         impl $name {
-            /// The transformed code's view of a record's page bytes, split
-            /// once: each field, then the array's elements as
-            /// little-endian words.
-            #[inline]
-            pub fn fields(
-                buf: &[u8],
-            ) -> ($($ty,)* $(&[[u8; <$elem as $crate::record::Scalar>::WIDTH]],)?) {
-                let mut at = 0;
-                $(
-                    let $field = <$ty as $crate::record::deca_core::DecaRecord>::decode(&buf[at..]);
-                    at += <$ty as $crate::record::Scalar>::WIDTH;
-                )*
-                ($($field,)* $($crate::record::array_words::<
-                    { <$elem as $crate::record::Scalar>::WIDTH },
-                >(&buf[at..], $counted),)?)
-            }
-
             /// Describe the record to the analysis: define its types in
             /// `registry` and return the record's.
             pub fn describe(
@@ -1091,6 +1168,41 @@ macro_rules! record {
                     )),)?
                 ];
                 registry.define_udt(UdtDescriptor { name: $class.into(), fields })
+            }
+        }
+
+        impl $crate::record::View for $name {
+            type Fields<'a, K: $crate::record::ArrayKind> = $name $(<K::Array<'a, $elem>>)?;
+
+            #[inline]
+            #[allow(unused_assignments, unused_mut)]
+            fn fields(buf: &[u8]) -> Self::Fields<'_, $crate::record::Page> {
+                let mut at = 0;
+                $(
+                    let $field = <$ty as $crate::record::deca_core::DecaRecord>::decode(&buf[at..]);
+                    at += <$ty as $crate::record::Scalar>::WIDTH;
+                )*
+                $name {
+                    $($field,)*
+                    $($arr: $crate::record::PageArray($crate::record::array_words::<
+                        { <$elem as $crate::record::Scalar>::WIDTH },
+                    >(&buf[at..], $counted)),)?
+                }
+            }
+
+            #[inline]
+            #[allow(unused_assignments, unused_mut)]
+            fn heap_fields<'h>(
+                heap: &'h $crate::record::deca_heap::Heap,
+                cls: &Self::Classes,
+                obj: $crate::record::deca_heap::ObjRef,
+            ) -> Self::Fields<'h, $crate::record::OnHeap> {
+                let mut slot = 0;
+                $(
+                    let $field = <$ty as $crate::record::Scalar>::read(heap, obj, slot);
+                    slot += 1;
+                )*
+                $name { $($field,)* $($arr: cls.array.heap_array(heap, heap.read_ref(obj, slot)),)? }
             }
         }
 
@@ -1137,19 +1249,13 @@ macro_rules! record {
             }
 
             #[inline]
-            #[allow(unused_assignments, unused_mut)]
             fn load(
                 heap: &$crate::record::deca_heap::Heap,
                 cls: &Self::Classes,
                 obj: $crate::record::deca_heap::ObjRef,
             ) -> Self {
-                let mut slot = 0;
-                $(
-                    let $field = <$ty as $crate::record::Scalar>::read(heap, obj, slot);
-                    slot += 1;
-                )*
-                $(let $arr = cls.array.load(heap, heap.read_ref(obj, slot));)?
-                $name { $($field,)* $($arr,)? }
+                let v = <Self as $crate::record::View>::heap_fields(heap, cls, obj);
+                $name { $($field: v.$field,)* $($arr: $crate::record::Elements::iter(&v.$arr).collect(),)? }
             }
 
             fn heap_size(&self) -> usize {
@@ -1194,14 +1300,14 @@ macro_rules! record {
                 cls: &Self::Classes,
             ) -> Result<$crate::record::deca_heap::ObjRef, $crate::record::deca_heap::OomError> {
                 use $crate::record::Scalar;
-                let ($($field,)* $($arr,)?) = Self::fields(page);
-                $(let $arr = cls.array.store_page(heap, $arr.as_flattened())?;)?
+                let v = <Self as $crate::record::View>::fields(page);
+                $(let $arr = cls.array.store_page(heap, v.$arr.0.as_flattened())?;)?
                 let obj = heap.alloc(cls.record).inspect_err(|_| {
                     $(heap.truncate_stack($arr.1);)?
                 })?;
                 let mut slot = 0;
                 $(
-                    $field.write(heap, obj, slot);
+                    v.$field.write(heap, obj, slot);
                     slot += 1;
                 )*
                 $(
@@ -1212,7 +1318,6 @@ macro_rules! record {
             }
 
             #[inline]
-            #[allow(unused_assignments, unused_mut)]
             fn kryo_from_heap(
                 heap: &$crate::record::deca_heap::Heap,
                 cls: &Self::Classes,
@@ -1220,15 +1325,9 @@ macro_rules! record {
                 out: &mut Vec<u8>,
             ) {
                 use $crate::record::Scalar;
-                let mut slot = 0;
-                $(
-                    <$ty as Scalar>::read(heap, obj, slot).kryo_write(out);
-                    slot += 1;
-                )*
-                $(
-                    let $arr = heap.read_ref(obj, slot);
-                    cls.array.kryo_write(heap, $arr, out);
-                )?
+                let v = <Self as $crate::record::View>::heap_fields(heap, cls, obj);
+                $(v.$field.kryo_write(out);)*
+                $(v.$arr.kryo_write(out);)?
             }
         }
 
@@ -1255,14 +1354,8 @@ macro_rules! record {
 
             #[inline]
             fn decode(buf: &[u8]) -> Self {
-                let ($($field,)* $($arr,)?) = Self::fields(buf);
-                $name {
-                    $($field,)*
-                    $($arr: $arr
-                        .iter()
-                        .map(|w| <$elem as $crate::record::deca_core::DecaRecord>::decode(w))
-                        .collect(),)?
-                }
+                let v = <Self as $crate::record::View>::fields(buf);
+                $name { $($field: v.$field,)* $($arr: $crate::record::Elements::iter(&v.$arr).collect(),)? }
             }
         }
     };

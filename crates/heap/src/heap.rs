@@ -877,11 +877,6 @@ impl Heap {
         self.roots.stack_get(i)
     }
 
-    #[inline]
-    pub fn set_stack(&mut self, i: usize, r: ObjRef) {
-        self.roots.stack_set(i, r)
-    }
-
     /// Current stack watermark, to be restored with
     /// [`Heap::truncate_stack`] when a UDF invocation returns.
     #[inline]

@@ -63,11 +63,6 @@ impl RootSet {
     }
 
     #[inline]
-    pub fn stack_set(&mut self, i: usize, r: ObjRef) {
-        self.stack[i] = r;
-    }
-
-    #[inline]
     pub fn stack_len(&self) -> usize {
         self.stack.len()
     }

@@ -162,6 +162,24 @@ if [ -n "$impls" ]; then
   exit 1
 fi
 
+echo "== one view per record (apps read records through their declared views) =="
+# A record's heap slots and page offsets are known only to its
+# `deca_engine::record!` declaration, whose views (`fields` of page bytes,
+# `heap_fields` of a heap graph) every app reads it through: no non-test
+# line under crates/apps/src reads a heap field or array element by hand,
+# and none outside crates/apps/src/cached.rs, whose scan hands each record's
+# view to the app's one UDF, matches on a cached dataset's representation.
+raw=$(find crates/apps/src -name '*.rs' | sort | xargs awk -f scripts/non_test_lines.awk \
+  | grep -E 'read_ref\(|read_f64\(|read_i64\(|read_word\(|array_get_' || true)
+reprs=$(find crates/apps/src -name '*.rs' ! -name cached.rs | sort \
+  | xargs awk -f scripts/non_test_lines.awk \
+  | grep -E '\.repr\(\)|Repr::(Objects|Serialized|Pages)[^,;]*=>' || true)
+if [ -n "$raw$reprs" ]; then
+  echo "non-test app code reads a record around its declared views:"
+  echo "$raw$reprs"
+  exit 1
+fi
+
 echo "== no owned record across the Kryo boundary =="
 # The Spark modes cross between Kryo bytes and the heap with no owned Rust
 # record in between: a SparkSer read decodes a block into page-form bytes

@@ -101,7 +101,7 @@ fn parallel_wordcount_matches_sequential() {
 
         // Count-based assertions only: every task ran exactly once and
         // the exchange moved bytes.
-        assert_eq!(session.total_tasks(), 2 * tasks, "{sched}");
+        assert_eq!(session.stages().iter().map(|s| s.tasks).sum::<usize>(), 2 * tasks, "{sched}");
         let map_stage = session.stage("wc-map").expect("map stage recorded");
         let reduce_stage = session.stage("wc-reduce").expect("reduce stage recorded");
         assert_eq!(map_stage.tasks, tasks, "{sched}");
