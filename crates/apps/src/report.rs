@@ -20,27 +20,22 @@ pub struct AppReport {
     /// Objects traced across all collections (the §2.2 pathology in one
     /// number — what the collector repeatedly walks).
     pub objects_traced: u64,
-    /// GC collections observed.
-    pub minor_gcs: u64,
-    pub full_gcs: u64,
     /// The slowest task's breakdown (Figure 11 reports the slowest task).
     pub slowest_task: Option<TaskMetrics>,
 }
 
 impl AppReport {
-    /// Assemble a report from a finished cluster session: summed metrics
-    /// (exec = the parallel critical path), merged timelines, and GC
-    /// counts totalled across executors. Call after
-    /// [`ClusterSession::finish_job`] so cache occupancy is current.
+    /// Assemble a report from a finished cluster session: the job's
+    /// roll-up (exec = the parallel critical path; its collection counts
+    /// are the job's), merged timelines, and objects traced totalled
+    /// across executors. Call after [`ClusterSession::finish_job`] so
+    /// cache occupancy is current.
     pub fn from_cluster(
         app: impl Into<String>,
         session: &ClusterSession,
         checksum: f64,
         cache_bytes: usize,
     ) -> AppReport {
-        let gc_total = |count: fn(&deca_heap::GcStats) -> u64| -> u64 {
-            (0..session.executors()).map(|i| count(session.executor(i).heap_stats())).sum()
-        };
         AppReport {
             app: app.into(),
             mode: session.mode(),
@@ -48,9 +43,9 @@ impl AppReport {
             timeline: session.merged_timeline(),
             checksum,
             cache_bytes,
-            objects_traced: gc_total(|s| s.objects_traced),
-            minor_gcs: gc_total(|s| s.minor_collections),
-            full_gcs: gc_total(|s| s.full_collections),
+            objects_traced: (0..session.executors())
+                .map(|i| session.executor(i).heap_stats().objects_traced)
+                .sum(),
             slowest_task: session.slowest_task(),
         }
     }
@@ -81,8 +76,8 @@ impl AppReport {
             self.metrics.deser.as_secs_f64(),
             self.metrics.io.as_secs_f64(),
             self.cache_bytes as f64 / (1 << 20) as f64,
-            self.minor_gcs,
-            self.full_gcs,
+            self.metrics.minor_gcs,
+            self.metrics.full_gcs,
         )
     }
 }
@@ -120,8 +115,6 @@ mod tests {
             checksum: 0.0,
             cache_bytes: 0,
             objects_traced: 0,
-            minor_gcs: 0,
-            full_gcs: 0,
             slowest_task: None,
         }
     }

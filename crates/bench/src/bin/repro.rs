@@ -351,7 +351,7 @@ fn cache_sweep(tol: f64, run: impl Fn(ExecutionMode, usize) -> AppReport) -> Vec
     mode_header(&["size"], &["SparkGCs"]);
     let sweep = CACHE_SWEEP.iter().map(|&(points, label)| {
         let reports = across_modes(ExecutionMode::ALL, tol, |mode| run(mode, points));
-        let spark_gcs = format!("{}/{}", reports[0].minor_gcs, reports[0].full_gcs);
+        let spark_gcs = format!("{}/{}", reports[0].metrics.minor_gcs, reports[0].metrics.full_gcs);
         mode_row(&[label], &reports, &[spark_gcs]);
         reports
     });
@@ -364,11 +364,12 @@ fn fig9b(s: &Scale) -> Vec<ShapeCheck> {
     // Judged on the fitting (0.4x) and the first over-capacity (1.05x) row.
     let [spark_fit, ser_fit, _] = &rows[0];
     let [spark_sat, ser_sat, deca_sat] = &rows[3];
+    let (fit_fulls, sat_fulls) = (spark_fit.metrics.full_gcs, spark_sat.metrics.full_gcs);
     vec![
         ShapeCheck {
             name: "fig9b/full-gcs-appear-at-saturation",
-            ok: spark_fit.full_gcs == 0 && spark_sat.full_gcs > 5,
-            detail: format!("full GCs {} -> {}", spark_fit.full_gcs, spark_sat.full_gcs),
+            ok: fit_fulls == 0 && sat_fulls > 5,
+            detail: format!("full GCs {fit_fulls} -> {sat_fulls}"),
         },
         ShapeCheck {
             name: "fig9b/sparkser-crossover",
@@ -711,8 +712,9 @@ fn residue(s: &Scale) -> Vec<ShapeCheck> {
     let mut row = |app: &str, tol: f64, run: &dyn Fn(ExecutionMode) -> AppReport| {
         let runs: Vec<[AppReport; 3]> =
             (0..3).map(|_| across_modes(ExecutionMode::ALL, tol, run)).collect();
-        for r in runs.iter().flatten().filter(|r| r.minor_gcs + r.full_gcs > 0) {
-            collected.push(format!("{app} {} {}/{}", r.mode.name(), r.minor_gcs, r.full_gcs));
+        for r in runs.iter().flatten().filter(|r| r.metrics.minor_gcs + r.metrics.full_gcs > 0) {
+            let m = &r.metrics;
+            collected.push(format!("{app} {} {}/{}", r.mode.name(), m.minor_gcs, m.full_gcs));
         }
         let [spark, ser, deca] = median_exec(&runs);
         let ratio = |t: Duration| format!("{:.2}x", t.as_secs_f64() / deca.as_secs_f64().max(1e-9));

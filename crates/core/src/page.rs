@@ -49,6 +49,7 @@ impl Page {
         self.data[off..off + src.len()].copy_from_slice(src);
     }
 
+    #[cfg(test)]
     pub fn read_i32(&self, off: usize) -> i32 {
         i32::from_le_bytes(self.data[off..off + 4].try_into().expect("4 bytes"))
     }

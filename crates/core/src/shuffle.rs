@@ -629,7 +629,8 @@ impl ShuffleArena {
         }
     }
 
-    /// Pages currently sitting in the pool (observability / tests).
+    /// Pages currently sitting in the pool.
+    #[cfg(test)]
     pub fn pooled_pages(&self) -> usize {
         self.free_pages.len()
     }

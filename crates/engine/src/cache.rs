@@ -445,11 +445,14 @@ impl CacheManager {
             .collect()
     }
 
-    /// Total cached bytes stamped with `job`, across every tier (the
-    /// resident + swapped footprint apps report as their job's cache
-    /// usage).
-    pub fn job_bytes(&self, job: u64) -> usize {
-        self.sum_bytes(|e| e.job == job)
+    /// Cached bytes stamped with `job`, `[resident, on disk]` as
+    /// [`CacheManager::resident_bytes`] and [`CacheManager::disk_bytes`]
+    /// split them (their sum is the footprint apps report as their job's
+    /// cache usage).
+    pub fn job_bytes(&self, job: u64) -> [usize; 2] {
+        [false, true].map(|disk| {
+            self.sum_bytes(|e| e.job == job && matches!(e.state, BlockState::Disk { .. }) == disk)
+        })
     }
 
     fn tenant_budget(&self, tenant: u32) -> Option<usize> {

@@ -287,37 +287,20 @@ impl ClusterSession {
         self.engine.stages.iter().filter(|s| s.name == name).collect()
     }
 
-    /// Refresh job-level cache statistics on every executor (call before
-    /// reading [`ClusterSession::job_summary`] cache fields).
+    /// Seal the job at its end: its cached bytes, resident and on disk,
+    /// enter the record [`ClusterSession::job_summary`] reads.
     pub fn finish_job(&mut self) {
-        for mut e in self.pool.each() {
-            e.finish_job();
-        }
+        self.job.seal_cache();
     }
 
-    /// Aggregate job metrics across executors (sums; exec is the max —
-    /// executors run in parallel), plus the fault-handling counters
-    /// folded up from every stage run so far.
+    /// The job's roll-up so far — the one a server job's output carries:
+    /// task-time buckets summed over every attempt, exec the busiest
+    /// executor's (executors run in parallel), the collections its
+    /// attempts and restarts ran, the cache bytes as sealed by
+    /// [`ClusterSession::finish_job`], and every stage's fault-handling
+    /// counters.
     pub fn job_summary(&self) -> JobMetrics {
-        let mut out = JobMetrics::default();
-        for e in self.pool.each() {
-            let j = &e.job;
-            out.exec = out.exec.max(j.exec);
-            out.gc += j.gc;
-            out.ser += j.ser;
-            out.deser += j.deser;
-            out.shuffle_read += j.shuffle_read;
-            out.shuffle_write += j.shuffle_write;
-            out.io += j.io;
-            out.cache_bytes += j.cache_bytes;
-            out.swapped_cache_bytes += j.swapped_cache_bytes;
-            out.minor_gcs += j.minor_gcs;
-            out.full_gcs += j.full_gcs;
-        }
-        for s in &self.engine.stages {
-            out.add_stage_recovery(s);
-        }
-        out
+        self.engine.roll_up(&self.job)
     }
 
     /// All executors' lifetime-timeline samples merged in time order
@@ -326,16 +309,16 @@ impl ClusterSession {
     pub fn merged_timeline(&self) -> Timeline {
         let mut samples = Vec::new();
         for e in self.pool.each() {
-            samples.extend_from_slice(&e.timeline().samples);
+            samples.extend_from_slice(&e.timeline.samples);
         }
         samples.sort_by_key(|s| s.at);
         Timeline { samples }
     }
 
-    /// The slowest task across all executors (Figure 11 reports the
-    /// slowest task).
+    /// The slowest task run of the job (Figure 11 reports the slowest
+    /// task).
     pub fn slowest_task(&self) -> Option<TaskMetrics> {
-        self.pool.each().filter_map(|e| e.slowest_task().cloned()).max_by_key(|t| t.total())
+        self.job.slowest.clone()
     }
 
     // ------------------------------------------------------------------
@@ -352,9 +335,7 @@ impl ClusterSession {
     /// from every attempt, deterministically ordered by logical position
     /// (see [`RunTrace::from_events`]). Empty when tracing is off.
     pub fn merged_trace(&self) -> RunTrace {
-        let mut events = self.engine.trace.events().to_vec();
-        events.extend_from_slice(&self.job.events);
-        RunTrace::from_events(events)
+        self.engine.job_trace(&self.job)
     }
 
     /// Write the merged trace as Chrome trace-event JSON (loadable in
@@ -398,6 +379,12 @@ mod tests {
         )
     }
 
+    /// Task attempts executor `i` ran, read off the merged trace.
+    fn attempts_on(s: &ClusterSession, i: usize) -> usize {
+        let trace = s.merged_trace();
+        trace.of_kind(TraceEventKind::TaskAttempt).filter(|e| e.executor == Some(i)).count()
+    }
+
     #[test]
     fn stage_results_are_in_task_order() {
         for executors in [1, 2, 3, 5] {
@@ -415,7 +402,7 @@ mod tests {
         let mut s = wave_session(3);
         let ids = s.run_stage("t", 3, |ctx, _e| Ok(ctx.executor)).unwrap();
         assert_eq!(ids, vec![0, 1, 2]);
-        assert!((0..3).all(|i| s.executor(i).tasks.len() == 1));
+        assert!((0..3).all(|i| attempts_on(&s, i) == 1));
         let _ = s.job_summary();
     }
 
@@ -525,10 +512,10 @@ mod tests {
         })
         .unwrap();
         assert_eq!(s.stages().iter().map(|st| st.tasks).sum::<usize>(), 4);
-        assert_eq!((0..2).map(|i| s.executor(i).task_metrics().len()).sum::<usize>(), 4);
+        assert_eq!((0..2).map(|i| attempts_on(&s, i)).sum::<usize>(), 4);
         // Metric sanity on counts, not timings: this must never flake on
-        // a frozen clock. job_summary sums collection counts across
-        // executors.
+        // a frozen clock. job_summary's collection counts are the
+        // executors' heap counts.
         let summary = s.job_summary();
         let minors: u64 = (0..2).map(|i| s.executor(i).heap_stats().minor_collections).sum();
         assert_eq!(summary.minor_gcs, minors);
@@ -1130,9 +1117,13 @@ mod tests {
             })
             .unwrap();
             let st = s.stage("work").unwrap();
+            let trace = s.merged_trace();
             let totals: Vec<Duration> = (0..2)
                 .flat_map(|i| {
-                    s.executor(i).task_metrics().iter().map(|t| t.total()).collect::<Vec<_>>()
+                    trace
+                        .of_kind(TraceEventKind::TaskAttempt)
+                        .filter(move |e| e.executor == Some(i))
+                        .map(|e| Duration::from_nanos(e.sim_dur_ns))
                 })
                 .collect();
             let sum: Duration = totals.iter().sum();

@@ -17,7 +17,7 @@ use deca_heap::{Heap, HeapConfig};
 
 use crate::cache::CacheManager;
 use crate::config::ExecutorConfig;
-use crate::metrics::{GcAccounting, JobMetrics, TaskMetrics, Timeline};
+use crate::metrics::{GcAccounting, TaskMetrics, Timeline};
 use crate::serde_sim::KryoSim;
 use crate::trace::{dur_ns, TraceEventKind, TraceRecorder};
 
@@ -40,8 +40,6 @@ pub struct Executor {
     pub kryo: KryoSim,
     pub cache: CacheManager,
     pub config: ExecutorConfig,
-    pub tasks: Vec<TaskMetrics>,
-    pub job: JobMetrics,
     pub timeline: Timeline,
     /// Structured run-trace recorder (enabled by `config.tracing`); the
     /// driver merges every executor's events into one [`crate::RunTrace`].
@@ -86,8 +84,6 @@ impl Executor {
             trace: TraceRecorder::new(config.tracing),
             sim_clock: Duration::ZERO,
             config,
-            tasks: Vec::new(),
-            job: JobMetrics::default(),
             timeline: Timeline::new(),
             pending_shuffle_read: Duration::ZERO,
             pending_shuffle_write: Duration::ZERO,
@@ -138,7 +134,7 @@ impl Executor {
         task: usize,
         attempt: u32,
         f: impl FnOnce(&mut Executor) -> R,
-    ) -> R {
+    ) -> (R, TaskMetrics) {
         self.trace.set_context(stage, task, attempt);
         self.cache.set_fault_ctx(stage, task, attempt);
         let r = self.run_task(name, f);
@@ -195,12 +191,13 @@ impl Executor {
         out
     }
 
-    /// Run one task, attributing its wall time. Returns the task's result.
+    /// Run one task, attributing its wall time. Returns the task's result
+    /// and its breakdown; the executor keeps neither.
     pub(crate) fn run_task<R>(
         &mut self,
         name: impl Into<String>,
         f: impl FnOnce(&mut Executor) -> R,
-    ) -> R {
+    ) -> (R, TaskMetrics) {
         let name = name.into();
         let gc_event_mark = self.heap.stats().events.len();
         let wall_start_ns = self.trace.now_ns();
@@ -352,18 +349,20 @@ impl Executor {
             );
         }
         self.sim_clock += t.total();
-
-        self.job.add_task(&t);
-        self.job.minor_gcs = self.heap.stats().minor_collections;
-        self.job.full_gcs = self.heap.stats().full_collections;
-        self.tasks.push(t);
-        result
+        (result, t)
     }
 
     /// The simulated job clock: cumulative attributed task time on this
     /// executor (advances by each task's [`TaskMetrics::total`]).
     pub fn sim_now(&self) -> Duration {
         self.sim_clock
+    }
+
+    /// The `[minor, full]` collections the heap ran since the reading
+    /// `before` (`[0, 0]` reads them all).
+    pub(crate) fn collections_since(&self, before: [u64; 2]) -> [u64; 2] {
+        let s = self.heap.stats();
+        [s.minor_collections - before[0], s.full_collections - before[1]]
     }
 
     /// Start a per-reducer shuffle output run backed by this executor's
@@ -440,12 +439,6 @@ impl Executor {
         }
     }
 
-    /// Refresh job-level cache statistics from the cache manager.
-    pub fn finish_job(&mut self) {
-        self.job.cache_bytes = self.cache.resident_bytes();
-        self.job.swapped_cache_bytes = self.cache.disk_bytes();
-    }
-
     // ------------------------------------------------------------------
     // accessors — what apps and harnesses read without field-poking.
     // Mode-specific kernels (Deca page reads, Spark heap walks) still use
@@ -457,39 +450,9 @@ impl Executor {
         self.config.mode
     }
 
-    /// Aggregated job metrics so far.
-    pub fn metrics(&self) -> &JobMetrics {
-        &self.job
-    }
-
-    /// Per-task breakdowns, in completion order.
-    pub fn task_metrics(&self) -> &[TaskMetrics] {
-        &self.tasks
-    }
-
     /// Collector statistics of the simulated heap.
     pub fn heap_stats(&self) -> &deca_heap::GcStats {
         self.heap.stats()
-    }
-
-    /// Objects currently on the simulated heap (allocated, uncollected).
-    pub fn object_count(&self) -> usize {
-        self.heap.object_count()
-    }
-
-    /// The lifetime timeline recorded by [`Executor::sample_timeline`].
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// The most recently completed task's metrics.
-    pub fn last_task(&self) -> Option<&TaskMetrics> {
-        self.tasks.last()
-    }
-
-    /// The slowest task by total time (Figure 11 reports the slowest task).
-    pub fn slowest_task(&self) -> Option<&TaskMetrics> {
-        self.tasks.iter().max_by_key(|t| t.total())
     }
 }
 
@@ -509,16 +472,15 @@ mod tests {
         let c = e.heap.define_class(
             ClassBuilder::new("T").field("a", FieldKind::I64).field("b", FieldKind::I64),
         );
-        e.run_task("churn", |e| {
+        let ((), t) = e.run_task("churn", |e| {
             for _ in 0..300_000 {
                 e.heap.alloc(c).unwrap();
             }
         });
-        let t = e.last_task().unwrap();
         assert_eq!(t.name, "churn");
         assert!(e.heap.stats().minor_collections > 0);
         assert!(t.gc_pause > Duration::ZERO, "allocation churn must show GC time");
-        assert!(e.job.exec >= t.gc_pause);
+        assert!(t.total() >= t.gc_pause);
     }
 
     /// A Deca block swapped out and read back is the memory manager's disk
@@ -529,7 +491,7 @@ mod tests {
         let config = ExecutorConfig::new(ExecutionMode::Deca, 16 << 20).spill_dir(dir.clone());
         let mut e = Executor::new(config);
         let recs: Vec<(i64, i64)> = (0..4_000).map(|i| (i, -i)).collect();
-        let back = e.run_task("spill", |e| {
+        let (back, t) = e.run_task("spill", |e| {
             let b = e.cache.put_deca(&mut e.heap, &mut e.mm, &recs).unwrap();
             e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).unwrap();
             e.cache.deca_block(b).decode_all::<(i64, i64)>(&mut e.mm, &mut e.heap).unwrap()
@@ -538,7 +500,7 @@ mod tests {
         let (written, read) = (e.mm.spill_write_bytes, e.mm.spill_read_bytes);
         assert!(written > 0 && read > 0, "the block went out and came back");
         let want = Duration::from_secs_f64((written + read) as f64 / SIM_DISK_BPS);
-        assert_eq!(e.last_task().unwrap().io, want);
+        assert_eq!(t.io, want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -546,12 +508,12 @@ mod tests {
     fn serialization_attribution() {
         let mut e = exec();
         let recs: Vec<(i64, i64)> = (0..20_000).map(|i| (i, i * 2)).collect();
-        let buf = e.run_task("ser", |e| e.kryo.serialize_all(&recs));
-        assert!(e.last_task().unwrap().ser > Duration::ZERO);
-        let back = e.run_task("deser", |e| e.kryo.deserialize_all::<(i64, i64)>(&buf));
+        let (buf, t) = e.run_task("ser", |e| e.kryo.serialize_all(&recs));
+        assert!(t.ser > Duration::ZERO);
+        let (back, t) = e.run_task("deser", |e| e.kryo.deserialize_all::<(i64, i64)>(&buf));
         assert_eq!(back.len(), recs.len());
-        assert!(e.last_task().unwrap().deser > Duration::ZERO);
-        assert_eq!(e.last_task().unwrap().ser, Duration::ZERO, "per-task deltas only");
+        assert!(t.deser > Duration::ZERO);
+        assert_eq!(t.ser, Duration::ZERO, "per-task deltas only");
     }
 
     #[test]
@@ -571,7 +533,7 @@ mod tests {
         assert!(e.heap.config().concurrent, "CMS marks concurrently");
         let c = e.heap.define_class(ClassBuilder::new("K").field("v", FieldKind::I64));
         let arr = e.heap.define_array_class("Object[]", FieldKind::Ref);
-        e.run_task("pin+mark", |e| {
+        let ((), t) = e.run_task("pin+mark", |e| {
             // Build a large tenured live set, the graph the cycle marks.
             let n = 30_000;
             let holder = e.heap.alloc_array(arr, n).unwrap();
@@ -615,11 +577,9 @@ mod tests {
         );
         // Accounting: pauses are charged to the task; the overlap is
         // reported beside them and never inflates task time.
-        let t = e.last_task().unwrap();
         assert_eq!(t.gc_concurrent, stats.concurrent_mark_time);
-        assert_eq!(e.job.gc, stats.total_gc_time());
-        assert_eq!(e.job.gc_concurrent, stats.concurrent_mark_time);
-        assert_eq!(e.sim_now(), e.job.exec, "sim clock excludes concurrent overlap");
+        assert_eq!(t.gc_pause, stats.total_gc_time());
+        assert_eq!(e.sim_now(), t.total(), "sim clock excludes concurrent overlap");
     }
 
     #[test]
@@ -629,11 +589,11 @@ mod tests {
         let c = e.heap.define_class(
             ClassBuilder::new("T").field("a", FieldKind::I64).field("b", FieldKind::I64),
         );
-        e.run_task_in("warm", "s", 0, 0, |_e| {});
+        let ((), warm) = e.run_task_in("warm", "s", 0, 0, |_e| {});
         let pauses_before =
             e.trace.events().iter().filter(|ev| ev.kind == TraceEventKind::GcPause).count();
         assert_eq!(pauses_before, 0, "no collections, no GcPause events");
-        e.run_task_in("churn", "s", 1, 0, |e| {
+        let ((), churn) = e.run_task_in("churn", "s", 1, 0, |e| {
             for _ in 0..300_000 {
                 e.heap.alloc(c).unwrap();
             }
@@ -651,7 +611,11 @@ mod tests {
             e.trace.events().iter().filter(|ev| ev.kind == TraceEventKind::TaskAttempt).collect();
         assert_eq!(attempts.len(), 2);
         assert!(attempts[1].sim_ns >= attempts[0].sim_ns + attempts[0].sim_dur_ns);
-        assert_eq!(e.sim_now(), e.job.exec, "sim clock is cumulative attributed time");
+        assert_eq!(
+            e.sim_now(),
+            warm.total() + churn.total(),
+            "sim clock is cumulative attributed time"
+        );
     }
 
     #[test]
@@ -659,14 +623,14 @@ mod tests {
         let cfg = ExecutorConfig::new(ExecutionMode::Spark, 4 << 20).tracing(false);
         let mut e = Executor::new(cfg);
         let c = e.heap.define_class(ClassBuilder::new("K").field("v", FieldKind::I64));
-        e.run_task("work", |e| {
+        let ((), t) = e.run_task("work", |e| {
             for _ in 0..50_000 {
                 e.heap.alloc(c).unwrap();
             }
         });
         assert!(e.trace.is_empty());
         assert!(!e.mm.log_releases);
-        assert_eq!(e.tasks.len(), 1, "metrics are unaffected by the tracing knob");
+        assert_eq!(t.name, "work", "metrics are unaffected by the tracing knob");
     }
 
     /// A body that fails between pushing its temporaries and truncating
@@ -677,7 +641,7 @@ mod tests {
         let mut e = exec();
         let c = e.heap.define_class(ClassBuilder::new("T").field("a", FieldKind::I64));
         let roots = e.heap.root_count();
-        let r: Result<(), deca_heap::OomError> = e.run_task("fails", |e| {
+        let (r, _): (Result<(), deca_heap::OomError>, _) = e.run_task("fails", |e| {
             for _ in 0..2 {
                 let o = e.heap.alloc(c)?;
                 e.heap.push_stack(o);
@@ -687,7 +651,7 @@ mod tests {
         assert!(r.is_err());
         assert_eq!(e.heap.root_count(), roots, "the failed task's stack roots are gone");
         e.spill_for_memory();
-        assert_eq!(e.object_count(), 0, "nothing of the failed attempt survives the full GC");
+        assert_eq!(e.heap.object_count(), 0, "nothing of the failed attempt survives the full GC");
     }
 
     #[test]

@@ -109,6 +109,12 @@ impl JobMetrics {
         self.io += t.io;
     }
 
+    /// Count `[minor, full]` collections a job's attempt or restart ran.
+    pub(crate) fn add_collections(&mut self, [minor, full]: [u64; 2]) {
+        self.minor_gcs += minor;
+        self.full_gcs += full;
+    }
+
     /// Fold a stage's fault-handling counters into the job totals.
     pub fn add_stage_recovery(&mut self, s: &StageMetrics) {
         self.attempts += s.attempts;
@@ -291,6 +297,7 @@ impl Timeline {
         self.samples.iter().map(|s| s.live_objects).max().unwrap_or(0)
     }
 
+    #[cfg(test)]
     pub fn final_gc(&self) -> Duration {
         self.samples.last().map(|s| s.cumulative_gc).unwrap_or(Duration::ZERO)
     }

@@ -25,7 +25,7 @@ use crate::config::{ExecutionMode, ExecutorConfig};
 use crate::driver::ShufflePayload;
 use crate::error::EngineError;
 use crate::executor::Executor;
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, TaskMetrics};
 use crate::stage::{lock, panic_message, AttemptDone, AttemptFn, Round, Site, Slot};
 use crate::trace::TraceEvent;
 
@@ -270,6 +270,7 @@ impl Pool {
             events: Vec::new(),
             metrics: JobMetrics::default(),
             busy: vec![Duration::ZERO; width],
+            slowest: None,
         }
     }
 
@@ -421,6 +422,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 oom_recovered: false,
                 died: false,
                 task_metrics: Vec::new(),
+                collections: [0, 0],
             };
             (done, Vec::new())
         });
@@ -534,7 +536,9 @@ fn drain_events(e: &mut Executor, mark: usize, worker: usize) -> Vec<TraceEvent>
 
 /// One job's slot source: its lanes on the pool, plus the job-scoped state
 /// the pool side owns — the stop handle, the routed executor events, and
-/// the per-attempt metric roll-up.
+/// the job's record of what its attempts and restarts did. The stage
+/// engine's `roll_up` reads that record for both ways of running a job;
+/// executors keep no per-job state.
 pub(crate) struct PoolJob {
     shared: Arc<Shared>,
     pub job: u64,
@@ -544,10 +548,13 @@ pub(crate) struct PoolJob {
     /// Executor-side events of the job's attempts and restarts, drained as
     /// they happen and job-stamped.
     pub events: Vec<TraceEvent>,
-    /// Every attempt's task metrics, summed.
+    /// Every attempt's task metrics summed, the collections of every
+    /// attempt and restart, and the cache bytes as last sealed.
     pub metrics: JobMetrics,
     /// Cumulative busy time per lane.
     pub busy: Vec<Duration>,
+    /// The slowest physical run so far (Figure 11 reports it).
+    pub slowest: Option<TaskMetrics>,
 }
 
 impl PoolJob {
@@ -589,10 +596,12 @@ impl PoolJob {
             Lanes::Physical => {
                 let mut e = lock(&self.shared.executors[lane]);
                 let mark = e.trace.len();
+                let gc_mark = e.collections_since([0, 0]);
                 let out = e.restart_in_place(stage, ordinal);
                 if out.killed {
                     e.poison();
                 }
+                self.metrics.add_collections(e.collections_since(gc_mark));
                 self.events.extend(drain_events(&mut e, mark, lane));
                 (out.rehydrated.len() as u64, out.rehydrated.iter().map(|r| r.1).sum())
             }
@@ -661,7 +670,11 @@ impl PoolJob {
             for tm in &d.task_metrics {
                 self.metrics.add_task(tm);
                 self.busy[d.lane] += tm.total();
+                if self.slowest.as_ref().is_none_or(|s| tm.total() >= s.total()) {
+                    self.slowest = Some(tm.clone());
+                }
             }
+            self.metrics.add_collections(d.collections);
             self.events.extend(events);
             attempts.push(d);
         }
@@ -675,23 +688,17 @@ impl PoolJob {
         lock(&self.shared.executors[i % n]).recycle_payload(payload);
     }
 
-    /// The job's current cached footprint, resident plus spilled: every
-    /// block of a session's own executors, or the blocks stamped with a
-    /// server job across the shared ones.
-    pub fn cache_footprint(&mut self) -> usize {
-        self.shared
-            .executors
-            .iter()
-            .map(|m| {
-                let mut e = lock(m);
-                match self.tenant {
-                    Some(_) => e.cache.job_bytes(self.job),
-                    None => {
-                        e.finish_job();
-                        e.job.cache_bytes + e.job.swapped_cache_bytes
-                    }
-                }
-            })
-            .sum()
+    /// The job's cached bytes across the executors, `[resident, on
+    /// disk]`: the blocks stamped with the job (a session's with job 0).
+    pub fn cache_bytes(&self) -> [usize; 2] {
+        self.shared.executors.iter().fold([0, 0], |[r, d], m| {
+            let [er, ed] = lock(m).cache.job_bytes(self.job);
+            [r + er, d + ed]
+        })
+    }
+
+    /// Seal the job's cache bytes into its record, at the job's end.
+    pub fn seal_cache(&mut self) {
+        [self.metrics.cache_bytes, self.metrics.swapped_cache_bytes] = self.cache_bytes();
     }
 }

@@ -160,7 +160,7 @@ impl<'a> JobCtx<'a> {
     /// their caches are fully built (e.g. after the adjacency-build
     /// stage), since end-of-job cleanup releases the blocks.
     pub fn note_cache_bytes(&mut self) {
-        self.noted_cache_bytes = self.slots.cache_footprint();
+        self.noted_cache_bytes = self.slots.cache_bytes().iter().sum();
     }
 
     /// The footprint recorded by the last [`JobCtx::note_cache_bytes`].
@@ -400,33 +400,23 @@ struct ServerInner {
     tenants: Mutex<Vec<TenantState>>,
 }
 
-/// Seal a job: roll its stages into the job metrics, stamp the job id, and
-/// build the per-job deterministic trace (driver events first, then routed
-/// executor events, as a session's merged trace).
+/// Seal a job before its end-of-job cleanup releases its blocks: the
+/// engine's roll-up of the job's record, as a session's summary reads it,
+/// plus its stages and its run trace.
 fn seal_job(
-    mut engine: StageEngine,
-    slots: PoolJob,
+    engine: StageEngine,
+    mut slots: PoolJob,
     checksum: f64,
     cache_bytes: usize,
 ) -> JobOutput {
-    let job = slots.job;
-    let mut metrics = slots.metrics;
-    metrics.job = job;
-    metrics.exec = slots.busy.iter().copied().max().unwrap_or(Duration::ZERO);
-    for s in &engine.stages {
-        metrics.add_stage_recovery(s);
-    }
-    metrics.cancelled = engine.cancelled as u64;
-    metrics.cache_bytes = cache_bytes;
-    let mut events = engine.trace.drain_from(0);
-    events.extend(slots.events);
+    slots.seal_cache();
     JobOutput {
-        job,
+        job: slots.job,
         checksum,
         cache_bytes,
-        metrics,
+        metrics: engine.roll_up(&slots),
+        trace: engine.job_trace(&slots),
         stages: engine.stages,
-        trace: RunTrace::from_events(events),
     }
 }
 

@@ -238,6 +238,7 @@ where
         }
     }
 
+    #[cfg(test)]
     pub fn group_count(&self) -> usize {
         self.lists.len()
     }

@@ -61,9 +61,9 @@ use crate::driver::{MapOutputs, ShufflePayload, TaskContext};
 use crate::error::EngineError;
 use crate::executor::Executor;
 use crate::faults::{FaultPlan, FaultSite};
-use crate::metrics::{StageMetrics, TaskMetrics};
+use crate::metrics::{JobMetrics, StageMetrics, TaskMetrics};
 use crate::pool::PoolJob;
-use crate::trace::TraceRecorder;
+use crate::trace::{RunTrace, TraceRecorder};
 
 /// Lock a mutex, riding through poisoning: task panics are caught per
 /// attempt and surfaced as [`EngineError::TaskPanic`], so a poisoned lock
@@ -122,6 +122,9 @@ pub(crate) struct AttemptDone {
     /// Metrics of every physical run the attempt made (one, or two with
     /// an OOM in-place re-run).
     pub task_metrics: Vec<TaskMetrics>,
+    /// `[minor, full]` collections the attempt ran, its OOM spill and
+    /// re-run included.
+    pub collections: [u64; 2],
 }
 
 /// The engine's per-attempt fault body, type-erased for the pool.
@@ -193,6 +196,28 @@ impl StageEngine {
             self.cancelled = true;
             self.trace.job_cancelled(reason, self.sim_now);
         }
+    }
+
+    /// The job's one roll-up, for both ways of running a job: its record
+    /// stamped with its id, the busiest lane as `exec`, and every stage's
+    /// recovery counters.
+    pub fn roll_up(&self, job: &PoolJob) -> JobMetrics {
+        let mut metrics = job.metrics.clone();
+        metrics.job = job.job;
+        metrics.exec = job.busy.iter().copied().max().unwrap_or_default();
+        for s in &self.stages {
+            metrics.add_stage_recovery(s);
+        }
+        metrics.cancelled = self.cancelled as u64;
+        metrics
+    }
+
+    /// The job's run trace: the driver's events plus the executor events
+    /// routed from its attempts and restarts.
+    pub fn job_trace(&self, job: &PoolJob) -> RunTrace {
+        let mut events = self.trace.events().to_vec();
+        events.extend_from_slice(&job.events);
+        RunTrace::from_events(events)
     }
 
     /// Run one stage of `tasks` tasks and return their results in task
@@ -323,9 +348,9 @@ impl StageEngine {
                 }
                 Ok(())
             };
-            let mark = e.tasks.len();
+            let gc_mark = e.collections_since([0, 0]);
             let mut crashed = false;
-            let mut result = e.run_task_in(format!("{name}-{t}"), name, t, a, |e| {
+            let (mut result, tm) = e.run_task_in(format!("{name}-{t}"), name, t, a, |e| {
                 // An attempt whose token is already raised (its job was
                 // cancelled, or the other copy of its slot finished) fails
                 // fast without running the body, so the round retires
@@ -374,9 +399,13 @@ impl StageEngine {
             // same pressure, so the spill relieves it and it is not
             // re-drawn on the in-place re-run.
             let oom_rerun = !died && result.as_ref().is_err_and(|err| err.is_memory_pressure());
+            let mut task_metrics = vec![tm];
             if oom_rerun {
                 e.spill_for_memory();
-                result = e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, run_body);
+                let (rerun, tm) =
+                    e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, run_body);
+                result = rerun;
+                task_metrics.push(tm);
             }
             AttemptDone {
                 task: t,
@@ -387,7 +416,8 @@ impl StageEngine {
                 result,
                 oom_rerun,
                 died,
-                task_metrics: e.tasks[mark..].to_vec(),
+                task_metrics,
+                collections: e.collections_since(gc_mark),
             }
         };
 

@@ -138,6 +138,7 @@ impl ClassDescriptor {
 
     /// True if no field (or the array element) is a reference: instances are
     /// GC leaves.
+    #[cfg(test)]
     pub fn is_leaf(&self) -> bool {
         match self.array_elem {
             Some(elem) => !elem.is_ref(),
@@ -156,6 +157,7 @@ impl ClassDescriptor {
     }
 
     /// Index of the field called `name`, if any.
+    #[cfg(test)]
     pub fn field_index(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }

@@ -102,6 +102,7 @@ impl Drop for ConcurrentCycle {
 impl Heap {
     /// Whether a concurrent marking cycle is currently in flight (the
     /// marker thread is alive and the remark pause has not run yet).
+    #[cfg(test)]
     pub fn concurrent_marking_active(&self) -> bool {
         self.conc.is_some()
     }

@@ -99,6 +99,7 @@ impl GcStats {
     /// Longest single old-generation pause on record (full collections,
     /// initial marks, and remarks — the metric the concurrent collectors
     /// shrink).
+    #[cfg(test)]
     pub fn max_full_pause(&self) -> Duration {
         self.events
             .iter()

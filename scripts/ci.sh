@@ -238,6 +238,24 @@ if [ -n "$spawns" ] || [ -n "$outside" ] || [ "$(grep -c . <<<"$unsafes")" -gt 1
   exit 1
 fi
 
+echo "== one job roll-up (one fold of a job's record; executors keep no per-job metrics) =="
+# A session's summary and a server job's output are the same roll-up of the
+# job's record in the pool (`StageEngine::roll_up`): no other non-test
+# engine line folds stage recovery counters into job metrics, and the
+# `Executor` struct holds no task list or job metrics of its own to sum
+# instead.
+folds=$(find crates/engine/src -name '*.rs' | sort | xargs awk -f scripts/non_test_lines.awk \
+  | grep 'add_stage_recovery(' | grep -v 'fn add_stage_recovery(' || true)
+held=$(awk -f scripts/non_test_lines.awk crates/engine/src/executor.rs \
+  | awk '/pub struct Executor \{/ { on = 1 } on { print } on && /: \}$/ { exit }' \
+  | grep -E 'Vec<TaskMetrics>|JobMetrics' || true)
+if [ "$(grep -c . <<<"$folds")" != 1 ] || [ -n "$held" ]; then
+  echo "job metrics are rolled up in more than one place, or an executor keeps per-job metrics:"
+  echo "$folds"
+  echo "$held"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use deca_engine::{
     ClusterSession, EngineError, ExecutionMode, ExecutorConfig, FaultPlan, FaultSite, RetryPolicy,
-    SchedulerMode,
+    SchedulerMode, TraceEventKind,
 };
 
 use util::TestDir;
@@ -107,8 +107,12 @@ fn parallel_wordcount_matches_sequential() {
         assert_eq!(map_stage.tasks, tasks, "{sched}");
         assert_eq!(reduce_stage.tasks, tasks, "{sched}");
         assert!(map_stage.shuffle_bytes > 0, "{sched}: the exchange carried data");
-        let per_exec: Vec<usize> =
-            (0..executors).map(|i| session.executor(i).task_metrics().len()).collect();
+        let trace = session.merged_trace();
+        let per_exec: Vec<usize> = (0..executors)
+            .map(|i| {
+                trace.of_kind(TraceEventKind::TaskAttempt).filter(|e| e.executor == Some(i)).count()
+            })
+            .collect();
         (total, per_exec)
     };
 

@@ -4,9 +4,10 @@
 //! * the job-level recovery roll-up is exactly the sum of the per-stage
 //!   roll-ups, for arbitrary fault seeds and cluster widths;
 //! * `gc_ratio`'s numerator and denominator mean the same thing on every
-//!   path that reports it — the executors' own job metrics (max-exec
-//!   over executors, summed GC), `ClusterSession::job_summary`, and the
-//!   `AppReport` accessor the Table 3 harness prints.
+//!   path that reports it — the per-stage rows (summed GC),
+//!   `ClusterSession::job_summary` (the job's one roll-up; executors keep
+//!   no per-job metrics), and the `AppReport` accessor the Table 3
+//!   harness prints.
 //!
 //! These guard the invariants the run-trace exporter and the perf gate
 //! read their numbers through.
@@ -86,19 +87,14 @@ fn job_recovery_rollup_equals_sum_of_stage_rollups() {
             job.attempts,
             stages.iter().map(|s| s.tasks as u64).sum::<u64>() + job.retries + job.oom_reruns
         );
-        // Recovery time is accounted beside exec, never inside it: the
-        // exec figure is the cluster's critical path, untouched by the
-        // stage fold.
-        let cluster_exec = (0..executors).map(|i| session.executor(i).job.exec).max();
-        prop_assert_eq!(Some(job.exec), cluster_exec);
         Ok(())
     });
 }
 
 /// `gc_ratio` means the same fraction on every reporting path: the
-/// cluster summary's max-exec denominator and summed-GC numerator, the
-/// session summary the apps embed, and the `AppReport` accessor that
-/// the Table 3 harness formats.
+/// session summary's max-exec denominator and summed-GC numerator, which
+/// the apps embed, and the `AppReport` accessor that the Table 3 harness
+/// formats.
 #[test]
 fn gc_ratio_denominators_agree_across_reporting_paths() {
     check(cfg(), gens::pair(gens::usize_in(0..3), gens::usize_in(1..5)), |&(m, executors)| {
@@ -109,15 +105,10 @@ fn gc_ratio_denominators_agree_across_reporting_paths() {
         let (checksum, _) =
             run_job_on(&wordcount::job(&params), &mut session).expect("fault-free run");
 
-        let execs: Vec<_> = (0..executors).map(|i| session.executor(i)).collect();
-        let cluster_exec = execs.iter().map(|e| e.job.exec).max().unwrap();
-        let cluster_gc: Duration = execs.iter().map(|e| e.job.gc).sum();
-        drop(execs);
         let job = session.job_summary();
-        prop_assert_eq!(job.exec, cluster_exec);
-        prop_assert_eq!(job.gc, cluster_gc);
+        let (cluster_exec, cluster_gc) = (job.exec, job.gc);
         // Stage rows fold the same task set, so GC attribution is
-        // conserved between the per-stage and per-executor views.
+        // conserved between the per-stage rows and the job's roll-up.
         prop_assert_eq!(session.stages().iter().map(|s| s.gc).sum::<Duration>(), cluster_gc);
 
         // The Table 3 harness reads the ratio through AppReport; it must

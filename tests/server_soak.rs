@@ -15,13 +15,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_faulty, run_job_on};
 use deca_core::DecaRecord;
 use deca_engine::{
-    AppJob, CacheError, DecaServer, EngineError, ExecutionMode, ExecutorConfig, FaultPlan,
-    FaultSpec, JobMetrics, JobSpec, RetryPolicy, SchedulerMode, ServerConfig, Tier,
+    AppJob, CacheError, ClusterSession, DecaServer, EngineError, ExecutionMode, ExecutorConfig,
+    FaultPlan, FaultSpec, JobMetrics, JobSpec, RetryPolicy, SchedulerMode, ServerConfig, Tier,
 };
 
 /// Executors backing the shared server in the soak.
@@ -111,6 +112,68 @@ fn kinds() -> Vec<(&'static str, AppJob)> {
 /// (site, stage, task, attempt), so identical jobs recover identically.
 fn rollup(m: &JobMetrics) -> (u64, u64, u64, u64, u64, u64) {
     (m.attempts, m.retries, m.quarantines, m.restarts, m.oom_reruns, m.oom_recoveries)
+}
+
+/// A job rolls up into one record whichever way it runs: WordCount, an LR
+/// whose cache spills and an LR whose cache fills the heap, in each mode,
+/// on a fresh one-executor session and as the only job of a fresh
+/// one-executor server (Pull, no faults), report the same collections,
+/// attempts and swapped cache bytes — and the session's collections are
+/// its executor's heap counts.
+#[test]
+fn a_served_job_rolls_up_as_its_session_does() {
+    let dir = std::env::temp_dir().join(format!("deca-rollup-{}", std::process::id()));
+    let counts =
+        |m: &JobMetrics| [m.minor_gcs, m.full_gcs, m.attempts, m.swapped_cache_bytes as u64];
+    let mut seen = [0; 4];
+    for mode in ExecutionMode::ALL {
+        let wc = WcParams { words: 60_000, heap_bytes: 8 << 20, ..wc_params(mode) };
+        // As the Spark cost pins' LR runs: a storage budget a fifth of the
+        // cached set's, and a cache that nearly fills the old generation.
+        let lr = |heap_bytes, storage_fraction| LrParams {
+            points: 30_000,
+            iterations: 3,
+            heap_bytes,
+            storage_fraction,
+            ..LrParams::small(mode)
+        };
+        let (spilling, saturated) = (lr(16 << 20, 0.05), lr(8 << 20, 0.62));
+        let jobs = [
+            ("WC", wordcount::job(&wc), wordcount::wc_config(&wc)),
+            ("spilling LR", logreg::job(&spilling), logreg::lr_config(&spilling)),
+            ("saturated LR", logreg::job(&saturated), logreg::lr_config(&saturated)),
+        ];
+        for (name, app, config) in jobs {
+            let cell = format!("{mode} {name}");
+            let config = config
+                .gc_algorithm(deca_heap::GcAlgorithm::ParallelScavenge)
+                .scheduler(SchedulerMode::Pull);
+            let mut session = ClusterSession::new(1, config.clone().spill_dir(dir.join("session")));
+            run_job_on(&app, &mut session).expect("the session job completes");
+            let local = session.job_summary();
+            let heap = session.executor(0).heap_stats().clone();
+            assert_eq!(
+                [local.minor_gcs, local.full_gcs],
+                [heap.minor_collections, heap.full_collections],
+                "{cell}: the session's collections are its heap's"
+            );
+            drop(session);
+
+            let server = DecaServer::new(1, config.spill_dir(dir.join("server")));
+            let spec = JobSpec::new("t").scheduler(SchedulerMode::Pull).app(app);
+            let served = server.submit(spec).unwrap().wait().expect("the served job completes");
+            assert_eq!(
+                counts(&served.metrics),
+                counts(&local),
+                "{cell}: [minor GCs, full GCs, attempts, swapped cache bytes], served vs session"
+            );
+            for (s, c) in seen.iter_mut().zip(counts(&local)) {
+                *s += c;
+            }
+        }
+    }
+    assert!(seen.iter().all(|&c| c > 0), "the cells collect, fully too, and spill: {seen:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
