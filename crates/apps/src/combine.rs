@@ -2,16 +2,21 @@
 //! PageRank and ConnectedComponents: a map-side table that eagerly combines
 //! each key's values, a partitioned write, the exchange, and a reduce-side
 //! table that combines the subtotals in map-task order, then folds each key.
+//! SQL's Q2 and Q3 group-bys insert into one table and fold it, with no
+//! exchange.
 //!
 //! A shuffle buffer is one container (§4.2, §4.3.2), and [`Table::new`] is
 //! the one place that reads the mode to pick its form. Spark and SparkSer
 //! use a [`SparkHashShuffle`]: the map stores each pair's map-output object
-//! (a `Tuple2`, or a text key's `String`), reads it back and inserts it, and
-//! each combine allocates a new value object; runs are Kryo. Deca combines
-//! in place in a [`DecaHashShuffle`] (8-byte keys) or [`DecaVarHashShuffle`]
-//! (byte strings), takes keys borrowed, and hands its runs of raw records
-//! over as pages. The combine function is a type parameter, so each insert
-//! loop is monomorphised for it. A task releases its table on every exit.
+//! (a `Tuple2` of the key's box and the value's graph, or a text key's
+//! `String`), reads it back and inserts it, and each combine allocates a
+//! new value object; runs are Kryo. Deca combines in place in a
+//! [`DecaHashShuffle`] (8-byte keys) or [`DecaVarHashShuffle`] (byte
+//! strings), takes keys borrowed, and hands its runs of raw records over as
+//! pages. A value is a boxed scalar or a fixed-size declared record
+//! ([`Value`]). The combine function is a type parameter, so each insert
+//! loop is monomorphised for it. A table is obtained only through
+//! [`Table::scope`], which releases it on every exit.
 
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -26,20 +31,30 @@ use deca_engine::{EngineError, ExecutionMode, Executor, HeapRecord, JobCtx, Kryo
 use deca_engine::{MapOutputs, Record, ShufflePayload, SparkHashShuffle, TaskContext};
 use deca_heap::{Heap, ObjRef, OomError};
 
-/// A combined value: its 8-byte `DecaRecord` form in Deca's pages, a boxed
-/// scalar in the Spark modes' objects.
-pub(crate) trait Value: BoxedScalar + Record + Sync {}
+/// A combined value: a boxed scalar or a fixed-size declared record. Its
+/// `DecaRecord` bytes sit in Deca's pages, its graph in the Spark modes'
+/// objects, as the second part of a map output's `Tuple2`.
+pub(crate) trait Value: Record + Copy + Sync {
+    /// Its page bytes, a byte array of its fixed size.
+    type Bytes: AsRef<[u8]> + AsMut<[u8]> + Default;
+    /// Page bytes per value.
+    const WIDTH: usize = size_of::<Self::Bytes>();
+}
 
-impl<T: BoxedScalar + Record + Sync> Value for T {}
+impl<T: BoxedScalar + Send + Sync> Value for T {
+    type Bytes = T::Word;
+}
 
-fn bytes<V: Value>(value: V) -> [u8; 8] {
-    let mut out = [0; 8];
-    value.encode(&mut out);
+fn bytes<V: Value>(value: V) -> V::Bytes {
+    debug_assert_eq!(V::FIXED_SIZE, Some(V::WIDTH));
+    let mut out = V::Bytes::default();
+    value.encode(out.as_mut());
     out
 }
 
-/// `combine` applied in place to a value's bytes.
-fn combine_bytes<V: Value>(combine: impl Fn(V, V) -> V) -> impl FnMut(&mut [u8], &[u8]) {
+/// `combine` applied in place to a value's bytes: how a page table
+/// combines.
+pub(crate) fn combine_bytes<V: Value>(combine: impl Fn(V, V) -> V) -> impl FnMut(&mut [u8], &[u8]) {
     move |acc: &mut [u8], add: &[u8]| combine(V::decode(acc), V::decode(add)).encode(acc)
 }
 
@@ -56,18 +71,18 @@ pub(crate) trait Keys: Sync {
     type View<'a>: Copy;
     /// What the Spark table is probed with; it owns a copy of each key.
     type Probe: ?Sized + Hash + Eq + ToOwned<Owned: Record + HeapKey + Eq + Hash>;
-    /// The Spark map's output-object classes, and scratch.
-    type Output;
+    /// The Spark map's output-object classes for values `V`, and scratch.
+    type Output<V: Value>;
     /// A key's bytes in Deca's table.
     type Bytes<'a>: AsRef<[u8]>;
     /// Kryo bytes per record a Spark run is sized for.
     const WIRE_BYTES: usize;
 
-    fn output<V: Value>(heap: &mut Heap) -> Self::Output;
+    fn output<V: Value>(heap: &mut Heap) -> Self::Output<V>;
     /// Store the map-output object of `(key, value)`, and read it back.
     fn materialise<'o, V: Value>(
         heap: &mut Heap,
-        output: &'o mut Self::Output,
+        output: &'o mut Self::Output<V>,
         key: Self::In<'_>,
         value: V,
     ) -> Result<(Self::In<'o>, V), OomError>;
@@ -85,13 +100,13 @@ pub(crate) trait Keys: Sync {
     );
     /// Decode one run, under the deserializer's timer.
     fn deserialize<'b, V: Value>(kryo: &mut KryoSim, run: &'b [u8]) -> Vec<(Self::In<'b>, V)>;
-    /// An empty table expected to hold `keys` distinct keys.
-    fn pages(mm: &mut MemoryManager, keys: usize) -> Pages;
+    /// An empty table of `V`s expected to hold `keys` distinct keys.
+    fn pages<V: Value>(mm: &mut MemoryManager, keys: usize) -> Pages;
     fn key_bytes<'a>(key: Self::In<'a>) -> Self::Bytes<'a>;
     /// A key read back from its bytes in the table.
     fn stored(key: &[u8]) -> Self::View<'_>;
-    /// The raw records of a run's page.
-    fn records(page: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])>;
+    /// The raw records of a run's page of `V`s.
+    fn records<V: Value>(page: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])>;
     fn push_record(run: &mut PageRun, arena: &mut ShuffleArena, key: Self::View<'_>, val: &[u8]);
 }
 
@@ -101,27 +116,27 @@ type Owned<K> = <<K as Keys>::Probe as ToOwned>::Owned;
 /// A key of shape `K` as the Spark table reads it back off the heap.
 type HeapView<'b, K> = <Owned<K> as HeapKey>::View<'b>;
 
-/// `i64` keys (word and vertex ids): a `Tuple2` of boxes on the heap, a
-/// Kryo `(k, v)` pair on the wire, and a 16-byte `[k|v]` page record (no
-/// record spans pages).
+/// `i64` keys (word and vertex ids, SQL's groups): a `Tuple2` of the key's
+/// box and the value's graph on the heap, a Kryo `(k, v)` pair on the
+/// wire, and an `[k|v]` page record (no record spans pages).
 pub(crate) enum IntKeys {}
 
 impl Keys for IntKeys {
     type In<'a> = i64;
     type View<'a> = i64;
     type Probe = i64;
-    type Output = PairClasses;
+    type Output<V: Value> = PairClasses<V::Classes>;
     type Bytes<'a> = [u8; 8];
     // ~2-byte tag + varint key + value.
     const WIRE_BYTES: usize = 16;
 
-    fn output<V: Value>(heap: &mut Heap) -> PairClasses {
+    fn output<V: Value>(heap: &mut Heap) -> PairClasses<V::Classes> {
         <(i64, V) as HeapRecord>::register(heap)
     }
 
     fn materialise<V: Value>(
         heap: &mut Heap,
-        classes: &mut PairClasses,
+        classes: &mut PairClasses<V::Classes>,
         key: i64,
         value: V,
     ) -> Result<(i64, V), OomError> {
@@ -155,8 +170,8 @@ impl Keys for IntKeys {
         kryo.deserialize_all(run)
     }
 
-    fn pages(mm: &mut MemoryManager, keys: usize) -> Pages {
-        Pages::Fixed(DecaHashShuffle::with_keys(mm, 8, 8, keys))
+    fn pages<V: Value>(mm: &mut MemoryManager, keys: usize) -> Pages {
+        Pages::Fixed(DecaHashShuffle::with_keys(mm, 8, V::WIDTH, keys))
     }
 
     fn key_bytes<'a>(key: Self::In<'a>) -> Self::Bytes<'a> {
@@ -167,8 +182,8 @@ impl Keys for IntKeys {
         i64::decode(key)
     }
 
-    fn records(page: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
-        page.chunks_exact(16).map(|r| r.split_at(8))
+    fn records<V: Value>(page: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
+        page.chunks_exact(8 + V::WIDTH).map(|r| r.split_at(8))
     }
 
     fn push_record(run: &mut PageRun, arena: &mut ShuffleArena, key: i64, val: &[u8]) {
@@ -187,7 +202,7 @@ impl Keys for TextKeys {
     type View<'a> = &'a [u8];
     type Probe = str;
     /// The `String` classes, and the buffer a token's chars decode into.
-    type Output = (StringClasses, String);
+    type Output<V: Value> = (StringClasses, String);
     type Bytes<'a> = &'a [u8];
     // Tokens average ~8 bytes, plus framing and the value.
     const WIRE_BYTES: usize = 24;
@@ -239,9 +254,9 @@ impl Keys for TextKeys {
         })
     }
 
-    fn pages(mm: &mut MemoryManager, keys: usize) -> Pages {
+    fn pages<V: Value>(mm: &mut MemoryManager, keys: usize) -> Pages {
         debug_assert_eq!(keys, 0, "a text table is never pre-sized");
-        Pages::Var(DecaVarHashShuffle::new(mm, 8))
+        Pages::Var(DecaVarHashShuffle::new(mm, V::WIDTH))
     }
 
     fn key_bytes<'a>(key: Self::In<'a>) -> Self::Bytes<'a> {
@@ -252,12 +267,12 @@ impl Keys for TextKeys {
         key
     }
 
-    fn records(page: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
+    fn records<V: Value>(page: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
         let mut pos = 0;
         std::iter::from_fn(move || {
             let klen = u32::from_le_bytes(*page.get(pos..)?.first_chunk()?) as usize;
-            let (key, val) = page[pos + 4..pos + 4 + klen + 8].split_at(klen);
-            pos += 4 + klen + 8;
+            let (key, val) = page[pos + 4..pos + 4 + klen + V::WIDTH].split_at(klen);
+            pos += 4 + klen + V::WIDTH;
             Some((key, val))
         })
     }
@@ -291,11 +306,26 @@ pub(crate) struct Table<K: Keys, V: Value, C> {
 }
 
 enum Store<K: Keys, V: Value> {
-    Heap(SparkHashShuffle<Owned<K>, V>, K::Output),
+    Heap(SparkHashShuffle<Owned<K>, V>, K::Output<V>),
     Pages(Pages),
 }
 
 impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
+    /// Run `body` over an empty table in the form `mode` names, and end the
+    /// table's lifetime on every exit: the one way to obtain a table.
+    pub(crate) fn scope<R>(
+        e: &mut Executor,
+        mode: ExecutionMode,
+        keys: usize,
+        combine: C,
+        body: impl FnOnce(&mut Executor, &mut Self) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let mut table = Table::new(e, mode, keys, combine)?;
+        let out = body(e, &mut table);
+        table.release(e);
+        out
+    }
+
     /// Heap objects in the Spark modes; pages for `keys` keys in Deca.
     fn new(
         e: &mut Executor,
@@ -308,7 +338,7 @@ impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
                 let output = K::output::<V>(&mut e.heap);
                 Store::Heap(SparkHashShuffle::new(&mut e.heap)?, output)
             }
-            ExecutionMode::Deca => Store::Pages(K::pages(&mut e.mm, keys)),
+            ExecutionMode::Deca => Store::Pages(K::pages::<V>(&mut e.mm, keys)),
         };
         Ok(Table { store, combine })
     }
@@ -381,7 +411,7 @@ impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
                 }
             }
             Store::Pages(table) => {
-                let recs = runs.iter().flat_map(|run| run.chunks()).flat_map(K::records);
+                let recs = runs.iter().flat_map(|run| run.chunks()).flat_map(K::records::<V>);
                 let combine = combine_bytes(combine);
                 with_table!(table, t => t.insert_all(&mut e.mm, &mut e.heap, recs, combine))?;
             }
@@ -390,7 +420,7 @@ impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
     }
 
     /// Fold every `(key, value)` into a fresh `R`, in table order.
-    fn fold<R: Default>(
+    pub(crate) fn fold<R: Default>(
         &self,
         e: &mut Executor,
         fold: impl Fn(&mut R, K::View<'_>, V),
@@ -483,23 +513,20 @@ impl<K: Keys, C: Sync, P: Sync> Shuffle<'_, K, C, P> {
             reducers,
             reducers,
             |ctx, e| {
-                let mut table = Table::new(e, self.mode, self.keys(MAP, ctx.task), self.combine)?;
-                let out = map(ctx, e, &mut table).and_then(|()| {
-                    self.record(MAP, ctx.task, &table);
+                let keys = self.keys(MAP, ctx.task);
+                Table::scope(e, self.mode, keys, self.combine, |e, table| {
+                    map(ctx, e, table)?;
+                    self.record(MAP, ctx.task, table);
                     e.shuffle_write_scope(|e| table.write(e, reducers, &self.partition))
-                });
-                table.release(e);
-                out
+                })
             },
             |ctx, e, runs| {
                 let keys = self.keys(REDUCE, ctx.task);
-                let mut table = Table::new(e, self.mode, keys, self.combine)?;
-                let out = e.shuffle_read_scope(|e| table.read(e, runs)).and_then(|()| {
-                    self.record(REDUCE, ctx.task, &table);
+                Table::scope(e, self.mode, keys, self.combine, |e, table| {
+                    e.shuffle_read_scope(|e| table.read(e, runs))?;
+                    self.record(REDUCE, ctx.task, table);
                     table.fold(e, &fold)
-                });
-                table.release(e);
-                out
+                })
             },
         )
     }

@@ -48,9 +48,12 @@
 //! LR, KMeans and the graph jobs cache their input through one handle
 //! (`cached.rs`): it runs the load stage, rebuilds a lost block from its
 //! partition, and stores blocks as heap objects (Spark), bytes (SparkSer)
-//! or what `Optimizer::plan` decides (Deca). SQL keeps its own table cache.
+//! or what `Optimizer::plan` decides (Deca). SQL keeps its own table cache:
+//! Spark SQL's column-pruned chunks are not a row representation.
 //! WordCount and the graph jobs shuffle through one combine-by-key path
-//! (`combine.rs`), whose table is heap objects or pages by mode.
+//! (`combine.rs`), whose table is heap objects or pages by mode, and SQL's
+//! Q2 and Q3 aggregate in the same table. A task obtains a table only
+//! through one scope that releases it on every exit.
 
 mod cached;
 mod combine;

@@ -10,7 +10,6 @@
 //! * [`RankingRec`] / [`UserVisitRec`] — the §6.6 table rows.
 //! * [`JoinAggRec`] — the join query's per-group aggregate.
 
-use deca_core::DecaRecord;
 use deca_engine::EngineError;
 use deca_udt::fixtures::{group_by_program_over, lr_program_over, GroupByProgram, GroupTypes};
 use deca_udt::fixtures::{LrProgram, LrTypes, UnknownField};
@@ -84,13 +83,11 @@ impl JoinAggRec {
             count: self.count + other.count,
         }
     }
+}
 
-    /// In-place byte combine for the decomposed buffers.
-    pub fn combine_bytes(acc: &mut [u8], add: &[u8]) {
-        let a = JoinAggRec::decode(acc);
-        let b = JoinAggRec::decode(add);
-        a.merge(b).encode(acc);
-    }
+/// A join group's aggregate combines in a table as one value, `merge`.
+impl crate::combine::Value for JoinAggRec {
+    type Bytes = [u8; 24];
 }
 
 // =====================================================================
@@ -129,6 +126,7 @@ pub(crate) fn adjacency_analysis() -> Result<GroupByProgram, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deca_core::DecaRecord;
     use deca_engine::record::{Elements, HeapRecord, KryoRecord, OnHeap, Page, View};
     use deca_heap::{Heap, HeapConfig, ObjRef};
 
@@ -309,7 +307,7 @@ mod tests {
         a.encode(&mut acc);
         let mut add = [0u8; 24];
         b.encode(&mut add);
-        JoinAggRec::combine_bytes(&mut acc, &add);
+        crate::combine::combine_bytes(JoinAggRec::merge)(&mut acc, &add);
         assert_eq!(JoinAggRec::decode(&acc), merged);
         assert_eq!(merged.count, 3);
     }

@@ -33,17 +33,24 @@
 //! the blocks it read. An attempt that finds its blocks gone — it migrated,
 //! or a crash wiped them — rebuilds them from the description's tables
 //! first, as PageRank's map rebuilds its adjacency.
+//!
+//! Q2 and Q3 read their rows (each row's view, or Spark SQL's column
+//! chunks) and group them in the combine-by-key table (`combine.rs`): one
+//! insert and one fold. Spark's is heap objects, each row's `Tuple2` map
+//! output stored and read back and every combine a new value object; Spark
+//! SQL's and Deca's is the page table, combining in place. The table is
+//! released on every exit, a failed attempt's too. The tables' cache stays
+//! SQL's own: Spark SQL's column-pruned chunks are not a row
+//! representation.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use deca_core::{DecaHashShuffle, DecaRecord};
 use deca_engine::cache::{BlockId, CacheManager};
-use deca_engine::record::{HeapRecord, OnHeap, Page, Record, View};
-use deca_engine::{
-    AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx, SparkHashShuffle,
-};
+use deca_engine::record::{OnHeap, Page, Record, View};
+use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 
+use crate::combine::{IntKeys, Table, Value};
 use crate::datagen;
 use crate::records::{JoinAggRec, RankingRec, UserVisitRec};
 use crate::report::AppReport;
@@ -75,6 +82,16 @@ impl SqlSystem {
             // only sizes the heap.
             SqlSystem::SparkSql => ExecutionMode::SparkSer,
             SqlSystem::Deca => ExecutionMode::Deca,
+        }
+    }
+
+    /// The mode whose combine table aggregates Q2 and Q3.
+    fn table_mode(self) -> ExecutionMode {
+        match self {
+            SqlSystem::Spark => ExecutionMode::Spark,
+            // The page table models Tungsten's serialized aggregation
+            // buffer as well as Deca's decomposed one.
+            SqlSystem::SparkSql | SqlSystem::Deca => ExecutionMode::Deca,
         }
     }
 }
@@ -320,11 +337,6 @@ fn run_query(tables: &Tables, query: SqlQuery, job_ctx: &mut JobCtx) -> Result<f
     Ok(checksum[0])
 }
 
-fn add_f64_bytes(acc: &mut [u8], add: &[u8]) {
-    let sum = f64_at(acc, 0) + f64_at(add, 0);
-    acc[..8].copy_from_slice(&sum.to_le_bytes());
-}
-
 fn f64_at(bytes: &[u8], i: usize) -> f64 {
     f64::from_le_bytes(bytes.as_chunks::<8>().0[i])
 }
@@ -339,21 +351,23 @@ fn group_weight(ip: i64) -> f64 {
 }
 
 /// A join group's value in the Q3 checksum: revenue plus average rank.
-fn join_value(a: &JoinAggRec) -> f64 {
+fn join_value(a: JoinAggRec) -> f64 {
     a.revenue + a.rank_sum / a.count.max(1) as f64
 }
 
-/// Sum a page-backed aggregate's groups, each weighted by its key, and
-/// release it.
-fn sum_groups(
+/// Group `rows` by ip prefix in the system's combine table, then sum each
+/// group's `value` weighted by its key.
+fn aggregate<V: Value>(
     e: &mut Executor,
-    agg: DecaHashShuffle,
-    value: impl Fn(&[u8]) -> f64,
+    system: SqlSystem,
+    rows: Vec<(i64, V)>,
+    combine: impl Fn(V, V) -> V + Copy,
+    value: impl Fn(V) -> f64,
 ) -> Result<f64, EngineError> {
-    let mut sum = 0.0;
-    agg.for_each(&mut e.mm, &mut e.heap, |k, v| sum += group_weight(i64_at(k, 0)) * value(v))?;
-    agg.release(&mut e.mm, &mut e.heap);
-    Ok(sum)
+    Table::<IntKeys, V, _>::scope(e, system.table_mode(), 0, combine, |e, agg| {
+        agg.insert_all(e, rows)?;
+        agg.fold(e, |sum: &mut f64, ip, v| *sum += group_weight(ip) * value(v))
+    })
 }
 
 /// Each row of a row-store block of `R`s (Spark's heap objects, Deca's
@@ -403,55 +417,24 @@ fn filter(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, Engine
 
 /// Query 2: sum revenue per ip prefix.
 fn group_by(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
-    if system == SqlSystem::Spark {
-        // Row objects -> temp pair per row -> heap hash agg with
-        // boxed-Double combine churn.
-        let cls = UserVisitRec::register(&mut e.heap);
-        let pair_classes = <(i64, f64) as HeapRecord>::register(&mut e.heap);
-        let mut agg: SparkHashShuffle<i64, f64> = SparkHashShuffle::new(&mut e.heap)?;
-        for &b in &c.visits {
-            let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-            for i in 0..len {
-                let row = CacheManager::object(&e.heap, root, i);
-                let visit = UserVisitRec::heap_fields(&e.heap, &cls, row);
-                let tmp = (visit.ip_prefix, visit.ad_revenue).store(&mut e.heap, &pair_classes)?;
-                let ts = e.heap.push_stack(tmp);
-                let (k, v) =
-                    <(i64, f64) as HeapRecord>::load(&e.heap, &pair_classes, e.heap.stack_ref(ts));
-                e.heap.truncate_stack(ts);
-                agg.insert(&mut e.heap, &k, v, |a, b| a + b)?;
-            }
-        }
-        let mut sum = 0.0;
-        agg.for_each(&e.heap, |k, v| sum += group_weight(k) * v);
-        agg.release(&mut e.heap);
-        return Ok(sum);
-    }
-    // Deca's decomposed rows and Spark SQL's columns both aggregate in a
-    // page-backed hash buffer (it models Tungsten's serialized shuffle
-    // state well).
-    let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 8);
+    let mut rows = Vec::new();
     for &b in &c.visits {
-        if system == SqlSystem::Deca {
-            let mut pairs: Vec<(i64, f64)> = Vec::new();
-            each_row(e, system, b, |v: UserVisitRec| pairs.push((v.ip_prefix, v.ad_revenue)))?;
-            let pairs = pairs.iter().map(|(ip, rev)| (ip.to_le_bytes(), rev.to_le_bytes()));
-            agg.insert_all(&mut e.mm, &mut e.heap, pairs, add_f64_bytes)?;
-        } else {
-            let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-            let (ips, revs) = chunk.split_at(8 * n);
-            let rows = ips.chunks_exact(8).zip(revs.chunks_exact(8));
-            agg.insert_all(&mut e.mm, &mut e.heap, rows, add_f64_bytes)?;
+        if system != SqlSystem::SparkSql {
+            each_row(e, system, b, |v: UserVisitRec| rows.push((v.ip_prefix, v.ad_revenue)))?;
+            continue;
         }
+        let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+        let (ips, revs) = chunk.split_at(8 * n);
+        rows.extend((0..n).map(|i| (i64_at(ips, i), f64_at(revs, i))));
     }
-    sum_groups(e, agg, |v| f64_at(v, 0))
+    aggregate(e, system, rows, |a: f64, b| a + b, |revenue| revenue)
 }
 
 /// Query 3: build url → pageRank from `rankings`, probe it per visit, and
 /// aggregate revenue, rank sum and count per ip prefix. The aggregate is a
 /// 24-byte SFST value per group. In Spark every probe's output materialises
-/// a temporary aggregate object and every combine allocates a new one;
-/// Deca and the columnar engine combine in place.
+/// a temporary `Tuple2` and every combine allocates a new aggregate; Deca
+/// and the columnar engine combine in place.
 fn join(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineError> {
     let mut build: HashMap<i64, i32> = HashMap::new();
     for &b in &c.rankings {
@@ -468,59 +451,25 @@ fn join(e: &mut Executor, system: SqlSystem, c: &Cached) -> Result<f64, EngineEr
         }
     }
     let delta = |rev: f64, rank: i32| JoinAggRec { revenue: rev, rank_sum: rank as f64, count: 1 };
-
-    if system == SqlSystem::Spark {
-        let cls = UserVisitRec::register(&mut e.heap);
-        let agg_classes = JoinAggRec::register(&mut e.heap);
-        let mut agg: SparkHashShuffle<i64, JoinAggRec> = SparkHashShuffle::new(&mut e.heap)?;
-        for &b in &c.visits {
-            let (root, len) = e.cache.objects_root(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-            for i in 0..len {
-                let row = CacheManager::object(&e.heap, root, i);
-                let v = UserVisitRec::heap_fields(&e.heap, &cls, row);
-                if let Some(&rank) = build.get(&v.url_id) {
-                    // Probe output materialises a temp aggregate.
-                    let tmp = delta(v.ad_revenue, rank).store(&mut e.heap, &agg_classes)?;
-                    let ts = e.heap.push_stack(tmp);
-                    let d = JoinAggRec::load(&e.heap, &agg_classes, e.heap.stack_ref(ts));
-                    e.heap.truncate_stack(ts);
-                    agg.insert(&mut e.heap, &v.ip_prefix, d, JoinAggRec::merge)?;
-                }
-            }
-        }
-        let mut sum = 0.0;
-        agg.for_each(&e.heap, |k, v| sum += group_weight(k) * join_value(&v));
-        agg.release(&mut e.heap);
-        return Ok(sum);
-    }
-    let agg_bytes = |ip: i64, d: JoinAggRec| {
-        let mut bytes = [0u8; 24];
-        d.encode(&mut bytes);
-        (ip.to_le_bytes(), bytes)
-    };
-    let mut agg = DecaHashShuffle::new(&mut e.mm, 8, 24);
+    let mut deltas = Vec::new();
     for &b in &c.visits {
-        if system == SqlSystem::Deca {
-            let mut deltas: Vec<(i64, JoinAggRec)> = Vec::new();
+        if system != SqlSystem::SparkSql {
             each_row(e, system, b, |v: UserVisitRec| {
                 if let Some(&rank) = build.get(&v.url_id) {
                     deltas.push((v.ip_prefix, delta(v.ad_revenue, rank)));
                 }
             })?;
-            let deltas = deltas.iter().map(|&(ip, d)| agg_bytes(ip, d));
-            agg.insert_all(&mut e.mm, &mut e.heap, deltas, JoinAggRec::combine_bytes)?;
-        } else {
-            let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
-            let (ips, rest) = chunk.split_at(8 * n);
-            let (urls, revs) = rest.split_at(8 * n);
-            let deltas = (0..n).filter_map(|i| {
-                let &rank = build.get(&i64_at(urls, i))?;
-                Some(agg_bytes(i64_at(ips, i), delta(f64_at(revs, i), rank)))
-            });
-            agg.insert_all(&mut e.mm, &mut e.heap, deltas, JoinAggRec::combine_bytes)?;
+            continue;
         }
+        let (chunk, n) = e.cache.read_bytes(b, &mut e.heap, &mut e.kryo, &mut e.mm)?;
+        let (ips, rest) = chunk.split_at(8 * n);
+        let (urls, revs) = rest.split_at(8 * n);
+        deltas.extend((0..n).filter_map(|i| {
+            let &rank = build.get(&i64_at(urls, i))?;
+            Some((i64_at(ips, i), delta(f64_at(revs, i), rank)))
+        }));
     }
-    sum_groups(e, agg, |v| join_value(&JoinAggRec::decode(v)))
+    aggregate(e, system, deltas, JoinAggRec::merge, join_value)
 }
 
 #[cfg(test)]

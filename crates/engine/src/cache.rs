@@ -2000,6 +2000,19 @@ mod tests {
         assert_eq!(scan_pairs(&mut cm, bytes, &mut heap, &mut kryo, &mut mm), recs);
     }
 
+    #[allow(dead_code, unused_imports)]
+    mod keyed {
+        crate::record! {
+            /// An id and a trailing `double[]`.
+            #[derive(Clone, Debug)]
+            pub struct KeyedPoint as "KeyedPoint" {
+                pub id: i64 as "id",
+                pub values: [f64] as "values" of "double[]",
+            }
+        }
+    }
+    use keyed::KeyedPoint;
+
     /// A demotion whose warm copy finds no heap room writes the bytes it
     /// already has to disk and commits the whole manifest: the row of a
     /// page group swapped earlier stays in it, so a crash right after
@@ -2021,8 +2034,9 @@ mod tests {
             .collect();
         // Points whose Kryo bytes are about as large as their graph, so the
         // warm copy is humongous and needs the old generation.
-        let classes = <(i64, Vec<f64>) as HeapRecord>::register(&mut heap);
-        let points: Vec<(i64, Vec<f64>)> = (0..180).map(|i| (i, vec![i as f64; 1000])).collect();
+        let classes = KeyedPoint::register(&mut heap);
+        let points: Vec<KeyedPoint> =
+            (0..180).map(|i| KeyedPoint { id: i, values: vec![i as f64; 1000] }).collect();
         let objects = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &points).unwrap();
         assert_eq!(cm.tier(objects, &mm), Tier::Hot);
         // A small put over the budget demotes the point block.

@@ -23,8 +23,8 @@
 //! An app record is declared once with [`record!`](crate::record!), which
 //! emits all three, its boundary walks and its [`View`], from one list of
 //! fields, plus the descriptor the optimizer analyses; the primitives it
-//! stores are [`Scalar`]s. Boxed scalars and their pairs ([`BoxedScalar`]),
-//! `(i64, Vec<f64>)` and `String` are implemented here.
+//! stores are [`Scalar`]s. Boxed scalars ([`BoxedScalar`]), their pairs
+//! with a record and `String` are implemented here.
 //!
 //! A `String`'s `char[]` is written and read in bulk, as the JVM's `String`
 //! intrinsics and `System.arraycopy` move it. ASCII text — every token the
@@ -89,8 +89,8 @@ pub trait KryoRecord: Sized {
 /// Kryo boundary with no owned record on it: each crossing goes straight
 /// between Kryo bytes, the record's page form (its [`DecaRecord`] bytes)
 /// and its heap graph. `record!` emits these for a declared record; the
-/// boxed scalars, their pairs, `(i64, Vec<f64>)` and `String` implement
-/// them here.
+/// boxed scalars, their pairs with a record and `String` implement them
+/// here.
 pub trait Record: DecaRecord + HeapRecord + KryoRecord + Clone + Send {
     /// Kryo → page form: decode the record at `*pos` and append its page
     /// bytes to `out`, the bytes `DecaRecord::encode` writes for what
@@ -162,7 +162,7 @@ pub trait Scalar: DecaRecord + Copy + 'static {
     /// Its width in page bytes.
     const WIDTH: usize;
     /// Its page bytes as one word, `[u8; WIDTH]`.
-    type Word: Copy + AsRef<[u8]> + 'static;
+    type Word: Copy + AsRef<[u8]> + AsMut<[u8]> + Default + 'static;
     fn write(self, heap: &mut Heap, obj: ObjRef, field: usize);
     fn read(heap: &Heap, obj: ObjRef, field: usize) -> Self;
     fn set(self, heap: &mut Heap, arr: ObjRef, i: usize);
@@ -442,70 +442,86 @@ impl<T: BoxedScalar> HeapKey for T {
     }
 }
 
-/// Classes of a boxed pair: `Tuple2 { _1: ref, _2: ref }` with boxed
-/// primitive fields, as Scala generics produce on the JVM.
+/// Classes of a pair: `Tuple2 { _1: ref, _2: ref }` with a boxed first
+/// part, as Scala generics produce on the JVM, and the classes of its
+/// second part's graph `B` (a box, for a boxed scalar).
 #[derive(Copy, Clone)]
-pub struct PairClasses {
+pub struct PairClasses<B = BoxClasses> {
     pub tuple: ClassId,
     pub box_a: ClassId,
-    pub box_b: ClassId,
+    pub b: B,
 }
 
-/// A pair of boxed scalars (WordCount's counts, PageRank's rank messages,
-/// SQL aggregates): a `Tuple2` and two boxes, the boxes allocated first.
-impl<A: BoxedScalar, B: BoxedScalar> HeapRecord for (A, B) {
-    type Classes = PairClasses;
+/// A pair of a boxed scalar and a record (WordCount's counts, PageRank's
+/// rank messages, SQL's aggregates): a `Tuple2`, the first part's box and
+/// the second part's graph, the parts allocated first. A boxed scalar's
+/// graph is its box, so a pair of them is a `Tuple2` and two boxes.
+impl<A: BoxedScalar, B: HeapRecord> HeapRecord for (A, B) {
+    type Classes = PairClasses<B::Classes>;
 
-    fn register(heap: &mut Heap) -> PairClasses {
+    fn register(heap: &mut Heap) -> Self::Classes {
         let tuple = tuple_class(heap);
-        PairClasses { tuple, box_a: box_class::<A>(heap), box_b: box_class::<B>(heap) }
+        PairClasses { tuple, box_a: box_class::<A>(heap), b: B::register(heap) }
     }
 
     #[inline]
-    fn store(&self, heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
-        let a = store_box(self.0, heap, cls.box_a)?;
-        let sa = heap.push_stack(a);
-        let b = store_box(self.1, heap, cls.box_b).inspect_err(|_| heap.truncate_stack(sa))?;
-        heap.push_stack(b);
-        store_tuple(heap, cls, sa)
+    fn store(&self, heap: &mut Heap, cls: &Self::Classes) -> Result<ObjRef, OomError> {
+        store_pair(heap, cls, self.0, |heap| self.1.store(heap, &cls.b))
     }
 
     #[inline]
-    fn load(heap: &Heap, cls: &PairClasses, obj: ObjRef) -> Self {
-        Self::view(heap, cls, obj, &mut ())
+    fn load(heap: &Heap, cls: &Self::Classes, obj: ObjRef) -> Self {
+        (A::read(heap, heap.read_ref(obj, 0), 0), B::load(heap, &cls.b, heap.read_ref(obj, 1)))
     }
 
     fn heap_size(&self) -> usize {
-        object_bytes(16) + object_bytes(A::WIDTH) + object_bytes(B::WIDTH)
+        object_bytes(16) + object_bytes(A::WIDTH) + self.1.heap_size()
     }
+}
+
+/// A pair's graph: `a`'s box, then the second part's graph `store_b`
+/// allocates, then the `Tuple2`. A failed allocation pops what the store
+/// pushed on the shadow stack.
+#[inline]
+fn store_pair<A: BoxedScalar, C>(
+    heap: &mut Heap,
+    cls: &PairClasses<C>,
+    a: A,
+    store_b: impl FnOnce(&mut Heap) -> Result<ObjRef, OomError>,
+) -> Result<ObjRef, OomError> {
+    let a = store_box(a, heap, cls.box_a)?;
+    let sa = heap.push_stack(a);
+    let b = store_b(heap).inspect_err(|_| heap.truncate_stack(sa))?;
+    heap.push_stack(b);
+    store_tuple(heap, cls.tuple, sa)
 }
 
 /// Allocate a `Tuple2` around the two parts on the shadow stack from slot
 /// `parts`, and pop them, whether or not the allocation succeeds.
 #[inline]
-fn store_tuple(heap: &mut Heap, cls: &PairClasses, parts: usize) -> Result<ObjRef, OomError> {
-    let t = heap.alloc(cls.tuple).inspect_err(|_| heap.truncate_stack(parts))?;
+fn store_tuple(heap: &mut Heap, tuple: ClassId, parts: usize) -> Result<ObjRef, OomError> {
+    let t = heap.alloc(tuple).inspect_err(|_| heap.truncate_stack(parts))?;
     heap.write_ref(t, 0, heap.stack_ref(parts));
     heap.write_ref(t, 1, heap.stack_ref(parts + 1));
     heap.truncate_stack(parts);
     Ok(t)
 }
 
-impl<A: BoxedScalar, B: BoxedScalar> KryoRecord for (A, B) {
+impl<A: BoxedScalar, B: KryoRecord> KryoRecord for (A, B) {
     #[inline]
     fn kryo_encode(&self, out: &mut Vec<u8>) {
         self.0.kryo_box_write(out);
-        self.1.kryo_box_write(out);
+        self.1.kryo_encode(out);
     }
 
     #[inline]
     fn kryo_decode(buf: &[u8], pos: &mut usize) -> Self {
         let a = A::kryo_box_read(buf, pos);
-        (a, B::kryo_box_read(buf, pos))
+        (a, B::kryo_decode(buf, pos))
     }
 }
 
-impl<A: BoxedScalar + Send, B: BoxedScalar + Send> Record for (A, B) {
+impl<A: BoxedScalar + Send, B: Record> Record for (A, B) {
     #[inline]
     fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
         A::kryo_to_page(buf, pos, out);
@@ -513,104 +529,26 @@ impl<A: BoxedScalar + Send, B: BoxedScalar + Send> Record for (A, B) {
     }
 
     #[inline]
-    fn store_page(page: &[u8], heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
-        (A::decode(page), B::decode(&page[A::WIDTH..])).store(heap, cls)
+    fn store_page(page: &[u8], heap: &mut Heap, cls: &Self::Classes) -> Result<ObjRef, OomError> {
+        store_pair(heap, cls, A::decode(page), |heap| {
+            B::store_page(&page[A::WIDTH..], heap, &cls.b)
+        })
     }
 
     #[inline]
-    fn kryo_from_heap(heap: &Heap, cls: &PairClasses, obj: ObjRef, out: &mut Vec<u8>) {
-        let (a, b) = Self::view(heap, cls, obj, &mut ());
-        a.kryo_box_write(out);
-        b.kryo_box_write(out);
+    fn kryo_from_heap(heap: &Heap, cls: &Self::Classes, obj: ObjRef, out: &mut Vec<u8>) {
+        A::read(heap, heap.read_ref(obj, 0), 0).kryo_box_write(out);
+        B::kryo_from_heap(heap, &cls.b, heap.read_ref(obj, 1), out);
     }
 }
 
-impl<A: BoxedScalar, B: BoxedScalar> HeapKey for (A, B) {
+impl<A: BoxedScalar, B: HeapRecord> HeapKey for (A, B) {
     type Buf = ();
     type View<'b> = (A, B);
 
     #[inline]
-    fn view(heap: &Heap, _cls: &PairClasses, obj: ObjRef, _buf: &mut ()) -> (A, B) {
-        (A::read(heap, heap.read_ref(obj, 0), 0), B::read(heap, heap.read_ref(obj, 1), 0))
-    }
-}
-
-/// `(i64, Vec<f64>)` pairs (keyed vectors): heap graph is a Tuple2 with a
-/// boxed key and a raw double[] value.
-impl HeapRecord for (i64, Vec<f64>) {
-    type Classes = PairClasses;
-
-    fn register(heap: &mut Heap) -> PairClasses {
-        let tuple = tuple_class(heap);
-        let box_a = box_class::<i64>(heap);
-        let box_b = array_class_or_define(heap, "double[]", FieldKind::F64);
-        PairClasses { tuple, box_a, box_b }
-    }
-
-    fn store(&self, heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
-        store_keyed_vector(heap, cls, self.0, self.1.len(), |heap, arr| {
-            for (i, v) in self.1.iter().enumerate() {
-                heap.array_set_f64(arr, i, *v);
-            }
-        })
-    }
-
-    fn load(heap: &Heap, _cls: &PairClasses, obj: ObjRef) -> Self {
-        let v = HeapArray::<f64>::new(heap, heap.read_ref(obj, 1)).iter().collect();
-        (heap.read_i64(heap.read_ref(obj, 0), 0), v)
-    }
-
-    fn heap_size(&self) -> usize {
-        object_bytes(16) + object_bytes(8) + object_bytes(8 * self.1.len())
-    }
-}
-
-/// A keyed vector's graph: the key's box, then the `double[]` of `len`
-/// values `fill` writes, then the `Tuple2`.
-fn store_keyed_vector(
-    heap: &mut Heap,
-    cls: &PairClasses,
-    key: i64,
-    len: usize,
-    fill: impl FnOnce(&mut Heap, ObjRef),
-) -> Result<ObjRef, OomError> {
-    let a = store_box(key, heap, cls.box_a)?;
-    let sa = heap.push_stack(a);
-    let arr = heap.alloc_array(cls.box_b, len).inspect_err(|_| heap.truncate_stack(sa))?;
-    fill(heap, arr);
-    heap.push_stack(arr);
-    store_tuple(heap, cls, sa)
-}
-
-impl KryoRecord for (i64, Vec<f64>) {
-    fn kryo_encode(&self, out: &mut Vec<u8>) {
-        self.0.kryo_box_write(out);
-        kryo_write_array(&self.1, out);
-    }
-
-    fn kryo_decode(buf: &[u8], pos: &mut usize) -> Self {
-        let k = i64::kryo_box_read(buf, pos);
-        (k, kryo_read_array(buf, pos))
-    }
-}
-
-/// Page form: the key, then the vector's `u32` count and elements.
-impl Record for (i64, Vec<f64>) {
-    fn kryo_to_page(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) {
-        i64::kryo_to_page(buf, pos, out);
-        kryo_array_to_page::<f64>(buf, pos, true, out);
-    }
-
-    fn store_page(page: &[u8], heap: &mut Heap, cls: &PairClasses) -> Result<ObjRef, OomError> {
-        let values = array_words::<8>(&page[8..], true);
-        store_keyed_vector(heap, cls, i64::decode(page), values.len(), |heap, arr| {
-            heap.array_write_le(arr, values.as_flattened())
-        })
-    }
-
-    fn kryo_from_heap(heap: &Heap, _cls: &PairClasses, obj: ObjRef, out: &mut Vec<u8>) {
-        heap.read_i64(heap.read_ref(obj, 0), 0).kryo_box_write(out);
-        HeapArray::<f64>::new(heap, heap.read_ref(obj, 1)).kryo_write(out);
+    fn view(heap: &Heap, cls: &Self::Classes, obj: ObjRef, _buf: &mut ()) -> (A, B) {
+        Self::load(heap, cls, obj)
     }
 }
 
@@ -1414,7 +1352,7 @@ mod tests {
     fn pair_if64_heap_roundtrip() {
         heap_roundtrip((5i64, 2.25f64));
         heap_roundtrip((2.25f64, 5i64));
-        heap_roundtrip((5i64, vec![1.0f64, -2.0, 3.5]));
+        heap_roundtrip((5i64, Wrapped { id: 3, values: vec![1.0, -2.0, 3.5] }));
         heap_roundtrip(9i64);
         heap_roundtrip(-0.5f64);
         heap_roundtrip(String::from("héllo"));
@@ -1508,7 +1446,7 @@ mod tests {
             });
         }
         shape("(i64, i64)", (3i64, 4i64));
-        shape("(i64, Vec<f64>)", (3i64, vec![1.0f64, 2.0]));
+        shape("(i64, record! with a wrapped array)", (3i64, Wrapped { id: 3, values: vec![1.0] }));
         shape("String", String::from("héllo"));
         shape("record! with a wrapped array", Wrapped { id: 3, values: vec![1.0, 2.0] });
         each_allocation_fails_in_turn("store_str", String::register, |heap, cls| {

@@ -162,10 +162,10 @@ impl KryoSim {
         self.objects_serialized += 1;
     }
 
-    /// Serialize one boxed pair record `(A, B)` from its two boxes, as a
-    /// shuffle buffer holds a key and its value apart: the bytes and
-    /// object count of `serialize(&(a, b))`. Untimed.
-    pub fn serialize_heap_pair<A: BoxedScalar + Record, B: BoxedScalar + Record>(
+    /// Serialize one pair record `(A, B)` from its key's box and its
+    /// value's graph, as a shuffle buffer holds a key and its value apart:
+    /// the bytes and object count of `serialize(&(a, b))`. Untimed.
+    pub fn serialize_heap_pair<A: BoxedScalar + Record, B: Record>(
         &mut self,
         heap: &Heap,
         (ca, cb): (&A::Classes, &B::Classes),

@@ -124,8 +124,9 @@ echo "== one cached-dataset handle (no hand-rolled cache put in the apps) =="
 # LR, KMeans and the graph jobs cache through crates/apps/src/cached.rs,
 # which puts a block in the representation its container decision names:
 # no other non-test app line calls a cache put. SQL's tables keep their own
-# puts: one task caches every table per executor, and Spark SQL's columnar
-# chunks are a representation of their own.
+# puts: one task caches every table per executor, and Spark SQL's
+# column-pruned chunks are not a row representation, so folding them into
+# cached.rs would make it branch on which caller it serves.
 puts=$(find crates/apps/src -name '*.rs' ! -name cached.rs ! -name sql.rs | sort \
   | xargs awk -f scripts/non_test_lines.awk | grep -E 'put_objects|put_serialized|put_deca' || true)
 if [ -n "$puts" ]; then
@@ -136,11 +137,10 @@ fi
 
 echo "== one combine-by-key shuffle (no shuffle table named outside combine.rs) =="
 # WordCount, text WordCount, PageRank and CC shuffle through
-# crates/apps/src/combine.rs, whose table constructor is the one place that
-# picks a heap or a page table from the mode: no other non-test app line
-# names a combine table type. SQL's single-stage aggregates keep their own
-# tables: Spark SQL shares Deca's page table there.
-tables=$(find crates/apps/src -name '*.rs' ! -name combine.rs ! -name sql.rs | sort \
+# crates/apps/src/combine.rs, and SQL's Q2 and Q3 aggregate in its table,
+# whose constructor is the one place that picks a heap or a page table from
+# the mode: no other non-test app line names a combine table type.
+tables=$(find crates/apps/src -name '*.rs' ! -name combine.rs | sort \
   | xargs awk -f scripts/non_test_lines.awk \
   | grep -E 'SparkHashShuffle|DecaHashShuffle|DecaVarHashShuffle' || true)
 if [ -n "$tables" ]; then

@@ -7,6 +7,7 @@ use deca_apps::concomp::{self, CcParams};
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, run_local, LrParams};
 use deca_apps::pagerank::{self, PrParams};
+use deca_apps::sql::{self, SqlParams, SqlQuery, SqlSystem};
 use deca_apps::wordcount::{self, WcParams};
 use deca_apps::{run_job_faulty, run_job_on};
 use deca_engine::record::HeapRecord;
@@ -350,6 +351,62 @@ fn text_wordcount_on_a_tight_heap_fails_typed_and_leaves_no_combine_table() {
         }
     }
     assert!(reference.is_some(), "the sweep starts at a size that completes");
+    td.cleanup();
+}
+
+#[test]
+fn sql_on_a_shrinking_heap_completes_or_reports_memory_pressure_and_leaves_no_aggregate() {
+    let td = TestDir::executor_default();
+    // The sweep for SQL's two aggregates, Q2 and Q3, in all three systems,
+    // from a heap where every cell completes down to 1 MB. A query attempt
+    // that failed inside its aggregate used to return through `?` before
+    // releasing the aggregate's table: Spark's rooted `Object[]` stayed
+    // reachable (and a retry that then completed left it behind), and a
+    // page table's group had no owner. Every completed point matches its
+    // cell's roomiest checksum bit for bit. Whatever the outcome, once the
+    // cache has evicted what it can, the executor holds no heap root and
+    // one page group per Deca block: the blocks a failed query leaves
+    // cached, and nothing else.
+    for query in [SqlQuery::GroupBy, SqlQuery::Join] {
+        for system in SqlSystem::ALL {
+            let mut reference = None;
+            for heap_kb in [24576, 8192, 4096, 3072, 2048, 1536, 1024] {
+                let p = SqlParams {
+                    rankings_rows: 5_000,
+                    uservisits_rows: 20_000,
+                    groups: 4_000,
+                    partitions: 2,
+                    heap_bytes: heap_kb << 10,
+                    system,
+                    seed: 77,
+                };
+                let cell = format!("{query:?} on {system:?} at {heap_kb} KB");
+                let mut session = ClusterSession::new(1, sql::sql_config(&p));
+                match run_job_on(&sql::job(&p, query), &mut session) {
+                    Ok((checksum, _)) => assert_eq!(
+                        checksum.to_bits(),
+                        reference.get_or_insert(checksum).to_bits(),
+                        "{cell}: completed with the wrong aggregate"
+                    ),
+                    Err(e) => assert!(
+                        e.is_memory_pressure(),
+                        "{cell}: expected a memory-pressure error, got: {e}"
+                    ),
+                }
+                let e = &mut *session.executor(0);
+                e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).expect("the cache evicts");
+                assert_eq!(
+                    (e.heap.root_count(), e.mm.live_groups()),
+                    (0, e.cache.deca_blocks()),
+                    "{cell}: [heap roots, live page groups] after the job"
+                );
+            }
+            assert!(
+                reference.is_some(),
+                "{query:?} on {system:?}: the sweep starts where it completes"
+            );
+        }
+    }
     td.cleanup();
 }
 

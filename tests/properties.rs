@@ -543,7 +543,7 @@ fn boundary_matches_owned_path<T: Record + PartialEq + std::fmt::Debug>(
 /// The Spark modes cross between Kryo bytes, page bytes and the heap with
 /// no owned record, and each crossing matches the owned path it replaced,
 /// for the five declared records and every hand-written `Record`: boxed
-/// `i64` and `f64`, `(i64, i64)`, `(i64, f64)`, `(i64, Vec<f64>)`, and
+/// `i64` and `f64`, `(i64, i64)`, `(i64, f64)`, `(i64, JoinAggRec)`, and
 /// `String` in ASCII, Latin-1, BMP and astral text at every length 0..=33:
 /// - Kryo → page: the bytes `DecaRecord::encode` writes for what
 ///   `kryo_decode` returns, with the same tag check and object count;
@@ -590,9 +590,11 @@ fn kryo_walks_match_the_owned_path() {
                 boundary_matches_owned_path(&ints[0], o, p, "i64")?;
                 boundary_matches_owned_path(&real(1), o, p, "f64")?;
                 boundary_matches_owned_path(&(ints[2], ints[3]), o, p, "(i64, i64)")?;
-                boundary_matches_owned_path(&(ints[4], real(5)), o, p, "(i64, f64)")?;
-                let keyed = (ints[0], reals[..n].to_vec());
-                boundary_matches_owned_path(&keyed, o, p, "(i64, Vec<f64>)")
+                boundary_matches_owned_path(&(ints[4], real(5)), o, p, "(i64, f64)")
+            })?;
+            walk("a pair with a declared record", &|o, p| {
+                let agg = JoinAggRec { revenue: real(3), rank_sum: real(4), count: ints[5] };
+                boundary_matches_owned_path(&(ints[0], agg), o, p, "(i64, JoinAggRec)")
             })?;
             walk("strings", &|o, p| {
                 for class in 0..4 {
