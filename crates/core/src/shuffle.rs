@@ -128,6 +128,44 @@ impl SlotMap {
         let (page, off) = self.locate(i);
         &mut g.page_mut(page).bytes_mut()[off..off + self.slot_size()]
     }
+
+    /// One run of [`DecaHashShuffle::insert_all`] over the table `ctrl`
+    /// holding `len` keys: apply `pairs` in order until a new key meets
+    /// the load threshold. Returns that pair, unapplied, and the number of
+    /// combines.
+    #[inline(always)]
+    fn insert_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        self,
+        g: &mut PageGroup,
+        ctrl: &mut [u8],
+        len: &mut usize,
+        pairs: impl Iterator<Item = (K, V)>,
+        combine: &mut impl FnMut(&mut [u8], &[u8]),
+    ) -> (Option<(K, V)>, u64) {
+        let room = max_len(ctrl.len());
+        let mut hits = 0;
+        for (k, v) in pairs {
+            let (key, val) = (k.as_ref(), v.as_ref());
+            assert_eq!(key.len(), self.key_size);
+            assert_eq!(val.len(), self.val_size);
+            let hash = hash_bytes(key);
+            match probe(ctrl, hash, |i| same_bytes(&self.slot(g, i)[..self.key_size], key)) {
+                Ok(i) => {
+                    combine(&mut self.slot_mut(g, i)[self.key_size..], val);
+                    hits += 1;
+                }
+                Err(_) if *len == room => return (Some((k, v)), hits),
+                Err(i) => {
+                    ctrl[i] = tag(hash);
+                    let slot = self.slot_mut(g, i);
+                    slot[..self.key_size].copy_from_slice(key);
+                    slot[self.key_size..].copy_from_slice(val);
+                    *len += 1;
+                }
+            }
+        }
+        (None, hits)
+    }
 }
 
 /// Hash-based shuffle buffer with eager combining over decomposed
@@ -240,37 +278,19 @@ impl DecaHashShuffle {
         }
         let map = self.map;
         loop {
-            let room = max_len(self.ctrl.len());
             let (ctrl, len, combines) = (&mut self.ctrl, &mut self.len, &mut self.combines);
             let full = mm.with_group_mut(&self.group, heap, |g, _| {
-                let mut hits = 0;
-                let mut full = false;
-                for (k, v) in pending.take().into_iter().chain(pairs.by_ref()) {
-                    let (key, val) = (k.as_ref(), v.as_ref());
-                    assert_eq!(key.len(), map.key_size);
-                    assert_eq!(val.len(), map.val_size);
-                    let hash = hash_bytes(key);
-                    match probe(ctrl, hash, |i| same_bytes(&map.slot(g, i)[..map.key_size], key)) {
-                        Ok(i) => {
-                            combine(&mut map.slot_mut(g, i)[map.key_size..], val);
-                            hits += 1;
-                        }
-                        Err(_) if *len == room => {
-                            pending = Some((k, v));
-                            full = true;
-                            break;
-                        }
-                        Err(i) => {
-                            ctrl[i] = tag(hash);
-                            let slot = map.slot_mut(g, i);
-                            slot[..map.key_size].copy_from_slice(key);
-                            slot[map.key_size..].copy_from_slice(val);
-                            *len += 1;
-                        }
-                    }
+                // The waiting pair first, so the loop over the rest pulls
+                // each pair straight from `pairs`.
+                let (mut stopped, mut hits) =
+                    map.insert_run(g, ctrl, len, pending.take().into_iter(), &mut combine);
+                if stopped.is_none() {
+                    let (rest, more) = map.insert_run(g, ctrl, len, pairs.by_ref(), &mut combine);
+                    (stopped, hits) = (rest, hits + more);
                 }
                 *combines += hits;
-                Ok(full)
+                pending = stopped;
+                Ok(pending.is_some())
             })?;
             if !full {
                 return Ok(());

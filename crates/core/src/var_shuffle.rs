@@ -23,9 +23,9 @@
 //! Used by string-keyed aggregations (the paper's WordCount has text
 //! keys) and by any UDT key the classifier marks RFST.
 
-use deca_heap::Heap;
+use deca_heap::{Heap, OomError};
 
-use crate::group::SegPtr;
+use crate::group::{PageGroup, SegPtr};
 use crate::hash::hash_bytes;
 use crate::manager::{Group, MemError, MemoryManager};
 use crate::shuffle::{max_len, probe, same_bytes, tag, EMPTY};
@@ -60,6 +60,76 @@ enum Run {
     /// A new key's segment did not fit the heap after this pass had
     /// applied others: re-enter, so that key gets its own eviction round.
     OutOfBudget,
+}
+
+/// One pass of [`DecaVarHashShuffle::insert_all`] inside the page group:
+/// the table, borrowed apart from the group.
+struct Pass<'a> {
+    ctrl: &'a mut [u8],
+    slots: &'a mut [Slot],
+    len: &'a mut usize,
+    combines: &'a mut u64,
+    /// The load threshold.
+    room: usize,
+    val_size: usize,
+    /// Whether the pass has applied a pair yet.
+    applied: bool,
+}
+
+impl Pass<'_> {
+    /// Apply `pairs` in order; on a key hit, combine into the value's
+    /// bytes in place. A pair that ends the pass goes to `stopped`,
+    /// unapplied: a new key that meets the load threshold ([`Run::Full`])
+    /// or whose segment does not fit the heap ([`Run::OutOfBudget`], or
+    /// the heap's error while the pass has applied nothing).
+    #[inline(always)]
+    fn run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &mut self,
+        g: &mut PageGroup,
+        h: &mut Heap,
+        pairs: impl Iterator<Item = (K, V)>,
+        combine: &mut impl FnMut(&mut [u8], &[u8]),
+        stopped: &mut Option<(K, V)>,
+    ) -> Result<Run, OomError> {
+        let val_size = self.val_size;
+        for (k, v) in pairs {
+            let (key, val) = (k.as_ref(), v.as_ref());
+            assert_eq!(val.len(), val_size);
+            let hash = hash_bytes(key);
+            let slots = &*self.slots;
+            let is_key = |i: usize| {
+                let s = slots[i];
+                s.hash == hash as u32 && same_bytes(g.slice(s.key, s.key_len as usize), key)
+            };
+            match probe(self.ctrl, hash, is_key) {
+                Ok(i) => {
+                    combine(g.slice_mut(self.slots[i].val(), val_size), val);
+                    *self.combines += 1;
+                }
+                Err(_) if *self.len == self.room => {
+                    *stopped = Some((k, v));
+                    return Ok(Run::Full);
+                }
+                Err(i) => match g.reserve(h, key.len() + val_size) {
+                    Ok(ptr) => {
+                        let key_len = key.len() as u32;
+                        let slot = Slot { hash: hash as u32, key: ptr, key_len };
+                        g.slice_mut(ptr, key.len()).copy_from_slice(key);
+                        g.slice_mut(slot.val(), val_size).copy_from_slice(val);
+                        self.ctrl[i] = tag(hash);
+                        self.slots[i] = slot;
+                        *self.len += 1;
+                    }
+                    Err(oom) => {
+                        *stopped = Some((k, v));
+                        return if self.applied { Ok(Run::OutOfBudget) } else { Err(oom) };
+                    }
+                },
+            }
+            self.applied = true;
+        }
+        Ok(Run::Done)
+    }
 }
 
 /// Hash shuffle with variable-size keys and fixed-size (SFST) values
@@ -145,43 +215,14 @@ impl DecaVarHashShuffle {
             let (ctrl, slots) = (&mut self.ctrl, &mut self.slots);
             let (len, combines) = (&mut self.len, &mut self.combines);
             let run = mm.with_group_mut(&self.group, heap, |g, h| {
-                let mut applied = false;
-                for (k, v) in pending.take().into_iter().chain(pairs.by_ref()) {
-                    let (key, val) = (k.as_ref(), v.as_ref());
-                    assert_eq!(val.len(), val_size);
-                    let hash = hash_bytes(key);
-                    let is_key = |i: usize| {
-                        let s = slots[i];
-                        s.hash == hash as u32 && same_bytes(g.slice(s.key, s.key_len as usize), key)
-                    };
-                    match probe(ctrl, hash, is_key) {
-                        Ok(i) => {
-                            combine(g.slice_mut(slots[i].val(), val_size), val);
-                            *combines += 1;
-                        }
-                        Err(_) if *len == room => {
-                            pending = Some((k, v));
-                            return Ok(Run::Full);
-                        }
-                        Err(i) => match g.reserve(h, key.len() + val_size) {
-                            Ok(ptr) => {
-                                let key_len = key.len() as u32;
-                                let slot = Slot { hash: hash as u32, key: ptr, key_len };
-                                g.slice_mut(ptr, key.len()).copy_from_slice(key);
-                                g.slice_mut(slot.val(), val_size).copy_from_slice(val);
-                                ctrl[i] = tag(hash);
-                                slots[i] = slot;
-                                *len += 1;
-                            }
-                            Err(oom) => {
-                                pending = Some((k, v));
-                                return if applied { Ok(Run::OutOfBudget) } else { Err(oom) };
-                            }
-                        },
-                    }
-                    applied = true;
+                let mut pass = Pass { ctrl, slots, len, combines, room, val_size, applied: false };
+                // The waiting pair first, so the loop over the rest pulls
+                // each pair straight from `pairs`.
+                let waiting = pending.take().into_iter();
+                match pass.run(g, h, waiting, &mut combine, &mut pending)? {
+                    Run::Done => pass.run(g, h, pairs.by_ref(), &mut combine, &mut pending),
+                    stopped => Ok(stopped),
                 }
-                Ok(Run::Done)
             })?;
             match run {
                 Run::Done => return Ok(()),

@@ -13,6 +13,13 @@
 //! Full collections mark with the tracer (`crate::mark`) first and then
 //! evacuate/sweep in ascending address order, so the resulting heap
 //! layout is a function of the live set alone.
+//!
+//! A collection's time holds that work and not the allocator's. The new
+//! old generation a compaction fills is a recycled arena, most often the
+//! one the previous compaction vacated (`crate::space`), so its pages are
+//! already faulted in; and an evacuation appends each object's words in
+//! one copy (`Space::bump_copy`, `Heap::copy_to_old`) rather than
+//! zero-filling them first.
 
 use std::time::Instant;
 
@@ -227,27 +234,27 @@ impl Heap {
         let promote = by_age || by_space;
         let dst_space = if promote { SpaceId::Old } else { to };
 
-        // Reserve the destination first (promotion may reuse a free-list
-        // hole in mark-sweep mode), then copy. Source and destination are
-        // distinct spaces by construction.
+        // Copy into the destination (promotion may reuse a free-list hole
+        // in mark-sweep mode). Source and destination are distinct spaces
+        // by construction.
+        let total = 2 + slots;
         let new_off = if promote {
-            let off = self.alloc_old_words(slots, nominal);
+            let off = self.copy_to_old(src_space, off, total, nominal);
             self.promo_queue.push(off);
             off
         } else {
-            self.spaces[to as usize].bump(slots, nominal)
+            let [src, dst] = self
+                .spaces
+                .get_disjoint_mut([src_space as usize, to as usize])
+                .expect("source and destination spaces are distinct");
+            dst.bump_copy(&src.words[off..off + total], nominal)
         };
-        let [src, dst] = self
-            .spaces
-            .get_disjoint_mut([src_space as usize, dst_space as usize])
-            .expect("source and destination spaces are distinct");
-        let total = 2 + slots;
-        dst.words[new_off..new_off + total].copy_from_slice(&src.words[off..off + total]);
         // Fresh header state in the copy: updated age, not remembered.
-        dst.words[new_off] = Header::new(class.index() as u32).with_age(age).0;
-        dst.words[new_off + 1] = src.words[off + 1];
+        self.spaces[dst_space as usize].words[new_off] =
+            Header::new(class.index() as u32).with_age(age).0;
         let new_ref = ObjRef::new(dst_space, new_off);
         // Forwarding pointer in the source.
+        let src = &mut self.spaces[src_space as usize];
         src.words[off] = Header::forwarded().0;
         src.words[off + 1] = new_ref.raw();
 
@@ -391,11 +398,9 @@ impl Heap {
         for space in [SpaceId::Old, SpaceId::Eden, SpaceId::S0, SpaceId::S1] {
             for off in outcome.marks[space as usize].iter_marked() {
                 let (class, age, slots, nominal) = self.object_shape(space, off);
-                let new_off = new_old.bump(slots, nominal);
                 let total = 2 + slots;
                 let src = &mut self.spaces[space as usize];
-                new_old.words[new_off..new_off + total]
-                    .copy_from_slice(&src.words[off..off + total]);
+                let new_off = new_old.bump_copy(&src.words[off..off + total], nominal);
                 // Fresh header state: age kept, mark/remembered cleared.
                 new_old.words[new_off] = Header::new(class.index() as u32).with_age(age).0;
                 let new_ref = ObjRef::new(SpaceId::Old, new_off);
@@ -515,13 +520,8 @@ impl Heap {
         for space in [SpaceId::Eden, SpaceId::S0, SpaceId::S1] {
             for off in outcome.marks[space as usize].iter_marked() {
                 let (_, _, slots, nominal) = self.object_shape(space, off);
-                let new_off = self.alloc_old_words(slots, nominal);
-                let total = 2 + slots;
-                let [src, dst] = self
-                    .spaces
-                    .get_disjoint_mut([space as usize, SpaceId::Old as usize])
-                    .expect("young and old are distinct");
-                dst.words[new_off..new_off + total].copy_from_slice(&src.words[off..off + total]);
+                let new_off = self.copy_to_old(space, off, 2 + slots, nominal);
+                let src = &mut self.spaces[space as usize];
                 let new_ref = ObjRef::new(SpaceId::Old, new_off);
                 src.words[off] = Header::forwarded().0;
                 src.words[off + 1] = new_ref.raw();

@@ -344,40 +344,72 @@ impl Heap {
     /// collection/OOM logic).
     pub(crate) fn alloc_old_words(&mut self, slots: usize, nominal: usize) -> usize {
         let need = slots + 2;
-        let mut chosen: Option<usize> = None;
-        for (i, &(_, total)) in self.old_free.iter().enumerate() {
-            if total == need || total >= need + 2 {
-                chosen = Some(i);
-                break;
+        let off = match self.take_old_hole(need, nominal) {
+            Some(off) => {
+                // Zero the object's words (fresh-field semantics).
+                self.spaces[SpaceId::Old as usize].words[off..off + need].fill(0);
+                off
             }
-        }
-        let off = if let Some(i) = chosen {
-            let (off, total) = self.old_free[i];
-            let old = &mut self.spaces[SpaceId::Old as usize];
-            // Zero the object's words (fresh-field semantics).
-            for w in &mut old.words[off..off + need] {
-                *w = 0;
-            }
-            let rem = total - need;
-            if rem >= 2 {
-                let hole = off + need;
-                old.words[hole] = Header::new(HOLE_CLASS).0;
-                old.words[hole + 1] = rem as u64;
-                self.old_free[i] = (hole, rem);
-            } else {
-                self.old_free.swap_remove(i);
-            }
-            old.add_nominal(nominal);
-            off
-        } else {
-            self.spaces[SpaceId::Old as usize].bump(slots, nominal)
+            None => self.spaces[SpaceId::Old as usize].bump(slots, nominal),
         };
-        // Allocate-black: old objects born during a concurrent marking
-        // cycle go on the dirty log so the remark keeps them alive.
+        self.log_old_birth(off);
+        off
+    }
+
+    /// Copy the `total` words of the young object at `(src_space, off)`
+    /// into the old generation, placed as [`Heap::alloc_old_words`] places
+    /// it but without zeroing the words first: a promotion or evacuation.
+    /// Returns the copy's offset.
+    pub(crate) fn copy_to_old(
+        &mut self,
+        src_space: SpaceId,
+        off: usize,
+        total: usize,
+        nominal: usize,
+    ) -> usize {
+        let hole = self.take_old_hole(total, nominal);
+        let [src, old] = self
+            .spaces
+            .get_disjoint_mut([src_space as usize, SpaceId::Old as usize])
+            .expect("a young source space is not the old generation");
+        let object = &src.words[off..off + total];
+        let new_off = match hole {
+            Some(at) => {
+                old.words[at..at + total].copy_from_slice(object);
+                at
+            }
+            None => old.bump_copy(object, nominal),
+        };
+        self.log_old_birth(new_off);
+        new_off
+    }
+
+    /// Claim the first free-list hole that fits `need` words (header
+    /// included) exactly or with room for a remainder hole, charging
+    /// `nominal` bytes. The claimed words are left as they were.
+    fn take_old_hole(&mut self, need: usize, nominal: usize) -> Option<usize> {
+        let i = self.old_free.iter().position(|&(_, total)| total == need || total >= need + 2)?;
+        let (off, total) = self.old_free[i];
+        let old = &mut self.spaces[SpaceId::Old as usize];
+        let rem = total - need;
+        if rem >= 2 {
+            let hole = off + need;
+            old.words[hole] = Header::new(HOLE_CLASS).0;
+            old.words[hole + 1] = rem as u64;
+            self.old_free[i] = (hole, rem);
+        } else {
+            self.old_free.swap_remove(i);
+        }
+        old.add_nominal(nominal);
+        Some(off)
+    }
+
+    /// Allocate-black: old objects born during a concurrent marking cycle
+    /// go on the dirty log so the remark keeps them alive.
+    fn log_old_birth(&mut self, off: usize) {
         if let Some(cycle) = self.conc.as_mut() {
             cycle.dirty.push(off);
         }
-        off
     }
 
     pub(crate) fn old_fits(&self, nominal: usize) -> bool {

@@ -330,4 +330,28 @@ cargo run --release --offline -q --example job_service
 echo "== watchdog/cancel example (the README robustness snippet, checksum-asserted) =="
 cargo run --release --offline -q --example watchdog_cancel
 
+echo "== AddressSanitizer (nightly: heap and engine unit tests, cluster and soak suites) =="
+# The workspace's one `unsafe` block, the worker pool's lifetime
+# `transmute` (`crates/engine/src/pool.rs`), under ASan, with std's and
+# the allocator's own unsafe paths: a round's attempt body used after
+# its frame returned shows up as a report here, where the tier-1 tests above
+# would only see it if it corrupted a checksum. The heap's suites ride
+# along for the allocator paths its arenas take; their words are
+# bounds-checked `Vec`s, so ASan adds nothing to their indexing. Needs
+# the nightly toolchain and its ASan runtime; without them the leg is
+# skipped. Its own target directory keeps the instrumented build apart
+# from the release one.
+asan_rt="$(rustc +nightly --print sysroot 2>/dev/null || true)"
+asan_rt="$asan_rt/lib/rustlib/x86_64-unknown-linux-gnu/lib/librustc-nightly_rt.asan.a"
+if [ -f "$asan_rt" ]; then
+  for suite in "-p deca-heap --lib" "-p deca-engine --lib" \
+      "-p deca-bench --test cluster_parallel" "-p deca-bench --test server_soak"; do
+    # shellcheck disable=SC2086 # $suite is a word list on purpose
+    RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+      cargo +nightly test -q --offline --target x86_64-unknown-linux-gnu $suite
+  done
+else
+  echo "skipped: no nightly toolchain with the AddressSanitizer runtime"
+fi
+
 echo "== ci green =="
