@@ -121,20 +121,22 @@ pub(crate) trait Udf<R: View> {
     fn map<K: ArrayKind>(&self, rec: &R::Fields<'_, K>) -> Self::Out;
     fn fold<K: ArrayKind>(&mut self, rec: R::Fields<'_, K>, out: Self::Out);
 
-    /// Allocate `out` on the heap and push its root on the shadow stack.
-    /// The allocation may move the record: `find` finds it again.
+    /// Allocate `out` on the heap and return the object, or `None` (the
+    /// default) for a UDF whose output stays off the heap. The allocation
+    /// may move the record: `find` finds it again.
     fn store_out(
         &self,
         _out: Self::Out,
         _heap: &mut Heap,
         _cls: &R::Classes,
         _find: impl Fn(&Heap) -> ObjRef,
-    ) -> Result<(), OomError> {
-        Ok(())
+    ) -> Result<Option<ObjRef>, OomError> {
+        Ok(None)
     }
 
-    /// Fold the output `store_out` rooted at shadow-stack slot `at`.
-    fn fold_back(&mut self, rec: R::Fields<'_, OnHeap>, out: Self::Out, _heap: &Heap, _at: usize) {
+    /// Fold the object `store_out` returned. Nothing allocates between
+    /// the store and the fold, so `stored` still points at it.
+    fn fold_back(&mut self, rec: R::Fields<'_, OnHeap>, out: Self::Out, _: &Heap, _stored: ObjRef) {
         self.fold::<OnHeap>(rec, out);
     }
 }
@@ -185,12 +187,13 @@ impl<'a> CachedDataset<'a> {
                     let find = |heap: &Heap| CacheManager::object(heap, root, i);
                     let obj = find(heap);
                     let out = udf.map(&R::heap_fields(heap, &cls, obj));
-                    let at = heap.stack_watermark();
-                    udf.store_out(out, heap, &cls, find)?;
-                    // Only a stored output, rooted above `at`, can have moved it.
-                    let obj = if heap.stack_watermark() == at { obj } else { find(heap) };
-                    udf.fold_back(R::heap_fields(heap, &cls, obj), out, heap, at);
-                    heap.truncate_stack(at);
+                    match udf.store_out(out, heap, &cls, find)? {
+                        // Only a stored output can have moved the record.
+                        Some(stored) => {
+                            udf.fold_back(R::heap_fields(heap, &cls, find(heap)), out, heap, stored)
+                        }
+                        None => udf.fold::<OnHeap>(R::heap_fields(heap, &cls, obj), out),
+                    }
                 }
             }
             // Nothing allocates after the store, so the graph stays put.

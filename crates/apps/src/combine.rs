@@ -141,10 +141,7 @@ impl Keys for IntKeys {
         value: V,
     ) -> Result<(i64, V), OomError> {
         let tuple = (key, value).store(heap, classes)?;
-        let slot = heap.push_stack(tuple);
-        let pair = <(i64, V) as HeapRecord>::load(heap, classes, heap.stack_ref(slot));
-        heap.truncate_stack(slot);
-        Ok(pair)
+        Ok(<(i64, V) as HeapRecord>::load(heap, classes, tuple))
     }
 
     fn probe(key: &i64) -> &i64 {
@@ -440,7 +437,7 @@ impl<K: Keys, V: Value, C: Fn(V, V) -> V + Copy> Table<K, V, C> {
     /// End the table's lifetime: its root dies, or its group is released.
     fn release(self, e: &mut Executor) {
         match self.store {
-            Store::Heap(mut table, _) => table.release(&mut e.heap),
+            Store::Heap(table, _) => table.release(&mut e.heap),
             Store::Pages(table) => with_table!(table, t => t.release(&mut e.mm, &mut e.heap)),
         }
     }

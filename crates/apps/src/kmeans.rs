@@ -217,10 +217,8 @@ impl Udf<LabeledPointRec> for Nearest<'_> {
         heap: &mut Heap,
         _: &<LabeledPointRec as HeapRecord>::Classes,
         _: impl Fn(&Heap) -> ObjRef,
-    ) -> Result<(), OomError> {
-        let pair = pair.store(heap, &self.pair)?;
-        heap.push_stack(pair);
-        Ok(())
+    ) -> Result<Option<ObjRef>, OomError> {
+        pair.store(heap, &self.pair).map(Some)
     }
 
     fn fold_back(
@@ -228,9 +226,9 @@ impl Udf<LabeledPointRec> for Nearest<'_> {
         p: LabeledPointRec<HeapArray<f64>>,
         _: (i64, f64),
         heap: &Heap,
-        at: usize,
+        pair: ObjRef,
     ) {
-        let pair = <(i64, f64)>::load(heap, &self.pair, heap.stack_ref(at));
+        let pair = <(i64, f64)>::load(heap, &self.pair, pair);
         self.fold::<OnHeap>(p, pair);
     }
 }

@@ -238,20 +238,19 @@ impl Udf<LabeledPointRec> for Gradient<'_> {
         heap: &mut Heap,
         point: &<LabeledPointRec as HeapRecord>::Classes,
         find: impl Fn(&Heap) -> ObjRef,
-    ) -> Result<(), OomError> {
+    ) -> Result<Option<ObjRef>, OomError> {
         let d = self.sum.len();
         let scaled = heap.alloc_array(point.array.class, d)?;
-        heap.push_stack(scaled);
         let features = LabeledPointRec::heap_fields(heap, point, find(heap)).features.obj();
         for j in 0..d {
             let x = HeapArray::<f64>::new(heap, features).get(j);
             heap.array_set_f64(scaled, j, term(x, factor));
         }
-        Ok(())
+        Ok(Some(scaled))
     }
 
-    fn fold_back(&mut self, _: LabeledPointRec<HeapArray<f64>>, _: f64, heap: &Heap, at: usize) {
-        add(&mut self.sum, HeapArray::<f64>::new(heap, heap.stack_ref(at)).iter());
+    fn fold_back(&mut self, _: LabeledPointRec<HeapArray<f64>>, _: f64, heap: &Heap, arr: ObjRef) {
+        add(&mut self.sum, HeapArray::<f64>::new(heap, arr).iter());
     }
 }
 

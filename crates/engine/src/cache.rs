@@ -873,9 +873,19 @@ impl CacheManager {
         }
     }
 
-    /// Deca blocks held, each the owner of one page group.
-    pub fn deca_blocks(&self) -> usize {
-        self.entries.iter().flatten().filter(|e| matches!(e.state, BlockState::Deca { .. })).count()
+    /// What the held blocks own, `(page groups, heap roots)`: one group
+    /// per Deca block, one root per object or serialized block. Once a job
+    /// ends, its executor's memory manager and heap hold nothing else.
+    pub fn ledger(&self) -> (usize, usize) {
+        let (mut groups, mut roots) = (0, 0);
+        for e in self.entries.iter().flatten() {
+            match e.state {
+                BlockState::Deca { .. } => groups += 1,
+                BlockState::Objects { .. } | BlockState::Serialized { .. } => roots += 1,
+                BlockState::Disk { .. } => {}
+            }
+        }
+        (groups, roots)
     }
 
     // ------------------------------------------------------------------
@@ -1559,7 +1569,7 @@ mod tests {
         assert_eq!(scan_pairs(&mut cm, serialized, &mut heap, &mut kryo, &mut mm), recs);
         let back: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
         assert_eq!(back, recs);
-        assert_eq!(mm.live_groups(), cm.deca_blocks());
+        assert_eq!(mm.live_groups(), cm.ledger().0);
         std::fs::remove_file(&blocked).unwrap();
     }
 

@@ -19,7 +19,7 @@ use crate::cache::CacheManager;
 use crate::config::ExecutorConfig;
 use crate::metrics::{GcAccounting, TaskMetrics, Timeline};
 use crate::serde_sim::KryoSim;
-use crate::trace::{dur_ns, TraceEventKind, TraceRecorder};
+use crate::trace::{dur_ns, TraceRecorder};
 
 /// Simulated disk bandwidth for spill accounting (bytes/sec). Real file
 /// I/O also happens (tmpfs-fast); this models production SAS-disk costs so
@@ -169,23 +169,9 @@ impl Executor {
         let out = self.cache.crash_restart(&mut self.heap, &mut self.mm, stage, ordinal);
         self.heap.full_gc();
         if self.trace.enabled() {
-            let wall = self.trace.now_ns();
-            let sim = dur_ns(self.sim_clock);
-            for &(id, bytes, records) in &out.rehydrated {
-                self.trace.record(
-                    TraceEventKind::CacheRehydrate,
-                    Some(stage),
-                    None,
-                    None,
-                    None,
-                    format!("block-{id}"),
-                    wall,
-                    0,
-                    sim,
-                    0,
-                    bytes,
-                    records,
-                );
+            let (wall, sim) = (self.trace.now_ns(), dur_ns(self.sim_clock));
+            for &block in &out.rehydrated {
+                self.trace.cache_rehydrate(stage, block, wall, sim);
             }
         }
         out
@@ -214,16 +200,16 @@ impl Executor {
         // Baseline the GC accounting so earlier tasks' collections are not
         // re-attributed.
         let _ = self.gc_acc.account(self.heap.stats());
-        // A task's UDF temporaries die with it: a body that `?`s out of a
-        // store (an `OomError` between its push and its truncate) must not
-        // leave them rooted for the recovery's full GC, the retry, or — on
-        // a long-lived executor — later jobs.
-        let stack_mark = self.heap.stack_watermark();
+        // A task's UDF temporaries die with it: whatever its body left on
+        // the shadow stack, outside a `Heap::scope` or in one a caught panic
+        // unwound, must not stay rooted for the recovery's full GC, the
+        // retry, or — on a long-lived executor — later jobs.
+        let stack = self.heap.frame();
 
         let wall_start = Instant::now();
         let result = f(self);
         let wall = wall_start.elapsed();
-        self.heap.truncate_stack(stack_mark);
+        self.heap.pop(stack);
 
         let (gc_pause, gc_concurrent) = self.gc_acc.account(self.heap.stats());
         let ser = self.kryo.ser_time - ser0;
@@ -261,92 +247,25 @@ impl Executor {
             // wall timestamps are heap-epoch-relative (the clock the
             // lifetime timelines sample), which is why `at` is kept
             // as-is rather than rebased.
-            let gc_events: Vec<deca_heap::GcEvent> =
-                self.heap.stats().events_since(gc_event_mark).to_vec();
-            for ev in gc_events {
-                self.trace.record(
-                    TraceEventKind::GcPause,
-                    None,
-                    None,
-                    None,
-                    None,
-                    format!("gc-{}", ev.kind.name()),
-                    dur_ns(ev.at),
-                    dur_ns(ev.duration),
-                    sim_start,
-                    dur_ns(ev.duration),
-                    ev.live_bytes_after as u64,
-                    ev.objects_traced,
-                );
+            for ev in self.heap.stats().events_since(gc_event_mark) {
+                self.trace.gc_pause(ev, sim_start);
             }
             let spill_delta = spill_now - self.spill_mark;
             if spill_delta > 0 {
-                self.trace.record(
-                    TraceEventKind::SpillIo,
-                    None,
-                    None,
-                    None,
-                    None,
-                    "spill",
-                    wall_start_ns,
-                    dur_ns(io),
-                    sim_start,
-                    dur_ns(io),
-                    spill_delta,
-                    0,
-                );
+                self.trace.spill_io(spill_delta, io, wall_start_ns, sim_start);
             }
             // Lifetime-based reclamations since the last drain (this task
             // plus any inter-task releases, e.g. a driver-invoked spill).
             for r in self.mm.take_release_events() {
-                self.trace.record(
-                    TraceEventKind::PageGroupRelease,
-                    None,
-                    None,
-                    None,
-                    None,
-                    format!("group-{}", r.group),
-                    wall_start_ns,
-                    0,
-                    sim_start,
-                    0,
-                    r.bytes as u64,
-                    r.pages as u64,
-                );
+                self.trace.page_release(&r, wall_start_ns, sim_start);
             }
             // Shuffle page hand-overs: ownership of map-output pages moved
             // to the exchange without a copy (the zero-copy analogue of a
             // page-group release — the writer's claim on the pages ends).
             for h in self.mm.take_handover_events() {
-                self.trace.record(
-                    TraceEventKind::PageHandover,
-                    None,
-                    None,
-                    None,
-                    None,
-                    "handover",
-                    wall_start_ns,
-                    0,
-                    sim_start,
-                    0,
-                    h.bytes as u64,
-                    h.pages as u64,
-                );
+                self.trace.page_handover(&h, wall_start_ns, sim_start);
             }
-            self.trace.record(
-                TraceEventKind::TaskAttempt,
-                None,
-                None,
-                None,
-                None,
-                t.name.clone(),
-                wall_start_ns,
-                dur_ns(wall),
-                sim_start,
-                dur_ns(t.total()),
-                0,
-                0,
-            );
+            self.trace.task_attempt(&t, wall, wall_start_ns, sim_start);
         }
         self.sim_clock += t.total();
         (result, t)
@@ -375,7 +294,7 @@ impl Executor {
     ///
     /// Ownership of the pages transfers to the returned payload — no
     /// bytes move — and the hand-over is noted with the memory manager so
-    /// it lands in the trace as a [`TraceEventKind::PageHandover`].
+    /// it lands in the trace as a [`crate::TraceEventKind::PageHandover`].
     pub fn hand_over(&mut self, run: PageRun) -> ShufflePayload {
         let pages = run.page_count();
         let bytes = run.len();

@@ -480,8 +480,8 @@ impl<A: BoxedScalar, B: HeapRecord> HeapRecord for (A, B) {
 }
 
 /// A pair's graph: `a`'s box, then the second part's graph `store_b`
-/// allocates, then the `Tuple2`. A failed allocation pops what the store
-/// pushed on the shadow stack.
+/// allocates, then the `Tuple2`, each part rooted across the allocations
+/// after it.
 #[inline]
 fn store_pair<A: BoxedScalar, C>(
     heap: &mut Heap,
@@ -490,21 +490,15 @@ fn store_pair<A: BoxedScalar, C>(
     store_b: impl FnOnce(&mut Heap) -> Result<ObjRef, OomError>,
 ) -> Result<ObjRef, OomError> {
     let a = store_box(a, heap, cls.box_a)?;
-    let sa = heap.push_stack(a);
-    let b = store_b(heap).inspect_err(|_| heap.truncate_stack(sa))?;
-    heap.push_stack(b);
-    store_tuple(heap, cls.tuple, sa)
-}
-
-/// Allocate a `Tuple2` around the two parts on the shadow stack from slot
-/// `parts`, and pop them, whether or not the allocation succeeds.
-#[inline]
-fn store_tuple(heap: &mut Heap, tuple: ClassId, parts: usize) -> Result<ObjRef, OomError> {
-    let t = heap.alloc(tuple).inspect_err(|_| heap.truncate_stack(parts))?;
-    heap.write_ref(t, 0, heap.stack_ref(parts));
-    heap.write_ref(t, 1, heap.stack_ref(parts + 1));
-    heap.truncate_stack(parts);
-    Ok(t)
+    heap.scope(|heap| {
+        let sa = heap.push_stack(a);
+        let b = store_b(heap)?;
+        let sb = heap.push_stack(b);
+        let t = heap.alloc(cls.tuple)?;
+        heap.write_ref(t, 0, heap.stack_ref(sa));
+        heap.write_ref(t, 1, heap.stack_ref(sb));
+        Ok(t)
+    })
 }
 
 impl<A: BoxedScalar, B: KryoRecord> KryoRecord for (A, B) {
@@ -614,11 +608,12 @@ pub fn store_str(heap: &mut Heap, cls: &StringClasses, s: &str) -> Result<ObjRef
     } else {
         heap.char_array_write(arr, s.encode_utf16());
     }
-    let sa = heap.push_stack(arr);
-    let obj = heap.alloc(cls.string).inspect_err(|_| heap.truncate_stack(sa))?;
-    heap.write_ref(obj, 0, heap.stack_ref(sa));
-    heap.truncate_stack(sa);
-    Ok(obj)
+    heap.scope(|heap| {
+        let sa = heap.push_stack(arr);
+        let obj = heap.alloc(cls.string)?;
+        heap.write_ref(obj, 0, heap.stack_ref(sa));
+        Ok(obj)
+    })
 }
 
 /// Decode a heap `java.lang.String` into `out`, replacing its content: the
@@ -753,13 +748,13 @@ impl<T: Scalar> ArrayClasses<T> {
         ArrayClasses { class, wrapper, elem: PhantomData }
     }
 
-    /// Allocate and fill the array, then its wrapper, each rooted on the
-    /// shadow stack as it is made. Returns the stack slot of the object the
-    /// record refers to and the mark to truncate the stack to once the
-    /// record holds it; a failed allocation leaves the stack as it found
-    /// it.
+    /// Allocate and fill the array, then its wrapper, each pushed on the
+    /// shadow stack as it is made, to be held across the allocations after
+    /// it. Returns the stack slot of the object the record refers to.
+    /// Call it inside the record's [`Heap::scope`], which pops both on
+    /// every return.
     #[inline]
-    pub fn store(&self, heap: &mut Heap, values: &[T]) -> Result<(usize, usize), OomError> {
+    pub fn store(&self, heap: &mut Heap, values: &[T]) -> Result<usize, OomError> {
         self.store_with(heap, values.len(), |heap, arr| {
             for (i, v) in values.iter().enumerate() {
                 v.set(heap, arr, i);
@@ -770,7 +765,7 @@ impl<T: Scalar> ArrayClasses<T> {
     /// [`ArrayClasses::store`] of the array whose elements are the page
     /// bytes `elements`, copied into it in bulk ([`Heap::array_write_le`]).
     #[inline]
-    pub fn store_page(&self, heap: &mut Heap, elements: &[u8]) -> Result<(usize, usize), OomError> {
+    pub fn store_page(&self, heap: &mut Heap, elements: &[u8]) -> Result<usize, OomError> {
         let len = elements.len() / T::WIDTH;
         self.store_with(heap, len, |heap, arr| heap.array_write_le(arr, elements))
     }
@@ -783,17 +778,17 @@ impl<T: Scalar> ArrayClasses<T> {
         heap: &mut Heap,
         len: usize,
         fill: impl FnOnce(&mut Heap, ObjRef),
-    ) -> Result<(usize, usize), OomError> {
+    ) -> Result<usize, OomError> {
         let arr = heap.alloc_array(self.class, len)?;
         fill(heap, arr);
-        let mark = heap.push_stack(arr);
-        let Some(wrapper) = self.wrapper else { return Ok((mark, mark)) };
-        let w = heap.alloc(wrapper).inspect_err(|_| heap.truncate_stack(mark))?;
-        heap.write_ref(w, 0, heap.stack_ref(mark));
+        let sa = heap.push_stack(arr);
+        let Some(wrapper) = self.wrapper else { return Ok(sa) };
+        let w = heap.alloc(wrapper)?;
+        heap.write_ref(w, 0, heap.stack_ref(sa));
         heap.write_word(w, 1, 0); // offset
         heap.write_word(w, 2, 1); // stride
         heap.write_word(w, 3, len as u64); // length
-        Ok((heap.push_stack(w), mark))
+        Ok(heap.push_stack(w))
     }
 
     /// The array behind the object the record refers to.
@@ -1170,20 +1165,17 @@ macro_rules! record {
                 cls: &Self::Classes,
             ) -> Result<$crate::record::deca_heap::ObjRef, $crate::record::deca_heap::OomError> {
                 use $crate::record::Scalar;
-                $(let $arr = cls.array.store(heap, &self.$arr)?;)?
-                let obj = heap.alloc(cls.record).inspect_err(|_| {
-                    $(heap.truncate_stack($arr.1);)?
-                })?;
-                let mut slot = 0;
-                $(
-                    self.$field.write(heap, obj, slot);
-                    slot += 1;
-                )*
-                $(
-                    heap.write_ref(obj, slot, heap.stack_ref($arr.0));
-                    heap.truncate_stack($arr.1);
-                )?
-                Ok(obj)
+                heap.scope(|heap| {
+                    $(let $arr = cls.array.store(heap, &self.$arr)?;)?
+                    let obj = heap.alloc(cls.record)?;
+                    let mut slot = 0;
+                    $(
+                        self.$field.write(heap, obj, slot);
+                        slot += 1;
+                    )*
+                    $(heap.write_ref(obj, slot, heap.stack_ref($arr));)?
+                    Ok(obj)
+                })
             }
 
             #[inline]
@@ -1239,20 +1231,17 @@ macro_rules! record {
             ) -> Result<$crate::record::deca_heap::ObjRef, $crate::record::deca_heap::OomError> {
                 use $crate::record::Scalar;
                 let v = <Self as $crate::record::View>::fields(page);
-                $(let $arr = cls.array.store_page(heap, v.$arr.0.as_flattened())?;)?
-                let obj = heap.alloc(cls.record).inspect_err(|_| {
-                    $(heap.truncate_stack($arr.1);)?
-                })?;
-                let mut slot = 0;
-                $(
-                    v.$field.write(heap, obj, slot);
-                    slot += 1;
-                )*
-                $(
-                    heap.write_ref(obj, slot, heap.stack_ref($arr.0));
-                    heap.truncate_stack($arr.1);
-                )?
-                Ok(obj)
+                heap.scope(|heap| {
+                    $(let $arr = cls.array.store_page(heap, v.$arr.0.as_flattened())?;)?
+                    let obj = heap.alloc(cls.record)?;
+                    let mut slot = 0;
+                    $(
+                        v.$field.write(heap, obj, slot);
+                        slot += 1;
+                    )*
+                    $(heap.write_ref(obj, slot, heap.stack_ref($arr));)?
+                    Ok(obj)
+                })
             }
 
             #[inline]

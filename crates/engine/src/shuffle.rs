@@ -83,7 +83,6 @@ pub struct SparkHashShuffle<K: Record, V: Record> {
     len: usize,
     /// Off-heap key → slot index (see the module docs).
     index: HashMap<K, usize, WordHashBuilder>,
-    released: bool,
 }
 
 impl<K, V> SparkHashShuffle<K, V>
@@ -106,7 +105,6 @@ where
             capacity,
             len: 0,
             index: HashMap::default(),
-            released: false,
         })
     }
 
@@ -151,12 +149,14 @@ where
         let slot = self.len;
         let key = key.into_key();
         let kobj = key.store(heap, &self.classes_k)?;
-        let ks = heap.push_stack(kobj);
-        let vobj = value.store(heap, &self.classes_v).inspect_err(|_| heap.truncate_stack(ks))?;
-        let arr = heap.root_ref(self.array);
-        heap.array_set_ref(arr, slot * 2, heap.stack_ref(ks));
-        heap.array_set_ref(arr, slot * 2 + 1, vobj);
-        heap.truncate_stack(ks);
+        heap.scope(|heap| {
+            let ks = heap.push_stack(kobj);
+            let vobj = value.store(heap, &self.classes_v)?;
+            let arr = heap.root_ref(self.array);
+            heap.array_set_ref(arr, slot * 2, heap.stack_ref(ks));
+            heap.array_set_ref(arr, slot * 2 + 1, vobj);
+            Ok(())
+        })?;
         self.index.insert(key, slot);
         self.len += 1;
         Ok(())
@@ -200,11 +200,8 @@ where
 
     /// Release the buffer: the root dies; space is reclaimed only by the
     /// next collection (Spark semantics — not lifetime-based).
-    pub fn release(&mut self, heap: &mut Heap) {
-        if !self.released {
-            heap.remove_root(self.array);
-            self.released = true;
-        }
+    pub fn release(self, heap: &mut Heap) {
+        heap.remove_root(self.array);
     }
 }
 
@@ -218,7 +215,6 @@ pub struct SparkGroupShuffle<K, V: Record> {
     lists: Vec<(RootId, usize, usize)>, // (root, len, cap)
     /// Off-heap key → slot index, as [`SparkHashShuffle`]'s.
     index: HashMap<K, usize, WordHashBuilder>,
-    released: bool,
 }
 
 impl<K, V> SparkGroupShuffle<K, V>
@@ -229,13 +225,7 @@ where
     pub fn new(heap: &mut Heap) -> Self {
         let classes_v = <V as crate::record::HeapRecord>::register(heap);
         let list_class = object_array_class(heap);
-        SparkGroupShuffle {
-            classes_v,
-            list_class,
-            lists: Vec::new(),
-            index: HashMap::default(),
-            released: false,
-        }
+        SparkGroupShuffle { classes_v, list_class, lists: Vec::new(), index: HashMap::default() }
     }
 
     #[cfg(test)]
@@ -246,33 +236,30 @@ where
     /// Append a value to its key's list (doubling growth; old arrays die).
     pub fn append(&mut self, heap: &mut Heap, key: K, value: V) -> Result<(), OomError> {
         let vobj = value.store(heap, &self.classes_v)?;
-        let vs = heap.push_stack(vobj);
-        let slot = match self.index.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let arr = heap
-                    .alloc_array(self.list_class, 4)
-                    .inspect_err(|_| heap.truncate_stack(vs))?;
-                let root = heap.add_root(arr);
-                self.lists.push((root, 0, 4));
-                *e.insert(self.lists.len() - 1)
+        heap.scope(|heap| {
+            let vs = heap.push_stack(vobj);
+            let slot = match self.index.entry(key) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let arr = heap.alloc_array(self.list_class, 4)?;
+                    let root = heap.add_root(arr);
+                    self.lists.push((root, 0, 4));
+                    *e.insert(self.lists.len() - 1)
+                }
+            };
+            let (root, len, cap) = self.lists[slot];
+            if len == cap {
+                let bigger = heap.alloc_array(self.list_class, cap * 2)?;
+                let old = heap.root_ref(root);
+                heap.array_copy_refs(old, 0, bigger, 0, len);
+                heap.set_root(root, bigger); // old list array becomes garbage
+                self.lists[slot].2 = cap * 2;
             }
-        };
-        let (root, len, cap) = self.lists[slot];
-        if len == cap {
-            let bigger = heap
-                .alloc_array(self.list_class, cap * 2)
-                .inspect_err(|_| heap.truncate_stack(vs))?;
-            let old = heap.root_ref(root);
-            heap.array_copy_refs(old, 0, bigger, 0, len);
-            heap.set_root(root, bigger); // old list array becomes garbage
-            self.lists[slot].2 = cap * 2;
-        }
-        let arr = heap.root_ref(root);
-        heap.array_set_ref(arr, len, heap.stack_ref(vs));
-        heap.truncate_stack(vs);
-        self.lists[slot].1 = len + 1;
-        Ok(())
+            let arr = heap.root_ref(root);
+            heap.array_set_ref(arr, len, heap.stack_ref(vs));
+            self.lists[slot].1 = len + 1;
+            Ok(())
+        })
     }
 
     /// Visit each group as `(key, values)` in index order: the same for
@@ -291,12 +278,11 @@ where
         }
     }
 
-    pub fn release(&mut self, heap: &mut Heap) {
-        if !self.released {
-            for (root, _, _) in &self.lists {
-                heap.remove_root(*root);
-            }
-            self.released = true;
+    /// Release the buffer: every list's root dies, as
+    /// [`SparkHashShuffle::release`]'s does.
+    pub fn release(self, heap: &mut Heap) {
+        for (root, _, _) in self.lists {
+            heap.remove_root(root);
         }
     }
 }

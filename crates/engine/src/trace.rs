@@ -41,8 +41,10 @@
 use std::time::{Duration, Instant};
 
 use deca_check::json::Json;
+use deca_core::{HandoverEvent, ReleaseEvent};
+use deca_heap::GcEvent;
 
-use crate::metrics::StageMetrics;
+use crate::metrics::{StageMetrics, TaskMetrics};
 
 /// The typed event vocabulary of a run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -522,6 +524,50 @@ impl TraceRecorder {
         let kind = TraceEventKind::TaskSpeculative;
         let count = primary as u64;
         self.instant(kind, Some(stage), Some(slot), None, label, sim_now, Duration::ZERO, count);
+    }
+
+    /// A task ran for `wall` from `wall_ns`: its simulated duration, from
+    /// `sim_ns`, is its attributed time. The events below happened inside
+    /// a task and carry its start times.
+    pub fn task_attempt(&mut self, t: &TaskMetrics, wall: Duration, wall_ns: u64, sim_ns: u64) {
+        let (kind, name) = (TraceEventKind::TaskAttempt, t.name.as_str());
+        let (dur, sim_dur) = (dur_ns(wall), dur_ns(t.total()));
+        self.record(kind, None, None, None, None, name, wall_ns, dur, sim_ns, sim_dur, 0, 0);
+    }
+
+    /// A collection the task triggered, at the heap-epoch time it began.
+    pub fn gc_pause(&mut self, ev: &GcEvent, sim_ns: u64) {
+        let (kind, label) = (TraceEventKind::GcPause, format!("gc-{}", ev.kind.name()));
+        let (at, dur) = (dur_ns(ev.at), dur_ns(ev.duration));
+        let (live, traced) = (ev.live_bytes_after as u64, ev.objects_traced);
+        self.record(kind, None, None, None, None, label, at, dur, sim_ns, dur, live, traced);
+    }
+
+    /// The task moved `bytes` to or from disk, modelled as taking `io`.
+    pub fn spill_io(&mut self, bytes: u64, io: Duration, wall_ns: u64, sim_ns: u64) {
+        let (kind, io) = (TraceEventKind::SpillIo, dur_ns(io));
+        self.record(kind, None, None, None, None, "spill", wall_ns, io, sim_ns, io, bytes, 0);
+    }
+
+    /// A page group's lifetime ended and its pages went back to the heap.
+    pub fn page_release(&mut self, r: &ReleaseEvent, wall_ns: u64, sim_ns: u64) {
+        let (kind, label) = (TraceEventKind::PageGroupRelease, format!("group-{}", r.group));
+        let (bytes, pages) = (r.bytes as u64, r.pages as u64);
+        self.record(kind, None, None, None, None, label, wall_ns, 0, sim_ns, 0, bytes, pages);
+    }
+
+    /// Map-output pages passed to the exchange without a copy.
+    pub fn page_handover(&mut self, h: &HandoverEvent, wall_ns: u64, sim_ns: u64) {
+        let (kind, bytes, pages) = (TraceEventKind::PageHandover, h.bytes as u64, h.pages as u64);
+        self.record(kind, None, None, None, None, "handover", wall_ns, 0, sim_ns, 0, bytes, pages);
+    }
+
+    /// A restart in `stage` rehydrated a cache block from its spill file:
+    /// `b` is its id, the bytes read back and the records they hold.
+    pub fn cache_rehydrate(&mut self, stage: &str, b: (u32, u64, u64), wall_ns: u64, sim_ns: u64) {
+        let ((block, bytes, records), kind) = (b, TraceEventKind::CacheRehydrate);
+        let (stage, label) = (Some(stage), format!("block-{block}"));
+        self.record(kind, stage, None, None, None, label, wall_ns, 0, sim_ns, 0, bytes, records);
     }
 
     /// The job was cancelled; the label carries the reason.

@@ -169,13 +169,13 @@ mod tests {
         // 5 rooted, 20 garbage.
         let mut head = ObjRef::NULL;
         for i in 0..5 {
-            let s = h.push_stack(head);
-            let n = h.alloc(node).unwrap();
-            h.write_i64(n, 0, i);
-            let prev = h.stack_ref(s);
-            h.write_ref(n, 1, prev);
-            h.truncate_stack(s);
-            head = n;
+            head = h.scope(|h| {
+                let s = h.push_stack(head);
+                let n = h.alloc(node).unwrap();
+                h.write_i64(n, 0, i);
+                h.write_ref(n, 1, h.stack_ref(s));
+                n
+            });
         }
         let root = h.add_root(head);
         for _ in 0..20 {
@@ -203,11 +203,13 @@ mod tests {
         );
         // A diamond: root -> p; p.a = q, p.b = q (shared).
         let q = h.alloc(pair).unwrap();
-        let sq = h.push_stack(q);
-        let p = h.alloc(pair).unwrap();
-        h.write_ref(p, 0, h.stack_ref(sq));
-        h.write_ref(p, 1, h.stack_ref(sq));
-        h.truncate_stack(sq);
+        let p = h.scope(|h| {
+            let sq = h.push_stack(q);
+            let p = h.alloc(pair).unwrap();
+            h.write_ref(p, 0, h.stack_ref(sq));
+            h.write_ref(p, 1, h.stack_ref(sq));
+            p
+        });
         h.add_root(p);
         assert_eq!(h.reachable_count(pair), 2, "shared object counted once");
         // Idempotent (marks cleared between runs).

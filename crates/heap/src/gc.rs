@@ -697,11 +697,11 @@ mod tests {
             let n = h.alloc(node).unwrap();
             h.write_i64(n, 0, i);
             h.write_ref(n, 1, head);
-            head = n;
-            let stack = h.push_stack(head);
-            let _garbage = h.alloc(node).unwrap();
-            head = h.stack_ref(stack);
-            h.truncate_stack(stack);
+            head = h.scope(|h| {
+                let stack = h.push_stack(n);
+                let _garbage = h.alloc(node).unwrap();
+                h.stack_ref(stack)
+            });
         }
         let root = h.add_root(head);
         let live_before = h.live_count(node);
@@ -792,18 +792,20 @@ mod tests {
 
         let l1 = h.alloc(leaf).unwrap();
         h.write_i64(l1, 0, 1);
-        let s1 = h.push_stack(l1);
-        let l2 = h.alloc(leaf).unwrap();
-        h.write_i64(l2, 0, 2);
-        let s2 = h.push_stack(l2);
-        let a = h.alloc_array(arr, 2).unwrap();
-        h.array_set_ref(a, 0, h.stack_ref(s1));
-        h.array_set_ref(a, 1, h.stack_ref(s2));
-        let sa = h.push_stack(a);
-        let p = h.alloc(pair).unwrap();
-        h.write_ref(p, 0, h.stack_ref(sa));
-        h.write_ref(p, 1, h.stack_ref(s1)); // shared leaf
-        h.truncate_stack(s1);
+        let p = h.scope(|h| {
+            let s1 = h.push_stack(l1);
+            let l2 = h.alloc(leaf).unwrap();
+            h.write_i64(l2, 0, 2);
+            let s2 = h.push_stack(l2);
+            let a = h.alloc_array(arr, 2).unwrap();
+            h.array_set_ref(a, 0, h.stack_ref(s1));
+            h.array_set_ref(a, 1, h.stack_ref(s2));
+            let sa = h.push_stack(a);
+            let p = h.alloc(pair).unwrap();
+            h.write_ref(p, 0, h.stack_ref(sa));
+            h.write_ref(p, 1, h.stack_ref(s1)); // shared leaf
+            p
+        });
         let root = h.add_root(p);
 
         h.full_gc();
@@ -913,11 +915,12 @@ mod tests {
         let c = h.define_class(ClassBuilder::new("T").field("v", FieldKind::I64));
         let o = h.alloc(c).unwrap();
         h.write_i64(o, 0, 5);
+        let frame = h.frame();
         let s = h.push_stack(o);
         h.minor_gc();
         let o = h.stack_ref(s);
         assert_eq!(h.read_i64(o, 0), 5, "stack root pinned across GC");
-        h.truncate_stack(s);
+        h.pop(frame);
         h.minor_gc();
         assert_eq!(h.live_count(c), 0, "popped stack root lets the object die");
     }
@@ -964,13 +967,13 @@ mod tests {
         );
         let mut head = ObjRef::NULL;
         for i in 0..200 {
-            let s = h.push_stack(head);
-            let n = h.alloc(node).unwrap();
-            h.write_i64(n, 0, i);
-            let prev = h.stack_ref(s);
-            h.write_ref(n, 1, prev);
-            h.truncate_stack(s);
-            head = n;
+            head = h.scope(|h| {
+                let s = h.push_stack(head);
+                let n = h.alloc(node).unwrap();
+                h.write_i64(n, 0, i);
+                h.write_ref(n, 1, h.stack_ref(s));
+                n
+            });
             h.alloc(node).unwrap(); // garbage
         }
         let root = h.add_root(head);
@@ -1169,11 +1172,13 @@ mod tests {
             let leaf = h.define_class(ClassBuilder::new("Leaf").field("v", FieldKind::I64));
             let l = h.alloc(leaf).unwrap();
             h.write_i64(l, 0, 7);
-            let s = h.push_stack(l);
-            let p = h.alloc(pair).unwrap();
-            h.write_ref(p, 0, h.stack_ref(s));
-            h.write_ref(p, 1, h.stack_ref(s)); // shared leaf
-            h.truncate_stack(s);
+            let p = h.scope(|h| {
+                let s = h.push_stack(l);
+                let p = h.alloc(pair).unwrap();
+                h.write_ref(p, 0, h.stack_ref(s));
+                h.write_ref(p, 1, h.stack_ref(s)); // shared leaf
+                p
+            });
             let root = h.add_root(p);
             for _ in 0..500 {
                 h.alloc(leaf).unwrap(); // garbage

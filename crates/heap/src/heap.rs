@@ -47,7 +47,7 @@ use std::time::Instant;
 use crate::class::{ClassBuilder, ClassId, ClassRegistry, FieldKind};
 use crate::concurrent::ConcurrentCycle;
 use crate::object::{Header, ObjRef};
-use crate::roots::{RootId, RootSet};
+use crate::roots::{Frame, RootId, RootSet};
 use crate::space::{Space, SpaceId};
 use crate::stats::GcStats;
 use crate::GcAlgorithm;
@@ -897,8 +897,9 @@ impl Heap {
         self.roots.set(id, r)
     }
 
-    /// Push a short-lived stack root (a UDF local variable). Returns its
-    /// stack index, valid until the stack is truncated past it.
+    /// Push a short-lived stack root: a UDF temporary held across an
+    /// allocation. Returns its stack index, valid until the frame it was
+    /// pushed in is popped, so push only inside [`Heap::scope`].
     #[inline]
     pub fn push_stack(&mut self, r: ObjRef) -> usize {
         self.roots.push_stack(r)
@@ -909,16 +910,27 @@ impl Heap {
         self.roots.stack_get(i)
     }
 
-    /// Current stack watermark, to be restored with
-    /// [`Heap::truncate_stack`] when a UDF invocation returns.
+    /// Open a shadow-stack frame: [`Heap::pop`] drops every stack root
+    /// pushed after it.
     #[inline]
-    pub fn stack_watermark(&self) -> usize {
-        self.roots.stack_len()
+    pub fn frame(&self) -> Frame {
+        self.roots.frame()
     }
 
     #[inline]
-    pub fn truncate_stack(&mut self, watermark: usize) {
-        self.roots.truncate_stack(watermark)
+    pub fn pop(&mut self, frame: Frame) {
+        self.roots.pop(frame)
+    }
+
+    /// Run `body` in a frame of its own: every stack root it pushes is
+    /// popped when it returns, whatever it returns, so a store that `?`s
+    /// out of a failed allocation leaves nothing rooted.
+    #[inline]
+    pub fn scope<R>(&mut self, body: impl FnOnce(&mut Heap) -> R) -> R {
+        let frame = self.frame();
+        let out = body(self);
+        self.pop(frame);
+        out
     }
 
     // ------------------------------------------------------------------

@@ -35,9 +35,12 @@
 //! ## Invariants callers must uphold
 //!
 //! Any [`ObjRef`] held across an allocation must be reachable from a root
-//! ([`Heap::add_root`] or the stack-root region, [`Heap::push_stack`]),
-//! because a collection triggered by that allocation moves objects. Unrooted
-//! refs are invalidated exactly as raw pointers are in a copying collector.
+//! ([`Heap::add_root`] or the shadow stack), because a collection
+//! triggered by that allocation moves objects. Unrooted refs are
+//! invalidated exactly as raw pointers are in a copying collector. A
+//! temporary goes on the shadow stack ([`Heap::push_stack`]) only when an
+//! allocation follows while it is held, and only inside [`Heap::scope`],
+//! which pops everything its body pushed on every return.
 //!
 //! ```
 //! use deca_heap::{Heap, HeapConfig, ClassBuilder, FieldKind};
@@ -69,5 +72,5 @@ pub use class::{ClassBuilder, ClassDescriptor, ClassId, ClassRegistry, FieldKind
 pub use heap::{Heap, HeapConfig, OomError};
 pub use object::ObjRef;
 pub use policy::GcAlgorithm;
-pub use roots::RootId;
+pub use roots::{Frame, RootId};
 pub use stats::{GcEvent, GcEventKind, GcStats};

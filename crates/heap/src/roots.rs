@@ -1,11 +1,38 @@
 //! GC roots: a slotted root table for long-lived roots (cache blocks,
-//! shuffle buffers) and a stack-like region for short-lived UDF temporaries.
+//! shuffle buffers) and a shadow stack for short-lived UDF temporaries.
+//!
+//! The shadow stack has one rule: a temporary is pushed only when an
+//! allocation follows while it is held, and only inside
+//! [`crate::Heap::scope`], a [`Frame`] that pops everything its body
+//! pushed on every return.
 
 use crate::object::ObjRef;
 
 /// Identifier of a long-lived root slot, returned by [`crate::Heap::add_root`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RootId(pub(crate) usize);
+
+/// A shadow-stack frame: the stack's height when [`crate::Heap::frame`]
+/// took it. [`crate::Heap::pop`] consumes it and drops every stack root
+/// pushed since. It cannot be copied, so no frame is popped twice:
+///
+/// ```compile_fail,E0599
+/// let heap = deca_heap::Heap::new(deca_heap::HeapConfig::small());
+/// let frame = heap.frame();
+/// let again = frame.clone();
+/// ```
+///
+/// and a popped frame is gone:
+///
+/// ```compile_fail,E0382
+/// let mut heap = deca_heap::Heap::new(deca_heap::HeapConfig::small());
+/// let frame = heap.frame();
+/// heap.pop(frame);
+/// heap.pop(frame);
+/// ```
+#[must_use = "a frame's stack roots stay pushed until it is popped"]
+#[derive(Debug)]
+pub struct Frame(usize);
 
 /// The root set: slotted table plus stack region. Collections treat every
 /// occupied slot and every stack entry as a root and rewrite them when the
@@ -63,13 +90,13 @@ impl RootSet {
     }
 
     #[inline]
-    pub fn stack_len(&self) -> usize {
-        self.stack.len()
+    pub fn frame(&self) -> Frame {
+        Frame(self.stack.len())
     }
 
     #[inline]
-    pub fn truncate_stack(&mut self, watermark: usize) {
-        self.stack.truncate(watermark);
+    pub fn pop(&mut self, frame: Frame) {
+        self.stack.truncate(frame.0);
     }
 
     /// Visit every root slot mutably (collections rewrite moved refs).
@@ -119,12 +146,12 @@ mod tests {
     fn stack_watermark() {
         let mut roots = RootSet::new();
         roots.push_stack(r(1));
-        let mark = roots.stack_len();
+        let frame = roots.frame();
         roots.push_stack(r(2));
         roots.push_stack(r(3));
-        assert_eq!(roots.stack_len(), 3);
-        roots.truncate_stack(mark);
-        assert_eq!(roots.stack_len(), 1);
+        assert_eq!(roots.live_count(), 3);
+        roots.pop(frame);
+        assert_eq!(roots.live_count(), 1);
         assert_eq!(roots.stack_get(0), r(1));
     }
 

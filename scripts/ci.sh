@@ -256,6 +256,34 @@ if [ "$(grep -c . <<<"$folds")" != 1 ] || [ -n "$held" ]; then
   exit 1
 fi
 
+echo "== one shadow-stack rule (pushes only in the record stores and Spark buffers) =="
+# A heap temporary goes on the shadow stack only when an allocation follows
+# while it is held, and only inside `Heap::scope`, which pops it on every
+# return: outside the heap, the record stores of the engine's record.rs and
+# the Spark shuffle buffers of its shuffle.rs are the only non-test code
+# that pushes one. (A pop takes the move-only `Frame` a scope took, so no
+# caller pops to a stack index of its own.)
+pushes=$(find crates -path '*/src/*.rs' ! -path 'crates/heap/src/*' | sort \
+  | xargs awk -f scripts/non_test_lines.awk | grep 'push_stack(' \
+  | grep -v -E '^crates/engine/src/(record|shuffle)\.rs:' || true)
+if [ -n "$pushes" ]; then
+  echo "non-test code pushes a shadow-stack root outside the record stores and Spark buffers:"
+  echo "$pushes"
+  exit 1
+fi
+
+echo "== typed trace events (no positional record call outside trace.rs) =="
+# Each event the engine records has a typed constructor on TraceRecorder
+# that names its fields: no non-test engine line outside trace.rs calls
+# the twelve-argument `record` itself.
+records=$(find crates/engine/src -name '*.rs' ! -name trace.rs | sort \
+  | xargs awk -f scripts/non_test_lines.awk | grep -E 'trace\.record\(|TraceRecorder::record' || true)
+if [ -n "$records" ]; then
+  echo "non-test engine code records a trace event positionally:"
+  echo "$records"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in

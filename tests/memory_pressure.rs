@@ -397,7 +397,7 @@ fn sql_on_a_shrinking_heap_completes_or_reports_memory_pressure_and_leaves_no_ag
                 e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).expect("the cache evicts");
                 assert_eq!(
                     (e.heap.root_count(), e.mm.live_groups()),
-                    (0, e.cache.deca_blocks()),
+                    (0, e.cache.ledger().0),
                     "{cell}: [heap roots, live page groups] after the job"
                 );
             }

@@ -43,13 +43,13 @@ fn gc_preserves_reachable_graphs() {
             );
             let mut head = deca_heap::ObjRef::NULL;
             for &v in values {
-                let s = heap.push_stack(head);
-                let n = heap.alloc(node).unwrap();
-                heap.write_i64(n, 0, v);
-                let prev = heap.stack_ref(s);
-                heap.write_ref(n, 1, prev);
-                heap.truncate_stack(s);
-                head = n;
+                head = heap.scope(|heap| {
+                    let s = heap.push_stack(head);
+                    let n = heap.alloc(node).unwrap();
+                    heap.write_i64(n, 0, v);
+                    heap.write_ref(n, 1, heap.stack_ref(s));
+                    n
+                });
             }
             let root = heap.add_root(head);
             for &full in gcs {
@@ -447,6 +447,7 @@ fn string_fast_path_matches_the_utf16_path_at_every_length() {
                 prop_assert_eq!(&general, &s, "UTF-16 decode of {ctx}");
 
                 let n = units.len() + SLACK;
+                let frame = heap.frame();
                 let [fast, utf16] = [(); 2].map(|_| {
                     let a = heap.alloc_array(cls.char_array, n).unwrap();
                     (0..n).for_each(|i| heap.array_set(a, i, u64::from(background(i))));
@@ -463,7 +464,7 @@ fn string_fast_path_matches_the_utf16_path_at_every_length() {
                 }
                 let string = heap.alloc(cls.string).unwrap();
                 heap.write_ref(string, 0, heap.stack_ref(utf16));
-                heap.truncate_stack(fast);
+                heap.pop(frame);
                 load_str_into(&heap, string, &mut decoded);
                 let slack = units.len()..n;
                 let want: Vec<u16> = units.iter().copied().chain(slack.map(background)).collect();
@@ -795,7 +796,11 @@ fn cache_tier_moves_keep_every_block() {
                     .count();
                 prop_assert_eq!(heap.root_count(), filler.len() + rooted, "step {step}: roots");
                 let deca = live.iter().filter(|(_, put, _)| *put == Put::Deca).count();
-                prop_assert_eq!((mm.live_groups(), cm.deca_blocks()), (deca, deca), "step {step}");
+                prop_assert_eq!(
+                    (mm.live_groups(), cm.ledger()),
+                    (deca, (deca, rooted)),
+                    "step {step}"
+                );
             }
             filler.drain(..).for_each(|root| {
                 heap.remove_root(root);
@@ -947,13 +952,13 @@ fn mark_sweep_gc_preserves_reachable_graphs() {
             let mut head = deca_heap::ObjRef::NULL;
             let mut garbage_roots = Vec::new();
             for &v in values {
-                let s = heap.push_stack(head);
-                let n = heap.alloc(node).unwrap();
-                heap.write_i64(n, 0, v);
-                let prev = heap.stack_ref(s);
-                heap.write_ref(n, 1, prev);
-                heap.truncate_stack(s);
-                head = n;
+                head = heap.scope(|heap| {
+                    let s = heap.push_stack(head);
+                    let n = heap.alloc(node).unwrap();
+                    heap.write_i64(n, 0, v);
+                    heap.write_ref(n, 1, heap.stack_ref(s));
+                    n
+                });
                 // Some future-garbage pinned temporarily (creates holes when
                 // released between collections).
                 let g = heap.alloc(node).unwrap();

@@ -30,14 +30,15 @@ pub fn scheduler_cells() -> impl Iterator<Item = (usize, SchedulerMode)> {
 
 /// The ownership ledger at the end of a job: every page group an
 /// executor's memory manager still holds is owned by a Deca block its
-/// cache still holds, so no shuffle table outlived its task.
+/// cache still holds, and every heap root by an object or serialized
+/// block, so no shuffle table or UDF temporary outlived its task.
 pub fn assert_groups_owned_by_cache(session: &ClusterSession, cell: &str) {
     for i in 0..session.executors() {
         let e = session.executor(i);
         assert_eq!(
-            e.mm.live_groups(),
-            e.cache.deca_blocks(),
-            "{cell}: executor {i} holds page groups that no cached block owns"
+            (e.mm.live_groups(), e.heap.root_count()),
+            e.cache.ledger(),
+            "{cell}: executor {i} holds [page groups, heap roots] that no cached block owns"
         );
     }
 }
