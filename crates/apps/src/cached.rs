@@ -300,7 +300,10 @@ mod tests {
         job_ctx
             .run_stage(stage, 2, |ctx, e| {
                 let b = data.block(ctx, e)?;
-                let recs = e.cache.deca_block(b).decode_all(&mut e.mm, &mut e.heap)?;
+                let (mut recs, decode) = (Vec::new(), <i64 as deca_core::DecaRecord>::decode);
+                e.cache
+                    .deca_block(b)
+                    .scan_bytes(&mut e.mm, &mut e.heap, decode, |r| recs.push(r))?;
                 Ok((ctx.executor, recs))
             })
             .expect("scan stage")

@@ -17,8 +17,7 @@ pub struct AppReport {
     pub checksum: f64,
     /// Bytes of cached data (paper's "Cached Data" bars).
     pub cache_bytes: usize,
-    /// Objects traced across all collections (the §2.2 pathology in one
-    /// number — what the collector repeatedly walks).
+    /// Objects the job's collections traced (`metrics.objects_traced`).
     pub objects_traced: u64,
     /// The slowest task's breakdown (Figure 11 reports the slowest task).
     pub slowest_task: Option<TaskMetrics>,
@@ -27,25 +26,23 @@ pub struct AppReport {
 impl AppReport {
     /// Assemble a report from a finished cluster session: the job's
     /// roll-up (exec = the parallel critical path; its collection counts
-    /// are the job's), merged timelines, and objects traced totalled
-    /// across executors. Call after [`ClusterSession::finish_job`] so
-    /// cache occupancy is current.
+    /// and objects traced are the job's) and merged timelines. Call after
+    /// [`ClusterSession::finish_job`] so cache occupancy is current.
     pub fn from_cluster(
         app: impl Into<String>,
         session: &ClusterSession,
         checksum: f64,
         cache_bytes: usize,
     ) -> AppReport {
+        let metrics = session.job_summary();
         AppReport {
             app: app.into(),
             mode: session.mode(),
-            metrics: session.job_summary(),
+            objects_traced: metrics.objects_traced,
+            metrics,
             timeline: session.merged_timeline(),
             checksum,
             cache_bytes,
-            objects_traced: (0..session.executors())
-                .map(|i| session.executor(i).heap_stats().objects_traced)
-                .sum(),
             slowest_task: session.slowest_task(),
         }
     }

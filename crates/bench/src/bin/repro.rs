@@ -483,10 +483,10 @@ fn fig11(s: &Scale) -> Vec<ShapeCheck> {
                 r.mode.name().to_string(),
                 t.name,
                 ms(t.compute),
-                ms(t.gc_pause),
-                ms(t.deser),
-                ms(t.ser + t.shuffle_write),
-                ms(t.shuffle_read),
+                ms(t.work.gc_pause),
+                ms(t.work.deser),
+                ms(t.work.ser + t.work.shuffle_write),
+                ms(t.work.shuffle_read),
                 ms(t.io),
             ]);
         }

@@ -109,18 +109,6 @@ impl DecaCacheBlock {
         self.fold_bytes(mm, heap, (), |(), bytes| sink(f(bytes)))
     }
 
-    /// Decode every record (for a downstream phase that genuinely needs
-    /// materialised values).
-    pub fn decode_all<T: DecaRecord>(
-        &self,
-        mm: &mut MemoryManager,
-        heap: &mut Heap,
-    ) -> Result<Vec<T>, MemError> {
-        let mut out = Vec::with_capacity(self.len);
-        self.scan_bytes(mm, heap, |bytes| T::decode(bytes), |v| out.push(v))?;
-        Ok(out)
-    }
-
     /// Fold over records' bytes (aggregations without materialisation).
     /// The loops call `f` directly, so it inlines into them; a fold of the
     /// flattened pages calls it through a `&mut F` shim that need not.
@@ -185,7 +173,8 @@ mod tests {
             block.append(&mut mm, &mut heap, &(i as f64 * 0.5, i)).unwrap();
         }
         assert_eq!(block.len(), 1000);
-        let back: Vec<(f64, i64)> = block.decode_all(&mut mm, &mut heap).unwrap();
+        let mut back = Vec::new();
+        block.scan_bytes(&mut mm, &mut heap, <(f64, i64)>::decode, |r| back.push(r)).unwrap();
         assert_eq!(back.len(), 1000);
         assert_eq!(back[17], (8.5, 17));
         // ~1000 records * 16B in 4KB pages => only a handful of pages
@@ -204,7 +193,8 @@ mod tests {
         for r in &recs {
             block.append(&mut mm, &mut heap, r).unwrap();
         }
-        let back: Vec<(i64, Vec<f64>)> = block.decode_all(&mut mm, &mut heap).unwrap();
+        let mut back = Vec::new();
+        block.scan_bytes(&mut mm, &mut heap, <(i64, Vec<f64>)>::decode, |r| back.push(r)).unwrap();
         assert_eq!(back, recs);
     }
 

@@ -619,6 +619,7 @@ impl CacheManager {
     }
 
     /// Resident bytes held in the warm (serialized in-memory) tier.
+    #[cfg(test)]
     fn warm_bytes(&self) -> usize {
         self.sum_bytes(|e| matches!(e.state, BlockState::Serialized { .. }))
     }
@@ -1415,41 +1416,6 @@ impl CacheManager {
         let Ok(payload) = std::fs::read(mm.spill_file(group)) else { return false };
         payload.len() as u64 == row.file_bytes && hash_bytes(&payload) == row.checksum
     }
-
-    /// Snapshot of the manager's occupancy and eviction counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            resident_bytes: self.resident_bytes(),
-            warm_bytes: self.warm_bytes(),
-            disk_bytes: self.disk_bytes(),
-            evictions: self.evictions,
-            demotions: self.demotions,
-            spill_write_bytes: self.spill_write_bytes,
-            spill_read_bytes: self.spill_read_bytes,
-        }
-    }
-}
-
-/// A point-in-time summary of a [`CacheManager`]'s state, for apps and
-/// harnesses that report cache behaviour without poking manager fields.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cached bytes currently resident in memory (hot + warm tiers).
-    pub resident_bytes: usize,
-    /// The serialized-in-memory (warm tier) share of `resident_bytes`.
-    pub warm_bytes: usize,
-    /// Cached bytes currently evicted to disk.
-    pub disk_bytes: usize,
-    /// Cold-tier eviction events since construction.
-    pub evictions: u64,
-    /// Hot → warm demotion events since construction.
-    pub demotions: u64,
-    /// Bytes written to / read from the cache's own block files: Spark
-    /// and SparkSer blocks. A Deca block's page-group swaps are the memory
-    /// manager's traffic (`MemoryManager::spill_write_bytes` and
-    /// `spill_read_bytes`), counted there alone.
-    pub spill_write_bytes: u64,
-    pub spill_read_bytes: u64,
 }
 
 #[cfg(test)]
@@ -1458,6 +1424,13 @@ mod tests {
     use crate::record::HeapRecord;
     use deca_core::DecaRecord;
     use deca_heap::HeapConfig;
+
+    /// A Deca block's pairs, decoded through its byte scan.
+    fn decoded(block: &DecaCacheBlock, mm: &mut MemoryManager, heap: &mut Heap) -> Vec<(i64, i64)> {
+        let mut out = Vec::new();
+        block.scan_bytes(mm, heap, <(i64, i64)>::decode, |r| out.push(r)).unwrap();
+        out
+    }
 
     fn setup(heap_bytes: usize, budget: usize) -> (Heap, KryoSim, MemoryManager, CacheManager) {
         let dir = std::env::temp_dir().join(format!(
@@ -1534,7 +1507,7 @@ mod tests {
         let id = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
         let block = cm.deca_block(id);
         assert_eq!(block.len(), 400);
-        let back: Vec<(i64, i64)> = block.decode_all(&mut mm, &mut heap).unwrap();
+        let back = decoded(block, &mut mm, &mut heap);
         assert_eq!(back, recs);
         cm.release(id, &mut heap, &mut mm);
         assert_eq!(heap.external_bytes(), 0);
@@ -1567,7 +1540,7 @@ mod tests {
             .collect();
         assert_eq!(back, recs);
         assert_eq!(scan_pairs(&mut cm, serialized, &mut heap, &mut kryo, &mut mm), recs);
-        let back: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+        let back = decoded(cm.deca_block(deca), &mut mm, &mut heap);
         assert_eq!(back, recs);
         assert_eq!(mm.live_groups(), cm.ledger().0);
         std::fs::remove_file(&blocked).unwrap();
@@ -1660,7 +1633,7 @@ mod tests {
             "swapped page group recorded with its page sizes: {rows:?}"
         );
         // The swapped group still reads back (swap-in on access).
-        let back: Vec<(i64, i64)> = cm.deca_block(a).decode_all(&mut mm, &mut heap).unwrap();
+        let back = decoded(cm.deca_block(a), &mut mm, &mut heap);
         assert_eq!(back, recs);
     }
 
@@ -1711,7 +1684,7 @@ mod tests {
         // all three tiers to bite on.
         cm.evict_all(&mut heap, &mut kryo, &mut mm).unwrap();
         cm.objects_root(hot, &mut heap, &mut kryo, &mut mm).unwrap();
-        let _: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+        decoded(cm.deca_block(deca), &mut mm, &mut heap);
         assert_eq!(cm.tier(cold, &mm), Tier::Cold);
         let out = cm.crash_restart(&mut heap, &mut mm, "s", 0);
         assert!(out.manifest_ok);
@@ -1783,8 +1756,7 @@ mod tests {
                 assert_eq!(scan_pairs(&mut cm, bytes, &mut heap, &mut kryo, &mut mm), recs);
             }
             if cm.contains(deca) {
-                let back: Vec<(i64, i64)> =
-                    cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+                let back = decoded(cm.deca_block(deca), &mut mm, &mut heap);
                 assert_eq!(back, recs);
             }
         }
@@ -1854,7 +1826,7 @@ mod tests {
         assert_eq!(mm.live_groups(), 0, "the dropped block released its group");
         // Lineage recompute caches the records again.
         let again = cm.put_deca(&mut heap, &mut mm, &recs).unwrap();
-        let back: Vec<(i64, i64)> = cm.deca_block(again).decode_all(&mut mm, &mut heap).unwrap();
+        let back = decoded(cm.deca_block(again), &mut mm, &mut heap);
         assert_eq!(back, recs);
     }
 
@@ -1869,7 +1841,11 @@ mod tests {
         let first = cm.crash_restart(&mut heap, &mut mm, "s", 0);
         assert!(first.manifest_ok);
         assert_eq!(first.rehydrated.len(), 2, "both cold blocks verified");
-        let stats = cm.stats();
+        let state = |cm: &CacheManager| {
+            let bytes = [cm.resident_bytes(), cm.warm_bytes(), cm.disk_bytes()];
+            (bytes, [cm.evictions, cm.demotions, cm.spill_write_bytes, cm.spill_read_bytes])
+        };
+        let before = state(&cm);
         let second = cm.crash_restart(&mut heap, &mut mm, "s", 1);
         assert!(second.manifest_ok);
         assert_eq!(second.dropped, 0, "second recovery drops nothing");
@@ -1877,7 +1853,7 @@ mod tests {
             second.rehydrated, first.rehydrated,
             "second recovery re-verifies the same blocks"
         );
-        assert_eq!(cm.stats(), stats, "no state change on the second pass");
+        assert_eq!(state(&cm), before, "no state change on the second pass");
         assert!(cm.contains(a) && cm.contains(d));
     }
 
@@ -2060,7 +2036,7 @@ mod tests {
         let out = cm.crash_restart(&mut heap, &mut mm, "s", 0);
         let kept: Vec<u32> = out.rehydrated.iter().map(|r| r.0).collect();
         assert_eq!(kept, [deca.0, objects.0], "both cold blocks survive the crash");
-        let back: Vec<(i64, i64)> = cm.deca_block(deca).decode_all(&mut mm, &mut heap).unwrap();
+        let back = decoded(cm.deca_block(deca), &mut mm, &mut heap);
         assert_eq!(back, pairs);
     }
 }

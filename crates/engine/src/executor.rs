@@ -8,7 +8,8 @@
 //! (Figure 11's breakdown). Collector pauses are *measured*: the heap's
 //! stop-the-world time is charged to the triggering task, and concurrent
 //! mark overlap (the Table-4 CMS/G1 collectors) is reported alongside without
-//! inflating task time.
+//! inflating task time. Every bucket and count of a run is one difference
+//! of the executor's counters ([`Executor::work`]).
 
 use std::time::{Duration, Instant};
 
@@ -17,7 +18,7 @@ use deca_heap::{Heap, HeapConfig};
 
 use crate::cache::CacheManager;
 use crate::config::ExecutorConfig;
-use crate::metrics::{GcAccounting, TaskMetrics, Timeline};
+use crate::metrics::{TaskMetrics, Timeline, Work};
 use crate::serde_sim::KryoSim;
 use crate::trace::{dur_ns, TraceRecorder};
 
@@ -44,14 +45,11 @@ pub struct Executor {
     /// Structured run-trace recorder (enabled by `config.tracing`); the
     /// driver merges every executor's events into one [`crate::RunTrace`].
     pub trace: TraceRecorder,
-    gc_acc: GcAccounting,
     /// Simulated job clock: cumulative attributed task time.
     sim_clock: Duration,
-    /// Shuffle time accumulated by helpers since the task started.
-    pub(crate) pending_shuffle_read: Duration,
-    pub(crate) pending_shuffle_write: Duration,
-    /// Spill bytes observed at the start of the running task.
-    spill_mark: u64,
+    /// Cumulative shuffle read and write time, outside the serializer's.
+    shuffle_read: Duration,
+    shuffle_write: Duration,
     /// A "crashed" executor process: every task fails until the driver
     /// restarts it (fault-injection model; see `crate::faults`).
     poisoned: bool,
@@ -80,14 +78,12 @@ impl Executor {
             arena: ShuffleArena::new(config.page_size),
             kryo: KryoSim::new(),
             cache,
-            gc_acc: GcAccounting::new(),
             trace: TraceRecorder::new(config.tracing),
             sim_clock: Duration::ZERO,
             config,
             timeline: Timeline::new(),
-            pending_shuffle_read: Duration::ZERO,
-            pending_shuffle_write: Duration::ZERO,
-            spill_mark: 0,
+            shuffle_read: Duration::ZERO,
+            shuffle_write: Duration::ZERO,
             poisoned: false,
         }
     }
@@ -113,9 +109,9 @@ impl Executor {
 
     /// Relieve memory pressure: evict every evictable cached block to
     /// disk and run a full collection (the graceful-OOM degradation step
-    /// the driver takes before retrying an OOM-failed task in place).
-    /// Returns the resident cache bytes freed; eviction I/O shows up in
-    /// the cache spill counters and the task's `io` bucket.
+    /// the driver takes inside the window of an OOM-failed task's in-place
+    /// re-run). Returns the resident cache bytes freed; the collection,
+    /// the eviction's serialization and its I/O land in that run's record.
     pub fn spill_for_memory(&mut self) -> u64 {
         let freed = self.cache.evict_all(&mut self.heap, &mut self.kryo, &mut self.mm).unwrap_or(0);
         self.heap.full_gc();
@@ -187,19 +183,7 @@ impl Executor {
         let name = name.into();
         let gc_event_mark = self.heap.stats().events.len();
         let wall_start_ns = self.trace.now_ns();
-        let ser0 = self.kryo.ser_time;
-        let deser0 = self.kryo.deser_time;
-        self.pending_shuffle_read = Duration::ZERO;
-        self.pending_shuffle_write = Duration::ZERO;
-        // Disk traffic: the memory manager's page-group swaps plus the
-        // cache's block files, each byte counted by one of them.
-        self.spill_mark = self.mm.spill_write_bytes
-            + self.mm.spill_read_bytes
-            + self.cache.spill_write_bytes
-            + self.cache.spill_read_bytes;
-        // Baseline the GC accounting so earlier tasks' collections are not
-        // re-attributed.
-        let _ = self.gc_acc.account(self.heap.stats());
+        let before = self.work();
         // A task's UDF temporaries die with it: whatever its body left on
         // the shadow stack, outside a `Heap::scope` or in one a caught panic
         // unwound, must not stay rooted for the recovery's full GC, the
@@ -210,36 +194,7 @@ impl Executor {
         let result = f(self);
         let wall = wall_start.elapsed();
         self.heap.pop(stack);
-
-        let (gc_pause, gc_concurrent) = self.gc_acc.account(self.heap.stats());
-        let ser = self.kryo.ser_time - ser0;
-        let deser = self.kryo.deser_time - deser0;
-        let spill_now = self.mm.spill_write_bytes
-            + self.mm.spill_read_bytes
-            + self.cache.spill_write_bytes
-            + self.cache.spill_read_bytes;
-        let io = Duration::from_secs_f64((spill_now - self.spill_mark) as f64 / SIM_DISK_BPS);
-
-        // Compute = wall minus attributed pauses. Concurrent-mark overlap
-        // is *not* subtracted: the marker ran on another thread while this
-        // task computed, so the task's wall clock already reflects only
-        // whatever CPU contention the race actually caused — measured, not
-        // modelled.
-        let attributed =
-            gc_pause + ser + deser + self.pending_shuffle_read + self.pending_shuffle_write;
-        let compute = wall.saturating_sub(attributed);
-
-        let t = TaskMetrics {
-            name,
-            compute,
-            gc_pause,
-            gc_concurrent,
-            ser,
-            deser,
-            shuffle_read: self.pending_shuffle_read,
-            shuffle_write: self.pending_shuffle_write,
-            io,
-        };
+        let t = TaskMetrics::new(name, wall, self.work().since(&before));
 
         if self.trace.enabled() {
             let sim_start = dur_ns(self.sim_clock);
@@ -250,9 +205,8 @@ impl Executor {
             for ev in self.heap.stats().events_since(gc_event_mark) {
                 self.trace.gc_pause(ev, sim_start);
             }
-            let spill_delta = spill_now - self.spill_mark;
-            if spill_delta > 0 {
-                self.trace.spill_io(spill_delta, io, wall_start_ns, sim_start);
+            if t.work.spill_bytes > 0 {
+                self.trace.spill_io(t.work.spill_bytes, t.io, wall_start_ns, sim_start);
             }
             // Lifetime-based reclamations since the last drain (this task
             // plus any inter-task releases, e.g. a driver-invoked spill).
@@ -277,11 +231,20 @@ impl Executor {
         self.sim_clock
     }
 
-    /// The `[minor, full]` collections the heap ran since the reading
-    /// `before` (`[0, 0]` reads them all).
-    pub(crate) fn collections_since(&self, before: [u64; 2]) -> [u64; 2] {
-        let s = self.heap.stats();
-        [s.minor_collections - before[0], s.full_collections - before[1]]
+    /// Everything this executor has done, as cumulative counters: a run's
+    /// or a restart's work is the difference of two readings.
+    pub fn work(&self) -> Work {
+        Work {
+            ser: self.kryo.ser_time,
+            deser: self.kryo.deser_time,
+            shuffle_read: self.shuffle_read,
+            shuffle_write: self.shuffle_write,
+            spill_bytes: self.mm.spill_write_bytes
+                + self.mm.spill_read_bytes
+                + self.cache.spill_write_bytes
+                + self.cache.spill_read_bytes,
+            ..Work::of_gc(self.heap.stats())
+        }
     }
 
     /// Start a per-reducer shuffle output run backed by this executor's
@@ -324,7 +287,7 @@ impl Executor {
         let r = f(self);
         let wall = t.elapsed();
         let ser = self.kryo.ser_time - ser0;
-        self.pending_shuffle_write += wall.saturating_sub(ser);
+        self.shuffle_write += wall.saturating_sub(ser);
         r
     }
 
@@ -336,7 +299,7 @@ impl Executor {
         let r = f(self);
         let wall = t.elapsed();
         let deser = self.kryo.deser_time - deser0;
-        self.pending_shuffle_read += wall.saturating_sub(deser);
+        self.shuffle_read += wall.saturating_sub(deser);
         r
     }
 
@@ -398,8 +361,8 @@ mod tests {
         });
         assert_eq!(t.name, "churn");
         assert!(e.heap.stats().minor_collections > 0);
-        assert!(t.gc_pause > Duration::ZERO, "allocation churn must show GC time");
-        assert!(t.total() >= t.gc_pause);
+        assert!(t.work.gc_pause > Duration::ZERO, "allocation churn must show GC time");
+        assert!(t.total() >= t.work.gc_pause);
     }
 
     /// A Deca block swapped out and read back is the memory manager's disk
@@ -413,7 +376,13 @@ mod tests {
         let (back, t) = e.run_task("spill", |e| {
             let b = e.cache.put_deca(&mut e.heap, &mut e.mm, &recs).unwrap();
             e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).unwrap();
-            e.cache.deca_block(b).decode_all::<(i64, i64)>(&mut e.mm, &mut e.heap).unwrap()
+            let mut back = Vec::new();
+            let decode = <(i64, i64) as deca_core::DecaRecord>::decode;
+            e.cache
+                .deca_block(b)
+                .scan_bytes(&mut e.mm, &mut e.heap, decode, |r| back.push(r))
+                .unwrap();
+            back
         });
         assert_eq!(back, recs);
         let (written, read) = (e.mm.spill_write_bytes, e.mm.spill_read_bytes);
@@ -428,11 +397,11 @@ mod tests {
         let mut e = exec();
         let recs: Vec<(i64, i64)> = (0..20_000).map(|i| (i, i * 2)).collect();
         let (buf, t) = e.run_task("ser", |e| e.kryo.serialize_all(&recs));
-        assert!(t.ser > Duration::ZERO);
+        assert!(t.work.ser > Duration::ZERO);
         let (back, t) = e.run_task("deser", |e| e.kryo.deserialize_all::<(i64, i64)>(&buf));
         assert_eq!(back.len(), recs.len());
-        assert!(t.deser > Duration::ZERO);
-        assert_eq!(t.ser, Duration::ZERO, "per-task deltas only");
+        assert!(t.work.deser > Duration::ZERO);
+        assert_eq!(t.work.ser, Duration::ZERO, "per-task deltas only");
     }
 
     #[test]
@@ -496,8 +465,8 @@ mod tests {
         );
         // Accounting: pauses are charged to the task; the overlap is
         // reported beside them and never inflates task time.
-        assert_eq!(t.gc_concurrent, stats.concurrent_mark_time);
-        assert_eq!(t.gc_pause, stats.total_gc_time());
+        assert_eq!(t.work.gc_concurrent, stats.concurrent_mark_time);
+        assert_eq!(t.work.gc_pause, stats.total_gc_time());
         assert_eq!(e.sim_now(), t.total(), "sim clock excludes concurrent overlap");
     }
 

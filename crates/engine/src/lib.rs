@@ -38,14 +38,14 @@ pub mod shuffle;
 mod stage;
 pub mod trace;
 
-pub use cache::{CacheError, CacheStats, RehydrateOutcome, Tier};
+pub use cache::{CacheError, RehydrateOutcome, Tier};
 pub use cluster::ExecutorHealth;
 pub use config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
 pub use driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};
 pub use error::EngineError;
 pub use executor::Executor;
 pub use faults::{FaultPlan, FaultSite, FaultSpec};
-pub use metrics::{GcAccounting, JobMetrics, StageMetrics, TaskMetrics, Timeline, TimelineSample};
+pub use metrics::{JobMetrics, StageMetrics, TaskMetrics, Timeline, TimelineSample, Work};
 pub use record::{HeapRecord, KryoRecord, Record};
 pub use serde_sim::KryoSim;
 pub use server::{AppJob, DecaServer, JobCtx, JobHandle, JobOutput, JobSpec};

@@ -1,42 +1,107 @@
-//! Metrics: task/job breakdowns, collector accounting, and the lifetime
-//! timelines behind Figures 8(a)/9(a).
+//! Metrics: an attempt's work record, task/job breakdowns, and the
+//! lifetime timelines behind Figures 8(a)/9(a).
 
 use std::time::Duration;
 
 use deca_heap::GcStats;
 
-/// Breakdown of one task's wall time, matching Figure 11's bars.
+use crate::executor::SIM_DISK_BPS;
+
+/// What an executor has done, as cumulative counters: read by
+/// [`crate::Executor::work`], and the work of one task run or restart is
+/// the difference of two readings ([`Work::since`]). Every time bucket and
+/// every count of a run comes from the same window, so a collection that
+/// is counted is also timed, traced and attributed to the same run.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Stop-the-world collection pauses.
+    pub gc_pause: Duration,
+    /// Concurrent-mark wall time (the marker thread racing the mutator).
+    pub gc_concurrent: Duration,
+    /// Kryo serialization time.
+    pub ser: Duration,
+    /// Kryo deserialization time.
+    pub deser: Duration,
+    /// Shuffle read and write time, outside the serializer's.
+    pub shuffle_read: Duration,
+    pub shuffle_write: Duration,
+    /// Bytes written to and read from disk: the memory manager's page-group
+    /// swaps plus the cache's block files, each byte counted by one of them.
+    pub spill_bytes: u64,
+    pub minor_gcs: u64,
+    pub full_gcs: u64,
+    /// Objects traced (copied or marked) by the collections.
+    pub objects_traced: u64,
+}
+
+impl Work {
+    /// The collector's rows of a heap's statistics (the other rows zero):
+    /// pause time excludes the concurrent mark, which has its own row, and
+    /// a concurrent cycle counts as one full collection, at its remark.
+    pub(crate) fn of_gc(stats: &GcStats) -> Work {
+        Work {
+            gc_pause: stats.total_gc_time(),
+            gc_concurrent: stats.concurrent_mark_time,
+            minor_gcs: stats.minor_collections,
+            full_gcs: stats.full_collections,
+            objects_traced: stats.objects_traced,
+            ..Work::default()
+        }
+    }
+
+    /// The work done between the reading `before` and this one.
+    pub fn since(&self, before: &Work) -> Work {
+        Work {
+            gc_pause: self.gc_pause - before.gc_pause,
+            gc_concurrent: self.gc_concurrent - before.gc_concurrent,
+            ser: self.ser - before.ser,
+            deser: self.deser - before.deser,
+            shuffle_read: self.shuffle_read - before.shuffle_read,
+            shuffle_write: self.shuffle_write - before.shuffle_write,
+            spill_bytes: self.spill_bytes - before.spill_bytes,
+            minor_gcs: self.minor_gcs - before.minor_gcs,
+            full_gcs: self.full_gcs - before.full_gcs,
+            objects_traced: self.objects_traced - before.objects_traced,
+        }
+    }
+}
+
+/// Breakdown of one task run's wall time, matching Figure 11's bars,
+/// built from the run's [`Work`].
 #[derive(Clone, Debug, Default)]
 pub struct TaskMetrics {
     pub name: String,
-    /// Pure computation (wall minus everything attributed below).
+    /// Pure computation (wall minus the stop-the-world, serde and shuffle
+    /// time of `work`).
     pub compute: Duration,
-    /// Stop-the-world collection pauses attributed to this task.
-    pub gc_pause: Duration,
-    /// Concurrent-mark wall time that overlapped this task (the marker
-    /// thread racing the mutator). Observability only: it is *not* part
-    /// of [`TaskMetrics::total`], because the task did not stop for it.
-    pub gc_concurrent: Duration,
-    /// Serialization time (Kryo-sim encodes, shuffle writes).
-    pub ser: Duration,
-    /// Deserialization time.
-    pub deser: Duration,
-    pub shuffle_read: Duration,
-    pub shuffle_write: Duration,
-    /// Spill / swap file I/O.
+    /// Spill / swap file I/O, modelled from `work.spill_bytes`.
     pub io: Duration,
+    /// What the run did. Its `gc_concurrent` is observability only: it is
+    /// *not* part of [`TaskMetrics::total`], because the task did not stop
+    /// for it.
+    pub work: Work,
 }
 
 impl TaskMetrics {
+    /// The breakdown of a run that took `wall` and did `work`.
+    pub(crate) fn new(name: String, wall: Duration, work: Work) -> TaskMetrics {
+        // Concurrent-mark overlap is *not* subtracted: the marker ran on
+        // another thread while the task computed, so the task's wall clock
+        // already reflects whatever CPU contention the race caused.
+        let attributed =
+            work.gc_pause + work.ser + work.deser + work.shuffle_read + work.shuffle_write;
+        TaskMetrics {
+            name,
+            compute: wall.saturating_sub(attributed),
+            io: Duration::from_secs_f64(work.spill_bytes as f64 / SIM_DISK_BPS),
+            work,
+        }
+    }
+
     /// Total reported task time.
     pub fn total(&self) -> Duration {
-        self.compute
-            + self.gc_pause
-            + self.ser
-            + self.deser
-            + self.shuffle_read
-            + self.shuffle_write
-            + self.io
+        let w = &self.work;
+        self.compute + w.gc_pause + w.ser + w.deser + w.shuffle_read + w.shuffle_write + self.io
     }
 }
 
@@ -62,6 +127,9 @@ pub struct JobMetrics {
     pub swapped_cache_bytes: usize,
     pub minor_gcs: u64,
     pub full_gcs: u64,
+    /// Objects the job's collections traced (the §2.2 pathology in one
+    /// number — what the collector repeatedly walks).
+    pub objects_traced: u64,
     /// Physical task runs across the job: `tasks + retries + oom_reruns`
     /// when every stage completes.
     pub attempts: u64,
@@ -98,21 +166,28 @@ pub struct JobMetrics {
 }
 
 impl JobMetrics {
+    /// Fold one task run: its time buckets and its work's counts.
     pub fn add_task(&mut self, t: &TaskMetrics) {
+        let w = &t.work;
         self.exec += t.total();
-        self.gc += t.gc_pause;
-        self.gc_concurrent += t.gc_concurrent;
-        self.ser += t.ser;
-        self.deser += t.deser;
-        self.shuffle_read += t.shuffle_read;
-        self.shuffle_write += t.shuffle_write;
+        self.gc += w.gc_pause;
+        self.gc_concurrent += w.gc_concurrent;
+        self.ser += w.ser;
+        self.deser += w.deser;
+        self.shuffle_read += w.shuffle_read;
+        self.shuffle_write += w.shuffle_write;
         self.io += t.io;
+        self.add_counts(w);
     }
 
-    /// Count `[minor, full]` collections a job's attempt or restart ran.
-    pub(crate) fn add_collections(&mut self, [minor, full]: [u64; 2]) {
-        self.minor_gcs += minor;
-        self.full_gcs += full;
+    /// Fold a work record's counts: every task run's, and an executor
+    /// restart's, whose collections are the job's but whose time is no
+    /// task's (the time buckets stay the sum of the job's task runs, as
+    /// the stage rows are).
+    pub(crate) fn add_counts(&mut self, w: &Work) {
+        self.minor_gcs += w.minor_gcs;
+        self.full_gcs += w.full_gcs;
+        self.objects_traced += w.objects_traced;
     }
 
     /// Fold a stage's fault-handling counters into the job totals.
@@ -215,13 +290,14 @@ impl StageMetrics {
     /// logical `tasks` count is set by the driver (attempts may exceed it
     /// under retries); `exec` is also handled separately, per executor.
     pub fn add_task(&mut self, t: &TaskMetrics) {
+        let w = &t.work;
         self.compute += t.compute;
-        self.gc += t.gc_pause;
-        self.gc_concurrent += t.gc_concurrent;
-        self.ser += t.ser;
-        self.deser += t.deser;
-        self.shuffle_read += t.shuffle_read;
-        self.shuffle_write += t.shuffle_write;
+        self.gc += w.gc_pause;
+        self.gc_concurrent += w.gc_concurrent;
+        self.ser += w.ser;
+        self.deser += w.deser;
+        self.shuffle_read += w.shuffle_read;
+        self.shuffle_write += w.shuffle_write;
         self.io += t.io;
     }
 
@@ -235,37 +311,6 @@ impl StageMetrics {
             + self.shuffle_read
             + self.shuffle_write
             + self.io
-    }
-}
-
-/// Incremental attribution of collector time to task attempts: drains the
-/// heap's *measured* pause and concurrent-overlap totals since the last
-/// call. Earlier revisions converted stop-the-world measurements through a
-/// per-algorithm `PauseModel`; the collectors are now implemented for real
-/// (parallel tracing, an actual concurrent marker thread), so the split is
-/// measured, not modelled.
-#[derive(Clone, Debug, Default)]
-pub struct GcAccounting {
-    last_pause: Duration,
-    last_concurrent: Duration,
-}
-
-impl GcAccounting {
-    pub fn new() -> GcAccounting {
-        GcAccounting::default()
-    }
-
-    /// Consume the collector time since the last call and return
-    /// `(pause, concurrent)`: stop-the-world pause time charged to the
-    /// task's wall clock, and concurrent-mark wall time that overlapped
-    /// the task (observability only — the mutator never stopped for it,
-    /// so it is never subtracted from compute).
-    pub fn account(&mut self, stats: &GcStats) -> (Duration, Duration) {
-        let pause = stats.total_gc_time().saturating_sub(self.last_pause);
-        let concurrent = stats.concurrent_mark_time.saturating_sub(self.last_concurrent);
-        self.last_pause = stats.total_gc_time();
-        self.last_concurrent = stats.concurrent_mark_time;
-        (pause, concurrent)
     }
 }
 
@@ -310,17 +355,21 @@ mod tests {
 
     #[test]
     fn task_totals_and_job_aggregation() {
-        let t = TaskMetrics {
-            name: "t".into(),
-            compute: Duration::from_millis(10),
+        let work = Work {
             gc_pause: Duration::from_millis(5),
             gc_concurrent: Duration::from_millis(40),
             ser: Duration::from_millis(1),
             deser: Duration::from_millis(2),
             shuffle_read: Duration::from_millis(3),
             shuffle_write: Duration::from_millis(4),
-            io: Duration::from_millis(5),
+            spill_bytes: 0,
+            minor_gcs: 2,
+            full_gcs: 1,
+            objects_traced: 7,
         };
+        let mut t = TaskMetrics::new("t".into(), Duration::from_millis(25), work);
+        assert_eq!(t.compute, Duration::from_millis(10), "wall minus the attributed buckets");
+        t.io = Duration::from_millis(5);
         assert_eq!(t.total(), Duration::from_millis(30), "concurrent overlap is not task time");
         let mut j = JobMetrics::default();
         j.add_task(&t);
@@ -328,11 +377,20 @@ mod tests {
         assert_eq!(j.exec, Duration::from_millis(60));
         assert_eq!(j.gc, Duration::from_millis(10));
         assert_eq!(j.gc_concurrent, Duration::from_millis(80));
+        assert_eq!((j.minor_gcs, j.full_gcs, j.objects_traced), (4, 2, 14));
         assert!((j.gc_ratio() - 10.0 / 60.0).abs() < 1e-9);
         let mut s = StageMetrics::new("w");
         s.add_task(&t);
         assert_eq!(s.gc_concurrent, Duration::from_millis(40));
         assert_eq!(s.total_task_time(), Duration::from_millis(30));
+    }
+
+    #[test]
+    fn spill_bytes_are_modelled_as_disk_time() {
+        let work = Work { spill_bytes: SIM_DISK_BPS as u64, ..Work::default() };
+        let t = TaskMetrics::new("io".into(), Duration::ZERO, work);
+        assert_eq!(t.io, Duration::from_secs(1));
+        assert_eq!(t.total(), Duration::from_secs(1));
     }
 
     #[test]
@@ -368,9 +426,8 @@ mod tests {
     }
 
     #[test]
-    fn gc_accounting_is_incremental() {
+    fn work_since_is_incremental() {
         let mut stats = GcStats::default();
-        let mut acc = GcAccounting::new();
         stats.record(GcEvent {
             kind: GcEventKind::Minor,
             at: Duration::ZERO,
@@ -378,12 +435,14 @@ mod tests {
             objects_traced: 1,
             live_bytes_after: 0,
         });
-        let (p1, c1) = acc.account(&stats);
-        assert_eq!(p1, Duration::from_millis(4));
-        assert_eq!(c1, Duration::ZERO);
-        // No new collections: nothing more to attribute.
-        let (p2, _) = acc.account(&stats);
-        assert_eq!(p2, Duration::ZERO);
+        let w1 = Work::of_gc(&stats);
+        let d1 = w1.since(&Work::default());
+        assert_eq!(d1.gc_pause, Duration::from_millis(4));
+        assert_eq!(d1.gc_concurrent, Duration::ZERO);
+        assert_eq!((d1.minor_gcs, d1.full_gcs, d1.objects_traced), (1, 0, 1));
+        // No new collections: nothing more in the next window.
+        let w2 = Work::of_gc(&stats);
+        assert_eq!(w2.since(&w1), Work::default());
         stats.record(GcEvent {
             kind: GcEventKind::Full,
             at: Duration::ZERO,
@@ -391,17 +450,21 @@ mod tests {
             objects_traced: 1,
             live_bytes_after: 0,
         });
-        let (p3, c3) = acc.account(&stats);
-        assert_eq!(p3, Duration::from_millis(10), "a stop-the-world full trace is all pause");
-        assert_eq!(c3, Duration::ZERO, "nothing ran concurrently");
+        let d3 = Work::of_gc(&stats).since(&w2);
+        assert_eq!(
+            d3.gc_pause,
+            Duration::from_millis(10),
+            "a stop-the-world full trace is all pause"
+        );
+        assert_eq!(d3.gc_concurrent, Duration::ZERO, "nothing ran concurrently");
+        assert_eq!((d3.minor_gcs, d3.full_gcs, d3.objects_traced), (0, 1, 1));
     }
 
     #[test]
-    fn gc_accounting_splits_pause_from_concurrent_overlap() {
+    fn work_since_splits_pause_from_concurrent_overlap() {
         // A concurrent cycle's pauses (initial mark + remark) are charged
         // as pause; the measured mark overlap is reported separately.
         let mut stats = GcStats::default();
-        let mut acc = GcAccounting::new();
         let ev = |kind, ms| GcEvent {
             kind,
             at: Duration::ZERO,
@@ -412,11 +475,16 @@ mod tests {
         stats.record(ev(GcEventKind::InitialMark, 1));
         stats.record(ev(GcEventKind::ConcMark, 90));
         stats.record(ev(GcEventKind::Remark, 3));
-        let (pause, concurrent) = acc.account(&stats);
-        assert_eq!(pause, Duration::from_millis(4), "only the cycle's two pauses stop the task");
-        assert_eq!(concurrent, Duration::from_millis(90), "overlap is the measured mark wall");
-        let (pause, concurrent) = acc.account(&stats);
-        assert_eq!((pause, concurrent), (Duration::ZERO, Duration::ZERO), "drained");
+        let w = Work::of_gc(&stats);
+        let d = w.since(&Work::default());
+        assert_eq!(
+            d.gc_pause,
+            Duration::from_millis(4),
+            "only the cycle's two pauses stop the task"
+        );
+        assert_eq!(d.gc_concurrent, Duration::from_millis(90), "overlap is the measured mark wall");
+        assert_eq!((d.minor_gcs, d.full_gcs), (0, 1), "the cycle is one full collection");
+        assert_eq!(Work::of_gc(&stats).since(&w), Work::default(), "drained");
     }
 
     #[test]

@@ -422,7 +422,6 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 oom_recovered: false,
                 died: false,
                 task_metrics: Vec::new(),
-                collections: [0, 0],
             };
             (done, Vec::new())
         });
@@ -548,8 +547,8 @@ pub(crate) struct PoolJob {
     /// Executor-side events of the job's attempts and restarts, drained as
     /// they happen and job-stamped.
     pub events: Vec<TraceEvent>,
-    /// Every attempt's task metrics summed, the collections of every
-    /// attempt and restart, and the cache bytes as last sealed.
+    /// Every task run's metrics and work summed, the counts of every
+    /// restart's work, and the cache bytes as last sealed.
     pub metrics: JobMetrics,
     /// Cumulative busy time per lane.
     pub busy: Vec<Duration>,
@@ -596,12 +595,12 @@ impl PoolJob {
             Lanes::Physical => {
                 let mut e = lock(&self.shared.executors[lane]);
                 let mark = e.trace.len();
-                let gc_mark = e.collections_since([0, 0]);
+                let before = e.work();
                 let out = e.restart_in_place(stage, ordinal);
                 if out.killed {
                     e.poison();
                 }
-                self.metrics.add_collections(e.collections_since(gc_mark));
+                self.metrics.add_counts(&e.work().since(&before));
                 self.events.extend(drain_events(&mut e, mark, lane));
                 (out.rehydrated.len() as u64, out.rehydrated.iter().map(|r| r.1).sum())
             }
@@ -674,7 +673,6 @@ impl PoolJob {
                     self.slowest = Some(tm.clone());
                 }
             }
-            self.metrics.add_collections(d.collections);
             self.events.extend(events);
             attempts.push(d);
         }

@@ -721,6 +721,61 @@ mod tests {
         assert_eq!(out.stages[0].attempts, 5);
     }
 
+    /// Jobs sharing a server's executors split their lifetime work: the
+    /// served jobs' counts, a forced OOM re-run's spill and collection
+    /// included, sum to the pool's lifetime counts, so no job's collections
+    /// land in another's record or outside every record.
+    #[test]
+    fn served_jobs_sum_to_the_executors_lifetime_counts() {
+        use deca_heap::{ClassBuilder, FieldKind};
+        let server = DecaServer::new(2, cfg());
+        // Each task keeps a window of its objects rooted, so the minor
+        // collections trace survivors.
+        let churn = || {
+            AppJob::new("churn", |ctx| {
+                let parts = ctx.run_stage("churn", 4, |c, e| {
+                    let class =
+                        e.heap.define_class(ClassBuilder::new("T").field("a", FieldKind::I64));
+                    let array = e.heap.define_array_class("T[]", FieldKind::Ref);
+                    let holder = e.heap.alloc_array(array, 512)?;
+                    let root = e.heap.add_root(holder);
+                    for i in 0..60_000 {
+                        let o = e.heap.alloc(class)?;
+                        let holder = e.heap.root_ref(root);
+                        e.heap.array_set_ref(holder, i % 512, o);
+                    }
+                    e.heap.remove_root(root);
+                    Ok(c.task as f64)
+                })?;
+                Ok(parts.into_iter().sum())
+            })
+        };
+        let oom = FaultPlan::quiet().force(FaultSite::Alloc, "churn", Some(1), Some(0));
+        let handles: Vec<_> = (0..4)
+            .map(|j| {
+                let spec = JobSpec::new("t").app(churn());
+                let spec = if j == 2 { spec.faults(oom.clone()) } else { spec };
+                server.submit(spec).unwrap()
+            })
+            .collect();
+        let mut served = [0u64; 3];
+        for h in &handles {
+            let m = h.wait().unwrap().metrics;
+            for (sum, n) in served.iter_mut().zip([m.minor_gcs, m.full_gcs, m.objects_traced]) {
+                *sum += n;
+            }
+        }
+        let mut lifetime = [0u64; 3];
+        for e in server.inner.pool.each() {
+            let w = e.work();
+            for (sum, n) in lifetime.iter_mut().zip([w.minor_gcs, w.full_gcs, w.objects_traced]) {
+                *sum += n;
+            }
+        }
+        assert!(served.iter().all(|&n| n > 0), "the jobs collected and traced: {served:?}");
+        assert_eq!(served, lifetime, "[minor, full, objects traced]");
+    }
+
     #[test]
     fn shuffle_jobs_exchange_all_to_all() {
         let server = DecaServer::new(3, cfg());

@@ -120,11 +120,8 @@ pub(crate) struct AttemptDone {
     /// crash or spill-path kill): the pool poisons the lane.
     pub died: bool,
     /// Metrics of every physical run the attempt made (one, or two with
-    /// an OOM in-place re-run).
+    /// an OOM in-place re-run, whose record includes its spill).
     pub task_metrics: Vec<TaskMetrics>,
-    /// `[minor, full]` collections the attempt ran, its OOM spill and
-    /// re-run included.
-    pub collections: [u64; 2],
 }
 
 /// The engine's per-attempt fault body, type-erased for the pool.
@@ -348,7 +345,6 @@ impl StageEngine {
                 }
                 Ok(())
             };
-            let gc_mark = e.collections_since([0, 0]);
             let mut crashed = false;
             let (mut result, tm) = e.run_task_in(format!("{name}-{t}"), name, t, a, |e| {
                 // An attempt whose token is already raised (its job was
@@ -395,15 +391,17 @@ impl StageEngine {
             // performs the recovery.
             let died = crashed || result.as_ref().is_err_and(|err| err.injected_kill().is_some());
             // Graceful OOM degradation: spill the cache, collect, and
-            // re-run once in place. An injected Alloc fault models the
-            // same pressure, so the spill relieves it and it is not
-            // re-drawn on the in-place re-run.
+            // re-run once in place, the spill inside the re-run's window so
+            // its collection, serialization and I/O are the re-run's. An
+            // injected Alloc fault models the same pressure, so the spill
+            // relieves it and it is not re-drawn on the in-place re-run.
             let oom_rerun = !died && result.as_ref().is_err_and(|err| err.is_memory_pressure());
             let mut task_metrics = vec![tm];
             if oom_rerun {
-                e.spill_for_memory();
-                let (rerun, tm) =
-                    e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, run_body);
+                let (rerun, tm) = e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, |e| {
+                    e.spill_for_memory();
+                    run_body(e)
+                });
                 result = rerun;
                 task_metrics.push(tm);
             }
@@ -417,7 +415,6 @@ impl StageEngine {
                 oom_rerun,
                 died,
                 task_metrics,
-                collections: e.collections_since(gc_mark),
             }
         };
 

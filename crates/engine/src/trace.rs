@@ -35,8 +35,8 @@
 //! row. Exact nanosecond fields ride in each event's `args`, so
 //! [`RunTrace::from_chrome_string`] round-trips losslessly even though
 //! the `ts`/`dur` fields are microseconds. [`RunTrace::to_manifest_string`]
-//! emits a flat run-manifest JSON with per-stage roll-ups — the diffable
-//! record the perf-regression gate and CI read.
+//! emits a flat run-manifest JSON with per-stage roll-ups — a diffable
+//! record of the run.
 
 use std::time::{Duration, Instant};
 

@@ -7,13 +7,15 @@
 //!
 //! * [`Heap::census`] (in `heap.rs`) counts objects *allocated and not yet
 //!   collected* — what a sampling profiler sees between collections;
-//! * [`Heap::reachable_census`] performs a genuine (non-moving) mark pass
-//!   from the roots and counts only objects that would survive a
-//!   collection — separating the live set from floating garbage.
+//! * [`Heap::reachable_census`] runs the collectors' mark from the roots
+//!   and counts only objects that would survive a collection — separating
+//!   the live set from floating garbage.
 
 use crate::class::ClassId;
 use crate::heap::Heap;
-use crate::object::{Header, ObjRef};
+use crate::object::Header;
+#[cfg(test)]
+use crate::object::ObjRef;
 use crate::space::SpaceId;
 
 /// One row of a class histogram.
@@ -67,65 +69,17 @@ impl Heap {
     }
 
     /// Count *reachable* instances per class via a real (non-moving) mark
-    /// pass from the roots. This is tracing work of the same kind a
-    /// collector performs; the mark bits are cleared before returning.
-    /// Returns counts indexed by class id.
+    /// pass from the roots: the collectors' own mark, into bitmaps of its
+    /// own, so the heap is left as it was. Returns counts indexed by class
+    /// id.
     pub fn reachable_census(&mut self) -> Vec<usize> {
+        let outcome = self.mark_all();
         let mut counts = vec![0usize; self.registry.len()];
-        let mut stack: Vec<ObjRef> = Vec::new();
-        let mut marked: Vec<ObjRef> = Vec::new();
-
-        // Collect roots without holding a borrow.
-        let mut roots = std::mem::take(&mut self.roots);
-        roots.for_each_mut(|r| stack.push(*r));
-        self.roots = roots;
-
-        while let Some(r) = stack.pop() {
-            if r.is_null() {
-                continue;
+        for space in [SpaceId::Eden, SpaceId::S0, SpaceId::S1, SpaceId::Old] {
+            let words = &self.spaces[space as usize].words;
+            for off in outcome.marks[space as usize].iter_marked() {
+                counts[Header(words[off]).class_id() as usize] += 1;
             }
-            let (space, off) = (r.space(), r.offset());
-            let h = Header(self.spaces[space as usize].words[off]);
-            if h.is_marked() {
-                continue;
-            }
-            self.spaces[space as usize].words[off] = h.with_mark(true).0;
-            marked.push(r);
-            let class = ClassId(h.class_id());
-            counts[class.index()] += 1;
-            let desc = self.registry.get(class);
-            match desc.array_elem() {
-                Some(elem) if elem.is_ref() => {
-                    let len = self.spaces[space as usize].words[off + 1] as usize;
-                    for i in 0..len {
-                        let v = ObjRef::from_raw(self.spaces[space as usize].words[off + 2 + i]);
-                        if !v.is_null() {
-                            stack.push(v);
-                        }
-                    }
-                }
-                Some(_) => {}
-                None => {
-                    let mask = desc.ref_mask();
-                    let n = desc.slot_count();
-                    for i in 0..n {
-                        if mask & (1u64 << i) != 0 {
-                            let v =
-                                ObjRef::from_raw(self.spaces[space as usize].words[off + 2 + i]);
-                            if !v.is_null() {
-                                stack.push(v);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Clear the mark bits so collections see a clean heap.
-        for r in marked {
-            let (space, off) = (r.space(), r.offset());
-            let h = Header(self.spaces[space as usize].words[off]);
-            self.spaces[space as usize].words[off] = h.with_mark(false).0;
         }
         counts
     }

@@ -356,7 +356,7 @@ impl Heap {
     }
 
     /// Stop-the-world mark of the whole heap from the roots.
-    fn mark_all(&mut self) -> MarkOutcome {
+    pub(crate) fn mark_all(&mut self) -> MarkOutcome {
         let mut root_refs: Vec<ObjRef> = Vec::new();
         let mut roots = std::mem::take(&mut self.roots);
         roots.for_each_mut(|r| root_refs.push(*r));
@@ -401,7 +401,7 @@ impl Heap {
                 let total = 2 + slots;
                 let src = &mut self.spaces[space as usize];
                 let new_off = new_old.bump_copy(&src.words[off..off + total], nominal);
-                // Fresh header state: age kept, mark/remembered cleared.
+                // Fresh header state: age kept, remembered cleared.
                 new_old.words[new_off] = Header::new(class.index() as u32).with_age(age).0;
                 let new_ref = ObjRef::new(SpaceId::Old, new_off);
                 src.words[off] = Header::forwarded().0;

@@ -555,7 +555,7 @@ impl Heap {
     }
 
     /// Read array element `i` as raw bits (zero-extended).
-    #[inline]
+    #[cfg(test)]
     pub fn array_get(&self, r: ObjRef, i: usize) -> u64 {
         let len = self.array_len(r);
         assert!(i < len, "array index {i} out of bounds (len {len})");

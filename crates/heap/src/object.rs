@@ -63,7 +63,7 @@ impl Default for ObjRef {
 /// ```text
 /// bits 0..32   class id
 /// bits 32..40  GC age (number of minor collections survived)
-/// bit  40      mark (used by full collections)
+/// bit  40      unused (marks live in per-space bitmaps, `mark.rs`)
 /// bit  41      remembered (object is in the remembered set)
 /// bit  42      forwarded (header word 1 holds the forwarding reference)
 /// ```
@@ -74,7 +74,6 @@ pub(crate) struct Header(pub u64);
 
 const AGE_SHIFT: u32 = 32;
 const AGE_MASK: u64 = 0xff << AGE_SHIFT;
-const MARK_BIT: u64 = 1 << 40;
 const REMEMBERED_BIT: u64 = 1 << 41;
 const FORWARDED_BIT: u64 = 1 << 42;
 
@@ -95,18 +94,6 @@ impl Header {
 
     pub fn with_age(self, age: u8) -> Header {
         Header((self.0 & !AGE_MASK) | ((age as u64) << AGE_SHIFT))
-    }
-
-    pub fn is_marked(self) -> bool {
-        self.0 & MARK_BIT != 0
-    }
-
-    pub fn with_mark(self, m: bool) -> Header {
-        if m {
-            Header(self.0 | MARK_BIT)
-        } else {
-            Header(self.0 & !MARK_BIT)
-        }
     }
 
     pub fn is_remembered(self) -> bool {
@@ -158,14 +145,12 @@ mod tests {
         let h = Header::new(42);
         assert_eq!(h.class_id(), 42);
         assert_eq!(h.age(), 0);
-        let h = h.with_age(7).with_mark(true).with_remembered(true);
+        let h = h.with_age(7).with_remembered(true);
         assert_eq!(h.class_id(), 42);
         assert_eq!(h.age(), 7);
-        assert!(h.is_marked());
         assert!(h.is_remembered());
         assert!(!h.is_forwarded());
-        let h = h.with_mark(false).with_remembered(false);
-        assert!(!h.is_marked());
+        let h = h.with_remembered(false);
         assert!(!h.is_remembered());
         assert!(Header::forwarded().is_forwarded());
     }

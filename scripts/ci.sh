@@ -284,6 +284,23 @@ if [ -n "$records" ]; then
   exit 1
 fi
 
+echo "== one work record (an attempt's counts and times are one difference, in executor.rs) =="
+# A task run's or a restart's work is `Executor::work()` after, `since`
+# before: no other non-test engine or app line takes a difference of the
+# collector's or the serializer's cumulative counters — it neither
+# subtracts one nor keeps a reading of one as a baseline. serde_sim.rs,
+# which maintains the serializer's timers, is excepted; comment lines are
+# skipped.
+counters='minor_collections|full_collections|total_gc_time|concurrent_mark_time|ser_time|deser_time'
+diffs=$(find crates/engine/src crates/apps/src -name '*.rs' ! -name executor.rs ! -name serde_sim.rs \
+  | sort | xargs awk -f scripts/non_test_lines.awk | grep -v -E '^[^:]+:[0-9]+: *//' \
+  | grep -E "($counters)" | grep -E ' - |-=|_sub\(|(^|[^=!<>])=([^=>]|$)' || true)
+if [ -n "$diffs" ]; then
+  echo "non-test code takes a difference of executor counters outside Executor::work:"
+  echo "$diffs"
+  exit 1
+fi
+
 echo "== unwrap ratchet (non-test .unwrap()/.expect( lines per crate never rise) =="
 # Library paths should return typed errors, not panic. Each crate's count
 # of non-test unwrap/expect lines may only fall; the allowed counts live in

@@ -304,8 +304,12 @@ fn read_block(e: &mut Executor, mode: ExecutionMode, id: BlockId) -> Vec<(i64, i
             got
         }
         ExecutionMode::Deca => {
+            let mut back = Vec::new();
             let block = e.cache.deca_block(id);
-            block.decode_all(&mut e.mm, &mut e.heap).expect("decode")
+            block
+                .scan_bytes(&mut e.mm, &mut e.heap, <(i64, i64)>::decode, |r| back.push(r))
+                .expect("decode");
+            back
         }
     }
 }
@@ -431,7 +435,7 @@ fn evict_all_swap_in_cycles_preserve_contents_and_monotone_stats() {
     // `(spill_write_bytes, spill_read_bytes)` of the mode's spill counter.
     let spilled_bytes = |e: &Executor, mode| match mode {
         ExecutionMode::Deca => (e.mm.spill_write_bytes, e.mm.spill_read_bytes),
-        _ => (e.cache.stats().spill_write_bytes, e.cache.stats().spill_read_bytes),
+        _ => (e.cache.spill_write_bytes, e.cache.spill_read_bytes),
     };
     for mode in ExecutionMode::ALL {
         let config = ExecutorConfig::new(mode, 16 << 20)
@@ -445,14 +449,13 @@ fn evict_all_swap_in_cycles_preserve_contents_and_monotone_stats() {
                 (put_block(&mut e, mode, &recs), recs)
             })
             .collect();
-        let (mut prev, mut prev_written) = (e.cache.stats(), spilled_bytes(&e, mode).0);
+        // `(evictions, demotions)` of the cache manager.
+        let moves = |e: &Executor| (e.cache.evictions, e.cache.demotions);
+        let (mut prev, mut prev_written) = (moves(&e), spilled_bytes(&e, mode).0);
         for cycle in 0..3 {
             e.cache.evict_all(&mut e.heap, &mut e.kryo, &mut e.mm).expect("evict_all");
-            let (spilled, (written, read)) = (e.cache.stats(), spilled_bytes(&e, mode));
-            assert!(
-                spilled.evictions > prev.evictions,
-                "{mode} cycle {cycle}: evict_all must evict"
-            );
+            let (spilled, (written, read)) = (moves(&e), spilled_bytes(&e, mode));
+            assert!(spilled.0 > prev.0, "{mode} cycle {cycle}: evict_all must evict");
             assert!(
                 written > prev_written,
                 "{mode} cycle {cycle}: re-spilling must write bytes again"
@@ -464,10 +467,10 @@ fn evict_all_swap_in_cycles_preserve_contents_and_monotone_stats() {
                     "{mode} cycle {cycle}: block contents drifted across the spill cycle"
                 );
             }
-            let (back, (written_back, read_back)) = (e.cache.stats(), spilled_bytes(&e, mode));
+            let (back, (written_back, read_back)) = (moves(&e), spilled_bytes(&e, mode));
             assert!(read_back >= read, "{mode} cycle {cycle}: spill reads rewound");
             assert!(
-                back.demotions >= prev.demotions && back.evictions >= spilled.evictions,
+                back.1 >= prev.1 && back.0 >= spilled.0,
                 "{mode} cycle {cycle}: counters rewound"
             );
             (prev, prev_written) = (back, written_back);

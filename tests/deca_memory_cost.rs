@@ -116,11 +116,10 @@ fn run_alone(build: fn() -> (AppJob, ExecutorConfig)) -> DecaCost {
     for r in e.mm.take_release_events() {
         released = [released[0] + 1, released[1] + r.pages as u64, released[2] + r.bytes as u64];
     }
-    let c = e.cache.stats();
     let mm = &e.mm;
     let spill = [
-        c.spill_write_bytes,
-        c.spill_read_bytes,
+        e.cache.spill_write_bytes,
+        e.cache.spill_read_bytes,
         mm.spill_write_bytes,
         mm.spill_read_bytes,
         mm.swap_outs,

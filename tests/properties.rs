@@ -120,7 +120,8 @@ fn rfst_cache_blocks_roundtrip() {
             for r in &recs {
                 block.append(&mut mm, &mut heap, r).unwrap();
             }
-            let back: Vec<AdjListRec> = block.decode_all(&mut mm, &mut heap).unwrap();
+            let mut back = Vec::new();
+            block.scan_bytes(&mut mm, &mut heap, AdjListRec::decode, |r| back.push(r)).unwrap();
             prop_assert_eq!(back, recs);
             block.release(&mut mm, &mut heap);
             prop_assert_eq!(heap.external_bytes(), 0);
@@ -456,9 +457,9 @@ fn string_fast_path_matches_the_utf16_path_at_every_length() {
                 heap.char_array_write(heap.stack_ref(utf16), s.encode_utf16());
                 if s.is_ascii() {
                     heap.char_array_inflate(heap.stack_ref(fast), s.as_bytes());
-                    for i in 0..n {
-                        let (f, u) = (heap.stack_ref(fast), heap.stack_ref(utf16));
-                        let (f, u) = (heap.array_get(f, i), heap.array_get(u, i));
+                    let (f, u) = (heap.stack_ref(fast), heap.stack_ref(utf16));
+                    let (f, u) = (heap.char_array_units(f), heap.char_array_units(u));
+                    for (i, (f, u)) in f.zip(u).enumerate() {
                         prop_assert_eq!(f, u, "element {i} of {ctx}");
                     }
                 }
@@ -651,7 +652,12 @@ fn read_block(
             .map_err(|e| err(&e))?;
             Ok(got)
         }
-        Put::Deca => cm.deca_block(id).decode_all(mm, heap).map_err(|e| err(&e)),
+        Put::Deca => {
+            let mut got = Vec::new();
+            let decode = <(i64, i64)>::decode;
+            cm.deca_block(id).scan_bytes(mm, heap, decode, |r| got.push(r)).map_err(|e| err(&e))?;
+            Ok(got)
+        }
     }
 }
 

@@ -132,7 +132,7 @@ fn run_alone(build: fn(ExecutionMode) -> (AppJob, ExecutorConfig), mode: Executi
     run_job_on(&app, &mut session).expect("the job completes");
     let stages = session.stages().iter().map(|s| (s.name.clone(), s.shuffle_bytes)).collect();
     let e = session.executor(0);
-    let (s, c) = (e.heap_stats(), e.cache.stats());
+    let (s, c) = (e.heap_stats(), &e.cache);
     (
         [
             s.objects_allocated,
